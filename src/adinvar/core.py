@@ -139,7 +139,14 @@ class BilinearForm:
         return [list(row) for row in self.matrix]
 
     def apply(self, x, y):
-        return linalg.dot(x, linalg.mat_vec(self.rows(), y))
+        """B(x, y), summed over the nonzero coordinates of x and y only."""
+        total = Q0
+        for xi, row in zip(x, self.matrix):
+            if xi:
+                for bij, yj in zip(row, y):
+                    if bij and yj:
+                        total += xi * bij * yj
+        return total
 
     @cached_property
     def signature(self):
@@ -240,18 +247,22 @@ def check_jacobi(alg):
 
 
 def ad_invariant(alg, form):
-    """True iff B([x,y],z) = -B(y,[x,z]) on all basis triples."""
+    """True iff ad(e_i)^T B + B ad(e_i) = 0 for every basis vector e_i.
+
+    With M_i = B ad(e_i), M_i[k][j] = B([e_i,e_j], e_k) and
+    M_i[j][k] = B(e_j, [e_i,e_k]), so M_i being skew is exactly
+    B([x,y],z) = -B(y,[x,z]) on all basis triples.
+    """
     if form.dim != alg.dim:
         raise AlgebraError("form and algebra dimensions differ")
-    basis = linalg.identity(alg.dim)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            bij = alg.basis_bracket(i, j)
-            for k in range(alg.dim):
-                lhs = form.apply(bij, basis[k])
-                rhs = form.apply(basis[j], alg.basis_bracket(i, k))
-                if lhs + rhs != 0:
-                    return False
+    n = alg.dim
+    b = form.matrix
+    for i in range(n):
+        cols = [alg._basis_table(i, k) for k in range(n)]
+        m = [[sum((b[j][l] * c for l, c in col), Q0) for col in cols]
+             for j in range(n)]
+        if any(m[j][k] + m[k][j] != 0 for j in range(n) for k in range(j, n)):
+            return False
     return True
 
 

@@ -34,11 +34,19 @@ def rational_str(x):
     return str(Fraction(x))
 
 
+def _is_int(value):
+    """JSON integer; true and false are refused although bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_algebra_dict(doc, where="algebra"):
-    """(LieAlgebra, BilinearForm | None) from a spec dictionary."""
+    """(LieAlgebra, BilinearForm | None) from a spec dictionary.
+
+    Repeated bracket entries add up; a repeated metric entry is an error.
+    """
     if not isinstance(doc, dict):
         raise SpecFormatError("algebra spec must be an object", where)
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 1:
+    if "dim" not in doc or not _is_int(doc["dim"]) or doc["dim"] < 1:
         raise SpecFormatError("'dim' must be a positive integer", where)
     dim = doc["dim"]
     names = doc.get("names")
@@ -53,7 +61,7 @@ def load_algebra_dict(doc, where="algebra"):
             raise SpecFormatError("bracket entry must be [i, j, k, value]", loc)
         i, j, k, value = item
         for label, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
+            if not _is_int(idx) or not 1 <= idx <= dim:
                 raise SpecFormatError(f"index {label}={idx!r} out of 1..{dim}", loc)
         if not i < j:
             raise SpecFormatError(f"bracket indices must satisfy i < j, got ({i},{j})", loc)
@@ -69,16 +77,21 @@ def load_algebra_dict(doc, where="algebra"):
     form = None
     if "metric" in doc:
         m = [[Q0] * dim for _ in range(dim)]
+        seen = {}
         for pos, item in enumerate(doc["metric"]):
             loc = f"{where}.metric[{pos}]"
             if not (isinstance(item, list) and len(item) == 3):
                 raise SpecFormatError("metric entry must be [i, j, value]", loc)
             i, j, value = item
             for label, idx in (("i", i), ("j", j)):
-                if not isinstance(idx, int) or not 1 <= idx <= dim:
+                if not _is_int(idx) or not 1 <= idx <= dim:
                     raise SpecFormatError(f"index {label}={idx!r} out of 1..{dim}", loc)
             if not i <= j:
                 raise SpecFormatError(f"metric indices must satisfy i <= j, got ({i},{j})", loc)
+            if (i, j) in seen:
+                raise SpecFormatError(
+                    f"metric entry ({i},{j}) repeats metric[{seen[(i, j)]}]", loc)
+            seen[(i, j)] = pos
             c = parse_rational(value, loc)
             m[i - 1][j - 1] = c
             m[j - 1][i - 1] = c

@@ -167,3 +167,59 @@ def test_corpus_all(capsys):
     doc = json.loads(out)
     assert doc["passed"]
     assert len(doc["checks"]) > 100
+
+
+def test_check_refuses_booleans_as_integers(tmp_path, capsys):
+    cases = [
+        ({"dim": True}, "dim"),
+        ({"dim": 2, "brackets": [[True, 2, 1, 1]]}, "brackets[0]"),
+        ({"dim": 2, "brackets": [[1, 2, False, 1]]}, "brackets[0]"),
+        ({"dim": 2, "metric": [[1, 1, 1], [1, True, 1]]}, "metric[1]"),
+    ]
+    for doc, where in cases:
+        f = tmp_path / "bool.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(f), "--json")
+        assert code == 2, doc
+        assert out == ""
+        assert where in err
+
+
+def test_check_refuses_repeated_metric_entry(tmp_path, capsys):
+    f = tmp_path / "twice.json"
+    f.write_text(json.dumps(
+        {"dim": 2, "metric": [[1, 1, 1], [2, 2, 1], [1, 1, -1]]}))
+    code, _, err = run(capsys, "check", str(f), "--json")
+    assert code == 2
+    assert "metric[2]" in err and "repeats metric[0]" in err
+
+
+def test_series_reports_inconsistent_prediction(tmp_path, capsys, monkeypatch):
+    from adinvar import series
+    from adinvar.core import SeriesResult
+    from adinvar.io import load_builder_file
+    outdir = emit_corpus(tmp_path, capsys, "gH")
+    spec = str(outdir / "gH_builder.json")
+    d_dim = load_builder_file(spec).d.dim
+
+    def off_by_one(real):
+        """The series as computed, one step longer on d + h* only."""
+        def computed(alg):
+            res = real(alg)
+            if alg.dim == d_dim:
+                return res
+            return SeriesResult(res.chain, res.step + 1)
+        return computed
+
+    monkeypatch.setattr(series, "lower_central_series",
+                        off_by_one(series.lower_central_series))
+    monkeypatch.setattr(series, "derived_series",
+                        off_by_one(series.derived_series))
+    code, out, _ = run(capsys, "series", spec, "--json")
+    assert code == 1
+    doc = json.loads(out)
+    checks = {c["name"]: c["pass"] for c in doc["checks"]}
+    assert checks == {"nilpotent_prediction": False,
+                      "solvable_prediction": False}
+    for kind in ("nilpotent", "solvable"):
+        assert doc[kind]["computed"] == doc[kind]["predicted"] + 1

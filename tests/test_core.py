@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      ad_invariant, center, check_jacobi, derived_series,
                      invariant_forms, is_ideal, is_subalgebra, kernel_of,
                      lower_central_series, orthogonal_complement,
                      restrict_to_subalgebra, totally_isotropic)
-from adinvar import build_gd, double_extend
+from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from conftest import a12_rep, h3_rep, T_PLUS
 
@@ -193,3 +194,111 @@ def test_subspace_equality_is_canonical():
     assert a == b
     assert a.contains([F(3), F(3), F(3)])
     assert not a.contains([F(1), F(0), F(0)])
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against their literal definitions
+# ---------------------------------------------------------------------------
+
+SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SPARSE_Q = st.one_of(st.just(F(0)), SMALL_Q)
+KERNELS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _apply_dense(form, x, y):
+    return linalg.dot(x, linalg.mat_vec(form.rows(), y))
+
+
+def _ad_invariant_loop(alg, form):
+    """B([e_i,e_j],e_k) + B(e_j,[e_i,e_k]) == 0 on every basis triple."""
+    basis = linalg.identity(alg.dim)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                lhs = _apply_dense(form, alg.basis_bracket(i, j), basis[k])
+                rhs = _apply_dense(form, basis[j], alg.basis_bracket(i, k))
+                if lhs + rhs != 0:
+                    return False
+    return True
+
+
+@st.composite
+def symmetric_forms(draw, n):
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(SPARSE_Q)
+    return BilinearForm(tuple(map(tuple, m)))
+
+
+@st.composite
+def algebra_and_form(draw):
+    """Structure constants (Jacobi not enforced) with a symmetric form that
+    is random, an invariant combination, or an invariant one with a nudge."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), SMALL_Q,
+                                        min_size=1, max_size=2))
+             for pair in chosen}
+    alg = LieAlgebra(n, tuple(f"e{i+1}" for i in range(n)), table)
+    kind = draw(st.sampled_from(["random", "invariant", "nudged"]))
+    if kind == "random":
+        return alg, draw(symmetric_forms(n)), kind
+    m = [[F(0)] * n for _ in range(n)]
+    for f in invariant_forms(alg):
+        c = draw(SMALL_Q)
+        m = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(m, f.matrix)]
+    if kind == "nudged":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] += 1
+        if i != j:
+            m[j][i] += 1
+    return alg, BilinearForm(tuple(map(tuple, m))), kind
+
+
+@KERNELS
+@given(algebra_and_form())
+def test_ad_invariant_matches_triple_loop(case):
+    alg, form, kind = case
+    got = ad_invariant(alg, form)
+    assert got == _ad_invariant_loop(alg, form)
+    if kind == "invariant":
+        assert got
+
+
+@KERNELS
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    symmetric_forms(n),
+    st.lists(SPARSE_Q, min_size=n - 1, max_size=n + 1),
+    st.lists(SPARSE_Q, min_size=n - 1, max_size=n + 1))))
+def test_apply_matches_dense_product(case):
+    form, x, y = case
+    got = form.apply(x, y)
+    assert type(got) is F
+    assert got == _apply_dense(form, x, y)
+
+
+def test_apply_returns_fraction_on_integer_input():
+    form = BilinearForm.diagonal([1, -1])
+    assert type(form.apply([0, 0], [1, 1])) is F
+    assert form.apply([1, 2], [3, 1]) == F(1)
+
+
+def test_ad_invariant_corpus_doubles_and_corruptions():
+    seen = []
+    for name in corpus_list():
+        dbl = corpus_build(name).double()
+        if (dbl.g, dbl.Q) in seen:
+            continue
+        seen.append((dbl.g, dbl.Q))
+        assert ad_invariant(dbl.g, dbl.Q) and _ad_invariant_loop(dbl.g, dbl.Q)
+        # B + E_pp is invariant iff E_pp is, iff e_p occurs in no bracket;
+        # so nudging Q[p][p] for a p in [g, g] must break invariance
+        p = min(k for comps in dbl.g.table.values() for k in comps)
+        m = [list(r) for r in dbl.Q.matrix]
+        m[p][p] += 1
+        bad = BilinearForm(tuple(map(tuple, m)))
+        assert not ad_invariant(dbl.g, bad)
+        assert not _ad_invariant_loop(dbl.g, bad)
+    assert len(seen) > 1

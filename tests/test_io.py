@@ -80,3 +80,18 @@ def test_duplicate_entries_accumulate():
     alg, _ = load_algebra_dict(
         {"dim": 2, "brackets": [[1, 2, 1, "1/2"], [1, 2, 1, "1/2"]]})
     assert alg.table[(0, 1)][0] == F(1)
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(SpecFormatError, match="positive integer"):
+        load_algebra_dict({"dim": True})
+    with pytest.raises(SpecFormatError, match=r"brackets\[0\]"):
+        load_algebra_dict({"dim": 2, "brackets": [[1, True, 1, 1]]})
+    with pytest.raises(SpecFormatError, match=r"metric\[0\]"):
+        load_algebra_dict({"dim": 2, "metric": [[True, 1, 1]]})
+
+
+def test_repeated_metric_entry_refused():
+    with pytest.raises(SpecFormatError,
+                       match=r"metric\[1\]: metric entry \(1,2\) repeats metric\[0\]"):
+        load_algebra_dict({"dim": 2, "metric": [[1, 2, 1], [1, 2, 1]]})
