@@ -21,7 +21,6 @@ from .geometry import (GeometryError, curvature, levi_civita,
 from .homstructure import verify_as
 from .io import (SpecFormatError, dump_algebra_dict, load_algebra_file,
                  load_builder_file, rational_str)
-from .runtime import pmap
 from .series import SeriesError, predict_nilpotent_step, predict_solvable_step
 
 
@@ -276,10 +275,9 @@ def cmd_corpus(args):
         entries = [corpus_build(n) for n in names]
     except KeyError as exc:
         raise SpecFormatError(str(exc))
-    results = pmap(lambda e: (e.name, e.checks()), entries)
-    for name, checks in results:
-        for cname, ok, detail in checks:
-            report["checks"].append(_check(f"{name}.{cname}", ok, detail))
+    for entry in entries:
+        for cname, ok, detail in entry.checks():
+            report["checks"].append(_check(f"{entry.name}.{cname}", ok, detail))
     if args.emit:
         outdir = Path(args.dir)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -401,6 +401,6 @@ def restrict_to_subalgebra(alg, sub, names=None):
 
 def killing_form(alg):
     ads = [alg.ad(i) for i in range(alg.dim)]
-    m = [[linalg.trace(linalg.mat_mul(ads[i], ads[j])) for j in range(alg.dim)]
+    m = [[linalg.trace_product(ads[i], ads[j]) for j in range(alg.dim)]
          for i in range(alg.dim)]
     return BilinearForm(tuple(tuple(r) for r in m))

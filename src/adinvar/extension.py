@@ -253,10 +253,6 @@ class GdAlgebra:
         """Embed an h vector through ell; f-coordinates equal h-coordinates."""
         return [Q0] * self.nd + list(hc)
 
-    def beta_dual(self, x, y):
-        """beta(x, y) in dual-basis coordinates on h*."""
-        return self.rep.beta(x, y)
-
     def beta_vec(self, x, y):
         """beta(x, y) as an element of the algebra (ell-basis coordinates)."""
         return self.embed_h(linalg.mat_vec(self.ell_inv(), self.rep.beta(x, y)))

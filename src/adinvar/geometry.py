@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import BilinearForm, is_subalgebra
-from .linalg import Q0, Q1
+from .linalg import Q1
 
 
 class GeometryError(Exception):
@@ -148,79 +148,79 @@ def curvature(gamma, alg):
 
 
 def curvature_gd(gd):
-    """Block formulas for the curvature of the d + h* algebra."""
-    alg = gd.L
+    """Block formulas for the curvature of the d + h* algebra.
+
+    Reads only stored construction data: ``gd.beta_table``, ``gd.ell``
+    (inverted once), the operators ``gd.rep.mats`` and the bracket tables
+    of d, h and ``gd.L``.  It never builds or reads a connection, so it
+    stays a check of ``curvature`` independent of the Koszul and definition
+    routes.  With beta*(x,y) = ell^-1 beta(x,y) in h, x, y, z in d:
+
+      R(x,y)z     = pi(beta*(x,y))z/2 - pi(beta*(y,z))x/4 - pi(beta*(z,x))y/4
+                    - [[x,y]_d, z]/4
+      R(x,y)h*    = -(beta*(x,pi(h)y) + beta*(pi(h)x,y))/4 + pi(h)[x,y]_d/4
+      R(x,h*)y    = -[x,pi(h)y]/4 + pi(h)[x,y]_d/4
+      R(x,h1*)h2* = -pi(h1)pi(h2)x/4
+      R(h1*,h2*)x = pi([h1,h2])x/4
+
+    with R(h*,x) = -R(x,h*) and R(h1*,h2*)h3* = 0.
+    """
+    alg, rep = gd.L, gd.rep
     nd, nh = gd.nd, gd.nh
     n = nd + nh
+    half, quarter = Q1 / 2, Q1 / 4
     ellinv = gd.ell_inv()
-    unit_d = linalg.identity(nd)
+    bstar = [[linalg.mat_vec(ellinv, gd.beta_table[a][b]) for b in range(nd)]
+             for a in range(nd)]
+    # operators stored by columns: cols[b] = M e_b
+    pi_bstar = [[linalg.transpose(rep.pi_of(bstar[a][b])) for b in range(nd)]
+                for a in range(nd)]
+    pi_h = [linalg.transpose(m) for m in rep.mats]
+    pi_hbr = [[linalg.transpose(rep.pi_of(rep.h.basis_bracket(p, q)))
+               for q in range(nh)] for p in range(nh)]
+    d_br = [[rep.d.basis_bracket(a, b) for b in range(nd)] for a in range(nd)]
+    l_br = [[alg.basis_bracket(a, b) for b in range(nd)] for a in range(nd)]
 
-    def pi_of(hc):
-        return gd.rep.pi_of(hc)
-
-    def beta_star(x, y):
-        # h vector with ell(beta_star) = beta
-        return linalg.mat_vec(ellinv, gd.rep.beta(x, y))
-
-    def beta_vec(x, y):
-        return gd.embed_h(linalg.mat_vec(ellinv, gd.rep.beta(x, y)))
+    def comb(coeffs, vecs, size):
+        """sum_q coeffs[q] vecs[q] over the nonzero coefficients."""
+        out = linalg.zero_vector(size)
+        for c, v in zip(coeffs, vecs):
+            if c:
+                out = [o + c * x for o, x in zip(out, v)]
+        return out
 
     def r(i, j, k):
-        xi, hi = gd.split(linalg.identity(n)[i])
-        xj, hj = gd.split(linalg.identity(n)[j])
-        xk, hk = gd.split(linalg.identity(n)[k])
         di, dj, dk = i < nd, j < nd, k < nd
         if di and dj and dk:
-            out = gd.embed_d(linalg.mat_vec(pi_of(beta_star(xi, xj)),
-                                            linalg.vec_scale(Q1 / 2, xk)))
-            out = linalg.vec_sub(out, gd.embed_d(
-                linalg.mat_vec(pi_of(beta_star(xj, xk)),
-                               linalg.vec_scale(Q1 / 4, xi))))
-            out = linalg.vec_sub(out, gd.embed_d(
-                linalg.mat_vec(pi_of(beta_star(xk, xi)),
-                               linalg.vec_scale(Q1 / 4, xj))))
-            inner = gd.rep.d.bracket(xi, xj)
-            out = linalg.vec_sub(out, linalg.vec_scale(
-                Q1 / 4, alg.bracket(gd.embed_d(inner), gd.embed_d(xk))))
-            return out
+            a, b, c = i, j, k
+            out = gd.embed_d([half * x - quarter * (y + z) for x, y, z in zip(
+                pi_bstar[a][b][c], pi_bstar[b][c][a], pi_bstar[c][a][b])])
+            inner = comb(d_br[a][b], [l_br[q][c] for q in range(nd)], n)
+            return linalg.vec_sub(out, linalg.vec_scale(quarter, inner))
         if di and dj:  # z in h*; ell-basis index k - nd names the h vector
-            h = [Q0] * nh
-            h[k - nd] = Q1
-            pih = pi_of(h)
-            out = linalg.vec_scale(-Q1 / 4, beta_vec(xi, linalg.mat_vec(pih, xj)))
-            out = linalg.vec_sub(out, linalg.vec_scale(
-                Q1 / 4, beta_vec(linalg.mat_vec(pih, xi), xj)))
-            out = linalg.vec_add(out, gd.embed_d(linalg.mat_vec(
-                pih, linalg.vec_scale(Q1 / 4, gd.rep.d.bracket(xi, xj)))))
-            return out
+            a, b, pih = i, j, pi_h[k - nd]
+            hpart = linalg.vec_add(
+                comb(pih[b], bstar[a], nh),
+                comb(pih[a], [bstar[q][b] for q in range(nd)], nh))
+            dpart = comb(d_br[a][b], pih, nd)
+            # the d block followed by the h* block
+            return (linalg.vec_scale(quarter, dpart)
+                    + linalg.vec_scale(-quarter, hpart))
         if di and not dj and dk:  # R(x, h*) y
-            h = [Q0] * nh
-            h[j - nd] = Q1
-            pih = pi_of(h)
-            out = linalg.vec_scale(-Q1 / 4, alg.bracket(
-                gd.embed_d(xi), gd.embed_d(linalg.mat_vec(pih, xk))))
-            out = linalg.vec_add(out, gd.embed_d(linalg.mat_vec(
-                pih, linalg.vec_scale(Q1 / 4, gd.rep.d.bracket(xi, xk)))))
-            return out
+            a, b, pih = i, k, pi_h[j - nd]
+            out = linalg.vec_scale(-quarter, comb(pih[b], l_br[a], n))
+            return linalg.vec_add(out, gd.embed_d(
+                linalg.vec_scale(quarter, comb(d_br[a][b], pih, nd))))
         if not di and dj and dk:  # R(h*, x) y = -R(x, h*) y
             return linalg.vec_scale(-Q1, r(j, i, k))
         if di and not dj and not dk:  # R(x, h1*) h2*
-            h1 = [Q0] * nh
-            h1[j - nd] = Q1
-            h2 = [Q0] * nh
-            h2[k - nd] = Q1
-            out = linalg.mat_vec(pi_of(h1), linalg.mat_vec(pi_of(h2), xi))
-            return gd.embed_d(linalg.vec_scale(-Q1 / 4, out))
+            out = comb(pi_h[k - nd][i], pi_h[j - nd], nd)
+            return gd.embed_d(linalg.vec_scale(-quarter, out))
         if not di and dj and not dk:
             return linalg.vec_scale(-Q1, r(j, i, k))
         if not di and not dj and dk:  # R(h1*, h2*) x
-            h1 = [Q0] * nh
-            h1[i - nd] = Q1
-            h2 = [Q0] * nh
-            h2[j - nd] = Q1
-            hb = gd.rep.h.bracket(h1, h2)
             return gd.embed_d(linalg.vec_scale(
-                Q1 / 4, linalg.mat_vec(pi_of(hb), xk)))
+                quarter, pi_hbr[i - nd][j - nd][k]))
         return linalg.zero_vector(n)
 
     return Tensor4.from_function(n, r)
@@ -327,16 +327,16 @@ def ricci_gd_closed(gd):
         sa = linalg.mat_vec(s, unit[a])
         for b in range(nd):
             m[a][b] = (linalg.dot(linalg.mat_vec(gd_rows, sa), unit[b]) / 2
-                       - linalg.trace(linalg.mat_mul(ads[a], ads[b])) / 4)
+                       - linalg.trace_product(ads[a], ads[b]) / 4)
     for a in range(nd):
         for k in range(nh):
-            val = -linalg.trace(linalg.mat_mul(gd.rep.mat(k), ads[a])) / 4
+            val = -linalg.trace_product(gd.rep.mat(k), ads[a]) / 4
             m[a][nd + k] = val
             m[nd + k][a] = val
     for j in range(nh):
         for k in range(nh):
-            m[nd + j][nd + k] = -linalg.trace(
-                linalg.mat_mul(gd.rep.mat(j), gd.rep.mat(k))) / 4
+            m[nd + j][nd + k] = -linalg.trace_product(
+                gd.rep.mat(j), gd.rep.mat(k)) / 4
     return BilinearForm(tuple(tuple(row) for row in m))
 
 

@@ -90,6 +90,19 @@ def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
+def trace_product(a, b):
+    """trace(a b) = sum a[p][q] b[q][p] over the nonzero entries, without
+    forming the product."""
+    total = Q0
+    for p, row in enumerate(a):
+        for q, x in enumerate(row):
+            if x:
+                y = b[q][p]
+                if y:
+                    total += x * y
+    return total
+
+
 def is_zero_vector(v):
     return all(x == 0 for x in v)
 

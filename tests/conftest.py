@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from adinvar import BilinearForm, LieAlgebra, Representation
 
@@ -35,15 +36,40 @@ def so3_rep():
                           (l1, l2, l3))
 
 
+def torus_rep(weights, perm=None):
+    """Abelian h of dimension m = len(weights) acting on R^{2m}: h_k rotates
+    the k-th coordinate plane with its weight.  perm, a list of
+    (index, sign) pairs, rewrites d in the basis f_j = sign_j e_index_j,
+    where pi becomes P^-1 pi P and the metric stays the identity."""
+    m = len(weights)
+    perm = perm or [(j, 1) for j in range(2 * m)]
+    mats = []
+    for k, w in enumerate(weights):
+        rot = [[0] * (2 * m) for _ in range(2 * m)]
+        rot[2 * k][2 * k + 1], rot[2 * k + 1][2 * k] = -w, w
+        mats.append(tuple(tuple(si * sj * rot[i][j] for j, sj in perm)
+                          for i, si in perm))
+    return Representation(
+        LieAlgebra.abelian(m, names=tuple(f"k{i + 1}" for i in range(m))),
+        BilinearForm.diagonal([1] * m),
+        LieAlgebra.abelian(2 * m), BilinearForm.diagonal([1] * (2 * m)),
+        tuple(mats))
+
+
+@st.composite
+def torus_reps(draw):
+    """torus_rep for m <= 2, weights in {1, 2, 3}, a signed permutation."""
+    m = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=m, max_size=m))
+    order = draw(st.permutations(range(2 * m)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=2 * m,
+                          max_size=2 * m))
+    return torus_rep(weights, list(zip(order, signs)))
+
+
 def two_torus_rep():
     """Abelian h of dimension two acting on R^4 by commuting rotations."""
-    zero = [[0] * 2 for _ in range(2)]
-    m1 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    m2 = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    return Representation(
-        LieAlgebra.abelian(2, names=("k1", "k2")), BilinearForm.diagonal([1, 1]),
-        LieAlgebra.abelian(4), BilinearForm.diagonal([1, 1, 1, 1]),
-        (tuple(map(tuple, m1)), tuple(map(tuple, m2))))
+    return torus_rep([1, 1])
 
 
 @pytest.fixture

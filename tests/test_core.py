@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      ad_invariant, center, check_jacobi, derived_series,
                      invariant_forms, is_ideal, is_subalgebra, kernel_of,
-                     lower_central_series, orthogonal_complement,
+                     killing_form, lower_central_series, orthogonal_complement,
                      restrict_to_subalgebra, totally_isotropic)
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
@@ -265,6 +265,15 @@ def test_ad_invariant_matches_triple_loop(case):
     assert got == _ad_invariant_loop(alg, form)
     if kind == "invariant":
         assert got
+
+
+@KERNELS
+@given(algebra_and_form())
+def test_killing_form_matches_trace_of_product(case):
+    alg = case[0]
+    ads = [alg.ad(i) for i in range(alg.dim)]
+    assert killing_form(alg).matrix == tuple(
+        tuple(linalg.trace(linalg.mat_mul(a, b)) for b in ads) for a in ads)
 
 
 @KERNELS

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from adinvar import (BilinearForm, GeometryError, LieAlgebra, Subspace,
                      bi_invariant_connection_check, bi_invariant_curvature_check,
@@ -10,7 +11,8 @@ from adinvar import (BilinearForm, GeometryError, LieAlgebra, Subspace,
                      ricci_gd_closed, ricci_operator, sectional,
                      totally_geodesic)
 from adinvar import linalg
-from conftest import T_PLUS, T_MINUS, a12_rep, h3_rep, so3_rep, two_torus_rep
+from conftest import (T_PLUS, T_MINUS, a12_rep, h3_rep, so3_rep, torus_reps,
+                      two_torus_rep)
 
 ALL_REPS = [h3_rep([1, 1], T_PLUS, 1), h3_rep([1, 1], T_PLUS, -1),
             h3_rep([-1, 1], T_MINUS, 1), h3_rep([-1, 1], T_MINUS, -1),
@@ -65,6 +67,13 @@ def test_closed_forms_match_koszul_everywhere():
         assert r == curvature_gd(gd)
         assert check_pair_symmetry(r, gd.metric)
         assert curvature_relation_check(gd, r)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(torus_reps())
+def test_curvature_gd_matches_definition_on_generated_tori(rep):
+    gd = build_gd(rep)
+    assert curvature_gd(gd) == curvature(levi_civita(gd.L, gd.metric), gd.L)
 
 
 def test_curvature_bi_invariant_identity():

@@ -1,9 +1,14 @@
 from fractions import Fraction as F
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
 
 from adinvar import (HomStructure, build_gd, build_hom_structure,
                      nilmanifold_t_formula, t_tensor, verify_as)
+from adinvar import linalg
 from adinvar.geometry import Tensor3
-from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, two_torus_rep
+from conftest import (T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep,
+                      torus_reps, two_torus_rep)
 
 from corpus_help import lemma_rep
 
@@ -79,3 +84,133 @@ def test_nilmanifold_formula_matches_iff_d_abelian():
     assert nilmanifold_t_formula(gd2) == build_hom_structure(gd2).T
     gd3 = build_gd(lemma_rep("H"))  # d nonabelian: the formulas differ
     assert nilmanifold_t_formula(gd3) != build_hom_structure(gd3).T
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(torus_reps())
+def test_verify_as_passes_on_generated_tori(rep):
+    assert verify_as(build_gd(rep)).all_pass
+
+
+# ---------------------------------------------------------------------------
+# verify_as against the basis-tuple sweep it replaced, on broken structures
+# ---------------------------------------------------------------------------
+
+def _verify_as_oracle(gd, hom):
+    """The literal sweep: dense Tensor apply calls on every basis tuple."""
+    form = gd.metric
+    t, nabla, nt, r = hom.T, hom.nabla, hom.nabla_tilde, hom.R
+    n = gd.L.dim
+    basis = linalg.identity(n)
+    axioms = {}
+    for name, op in (("i", t), ("i_prime", nt)):
+        bad = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if (form.apply(op.entry(i, j), basis[k])
+                            + form.apply(basis[j], op.entry(i, k))) != 0:
+                        bad.append((i, j, k))
+        axioms[name] = (not bad, tuple(bad))
+
+    def nabla_r(conn, x, y, z, w):
+        out = conn.apply_left(x, r.entry(y, z, w))
+        out = linalg.vec_sub(out, r.apply(conn.entry(x, y), basis[z], basis[w]))
+        out = linalg.vec_sub(out, r.apply(basis[y], conn.entry(x, z), basis[w]))
+        return linalg.vec_sub(out, r.apply(basis[y], basis[z], conn.entry(x, w)))
+
+    bad, bad_p = [], []
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for w in range(n):
+                    rhs = t.apply_left(x, r.entry(y, z, w))
+                    rhs = linalg.vec_sub(rhs, r.apply(basis[y], basis[z],
+                                                      t.entry(x, w)))
+                    rhs = linalg.vec_sub(rhs, r.apply(t.entry(x, y), basis[z],
+                                                      basis[w]))
+                    rhs = linalg.vec_sub(rhs, r.apply(basis[y], t.entry(x, z),
+                                                      basis[w]))
+                    if nabla_r(nabla, x, y, z, w) != rhs:
+                        bad.append((x, y, z, w))
+                    if not linalg.is_zero_vector(nabla_r(nt, x, y, z, w)):
+                        bad_p.append((x, y, z, w))
+    axioms["ii"] = (not bad, tuple(bad))
+    axioms["ii_prime"] = (not bad_p, tuple(bad_p))
+
+    def nabla_t(conn, x, y, w):
+        out = conn.apply_left(x, t.entry(y, w))
+        out = linalg.vec_sub(out, t.apply(conn.entry(x, y), basis[w]))
+        return linalg.vec_sub(out, t.apply(basis[y], conn.entry(x, w)))
+
+    bad, bad_p = [], []
+    for x in range(n):
+        for y in range(n):
+            for w in range(n):
+                rhs = t.apply_left(x, t.entry(y, w))
+                rhs = linalg.vec_sub(rhs, t.apply(basis[y], t.entry(x, w)))
+                rhs = linalg.vec_sub(rhs, t.apply(t.entry(x, y), basis[w]))
+                if nabla_t(nabla, x, y, w) != rhs:
+                    bad.append((x, y, w))
+                if not linalg.is_zero_vector(nabla_t(nt, x, y, w)):
+                    bad_p.append((x, y, w))
+    axioms["iii"] = (not bad, tuple(bad))
+    axioms["iii_prime"] = (not bad_p, tuple(bad_p))
+
+    bad = []
+    for i in range(n):
+        if not linalg.is_zero_vector(t.entry(i, i)):
+            bad.append((i, i))
+        for j in range(i + 1, n):
+            if not linalg.is_zero_vector(
+                    linalg.vec_add(t.entry(i, j), t.entry(j, i))):
+                bad.append((i, j))
+    axioms["iv"] = (not bad, tuple(bad))
+    return axioms
+
+
+BROKEN_REPS = {"h3": lambda: h3_rep([1, 1], T_PLUS, 1), "so3": so3_rep,
+               "torus": lambda: torus_rep([1, 2], [(1, 1), (3, -1), (0, 1), (2, 1)])}
+
+
+@lru_cache(maxsize=None)
+def _hom(name):
+    gd = build_gd(BROKEN_REPS[name]())
+    return gd, build_hom_structure(gd)
+
+
+def _nudged(tensor, index, delta):
+    """A copy of a Tensor3 or Tensor4 with one coefficient moved by delta."""
+    def thaw(x):
+        return [thaw(y) for y in x] if isinstance(x, tuple) else x
+
+    def freeze(x):
+        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+    data = thaw(tensor.data)
+    cell = data
+    for i in index[:-1]:
+        cell = cell[i]
+    cell[index[-1]] += delta
+    return type(tensor)(tensor.dim, freeze(data))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(BROKEN_REPS)), st.sampled_from(["T", "nabla", "R"]),
+       st.data(), st.fractions(-3, 3, max_denominator=4).filter(bool))
+def test_verify_as_witnesses_match_sweep_on_broken_structures(name, part, data,
+                                                                delta):
+    gd, hom = _hom(name)
+    n = gd.L.dim
+    slots = 4 if part == "R" else 3
+    index = tuple(data.draw(st.integers(0, n - 1)) for _ in range(slots))
+    if part == "T":
+        t = _nudged(hom.T, index, delta)
+        broken = HomStructure(gd, t, hom.nabla, t - hom.nabla, hom.R, False)
+    elif part == "nabla":
+        broken = HomStructure(gd, hom.T, _nudged(hom.nabla, index, delta),
+                              hom.nabla_tilde, hom.R, False)
+    else:
+        broken = HomStructure(gd, hom.T, hom.nabla, hom.nabla_tilde,
+                              _nudged(hom.R, index, delta), False)
+    report = verify_as(gd, broken)
+    assert report.axioms == _verify_as_oracle(gd, broken)
