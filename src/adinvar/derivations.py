@@ -33,19 +33,24 @@ class MatrixLieAlgebra:
     @classmethod
     def from_matrices(cls, mats, n):
         mats = [[list(map(linalg.frac, row)) for row in m] for m in mats]
-        flat = [_flatten(m) for m in mats]
-        if flat and linalg.rank(flat) != len(flat):
+        k = len(mats)
+        pairs = list(combinations(range(k), 2))
+        # One elimination of [basis | every commutator], flattened as
+        # columns: the basis is independent iff columns 0..k-1 all carry
+        # pivots, closed iff no other column does, and then rows 0..k-1
+        # hold the coordinates of each commutator in the basis.
+        cols = [_flatten(m) for m in mats]
+        cols += [_flatten(linalg.commutator(mats[i], mats[j])) for i, j in pairs]
+        rows, pivots = linalg.rref(linalg.transpose(cols))
+        if pivots[:k] != list(range(k)):
             raise AlgebraError("matrix basis is not linearly independent")
-        ft = linalg.transpose(flat) if flat else []
+        if len(pivots) > k:
+            raise AlgebraError("matrix space is not closed under commutator")
         table = {}
-        for i, j in combinations(range(len(mats)), 2):
-            comm = _flatten(linalg.commutator(mats[i], mats[j]))
-            coords = linalg.solve(ft, comm) if flat else None
-            if coords is None:
-                raise AlgebraError("matrix space is not closed under commutator")
-            comps = {k: c for k, c in enumerate(coords) if c != 0}
+        for col, pair in enumerate(pairs, start=k):
+            comps = {b: rows[b][col] for b in range(k) if rows[b][col] != 0}
             if comps:
-                table[(i, j)] = comps
+                table[pair] = comps
         closure = LieAlgebra.from_brackets(len(mats), table, check=False)
         frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
         return cls(n, frozen, closure)
@@ -159,7 +164,7 @@ def so_aut(gd):
     nh, nd = gd.nh, gd.nd
     na, width = nh * nh, nh * nh + nd * nd
 
-    def pad(rows, offset, block):
+    def pad(rows, offset):
         out = []
         for r in rows:
             row = [Q0] * width
@@ -169,9 +174,9 @@ def so_aut(gd):
         return out
 
     w_form = BilinearForm(gd.ell)
-    rows = pad(_skew_rows(w_form, nh), 0, "a")
-    rows += pad(_derivation_rows(gd.rep.d), na, "b")
-    rows += pad(_skew_rows(gd.rep.d_form, nd), na, "b")
+    rows = pad(_skew_rows(w_form, nh), 0)
+    rows += pad(_derivation_rows(gd.rep.d), na)
+    rows += pad(_skew_rows(gd.rep.d_form, nd), na)
     # [B, pi(h_i)] = pi(A h_i): columns of A weight the pi generators
     for i in range(nh):
         pii = gd.rep.mat(i)

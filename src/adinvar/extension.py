@@ -332,7 +332,7 @@ def _verify_gd(gd):
         fk = basis[nd + k]
         for a in range(nd):
             for b in range(nd):
-                br = alg.bracket(basis[a], basis[b])
+                br = alg.basis_bracket(a, b)
                 if metric.apply(fk, br) != gd.beta_table[a][b][k]:
                     raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
     for i in range(nh):
@@ -341,11 +341,11 @@ def _verify_gd(gd):
         if any(gm[p][q] + gm[q][p] != 0
                for p in range(nd + nh) for q in range(p, nd + nh)):
             raise ExtensionError("mu(h) is not metric-skew")
+        cols = linalg.transpose(m)  # cols[a] = mu(h_i) e_a
         for a, b in combinations(range(nd + nh), 2):
             lhs = linalg.mat_vec(m, alg.basis_bracket(a, b))
-            rhs = linalg.vec_add(
-                alg.bracket(linalg.mat_vec(m, basis[a]), basis[b]),
-                alg.bracket(basis[a], linalg.mat_vec(m, basis[b])))
+            rhs = linalg.vec_add(alg.bracket(cols[a], basis[b]),
+                                 alg.bracket(basis[a], cols[b]))
             if lhs != rhs:
                 raise ExtensionError("mu(h) is not a derivation")
     for i, j in combinations(range(nh), 2):
@@ -354,13 +354,11 @@ def _verify_gd(gd):
                                 [list(r) for r in gd.mu_mats[j]])
         if lhs != rhs:
             raise ExtensionError("mu is not a homomorphism")
-    lam = lambda_matrix(gd)
+    lam_cols = linalg.transpose(lambda_matrix(gd))  # lam_cols[a] = lambda(e_a)
     qm = gd.double.Q_minus
     for a in range(nd + nh):
         for b in range(nd + nh):
-            la = linalg.mat_vec(lam, basis[a])
-            lb = linalg.mat_vec(lam, basis[b])
-            if qm.apply(la, lb) != metric.apply(basis[a], basis[b]):
+            if qm.apply(lam_cols[a], lam_cols[b]) != g[a][b]:
                 raise ExtensionError("lambda is not a linear isometry")
 
 
@@ -400,7 +398,7 @@ class SplitResult:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _decompose(g_alg, h_sub, m_sub, v):
+def _decompose(h_sub, m_sub, v):
     """Coefficients of v in the stacked (h | m) basis, or None."""
     basis = h_sub.basis() + m_sub.basis()
     return linalg.solve(linalg.transpose(basis), list(v))
@@ -429,11 +427,11 @@ def reductive_split(g_alg, form, h_sub):
     witness = None
     for x in mb:
         for y in mb:
-            dxy = _decompose(g_alg, h_sub, m, g_alg.bracket(x, y))
+            dxy = _decompose(h_sub, m, g_alg.bracket(x, y))
             proj_xy = None if dxy is None else _combine(mb, dxy[h_sub.dim:],
                                                         g_alg.dim)
             for z in mb:
-                dxz = _decompose(g_alg, h_sub, m, g_alg.bracket(x, z))
+                dxz = _decompose(h_sub, m, g_alg.bracket(x, z))
                 if dxy is None or dxz is None:
                     ok, witness = False, "bracket outside h + m"
                     break
@@ -503,7 +501,7 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     s_vectors = {}
     for a, b in pairs:
         w = g_alg.bracket(mb[a], mb[b])
-        coeffs = _decompose(g_alg, h_sub, m_sub, w)
+        coeffs = _decompose(h_sub, m_sub, w)
         if coeffs is None:
             raise KostantError("bracket escapes h + m")
         s_vectors[(a, b)] = _combine(h_sub.basis(), coeffs[:h_sub.dim],
@@ -619,7 +617,7 @@ def canonical_connection(g_alg, h_sub, m_sub):
     for a in range(k):
         for b in range(k):
             w = g_alg.bracket(mb[a], mb[b])
-            coeffs = _decompose(g_alg, h_sub, m_sub, w)
+            coeffs = _decompose(h_sub, m_sub, w)
             if coeffs is None:
                 raise ExtensionError("bracket escapes h + m")
             h_part = _combine(h_sub.basis(), coeffs[:h_sub.dim], g_alg.dim)

@@ -47,16 +47,13 @@ def t_tensor(gd):
 
 def _t_via_lambda(gd):
     from .extension import lambda_matrix
-    lam = lambda_matrix(gd)
+    lam_cols = linalg.transpose(lambda_matrix(gd))  # lam_cols[i] = lambda(e_i)
     dbl = gd.double
     winv = gd.ell_inv()
     n = gd.L.dim
-    basis = linalg.identity(n)
 
     def t(i, j):
-        u = linalg.mat_vec(lam, basis[i])
-        v = linalg.mat_vec(lam, basis[j])
-        w = dbl.g.bracket(u, v)
+        w = dbl.g.bracket(lam_cols[i], lam_cols[j])
         _, dvec, dual = dbl.split(w)
         # m-projection of (a, v, phi) is (ell^-1 phi, v, phi); pull back by
         # lambda^-1 to get v + (ell^-1 phi in ell-basis coordinates)

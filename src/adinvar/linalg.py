@@ -3,10 +3,15 @@
 Matrices are lists of rows, vectors are flat lists, all entries
 ``fractions.Fraction``.  Everything here is deterministic: pivoting is
 always leftmost-first, so echelon forms are canonical representatives.
+
+Elimination (``rref`` and everything built on it: ``rank``,
+``nullspace``, ``solve``, ``inverse``) runs fraction-free on integer
+rows; ``Fraction``s are formed only at the boundary, once per entry of
+the result.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -111,33 +116,56 @@ def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
 
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(a):
     """Reduced row echelon form with leftmost pivots.
 
     Returns (rows, pivot_columns); zero rows are dropped, so the result
     is the canonical basis of the row space.
+
+    Each row is scaled by the lcm of its denominators to an integer row.
+    Gauss-Jordan elimination then replaces row_i by p*row_i - f*row_r for
+    the pivot p of row_r and divides it by the gcd of its entries, which
+    keeps the integers small as Bareiss's exact division does (E. H.
+    Bareiss, Math. Comp. 22, 1968).  Each pivot row is divided by its
+    pivot only at the end.
     """
-    rows = copy_matrix(a)
+    rows = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            rows.append(_primitive(ints))
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Q1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _primitive([p * x - f * y
+                                      for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows[:r], pivots
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append([Fraction(x, p) if x else Q0 for x in row])
+    return out, pivots
 
 
 def rank(a):

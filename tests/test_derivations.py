@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adinvar import (AlgebraError, BilinearForm, LieAlgebra, build_gd, center,
-                     derivation_algebra, equivalence_check, inner_derivations,
-                     intertwiners_skew, invariant_forms, profile,
-                     skew_derivations, so_aut, induced_so_aut_pair)
+                     corpus_build, corpus_list, derivation_algebra,
+                     equivalence_check, inner_derivations, intertwiners_skew,
+                     invariant_forms, profile, skew_derivations, so_aut,
+                     induced_so_aut_pair)
 from adinvar import linalg
+from adinvar.derivations import MatrixLieAlgebra
 from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, two_torus_rep
 from corpus_help import lemma_rep
 
@@ -190,3 +194,116 @@ def test_intertwiners_commute_elementwise():
     gen = [list(r) for r in rep.mats[0]]
     for m in u.matrices():
         assert linalg.commutator(m, gen) == linalg.zeros(3, 3)
+
+
+# -- MatrixLieAlgebra.from_matrices against the per-pair solve loop --------
+
+def closure_by_pairs(mats):
+    """The closure table found by one solve per commutator pair."""
+    mats = [[list(map(linalg.frac, row)) for row in m] for m in mats]
+    flat = [[x for row in m for x in row] for m in mats]
+    if flat and linalg.rank(flat) != len(flat):
+        raise AlgebraError("matrix basis is not linearly independent")
+    ft = linalg.transpose(flat) if flat else []
+    table = {}
+    for i, j in combinations(range(len(mats)), 2):
+        comm = [x for row in linalg.commutator(mats[i], mats[j]) for x in row]
+        coords = linalg.solve(ft, comm) if flat else None
+        if coords is None:
+            raise AlgebraError("matrix space is not closed under commutator")
+        comps = {k: c for k, c in enumerate(coords) if c != 0}
+        if comps:
+            table[(i, j)] = comps
+    return table
+
+
+def outcome(fn, mats):
+    try:
+        return fn(mats)
+    except AlgebraError as exc:
+        return str(exc)
+
+
+def closure_table(mats):
+    return MatrixLieAlgebra.from_matrices(mats, len(mats[0])).closure.table
+
+
+def dense_change(n, seed):
+    """P = L U for seeded unit-triangular L, U with entries in {+-1, +-1/2}."""
+    rng = random.Random(seed)
+    vals = (F(1), F(-1), F(1, 2), F(-1, 2))
+    low, up = linalg.identity(n), linalg.identity(n)
+    for i in range(n):
+        for j in range(i):
+            low[i][j], up[j][i] = rng.choice(vals), rng.choice(vals)
+    return linalg.mat_mul(low, up)
+
+
+def conjugated(alg, form, p):
+    """alg and form rewritten in the basis of the columns of p."""
+    p_inv, cols = linalg.inverse(p), linalg.transpose(p)
+    table = {}
+    for a, b in combinations(range(alg.dim), 2):
+        vec = linalg.mat_vec(p_inv, alg.bracket(cols[a], cols[b]))
+        comps = {k: c for k, c in enumerate(vec) if c}
+        if comps:
+            table[(a, b)] = comps
+    g = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(form.rows(), p))
+    return (LieAlgebra.from_brackets(alg.dim, table),
+            BilinearForm(tuple(tuple(r) for r in g)))
+
+
+@pytest.fixture(scope="module")
+def corpus_algebras():
+    """d and d + h* of every corpus entry, each under a dense change of
+    basis, with the basis of its derivation algebra."""
+    out = []
+    for seed, name in enumerate(corpus_list()):
+        rep = corpus_build(name).rep
+        gd = build_gd(rep)
+        for alg, form in ((rep.d, rep.d_form), (gd.L, gd.metric)):
+            alg, form = conjugated(alg, form, dense_change(alg.dim, seed))
+            out.append((alg, form, derivation_algebra(alg)))
+    return out
+
+
+def test_from_matrices_matches_pair_solves_on_corpus(corpus_algebras):
+    for alg, form, der in corpus_algebras:
+        for mla in (der, skew_derivations(alg, form)):
+            mats = mla.matrices()
+            assert mla.closure.table == closure_by_pairs(mats)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_matrices_matches_pair_solves_on_subsets(corpus_algebras, data):
+    """Generated subsets of a derivation algebra, some members shifted by a
+    rational multiple of another: closed, unclosed and dependent sets all
+    occur."""
+    basis = data.draw(st.sampled_from(corpus_algebras))[2].matrices()
+    picks = data.draw(st.lists(st.sampled_from(range(len(basis))),
+                               min_size=1, max_size=6, unique=True))
+    mats = [basis[i] for i in picks]
+    for i in range(1, len(mats), 2):
+        c = data.draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)]))
+        mats[i] = linalg.mat_add(mats[i], linalg.mat_scale(c, mats[i - 1]))
+    if data.draw(st.booleans()):
+        mats.append(data.draw(st.sampled_from(mats)))
+    assert outcome(closure_table, mats) == outcome(closure_by_pairs, mats)
+
+
+def test_from_matrices_rejects_dependent_basis():
+    e12 = [[F(0), F(1)], [F(0), F(0)]]
+    with pytest.raises(AlgebraError, match="not linearly independent"):
+        MatrixLieAlgebra.from_matrices([e12, linalg.mat_scale(F(2), e12)], 2)
+
+
+def test_from_matrices_rejects_unclosed_space():
+    e12 = [[F(0), F(1)], [F(0), F(0)]]
+    e21 = [[F(0), F(0)], [F(1), F(0)]]
+    with pytest.raises(AlgebraError, match="not closed under commutator"):
+        MatrixLieAlgebra.from_matrices([e12, e21], 2)
+    diag = [[F(1), F(0)], [F(0), F(-1)]]
+    sl2 = MatrixLieAlgebra.from_matrices([e12, e21, diag], 2)
+    assert sl2.closure.table == {(0, 1): {2: F(1)}, (0, 2): {0: F(-2)},
+                                 (1, 2): {1: F(2)}}

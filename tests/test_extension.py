@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,9 @@ from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      canonical_connection, check_jacobi, double_extend,
                      kostant_form, lambda_map, lambda_matrix, reductive_split)
 from adinvar import linalg
-from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep
+from adinvar.extension import _verify_gd
+from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep
+from corpus_help import lemma_rep
 
 
 def test_double_extend_a12_golden():
@@ -330,3 +333,76 @@ def test_kostant_a12_reconstruction():
     for u in res.basis:
         for v in res.basis:
             assert res.pair(list(u), list(v)) == dbl.Q_minus.apply(list(u), list(v))
+
+
+# -- construction-time identities of d + h*, on corrupted data -------------
+
+def _gd_inputs():
+    return [build_gd(rep) for rep in
+            (h3_rep([1, 1], T_PLUS, 1), a12_rep(), lemma_rep("H"))]
+
+
+def _with_mu(gd, mat):
+    return replace(gd, mu_mats=(tuple(tuple(r) for r in mat),) + gd.mu_mats[1:])
+
+
+def _is_derivation(alg, m):
+    basis = linalg.identity(alg.dim)
+    return all(
+        linalg.mat_vec(m, alg.basis_bracket(a, b)) == linalg.vec_add(
+            alg.bracket(linalg.mat_vec(m, basis[a]), basis[b]),
+            alg.bracket(basis[a], linalg.mat_vec(m, basis[b])))
+        for a in range(alg.dim) for b in range(alg.dim))
+
+
+def test_verify_gd_accepts_built_algebras():
+    for gd in _gd_inputs():
+        _verify_gd(gd)
+
+
+def test_verify_gd_rejects_mu_entry_that_breaks_skewness():
+    for gd in _gd_inputs():
+        n = gd.L.dim
+        for p in range(n):
+            for q in range(n):
+                mat = [list(r) for r in gd.mu_mats[0]]
+                mat[p][q] += 1
+                with pytest.raises(ExtensionError, match=r"mu\(h\) is not metric-skew"):
+                    _verify_gd(_with_mu(gd, mat))
+
+
+def test_verify_gd_rejects_skew_mu_that_is_not_a_derivation():
+    """mu(h) + g^-1 S stays metric-skew for skew S; it is refused exactly
+    when it stops being a derivation (h is one-dimensional here, so no
+    later identity can fail)."""
+    refused = 0
+    for gd in _gd_inputs():
+        n = gd.L.dim
+        g_inv = linalg.inverse(gd.metric.rows())
+        for p in range(n):
+            for q in range(p + 1, n):
+                s = linalg.zeros(n, n)
+                s[p][q], s[q][p] = F(1), F(-1)
+                mat = linalg.mat_add([list(r) for r in gd.mu_mats[0]],
+                                     linalg.mat_mul(g_inv, s))
+                if _is_derivation(gd.L, mat):
+                    _verify_gd(_with_mu(gd, mat))
+                    continue
+                refused += 1
+                with pytest.raises(ExtensionError, match=r"mu\(h\) is not a derivation"):
+                    _verify_gd(_with_mu(gd, mat))
+    assert refused >= 10
+
+
+def test_verify_gd_rejects_ell_that_breaks_the_isometry():
+    for gd in _gd_inputs():
+        for scale in (F(2), F(-1), F(1, 3)):
+            ell = tuple(tuple(scale * x for x in row) for row in gd.ell)
+            with pytest.raises(ExtensionError, match="lambda is not a linear isometry"):
+                _verify_gd(replace(gd, ell=ell))
+    # an off-diagonal entry of ell moves only off-diagonal lambda products
+    gd = build_gd(torus_rep([1, 2]))
+    ell = [list(r) for r in gd.ell]
+    ell[0][1] = ell[1][0] = F(1)
+    with pytest.raises(ExtensionError, match="lambda is not a linear isometry"):
+        _verify_gd(replace(gd, ell=tuple(tuple(r) for r in ell)))

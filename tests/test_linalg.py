@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from adinvar import linalg
 
@@ -116,3 +118,105 @@ def test_epsilon_frame_isotropic_block():
     frame = linalg.epsilon_frame(g)
     assert frame is not None
     _frame_ok(g, frame)
+
+
+# -- sympy as an independent oracle for the elimination kernel ------------
+
+ORACLE = settings(derandomize=True, max_examples=120, deadline=None)
+
+ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from([F(2**70, 3**40), F(-(3**40), 2**70), F(2**70 + 1, 7)]),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices up to 8 x 9 with zero rows, rows that combine
+    earlier rows, tall and wide shapes and the empty matrix; square ones
+    are 1 x 1 to 6 x 6."""
+    m = draw(st.integers(1, 6) if square else st.integers(0, 8))
+    n = m if square else draw(st.integers(0, 9))
+    out = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            out.append([F(0)] * n)
+        elif kind == "combination" and out:
+            u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            a, b = draw(ENTRIES), draw(ENTRIES)
+            out.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            out.append(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    return out
+
+
+def to_sympy(a):
+    n = len(a[0]) if a else 0
+    return sympy.Matrix(len(a), n, [sympy.Rational(x.numerator, x.denominator)
+                                     for row in a for x in row])
+
+
+def from_sympy(mat):
+    return [[F(int(x.p), int(x.q)) for x in mat.row(i)] for i in range(mat.rows)]
+
+
+def sympy_rref_rows(mat):
+    reduced, pivots = mat.rref()
+    return from_sympy(reduced)[:len(pivots)], list(pivots)
+
+
+def all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+@ORACLE
+@given(rational_matrices())
+def test_rref_matches_sympy(a):
+    rows, pivots = linalg.rref(a)
+    assert (rows, pivots) == sympy_rref_rows(to_sympy(a))
+    assert all_fractions(rows)
+
+
+@ORACLE
+@given(rational_matrices())
+def test_nullspace_matches_sympy(a):
+    basis = linalg.nullspace(a)
+    kernel = to_sympy(a).nullspace()
+    want = (sympy_rref_rows(sympy.Matrix.hstack(*kernel).T)[0]
+            if kernel else [])
+    assert basis == want
+    assert all_fractions(basis)
+
+
+@ORACLE
+@given(rational_matrices(), st.data())
+def test_solve_matches_sympy_consistency(a, data):
+    n = len(a[0]) if a else 0
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        b = linalg.mat_vec(a, x) if n else [F(0)] * len(a)
+    else:
+        b = data.draw(st.lists(ENTRIES, min_size=len(a), max_size=len(a)))
+    mat = to_sympy(a)
+    consistent = mat.rank() == mat.row_join(to_sympy([[y] for y in b])).rank()
+    x = linalg.solve(a, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert len(x) == n and all(type(y) is F for y in x)
+        assert linalg.mat_vec(a, x) == b
+
+
+@ORACLE
+@given(rational_matrices(square=True))
+def test_inverse_matches_sympy(a):
+    mat = to_sympy(a)
+    if mat.det() == 0:
+        with pytest.raises(linalg.LinAlgError):
+            linalg.inverse(a)
+        return
+    inv = linalg.inverse(a)
+    assert inv == from_sympy(mat.inv())
+    assert all_fractions(inv)
