@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import linalg
-from .core import ad_invariant, center, check_jacobi
+from .core import ad_invariant, center, check_jacobi, skew_witnesses
 from .corpus import corpus_build, corpus_list
 from .derivations import (derivation_algebra, induced_so_aut_pair,
                           inner_derivations, profile, skew_derivations, so_aut)
@@ -145,20 +145,12 @@ def cmd_geometry(args):
         gamma.entry(i, j) == linalg.vec_add(gamma.entry(j, i),
                                             alg.basis_bracket(i, j))
         for i in range(alg.dim) for j in range(alg.dim))
-    metric_comp = all(
-        form.apply(gamma.entry(i, j), basis[k])
-        + form.apply(basis[j], gamma.entry(i, k)) == 0
-        for i in range(alg.dim) for j in range(alg.dim) for k in range(alg.dim))
+    metric_comp = not any(skew_witnesses(gamma.data, form, alg.dim))
     report["checks"].append(_check("torsion_free", torsion_free))
     report["checks"].append(_check("metric_compatible", metric_comp))
-    report["connection"] = {
-        f"{i+1},{j+1}": _vec_str(gamma.entry(i, j))
-        for i in range(alg.dim) for j in range(alg.dim)
-        if any(x != 0 for x in gamma.entry(i, j))}
-    report["curvature"] = {
-        f"{i+1},{j+1},{k+1}": _vec_str(r.entry(i, j, k))
-        for i in range(alg.dim) for j in range(alg.dim) for k in range(alg.dim)
-        if any(x != 0 for x in r.entry(i, j, k))}
+    for key, tensor in (("connection", gamma), ("curvature", r)):
+        report[key] = {",".join(str(i + 1) for i in idx):
+                       _vec_str(tensor.entry(*idx)) for idx in tensor.data}
     report["ricci"] = _mat_str(ric.rows())
     report["ricci_operator"] = _mat_str(op)
     report["ricci_charpoly"] = _vec_str(linalg.charpoly(op))

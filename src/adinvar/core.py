@@ -7,10 +7,10 @@ equality of subspaces is plain data equality.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
-from .linalg import Q0, Q1, frac
+from .linalg import Q0, frac
 
 
 class AlgebraError(Exception):
@@ -67,35 +67,39 @@ class LieAlgebra:
     def abelian(cls, dim, names=None):
         return cls.from_brackets(dim, {}, names, check=False)
 
+    @cached_property
+    def bracket_data(self):
+        """The bracket in the sparse tensor format: {(i, j): {k: coeff}} for
+        every ordered pair with [e_i, e_j] != 0."""
+        out = {}
+        for (i, j), comps in self.table.items():
+            out[i, j] = dict(comps)
+            out[j, i] = {k: -c for k, c in comps.items()}
+        return out
+
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a coefficient vector."""
         v = linalg.zero_vector(self.dim)
-        if i == j:
-            return v
-        sign, key = (Q1, (i, j)) if i < j else (-Q1, (j, i))
-        for k, c in self.table.get(key, {}).items():
-            v[k] = sign * c
+        for k, c in self.bracket_data.get((i, j), {}).items():
+            v[k] = c
         return v
 
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError("vector length does not match algebra dimension")
+        table = self.bracket_data
         out = linalg.zero_vector(self.dim)
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
             for j, yj in enumerate(y):
-                if yj == 0 or i == j:
+                if yj == 0 or (i, j) not in table:
                     continue
                 c = xi * yj
-                for k, s in self._basis_table(i, j):
+                for k, s in table[i, j].items():
                     out[k] += c * s
         return out
-
-    def _basis_table(self, i, j):
-        sign, key = (Q1, (i, j)) if i < j else (-Q1, (j, i))
-        return [(k, sign * c) for k, c in self.table.get(key, {}).items()]
 
     def ad(self, i):
         """Matrix of ad(e_i): columns are [e_i, e_j]."""
@@ -226,10 +230,6 @@ class Subspace:
 # operations
 # ---------------------------------------------------------------------------
 
-def bracket(alg, x, y):
-    return alg.bracket(x, y)
-
-
 def check_jacobi(alg):
     """All triples i<j<k whose cyclic bracket sum is nonzero.
 
@@ -247,23 +247,63 @@ def check_jacobi(alg):
 
 
 def ad_invariant(alg, form):
-    """True iff ad(e_i)^T B + B ad(e_i) = 0 for every basis vector e_i.
-
-    With M_i = B ad(e_i), M_i[k][j] = B([e_i,e_j], e_k) and
-    M_i[j][k] = B(e_j, [e_i,e_k]), so M_i being skew is exactly
-    B([x,y],z) = -B(y,[x,z]) on all basis triples.
-    """
+    """True iff B([x,y],z) + B(y,[x,z]) = 0 on all basis triples, that is,
+    iff every ad(e_i) is skew for B."""
     if form.dim != alg.dim:
         raise AlgebraError("form and algebra dimensions differ")
-    n = alg.dim
-    b = form.matrix
-    for i in range(n):
-        cols = [alg._basis_table(i, k) for k in range(n)]
-        m = [[sum((b[j][l] * c for l, c in col), Q0) for col in cols]
-             for j in range(n)]
-        if any(m[j][k] + m[k][j] != 0 for j in range(n) for k in range(j, n)):
-            return False
-    return True
+    return next(skew_witnesses(alg.bracket_data, form, alg.dim), None) is None
+
+
+# Identities on all basis tuples.  Operator fields and tensors are given as
+# ``geometry.Tensor`` data, {(i, j, ..): {p: coeff}}, so that
+# C_x e_q = sum_p op[(x, q)][p] e_p.  The kernels yield the failing index
+# tuples in loop order, so a verdict stops at the first one.
+
+def operator_data(mats):
+    """The operator field x -> mats[x] in the sparse tensor format."""
+    return {(x, q): {p: m[p][q] for p in range(len(m)) if m[p][q]}
+            for x, m in enumerate(mats) for q in range(len(m))
+            if any(row[q] for row in m)}
+
+
+def skew_witnesses(op, form, n):
+    """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
+    rows = [{q: b for q, b in enumerate(row) if b} for row in form.matrix]
+    for x in sorted({key[0] for key in op}):
+        s = {}
+        for j in range(n):
+            for p, c in op.get((x, j), {}).items():
+                for k, b in rows[p].items():
+                    # c b is a term of <C_x e_j, e_k> and, as the form is
+                    # symmetric, of <e_k, C_x e_j>
+                    s[j, k] = s.get((j, k), 0) + c * b
+                    s[k, j] = s.get((k, j), 0) + c * b
+        for j, k in sorted(s):
+            if s[j, k]:
+                yield (x, j, k)
+
+
+def derivation_witnesses(op, tensor, n, slots):
+    """(x, *t), in order, where the derivation action of the operator
+    field C on the tensor S does not vanish:
+
+      (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
+
+    With S the bracket this is the Leibniz rule for C_x."""
+    empty = {}
+    for x in sorted({key[0] for key in op}):
+        cx = [op.get((x, q), empty) for q in range(n)]
+        for t in product(range(n), repeat=slots):
+            out = {}
+            for p, c in tensor.get(t, empty).items():
+                for r, v in cx[p].items():
+                    out[r] = out.get(r, 0) + c * v
+            for s in range(slots):
+                for q, c in cx[t[s]].items():
+                    for r, v in tensor.get(t[:s] + (q,) + t[s + 1:], empty).items():
+                        out[r] = out.get(r, 0) - c * v
+            if any(out.values()):
+                yield (x,) + t
 
 
 def signature(form):

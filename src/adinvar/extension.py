@@ -10,12 +10,15 @@ Basis conventions, fixed once:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
 from .core import (BilinearForm, LieAlgebra, Subspace, ad_invariant,
-                   check_jacobi, is_ideal, is_subalgebra,
-                   orthogonal_complement)
+                   check_jacobi, derivation_witnesses, is_ideal,
+                   is_subalgebra, operator_data, orthogonal_complement,
+                   skew_witnesses)
+from .geometry import Tensor
 from .linalg import Q0, Q1
 
 
@@ -80,22 +83,12 @@ class Representation:
             bad.append("d_metric_not_ad_invariant")
         if not ad_invariant(self.h, self.h_form):
             bad.append("h_form_not_ad_invariant")
-        g = self.d_form.rows()
-        basis = linalg.identity(self.d.dim)
-        for i in range(self.h.dim):
-            m = self.mat(i)
-            gm = linalg.mat_mul(g, m)
-            if any(gm[p][q] + gm[q][p] != 0
-                   for p in range(self.d.dim) for q in range(p, self.d.dim)):
-                bad.append(f"pi({self.h.names[i]})_not_skew")
-            for a, b in combinations(range(self.d.dim), 2):
-                lhs = linalg.mat_vec(m, self.d.basis_bracket(a, b))
-                rhs = linalg.vec_add(
-                    self.d.bracket(linalg.mat_vec(m, basis[a]), basis[b]),
-                    self.d.bracket(basis[a], linalg.mat_vec(m, basis[b])))
-                if lhs != rhs:
-                    bad.append(f"pi({self.h.names[i]})_not_derivation")
-                    break
+        for name, m in zip(self.h.names, self.mats):
+            op = operator_data([m])
+            if any(skew_witnesses(op, self.d_form, self.d.dim)):
+                bad.append(f"pi({name})_not_skew")
+            if any(derivation_witnesses(op, self.d.bracket_data, self.d.dim, 2)):
+                bad.append(f"pi({name})_not_derivation")
         for i, j in combinations(range(self.h.dim), 2):
             lhs = self.pi_of(self.h.basis_bracket(i, j))
             rhs = linalg.commutator(self.mat(i), self.mat(j))
@@ -154,6 +147,11 @@ def double_extend(rep):
     bad = rep.validate()
     if bad:
         raise ExtensionError("invalid double extension data: " + ", ".join(bad), bad)
+    return _assemble_double(rep)
+
+
+def _assemble_double(rep):
+    """h + d + h* and its checks, from data that ``validate`` accepted."""
     nh, nd = rep.h.dim, rep.d.dim
     n = 2 * nh + nd
     table = {}
@@ -240,7 +238,9 @@ class GdAlgebra:
     def nh(self):
         return self.rep.h.dim
 
+    @cached_property
     def ell_inv(self):
+        """The inverse of ell, computed once per algebra."""
         return linalg.inverse([list(r) for r in self.ell])
 
     def split(self, v):
@@ -255,7 +255,7 @@ class GdAlgebra:
 
     def beta_vec(self, x, y):
         """beta(x, y) as an element of the algebra (ell-basis coordinates)."""
-        return self.embed_h(linalg.mat_vec(self.ell_inv(), self.rep.beta(x, y)))
+        return self.embed_h(linalg.mat_vec(self.ell_inv, self.rep.beta(x, y)))
 
     def mu(self, h_coeffs):
         """Operator mu(h): pi on d, coadjoint action on h*."""
@@ -281,7 +281,7 @@ def build_gd(rep):
     if not rep.h_form.nondegenerate:
         raise ExtensionError("form on h is degenerate, ell is not invertible",
                              ["h_form_degenerate"])
-    dbl = double_extend(rep)
+    dbl = _assemble_double(rep)
     nh, nd = rep.h.dim, rep.d.dim
     w = rep.h_form.rows()
     winv = linalg.inverse(w)
@@ -327,7 +327,6 @@ def _verify_gd(gd):
     alg, metric = gd.L, gd.metric
     nd, nh = gd.nd, gd.nh
     basis = linalg.identity(nd + nh)
-    g = metric.rows()
     for k in range(nh):
         fk = basis[nd + k]
         for a in range(nd):
@@ -335,19 +334,12 @@ def _verify_gd(gd):
                 br = alg.basis_bracket(a, b)
                 if metric.apply(fk, br) != gd.beta_table[a][b][k]:
                     raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
-    for i in range(nh):
-        m = [list(r) for r in gd.mu_mats[i]]
-        gm = linalg.mat_mul(g, m)
-        if any(gm[p][q] + gm[q][p] != 0
-               for p in range(nd + nh) for q in range(p, nd + nh)):
+    for m in gd.mu_mats:
+        op = operator_data([m])
+        if any(skew_witnesses(op, metric, nd + nh)):
             raise ExtensionError("mu(h) is not metric-skew")
-        cols = linalg.transpose(m)  # cols[a] = mu(h_i) e_a
-        for a, b in combinations(range(nd + nh), 2):
-            lhs = linalg.mat_vec(m, alg.basis_bracket(a, b))
-            rhs = linalg.vec_add(alg.bracket(cols[a], basis[b]),
-                                 alg.bracket(basis[a], cols[b]))
-            if lhs != rhs:
-                raise ExtensionError("mu(h) is not a derivation")
+        if any(derivation_witnesses(op, alg.bracket_data, nd + nh, 2)):
+            raise ExtensionError("mu(h) is not a derivation")
     for i, j in combinations(range(nh), 2):
         lhs = gd.mu(gd.rep.h.basis_bracket(i, j))
         rhs = linalg.commutator([list(r) for r in gd.mu_mats[i]],
@@ -358,7 +350,7 @@ def _verify_gd(gd):
     qm = gd.double.Q_minus
     for a in range(nd + nh):
         for b in range(nd + nh):
-            if qm.apply(lam_cols[a], lam_cols[b]) != g[a][b]:
+            if qm.apply(lam_cols[a], lam_cols[b]) != metric.matrix[a][b]:
                 raise ExtensionError("lambda is not a linear isometry")
 
 
@@ -377,15 +369,6 @@ def lambda_matrix(gd):
         dual = gd.double.embed_dual(w[k])
         cols.append(linalg.vec_add(col, dual))
     return linalg.transpose(cols)
-
-
-def lambda_map(gd, dbl=None):
-    """The isometry onto m = h-perp of Q_minus; the Gram transfer equality
-    is asserted at construction time."""
-    if dbl is not None and dbl is not gd.double:
-        if dbl.rep != gd.rep:
-            raise ExtensionError("double extension built from different data")
-    return lambda_matrix(gd)
 
 
 @dataclass(frozen=True)
@@ -580,21 +563,10 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
                       for u in basis]
     closed = all(c is not None for row in bracket_coords for c in row)
     checks.append(("gbar_closed", closed, None))
-    ad_ok = closed
-    if closed:
-        unit = linalg.identity(n)
-        for iu in range(n):
-            for iv in range(n):
-                for iw in range(n):
-                    lhs = form.apply(bracket_coords[iu][iv], unit[iw])
-                    rhs = form.apply(unit[iv], bracket_coords[iu][iw])
-                    if lhs + rhs != 0:
-                        ad_ok = False
-                        break
-                if not ad_ok:
-                    break
-            if not ad_ok:
-                break
+    ad_ok = closed and not any(skew_witnesses(
+        {(iu, iv): {p: x for p, x in enumerate(c) if x}
+         for iu, row in enumerate(bracket_coords) for iv, c in enumerate(row)},
+        form, n))
     checks.append(("ad_invariant_on_gbar", ad_ok, None))
     checks.append(("nondegenerate_on_hbar",
                    linalg.signature_of(qh)[2] == 0 if r else True, None))
@@ -609,11 +581,9 @@ def canonical_connection(g_alg, h_sub, m_sub):
     T(x,y) = -[x,y]_m and R(x,y)z = -[[x,y]_h, z], components taken in the
     decomposition g = h + m.
     """
-    from .geometry import Tensor3, Tensor4
     mb = m_sub.basis()
     k = len(mb)
-    tor = [[None] * k for _ in range(k)]
-    cur = [[[None] * k for _ in range(k)] for _ in range(k)]
+    tor, cur = {}, {}
     for a in range(k):
         for b in range(k):
             w = g_alg.bracket(mb[a], mb[b])
@@ -621,13 +591,11 @@ def canonical_connection(g_alg, h_sub, m_sub):
             if coeffs is None:
                 raise ExtensionError("bracket escapes h + m")
             h_part = _combine(h_sub.basis(), coeffs[:h_sub.dim], g_alg.dim)
-            tor[a][b] = tuple(-c for c in coeffs[h_sub.dim:])
+            tor[a, b] = {p: -x for p, x in enumerate(coeffs[h_sub.dim:])}
             for c in range(k):
                 z = g_alg.bracket(h_part, mb[c])
                 zc = m_sub.coordinates(z)
                 if zc is None:
                     raise ExtensionError("[h, m] escapes m")
-                cur[a][b][c] = tuple(-x for x in zc)
-    t3 = Tensor3(k, tuple(tuple(row) for row in tor))
-    t4 = Tensor4(k, tuple(tuple(tuple(col) for col in row) for row in cur))
-    return t3, t4
+                cur[a, b, c] = {p: -x for p, x in enumerate(zc)}
+    return Tensor(k, 2, tor), Tensor(k, 3, cur)

@@ -7,10 +7,12 @@ from the block formulas of the d + h* algebras; tests pin exact equality.
 """
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from . import linalg
 from .core import BilinearForm, is_subalgebra
-from .linalg import Q1
+from .linalg import Q0, Q1
 
 
 class GeometryError(Exception):
@@ -18,75 +20,66 @@ class GeometryError(Exception):
 
 
 @dataclass(frozen=True)
-class Tensor3:
-    """Coefficients G[i][j] = Op(e_i) e_j as vectors over the basis."""
+class Tensor:
+    """Sparse multilinear map with vector values on basis tuples.
+
+    data[(i, j, ..)] = {p: c} says that the map sends (e_i, e_j, ..) to
+    the sum of c e_p; a connection has two slots (G(e_i, e_j) = Op(e_i) e_j)
+    and a curvature three (R(e_i, e_j) e_k).  Zero outputs and zero
+    coefficients are never stored, so equal tensors have equal data.
+    """
 
     dim: int
-    data: tuple
+    slots: int
+    data: dict
+
+    def __post_init__(self):
+        clean = {}
+        for idx, comps in self.data.items():
+            comps = {p: c for p, c in comps.items() if c}
+            if comps:
+                clean[idx] = comps
+        object.__setattr__(self, "data", clean)
 
     @classmethod
-    def from_function(cls, dim, fn):
-        return cls(dim, tuple(tuple(tuple(fn(i, j)) for j in range(dim))
-                              for i in range(dim)))
+    def from_function(cls, dim, slots, fn):
+        """The tensor whose value on (e_i, e_j, ..) is the vector fn(i, j, ..)."""
+        return cls(dim, slots, {
+            idx: dict(enumerate(fn(*idx)))
+            for idx in product(range(dim), repeat=slots)})
 
-    def entry(self, i, j):
-        return list(self.data[i][j])
-
-    def apply(self, x, y):
+    def entry(self, *idx):
+        """The value on a basis tuple as a dense vector."""
         out = linalg.zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                out = [o + c * t for o, t in zip(out, self.data[i][j])]
+        for p, c in self.data.get(idx, {}).items():
+            out[p] = c
         return out
 
-    def apply_left(self, i, v):
-        """Op(e_i) applied to a vector."""
+    def apply(self, *vectors):
+        """The multilinear extension, summed over nonzero coordinates."""
         out = linalg.zero_vector(self.dim)
-        for j, vj in enumerate(v):
-            if vj != 0:
-                out = [o + vj * t for o, t in zip(out, self.data[i][j])]
+        nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+        for terms in product(*nonzero):
+            comps = self.data.get(tuple(i for i, _ in terms))
+            if comps:
+                c = prod(x for _, x in terms)
+                for p, t in comps.items():
+                    out[p] += c * t
         return out
+
+    def apply_left(self, i, *vectors):
+        """Op(e_i) applied to the remaining arguments."""
+        unit = linalg.zero_vector(self.dim)
+        unit[i] = Q1
+        return self.apply(unit, *vectors)
 
     def __sub__(self, other):
-        return Tensor3(self.dim, tuple(
-            tuple(tuple(a - b for a, b in zip(self.data[i][j], other.data[i][j]))
-                  for j in range(self.dim)) for i in range(self.dim)))
-
-
-@dataclass(frozen=True)
-class Tensor4:
-    """Coefficients R[i][j][k] = R(e_i, e_j) e_k as vectors over the basis."""
-
-    dim: int
-    data: tuple
-
-    @classmethod
-    def from_function(cls, dim, fn):
-        return cls(dim, tuple(tuple(tuple(tuple(fn(i, j, k)) for k in range(dim))
-                                    for j in range(dim)) for i in range(dim)))
-
-    def entry(self, i, j, k):
-        return list(self.data[i][j][k])
-
-    def apply(self, x, y, z):
-        out = linalg.zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, zk in enumerate(z):
-                    if zk == 0:
-                        continue
-                    c = xi * yj * zk
-                    out = [o + c * t for o, t in zip(out, self.data[i][j][k])]
-        return out
+        data = {idx: dict(comps) for idx, comps in self.data.items()}
+        for idx, comps in other.data.items():
+            out = data.setdefault(idx, {})
+            for p, c in comps.items():
+                out[p] = out.get(p, Q0) - c
+        return Tensor(self.dim, self.slots, data)
 
 
 def levi_civita(alg, form):
@@ -107,7 +100,7 @@ def levi_civita(alg, form):
             rhs.append(t / 2)
         return linalg.mat_vec(binv, rhs)
 
-    return Tensor3.from_function(n, nabla)
+    return Tensor.from_function(n, 2, nabla)
 
 
 def levi_civita_gd(gd):
@@ -130,7 +123,7 @@ def levi_civita_gd(gd):
             linalg.mat_vec(gd.rep.pi_of(h2), x1)))
         return linalg.vec_scale(Q1 / 2, out)
 
-    return Tensor3.from_function(n, nabla)
+    return Tensor.from_function(n, 2, nabla)
 
 
 def curvature(gamma, alg):
@@ -144,7 +137,7 @@ def curvature(gamma, alg):
         out = linalg.vec_sub(out, gamma.apply(alg.basis_bracket(i, j), basis[k]))
         return out
 
-    return Tensor4.from_function(n, r)
+    return Tensor.from_function(n, 3, r)
 
 
 def curvature_gd(gd):
@@ -169,7 +162,7 @@ def curvature_gd(gd):
     nd, nh = gd.nd, gd.nh
     n = nd + nh
     half, quarter = Q1 / 2, Q1 / 4
-    ellinv = gd.ell_inv()
+    ellinv = gd.ell_inv
     bstar = [[linalg.mat_vec(ellinv, gd.beta_table[a][b]) for b in range(nd)]
              for a in range(nd)]
     # operators stored by columns: cols[b] = M e_b
@@ -223,7 +216,7 @@ def curvature_gd(gd):
                 quarter, pi_hbr[i - nd][j - nd][k]))
         return linalg.zero_vector(n)
 
-    return Tensor4.from_function(n, r)
+    return Tensor.from_function(n, 3, r)
 
 
 def plane_discriminant(form, x, y):
@@ -259,7 +252,7 @@ def sectional_gd_closed(gd, x, y):
     if x_in_d and y_in_d:
         bxy = gd.rep.d.bracket(xd, yd)
         beta = gd.rep.beta(xd, yd)
-        winv = gd.ell_inv()
+        winv = gd.ell_inv
         beta_norm = linalg.dot(beta, linalg.mat_vec(winv, beta))
         inner = gd.rep.d_form.apply(bxy, bxy)
         return e1 * e2 * (inner / 4 - 3 * beta_norm / 4)
@@ -280,9 +273,9 @@ def ricci(r_tensor, form):
     """Ric(x, y) = trace(z -> R(z, x) y); symmetric for a metric connection."""
     if not form.nondegenerate:
         raise GeometryError("metric is degenerate")
-    n = r_tensor.dim
-    m = [[sum(r_tensor.data[a][i][j][a] for a in range(n)) for j in range(n)]
-         for i in range(n)]
+    m = linalg.zeros(r_tensor.dim, r_tensor.dim)
+    for (a, i, j), comps in r_tensor.data.items():
+        m[i][j] += comps.get(a, Q0)
     return BilinearForm(tuple(tuple(row) for row in m))
 
 
@@ -373,27 +366,17 @@ def check_pair_symmetry(r_tensor, form):
 
 def bi_invariant_connection_check(alg, gamma):
     """For ad-invariant metrics the connection is half the bracket."""
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            want = linalg.vec_scale(Q1 / 2, alg.basis_bracket(i, j))
-            if gamma.entry(i, j) != want:
-                return False
-    return True
+    return gamma.data == {idx: {k: c / 2 for k, c in comps.items()}
+                          for idx, comps in alg.bracket_data.items()}
 
 
 def bi_invariant_curvature_check(alg, r_tensor):
     """R(x,y)z = -[[x,y],z]/4 on all basis triples."""
-    n = alg.dim
-    basis = linalg.identity(n)
-    for i in range(n):
-        for j in range(n):
-            bij = alg.basis_bracket(i, j)
-            for k in range(n):
-                want = linalg.vec_scale(-Q1 / 4, alg.bracket(bij, basis[k]))
-                if r_tensor.entry(i, j, k) != want:
-                    return False
-    return True
+    basis = linalg.identity(alg.dim)
+
+    def want(i, j, k):
+        return linalg.vec_scale(-Q1 / 4, alg.bracket(alg.basis_bracket(i, j), basis[k]))
+    return r_tensor == Tensor.from_function(alg.dim, 3, want)
 
 
 def curvature_relation_check(gd, r_tensor):
@@ -403,7 +386,7 @@ def curvature_relation_check(gd, r_tensor):
               + beta(z, [x,y]_d)/4 + R^d(x,y)z with R^d = -ad([x,y]_d)/4.
     """
     nd = gd.nd
-    ellinv = gd.ell_inv()
+    ellinv = gd.ell_inv
     unit = linalg.identity(nd)
     for i in range(nd):
         for j in range(nd):

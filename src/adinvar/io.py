@@ -7,6 +7,7 @@ builders insist on it.
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,14 @@ class SpecFormatError(Exception):
         super().__init__(message if where is None else f"{where}: {message}")
 
 
+_RATIONAL = re.compile(r"[-+]?\d+(/\d+)?")
+
+
 def parse_rational(value, where=""):
-    if isinstance(value, bool) or isinstance(value, float):
+    """An integer or a string 'n' or 'p/q'; decimals and exponents such as
+    '0.5' and '1e3', which Fraction would accept, are refused."""
+    if (isinstance(value, (bool, float))
+            or isinstance(value, str) and not _RATIONAL.fullmatch(value.strip())):
         raise SpecFormatError(f"rational must be an integer or 'p/q' string, got {value!r}", where)
     try:
         return Fraction(value)
@@ -54,6 +61,12 @@ def load_algebra_dict(doc, where="algebra"):
         if (not isinstance(names, list) or len(names) != dim
                 or not all(isinstance(s, str) for s in names)):
             raise SpecFormatError(f"'names' must be {dim} strings", where)
+        first = {}
+        for pos, name in enumerate(names):
+            if name in first:
+                raise SpecFormatError(f"name {name!r} repeats names[{first[name]}]",
+                                      f"{where}.names[{pos}]")
+            first[name] = pos
     table = {}
     for pos, item in enumerate(doc.get("brackets", [])):
         loc = f"{where}.brackets[{pos}]"

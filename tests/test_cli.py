@@ -223,3 +223,18 @@ def test_series_reports_inconsistent_prediction(tmp_path, capsys, monkeypatch):
                       "solvable_prediction": False}
     for kind in ("nilpotent", "solvable"):
         assert doc[kind]["computed"] == doc[kind]["predicted"] + 1
+
+
+def test_check_refuses_decimal_rationals_and_repeated_names(tmp_path, capsys):
+    cases = [
+        ({"dim": 2, "metric": [[1, 1, "0.5"], [2, 2, 1]]}, "metric[0]"),
+        ({"dim": 2, "brackets": [[1, 2, 1, "1e3"]]}, "brackets[0]"),
+        ({"dim": 2, "names": ["a", "a"]}, "names[1]"),
+    ]
+    for doc, where in cases:
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(f), "--json")
+        assert code == 2, doc
+        assert out == ""
+        assert where in err

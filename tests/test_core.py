@@ -1,13 +1,16 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
-                     ad_invariant, center, check_jacobi, derived_series,
-                     invariant_forms, is_ideal, is_subalgebra, kernel_of,
-                     killing_form, lower_central_series, orthogonal_complement,
-                     restrict_to_subalgebra, totally_isotropic)
+                     ad_invariant, center, check_jacobi, derivation_witnesses,
+                     derived_series, invariant_forms, is_ideal, is_subalgebra,
+                     kernel_of, killing_form, lower_central_series,
+                     orthogonal_complement, restrict_to_subalgebra,
+                     skew_witnesses, totally_isotropic)
+from adinvar.core import operator_data
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from conftest import a12_rep, h3_rep, T_PLUS
@@ -311,3 +314,102 @@ def test_ad_invariant_corpus_doubles_and_corruptions():
         assert not ad_invariant(dbl.g, bad)
         assert not _ad_invariant_loop(dbl.g, bad)
     assert len(seen) > 1
+
+
+# ---------------------------------------------------------------------------
+# the two witness kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _dense(data, idx, n):
+    """The value of sparse tensor data on a basis tuple, as a dense vector."""
+    return [data.get(idx, {}).get(p, F(0)) for p in range(n)]
+
+
+def _skew_loop(op, form, n, nx):
+    """Every (x, j, k) with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
+    basis = linalg.identity(n)
+    return [(x, j, k) for x in range(nx) for j in range(n) for k in range(n)
+            if _apply_dense(form, _dense(op, (x, j), n), basis[k])
+            + _apply_dense(form, basis[j], _dense(op, (x, k), n)) != 0]
+
+
+def _derivation_loop(op, tensor, n, slots, nx):
+    """Every (x, *t) with C_x S(t) - sum_s S(.., C_x e_{t_s}, ..) != 0, the
+    operator applied as a dense matrix and S expanded slot by slot."""
+    bad = []
+    for x in range(nx):
+        cx = linalg.transpose([_dense(op, (x, q), n) for q in range(n)])
+        for t in product(range(n), repeat=slots):
+            out = linalg.mat_vec(cx, _dense(tensor, t, n))
+            for s in range(slots):
+                moved = linalg.mat_vec(cx, linalg.identity(n)[t[s]])
+                for q, c in enumerate(moved):
+                    term = _dense(tensor, t[:s] + (q,) + t[s + 1:], n)
+                    out = linalg.vec_sub(out, linalg.vec_scale(c, term))
+            if not linalg.is_zero_vector(out):
+                bad.append((x,) + t)
+    return bad
+
+
+@st.composite
+def sparse_data(draw, n, keys):
+    """Sparse tensor data on the given basis tuples, zeros left out."""
+    data = {}
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)):
+        comps = draw(st.dictionaries(st.integers(0, n - 1), SMALL_Q, max_size=2))
+        comps = {p: c for p, c in comps.items() if c}
+        if comps:
+            data[key] = comps
+    return data
+
+
+LOOPS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def kernel_cases(draw):
+    n, nx, slots = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    op = draw(sparse_data(n, list(product(range(nx), range(n)))))
+    tensor = draw(sparse_data(n, list(product(range(n), repeat=slots))))
+    return n, nx, slots, op, tensor, draw(symmetric_forms(n))
+
+
+@LOOPS
+@given(kernel_cases())
+def test_skew_witnesses_match_the_triple_loop(case):
+    n, nx, _, op, _, form = case
+    assert list(skew_witnesses(op, form, n)) == _skew_loop(op, form, n, nx)
+
+
+@LOOPS
+@given(kernel_cases())
+def test_derivation_witnesses_match_the_slot_loop(case):
+    n, nx, slots, op, tensor, _ = case
+    assert (list(derivation_witnesses(op, tensor, n, slots))
+            == _derivation_loop(op, tensor, n, slots, nx))
+
+
+@LOOPS
+@given(algebra_and_form())
+def test_kernels_on_brackets_and_their_operators(case):
+    """ad(e_i) on the bracket is the Jacobi identity in Leibniz form; pi
+    fields built by operator_data are the columns of their matrices."""
+    alg, form, _ = case
+    n = alg.dim
+    ad = operator_data([alg.ad(i) for i in range(n)])
+    assert ad == alg.bracket_data
+    assert list(skew_witnesses(ad, form, n)) == _skew_loop(ad, form, n, n)
+    bad = list(derivation_witnesses(ad, alg.bracket_data, n, 2))
+    assert bad == _derivation_loop(ad, alg.bracket_data, n, 2, n)
+    assert (not bad) == (not check_jacobi(alg))
+
+
+def test_kernels_stop_at_the_first_witness():
+    """Verdicts read one witness; the rest of the sweep is never run."""
+    op = {(0, 0): {0: F(1)}, (1, 0): {0: F(1)}}
+    form = BilinearForm.diagonal([1])
+    found = skew_witnesses(op, form, 1)
+    assert next(found) == (0, 0, 0)
+    assert next(found) == (1, 0, 0)
+    found = derivation_witnesses(op, {(0, 0): {0: F(1)}}, 1, 2)
+    assert next(found) == (0, 0, 0)

@@ -1,12 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
-                     Representation, Subspace, build_gd,
+                     Representation, Subspace, ad_invariant, build_gd,
                      canonical_connection, check_jacobi, double_extend,
-                     kostant_form, lambda_map, lambda_matrix, reductive_split)
+                     kostant_form, lambda_matrix, reductive_split)
 from adinvar import linalg
 from adinvar.extension import _verify_gd
 from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep
@@ -120,7 +122,7 @@ def test_mu_coadjoint_nonabelian():
 
 def test_lambda_is_isometry(oscillator_rep):
     gd = build_gd(oscillator_rep)
-    lam = lambda_map(gd)
+    lam = lambda_matrix(gd)
     basis = linalg.identity(3)
     for u in basis:
         for v in basis:
@@ -260,7 +262,7 @@ def test_cocycle_transfer_identity_nonabelian():
     # [h1, b*(x,y)]* = b(pi(h1)x, y) + b(x, pi(h1)y) as covectors on h
     rep = so3_rep()
     gd = build_gd(rep)
-    ellinv = gd.ell_inv()
+    ellinv = gd.ell_inv
     unit_d = linalg.identity(3)
     unit_h = linalg.identity(3)
     for t in range(3):
@@ -406,3 +408,83 @@ def test_verify_gd_rejects_ell_that_breaks_the_isometry():
     ell[0][1] = ell[1][0] = F(1)
     with pytest.raises(ExtensionError, match="lambda is not a linear isometry"):
         _verify_gd(replace(gd, ell=tuple(tuple(r) for r in ell)))
+
+
+# -- validate: once per build, and equal to the loops it replaced ----------
+
+def test_build_gd_validates_once(monkeypatch):
+    calls = []
+    real = Representation.validate
+
+    def counted(rep):
+        calls.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(Representation, "validate", counted)
+    for rep in (so3_rep(), lemma_rep("H")):
+        calls.clear()
+        build_gd(rep)
+        assert calls == [rep]
+    calls.clear()
+    double_extend(a12_rep())
+    assert len(calls) == 1
+
+
+def _validate_loops(rep):
+    """validate with the metric-skew and Leibniz conditions on pi written as
+    the literal matrix and bracket loops."""
+    bad = []
+    for name, check in (("d_not_lie_algebra", check_jacobi(rep.d)),
+                        ("h_not_lie_algebra", check_jacobi(rep.h))):
+        if check:
+            bad.append(name)
+    if not rep.d_form.nondegenerate:
+        bad.append("d_metric_degenerate")
+    if not ad_invariant(rep.d, rep.d_form):
+        bad.append("d_metric_not_ad_invariant")
+    if not ad_invariant(rep.h, rep.h_form):
+        bad.append("h_form_not_ad_invariant")
+    n = rep.d.dim
+    g = rep.d_form.rows()
+    basis = linalg.identity(n)
+    for i in range(rep.h.dim):
+        m = rep.mat(i)
+        gm = linalg.mat_mul(g, m)
+        if any(gm[p][q] + gm[q][p] != 0 for p in range(n) for q in range(p, n)):
+            bad.append(f"pi({rep.h.names[i]})_not_skew")
+        for a, b in combinations(range(n), 2):
+            lhs = linalg.mat_vec(m, rep.d.basis_bracket(a, b))
+            rhs = linalg.vec_add(
+                rep.d.bracket(linalg.mat_vec(m, basis[a]), basis[b]),
+                rep.d.bracket(basis[a], linalg.mat_vec(m, basis[b])))
+            if lhs != rhs:
+                bad.append(f"pi({rep.h.names[i]})_not_derivation")
+                break
+    for i, j in combinations(range(rep.h.dim), 2):
+        if rep.pi_of(rep.h.basis_bracket(i, j)) != linalg.commutator(rep.mat(i), rep.mat(j)):
+            bad.append(f"pi_not_homomorphism({rep.h.names[i]},{rep.h.names[j]})")
+    return bad
+
+
+VALIDATE_REPS = {"so3": so3_rep, "a12": a12_rep, "gH": lambda: lemma_rep("H"),
+                 "torus": lambda: torus_rep([1, 2], [(2, 1), (0, -1), (3, 1), (1, 1)])}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALIDATE_REPS)), st.data(),
+       st.fractions(-2, 2, max_denominator=3).filter(bool))
+def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
+    rep = VALIDATE_REPS[name]()
+    n = rep.d.dim
+    i, p, q = (data.draw(st.integers(0, k - 1)) for k in (rep.h.dim, n, n))
+    mats = [[list(r) for r in m] for m in rep.mats]
+    if p != q and data.draw(st.booleans()):
+        # pi(h_i) + g^-1 S stays metric-skew for skew S
+        s = linalg.zeros(n, n)
+        s[p][q], s[q][p] = delta, -delta
+        mats[i] = linalg.mat_add(mats[i], linalg.mat_mul(
+            linalg.inverse(rep.d_form.rows()), s))
+    else:
+        mats[i][p][q] += delta
+    broken = replace(rep, mats=tuple(tuple(map(tuple, m)) for m in mats))
+    assert broken.validate() == _validate_loops(broken)

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from adinvar import (BilinearForm, GeometryError, LieAlgebra, Subspace,
                      bi_invariant_connection_check, bi_invariant_curvature_check,
@@ -10,6 +11,7 @@ from adinvar import (BilinearForm, GeometryError, LieAlgebra, Subspace,
                      levi_civita, levi_civita_gd, plane_discriminant, ricci,
                      ricci_gd_closed, ricci_operator, sectional,
                      totally_geodesic)
+from adinvar.geometry import Tensor
 from adinvar import linalg
 from conftest import (T_PLUS, T_MINUS, a12_rep, h3_rep, so3_rep, torus_reps,
                       two_torus_rep)
@@ -303,3 +305,44 @@ def test_sectional_closed_form_preconditions():
         sectional_gd_closed(gd, [F(1), F(0), F(1)], [F(0), F(1), F(0)])
     with pytest.raises(GeometryError, match="orthonormal"):
         sectional_gd_closed(gd, [F(2), F(0), F(0)], [F(0), F(1), F(0)])
+
+
+# ---------------------------------------------------------------------------
+# the sparse Tensor against dense sums over its entries
+# ---------------------------------------------------------------------------
+
+SMALL = st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def tensors_and_vectors(draw):
+    n, slots = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = {idx: draw(st.lists(st.one_of(st.just(F(0)), SMALL),
+                                 min_size=n, max_size=n))
+              for idx in product(range(n), repeat=slots)}
+    vectors = [draw(st.lists(st.one_of(st.just(F(0)), SMALL), min_size=n,
+                             max_size=n)) for _ in range(slots)]
+    return n, slots, values, vectors
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tensors_and_vectors())
+def test_tensor_matches_dense_sums(case):
+    n, slots, values, vectors = case
+    t = Tensor.from_function(n, slots, lambda *idx: values[idx])
+    for idx, vec in values.items():
+        assert t.entry(*idx) == vec
+        assert (idx in t.data) == any(vec)
+    assert all(c for comps in t.data.values() for c in comps.values())
+    want = [F(0)] * n
+    for idx, vec in values.items():
+        c = F(1)
+        for i, v in zip(idx, vectors):
+            c *= v[i]
+        want = [w + c * x for w, x in zip(want, vec)]
+    assert t.apply(*vectors) == want
+    unit = [F(1)] + [F(0)] * (n - 1)
+    assert t.apply_left(0, *vectors[1:]) == t.apply(unit, *vectors[1:])
+    doubled = Tensor.from_function(n, slots, lambda *idx: [2 * x for x in values[idx]])
+    assert (doubled - t) == t and (t - t).data == {}
+    assert Tensor(n, slots, {idx: dict(enumerate(v)) for idx, v in values.items()}) == t

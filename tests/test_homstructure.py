@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from adinvar import (HomStructure, build_gd, build_hom_structure,
                      nilmanifold_t_formula, t_tensor, verify_as)
 from adinvar import linalg
-from adinvar.geometry import Tensor3
+from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep,
                       torus_reps, two_torus_rep)
 
@@ -66,11 +66,8 @@ def test_verify_as_passes_everywhere():
 def test_corrupted_t_located_by_axiom_iii():
     gd = build_gd(h3_rep([1, 1], T_PLUS, 1))
     hom = build_hom_structure(gd)
-    data = [[list(hom.T.entry(i, j)) for j in range(3)] for i in range(3)]
-    data[2][0][1] += F(1, 3)  # perturb T_{e3} e1
-    bad_t = Tensor3(3, tuple(tuple(tuple(v) for v in row) for row in data))
-    broken = HomStructure(gd, bad_t, hom.nabla, bad_t - hom.nabla, hom.R,
-                          False)
+    bad_t = _nudged(hom.T, (2, 0, 1), F(1, 3))  # perturb T_{e3} e1
+    broken = HomStructure(gd, bad_t, hom.nabla, hom.R, False)
     report = verify_as(gd, broken)
     assert not report.passed("iii")
     assert any(2 in w and 0 in w for w in report.witnesses("iii"))
@@ -180,18 +177,12 @@ def _hom(name):
 
 
 def _nudged(tensor, index, delta):
-    """A copy of a Tensor3 or Tensor4 with one coefficient moved by delta."""
-    def thaw(x):
-        return [thaw(y) for y in x] if isinstance(x, tuple) else x
-
-    def freeze(x):
-        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
-    data = thaw(tensor.data)
-    cell = data
-    for i in index[:-1]:
-        cell = cell[i]
-    cell[index[-1]] += delta
-    return type(tensor)(tensor.dim, freeze(data))
+    """A copy of a Tensor with one coefficient moved by delta; index is the
+    basis tuple followed by the output coordinate."""
+    data = {idx: dict(comps) for idx, comps in tensor.data.items()}
+    comps = data.setdefault(index[:-1], {})
+    comps[index[-1]] = comps.get(index[-1], F(0)) + delta
+    return Tensor(tensor.dim, tensor.slots, data)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -204,13 +195,13 @@ def test_verify_as_witnesses_match_sweep_on_broken_structures(name, part, data,
     slots = 4 if part == "R" else 3
     index = tuple(data.draw(st.integers(0, n - 1)) for _ in range(slots))
     if part == "T":
-        t = _nudged(hom.T, index, delta)
-        broken = HomStructure(gd, t, hom.nabla, t - hom.nabla, hom.R, False)
+        broken = HomStructure(gd, _nudged(hom.T, index, delta), hom.nabla,
+                              hom.R, False)
     elif part == "nabla":
         broken = HomStructure(gd, hom.T, _nudged(hom.nabla, index, delta),
-                              hom.nabla_tilde, hom.R, False)
+                              hom.R, False)
     else:
-        broken = HomStructure(gd, hom.T, hom.nabla, hom.nabla_tilde,
+        broken = HomStructure(gd, hom.T, hom.nabla,
                               _nudged(hom.R, index, delta), False)
     report = verify_as(gd, broken)
     assert report.axioms == _verify_as_oracle(gd, broken)

@@ -95,3 +95,19 @@ def test_repeated_metric_entry_refused():
     with pytest.raises(SpecFormatError,
                        match=r"metric\[1\]: metric entry \(1,2\) repeats metric\[0\]"):
         load_algebra_dict({"dim": 2, "metric": [[1, 2, 1], [1, 2, 1]]})
+
+
+def test_decimal_and_exponent_rationals_refused():
+    for bad in ("0.5", "1e3", "-2.25", "1E-2", "1_000"):
+        with pytest.raises(SpecFormatError, match="integer or 'p/q' string"):
+            parse_rational(bad)
+    assert parse_rational(" -3/4 ") == F(-3, 4)
+    with pytest.raises(SpecFormatError,
+                       match=r"algebra\.metric\[1\]: rational must be"):
+        load_algebra_dict({"dim": 2, "metric": [[1, 1, 1], [2, 2, "1e3"]]})
+
+
+def test_repeated_name_refused():
+    with pytest.raises(SpecFormatError,
+                       match=r"algebra\.names\[2\]: name 'a' repeats names\[0\]"):
+        load_algebra_dict({"dim": 3, "names": ["a", "b", "a"]})

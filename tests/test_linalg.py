@@ -220,3 +220,82 @@ def test_inverse_matches_sympy(a):
     inv = linalg.inverse(a)
     assert inv == from_sympy(mat.inv())
     assert all_fractions(inv)
+
+
+# -- sympy as the oracle for det, charpoly and the congruence kernels ------
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 6 x 6: free entries, or
+    P^T diag(signs) P for an invertible integer P (unit upper triangular,
+    rows permuted), degenerate when a sign is 0."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["free", "frame", "degenerate"]))
+    if kind == "free":
+        g = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = draw(ENTRIES)
+        return g
+    values = [1, -1] + ([0] if kind == "degenerate" else [])
+    signs = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    p = [[F(1) if i == j else draw(st.integers(-2, 2).map(F)) if j > i else F(0)
+          for j in range(n)] for i in range(n)]
+    p = [p[i] for i in draw(st.permutations(range(n)))]
+    diag = [[F(s) if i == j else F(0) for j, s in enumerate(signs)]
+            for i in range(n)]
+    return linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(diag, p))
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def descartes_signature(g):
+    """(n_minus, n_plus, n_zero) from sympy's characteristic polynomial: its
+    roots are real, so Descartes' rule counts them exactly."""
+    coeffs = [F(int(c.p), int(c.q))
+              for c in to_sympy(g).charpoly().all_coeffs()]
+    n_zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    mirrored = [c if (len(coeffs) - 1 - i) % 2 == 0 else -c
+                for i, c in enumerate(coeffs)]
+    return sign_changes(mirrored), sign_changes(coeffs), n_zero
+
+
+@ORACLE
+@given(rational_matrices(square=True))
+def test_det_and_charpoly_match_sympy(a):
+    mat = to_sympy(a)
+    assert linalg.det(a) == F(int(mat.det().p), int(mat.det().q))
+    assert linalg.charpoly(a) == [F(int(c.p), int(c.q))
+                                  for c in mat.charpoly().all_coeffs()]
+
+
+@ORACLE
+@given(symmetric_matrices())
+def test_congruence_diagonal_and_signature_match_sympy(g):
+    p, d = linalg.congruence_diagonal(g)
+    n = len(g)
+    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    sp = to_sympy(p)
+    assert sp.det() != 0
+    assert sp * to_sympy(g) * sp.T == to_sympy(d)
+    sig = linalg.signature_of(g)
+    assert sig == descartes_signature(g)
+    assert sig == (sum(1 for i in range(n) if d[i][i] < 0),
+                   sum(1 for i in range(n) if d[i][i] > 0),
+                   sum(1 for i in range(n) if d[i][i] == 0))
+
+
+@ORACLE
+@given(symmetric_matrices())
+def test_epsilon_frame_satisfies_its_identity(g):
+    """P^T G P = diag(signs) for the frame vectors as the columns of P."""
+    frame = linalg.epsilon_frame(g)
+    if frame is None:
+        return
+    vecs, signs = frame
+    assert len(vecs) == len(g) and set(signs) <= {F(1), F(-1)}
+    p = to_sympy(linalg.transpose(vecs))
+    assert p.T * to_sympy(g) * p == sympy.diag(*[int(s) for s in signs])
