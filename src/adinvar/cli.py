@@ -19,8 +19,8 @@ from .extension import ExtensionError, build_gd, double_extend
 from .geometry import (GeometryError, curvature, levi_civita,
                        plane_discriminant, ricci, ricci_operator, sectional)
 from .homstructure import verify_as
-from .io import (SpecFormatError, dump_algebra_dict, load_algebra_file,
-                 load_builder_file, rational_str)
+from .io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
+                 load_algebra_file, load_builder_file, rational_str)
 from .series import SeriesError, predict_nilpotent_step, predict_solvable_step
 
 
@@ -229,9 +229,10 @@ def cmd_derivations(args):
 
 def cmd_series(args):
     rep = load_builder_file(args.spec)
+    gd = build_gd(rep)
     report = {"command": "series", "spec": str(args.spec), "checks": []}
     try:
-        nil = predict_nilpotent_step(rep)
+        nil = predict_nilpotent_step(gd)
         report["nilpotent"] = {
             "step_d": nil.step_d,
             "predicted": nil.step_gd_predicted,
@@ -244,7 +245,7 @@ def cmd_series(args):
     except SeriesError as exc:
         report["nilpotent"] = str(exc)
     try:
-        sol = predict_solvable_step(rep)
+        sol = predict_solvable_step(gd)
         report["solvable"] = {
             "step_d": sol.step_d,
             "predicted": sol.step_gd_predicted,
@@ -267,20 +268,18 @@ def cmd_corpus(args):
         entries = [corpus_build(n) for n in names]
     except KeyError as exc:
         raise SpecFormatError(str(exc))
-    for entry in entries:
-        for cname, ok, detail in entry.checks():
+    built = [(entry, build_gd(entry.rep)) for entry in entries]
+    for entry, gd in built:
+        for cname, ok, detail in entry.checks(gd):
             report["checks"].append(_check(f"{entry.name}.{cname}", ok, detail))
     if args.emit:
         outdir = Path(args.dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        from .io import dump_builder_dict
         written = []
-        for entry in entries:
+        for entry, gd in built:
             if entry.primary == "double":
-                dbl = entry.double()
-                doc = dump_algebra_dict(dbl.g, dbl.Q)
+                doc = dump_algebra_dict(gd.double.g, gd.double.Q)
             else:
-                gd = entry.build()
                 doc = dump_algebra_dict(gd.L, gd.metric)
             path = outdir / f"{entry.name}.json"
             path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

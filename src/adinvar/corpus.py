@@ -7,12 +7,13 @@ bases; those are notes, not assertions, and do not all hold verbatim.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .core import (BilinearForm, LieAlgebra, ad_invariant, center, kernel_of,
                    lower_central_series, totally_isotropic)
-from .extension import Representation, build_gd, double_extend, kostant_form, reductive_split
-from .geometry import curvature, curvature_gd, levi_civita, levi_civita_gd, ricci_operator, sectional
+from .extension import Representation, kostant_form, reductive_split
+from .geometry import curvature, levi_civita, ricci_operator, sectional
 from .homstructure import build_hom_structure, nilmanifold_t_formula, verify_as
 from .derivations import intertwiners_skew, so_aut
 from .series import heisenberg_recognizer, predict_nilpotent_step
@@ -21,6 +22,7 @@ F = Fraction
 
 T_PLUS = ((0, -1), (1, 0))
 T_MINUS = ((0, 1), (1, 0))
+A22 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def _rep(h_names, h_diag, d_dim, d_diag, mats, h_table=None, d_table=None,
@@ -89,33 +91,29 @@ class CorpusEntry:
     expected: dict
     annotations: tuple = ()
 
-    def build(self):
-        return build_gd(self.rep)
-
-    def double(self):
-        return double_extend(self.rep)
-
     @property
     def primary(self):
         """'double' when the headline algebra is h + d + h*, else 'gd'."""
         return self.expected.get("primary", "gd")
 
-    def checks(self):
-        """Run every expectation; (name, passed, detail) triples."""
+    def checks(self, gd):
+        """Run every expectation on ``gd = build_gd(self.rep)``; (name,
+        passed, detail) triples.  The closed-form connection and curvature
+        are read from one homogeneous structure."""
         out = []
-        gd = self.build()
         dbl = gd.double
         exp = self.expected
+        hom = build_hom_structure(gd)
+        lcs = lower_central_series(gd.L)
 
         out.append(("Q_ad_invariant", ad_invariant(dbl.g, dbl.Q), None))
         out.append(("Q_minus_ad_invariant", ad_invariant(dbl.g, dbl.Q_minus), None))
-        rpt = verify_as(gd)
+        rpt = verify_as(gd, hom)
         out.append(("ambrose_singer_all", rpt.all_pass,
                     None if rpt.all_pass else str({k: v[0] for k, v in rpt.axioms.items()})))
         lc = levi_civita(gd.L, gd.metric)
-        out.append(("levi_civita_closed_form", lc == levi_civita_gd(gd), None))
-        out.append(("curvature_closed_form",
-                    curvature(lc, gd.L) == curvature_gd(gd), None))
+        out.append(("levi_civita_closed_form", lc == hom.nabla, None))
+        out.append(("curvature_closed_form", curvature(lc, gd.L) == hom.R, None))
 
         if "gd_brackets" in exp:
             got = {k: dict(v) for k, v in gd.L.table.items()}
@@ -142,12 +140,10 @@ class CorpusEntry:
             out.append(("double_nilpotent_step", ser.step == exp["double_step"],
                         str(ser.step)))
         if "gd_step" in exp:
-            ser = lower_central_series(gd.L)
-            out.append(("gd_nilpotent_step", ser.step == exp["gd_step"], str(ser.step)))
+            out.append(("gd_nilpotent_step", lcs.step == exp["gd_step"], str(lcs.step)))
         if "gd_lcs_dims" in exp:
-            ser = lower_central_series(gd.L)
-            out.append(("gd_lcs_dims", ser.dims == tuple(exp["gd_lcs_dims"]),
-                        str(ser.dims)))
+            out.append(("gd_lcs_dims", lcs.dims == tuple(exp["gd_lcs_dims"]),
+                        str(lcs.dims)))
         if "recognizer" in exp:
             rec = heisenberg_recognizer(gd)
             want = exp["recognizer"]
@@ -157,20 +153,19 @@ class CorpusEntry:
                   and rec.center_matches)
             out.append(("heisenberg_recognizer", ok, str(rec)))
         if "sectional" in exp:
-            r = curvature_gd(gd)
             eye = linalg.identity(gd.L.dim)
             for (i, j), val in sorted(exp["sectional"].items()):
-                got = sectional(r, gd.metric, eye[i], eye[j])
+                got = sectional(hom.R, gd.metric, eye[i], eye[j])
                 out.append((f"sectional_{i+1}{j+1}", got == F(val), str(got)))
         if "ricci_operator_diag" in exp:
-            op = ricci_operator(curvature_gd(gd), gd.metric)
+            op = ricci_operator(hom.R, gd.metric)
             got = [op[i][i] for i in range(gd.L.dim)]
             want = [F(x) for x in exp["ricci_operator_diag"]]
             offdiag = all(op[i][j] == 0 for i in range(gd.L.dim)
                           for j in range(gd.L.dim) if i != j)
             out.append(("ricci_operator", got == want and offdiag, str(got)))
         if "prediction" in exp:
-            rpt2 = predict_nilpotent_step(self.rep)
+            rpt2 = predict_nilpotent_step(gd)
             out.append(("nilpotent_step_prediction",
                         rpt2.consistent
                         and rpt2.step_gd_predicted == exp["gd_step"], str(rpt2)))
@@ -183,9 +178,8 @@ class CorpusEntry:
             out.append(("intertwiners_dim", u.dim == exp["intertwiners_dim"],
                         str(u.dim)))
         if exp.get("nilmanifold_T"):
-            hs = build_hom_structure(gd)
             out.append(("nilmanifold_T_formula",
-                        nilmanifold_t_formula(gd) == hs.T, None))
+                        nilmanifold_t_formula(gd) == hom.T, None))
         if exp.get("center_is_hstar"):
             want = gd.L.dim - gd.nd
             z = center(gd.L)
@@ -348,30 +342,24 @@ def _nilmanifold_entry():
         })
 
 
-def _entries():
-    reg = {}
-    for i in range(4):
-        e = _h3_entry(i)
-        reg[e.name] = e
-    reg["oscillator"] = _oscillator_entry()
-    reg["a12"] = _a12_entry()
-    for key in ("H", "E", "F"):
-        e = _four_step_entry(key)
-        reg[e.name] = e
-    reg["nilmanifold_demo"] = _nilmanifold_entry()
-    reg["rpq_2_0"] = _rpq_entry("rpq_2_0", [1, 1], T_PLUS, "heisenberg", 3)
-    reg["rpq_1_1"] = _rpq_entry("rpq_1_1", [-1, 1], T_MINUS, "heisenberg", 3)
-    a22 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-    reg["rpq_2_2"] = _rpq_entry("rpq_2_2", [-1, -1, 1, 1], a22, "heisenberg", 5)
-    return reg
+# name -> constructor; an entry is built only when it is asked for
+_CONSTRUCTORS = {
+    **{f"h3_metric_{i}": partial(_h3_entry, i) for i in range(4)},
+    "oscillator": _oscillator_entry,
+    "a12": _a12_entry,
+    **{f"g{key}": partial(_four_step_entry, key) for key in "HEF"},
+    "nilmanifold_demo": _nilmanifold_entry,
+    "rpq_2_0": partial(_rpq_entry, "rpq_2_0", (1, 1), T_PLUS, "heisenberg", 3),
+    "rpq_1_1": partial(_rpq_entry, "rpq_1_1", (-1, 1), T_MINUS, "heisenberg", 3),
+    "rpq_2_2": partial(_rpq_entry, "rpq_2_2", (-1, -1, 1, 1), A22, "heisenberg", 5),
+}
 
 
 def corpus_list():
-    return sorted(_entries())
+    return sorted(_CONSTRUCTORS)
 
 
 def corpus_build(name):
-    reg = _entries()
-    if name not in reg:
-        raise KeyError(f"unknown corpus entry {name!r}; known: {', '.join(sorted(reg))}")
-    return reg[name]
+    if name not in _CONSTRUCTORS:
+        raise KeyError(f"unknown corpus entry {name!r}; known: {', '.join(corpus_list())}")
+    return _CONSTRUCTORS[name]()

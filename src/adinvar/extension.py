@@ -11,7 +11,7 @@ Basis conventions, fixed once:
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .core import (BilinearForm, LieAlgebra, Subspace, ad_invariant,
@@ -253,10 +253,6 @@ class GdAlgebra:
         """Embed an h vector through ell; f-coordinates equal h-coordinates."""
         return [Q0] * self.nd + list(hc)
 
-    def beta_vec(self, x, y):
-        """beta(x, y) as an element of the algebra (ell-basis coordinates)."""
-        return self.embed_h(linalg.mat_vec(self.ell_inv, self.rep.beta(x, y)))
-
     def mu(self, h_coeffs):
         """Operator mu(h): pi on d, coadjoint action on h*."""
         nd, nh = self.nd, self.nh
@@ -406,25 +402,21 @@ def reductive_split(g_alg, form, h_sub):
                 break
     checks.append(("bracket_h_m_in_m", ok, witness))
     mb = m.basis()
+
+    def m_part(w):
+        coeffs = _decompose(h_sub, m, w)
+        return None if coeffs is None else _combine(mb, coeffs[h_sub.dim:], g_alg.dim)
+
+    # the m-projection of [x, y], once per pair of m basis vectors
+    proj = [[m_part(g_alg.bracket(x, y)) for y in mb] for x in mb]
     ok = True
     witness = None
-    for x in mb:
-        for y in mb:
-            dxy = _decompose(h_sub, m, g_alg.bracket(x, y))
-            proj_xy = None if dxy is None else _combine(mb, dxy[h_sub.dim:],
-                                                        g_alg.dim)
-            for z in mb:
-                dxz = _decompose(h_sub, m, g_alg.bracket(x, z))
-                if dxy is None or dxz is None:
-                    ok, witness = False, "bracket outside h + m"
-                    break
-                proj_xz = _combine(mb, dxz[h_sub.dim:], g_alg.dim)
-                if form.apply(proj_xy, z) + form.apply(y, proj_xz) != 0:
-                    ok, witness = False, "naturally reductive condition fails"
-                    break
-            if not ok:
-                break
-        if not ok:
+    for a, b, c in product(range(len(mb)), repeat=3):
+        if proj[a][b] is None or proj[a][c] is None:
+            ok, witness = False, "bracket outside h + m"
+            break
+        if form.apply(proj[a][b], mb[c]) + form.apply(mb[b], proj[a][c]) != 0:
+            ok, witness = False, "naturally reductive condition fails"
             break
     checks.append(("naturally_reductive", ok, witness))
     return SplitResult(m, tuple(checks))

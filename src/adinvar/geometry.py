@@ -289,8 +289,8 @@ def ricci_gd_closed(gd):
     """Block closed forms of the Ricci tensor on d + h*.
 
     The d-d block needs the signed sum over an orthonormal h* basis; it is
-    evaluated through an exact epsilon-frame when one exists over Q and
-    through the equivalent inverse-Gram contraction otherwise.
+    evaluated through an exact epsilon-frame when ``linalg.epsilon_frame``
+    finds one and through the equivalent inverse-Gram contraction otherwise.
     """
     nd, nh = gd.nd, gd.nh
     w = [list(r) for r in gd.ell]

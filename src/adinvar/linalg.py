@@ -312,9 +312,12 @@ def epsilon_frame(g):
     """Exact orthonormal-with-signs frame for a symmetric form.
 
     Returns (rows, signs) with rows[i] . g . rows[j] = signs[i] delta_ij,
-    signs in {+1, -1}, or None when no such frame exists over Q (isotropic
-    pivots are resolved through hyperbolic pairs; anisotropic pivots must
-    have square norms, possibly after combining two basis directions).
+    signs in {+1, -1}, or None when the search finds no frame; callers fall
+    back to a frame-free route.  The search is greedy and incomplete: it
+    takes a remaining direction, or the sum or difference of two, whose norm
+    is a signed rational square, and resolves isotropic pivots through
+    hyperbolic pairs, so it can return None for a form that has a frame
+    over Q.
     """
     n = len(g)
 

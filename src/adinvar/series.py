@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import linalg
 from .core import (Subspace, center, derived_series, kernel_of,
                    lower_central_series, totally_isotropic)
-from .extension import build_gd
+from .linalg import Q0
 
 
 class SeriesError(Exception):
@@ -35,24 +35,31 @@ class StepReport:
 
 
 def _beta_obstruction(gd, left, right):
-    """Span of beta(u, v) for u in left, v in right, inside d + h*."""
+    """Span of beta(u, v) for u in left, v in right, inside d + h*; the
+    covector beta(u, v) is read from ``gd.beta_table`` and mapped into the
+    ell basis by ``gd.ell_inv``."""
     vecs = []
     for u in left.basis():
         for v in right.basis():
-            vecs.append(gd.beta_vec(u[:gd.nd], v[:gd.nd]))
+            cov = [Q0] * gd.nh
+            for a, ua in enumerate(u):
+                for b, vb in enumerate(v):
+                    if ua and vb:
+                        cov = linalg.vec_add(
+                            cov, linalg.vec_scale(ua * vb, gd.beta_table[a][b]))
+            vecs.append(gd.embed_h(linalg.mat_vec(gd.ell_inv, cov)))
     return Subspace.span(vecs, gd.L.dim)
 
 
-def predict_solvable_step(rep, k=None):
-    """d k-step solvable: the extension is k-step iff beta vanishes on
+def predict_solvable_step(gd, k=None):
+    """d k-step solvable: the extension gd is k-step iff beta vanishes on
     C^{k-1}(d), else (k+1)-step."""
-    dser = derived_series(rep.d)
+    dser = derived_series(gd.rep.d)
     if dser.step is None:
         raise SeriesError("d is not solvable")
     if k is not None and k != dser.step:
         raise SeriesError(f"d is {dser.step}-step solvable, not {k}")
     k = dser.step
-    gd = build_gd(rep)
     ck1 = dser.chain[k - 1]
     obstruction = _beta_obstruction(gd, ck1, ck1)
     predicted = k if obstruction.dim == 0 else k + 1
@@ -61,17 +68,16 @@ def predict_solvable_step(rep, k=None):
                       obstruction.dim == 0, obstruction.dim == 0)
 
 
-def predict_nilpotent_step(rep, k=None):
-    """d k-step nilpotent: the extension is k-step iff D^{k-1}(d) lies in
-    every ker pi(h); the vacuous D^k variant is evaluated alongside."""
-    dser = lower_central_series(rep.d)
+def predict_nilpotent_step(gd, k=None):
+    """d k-step nilpotent: the extension gd is k-step iff D^{k-1}(d) lies
+    in every ker pi(h); the vacuous D^k variant is evaluated alongside."""
+    dser = lower_central_series(gd.rep.d)
     if dser.step is None:
         raise SeriesError("d is not nilpotent")
     if k is not None and k != dser.step:
         raise SeriesError(f"d is {dser.step}-step nilpotent, not {k}")
     k = dser.step
-    gd = build_gd(rep)
-    full_d = Subspace.full(rep.d.dim)
+    full_d = Subspace.full(gd.nd)
     dk1 = dser.chain[k - 1]
     obstruction = _beta_obstruction(gd, full_d, dk1)
     kernels = None

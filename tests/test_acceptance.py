@@ -127,9 +127,9 @@ def test_criterion_04_four_step_extensions():
     detail = ""
     for name in ("gH", "gE", "gF"):
         entry = corpus_build(name)
-        gd = entry.build()
+        gd = build_gd(entry.rep)
         ser = lower_central_series(gd.L)
-        rpt = predict_nilpotent_step(entry.rep)
+        rpt = predict_nilpotent_step(gd)
         good = (gd.L.dim == 6 and ser.step == 4
                 and ser.chain[3].dim == 1 and ser.chain[4].dim == 0
                 and rpt.step_gd_predicted == 4 == rpt.step_gd_computed)
@@ -144,7 +144,7 @@ def test_criterion_05_curvature_cross_validation():
     ok = True
     detail = ""
     for name in corpus_list():
-        gd = corpus_build(name).build()
+        gd = build_gd(corpus_build(name).rep)
         gamma = levi_civita(gd.L, gd.metric)
         if gamma != levi_civita_gd(gd):
             ok, detail = False, f"{name}: connection closed form"
@@ -163,7 +163,7 @@ def test_criterion_06_sectional_signs():
     ok = True
     detail = ""
     # timelike-center metric: claimed nonpositive on coordinate planes
-    gd1 = corpus_build("h3_metric_1").build()
+    gd1 = build_gd(corpus_build("h3_metric_1").rep)
     r1 = curvature(levi_civita(gd1.L, gd1.metric), gd1.L)
     eye = linalg.identity(3)
     for i in range(3):
@@ -175,7 +175,7 @@ def test_criterion_06_sectional_signs():
                 ok = False
                 detail = f"metric nr.1 has K(e{i+1},e{j+1}) = {k} > 0"
     # second Lorentzian metric: mixed signs at the stated planes
-    gd2 = corpus_build("h3_metric_2").build()
+    gd2 = build_gd(corpus_build("h3_metric_2").rep)
     r2 = curvature(levi_civita(gd2.L, gd2.metric), gd2.L)
     if not (sectional(r2, gd2.metric, eye[0], eye[1]) > 0
             and sectional(r2, gd2.metric, eye[0], eye[2]) < 0):
@@ -210,14 +210,14 @@ def test_criterion_08_ricci_split():
         entry = corpus_build(name)
         if entry.rep.d.table:
             continue  # only the abelian-d entries
-        gd = entry.build()
+        gd = build_gd(entry.rep)
         op = ricci_operator(curvature_gd(gd), gd.metric)
         nd = gd.nd
         for i in range(nd):
             for j in range(nd, gd.L.dim):
                 if op[j][i] != 0 or op[i][j] != 0:
                     ok, detail = False, f"{name}: operator mixes the blocks"
-    gd0 = corpus_build("h3_metric_0").build()
+    gd0 = build_gd(corpus_build("h3_metric_0").rep)
     op0 = ricci_operator(curvature_gd(gd0), gd0.metric)
     want = [[F(-1, 2), F(0), F(0)], [F(0), F(-1, 2), F(0)], [F(0), F(0), F(1, 2)]]
     if op0 != want:
@@ -226,7 +226,7 @@ def test_criterion_08_ricci_split():
 
 
 def test_criterion_09_kostant_reconstruction():
-    gd = corpus_build("oscillator").build()
+    gd = build_gd(corpus_build("oscillator").rep)
     dbl = gd.double
     split = reductive_split(dbl.g, dbl.Q_minus, dbl.h_sub)
     inner = BilinearForm(tuple(

@@ -105,6 +105,23 @@ def test_series_command(tmp_path, capsys):
     assert doc["nilpotent"]["naive_index_test"] is True
 
 
+def test_series_refuses_invalid_data_on_non_solvable_d(tmp_path, capsys):
+    # d = so(3) is neither nilpotent nor solvable; pi(z) is not skew
+    spec = tmp_path / "so3_not_skew.json"
+    spec.write_text(json.dumps({
+        "d": {"dim": 3, "metric": [[1, 1, 1], [2, 2, 1], [3, 3, 1]],
+              "brackets": [[1, 2, 3, 1], [2, 3, 1, 1], [1, 3, 2, -1]]},
+        "h": {"dim": 1, "names": ["z"], "metric": [[1, 1, 1]]},
+        "pi": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]],
+    }))
+    code, _, err = run(capsys, "gd", str(spec), "--json")
+    assert code == 1
+    code, out, err = run(capsys, "series", str(spec), "--json")
+    assert code == 1
+    assert out == ""
+    assert "pi(z)_not_skew" in err
+
+
 def test_geometry_command(tmp_path, capsys):
     outdir = emit_corpus(tmp_path, capsys, "h3_metric_0")
     code, out, _ = run(capsys, "geometry", str(outdir / "h3_metric_0.json"),

@@ -300,7 +300,7 @@ def test_apply_returns_fraction_on_integer_input():
 def test_ad_invariant_corpus_doubles_and_corruptions():
     seen = []
     for name in corpus_list():
-        dbl = corpus_build(name).double()
+        dbl = double_extend(corpus_build(name).rep)
         if (dbl.g, dbl.Q) in seen:
             continue
         seen.append((dbl.g, dbl.Q))

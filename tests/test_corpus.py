@@ -1,6 +1,11 @@
+import json
+import sys
+
 import pytest
 
-from adinvar import (ad_invariant, corpus_build, corpus_list, verify_as)
+import adinvar
+from adinvar import ad_invariant, build_gd, cli, corpus_build, corpus_list, verify_as
+from adinvar.io import dump_builder_dict
 
 
 def test_listing_is_stable():
@@ -20,15 +25,65 @@ def test_unknown_name():
 @pytest.mark.parametrize("name", corpus_list())
 def test_entry_expectations(name):
     entry = corpus_build(name)
-    failures = [(n, detail) for n, ok, detail in entry.checks() if not ok]
+    failures = [(n, detail) for n, ok, detail in entry.checks(build_gd(entry.rep))
+                if not ok]
     assert not failures, failures
 
 
 @pytest.mark.parametrize("name", corpus_list())
 def test_entry_invariants(name):
     entry = corpus_build(name)
-    gd = entry.build()
+    gd = build_gd(entry.rep)
     dbl = gd.double
     assert ad_invariant(dbl.g, dbl.Q)
     assert ad_invariant(dbl.g, dbl.Q_minus)
     assert verify_as(gd).all_pass
+
+
+# -- each input is built once ----------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every adinvar binding of it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in [m for k, m in sys.modules.items()
+                if k == "adinvar" or k.startswith("adinvar.")]:
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_corpus_command_builds_once(name, monkeypatch, capsys):
+    counted = {f"{mod.__name__}.{fn}": _count_calls(monkeypatch, mod, fn)
+               for mod, fn in ((adinvar.extension, "build_gd"),
+                               (adinvar.homstructure, "build_hom_structure"),
+                               (adinvar.geometry, "curvature_gd"),
+                               (adinvar.geometry, "levi_civita_gd"))}
+    assert cli.main(["corpus", name, "--json"]) == 0
+    capsys.readouterr()
+    assert {k: len(v) for k, v in counted.items()} == dict.fromkeys(counted, 1)
+
+
+def test_registry_builds_only_the_named_entry(monkeypatch):
+    calls = _count_calls(monkeypatch, adinvar.corpus, "_lemma_derivations")
+    corpus_list()
+    corpus_build("h3_metric_0")
+    assert calls == []
+    corpus_build("gH")
+    assert len(calls) == 1
+
+
+def test_series_command_builds_once(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "gH_builder.json"
+    spec.write_text(json.dumps(dump_builder_dict(corpus_build("gH").rep)))
+    calls = _count_calls(monkeypatch, adinvar.extension, "build_gd")
+    assert cli.main(["series", str(spec), "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

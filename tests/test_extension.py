@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      Representation, Subspace, ad_invariant, build_gd,
-                     canonical_connection, check_jacobi, double_extend,
-                     kostant_form, lambda_matrix, reductive_split)
-from adinvar import linalg
-from adinvar.extension import _verify_gd
+                     canonical_connection, check_jacobi, corpus_build,
+                     corpus_list, double_extend, kostant_form, lambda_matrix,
+                     orthogonal_complement, reductive_split)
+from adinvar import extension, linalg
+from adinvar.extension import SplitResult, _verify_gd
 from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep
 from corpus_help import lemma_rep
 
@@ -488,3 +490,86 @@ def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
         mats[i][p][q] += delta
     broken = replace(rep, mats=tuple(tuple(map(tuple, m)) for m in mats))
     assert broken.validate() == _validate_loops(broken)
+
+
+# -- reductive_split: one projection per pair, as the triple loop found ----
+
+def _reductive_split_oracle(g_alg, form, h_sub):
+    """reductive_split with the naturally reductive condition written as the
+    literal loop that decomposes [x, y] and [x, z] for every (x, y, z)."""
+    gram = [[form.apply(u, v) for v in h_sub.basis()] for u in h_sub.basis()]
+    if linalg.signature_of(gram)[2] != 0:
+        raise ExtensionError("form is degenerate on h")
+    m = orthogonal_complement(h_sub, form)
+    checks = [("direct_sum", h_sub.dim + m.dim == g_alg.dim
+               and h_sub.add(m).dim == g_alg.dim, None)]
+    ok, witness = True, None
+    for u in h_sub.basis():
+        for v in m.basis():
+            if not m.contains(g_alg.bracket(u, v)):
+                ok, witness = False, "[h,m] escapes m"
+                break
+    checks.append(("bracket_h_m_in_m", ok, witness))
+    mb = m.basis()
+    ok, witness = True, None
+    for x in mb:
+        for y in mb:
+            dxy = extension._decompose(h_sub, m, g_alg.bracket(x, y))
+            proj_xy = None if dxy is None else extension._combine(
+                mb, dxy[h_sub.dim:], g_alg.dim)
+            for z in mb:
+                dxz = extension._decompose(h_sub, m, g_alg.bracket(x, z))
+                if dxy is None or dxz is None:
+                    ok, witness = False, "bracket outside h + m"
+                    break
+                proj_xz = extension._combine(mb, dxz[h_sub.dim:], g_alg.dim)
+                if form.apply(proj_xy, z) + form.apply(y, proj_xz) != 0:
+                    ok, witness = False, "naturally reductive condition fails"
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    checks.append(("naturally_reductive", ok, witness))
+    return SplitResult(m, tuple(checks))
+
+
+def _random_symmetric_form(n, rng):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j or rng.random() < 0.3:
+                m[i][j] = m[j][i] = rng.randint(-2, 2)
+    return BilinearForm(tuple(map(tuple, m)))
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_reductive_split_matches_the_triple_loop(name, monkeypatch):
+    dbl = double_extend(corpus_build(name).rep)
+    rng = random.Random(name)
+    forms = [dbl.Q_minus, dbl.Q] + [_random_symmetric_form(dbl.g.dim, rng)
+                                    for _ in range(4)]
+    outcomes = set()
+    for form in forms:
+        try:
+            want = _reductive_split_oracle(dbl.g, form, dbl.h_sub)
+        except ExtensionError:
+            with pytest.raises(ExtensionError):
+                reductive_split(dbl.g, form, dbl.h_sub)
+            continue
+        assert reductive_split(dbl.g, form, dbl.h_sub) == want
+        outcomes.add(want.checks[-1][2])
+        # a bracket without an h + m decomposition, at one chosen pair
+        mb = want.m.basis()
+        if not mb:
+            continue
+        missing = dbl.g.bracket(mb[-1], mb[0])
+        real = extension._decompose
+        monkeypatch.setattr(extension, "_decompose", lambda h, m, v: (
+            None if v == missing else real(h, m, v)))
+        want = _reductive_split_oracle(dbl.g, form, dbl.h_sub)
+        assert reductive_split(dbl.g, form, dbl.h_sub) == want
+        outcomes.add(want.checks[-1][2])
+        monkeypatch.setattr(extension, "_decompose", real)
+    assert outcomes == {None, "bracket outside h + m",
+                        "naturally reductive condition fails"}

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from adinvar import corpus_build
+from adinvar import build_gd, corpus_build, double_extend
 from adinvar.io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
                         load_algebra_dict, load_builder_dict, parse_rational)
 
@@ -20,12 +20,12 @@ def test_roundtrip_every_corpus_entry():
     from adinvar import corpus_list
     for name in corpus_list():
         entry = corpus_build(name)
-        gd = entry.build()
+        gd = build_gd(entry.rep)
         doc = dump_algebra_dict(gd.L, gd.metric)
         alg, form = load_algebra_dict(doc)
         assert alg == gd.L
         assert form == gd.metric
-        dbl = entry.double()
+        dbl = double_extend(entry.rep)
         doc2 = dump_algebra_dict(dbl.g, dbl.Q)
         alg2, form2 = load_algebra_dict(doc2)
         assert alg2 == dbl.g

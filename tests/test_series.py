@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from corpus_help import lemma_rep
 
 
 def test_solvable_prediction_heisenberg(oscillator_rep):
-    rpt = predict_solvable_step(oscillator_rep)
+    rpt = predict_solvable_step(build_gd(oscillator_rep))
     assert rpt.kind == "solvable"
     assert rpt.step_d == 1
     assert rpt.step_gd_predicted == 2 == rpt.step_gd_computed
@@ -25,13 +26,13 @@ def test_solvable_prediction_trivial_action():
         LieAlgebra.abelian(1), BilinearForm.diagonal([1]),
         LieAlgebra.abelian(2), BilinearForm.diagonal([1, 1]),
         (((0, 0), (0, 0)),))
-    rpt = predict_solvable_step(rep)
+    rpt = predict_solvable_step(build_gd(rep))
     assert rpt.step_gd_predicted == 1 == rpt.step_gd_computed
     assert rpt.witness.dim == 0
 
 
 def test_solvable_prediction_four_step():
-    rpt = predict_solvable_step(lemma_rep("H"))
+    rpt = predict_solvable_step(build_gd(lemma_rep("H")))
     assert rpt.step_d == 2
     assert rpt.step_gd_predicted == rpt.step_gd_computed == 2
 
@@ -40,14 +41,14 @@ def test_solvable_rejects_non_solvable():
     from conftest import so3_rep
     rep = so3_rep()
     with pytest.raises(SeriesError):
-        predict_solvable_step(
+        predict_solvable_step(build_gd(
             Representation(rep.d, rep.d_form, rep.h, rep.h_form,
                            tuple(tuple(map(tuple, linalg.zeros(3, 3)))
-                                 for _ in range(3))))
+                                 for _ in range(3)))))
 
 
 def test_nilpotent_prediction_abelian_base(oscillator_rep):
-    rpt = predict_nilpotent_step(oscillator_rep)
+    rpt = predict_nilpotent_step(build_gd(oscillator_rep))
     assert rpt.step_d == 1
     assert rpt.step_gd_predicted == 2 == rpt.step_gd_computed
     assert not rpt.corrected_index_test
@@ -57,7 +58,7 @@ def test_nilpotent_prediction_abelian_base(oscillator_rep):
 def test_nilpotent_prediction_four_step_examples():
     for key in "HEF":
         rep = lemma_rep(key)
-        rpt = predict_nilpotent_step(rep)
+        rpt = predict_nilpotent_step(build_gd(rep))
         assert rpt.step_d == 3
         assert rpt.step_gd_predicted == 4 == rpt.step_gd_computed
         assert not rpt.corrected_index_test
@@ -81,7 +82,7 @@ def test_step_is_k_or_k_plus_one():
     reps = [h3_rep([1, 1], T_PLUS, 1), h3_rep([-1, 1], T_MINUS, -1),
             a12_rep(), lemma_rep("H"), lemma_rep("E"), lemma_rep("F")]
     for rep in reps:
-        rpt = predict_nilpotent_step(rep)
+        rpt = predict_nilpotent_step(build_gd(rep))
         assert rpt.step_gd_computed in (rpt.step_d, rpt.step_d + 1)
         assert rpt.consistent
 
@@ -144,3 +145,23 @@ def test_center_is_z_plus_kernel_randomized():
             [gd.embed_d(v) for v in kernel_of(a).basis()]
             + [gd.embed_h([F(1)])], 5)
         assert center(gd.L) == expected
+
+
+def test_beta_obstruction_matches_the_cocycle():
+    """The obstruction read from beta_table equals the span of
+    ell^-1 beta(u, v) computed from pi and the metric of d."""
+    from adinvar import corpus_build, corpus_list
+    from adinvar.series import _beta_obstruction
+    from conftest import so3_rep, torus_rep
+    reps = [corpus_build(n).rep for n in corpus_list()]
+    torus = torus_rep([1, 2], [(2, 1), (0, -1), (3, 1), (1, 1)])
+    reps += [so3_rep(), torus, replace(torus, h_form=BilinearForm(((1, 1), (1, 3))))]
+    for rep in reps:
+        gd = build_gd(rep)
+        full = Subspace.full(rep.d.dim)
+        for left, right in ((full, full), (full, lower_central_series(rep.d).chain[1]),
+                            (Subspace.span([full.basis()[-1]], rep.d.dim), full)):
+            want = Subspace.span(
+                [gd.embed_h(linalg.mat_vec(gd.ell_inv, rep.beta(u, v)))
+                 for u in left.basis() for v in right.basis()], gd.L.dim)
+            assert _beta_obstruction(gd, left, right) == want
