@@ -235,13 +235,17 @@ def check_jacobi(alg):
 
     Returns a list of (i, j, k, sum_vector); empty iff alg is a Lie algebra.
     """
+    table = alg.bracket_data
+    empty = {}
     violations = []
-    basis = linalg.identity(alg.dim)
     for i, j, k in combinations(range(alg.dim), 3):
-        s = alg.bracket(alg.basis_bracket(i, j), basis[k])
-        s = linalg.vec_add(s, alg.bracket(alg.basis_bracket(j, k), basis[i]))
-        s = linalg.vec_add(s, alg.bracket(alg.basis_bracket(k, i), basis[j]))
-        if not linalg.is_zero_vector(s):
+        s = linalg.zero_vector(alg.dim)
+        # [[e_a, e_b], e_c] = sum_p c_ab^p [e_p, e_c], read from the table
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for p, x in table.get((a, b), empty).items():
+                for r, y in table.get((p, c), empty).items():
+                    s[r] += x * y
+        if any(s):
             violations.append((i, j, k, s))
     return violations
 

@@ -57,11 +57,15 @@ class Representation:
         return [list(row) for row in self.mats[i]]
 
     def pi_of(self, h_coeffs):
-        """Operator of an arbitrary h vector."""
+        """Operator of an arbitrary h vector, summed over its nonzero
+        coefficients and the nonzero entries of their operators."""
         out = linalg.zeros(self.d.dim, self.d.dim)
         for c, m in zip(h_coeffs, self.mats):
-            if c != 0:
-                out = linalg.mat_add(out, linalg.mat_scale(c, m))
+            if c:
+                for orow, mrow in zip(out, m):
+                    for q, x in enumerate(mrow):
+                        if x:
+                            orow[q] += c * x
         return out
 
     def beta(self, x, y):
@@ -69,6 +73,16 @@ class Representation:
         g = self.d_form.rows()
         return [linalg.dot(linalg.mat_vec(self.mat(k), x), linalg.mat_vec(g, y))
                 for k in range(self.h.dim)]
+
+    @cached_property
+    def beta_table(self):
+        """beta_table[a][b][k] = beta(e_a, e_b)[k] = (pi(h_k)^T g)[a][b],
+        one matrix product per h basis vector, built once."""
+        g = self.d_form.rows()
+        prods = [linalg.mat_mul(linalg.transpose(m), g) for m in self.mats]
+        nd = self.d.dim
+        return tuple(tuple(tuple(p[a][b] for p in prods) for b in range(nd))
+                     for a in range(nd))
 
     def validate(self):
         """Names of violated construction invariants (empty = good data)."""
@@ -174,10 +188,8 @@ def _assemble_double(rep):
             cov = [-adh[k][m] for m in range(nh)]
             put(i, hs(k), _block_vector([[Q0] * (nh + nd), cov]))
     for a, b in combinations(range(nd), 2):
-        ea = linalg.identity(nd)[a]
-        eb = linalg.identity(nd)[b]
         put(nh + a, nh + b,
-            _block_vector([[Q0] * nh, rep.d.basis_bracket(a, b), rep.beta(ea, eb)]))
+            _block_vector([[Q0] * nh, rep.d.basis_bracket(a, b), rep.beta_table[a][b]]))
 
     names = (rep.h.names + rep.d.names
              + tuple(f"{s}*" for s in rep.h.names))
@@ -283,10 +295,7 @@ def build_gd(rep):
     winv = linalg.inverse(w)
 
     table = {}
-    betas = []
-    basis_d = linalg.identity(nd)
-    for a in range(nd):
-        betas.append([rep.beta(basis_d[a], basis_d[b]) for b in range(nd)])
+    betas = rep.beta_table
     for a, b in combinations(range(nd), 2):
         vec = list(rep.d.basis_bracket(a, b)) + linalg.mat_vec(winv, betas[a][b])
         comps = {k: c for k, c in enumerate(vec) if c != 0}
@@ -306,11 +315,7 @@ def build_gd(rep):
             gm[nd + i][nd + j] = w[i][j]
     metric = BilinearForm(tuple(tuple(r) for r in gm))
 
-    gd = GdAlgebra(
-        rep, alg, metric,
-        tuple(tuple(tuple(v) for v in row) for row in betas),
-        tuple(tuple(r) for r in w),
-        (), dbl)
+    gd = GdAlgebra(rep, alg, metric, betas, tuple(tuple(r) for r in w), (), dbl)
     mu_mats = tuple(tuple(tuple(r) for r in gd.mu(hv))
                     for hv in linalg.identity(nh))
     gd = GdAlgebra(rep, alg, metric, gd.beta_table, gd.ell, mu_mats, dbl)

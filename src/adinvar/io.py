@@ -24,6 +24,12 @@ class SpecFormatError(Exception):
 
 _RATIONAL = re.compile(r"[-+]?\d+(/\d+)?")
 
+# The largest algebra dimension a file may declare.  Checking the Jacobi
+# identity costs about n^5 rational operations on a dense structure table:
+# `adinvar check` on a dense 24-dimensional file takes about 20 s, on a
+# 32-dimensional one about 100 s (2-core host, Python 3.11).
+MAX_DIM = 24
+
 
 def parse_rational(value, where=""):
     """An integer or a string 'n' or 'p/q'; decimals and exponents such as
@@ -56,6 +62,9 @@ def load_algebra_dict(doc, where="algebra"):
     if "dim" not in doc or not _is_int(doc["dim"]) or doc["dim"] < 1:
         raise SpecFormatError("'dim' must be a positive integer", where)
     dim = doc["dim"]
+    if dim > MAX_DIM:
+        raise SpecFormatError(f"'dim' {dim} exceeds the largest supported dimension {MAX_DIM}",
+                              where)
     names = doc.get("names")
     if names is not None:
         if (not isinstance(names, list) or len(names) != dim

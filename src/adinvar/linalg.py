@@ -4,6 +4,10 @@ Matrices are lists of rows, vectors are flat lists, all entries
 ``fractions.Fraction``.  Everything here is deterministic: pivoting is
 always leftmost-first, so echelon forms are canonical representatives.
 
+Products (``mat_mul``, ``mat_vec`` and everything built on them:
+``commutator``, ``charpoly``) sum over the nonzero entries only, so they
+cost what the nonzero entries cost; zero products are never formed.
+
 Elimination (``rref`` and everything built on it: ``rank``,
 ``nullspace``, ``solve``, ``inverse``) runs fraction-free on integer
 rows; ``Fraction``s are formed only at the boundary, once per entry of
@@ -63,12 +67,36 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """a b, summed over the nonzero entries of a and of each row of b."""
+    ncols = len(b[0]) if b else 0
+    brows = [[(q, y) for q, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Q0] * ncols
+        for x, brow in zip(row, brows):
+            if x:
+                for q, y in brow:
+                    acc[q] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a v, summed over the nonzero products only.  As with ``zip``, a row
+    shorter than v ignores the excess entries of v."""
+    nz = [(q, y) for q, y in enumerate(v) if y]
+    out = []
+    for row in a:
+        total = Q0
+        n = len(row)
+        for q, y in nz:
+            if q >= n:
+                break
+            x = row[q]
+            if x:
+                total += x * y
+        out.append(total)
+    return out
 
 
 def vec_add(u, v):

@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction as F
+from itertools import combinations
+
 import pytest
 from hypothesis import strategies as st
 
-from adinvar import BilinearForm, LieAlgebra, Representation
+from adinvar import BilinearForm, LieAlgebra, Representation, linalg
 
 T_PLUS = ((0, -1), (1, 0))
 T_MINUS = ((0, 1), (1, 0))
@@ -70,6 +74,29 @@ def torus_reps(draw):
 def two_torus_rep():
     """Abelian h of dimension two acting on R^4 by commuting rotations."""
     return torus_rep([1, 1])
+
+
+def dense_change(n, seed):
+    """P = L U for seeded unit-triangular L, U with entries in {+-1, +-1/2}."""
+    rng = random.Random(seed)
+    vals = (F(1), F(-1), F(1, 2), F(-1, 2))
+    low, up = linalg.identity(n), linalg.identity(n)
+    for i in range(n):
+        for j in range(i):
+            low[i][j], up[j][i] = rng.choice(vals), rng.choice(vals)
+    return linalg.mat_mul(low, up)
+
+
+def conjugated_table(alg, p):
+    """The structure constants of alg in the basis of the columns of p."""
+    p_inv, cols = linalg.inverse(p), linalg.transpose(p)
+    table = {}
+    for a, b in combinations(range(alg.dim), 2):
+        vec = linalg.mat_vec(p_inv, alg.bracket(cols[a], cols[b]))
+        comps = {k: c for k, c in enumerate(vec) if c}
+        if comps:
+            table[(a, b)] = comps
+    return table
 
 
 @pytest.fixture

@@ -255,3 +255,19 @@ def test_check_refuses_decimal_rationals_and_repeated_names(tmp_path, capsys):
         assert code == 2, doc
         assert out == ""
         assert where in err
+
+
+def test_commands_refuse_a_dimension_above_the_cap(tmp_path, capsys):
+    huge = {"dim": 100000000}
+    small = {"dim": 1, "metric": [[1, 1, 1]]}
+    alg = tmp_path / "huge.json"
+    alg.write_text(json.dumps(huge))
+    spec = tmp_path / "huge_builder.json"
+    spec.write_text(json.dumps({"d": huge, "h": small, "pi": [[[0]]]}))
+    for argv in (["check", str(alg)], ["geometry", str(alg)],
+                 ["derivations", str(alg)], ["gd", str(spec)],
+                 ["verify-as", str(spec)]):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2, argv
+        assert out == ""
+        assert "'dim' 100000000 exceeds" in err

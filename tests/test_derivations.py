@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -12,7 +11,8 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, build_gd, center,
                      induced_so_aut_pair)
 from adinvar import linalg
 from adinvar.derivations import MatrixLieAlgebra
-from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, two_torus_rep
+from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_table, dense_change,
+                      h3_rep, two_torus_rep)
 from corpus_help import lemma_rep
 
 
@@ -228,26 +228,9 @@ def closure_table(mats):
     return MatrixLieAlgebra.from_matrices(mats, len(mats[0])).closure.table
 
 
-def dense_change(n, seed):
-    """P = L U for seeded unit-triangular L, U with entries in {+-1, +-1/2}."""
-    rng = random.Random(seed)
-    vals = (F(1), F(-1), F(1, 2), F(-1, 2))
-    low, up = linalg.identity(n), linalg.identity(n)
-    for i in range(n):
-        for j in range(i):
-            low[i][j], up[j][i] = rng.choice(vals), rng.choice(vals)
-    return linalg.mat_mul(low, up)
-
-
 def conjugated(alg, form, p):
     """alg and form rewritten in the basis of the columns of p."""
-    p_inv, cols = linalg.inverse(p), linalg.transpose(p)
-    table = {}
-    for a, b in combinations(range(alg.dim), 2):
-        vec = linalg.mat_vec(p_inv, alg.bracket(cols[a], cols[b]))
-        comps = {k: c for k, c in enumerate(vec) if c}
-        if comps:
-            table[(a, b)] = comps
+    table = conjugated_table(alg, p)
     g = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(form.rows(), p))
     return (LieAlgebra.from_brackets(alg.dim, table),
             BilinearForm(tuple(tuple(r) for r in g)))

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from adinvar import build_gd, corpus_build, double_extend
-from adinvar.io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
-                        load_algebra_dict, load_builder_dict, parse_rational)
+from adinvar.io import (MAX_DIM, SpecFormatError, dump_algebra_dict,
+                        dump_builder_dict, load_algebra_dict, load_builder_dict,
+                        parse_rational)
 
 
 def test_parse_rational():
@@ -111,3 +112,18 @@ def test_repeated_name_refused():
     with pytest.raises(SpecFormatError,
                        match=r"algebra\.names\[2\]: name 'a' repeats names\[0\]"):
         load_algebra_dict({"dim": 3, "names": ["a", "b", "a"]})
+
+
+def test_dimension_above_the_cap_refused_before_allocation():
+    """Only dims that allocate nothing when refused: a declared dimension of
+    10^8 is refused from the number alone, in an algebra and in either part
+    of a builder."""
+    small = {"dim": 1, "metric": [[1, 1, 1]]}
+    for dim in (MAX_DIM + 1, 100000000):
+        with pytest.raises(SpecFormatError, match=f"'dim' {dim} exceeds"):
+            load_algebra_dict({"dim": dim, "metric": [[1, 1, 1]]})
+        for part in ("d", "h"):
+            spec = {"d": small, "h": small, "pi": [[[0]]], part: {"dim": dim}}
+            with pytest.raises(SpecFormatError, match=f"^{part}: 'dim' {dim} exceeds"):
+                load_builder_dict(spec)
+    assert load_algebra_dict({"dim": MAX_DIM})[0].dim == MAX_DIM

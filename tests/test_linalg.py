@@ -299,3 +299,83 @@ def test_epsilon_frame_satisfies_its_identity(g):
     assert len(vecs) == len(g) and set(signs) <= {F(1), F(-1)}
     p = to_sympy(linalg.transpose(vecs))
     assert p.T * to_sympy(g) * p == sympy.diag(*[int(s) for s in signs])
+
+
+# -- the sparse products against their literal dense sums and sympy ---------
+
+NONZERO = ENTRIES.filter(bool)
+
+
+@st.composite
+def sparse_or_dense(draw, m, n):
+    """An m x n matrix: sparse (mostly zero), dense (no zero) or mixed
+    entries, then some rows and columns zeroed."""
+    kind = draw(st.sampled_from(["sparse", "dense", "mixed"]))
+    entry = {"sparse": st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), NONZERO),
+             "dense": NONZERO, "mixed": ENTRIES}[kind]  # sparse: 3 in 4 are zero
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else ():
+        a[i] = [F(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else ():
+        for row in a:
+            row[j] = F(0)
+    return a
+
+
+SHAPES = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+
+
+def shaped_sympy(a, m, n):
+    """to_sympy with the shape given, as an empty list carries none."""
+    return sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator)
+                               for row in a for x in row])
+
+
+def dense_product(a, b):
+    """sum_p a[i][p] b[p][j], every product formed."""
+    return [[sum((a[i][p] * b[p][j] for p in range(len(b))), F(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+@ORACLE
+@given(SHAPES.flatmap(lambda s: st.tuples(st.just(s), sparse_or_dense(s[0], s[1]),
+                                          sparse_or_dense(s[1], s[2]))))
+def test_mat_mul_matches_dense_sum_and_sympy(case):
+    (m, k, n), a, b = case
+    got = linalg.mat_mul(a, b)
+    assert got == dense_product(a, b)
+    assert all_fractions(got)
+    if k:
+        assert got == from_sympy(shaped_sympy(a, m, k) * shaped_sympy(b, k, n))
+    else:
+        # a 0 x n matrix carries no column count in the list-of-rows form
+        assert got == [[] for _ in a]
+
+
+@ORACLE
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(sparse_or_dense(s[0], s[1]),
+                        st.lists(ENTRIES, min_size=max(s[1] - 1, 0),
+                                 max_size=s[1] + 1))))
+def test_mat_vec_matches_dense_sum_and_sympy(case):
+    a, v = case
+    got = linalg.mat_vec(a, v)
+    # zip truncation on non-conforming lengths, as the dense sum has it
+    assert got == [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
+    assert all(type(x) is F for x in got)
+    if a and len(v) == len(a[0]):
+        col = shaped_sympy([[y] for y in v], len(v), 1)
+        assert got == [row[0] for row in from_sympy(shaped_sympy(a, len(a), len(v)) * col)]
+
+
+@ORACLE
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(sparse_or_dense(n, n),
+                                                     sparse_or_dense(n, n))))
+def test_commutator_matches_dense_sum_and_sympy(case):
+    a, b = case
+    got = linalg.commutator(a, b)
+    ab, ba = dense_product(a, b), dense_product(b, a)
+    assert got == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert all_fractions(got)
+    sa, sb = shaped_sympy(a, len(a), len(a)), shaped_sympy(b, len(b), len(b))
+    assert got == from_sympy(sa * sb - sb * sa)
