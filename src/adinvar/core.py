@@ -192,11 +192,16 @@ class Subspace:
         return [list(r) for r in self.rows]
 
     def contains(self, v):
-        stacked = self.basis() + [list(map(frac, v))]
+        return self.contains_all([v])
+
+    def contains_all(self, vectors):
+        """True iff every vector lies in this subspace: one elimination of
+        the basis stacked with all of them."""
+        stacked = self.basis() + [list(map(frac, v)) for v in vectors]
         return linalg.rank(stacked) == self.dim
 
     def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return self.contains_all(other.rows)
 
     def coordinates(self, v):
         """Coefficients of v in this basis, or None if v is outside."""
@@ -342,13 +347,13 @@ def orthogonal_complement(sub, form):
 
 def is_subalgebra(alg, sub):
     base = sub.basis()
-    return all(sub.contains(alg.bracket(u, v))
-               for a, u in enumerate(base) for v in base[a + 1:])
+    return sub.contains_all([alg.bracket(u, v)
+                             for a, u in enumerate(base) for v in base[a + 1:]])
 
 
 def is_ideal(alg, sub):
     basis = linalg.identity(alg.dim)
-    return all(sub.contains(alg.bracket(b, u)) for b in basis for u in sub.basis())
+    return sub.contains_all([alg.bracket(b, u) for b in basis for u in sub.basis()])
 
 
 def totally_isotropic(sub, form):

@@ -4,6 +4,10 @@ curvature, Ricci tensor and geodesic criteria.
 Everything is computed twice where the construction admits a closed form:
 once from the Koszul formula / curvature definition (ground truth) and once
 from the block formulas of the d + h* algebras; tests pin exact equality.
+Every route builds ``Tensor.data`` directly, summing over the nonzero
+entries of the sparse data it reads (bracket tables, operator columns,
+the beta table); ``Tensor.from_function`` remains for test oracles and for
+``bi_invariant_curvature_check``.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,7 @@ from itertools import product
 from math import prod
 
 from . import linalg
-from .core import BilinearForm, is_subalgebra
+from .core import BilinearForm, is_subalgebra, operator_data
 from .linalg import Q0, Q1
 
 
@@ -82,25 +86,88 @@ class Tensor:
         return Tensor(self.dim, self.slots, data)
 
 
+def add_scaled(out, c, comps, offset=0):
+    """out[p + offset] += c * x for each p: x of the sparse vector comps."""
+    for p, x in comps.items():
+        out[p + offset] = out.get(p + offset, Q0) + c * x
+
+
+def columns(m):
+    """The columns of a matrix as sparse vectors {row: entry}."""
+    return [{p: x for p, x in enumerate(col) if x} for col in zip(*m)]
+
+
 def levi_civita(alg, form):
-    """Koszul formula: 2<D_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>."""
+    """Koszul formula: 2<D_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>.
+
+    Each bracket is lowered through the form once, as the covector
+    <[e_a, e_b], .>; D_i e_j is then B^-1 applied to the right-hand side,
+    summed over the nonzero columns of B^-1.
+    """
     if not form.nondegenerate:
         raise GeometryError("metric is degenerate")
     n = alg.dim
-    binv = linalg.inverse(form.rows())
-    basis = linalg.identity(n)
+    binv = columns(linalg.inverse(form.rows()))
+    rows = [{q: b for q, b in enumerate(row) if b} for row in form.matrix]
+    low = {}  # low[a, b][k] = <[e_a, e_b], e_k>
+    by_first = [[] for _ in range(n)]  # by_first[a] = [(b, low[a, b]), ..]
+    for (a, b), comps in alg.bracket_data.items():
+        cov = low[a, b] = {}
+        for q, c in comps.items():
+            add_scaled(cov, c, rows[q])
+        by_first[a].append((b, cov))
+    data = {}
+    for i, j in product(range(n), repeat=2):
+        rhs = dict(low.get((i, j), {}))  # <[e_i,e_j], e_k>
+        for k, cov in by_first[j]:       # - <[e_j,e_k], e_i>
+            rhs[k] = rhs.get(k, Q0) - cov.get(i, Q0)
+        for k, cov in by_first[i]:       # + <[e_k,e_i], e_j>
+            rhs[k] = rhs.get(k, Q0) - cov.get(j, Q0)
+        out = data[i, j] = {}
+        for k, t in rhs.items():
+            if t:
+                add_scaled(out, t / 2, binv[k])
+    return Tensor(n, 2, data)
 
-    def nabla(i, j):
-        rhs = []
-        bij = alg.basis_bracket(i, j)
-        for k in range(n):
-            t = form.apply(bij, basis[k])
-            t -= form.apply(alg.basis_bracket(j, k), basis[i])
-            t += form.apply(alg.basis_bracket(k, i), basis[j])
-            rhs.append(t / 2)
-        return linalg.mat_vec(binv, rhs)
 
-    return Tensor.from_function(n, 2, nabla)
+def gd_tensor(gd, dd, left, right, hstar):
+    """A two-slot tensor on d + h* assembled by block from construction data.
+
+    dd[a, b] is the value on a pair of d basis vectors; the value on
+    (h_k*, e_b) is left * pi(h_k) e_b, on (e_a, h_k*) it is right * pi(h_k) e_a,
+    and on (h_p*, h_q*) it is hstar * [h_p, h_q]*.
+    """
+    nd, n = gd.nd, gd.L.dim
+    data = dict(dd)  # the other blocks use other keys
+    for (k, b), col in operator_data(gd.rep.mats).items():
+        for key, c in (((nd + k, b), left), ((b, nd + k), right)):
+            if c:
+                add_scaled(data.setdefault(key, {}), c, col)
+    if hstar:
+        for (p, q), comps in gd.rep.h.bracket_data.items():
+            add_scaled(data.setdefault((nd + p, nd + q), {}), hstar, comps, nd)
+    return Tensor(n, 2, data)
+
+
+def d_bracket_half(gd):
+    """[e_a, e_b]/2 in d + h* for d basis vectors, with its h* component."""
+    nd = gd.nd
+    return {(a, b): {p: c / 2 for p, c in comps.items()}
+            for (a, b), comps in gd.L.bracket_data.items() if a < nd and b < nd}
+
+
+def beta_star(gd):
+    """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, from ``gd.beta_table``,
+    as {(a, b): {k: coeff}}."""
+    ellinv = columns(gd.ell_inv)
+    out = {}
+    for a, row in enumerate(gd.beta_table):
+        for b, beta in enumerate(row):
+            v = out[a, b] = {}
+            for k, x in enumerate(beta):
+                if x:
+                    add_scaled(v, x, ellinv[k])
+    return out
 
 
 def levi_civita_gd(gd):
@@ -109,43 +176,34 @@ def levi_civita_gd(gd):
     [x1,x2] is the full algebra bracket of the d parts (it carries the
     cocycle component), so the connection has an h* output as well.
     """
-    alg = gd.L
-    n = alg.dim
-    basis = linalg.identity(n)
-
-    def nabla(i, j):
-        x1, h1 = gd.split(basis[i])
-        x2, h2 = gd.split(basis[j])
-        out = alg.bracket(gd.embed_d(x1), gd.embed_d(x2))
-        out = linalg.vec_sub(out, gd.embed_d(
-            linalg.mat_vec(gd.rep.pi_of(h1), x2)))
-        out = linalg.vec_sub(out, gd.embed_d(
-            linalg.mat_vec(gd.rep.pi_of(h2), x1)))
-        return linalg.vec_scale(Q1 / 2, out)
-
-    return Tensor.from_function(n, 2, nabla)
+    half = Q1 / 2
+    return gd_tensor(gd, d_bracket_half(gd), -half, -half, 0)
 
 
 def curvature(gamma, alg):
-    """R(x,y)z = D_x D_y z - D_y D_x z - D_[x,y] z from a connection tensor."""
+    """R(x,y)z = D_x D_y z - D_y D_x z - D_[x,y] z from a connection tensor,
+    summed over the nonzero entries of ``gamma.data`` and of the bracket."""
     n = alg.dim
-    basis = linalg.identity(n)
-
-    def r(i, j, k):
-        out = gamma.apply_left(i, gamma.entry(j, k))
-        out = linalg.vec_sub(out, gamma.apply_left(j, gamma.entry(i, k)))
-        out = linalg.vec_sub(out, gamma.apply(alg.basis_bracket(i, j), basis[k]))
-        return out
-
-    return Tensor.from_function(n, 3, r)
+    g, br, empty = gamma.data, alg.bracket_data, {}
+    data = {}
+    for i, j, k in product(range(n), repeat=3):
+        out = {}
+        for p, c in g.get((j, k), empty).items():
+            add_scaled(out, c, g.get((i, p), empty))
+        for p, c in g.get((i, k), empty).items():
+            add_scaled(out, -c, g.get((j, p), empty))
+        for q, c in br.get((i, j), empty).items():
+            add_scaled(out, -c, g.get((q, k), empty))
+        data[i, j, k] = out
+    return Tensor(n, 3, data)
 
 
 def curvature_gd(gd):
     """Block formulas for the curvature of the d + h* algebra.
 
-    Reads only stored construction data: ``gd.beta_table``, ``gd.ell``
-    (inverted once), the operators ``gd.rep.mats`` and the bracket tables
-    of d, h and ``gd.L``.  It never builds or reads a connection, so it
+    Reads only stored construction data: ``gd.beta_table``, ``gd.ell_inv``,
+    the operators ``gd.rep.mats`` (as columns) and the bracket tables of d,
+    h and ``gd.L``.  It never builds or reads a connection, so it
     stays a check of ``curvature`` independent of the Koszul and definition
     routes.  With beta*(x,y) = ell^-1 beta(x,y) in h, x, y, z in d:
 
@@ -158,65 +216,55 @@ def curvature_gd(gd):
 
     with R(h*,x) = -R(x,h*) and R(h1*,h2*)h3* = 0.
     """
-    alg, rep = gd.L, gd.rep
     nd, nh = gd.nd, gd.nh
-    n = nd + nh
     half, quarter = Q1 / 2, Q1 / 4
-    ellinv = gd.ell_inv
-    bstar = [[linalg.mat_vec(ellinv, gd.beta_table[a][b]) for b in range(nd)]
-             for a in range(nd)]
-    # operators stored by columns: cols[b] = M e_b
-    pi_bstar = [[linalg.transpose(rep.pi_of(bstar[a][b])) for b in range(nd)]
-                for a in range(nd)]
-    pi_h = [linalg.transpose(m) for m in rep.mats]
-    pi_hbr = [[linalg.transpose(rep.pi_of(rep.h.basis_bracket(p, q)))
-               for q in range(nh)] for p in range(nh)]
-    d_br = [[rep.d.basis_bracket(a, b) for b in range(nd)] for a in range(nd)]
-    l_br = [[alg.basis_bracket(a, b) for b in range(nd)] for a in range(nd)]
-
-    def comb(coeffs, vecs, size):
-        """sum_q coeffs[q] vecs[q] over the nonzero coefficients."""
-        out = linalg.zero_vector(size)
-        for c, v in zip(coeffs, vecs):
-            if c:
-                out = [o + c * x for o, x in zip(out, v)]
-        return out
-
-    def r(i, j, k):
-        di, dj, dk = i < nd, j < nd, k < nd
-        if di and dj and dk:
-            a, b, c = i, j, k
-            out = gd.embed_d([half * x - quarter * (y + z) for x, y, z in zip(
-                pi_bstar[a][b][c], pi_bstar[b][c][a], pi_bstar[c][a][b])])
-            inner = comb(d_br[a][b], [l_br[q][c] for q in range(nd)], n)
-            return linalg.vec_sub(out, linalg.vec_scale(quarter, inner))
-        if di and dj:  # z in h*; ell-basis index k - nd names the h vector
-            a, b, pih = i, j, pi_h[k - nd]
-            hpart = linalg.vec_add(
-                comb(pih[b], bstar[a], nh),
-                comb(pih[a], [bstar[q][b] for q in range(nd)], nh))
-            dpart = comb(d_br[a][b], pih, nd)
-            # the d block followed by the h* block
-            return (linalg.vec_scale(quarter, dpart)
-                    + linalg.vec_scale(-quarter, hpart))
-        if di and not dj and dk:  # R(x, h*) y
-            a, b, pih = i, k, pi_h[j - nd]
-            out = linalg.vec_scale(-quarter, comb(pih[b], l_br[a], n))
-            return linalg.vec_add(out, gd.embed_d(
-                linalg.vec_scale(quarter, comb(d_br[a][b], pih, nd))))
-        if not di and dj and dk:  # R(h*, x) y = -R(x, h*) y
-            return linalg.vec_scale(-Q1, r(j, i, k))
-        if di and not dj and not dk:  # R(x, h1*) h2*
-            out = comb(pi_h[k - nd][i], pi_h[j - nd], nd)
-            return gd.embed_d(linalg.vec_scale(-quarter, out))
-        if not di and dj and not dk:
-            return linalg.vec_scale(-Q1, r(j, i, k))
-        if not di and not dj and dk:  # R(h1*, h2*) x
-            return gd.embed_d(linalg.vec_scale(
-                quarter, pi_hbr[i - nd][j - nd][k]))
-        return linalg.zero_vector(n)
-
-    return Tensor.from_function(n, 3, r)
+    empty = {}
+    pi = operator_data(gd.rep.mats)  # pi[k, b] = pi(h_k) e_b
+    d_br, l_br = gd.rep.d.bracket_data, gd.L.bracket_data
+    bstar = beta_star(gd)
+    pib = {}  # pib[a, b, c] = pi(beta*(e_a, e_b)) e_c, once per pair (a, b)
+    for (a, b), hv in bstar.items():
+        for c in range(nd):
+            col = pib[a, b, c] = {}
+            for k, x in hv.items():
+                add_scaled(col, x, pi.get((k, c), empty))
+    data = {}
+    for a, b, c in product(range(nd), repeat=3):  # R(x,y)z
+        out = {}
+        add_scaled(out, half, pib[a, b, c])
+        add_scaled(out, -quarter, pib[b, c, a])
+        add_scaled(out, -quarter, pib[c, a, b])
+        for q, x in d_br.get((a, b), empty).items():
+            add_scaled(out, -quarter * x, l_br.get((q, c), empty))
+        data[a, b, c] = out
+    mixed = {}
+    for a, b, k in product(range(nd), range(nd), range(nh)):
+        common = {}  # pi(h)[x,y]_d/4, a term of R(x,y)h* and of R(x,h*)y
+        for q, x in d_br.get((a, b), empty).items():
+            add_scaled(common, quarter * x, pi.get((k, q), empty))
+        out = data[a, b, nd + k] = dict(common)  # R(x,y)h*
+        for q, x in pi.get((k, b), empty).items():
+            add_scaled(out, -quarter * x, bstar[a, q], nd)
+        for q, x in pi.get((k, a), empty).items():
+            add_scaled(out, -quarter * x, bstar[q, b], nd)
+        out = mixed[a, nd + k, b] = dict(common)  # R(x,h*)y
+        for q, x in pi.get((k, b), empty).items():
+            add_scaled(out, -quarter * x, l_br.get((a, q), empty))
+    for a, j, k in product(range(nd), range(nh), range(nh)):  # R(x,h1*)h2*
+        out = {}
+        for q, x in pi.get((k, a), empty).items():
+            add_scaled(out, -quarter * x, pi.get((j, q), empty))
+        mixed[a, nd + j, nd + k] = out
+    for (i, j, k), out in mixed.items():  # R(h*,x) = -R(x,h*)
+        data[i, j, k] = out
+        data[j, i, k] = {p: -x for p, x in out.items()}
+    for (p, q), comps in gd.rep.h.bracket_data.items():  # R(h1*,h2*)x
+        for a in range(nd):
+            out = {}
+            for r, x in comps.items():
+                add_scaled(out, quarter * x, pi.get((r, a), empty))
+            data[nd + p, nd + q, a] = out
+    return Tensor(nd + nh, 3, data)
 
 
 def plane_discriminant(form, x, y):

@@ -2,16 +2,20 @@
 exact verification of the Ambrose-Singer conditions at the algebra level.
 
 For left-invariant tensors the covariant statements reduce to sweeps of the
-operator combination over basis tuples; all checks are exact.
+operator combination over basis tuples; all checks are exact.  The routes
+to T and to nabla~ build ``Tensor.data`` by block from the bracket tables,
+the operator columns and ell^-1 beta, or, through lambda, from the bracket
+of the double extension over the nonzero entries of the lambda columns.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
-from . import linalg
 from .core import derivation_witnesses, skew_witnesses
-from .geometry import Tensor, curvature_gd, levi_civita_gd
-from .linalg import Q1
+from .geometry import (Tensor, add_scaled, beta_star, columns, curvature_gd,
+                       d_bracket_half, gd_tensor, levi_civita_gd)
+from .linalg import Q0, Q1
 
 
 class HomStructureError(Exception):
@@ -24,77 +28,51 @@ def t_tensor(gd):
     Computed both from this closed form and through lambda as half the
     m-projection of the bracket upstairs; the two must agree exactly.
     """
-    alg = gd.L
-    n = alg.dim
-    basis = linalg.identity(n)
-
-    def t_direct(i, j):
-        x1, h1 = gd.split(basis[i])
-        x2, h2 = gd.split(basis[j])
-        out = alg.bracket(gd.embed_d(x1), gd.embed_d(x2))
-        out = linalg.vec_add(out, gd.embed_d(
-            linalg.mat_vec(gd.rep.pi_of(h1), x2)))
-        out = linalg.vec_sub(out, gd.embed_d(
-            linalg.mat_vec(gd.rep.pi_of(h2), x1)))
-        out = linalg.vec_scale(Q1 / 2, out)
-        return linalg.vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
-
-    direct = Tensor.from_function(n, 2, t_direct)
-    via_lambda = _t_via_lambda(gd)
-    if direct != via_lambda:
+    half = Q1 / 2
+    direct = gd_tensor(gd, d_bracket_half(gd), half, -half, Q1)
+    if direct != _t_via_lambda(gd):
         raise HomStructureError("the two homogeneous structure formulas disagree")
     return direct
 
 
 def _t_via_lambda(gd):
     from .extension import lambda_matrix
-    lam_cols = linalg.transpose(lambda_matrix(gd))  # lam_cols[i] = lambda(e_i)
-    dbl = gd.double
-    winv = gd.ell_inv
-    n = gd.L.dim
-
-    def t(i, j):
-        w = dbl.g.bracket(lam_cols[i], lam_cols[j])
-        _, dvec, dual = dbl.split(w)
-        # m-projection of (a, v, phi) is (ell^-1 phi, v, phi); pull back by
-        # lambda^-1 to get v + (ell^-1 phi in ell-basis coordinates)
-        hc = linalg.mat_vec(winv, dual)
-        return linalg.vec_scale(Q1 / 2, list(dvec) + list(hc))
-
-    return Tensor.from_function(n, 2, t)
+    nh, nd, n = gd.nh, gd.nd, gd.L.dim
+    lam = columns(lambda_matrix(gd))  # lam[i] = lambda(e_i)
+    ellinv = columns(gd.ell_inv)
+    br, empty = gd.double.g.bracket_data, {}
+    data = {}
+    for i, j in product(range(n), repeat=2):
+        w = {}
+        for p, x in lam[i].items():
+            for q, y in lam[j].items():
+                add_scaled(w, x * y, br.get((p, q), empty))
+        # the m-projection of (a, v, phi) is (ell^-1 phi, v, phi); pulled
+        # back by lambda^-1 it is v + (ell^-1 phi in ell-basis coordinates)
+        out = {}
+        for r, c in w.items():
+            if nh <= r < nh + nd:
+                out[r - nh] = out.get(r - nh, Q0) + c / 2
+            elif r >= nh + nd:
+                add_scaled(out, c / 2, ellinv[r - nh - nd], nd)
+        data[i, j] = out
+    return Tensor(n, 2, data)
 
 
 def nabla_tilde_closed(gd):
     """Eq. form of T - nabla: x1+h1*, x2+h2* -> pi(h1)x2 + [h1,h2]*."""
-    n = gd.L.dim
-    basis = linalg.identity(n)
-
-    def nt(i, j):
-        x1, h1 = gd.split(basis[i])
-        x2, h2 = gd.split(basis[j])
-        out = gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2))
-        return linalg.vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
-
-    return Tensor.from_function(n, 2, nt)
+    return gd_tensor(gd, {}, Q1, 0, Q1)
 
 
 def nilmanifold_t_formula(gd):
-    """The nilmanifold display of T; coincides with t_tensor iff d is abelian."""
-    n = gd.L.dim
-    basis = linalg.identity(n)
-    winv = gd.ell_inv
+    """The nilmanifold display of T; coincides with t_tensor iff d is abelian.
 
-    def t(i, j):
-        v1, k1 = gd.split(basis[i])
-        v2, k2 = gd.split(basis[j])
-        out = linalg.vec_scale(Q1 / 2, gd.embed_d(linalg.vec_sub(
-            linalg.mat_vec(gd.rep.pi_of(k1), v2),
-            linalg.mat_vec(gd.rep.pi_of(k2), v1))))
-        out = linalg.vec_add(out, linalg.vec_scale(Q1 / 2, gd.embed_h(
-            linalg.mat_vec(winv, gd.rep.beta(v1, v2)))))
-        return linalg.vec_add(out, gd.embed_h(gd.rep.h.bracket(k1, k2)))
-
-    return Tensor.from_function(n, 2, t)
+    T = (pi(k1)v2 - pi(k2)v1)/2 + ell^-1 beta(v1, v2)/2 + [k1,k2]*.
+    """
+    half, nd = Q1 / 2, gd.nd
+    dd = {ab: {nd + k: x / 2 for k, x in v.items()}
+          for ab, v in beta_star(gd).items()}
+    return gd_tensor(gd, dd, half, -half, Q1)
 
 
 @dataclass(frozen=True)

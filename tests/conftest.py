@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -97,6 +98,18 @@ def conjugated_table(alg, p):
         if comps:
             table[(a, b)] = comps
     return table
+
+
+def conjugated_rep(rep, seed):
+    """rep with d rewritten in the dense basis P = dense_change(dim d, seed):
+    brackets and metric moved, pi -> P^-1 pi P."""
+    p = dense_change(rep.d.dim, seed)
+    p_inv = linalg.inverse(p)
+    d = LieAlgebra(rep.d.dim, rep.d.names, conjugated_table(rep.d, p))
+    g = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(rep.d_form.rows(), p))
+    mats = tuple(tuple(map(tuple, linalg.mat_mul(p_inv, linalg.mat_mul(rep.mat(k), p))))
+                 for k in range(rep.h.dim))
+    return replace(rep, d=d, d_form=BilinearForm(tuple(map(tuple, g))), mats=mats)
 
 
 @pytest.fixture

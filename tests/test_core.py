@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -117,6 +118,63 @@ def test_ideal_and_subalgebra(h3):
     dbl = gd.double
     assert is_subalgebra(dbl.g, dbl.h_sub)
     assert is_ideal(dbl.g, dbl.d_sub.add(dbl.hstar_sub))
+
+
+def _is_subalgebra_oracle(alg, sub):
+    """One Subspace.contains per bracket."""
+    base = sub.basis()
+    return all(sub.contains(alg.bracket(u, v))
+               for a, u in enumerate(base) for v in base[a + 1:])
+
+
+def _is_ideal_oracle(alg, sub):
+    basis = linalg.identity(alg.dim)
+    return all(sub.contains(alg.bracket(b, u)) for b in basis for u in sub.basis())
+
+
+def _test_subspaces(dbl, seed):
+    """Subspaces of a double extension: the blocks and their sums, the
+    centre, the lower central series, coordinate spans and seeded spans."""
+    g = dbl.g
+    eye = linalg.identity(g.dim)
+    subs = [dbl.h_sub, dbl.d_sub, dbl.hstar_sub, dbl.d_sub.add(dbl.hstar_sub),
+            dbl.h_sub.add(dbl.hstar_sub), dbl.h_sub.add(dbl.d_sub), center(g),
+            Subspace.zero(g.dim)]
+    subs += list(lower_central_series(g).chain)
+    subs += [Subspace.span([eye[a], eye[b]], g.dim)
+             for a, b in combinations(range(g.dim), 2)]
+    rng = random.Random(seed)
+    for k in (1, 2, 3):
+        subs.append(Subspace.span(
+            [[F(rng.randint(-2, 2)) for _ in range(g.dim)] for _ in range(k)], g.dim))
+    return subs
+
+
+def _conjugated_sub(sub, p_inv):
+    return Subspace.span([linalg.mat_vec(p_inv, r) for r in sub.basis()],
+                         sub.ambient_dim)
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_ideal_and_subalgebra_match_the_per_bracket_loop(name):
+    """One elimination decides what one containment test per bracket did,
+    on the subspaces of every corpus double, plain and under a dense
+    change of basis (where the verdicts must also stay the same)."""
+    dbl = build_gd(corpus_build(name).rep).double
+    p = dense_change(dbl.g.dim, len(name))
+    p_inv = linalg.inverse(p)
+    moved = LieAlgebra(dbl.g.dim, dbl.g.names, conjugated_table(dbl.g, p))
+    kinds = set()
+    for sub in _test_subspaces(dbl, len(name)):
+        ideal, subalg = is_ideal(dbl.g, sub), is_subalgebra(dbl.g, sub)
+        assert ideal == _is_ideal_oracle(dbl.g, sub)
+        assert subalg == _is_subalgebra_oracle(dbl.g, sub)
+        other = _conjugated_sub(sub, p_inv)
+        assert is_ideal(moved, other) == _is_ideal_oracle(moved, other) == ideal
+        assert (is_subalgebra(moved, other) == _is_subalgebra_oracle(moved, other)
+                == subalg)
+        kinds.add("ideal" if ideal else "subalgebra" if subalg else "neither")
+    assert kinds == {"ideal", "subalgebra", "neither"}
 
 
 def test_totally_isotropic():

@@ -13,8 +13,8 @@ from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      orthogonal_complement, reductive_split)
 from adinvar import extension, linalg
 from adinvar.extension import SplitResult, _verify_gd
-from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_table, dense_change,
-                      h3_rep, so3_rep, torus_rep)
+from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
+                      so3_rep, torus_rep)
 from corpus_help import lemma_rep
 
 
@@ -578,24 +578,12 @@ def test_reductive_split_matches_the_triple_loop(name, monkeypatch):
 
 # -- the beta table against the cocycle evaluated pair by pair -------------
 
-def _conjugated_rep(rep, seed):
-    """rep with d rewritten in a dense basis P: brackets and metric moved,
-    pi -> P^-1 pi P."""
-    p = dense_change(rep.d.dim, seed)
-    p_inv = linalg.inverse(p)
-    d = LieAlgebra(rep.d.dim, rep.d.names, conjugated_table(rep.d, p))
-    g = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(rep.d_form.rows(), p))
-    mats = tuple(tuple(map(tuple, linalg.mat_mul(p_inv, linalg.mat_mul(rep.mat(k), p))))
-                 for k in range(rep.h.dim))
-    return replace(rep, d=d, d_form=BilinearForm(tuple(map(tuple, g))), mats=mats)
-
-
 def _beta_reps():
     reps = {name: corpus_build(name).rep for name in corpus_list()}
     reps["so3"] = so3_rep()
     reps["torus"] = torus_rep([1, 2], [(2, 1), (0, -1), (3, 1), (1, 1)])
     for seed, name in enumerate(sorted(reps)):
-        reps[f"{name}, dense"] = _conjugated_rep(reps[name], seed)
+        reps[f"{name}, dense"] = conjugated_rep(reps[name], seed)
     return reps
 
 
