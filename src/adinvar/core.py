@@ -3,11 +3,21 @@
 Structure constants are stored sparsely for i < j only; the i > j values
 follow by antisymmetry.  Subspaces are kept in reduced row echelon form so
 equality of subspaces is plain data equality.
+
+The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
+``check_jacobi`` and the bracket spans of the two series) run on Python
+ints: each scales its sparse input once by the lcm of its denominators,
+which changes no verdict (a sum of products is zero or not whatever the
+common scale of its terms) and no span.  ``Fraction``s are formed only at
+the boundary: the violation vectors of ``check_jacobi`` and the reduced
+rows that ``linalg.rref`` returns.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 
 from . import linalg
 from .linalg import Q0, frac
@@ -235,23 +245,34 @@ class Subspace:
 # operations
 # ---------------------------------------------------------------------------
 
+def _integral(data):
+    """(ints, scale): the sparse data {key: {p: c}} times scale, the lcm of
+    the denominators of its entries, so that every entry is a Python int."""
+    scale = lcm(*{c.denominator for comps in data.values() for c in comps.values()})
+    return ({key: {p: c.numerator * (scale // c.denominator) for p, c in comps.items()}
+             for key, comps in data.items()}, scale)
+
+
 def check_jacobi(alg):
     """All triples i<j<k whose cyclic bracket sum is nonzero.
 
     Returns a list of (i, j, k, sum_vector); empty iff alg is a Lie algebra.
+    The sums run over the table scaled by L to integers, so each is L^2
+    times the true one.
     """
-    table = alg.bracket_data
+    table, scale = _integral(alg.bracket_data)
+    den = scale * scale
     empty = {}
     violations = []
     for i, j, k in combinations(range(alg.dim), 3):
-        s = linalg.zero_vector(alg.dim)
+        s = [0] * alg.dim
         # [[e_a, e_b], e_c] = sum_p c_ab^p [e_p, e_c], read from the table
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for p, x in table.get((a, b), empty).items():
                 for r, y in table.get((p, c), empty).items():
                     s[r] += x * y
         if any(s):
-            violations.append((i, j, k, s))
+            violations.append((i, j, k, [Fraction(x, den) if x else Q0 for x in s]))
     return violations
 
 
@@ -266,7 +287,9 @@ def ad_invariant(alg, form):
 # Identities on all basis tuples.  Operator fields and tensors are given as
 # ``geometry.Tensor`` data, {(i, j, ..): {p: coeff}}, so that
 # C_x e_q = sum_p op[(x, q)][p] e_p.  The kernels yield the failing index
-# tuples in loop order, so a verdict stops at the first one.
+# tuples in loop order, so a verdict stops at the first one.  Operator,
+# form and tensor are each scaled to integers by their own constant, and
+# every term is a product of one entry of each of two of them.
 
 def operator_data(mats):
     """The operator field x -> mats[x] in the sparse tensor format."""
@@ -277,11 +300,14 @@ def operator_data(mats):
 
 def skew_witnesses(op, form, n):
     """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
-    rows = [{q: b for q, b in enumerate(row) if b} for row in form.matrix]
+    op, _ = _integral(op)
+    rows, _ = _integral({p: {q: b for q, b in enumerate(row) if b}
+                         for p, row in enumerate(form.matrix)})
+    empty = {}
     for x in sorted({key[0] for key in op}):
         s = {}
         for j in range(n):
-            for p, c in op.get((x, j), {}).items():
+            for p, c in op.get((x, j), empty).items():
                 for k, b in rows[p].items():
                     # c b is a term of <C_x e_j, e_k> and, as the form is
                     # symmetric, of <e_k, C_x e_j>
@@ -299,6 +325,8 @@ def derivation_witnesses(op, tensor, n, slots):
       (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
 
     With S the bracket this is the Leibniz rule for C_x."""
+    op, _ = _integral(op)
+    tensor, _ = _integral(tensor)
     empty = {}
     for x in sorted({key[0] for key in op}):
         cx = [op.get((x, q), empty) for q in range(n)]
@@ -372,9 +400,40 @@ class SeriesResult:
         return tuple(s.dim for s in self.chain)
 
 
-def _bracket_span(alg, left, right):
-    vecs = [alg.bracket(u, v) for u in left.basis() for v in right.basis()]
-    return Subspace.span(vecs, alg.dim)
+def _bracket_span(table, left, right):
+    """[left, right] for the bracket table scaled to integers: the two
+    bases, scaled to integers, are bracketed over the nonzero entries and
+    reduced by ``linalg.rref``.  Scaling a spanning vector keeps the span,
+    and the reduced basis is unique."""
+    n = left.ambient_dim
+    by_first = {}
+    for (i, j), comps in table.items():
+        by_first.setdefault(i, []).append((j, comps))
+    lrows = _integer_rows(left)
+    if left is right:  # [u, u] = 0 and [v, u] = -[u, v]
+        rrows, pairs = lrows, combinations(range(len(lrows)), 2)
+    else:
+        rrows = _integer_rows(right)
+        pairs = product(range(len(lrows)), range(len(rrows)))
+    vecs = []
+    for a, b in pairs:
+        v, w = rrows[b], [0] * n
+        for i, x in lrows[a].items():
+            for j, comps in by_first.get(i, ()):
+                y = v.get(j)
+                if y:
+                    c = x * y
+                    for k, z in comps.items():
+                        w[k] += c * z
+        vecs.append(w)
+    return Subspace(n, tuple(map(tuple, linalg.rref(vecs)[0])))
+
+
+def _integer_rows(sub):
+    """The basis of sub scaled to integers, as sparse rows {p: int}."""
+    rows, _ = _integral({a: {p: x for p, x in enumerate(row) if x}
+                         for a, row in enumerate(sub.rows)})
+    return list(rows.values())
 
 
 def _series(alg, next_term):
@@ -390,13 +449,15 @@ def _series(alg, next_term):
 
 def derived_series(alg):
     """C^0 = g, C^i = [C^{i-1}, C^{i-1}]; step k means k-step solvable."""
-    return _series(alg, lambda s: _bracket_span(alg, s, s))
+    table, _ = _integral(alg.bracket_data)
+    return _series(alg, lambda s: _bracket_span(table, s, s))
 
 
 def lower_central_series(alg):
     """D^0 = g, D^i = [g, D^{i-1}]; step k means k-step nilpotent."""
+    table, _ = _integral(alg.bracket_data)
     full = Subspace.full(alg.dim)
-    return _series(alg, lambda s: _bracket_span(alg, full, s))
+    return _series(alg, lambda s: _bracket_span(table, full, s))
 
 
 def invariant_forms(alg):

@@ -208,11 +208,15 @@ def _assemble_double(rep):
         for b in range(nd):
             qm[nh + a][nh + b] = rep.d_form.matrix[a][b]
     q = BilinearForm(tuple(tuple(r) for r in qm))
+    diff = linalg.zeros(n, n)  # Q - Q_minus: 2<,>_h on the h x h block
     for i in range(nh):
         for j in range(nh):
             qm[i][j] = -w[i][j]
+            diff[i][j] = 2 * w[i][j]
     q_minus = BilinearForm(tuple(tuple(r) for r in qm))
-    if not (ad_invariant(g, q) and ad_invariant(g, q_minus)):
+    # skewness is linear in the form: Q and Q_minus are ad-invariant iff Q
+    # and their sparse difference are
+    if not (ad_invariant(g, q) and ad_invariant(g, BilinearForm(diff))):
         raise ExtensionError("constructed metric is not ad-invariant")
 
     eye = linalg.identity(n)

@@ -4,13 +4,22 @@
 ``bench/selftest.py`` requires ``ad_invariant`` to be one function bound
 in ``core``, ``extension`` and the package.  A refactor that renames or
 rebinds one of them fails here instead of in a benchmark run.
+
+The sweeps over basis tuples run on integers; the harness's
+``FractionCounter`` checks here that no ``Fraction`` arithmetic comes back
+into them.
 """
 
 import importlib
 import importlib.util
+from fractions import Fraction as F
 from pathlib import Path
 
 import adinvar
+from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
+                     check_jacobi, corpus_build, derived_series,
+                     lower_central_series, verify_as)
+from conftest import conjugated_rep
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -19,11 +28,11 @@ def _bench_layers():
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS_PY)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 def test_every_wrapped_name_resolves():
-    for layer, names in _bench_layers().items():
+    for layer, names in _bench_layers().LAYERS.items():
         home = importlib.import_module(f"adinvar.{layer}")
         for name in names:
             obj = home
@@ -35,3 +44,31 @@ def test_every_wrapped_name_resolves():
 def test_ad_invariant_is_one_binding():
     assert adinvar.extension.ad_invariant is adinvar.core.ad_invariant
     assert adinvar.ad_invariant is adinvar.core.ad_invariant
+
+
+def test_sweeps_make_no_fraction_arithmetic():
+    """check_jacobi, ad_invariant, verify_as and the two series on gH under
+    a dense change of basis, passing and failing, add and multiply only
+    ints: the Fractions they return are formed by the constructor, which
+    the counter does not count."""
+    counter = _bench_layers().FractionCounter
+    gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
+    hom = build_hom_structure(gd)
+    hom.nabla_tilde  # a cached tensor, built before counting
+    (i, j), comps = min(gd.L.table.items())
+    broken = LieAlgebra(gd.L.dim, gd.L.names,
+                        {**gd.L.table, (i, j): {**comps, i: comps.get(i, 0) + F(1, 3)}})
+    with counter() as count:
+        assert not check_jacobi(gd.L) and not check_jacobi(gd.double.g)
+        assert ad_invariant(gd.double.g, gd.double.Q)
+        assert ad_invariant(gd.rep.d, gd.rep.d_form)
+        assert not ad_invariant(gd.L, gd.metric)
+        assert check_jacobi(broken)
+        assert verify_as(gd, hom).all_pass
+        for alg in (gd.L, gd.double.g, broken):
+            derived_series(alg)
+            lower_central_series(alg)
+    assert count.count == 0
+    with counter() as count:
+        F(1, 2) + F(1, 3)
+    assert count.count == 1

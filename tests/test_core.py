@@ -11,10 +11,12 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      kernel_of, killing_form, lower_central_series,
                      orthogonal_complement, restrict_to_subalgebra,
                      skew_witnesses, totally_isotropic)
-from adinvar.core import operator_data
+from adinvar.core import SeriesResult, operator_data
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
-from conftest import T_PLUS, a12_rep, conjugated_table, dense_change, h3_rep
+from adinvar.derivations import derivation_algebra, skew_derivations
+from conftest import (T_PLUS, a12_rep, conjugated_rep, conjugated_table,
+                      dense_change, h3_rep, torus_reps)
 
 
 def test_bracket_heisenberg(h3):
@@ -263,6 +265,10 @@ def test_subspace_equality_is_canonical():
 
 SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 SPARSE_Q = st.one_of(st.just(F(0)), SMALL_Q)
+# Entries of very different sizes and coprime denominators in one table:
+# the integer sweeps scale each input by the lcm of all its denominators.
+MIXED = (F(2**70, 3**40), F(-7, 12), F(1, 5), F(-3**40, 2**70))
+MIXED_Q = st.one_of(SMALL_Q, st.sampled_from(MIXED))
 KERNELS = settings(derandomize=True, max_examples=150, deadline=None)
 
 
@@ -284,11 +290,11 @@ def _ad_invariant_loop(alg, form):
 
 
 @st.composite
-def symmetric_forms(draw, n):
+def symmetric_forms(draw, n, values=SMALL_Q):
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            m[i][j] = m[j][i] = draw(SPARSE_Q)
+            m[i][j] = m[j][i] = draw(st.one_of(st.just(F(0)), values))
     return BilinearForm(tuple(map(tuple, m)))
 
 
@@ -414,7 +420,7 @@ def sparse_data(draw, n, keys):
     """Sparse tensor data on the given basis tuples, zeros left out."""
     data = {}
     for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)):
-        comps = draw(st.dictionaries(st.integers(0, n - 1), SMALL_Q, max_size=2))
+        comps = draw(st.dictionaries(st.integers(0, n - 1), MIXED_Q, max_size=2))
         comps = {p: c for p, c in comps.items() if c}
         if comps:
             data[key] = comps
@@ -429,7 +435,7 @@ def kernel_cases(draw):
     n, nx, slots = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     op = draw(sparse_data(n, list(product(range(nx), range(n)))))
     tensor = draw(sparse_data(n, list(product(range(n), repeat=slots))))
-    return n, nx, slots, op, tensor, draw(symmetric_forms(n))
+    return n, nx, slots, op, tensor, draw(symmetric_forms(n, MIXED_Q))
 
 
 @LOOPS
@@ -497,7 +503,7 @@ def bracket_tables(draw):
     n = draw(st.integers(0, 6))
     pairs = list(combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), SMALL_Q,
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), MIXED_Q,
                                         min_size=1, max_size=3))
              for pair in chosen}
     return LieAlgebra(n, tuple(f"e{i+1}" for i in range(n)), table)
@@ -535,3 +541,112 @@ def test_check_jacobi_on_conjugated_corpus_algebras():
             assert bad == _jacobi_loop(broken)
             nudged += bool(bad)
     assert nudged
+
+
+# ---------------------------------------------------------------------------
+# mixed denominators on identities that hold: every sum must cancel
+# ---------------------------------------------------------------------------
+
+def _mixed_change(n):
+    """Unit upper-triangular P whose entries above the diagonal cycle
+    through MIXED."""
+    p = linalg.identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p[i][j] = MIXED[(i + j) % len(MIXED)]
+    return p
+
+
+def test_kernels_cancel_across_mixed_denominators():
+    """so(3) with its invariant form and the gH double with Q, rewritten in
+    the basis _mixed_change: Jacobi, ad-invariance and Leibniz hold, so
+    each sum cancels across rows and keys with coprime denominators of very
+    different sizes.  With one constant nudged the kernels give the literal
+    loops' witnesses and violation vectors."""
+    so3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {0: 1},
+                                       (0, 2): {1: -1}})
+    dbl = double_extend(corpus_build("gH").rep)
+    for alg, form in ((so3, BilinearForm.diagonal([1, 1, 1])), (dbl.g, dbl.Q)):
+        n, p = alg.dim, _mixed_change(alg.dim)
+        table = conjugated_table(alg, p)
+        conj = LieAlgebra(n, alg.names, table)
+        g = BilinearForm(tuple(map(tuple, linalg.mat_mul(
+            linalg.transpose(p), linalg.mat_mul(form.rows(), p)))))
+        dens = {x.denominator for comps in table.values() for x in comps.values()}
+        assert len(dens) > 2 and max(dens) > 2**64
+        br = conj.bracket_data
+        assert check_jacobi(conj) == _jacobi_loop(conj) == []
+        assert list(skew_witnesses(br, g, n)) == _skew_loop(br, g, n, n) == []
+        assert list(derivation_witnesses(br, br, n, 2)) == []
+        assert _derivation_loop(br, br, n, 2, n) == []
+
+        (i, j), comps = min(table.items())
+        k = min(comps)
+        broken = LieAlgebra(n, alg.names,
+                            {**table, (i, j): {**comps, k: comps[k] + F(1, 7)}})
+        bad = check_jacobi(broken)
+        assert bad and bad == _jacobi_loop(broken)
+        assert all(type(x) is F for *_, v in bad for x in v)
+        bb = broken.bracket_data
+        found = list(skew_witnesses(bb, g, n))
+        assert found and found == _skew_loop(bb, g, n, n)
+        found = list(derivation_witnesses(bb, bb, n, 2))
+        assert found and found == _derivation_loop(bb, bb, n, 2, n)
+
+
+# ---------------------------------------------------------------------------
+# the series against the span of the Fraction brackets
+# ---------------------------------------------------------------------------
+
+def _series_by_span(alg, lower):
+    """Each term the Subspace.span of alg.bracket over the dense bases."""
+    full = Subspace.full(alg.dim)
+    chain = [full]
+    while True:
+        left = full if lower else chain[-1]
+        nxt = Subspace.span([alg.bracket(u, v) for u in left.basis()
+                             for v in chain[-1].basis()], alg.dim)
+        if nxt == chain[-1]:
+            return SeriesResult(tuple(chain), None)
+        chain.append(nxt)
+        if nxt.dim == 0:
+            return SeriesResult(tuple(chain), len(chain) - 1)
+
+
+def _assert_series_match(alg):
+    """Both series equal the span route; returns the denominators seen in
+    the rows of their terms."""
+    dens = set()
+    for series, lower in ((lower_central_series, True), (derived_series, False)):
+        got = series(alg)
+        assert got == _series_by_span(alg, lower)
+        dens |= {x.denominator for sub in got.chain for row in sub.rows for x in row}
+    return dens
+
+
+def test_series_match_the_span_route():
+    """Every corpus double and d + h*, plain and under a dense change of
+    basis, and the closure algebras of their derivations and of their
+    derivations skew for Q or the metric of d + h*."""
+    seen, dens = [], set()
+    for seed, name in enumerate(corpus_list()):
+        rep = corpus_build(name).rep
+        for r in (rep, conjugated_rep(rep, seed)):
+            gd = build_gd(r)
+            for alg, form in ((gd.double.g, gd.double.Q), (gd.L, gd.metric)):
+                if alg in seen:
+                    continue
+                seen.append(alg)
+                for a in (alg, derivation_algebra(alg).closure,
+                          skew_derivations(alg, form).closure):
+                    dens |= _assert_series_match(a)
+    assert len(seen) > 20
+    assert max(dens) > 1  # terms with non-unit denominators are covered
+
+
+@LOOPS
+@given(torus_reps())
+def test_series_match_the_span_route_on_tori(rep):
+    gd = build_gd(rep)
+    _assert_series_match(gd.L)
+    _assert_series_match(gd.double.g)

@@ -598,3 +598,54 @@ def test_beta_table_is_the_cocycle_on_basis_pairs():
             [rep.beta(ea, eb) for eb in unit] for ea in unit], name
         assert all(type(c) is F for row in table for v in row for c in v)
         assert build_gd(rep).beta_table is table, name
+
+
+# -- _assemble_double: Q and the difference form against both sweeps ------
+
+def _two_sweep_verdict(rep):
+    """Q and Q_minus each swept by ad_invariant.  The bracket of the double
+    does not read the form on h, so it is taken from the same data with the
+    zero form there; Q and Q_minus then put +-<,>_h on the h x h block."""
+    nh = rep.h.dim
+    zero = BilinearForm(tuple(tuple(F(0) for _ in range(nh)) for _ in range(nh)))
+    base = extension._assemble_double(replace(rep, h_form=zero))
+    w = rep.h_form.rows()
+    verdict = True
+    for sign in (1, -1):
+        m = [list(r) for r in base.Q.matrix]
+        for i in range(nh):
+            for j in range(nh):
+                m[i][j] = sign * w[i][j]
+        verdict = verdict and ad_invariant(base.g, BilinearForm(tuple(map(tuple, m))))
+    return verdict
+
+
+def _assemble_verdict(rep):
+    try:
+        extension._assemble_double(rep)
+    except ExtensionError as exc:
+        assert str(exc) == "constructed metric is not ad-invariant"
+        return False
+    return True
+
+
+def test_assemble_double_matches_the_two_sweeps():
+    """Every corpus builder, plain and under a dense change of basis of d,
+    and so(3) with invariant and non-invariant forms on h, the latter
+    passed to _assemble_double without validate."""
+    reps = []
+    for seed, name in enumerate(corpus_list()):
+        rep = corpus_build(name).rep
+        reps += [rep, conjugated_rep(rep, seed)]
+    rejected = 0
+    for diag in ((1, 1, 1), (-2, -2, -2), (1, 2, 3), (1, 1, -1)):
+        for seed in (None, 7):
+            rep = replace(so3_rep(), h_form=BilinearForm.diagonal(diag))
+            rep = conjugated_rep(rep, seed) if seed else rep
+            assert (not rep.validate()) == (len(set(diag)) == 1)
+            reps.append(rep)
+    for rep in reps:
+        verdict = _assemble_verdict(rep)
+        assert verdict == _two_sweep_verdict(rep)
+        rejected += not verdict
+    assert rejected == 4
