@@ -68,13 +68,33 @@ def _mat_str(m):
     return [[rational_str(x) for x in row] for row in m]
 
 
+def _jacobi_check(violations):
+    """The jacobi check, witnessed by each failing 1-based triple and its
+    cyclic sum."""
+    witness = [[i + 1, j + 1, k + 1, _vec_str(s)] for i, j, k, s in violations]
+    return _check("jacobi", not violations, witness or None)
+
+
+def _refused(report, exc, args):
+    """Finish a report whose construction raised an ExtensionError: one
+    failed check per violation it names."""
+    for v in exc.violations or ("construction_failed",):
+        report["checks"].append(_check(v, False))
+    report["error"] = str(exc)
+    return _finish(report, args)
+
+
+def _profile_json(alg):
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in profile(alg).items()}
+
+
 def cmd_check(args):
     alg, form = load_algebra_file(args.file)
     report = {"command": "check", "file": str(args.file),
               "dim": alg.dim, "names": list(alg.names), "checks": []}
     violations = check_jacobi(alg)
-    witness = [[i + 1, j + 1, k + 1, _vec_str(s)] for i, j, k, s in violations]
-    report["checks"].append(_check("jacobi", not violations, witness or None))
+    report["checks"].append(_jacobi_check(violations))
     if form is not None:
         report["metric_signature"] = list(form.signature)
         report["metric_nondegenerate"] = form.nondegenerate
@@ -88,10 +108,7 @@ def cmd_extend(args):
     try:
         dbl = double_extend(rep)
     except ExtensionError as exc:
-        for v in exc.violations or ("construction_failed",):
-            report["checks"].append(_check(v, False))
-        report["error"] = str(exc)
-        return _finish(report, args)
+        return _refused(report, exc, args)
     for name in ("jacobi", "Q_ad_invariant", "Q_minus_ad_invariant",
                  "h_subalgebra", "gd_ideal", "signature_relation"):
         report["checks"].append(_check(name, True))
@@ -110,10 +127,7 @@ def cmd_gd(args):
     try:
         gd = build_gd(rep)
     except ExtensionError as exc:
-        for v in exc.violations or ("construction_failed",):
-            report["checks"].append(_check(v, False))
-        report["error"] = str(exc)
-        return _finish(report, args)
+        return _refused(report, exc, args)
     for name in ("jacobi", "metric_blocks", "hstar_central", "cm_relation",
                  "mu_skew_derivations", "lambda_isometry"):
         report["checks"].append(_check(name, True))
@@ -172,10 +186,7 @@ def cmd_verify_as(args):
     try:
         gd = build_gd(rep)
     except ExtensionError as exc:
-        for v in exc.violations or ("construction_failed",):
-            report["checks"].append(_check(v, False))
-        report["error"] = str(exc)
-        return _finish(report, args)
+        return _refused(report, exc, args)
     rpt = verify_as(gd)
     for name, (ok, witnesses) in sorted(rpt.axioms.items()):
         shown = [[x + 1 for x in tup] for tup in witnesses[:20]]
@@ -194,22 +205,23 @@ def cmd_derivations(args):
             {"A": _mat_str([list(r) for r in a]), "B": _mat_str([list(r) for r in b])}
             for a, b in sa.pairs]
         induced_ok = all(
-            sa.contains([list(r) for r in induced_so_aut_pair(gd, i)[0]],
-                        [list(r) for r in induced_so_aut_pair(gd, i)[1]])
+            sa.contains(*([list(r) for r in m] for m in induced_so_aut_pair(gd, i)))
             for i in range(gd.nh))
         report["checks"].append(_check("contains_induced_pairs", induced_ok))
         return _finish(report, args)
     alg, form = load_algebra_file(args.file)
     if args.metric:
         _, form = load_algebra_file(args.metric)
+    violations = check_jacobi(alg)
+    if violations:
+        report["checks"].append(_jacobi_check(violations))
+        return _finish(report, args)
     der = derivation_algebra(alg)
     inner = inner_derivations(alg)
     report["derivations_dim"] = der.dim
     report["inner_dim"] = inner.dim
-    report["derivations_profile"] = {k: list(v) if isinstance(v, tuple) else v
-                                     for k, v in profile(der).items()}
-    report["inner_profile"] = {k: list(v) if isinstance(v, tuple) else v
-                               for k, v in profile(inner).items()}
+    report["derivations_profile"] = _profile_json(der)
+    report["inner_profile"] = _profile_json(inner)
     report["checks"].append(_check(
         "inner_dim_relation", inner.dim == alg.dim - center(alg).dim))
     report["checks"].append(_check(
@@ -218,8 +230,7 @@ def cmd_derivations(args):
     if form is not None and form.nondegenerate:
         sk = skew_derivations(alg, form)
         report["skew_dim"] = sk.dim
-        report["skew_profile"] = {k: list(v) if isinstance(v, tuple) else v
-                                  for k, v in profile(sk).items()}
+        report["skew_profile"] = _profile_json(sk)
         report["skew_basis"] = [_mat_str(m) for m in sk.matrices()]
         report["checks"].append(_check(
             "skew_inside_derivations",

@@ -57,16 +57,8 @@ class Representation:
         return [list(row) for row in self.mats[i]]
 
     def pi_of(self, h_coeffs):
-        """Operator of an arbitrary h vector, summed over its nonzero
-        coefficients and the nonzero entries of their operators."""
-        out = linalg.zeros(self.d.dim, self.d.dim)
-        for c, m in zip(h_coeffs, self.mats):
-            if c:
-                for orow, mrow in zip(out, m):
-                    for q, x in enumerate(mrow):
-                        if x:
-                            orow[q] += c * x
-        return out
+        """Operator of an arbitrary h vector."""
+        return _combination(self.mats, h_coeffs, self.d.dim)
 
     def beta(self, x, y):
         """Cocycle value beta(x,y) as a covector on h (dual-basis coords)."""
@@ -97,18 +89,44 @@ class Representation:
             bad.append("d_metric_not_ad_invariant")
         if not ad_invariant(self.h, self.h_form):
             bad.append("h_form_not_ad_invariant")
-        for name, m in zip(self.h.names, self.mats):
-            op = operator_data([m])
-            if any(skew_witnesses(op, self.d_form, self.d.dim)):
-                bad.append(f"pi({name})_not_skew")
-            if any(derivation_witnesses(op, self.d.bracket_data, self.d.dim, 2)):
-                bad.append(f"pi({name})_not_derivation")
-        for i, j in combinations(range(self.h.dim), 2):
-            lhs = self.pi_of(self.h.basis_bracket(i, j))
-            rhs = linalg.commutator(self.mat(i), self.mat(j))
-            if lhs != rhs:
-                bad.append(f"pi_not_homomorphism({self.h.names[i]},{self.h.names[j]})")
+        names = self.h.names
+        for fault, *at in _action_faults(self.mats, self.h, self.d_form,
+                                         self.d.bracket_data, self.d.dim):
+            if fault == "homomorphism":
+                bad.append(f"pi_not_homomorphism({names[at[0]]},{names[at[1]]})")
+            else:
+                bad.append(f"pi({names[at[0]]})_not_{fault}")
         return bad
+
+
+def _combination(mats, coeffs, n):
+    """sum_i coeffs[i] mats[i] as an n x n matrix, summed over the nonzero
+    coefficients and the nonzero entries of their operators."""
+    out = linalg.zeros(n, n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            for orow, mrow in zip(out, m):
+                for q, x in enumerate(mrow):
+                    if x:
+                        orow[q] += c * x
+    return out
+
+
+def _action_faults(mats, h, form, bracket_data, n):
+    """Where the operators mats[i] of the h basis vectors fail to be an
+    action of h by skew derivations of (bracket_data, form) on an
+    n-dimensional algebra, in order: ("skew", i) and ("derivation", i) for
+    each i, then ("homomorphism", i, j) for each pair i < j."""
+    for i, m in enumerate(mats):
+        op = operator_data([m])
+        if any(skew_witnesses(op, form, n)):
+            yield "skew", i
+        if any(derivation_witnesses(op, bracket_data, n, 2)):
+            yield "derivation", i
+    for i, j in combinations(range(h.dim), 2):
+        if _combination(mats, h.basis_bracket(i, j), n) != \
+                linalg.commutator(mats[i], mats[j]):
+            yield "homomorphism", i, j
 
 
 def _block_vector(parts):
@@ -271,18 +289,7 @@ class GdAlgebra:
 
     def mu(self, h_coeffs):
         """Operator mu(h): pi on d, coadjoint action on h*."""
-        nd, nh = self.nd, self.nh
-        out = linalg.zeros(nd + nh, nd + nh)
-        pim = self.rep.pi_of(h_coeffs)
-        for p in range(nd):
-            for q in range(nd):
-                out[p][q] = pim[p][q]
-        adh = self.rep.h.ad_vector(list(h_coeffs))
-        # mu(h) f_k = ell([h, h_k]); in the ell basis this is just ad_h(h)
-        for p in range(nh):
-            for q in range(nh):
-                out[nd + p][nd + q] = adh[p][q]
-        return out
+        return _combination(self.mu_mats, h_coeffs, self.nd + self.nh)
 
 
 def build_gd(rep):
@@ -319,10 +326,13 @@ def build_gd(rep):
             gm[nd + i][nd + j] = w[i][j]
     metric = BilinearForm(tuple(tuple(r) for r in gm))
 
-    gd = GdAlgebra(rep, alg, metric, betas, tuple(tuple(r) for r in w), (), dbl)
-    mu_mats = tuple(tuple(tuple(r) for r in gd.mu(hv))
-                    for hv in linalg.identity(nh))
-    gd = GdAlgebra(rep, alg, metric, gd.beta_table, gd.ell, mu_mats, dbl)
+    # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
+    # h* in the ell basis
+    pad_d, pad_h = (Q0,) * nd, (Q0,) * nh
+    mu_mats = tuple(tuple(row + pad_h for row in rep.mats[k])
+                    + tuple(pad_d + tuple(row) for row in rep.h.ad(k))
+                    for k in range(nh))
+    gd = GdAlgebra(rep, alg, metric, betas, tuple(tuple(r) for r in w), mu_mats, dbl)
     _verify_gd(gd)
     return gd
 
@@ -339,18 +349,12 @@ def _verify_gd(gd):
                 br = alg.basis_bracket(a, b)
                 if metric.apply(fk, br) != gd.beta_table[a][b][k]:
                     raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
-    for m in gd.mu_mats:
-        op = operator_data([m])
-        if any(skew_witnesses(op, metric, nd + nh)):
-            raise ExtensionError("mu(h) is not metric-skew")
-        if any(derivation_witnesses(op, alg.bracket_data, nd + nh, 2)):
-            raise ExtensionError("mu(h) is not a derivation")
-    for i, j in combinations(range(nh), 2):
-        lhs = gd.mu(gd.rep.h.basis_bracket(i, j))
-        rhs = linalg.commutator([list(r) for r in gd.mu_mats[i]],
-                                [list(r) for r in gd.mu_mats[j]])
-        if lhs != rhs:
-            raise ExtensionError("mu is not a homomorphism")
+    fault = next(_action_faults(gd.mu_mats, gd.rep.h, metric,
+                                alg.bracket_data, nd + nh), None)
+    if fault is not None:
+        raise ExtensionError({"skew": "mu(h) is not metric-skew",
+                              "derivation": "mu(h) is not a derivation",
+                              "homomorphism": "mu is not a homomorphism"}[fault[0]])
     lam_cols = linalg.transpose(lambda_matrix(gd))  # lam_cols[a] = lambda(e_a)
     qm = gd.double.Q_minus
     for a in range(nd + nh):
@@ -386,10 +390,27 @@ class SplitResult:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _decompose(h_sub, m_sub, v):
-    """Coefficients of v in the stacked (h | m) basis, or None."""
-    basis = h_sub.basis() + m_sub.basis()
-    return linalg.solve(linalg.transpose(basis), list(v))
+class _Projector:
+    """Coordinates in g = h + m.  The stacked (h | m) basis is inverted
+    once; each vector is then split by one ``mat_vec``.  Raises
+    ``LinAlgError`` unless g is the direct sum of h and m."""
+
+    def __init__(self, h_sub, m_sub):
+        if h_sub.dim + m_sub.dim != h_sub.ambient_dim:
+            raise linalg.LinAlgError("g is not the direct sum of h and m")
+        self.nh = h_sub.dim
+        self.columns = linalg.transpose(h_sub.basis() + m_sub.basis())
+        self.inverse = linalg.inverse(self.columns)
+
+    def split(self, w):
+        """(h coordinates, m coordinates) of w."""
+        c = linalg.mat_vec(self.inverse, w)
+        return c[:self.nh], c[self.nh:]
+
+    def h_vector(self, hc):
+        """The vector of h with coordinates hc."""
+        pad = [Q0] * (len(self.columns) - self.nh)
+        return linalg.mat_vec(self.columns, list(hc) + pad)
 
 
 def reductive_split(g_alg, form, h_sub):
@@ -398,44 +419,26 @@ def reductive_split(g_alg, form, h_sub):
     if linalg.signature_of(gram)[2] != 0:
         raise ExtensionError("form is degenerate on h")
     m = orthogonal_complement(h_sub, form)
-    checks = []
-    checks.append(("direct_sum",
-                   h_sub.dim + m.dim == g_alg.dim
-                   and h_sub.add(m).dim == g_alg.dim, None))
-    ok = True
-    witness = None
-    for u in h_sub.basis():
-        for v in m.basis():
-            if not m.contains(g_alg.bracket(u, v)):
-                ok, witness = False, "[h,m] escapes m"
-                break
-    checks.append(("bracket_h_m_in_m", ok, witness))
+    # a form nondegenerate on h gives g = h + h-perp, so the projector exists
+    split = _Projector(h_sub, m).split
     mb = m.basis()
-
-    def m_part(w):
-        coeffs = _decompose(h_sub, m, w)
-        return None if coeffs is None else _combine(mb, coeffs[h_sub.dim:], g_alg.dim)
-
-    # the m-projection of [x, y], once per pair of m basis vectors
-    proj = [[m_part(g_alg.bracket(x, y)) for y in mb] for x in mb]
-    ok = True
-    witness = None
-    for a, b, c in product(range(len(mb)), repeat=3):
-        if proj[a][b] is None or proj[a][c] is None:
-            ok, witness = False, "bracket outside h + m"
-            break
-        if form.apply(proj[a][b], mb[c]) + form.apply(mb[b], proj[a][c]) != 0:
-            ok, witness = False, "naturally reductive condition fails"
-            break
-    checks.append(("naturally_reductive", ok, witness))
+    checks = [("direct_sum", True, None)]
+    escapes = any(any(split(g_alg.bracket(u, v))[0])
+                  for u in h_sub.basis() for v in mb)
+    checks.append(("bracket_h_m_in_m", not escapes,
+                   "[h,m] escapes m" if escapes else None))
+    # the m-projected bracket as an operator field on m, skew for the Gram
+    # matrix of m exactly when the naturally reductive condition holds
+    op = {}
+    for a, b in product(range(len(mb)), repeat=2):
+        comps = {p: x for p, x in enumerate(split(g_alg.bracket(mb[a], mb[b]))[1]) if x}
+        if comps:
+            op[a, b] = comps
+    gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
+    fails = any(skew_witnesses(op, gram_m, len(mb)))
+    checks.append(("naturally_reductive", not fails,
+                   "naturally reductive condition fails" if fails else None))
     return SplitResult(m, tuple(checks))
-
-
-def _combine(basis, coeffs, ambient_dim):
-    out = linalg.zero_vector(ambient_dim)
-    for c, b in zip(coeffs, basis):
-        out = linalg.vec_add(out, linalg.vec_scale(c, b))
-    return out
 
 
 class KostantError(Exception):
@@ -473,23 +476,18 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     equations; an inconsistent system means the data was not naturally
     reductive, a spanning failure reports the uncovered part of h.
     """
-    if h_sub.dim + m_sub.dim != g_alg.dim or h_sub.add(m_sub).dim != g_alg.dim:
-        raise KostantError("g is not the direct sum of h and m")
+    try:
+        proj = _Projector(h_sub, m_sub)
+    except linalg.LinAlgError:
+        raise KostantError("g is not the direct sum of h and m") from None
     mb = m_sub.basis()
-    for u in h_sub.basis():
-        for v in mb:
-            if not m_sub.contains(g_alg.bracket(u, v)):
-                raise KostantError("[h, m] is not contained in m")
+    if any(any(proj.split(g_alg.bracket(u, v))[0])
+           for u in h_sub.basis() for v in mb):
+        raise KostantError("[h, m] is not contained in m")
 
     pairs = list(combinations(range(m_sub.dim), 2))
-    s_vectors = {}
-    for a, b in pairs:
-        w = g_alg.bracket(mb[a], mb[b])
-        coeffs = _decompose(h_sub, m_sub, w)
-        if coeffs is None:
-            raise KostantError("bracket escapes h + m")
-        s_vectors[(a, b)] = _combine(h_sub.basis(), coeffs[:h_sub.dim],
-                                     g_alg.dim)
+    s_vectors = {(a, b): proj.h_vector(proj.split(g_alg.bracket(mb[a], mb[b]))[0])
+                 for a, b in pairs}
     hbar = Subspace.span(list(s_vectors.values()), g_alg.dim)
     gbar = m_sub.add(hbar)
     true_hbar = h_sub.intersect(gbar)
@@ -518,22 +516,16 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     def inner_pair(coords, idx):
         return sum(coords[p] * innerm[p][idx] for p in range(m_sub.dim))
 
+    hbar_coords = {ab: hbar.coordinates(v) for ab, v in s_vectors.items()}
     for (a, b) in pairs:
-        s_ab = s_vectors[(a, b)]
-        alpha = hbar.coordinates(s_ab)
+        s_ab, alpha = s_vectors[(a, b)], hbar_coords[(a, b)]
         for (c, d) in pairs:
-            s_cd = s_vectors[(c, d)]
-            gamma = hbar.coordinates(s_cd)
-            # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> and symmetrically
-            w1 = g_alg.bracket(mb[a], s_cd)
-            m1 = m_sub.coordinates(w1)
-            if m1 is None:
-                raise KostantError("[m, h] escapes m")
+            s_cd, gamma = s_vectors[(c, d)], hbar_coords[(c, d)]
+            # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> and symmetrically;
+            # both brackets lie in [m, h], which is inside m
+            m1 = proj.split(g_alg.bracket(mb[a], s_cd))[1]
             add_equation(alpha, gamma, -inner_pair(m1, b))
-            w2 = g_alg.bracket(mb[c], s_ab)
-            m2 = m_sub.coordinates(w2)
-            if m2 is None:
-                raise KostantError("[m, h] escapes m")
+            m2 = proj.split(g_alg.bracket(mb[c], s_ab))[1]
             add_equation(alpha, gamma, -inner_pair(m2, d))
 
     if unknowns:
@@ -580,23 +572,22 @@ def canonical_connection(g_alg, h_sub, m_sub):
     """Torsion and curvature of the canonical connection, over the m basis.
 
     T(x,y) = -[x,y]_m and R(x,y)z = -[[x,y]_h, z], components taken in the
-    decomposition g = h + m.
+    decomposition g = h + m, which must be direct.
     """
+    try:
+        proj = _Projector(h_sub, m_sub)
+    except linalg.LinAlgError:
+        raise ExtensionError("g is not the direct sum of h and m") from None
     mb = m_sub.basis()
     k = len(mb)
     tor, cur = {}, {}
-    for a in range(k):
-        for b in range(k):
-            w = g_alg.bracket(mb[a], mb[b])
-            coeffs = _decompose(h_sub, m_sub, w)
-            if coeffs is None:
-                raise ExtensionError("bracket escapes h + m")
-            h_part = _combine(h_sub.basis(), coeffs[:h_sub.dim], g_alg.dim)
-            tor[a, b] = {p: -x for p, x in enumerate(coeffs[h_sub.dim:])}
-            for c in range(k):
-                z = g_alg.bracket(h_part, mb[c])
-                zc = m_sub.coordinates(z)
-                if zc is None:
-                    raise ExtensionError("[h, m] escapes m")
-                cur[a, b, c] = {p: -x for p, x in enumerate(zc)}
+    for a, b in product(range(k), repeat=2):
+        hc, mc = proj.split(g_alg.bracket(mb[a], mb[b]))
+        tor[a, b] = {p: -x for p, x in enumerate(mc)}
+        h_part = proj.h_vector(hc)
+        for c in range(k):
+            zh, zm = proj.split(g_alg.bracket(h_part, mb[c]))
+            if any(zh):
+                raise ExtensionError("[h, m] escapes m")
+            cur[a, b, c] = {p: -x for p, x in enumerate(zm)}
     return Tensor(k, 2, tor), Tensor(k, 3, cur)

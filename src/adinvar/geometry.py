@@ -336,48 +336,27 @@ def ricci_operator(r_tensor, form):
 def ricci_gd_closed(gd):
     """Block closed forms of the Ricci tensor on d + h*.
 
-    The d-d block needs the signed sum over an orthonormal h* basis; it is
-    evaluated through an exact epsilon-frame when ``linalg.epsilon_frame``
-    finds one and through the equivalent inverse-Gram contraction otherwise.
+    The d-d block needs the signed sum of pi(f)^2 over an orthonormal h*
+    basis f.  It is evaluated as the equal contraction
+    sum_ab ell^-1[a][b] pi(h_a) pi(h_b) with the cached ``gd.ell_inv``, which
+    needs no orthonormal frame over Q and so serves every form on h.
     """
     nd, nh = gd.nd, gd.nh
-    w = [list(r) for r in gd.ell]
-    frame = linalg.epsilon_frame(w)
-    if frame is not None:
-        vecs, signs = frame
-        s = linalg.zeros(nd, nd)
-        for v, eps in zip(vecs, signs):
-            p = gd.rep.pi_of(v)
-            s = linalg.mat_add(s, linalg.mat_scale(eps, linalg.mat_mul(p, p)))
-    else:
-        winv = linalg.inverse(w)
-        s = linalg.zeros(nd, nd)
-        for a in range(nh):
-            for b in range(nh):
-                if winv[a][b] != 0:
-                    pa = gd.rep.mat(a)
-                    pb = gd.rep.mat(b)
-                    s = linalg.mat_add(
-                        s, linalg.mat_scale(winv[a][b], linalg.mat_mul(pa, pb)))
+    pis = gd.rep.mats
+    s = linalg.zeros(nd, nd)
+    for pa, row in zip(pis, gd.ell_inv):
+        s = linalg.mat_add(s, linalg.mat_mul(pa, gd.rep.pi_of(row)))
+    gs = linalg.mat_mul(gd.rep.d_form.rows(), s)
     ads = [gd.rep.d.ad(a) for a in range(nd)]
-    gd_rows = gd.rep.d_form.rows()
-    n = nd + nh
-    m = linalg.zeros(n, n)
-    unit = linalg.identity(nd)
+    m = linalg.zeros(nd + nh, nd + nh)
     for a in range(nd):
-        sa = linalg.mat_vec(s, unit[a])
         for b in range(nd):
-            m[a][b] = (linalg.dot(linalg.mat_vec(gd_rows, sa), unit[b]) / 2
-                       - linalg.trace_product(ads[a], ads[b]) / 4)
-    for a in range(nd):
+            m[a][b] = gs[b][a] / 2 - linalg.trace_product(ads[a], ads[b]) / 4
         for k in range(nh):
-            val = -linalg.trace_product(gd.rep.mat(k), ads[a]) / 4
-            m[a][nd + k] = val
-            m[nd + k][a] = val
+            m[a][nd + k] = m[nd + k][a] = -linalg.trace_product(pis[k], ads[a]) / 4
     for j in range(nh):
         for k in range(nh):
-            m[nd + j][nd + k] = -linalg.trace_product(
-                gd.rep.mat(j), gd.rep.mat(k)) / 4
+            m[nd + j][nd + k] = -linalg.trace_product(pis[j], pis[k]) / 4
     return BilinearForm(tuple(tuple(row) for row in m))
 
 

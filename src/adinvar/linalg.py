@@ -15,7 +15,7 @@ the result.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -241,26 +241,6 @@ def inverse(a):
     return [row[n:] for row in rows]
 
 
-def det(a):
-    n = len(a)
-    rows = copy_matrix(a)
-    result = Q1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Q0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = Q1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
-
-
 def charpoly(a):
     """Coefficients [1, c1, ..., cn] of det(tI - a), Faddeev-LeVerrier."""
     n = len(a)
@@ -323,86 +303,3 @@ def signature_of(g):
     n_minus = sum(1 for i in range(len(g)) if d[i][i] < 0)
     n_plus = sum(1 for i in range(len(g)) if d[i][i] > 0)
     return (n_minus, n_plus, len(g) - n_minus - n_plus)
-
-
-def _rational_sqrt(x):
-    """sqrt of a nonnegative Fraction if exact, else None."""
-    if x < 0:
-        return None
-    pn, qn = x.numerator, x.denominator
-    rp, rq = isqrt(pn), isqrt(qn)
-    if rp * rp == pn and rq * rq == qn:
-        return Fraction(rp, rq)
-    return None
-
-
-def epsilon_frame(g):
-    """Exact orthonormal-with-signs frame for a symmetric form.
-
-    Returns (rows, signs) with rows[i] . g . rows[j] = signs[i] delta_ij,
-    signs in {+1, -1}, or None when the search finds no frame; callers fall
-    back to a frame-free route.  The search is greedy and incomplete: it
-    takes a remaining direction, or the sum or difference of two, whose norm
-    is a signed rational square, and resolves isotropic pivots through
-    hyperbolic pairs, so it can return None for a form that has a frame
-    over Q.
-    """
-    n = len(g)
-
-    def pair(u, v):
-        return dot(u, mat_vec(g, v))
-
-    remaining = [row[:] for row in identity(n)]
-    frame, signs = [], []
-
-    def deflate(u, eps):
-        nonlocal remaining
-        remaining = [vec_sub(v, vec_scale(eps * pair(v, u), u)) for v in remaining]
-        remaining = rref(remaining)[0]
-
-    while remaining:
-        found = None
-        candidates = list(remaining)
-        for i, u in enumerate(remaining):
-            for v in remaining[i + 1:]:
-                candidates.append(vec_add(u, v))
-                candidates.append(vec_sub(u, v))
-        for v in candidates:
-            norm = pair(v, v)
-            if norm == 0:
-                continue
-            root = _rational_sqrt(abs(norm))
-            if root is not None:
-                found = (vec_scale(Q1 / root, v), Q1 if norm > 0 else -Q1)
-                break
-        if found is not None:
-            u, eps = found
-            frame.append(u)
-            signs.append(eps)
-            deflate(u, eps)
-            continue
-        # All candidate norms are zero or non-square; try a hyperbolic pair.
-        hyper = None
-        for i, u in enumerate(remaining):
-            if pair(u, u) != 0:
-                continue
-            for v in remaining:
-                c = pair(u, v)
-                if c != 0:
-                    hyper = (u, v, c)
-                    break
-            if hyper:
-                break
-        if hyper is None:
-            return None
-        u, v, c = hyper
-        w = vec_sub(v, vec_scale(pair(v, v) / (2 * c), u))  # isotropic partner
-        up = vec_add(u, vec_scale(Q1 / (2 * c), w))
-        um = vec_sub(u, vec_scale(Q1 / (2 * c), w))
-        frame.append(up)
-        signs.append(Q1)
-        deflate(up, Q1)
-        frame.append(um)
-        signs.append(-Q1)
-        deflate(um, -Q1)
-    return frame, signs

@@ -1,6 +1,14 @@
+import hashlib
 import json
+from pathlib import Path
 
+import pytest
+
+from adinvar import corpus_list
 from adinvar.cli import main
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -43,6 +51,19 @@ def test_check_broken_jacobi(tmp_path, capsys):
     jac = [c for c in doc["checks"] if c["name"] == "jacobi"][0]
     assert not jac["pass"]
     assert jac["witness"][0][:3] == [1, 2, 3]
+
+
+def test_derivations_reports_a_jacobi_violation(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"dim": 3, "brackets": [[1, 2, 3, 1], [1, 3, 1, 1]]}))
+    _, out, _ = run(capsys, "check", str(bad), "--json")
+    want = [c for c in json.loads(out)["checks"] if c["name"] == "jacobi"]
+    code, out, err = run(capsys, "derivations", str(bad), "--json")
+    assert code == 1 and not err
+    doc = json.loads(out)
+    assert doc == {"command": "derivations", "checks": want, "passed": False}
+    assert want[0]["witness"][0][:3] == [1, 2, 3]
 
 
 def test_check_malformed_input(tmp_path, capsys):
@@ -184,6 +205,18 @@ def test_corpus_all(capsys):
     doc = json.loads(out)
     assert doc["passed"]
     assert len(doc["checks"]) > 100
+
+
+@pytest.mark.parametrize("name", corpus_list() + ["all"])
+def test_corpus_report_matches_the_golden_digest(name, capsys):
+    """The sha256 of each ``corpus NAME --json`` report and of ``corpus all
+    --json`` equals the digest in bench/golden.json, so a change of a
+    report byte fails here as well as in a benchmark run."""
+    code, out, _ = run(capsys, "corpus", name, "--json")
+    assert code == 0
+    golden = GOLDEN["corpus"]
+    want = golden["report_sha256"] if name == "all" else golden["entries"][name]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_check_refuses_booleans_as_integers(tmp_path, capsys):

@@ -12,7 +12,9 @@ from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      corpus_list, double_extend, kostant_form, lambda_matrix,
                      orthogonal_complement, reductive_split)
 from adinvar import extension, linalg
-from adinvar.extension import SplitResult, _verify_gd
+from adinvar.core import skew_witnesses
+from adinvar.extension import KostantResult, SplitResult, _verify_gd
+from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
                       so3_rep, torus_rep)
 from corpus_help import lemma_rep
@@ -493,7 +495,21 @@ def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
     assert broken.validate() == _validate_loops(broken)
 
 
-# -- reductive_split: one projection per pair, as the triple loop found ----
+# -- reductive_split, kostant_form and canonical_connection against their
+# former per-bracket bodies, which decompose each bracket by its own solve
+
+def _decompose(h_sub, m_sub, v):
+    """Coefficients of v in the stacked (h | m) basis, or None."""
+    basis = h_sub.basis() + m_sub.basis()
+    return linalg.solve(linalg.transpose(basis), list(v))
+
+
+def _combine(basis, coeffs, ambient_dim):
+    out = linalg.zero_vector(ambient_dim)
+    for c, b in zip(coeffs, basis):
+        out = linalg.vec_add(out, linalg.vec_scale(c, b))
+    return out
+
 
 def _reductive_split_oracle(g_alg, form, h_sub):
     """reductive_split with the naturally reductive condition written as the
@@ -515,15 +531,15 @@ def _reductive_split_oracle(g_alg, form, h_sub):
     ok, witness = True, None
     for x in mb:
         for y in mb:
-            dxy = extension._decompose(h_sub, m, g_alg.bracket(x, y))
-            proj_xy = None if dxy is None else extension._combine(
+            dxy = _decompose(h_sub, m, g_alg.bracket(x, y))
+            proj_xy = None if dxy is None else _combine(
                 mb, dxy[h_sub.dim:], g_alg.dim)
             for z in mb:
-                dxz = extension._decompose(h_sub, m, g_alg.bracket(x, z))
+                dxz = _decompose(h_sub, m, g_alg.bracket(x, z))
                 if dxy is None or dxz is None:
                     ok, witness = False, "bracket outside h + m"
                     break
-                proj_xz = extension._combine(mb, dxz[h_sub.dim:], g_alg.dim)
+                proj_xz = _combine(mb, dxz[h_sub.dim:], g_alg.dim)
                 if form.apply(proj_xy, z) + form.apply(y, proj_xz) != 0:
                     ok, witness = False, "naturally reductive condition fails"
                     break
@@ -545,7 +561,7 @@ def _random_symmetric_form(n, rng):
 
 
 @pytest.mark.parametrize("name", corpus_list())
-def test_reductive_split_matches_the_triple_loop(name, monkeypatch):
+def test_reductive_split_matches_the_triple_loop(name):
     dbl = double_extend(corpus_build(name).rep)
     rng = random.Random(name)
     forms = [dbl.Q_minus, dbl.Q] + [_random_symmetric_form(dbl.g.dim, rng)
@@ -560,20 +576,7 @@ def test_reductive_split_matches_the_triple_loop(name, monkeypatch):
             continue
         assert reductive_split(dbl.g, form, dbl.h_sub) == want
         outcomes.add(want.checks[-1][2])
-        # a bracket without an h + m decomposition, at one chosen pair
-        mb = want.m.basis()
-        if not mb:
-            continue
-        missing = dbl.g.bracket(mb[-1], mb[0])
-        real = extension._decompose
-        monkeypatch.setattr(extension, "_decompose", lambda h, m, v: (
-            None if v == missing else real(h, m, v)))
-        want = _reductive_split_oracle(dbl.g, form, dbl.h_sub)
-        assert reductive_split(dbl.g, form, dbl.h_sub) == want
-        outcomes.add(want.checks[-1][2])
-        monkeypatch.setattr(extension, "_decompose", real)
-    assert outcomes == {None, "bracket outside h + m",
-                        "naturally reductive condition fails"}
+    assert outcomes == {None, "naturally reductive condition fails"}
 
 
 # -- the beta table against the cocycle evaluated pair by pair -------------
@@ -598,6 +601,194 @@ def test_beta_table_is_the_cocycle_on_basis_pairs():
             [rep.beta(ea, eb) for eb in unit] for ea in unit], name
         assert all(type(c) is F for row in table for v in row for c in v)
         assert build_gd(rep).beta_table is table, name
+
+
+def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
+    """kostant_form with each bracket decomposed by its own solve."""
+    if h_sub.dim + m_sub.dim != g_alg.dim or h_sub.add(m_sub).dim != g_alg.dim:
+        raise KostantError("g is not the direct sum of h and m")
+    mb = m_sub.basis()
+    for u in h_sub.basis():
+        for v in mb:
+            if not m_sub.contains(g_alg.bracket(u, v)):
+                raise KostantError("[h, m] is not contained in m")
+
+    pairs = list(combinations(range(m_sub.dim), 2))
+    s_vectors = {}
+    for a, b in pairs:
+        w = g_alg.bracket(mb[a], mb[b])
+        coeffs = _decompose(h_sub, m_sub, w)
+        if coeffs is None:
+            raise KostantError("bracket escapes h + m")
+        s_vectors[(a, b)] = _combine(h_sub.basis(), coeffs[:h_sub.dim],
+                                     g_alg.dim)
+    hbar = Subspace.span(list(s_vectors.values()), g_alg.dim)
+    gbar = m_sub.add(hbar)
+    true_hbar = h_sub.intersect(gbar)
+    if hbar != true_hbar:
+        missing = [v for v in true_hbar.basis() if not hbar.contains(v)]
+        raise KostantError("bracket projections do not span h within gbar",
+                           uncovered=Subspace.span(missing, g_alg.dim))
+
+    r = hbar.dim
+    unknowns = [(p, q) for p in range(r) for q in range(p, r)]
+    uindex = {pq: i for i, pq in enumerate(unknowns)}
+    rows, rhs = [], []
+
+    def add_equation(alpha, gamma, value):
+        row = [F(0)] * len(unknowns)
+        for p in range(r):
+            for q in range(r):
+                c = alpha[p] * gamma[q]
+                if c != 0:
+                    row[uindex[(p, q) if p <= q else (q, p)]] += c
+        rows.append(row)
+        rhs.append(value)
+
+    innerm = inner.rows()
+
+    def inner_pair(coords, idx):
+        return sum(coords[p] * innerm[p][idx] for p in range(m_sub.dim))
+
+    for (a, b) in pairs:
+        s_ab = s_vectors[(a, b)]
+        alpha = hbar.coordinates(s_ab)
+        for (c, d) in pairs:
+            s_cd = s_vectors[(c, d)]
+            gamma = hbar.coordinates(s_cd)
+            w1 = g_alg.bracket(mb[a], s_cd)
+            m1 = m_sub.coordinates(w1)
+            if m1 is None:
+                raise KostantError("[m, h] escapes m")
+            add_equation(alpha, gamma, -inner_pair(m1, b))
+            w2 = g_alg.bracket(mb[c], s_ab)
+            m2 = m_sub.coordinates(w2)
+            if m2 is None:
+                raise KostantError("[m, h] escapes m")
+            add_equation(alpha, gamma, -inner_pair(m2, d))
+
+    if unknowns:
+        sol = linalg.solve(rows, rhs) if rows else [F(0)] * len(unknowns)
+        if sol is None:
+            raise KostantError("not naturally reductive data")
+    else:
+        sol = []
+
+    qh = linalg.zeros(r, r)
+    for (p, q), i in uindex.items():
+        qh[p][q] = sol[i]
+        qh[q][p] = sol[i]
+    basis = [list(v) for v in mb] + hbar.basis()
+    n = len(basis)
+    qm = linalg.zeros(n, n)
+    for p in range(m_sub.dim):
+        for q in range(m_sub.dim):
+            qm[p][q] = innerm[p][q]
+    for p in range(r):
+        for q in range(r):
+            qm[m_sub.dim + p][m_sub.dim + q] = qh[p][q]
+    form = BilinearForm(tuple(tuple(row) for row in qm))
+
+    checks = []
+    bt = linalg.transpose(basis)
+    bracket_coords = [[linalg.solve(bt, g_alg.bracket(u, v)) for v in basis]
+                      for u in basis]
+    closed = all(c is not None for row in bracket_coords for c in row)
+    checks.append(("gbar_closed", closed, None))
+    ad_ok = closed and not any(skew_witnesses(
+        {(iu, iv): {p: x for p, x in enumerate(c) if x}
+         for iu, row in enumerate(bracket_coords) for iv, c in enumerate(row)},
+        form, n))
+    checks.append(("ad_invariant_on_gbar", ad_ok, None))
+    checks.append(("nondegenerate_on_hbar",
+                   linalg.signature_of(qh)[2] == 0 if r else True, None))
+    checks.append(("nondegenerate", form.nondegenerate, None))
+    return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
+                         m_sub, tuple(checks))
+
+
+def _canonical_connection_oracle(g_alg, h_sub, m_sub):
+    """canonical_connection with each bracket decomposed by its own solve."""
+    mb = m_sub.basis()
+    k = len(mb)
+    tor, cur = {}, {}
+    for a in range(k):
+        for b in range(k):
+            w = g_alg.bracket(mb[a], mb[b])
+            coeffs = _decompose(h_sub, m_sub, w)
+            if coeffs is None:
+                raise ExtensionError("bracket escapes h + m")
+            h_part = _combine(h_sub.basis(), coeffs[:h_sub.dim], g_alg.dim)
+            tor[a, b] = {p: -x for p, x in enumerate(coeffs[h_sub.dim:])}
+            for c in range(k):
+                z = g_alg.bracket(h_part, mb[c])
+                zc = m_sub.coordinates(z)
+                if zc is None:
+                    raise ExtensionError("[h, m] escapes m")
+                cur[a, b, c] = {p: -x for p, x in enumerate(zc)}
+    return Tensor(k, 2, tor), Tensor(k, 3, cur)
+
+
+def _split_inputs():
+    """(g, h, m, Gram matrix of the metric on m): the doubles of the corpus,
+    so(3) on R^3 and a permuted torus, each also under a dense change of
+    basis of d, split by Q_minus; and the symmetric pair so(3) / so(2)."""
+    out = {}
+    for name, rep in _beta_reps().items():
+        dbl = double_extend(rep)
+        m = orthogonal_complement(dbl.h_sub, dbl.Q_minus)
+        gram = tuple(tuple(dbl.Q_minus.apply(u, v) for v in m.basis())
+                     for u in m.basis())
+        out[name] = (dbl.g, dbl.h_sub, m, BilinearForm(gram))
+    so3 = LieAlgebra.from_brackets(
+        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    out["so3 / so2"] = (so3, Subspace.span([[0, 0, 1]], 3),
+                        Subspace.span([[1, 0, 0], [0, 1, 0]], 3),
+                        BilinearForm.diagonal([1, 1]))
+    return out
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ExtensionError, KostantError) as exc:
+        return type(exc), str(exc)
+
+
+def test_kostant_form_and_canonical_connection_match_the_oracles():
+    kinds = set()
+    for name, (g, h, m, inner) in _split_inputs().items():
+        got = _outcome(kostant_form, g, h, m, inner)
+        assert got == _outcome(_kostant_form_oracle, g, h, m, inner), name
+        kinds.add(type(got))
+        assert _outcome(canonical_connection, g, h, m) == \
+            _outcome(_canonical_connection_oracle, g, h, m), name
+    assert kinds == {KostantResult}
+
+
+def test_split_refusals_match_the_oracles():
+    """so(3) with h = span{L3}: a complement that [h, m] leaves, and a
+    second subspace that meets h, are refused by kostant_form and
+    canonical_connection with the messages of the oracles."""
+    so3 = LieAlgebra.from_brackets(
+        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    h = Subspace.span([[0, 0, 1]], 3)
+    inner = BilinearForm.diagonal([1, 1])
+    cases = [(Subspace.span([[1, 0, 0], [0, 1, 1]], 3),
+              "[h, m] is not contained in m", "[h, m] escapes m"),
+             (Subspace.span([[1, 0, 0], [0, 0, 1]], 3),
+              "g is not the direct sum of h and m", None)]
+    for m, kostant_msg, canonical_msg in cases:
+        got = _outcome(kostant_form, so3, h, m, inner)
+        assert got == (KostantError, kostant_msg)
+        assert got == _outcome(_kostant_form_oracle, so3, h, m, inner)
+        got = _outcome(canonical_connection, so3, h, m)
+        if canonical_msg:
+            assert got == (ExtensionError, canonical_msg)
+            assert got == _outcome(_canonical_connection_oracle, so3, h, m)
+        else:
+            assert got == (ExtensionError, kostant_msg)
 
 
 # -- _assemble_double: Q and the difference form against both sweeps ------

@@ -173,8 +173,19 @@ def test_ricci_h3_values():
     assert [ric2.matrix[i][i] for i in range(3)] == [F(-1, 2), F(1, 2), F(-1, 2)]
 
 
+def _so3_inner_rep():
+    """h = R acting on d = so(3) by the inner derivation ad(L3): d is not
+    nilpotent, so its Killing form and trace(pi(h) ad x) do not vanish."""
+    from adinvar import Representation, LieAlgebra
+    so3 = LieAlgebra.from_brackets(
+        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    return Representation(
+        LieAlgebra.abelian(1, names=("z",)), BilinearForm.diagonal([1]),
+        so3, BilinearForm.diagonal([1, 1, 1]), (tuple(map(tuple, so3.ad(2))),))
+
+
 def test_ricci_closed_forms_agree():
-    for rep in ALL_REPS + [a12_rep()]:
+    for rep in ALL_REPS + [a12_rep(), _so3_inner_rep()]:
         gd = build_gd(rep)
         r = curvature(levi_civita(gd.L, gd.metric), gd.L)
         assert ricci(r, gd.metric) == ricci_gd_closed(gd)
@@ -258,14 +269,13 @@ def test_connection_vanishes_on_hstar_pairs():
 
 
 def test_ricci_closed_forms_without_rational_frame():
-    # h-metric 2 has no exact unit frame over Q; the contraction fallback
-    # must still match the trace definition
+    # h-metric 2 has no exact unit frame over Q; the contraction must still
+    # match the trace definition
     from adinvar import Representation, LieAlgebra
     rep = Representation(
         LieAlgebra.abelian(1, names=("z",)), BilinearForm.diagonal([2]),
         LieAlgebra.abelian(2), BilinearForm.diagonal([1, 1]), (T_PLUS,))
     gd = build_gd(rep)
-    assert linalg.epsilon_frame([list(r) for r in gd.ell]) is None
     r = curvature(levi_civita(gd.L, gd.metric), gd.L)
     assert ricci(r, gd.metric) == ricci_gd_closed(gd)
 
