@@ -198,7 +198,10 @@ def cmd_derivations(args):
     report = {"command": "derivations", "checks": []}
     if args.so_aut:
         rep = load_builder_file(args.so_aut)
-        gd = build_gd(rep)
+        try:
+            gd = build_gd(rep)
+        except ExtensionError as exc:
+            return _refused(report, exc, args)
         sa = so_aut(gd)
         report["so_aut_dim"] = sa.dim
         report["so_aut_pairs"] = [
@@ -240,8 +243,11 @@ def cmd_derivations(args):
 
 def cmd_series(args):
     rep = load_builder_file(args.spec)
-    gd = build_gd(rep)
     report = {"command": "series", "spec": str(args.spec), "checks": []}
+    try:
+        gd = build_gd(rep)
+    except ExtensionError as exc:
+        return _refused(report, exc, args)
     try:
         nil = predict_nilpotent_step(gd)
         report["nilpotent"] = {

@@ -13,10 +13,11 @@ the boundary: the violation vectors of ``check_jacobi`` and the reduced
 rows that ``linalg.rref`` returns.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from . import linalg
@@ -230,14 +231,7 @@ class Subspace:
         ut = linalg.transpose(self.basis())
         vt = linalg.transpose(other.basis())
         stacked = [ru + [-x for x in rv] for ru, rv in zip(ut, vt)]
-        sols = linalg.nullspace(stacked)
-        vecs = []
-        for s in sols:
-            a = s[:self.dim]
-            vec = linalg.zero_vector(self.ambient_dim)
-            for coeff, row in zip(a, self.basis()):
-                vec = linalg.vec_add(vec, linalg.vec_scale(coeff, row))
-            vecs.append(vec)
+        vecs = [linalg.mat_vec(ut, s[:self.dim]) for s in linalg.nullspace(stacked)]
         return Subspace.span(vecs, self.ambient_dim)
 
 
@@ -251,6 +245,19 @@ def _integral(data):
     scale = lcm(*{c.denominator for comps in data.values() for c in comps.values()})
     return ({key: {p: c.numerator * (scale // c.denominator) for p, c in comps.items()}
              for key, comps in data.items()}, scale)
+
+
+def _nullspace(rows, width):
+    """Canonical basis of the x in Q^width with sum_c row[c] x[c] = 0 for
+    every sparse row {column: coeff}.  This is the one nullspace of the
+    matrix solvers; rows that are zero are dropped."""
+    dense = []
+    for row in rows:
+        if any(row.values()):
+            dense.append([Q0] * width)
+            for c, x in row.items():
+                dense[-1][c] = x
+    return linalg.nullspace(dense) if dense else linalg.identity(width)
 
 
 def check_jacobi(alg):
@@ -463,34 +470,23 @@ def lower_central_series(alg):
 def invariant_forms(alg):
     """Basis of symmetric forms with B([x,y],z) + B(y,[x,z]) = 0."""
     n = alg.dim
-    pairs = [(p, q) for p in range(n) for q in range(p, n)]
-    index = {pq: a for a, pq in enumerate(pairs)}
-
-    def entry_coeff(row, p, q, c):
-        row[index[(p, q) if p <= q else (q, p)]] += c
-
+    pairs = list(combinations_with_replacement(range(n), 2))
+    index = {}
+    for a, (p, q) in enumerate(pairs):
+        index[p, q] = index[q, p] = a
+    empty = {}
     rows = []
     for i in range(n):
-        adi = alg.ad(i)
-        for j in range(n):
-            for k in range(j, n):
-                row = [Q0] * len(pairs)
-                for p in range(n):
-                    if adi[p][j] != 0:
-                        entry_coeff(row, p, k, adi[p][j])
-                    if adi[p][k] != 0:
-                        entry_coeff(row, j, p, adi[p][k])
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    sols = linalg.nullspace(rows) if rows else linalg.identity(len(pairs))
-    forms = []
-    for s in sols:
-        m = linalg.zeros(n, n)
-        for (p, q), a in index.items():
-            m[p][q] = s[a]
-            m[q][p] = s[a]
-        forms.append(BilinearForm(tuple(tuple(r) for r in m)))
-    return forms
+        for j, k in pairs:
+            row = Counter()
+            for p, c in alg.bracket_data.get((i, j), empty).items():
+                row[index[p, k]] += c
+            for p, c in alg.bracket_data.get((i, k), empty).items():
+                row[index[j, p]] += c
+            rows.append(row)
+    return [BilinearForm(tuple(tuple(s[index[p, q]] for q in range(n))
+                               for p in range(n)))
+            for s in _nullspace(rows, len(pairs))]
 
 
 def restrict_to_subalgebra(alg, sub, names=None):

@@ -196,8 +196,10 @@ class CorpusEntry:
                 tuple(dbl.Q_minus.apply(u, v) for v in split.m.basis())
                 for u in split.m.basis()))
             res = kostant_form(dbl.g, dbl.h_sub, split.m, inner)
-            agree = all(res.pair(list(u), list(v)) == dbl.Q_minus.apply(list(u), list(v))
-                        for u in res.basis for v in res.basis)
+            # the coordinates of the basis vectors are the unit vectors, so
+            # res.pair on them reads res.form.matrix
+            agree = res.form.matrix == tuple(
+                tuple(dbl.Q_minus.apply(u, v) for v in res.basis) for u in res.basis)
             out.append(("kostant_reconstruction",
                         res.all_pass and agree and split.all_pass, None))
         return out

@@ -5,13 +5,13 @@ Nullspace bases are canonicalized by reduced echelon form over flattened
 matrix coordinates, so dimensions and containments are deterministic.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 
 from . import linalg
-from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, center,
-                   derived_series, killing_form, lower_central_series)
-from .linalg import Q0
+from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _nullspace,
+                   center, derived_series, killing_form, lower_central_series)
 
 
 def _flatten(m):
@@ -63,68 +63,67 @@ class MatrixLieAlgebra:
         return [[list(row) for row in m] for m in self.basis]
 
     def flat_subspace(self):
-        return Subspace.span([_flatten(self.matrices()[i])
-                              for i in range(self.dim)], self.n * self.n)
+        return Subspace.span([_flatten(m) for m in self.basis], self.n * self.n)
 
     def contains(self, mat):
-        if self.dim == 0:
-            return linalg.is_zero_matrix(mat)
         return self.flat_subspace().contains(_flatten(mat))
 
 
-def _derivation_rows(alg):
-    """Linear conditions on D (flattened row-major) for the Leibniz identity."""
-    n = alg.dim
-    rows = []
+# Each linear condition on a matrix unknown X (flattened row-major into the
+# columns offset, offset + 1, ..) is one sparse row {column: coeff}.
+
+def _leibniz_rows(alg, offset=0):
+    """(X [e_i, e_j] - [X e_i, e_j] - [e_i, X e_j])_k = 0 for i < j."""
+    n, table, empty = alg.dim, alg.bracket_data, {}
     for i, j in combinations(range(n), 2):
-        bij = alg.basis_bracket(i, j)
-        cpj = [alg.basis_bracket(p, j) for p in range(n)]
-        cip = [alg.basis_bracket(i, p) for p in range(n)]
-        for k in range(n):
-            row = [Q0] * (n * n)
-            for q in range(n):
-                row[k * n + q] += bij[q]         # (D [e_i,e_j])_k
-            for p in range(n):
-                row[p * n + i] -= cpj[p][k]      # [D e_i, e_j]_k
-                row[p * n + j] -= cip[p][k]      # [e_i, D e_j]_k
-            if any(x != 0 for x in row):
-                rows.append(row)
-    return rows
+        rows = [Counter({offset + k * n + q: c
+                         for q, c in table.get((i, j), empty).items()})
+                for k in range(n)]
+        for p in range(n):
+            for k, c in table.get((p, j), empty).items():
+                rows[k][offset + p * n + i] -= c
+            for k, c in table.get((i, p), empty).items():
+                rows[k][offset + p * n + j] -= c
+        yield from rows
 
 
-def _skew_rows(form, n, offset=0, width=None):
-    """Conditions (B D + D^T B)_{ij} = 0, i <= j, over a width-n^2 block."""
-    width = width if width is not None else n * n
-    b = form.rows()
-    rows = []
+def _skew_rows(form, offset=0):
+    """(B X + X^T B)_ij = 0 for i <= j."""
+    n, b = form.dim, form.matrix
     for i in range(n):
         for j in range(i, n):
-            row = [Q0] * width
+            row = Counter()
             for q in range(n):
                 row[offset + q * n + j] += b[i][q]
                 row[offset + q * n + i] += b[j][q]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    return rows
+            yield row
 
 
-def _nullspace_matrices(rows, n, unknowns=None):
-    unknowns = unknowns if unknowns is not None else n * n
-    sols = linalg.nullspace(rows) if rows else linalg.identity(unknowns)
-    return [_unflatten(s, n, n) for s in sols]
+def _commuting_rows(m, offset=0):
+    """(X m - m X)_pq = 0 for every (p, q), in row-major order."""
+    n = len(m)
+    for p, q in product(range(n), repeat=2):
+        row = Counter()
+        for s in range(n):
+            row[offset + p * n + s] += m[s][q]
+            row[offset + s * n + q] -= m[p][s]
+        yield row
+
+
+def _solutions(rows, n):
+    """The matrix Lie algebra of the n x n matrices X satisfying the rows."""
+    mats = [_unflatten(s, n, n) for s in _nullspace(rows, n * n)]
+    return MatrixLieAlgebra.from_matrices(mats, n)
 
 
 def derivation_algebra(alg):
     """All D with D[x,y] = [Dx,y] + [x,Dy]."""
-    mats = _nullspace_matrices(_derivation_rows(alg), alg.dim)
-    return MatrixLieAlgebra.from_matrices(mats, alg.dim)
+    return _solutions(_leibniz_rows(alg), alg.dim)
 
 
 def skew_derivations(alg, form):
     """Derivations that are skew for the given nondegenerate form."""
-    rows = _derivation_rows(alg) + _skew_rows(form, alg.dim)
-    mats = _nullspace_matrices(rows, alg.dim)
-    return MatrixLieAlgebra.from_matrices(mats, alg.dim)
+    return _solutions(chain(_leibniz_rows(alg), _skew_rows(form)), alg.dim)
 
 
 def inner_derivations(alg):
@@ -148,51 +147,29 @@ class SoAut:
         return len(self.pairs)
 
     def flat_subspace(self):
-        vecs = [_flatten([list(r) for r in a]) + _flatten([list(r) for r in b])
-                for a, b in self.pairs]
+        vecs = [_flatten(a) + _flatten(b) for a, b in self.pairs]
         return Subspace.span(vecs, self.nh * self.nh + self.nd * self.nd)
 
     def contains(self, a, b):
-        target = _flatten(a) + _flatten(b)
-        if self.dim == 0:
-            return linalg.is_zero_vector(target)
-        return self.flat_subspace().contains(target)
+        return self.flat_subspace().contains(_flatten(a) + _flatten(b))
 
 
 def so_aut(gd):
-    """Joint nullspace for the orthogonal-automorphism Lie algebra of d + h*."""
+    """Joint nullspace for the orthogonal-automorphism Lie algebra of d + h*:
+    the unknown (A, B) is A flattened, then B."""
     nh, nd = gd.nh, gd.nd
-    na, width = nh * nh, nh * nh + nd * nd
-
-    def pad(rows, offset):
-        out = []
-        for r in rows:
-            row = [Q0] * width
-            for idx, x in enumerate(r):
-                row[offset + idx] = x
-            out.append(row)
-        return out
-
-    w_form = BilinearForm(gd.ell)
-    rows = pad(_skew_rows(w_form, nh), 0)
-    rows += pad(_derivation_rows(gd.rep.d), na)
-    rows += pad(_skew_rows(gd.rep.d_form, nd), na)
-    # [B, pi(h_i)] = pi(A h_i): columns of A weight the pi generators
-    for i in range(nh):
-        pii = gd.rep.mat(i)
-        for p in range(nd):
-            for q in range(nd):
-                row = [Q0] * width
-                for s in range(nd):
-                    row[na + p * nd + s] += pii[s][q]   # (B pi_i)_pq
-                    row[na + s * nd + q] -= pii[p][s]   # (pi_i B)_pq
-                for j in range(nh):
-                    row[j * nh + i] -= gd.rep.mats[j][p][q]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    sols = linalg.nullspace(rows) if rows else linalg.identity(width)
+    na = nh * nh
+    rows = list(_skew_rows(BilinearForm(gd.ell)))
+    rows += _leibniz_rows(gd.rep.d, na)
+    rows += _skew_rows(gd.rep.d_form, na)
+    # [B, pi(h_i)] = pi(A h_i): column i of A weights the pi generators
+    for i, m in enumerate(gd.rep.mats):
+        for (p, q), row in zip(product(range(nd), repeat=2), _commuting_rows(m, na)):
+            for j in range(nh):
+                row[j * nh + i] -= gd.rep.mats[j][p][q]
+            rows.append(row)
     pairs = []
-    for s in sols:
+    for s in _nullspace(rows, na + nd * nd):
         a = _unflatten(s[:na], nh, nh)
         b = _unflatten(s[na:], nd, nd)
         pairs.append((tuple(tuple(r) for r in a), tuple(tuple(r) for r in b)))
@@ -208,21 +185,9 @@ def induced_so_aut_pair(gd, i):
 
 def intertwiners_skew(mats, form):
     """Matrices commuting with every generator and skew for the form."""
-    mats = [[list(map(linalg.frac, row)) for row in m] for m in mats]
-    n = form.dim
-    rows = []
-    for m in mats:
-        for p in range(n):
-            for q in range(n):
-                row = [Q0] * (n * n)
-                for s in range(n):
-                    row[p * n + s] += m[s][q]    # (U m)_pq
-                    row[s * n + q] -= m[p][s]    # (m U)_pq
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    rows += _skew_rows(form, n)
-    out = _nullspace_matrices(rows, n)
-    return MatrixLieAlgebra.from_matrices(out, n)
+    rows = [row for m in mats
+            for row in _commuting_rows([list(map(linalg.frac, r)) for r in m])]
+    return _solutions(chain(rows, _skew_rows(form)), form.dim)
 
 
 def profile(mla):

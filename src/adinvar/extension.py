@@ -317,30 +317,30 @@ def build_gd(rep):
     if check_jacobi(alg):
         raise ExtensionError("constructed bracket violates Jacobi")
 
-    gm = linalg.zeros(nd + nh, nd + nh)
-    for a in range(nd):
-        for b in range(nd):
-            gm[a][b] = rep.d_form.matrix[a][b]
-    for i in range(nh):
-        for j in range(nh):
-            gm[nd + i][nd + j] = w[i][j]
-    metric = BilinearForm(tuple(tuple(r) for r in gm))
-
+    metric = BilinearForm(_block_sum(rep.d_form.matrix, w))
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
     # h* in the ell basis
-    pad_d, pad_h = (Q0,) * nd, (Q0,) * nh
-    mu_mats = tuple(tuple(row + pad_h for row in rep.mats[k])
-                    + tuple(pad_d + tuple(row) for row in rep.h.ad(k))
-                    for k in range(nh))
+    mu_mats = tuple(_block_sum(rep.mats[k], rep.h.ad(k)) for k in range(nh))
     gd = GdAlgebra(rep, alg, metric, betas, tuple(tuple(r) for r in w), mu_mats, dbl)
     _verify_gd(gd)
     return gd
 
 
+def _block_sum(a, b):
+    """The block-diagonal matrix with blocks a and b, as a tuple of rows."""
+    return (tuple(tuple(row) + (Q0,) * len(b) for row in a)
+            + tuple((Q0,) * len(a) + tuple(row) for row in b))
+
+
 def _verify_gd(gd):
-    """Construction-time identities: (cm), mu properties, lambda isometry."""
+    """Construction-time identities: the metric blocks, h* central, (cm),
+    mu properties, lambda isometry."""
     alg, metric = gd.L, gd.metric
     nd, nh = gd.nd, gd.nh
+    if metric.matrix != _block_sum(gd.rep.d_form.matrix, gd.rep.h_form.matrix):
+        raise ExtensionError("metric is not <,>_d + <,>_h")
+    if any(j >= nd for _, j in alg.table):
+        raise ExtensionError("h* is not central")
     basis = linalg.identity(nd + nh)
     for k in range(nh):
         fk = basis[nd + k]
@@ -473,8 +473,9 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
 
     inner is the Gram matrix of the metric on the rows of m_sub.  The
     extension to the h part is the unique solution of the bracket-transfer
-    equations; an inconsistent system means the data was not naturally
-    reductive, a spanning failure reports the uncovered part of h.
+    equations, read off a basis of hbar among the bracket projections; an
+    inconsistent system means the data was not naturally reductive, a
+    spanning failure reports the uncovered part of h.
     """
     try:
         proj = _Projector(h_sub, m_sub)
@@ -486,9 +487,10 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
         raise KostantError("[h, m] is not contained in m")
 
     pairs = list(combinations(range(m_sub.dim), 2))
-    s_vectors = {(a, b): proj.h_vector(proj.split(g_alg.bracket(mb[a], mb[b]))[0])
-                 for a, b in pairs}
-    hbar = Subspace.span(list(s_vectors.values()), g_alg.dim)
+    s_vectors = [proj.h_vector(proj.split(g_alg.bracket(mb[a], mb[b]))[0])
+                 for a, b in pairs]
+    reduced, pivots = linalg.rref(s_vectors)
+    hbar = Subspace(g_alg.dim, tuple(map(tuple, reduced)))
     gbar = m_sub.add(hbar)
     true_hbar = h_sub.intersect(gbar)
     if hbar != true_hbar:
@@ -496,59 +498,29 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
         raise KostantError("bracket projections do not span h within gbar",
                            uncovered=Subspace.span(missing, g_alg.dim))
 
-    r = hbar.dim
-    unknowns = [(p, q) for p in range(r) for q in range(p, r)]
-    uindex = {pq: i for i, pq in enumerate(unknowns)}
-    rows, rhs = [], []
-
-    def add_equation(alpha, gamma, value):
-        row = [Q0] * len(unknowns)
-        for p in range(r):
-            for q in range(r):
-                c = alpha[p] * gamma[q]
-                if c != 0:
-                    row[uindex[(p, q) if p <= q else (q, p)]] += c
-        rows.append(row)
-        rhs.append(value)
-
-    innerm = inner.rows()
-
-    def inner_pair(coords, idx):
-        return sum(coords[p] * innerm[p][idx] for p in range(m_sub.dim))
-
-    hbar_coords = {ab: hbar.coordinates(v) for ab, v in s_vectors.items()}
-    for (a, b) in pairs:
-        s_ab, alpha = s_vectors[(a, b)], hbar_coords[(a, b)]
-        for (c, d) in pairs:
-            s_cd, gamma = s_vectors[(c, d)], hbar_coords[(c, d)]
-            # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> and symmetrically;
-            # both brackets lie in [m, h], which is inside m
-            m1 = proj.split(g_alg.bracket(mb[a], s_cd))[1]
-            add_equation(alpha, gamma, -inner_pair(m1, b))
-            m2 = proj.split(g_alg.bracket(mb[c], s_ab))[1]
-            add_equation(alpha, gamma, -inner_pair(m2, d))
-
-    if unknowns:
-        sol = linalg.solve(rows, rhs) if rows else [Q0] * len(unknowns)
-        if sol is None:
+    # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> on all pairs of pairs,
+    # V[ab][cd] = -<[m_a, s_cd], m_b>, where [m_a, s_cd] lies in [m, h] < m
+    lifted = [[proj.split(g_alg.bracket(u, s))[1] for s in s_vectors] for u in mb]
+    v_mat = [[-linalg.dot(mc, inner.matrix[b]) for mc in lifted[a]]
+             for a, b in pairs]
+    # A, the hbar coordinates of the s vectors, is read at the pivots of
+    # hbar; it has full column rank, so A Q A^T = V has one solution or
+    # none, and the rows P of A that are a basis give it: A_P^-1 V_PP A_P^-T
+    qh = []
+    if pivots:
+        a_mat = [[s[c] for c in pivots] for s in s_vectors]
+        rows_p = linalg.rref(linalg.transpose(a_mat))[1]
+        ap_inv = linalg.inverse([a_mat[i] for i in rows_p])
+        qh = linalg.mat_mul(linalg.mat_mul(
+            ap_inv, [[v_mat[i][j] for j in rows_p] for i in rows_p]),
+            linalg.transpose(ap_inv))
+        if v_mat != linalg.transpose(v_mat) or v_mat != linalg.mat_mul(
+                linalg.mat_mul(a_mat, qh), linalg.transpose(a_mat)):
             raise KostantError("not naturally reductive data")
-    else:
-        sol = []
 
-    qh = linalg.zeros(r, r)
-    for (p, q), i in uindex.items():
-        qh[p][q] = sol[i]
-        qh[q][p] = sol[i]
     basis = [list(v) for v in mb] + hbar.basis()
     n = len(basis)
-    qm = linalg.zeros(n, n)
-    for p in range(m_sub.dim):
-        for q in range(m_sub.dim):
-            qm[p][q] = innerm[p][q]
-    for p in range(r):
-        for q in range(r):
-            qm[m_sub.dim + p][m_sub.dim + q] = qh[p][q]
-    form = BilinearForm(tuple(tuple(row) for row in qm))
+    form = BilinearForm(_block_sum(inner.matrix, qh))
 
     checks = []
     bt = linalg.transpose(basis)
@@ -562,7 +534,7 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
         form, n))
     checks.append(("ad_invariant_on_gbar", ad_ok, None))
     checks.append(("nondegenerate_on_hbar",
-                   linalg.signature_of(qh)[2] == 0 if r else True, None))
+                   linalg.signature_of(qh)[2] == 0, None))
     checks.append(("nondegenerate", form.nondegenerate, None))
     return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
                          m_sub, tuple(checks))

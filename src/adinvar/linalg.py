@@ -140,10 +140,6 @@ def is_zero_vector(v):
     return all(x == 0 for x in v)
 
 
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
-
-
 def _primitive(row):
     """The integer row divided by the gcd of its entries."""
     g = gcd(*row)

@@ -51,14 +51,12 @@ def _beta_obstruction(gd, left, right):
     return Subspace.span(vecs, gd.L.dim)
 
 
-def predict_solvable_step(gd, k=None):
+def predict_solvable_step(gd):
     """d k-step solvable: the extension gd is k-step iff beta vanishes on
     C^{k-1}(d), else (k+1)-step."""
     dser = derived_series(gd.rep.d)
     if dser.step is None:
         raise SeriesError("d is not solvable")
-    if k is not None and k != dser.step:
-        raise SeriesError(f"d is {dser.step}-step solvable, not {k}")
     k = dser.step
     ck1 = dser.chain[k - 1]
     obstruction = _beta_obstruction(gd, ck1, ck1)
@@ -68,23 +66,19 @@ def predict_solvable_step(gd, k=None):
                       obstruction.dim == 0, obstruction.dim == 0)
 
 
-def predict_nilpotent_step(gd, k=None):
+def predict_nilpotent_step(gd):
     """d k-step nilpotent: the extension gd is k-step iff D^{k-1}(d) lies
     in every ker pi(h); the vacuous D^k variant is evaluated alongside."""
     dser = lower_central_series(gd.rep.d)
     if dser.step is None:
         raise SeriesError("d is not nilpotent")
-    if k is not None and k != dser.step:
-        raise SeriesError(f"d is {dser.step}-step nilpotent, not {k}")
     k = dser.step
     full_d = Subspace.full(gd.nd)
     dk1 = dser.chain[k - 1]
     obstruction = _beta_obstruction(gd, full_d, dk1)
-    kernels = None
-    for m in gd.rep.mats:
-        ker = kernel_of([list(r) for r in m])
-        kernels = ker if kernels is None else kernels.intersect(ker)
-    kernels = kernels if kernels is not None else full_d
+    # the intersection of the kernels is the kernel of the stacked pi rows
+    stacked = [list(r) for m in gd.rep.mats for r in m]
+    kernels = kernel_of(stacked) if stacked else full_d
     corrected = kernels.contains_subspace(dk1)
     naive_test = kernels.contains_subspace(dser.chain[k]) if k < len(dser.chain) \
         else True

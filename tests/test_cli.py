@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -135,12 +138,36 @@ def test_series_refuses_invalid_data_on_non_solvable_d(tmp_path, capsys):
         "h": {"dim": 1, "names": ["z"], "metric": [[1, 1, 1]]},
         "pi": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]],
     }))
-    code, _, err = run(capsys, "gd", str(spec), "--json")
+    code, gd_out, _ = run(capsys, "gd", str(spec), "--json")
     assert code == 1
     code, out, err = run(capsys, "series", str(spec), "--json")
     assert code == 1
-    assert out == ""
-    assert "pi(z)_not_skew" in err
+    assert err == ""
+    doc, gd_doc = json.loads(out), json.loads(gd_out)
+    assert {"name": "pi(z)_not_skew", "pass": False} in doc["checks"]
+    assert (doc["checks"], doc["error"]) == (gd_doc["checks"], gd_doc["error"])
+
+
+@pytest.mark.parametrize("name", ["gH", "h3_metric_0", "rpq_2_2"])
+def test_series_and_so_aut_refuse_a_perturbed_pi(name, tmp_path, capsys):
+    """A builder with one moved pi entry is refused by series and
+    derivations --so-aut as by gd: exit 1 and the same failed checks and
+    error in the report."""
+    outdir = emit_corpus(tmp_path, capsys, name)
+    spec = json.loads((outdir / f"{name}_builder.json").read_text())
+    spec["pi"][0][0][0] = str(Fraction(spec["pi"][0][0][0]) + 1)
+    bad = tmp_path / "bad_builder.json"
+    bad.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "gd", str(bad), "--json")
+    assert code == 1
+    want = json.loads(out)
+    assert any(c["name"].endswith("_not_skew") for c in want["checks"])
+    for argv in (("series", str(bad)), ("derivations", "--so-aut", str(bad))):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert (doc["checks"], doc["error"]) == (want["checks"], want["error"])
 
 
 def test_geometry_command(tmp_path, capsys):
@@ -217,6 +244,107 @@ def test_corpus_report_matches_the_golden_digest(name, capsys):
     golden = GOLDEN["corpus"]
     want = golden["report_sha256"] if name == "all" else golden["entries"][name]
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# sha256 of the reports of ``derivations NAME.json``, ``derivations NAME.json
+# --metric PARTNER.json`` and ``derivations --so-aut NAME_builder.json`` (all
+# with --json) over ``corpus all --emit``; PARTNER is the next entry, in
+# registry order and cyclically, whose algebra has the same dimension
+DERIVATIONS_SHA256 = {
+    "a12": (
+        "e256a4dc8b34fe29095035de6156f189c89e1e8a8580d7d54c9d99b8a75b8dac",
+        "fabc09c4c5f4dd33482361080de6a14e770fb66cb72c5a9b6a1a7e1a4b346efa",
+        "bc5d73fa23ed42ebb97842e584750b5413ff33b603bb7eda285151580a6410b8",
+    ),
+    "gE": (
+        "034f0cdddd2e4418e98e460ef451d6af8ba616e59444afe0e920a82083fa0296",
+        "034f0cdddd2e4418e98e460ef451d6af8ba616e59444afe0e920a82083fa0296",
+        "62d1c72900f766a605271bc59fad420128186acb1b393bfb2846b944956510dc",
+    ),
+    "gF": (
+        "c20818a5a09f6a3e6438c769cf9e5091a777c77246e9b1b3c8da276e317977dd",
+        "c20818a5a09f6a3e6438c769cf9e5091a777c77246e9b1b3c8da276e317977dd",
+        "5995dd83bdcd5f30622cd64147d5fb74a8239e8279a28d2e1beb7e0dfc7b9461",
+    ),
+    "gH": (
+        "8443420b1ccdfef23712fde32e60702d7fc3629f294edce4f43eda5531714c5a",
+        "8443420b1ccdfef23712fde32e60702d7fc3629f294edce4f43eda5531714c5a",
+        "d9fd5909ce7430e778d25870cac7665ffbc6c5b5488ce38b1980f41df91bbfdf",
+    ),
+    "h3_metric_0": (
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "e62a34c6c2672dd5580d946feb61bd9b6b5e811abeab4bcd048f4c73d2cc3479",
+    ),
+    "h3_metric_1": (
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "b893399342da4151d223c2b57f678ff337911b80c5031f402a297de00399aff6",
+        "e62a34c6c2672dd5580d946feb61bd9b6b5e811abeab4bcd048f4c73d2cc3479",
+    ),
+    "h3_metric_2": (
+        "b893399342da4151d223c2b57f678ff337911b80c5031f402a297de00399aff6",
+        "b893399342da4151d223c2b57f678ff337911b80c5031f402a297de00399aff6",
+        "31466d8b51892aa2178bb338a3848c88a10402fb262aa91bffb0c4267e3bdcf9",
+    ),
+    "h3_metric_3": (
+        "b893399342da4151d223c2b57f678ff337911b80c5031f402a297de00399aff6",
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "31466d8b51892aa2178bb338a3848c88a10402fb262aa91bffb0c4267e3bdcf9",
+    ),
+    "nilmanifold_demo": (
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "b893399342da4151d223c2b57f678ff337911b80c5031f402a297de00399aff6",
+        "e62a34c6c2672dd5580d946feb61bd9b6b5e811abeab4bcd048f4c73d2cc3479",
+    ),
+    "oscillator": (
+        "06f52a8f9cddc8ac21cdf3f3c537e652102e354396a80455bc52bb0243fd5f89",
+        "06f52a8f9cddc8ac21cdf3f3c537e652102e354396a80455bc52bb0243fd5f89",
+        "e62a34c6c2672dd5580d946feb61bd9b6b5e811abeab4bcd048f4c73d2cc3479",
+    ),
+    "rpq_1_1": (
+        "b893399342da4151d223c2b57f678ff337911b80c5031f402a297de00399aff6",
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "31466d8b51892aa2178bb338a3848c88a10402fb262aa91bffb0c4267e3bdcf9",
+    ),
+    "rpq_2_0": (
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "b669a99180636819682391d328839e02ae5ca012d217ebba5687769a66fbab7c",
+        "e62a34c6c2672dd5580d946feb61bd9b6b5e811abeab4bcd048f4c73d2cc3479",
+    ),
+    "rpq_2_2": (
+        "5ca2e73b5acf24647c615f681cc6e8f4860003d9808ecb73dd00d0db24bdd6dc",
+        "5ed31ba4e299ff8e8195ed0df50fedd2149168a2bb1121cbef3360b1e0024b9b",
+        "01ae96bcaf08fc6287b4d4f008b6db926d6ff4c9d069424da3b004bce2d090b8",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def emitted_corpus(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("emitted") / "corpus"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", "all", "--emit", "--dir", str(outdir)]) == 0
+    return outdir
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_derivations_reports_match_the_digests(name, emitted_corpus, capsys):
+    """The derivation, skew-derivation and so_aut reports of every emitted
+    corpus entry keep their bytes."""
+    dims = {n: json.loads((emitted_corpus / f"{n}.json").read_text())["dim"]
+            for n in corpus_list()}
+    same = [n for n in corpus_list() if dims[n] == dims[name]]
+    partner = same[(same.index(name) + 1) % len(same)]
+    algebra = str(emitted_corpus / f"{name}.json")
+    calls = (("derivations", algebra, "--json"),
+             ("derivations", algebra, "--metric",
+              str(emitted_corpus / f"{partner}.json"), "--json"),
+             ("derivations", "--so-aut",
+              str(emitted_corpus / f"{name}_builder.json"), "--json"))
+    for argv, want in zip(calls, DERIVATIONS_SHA256[name]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
 def test_check_refuses_booleans_as_integers(tmp_path, capsys):

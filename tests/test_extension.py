@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -415,6 +416,36 @@ def test_verify_gd_rejects_ell_that_breaks_the_isometry():
         _verify_gd(replace(gd, ell=tuple(tuple(r) for r in ell)))
 
 
+def test_verify_gd_rejects_a_metric_that_is_not_the_block_sum():
+    """Any symmetric change of one entry of the metric, inside a block or
+    between d and h*, is refused before any later identity is read."""
+    for gd in _gd_inputs():
+        n = gd.L.dim
+        for p in range(n):
+            for q in range(p, n):
+                m = [list(r) for r in gd.metric.matrix]
+                m[p][q] += 1
+                m[q][p] = m[p][q]
+                with pytest.raises(ExtensionError,
+                                   match=r"metric is not <,>_d \+ <,>_h"):
+                    _verify_gd(replace(gd, metric=BilinearForm(tuple(map(tuple, m)))))
+
+
+def test_verify_gd_rejects_a_bracket_with_an_hstar_argument():
+    """One added bracket [x, f_k] of d + h*, whatever its value, is refused
+    as h* not central."""
+    for gd in _gd_inputs():
+        nd, n = gd.nd, gd.L.dim
+        for i in range(n):
+            for j in range(max(i + 1, nd), n):
+                for k in (0, n - 1):
+                    table = {key: dict(v) for key, v in gd.L.table.items()}
+                    table.setdefault((i, j), {})[k] = F(1)
+                    broken = LieAlgebra(n, gd.L.names, table)
+                    with pytest.raises(ExtensionError, match=r"h\* is not central"):
+                        _verify_gd(replace(gd, L=broken))
+
+
 # -- validate: once per build, and equal to the loops it replaced ----------
 
 def test_build_gd_validates_once(monkeypatch):
@@ -729,10 +760,12 @@ def _canonical_connection_oracle(g_alg, h_sub, m_sub):
     return Tensor(k, 2, tor), Tensor(k, 3, cur)
 
 
+@lru_cache(maxsize=1)
 def _split_inputs():
     """(g, h, m, Gram matrix of the metric on m): the doubles of the corpus,
     so(3) on R^3 and a permuted torus, each also under a dense change of
-    basis of d, split by Q_minus; and the symmetric pair so(3) / so(2)."""
+    basis of d, split by Q_minus; and the symmetric pairs so(3) / so(2)
+    and so(4) / so(3)."""
     out = {}
     for name, rep in _beta_reps().items():
         dbl = double_extend(rep)
@@ -745,6 +778,23 @@ def _split_inputs():
     out["so3 / so2"] = (so3, Subspace.span([[0, 0, 1]], 3),
                         Subspace.span([[1, 0, 0], [0, 1, 0]], 3),
                         BilinearForm.diagonal([1, 1]))
+    # so(4) on the basis E_ij - E_ji, i < j, in lexicographic order; h is
+    # so(3) on the first three coordinates
+    idx = list(combinations(range(4), 2))
+    units = []
+    for i, j in idx:
+        u = linalg.zeros(4, 4)
+        u[i][j], u[j][i] = F(1), F(-1)
+        units.append(u)
+    table = {}
+    for a, b in combinations(range(6), 2):
+        c = linalg.commutator(units[a], units[b])
+        table[a, b] = {k: c[i][j] for k, (i, j) in enumerate(idx) if c[i][j]}
+    eye = linalg.identity(6)
+    out["so4 / so3"] = (LieAlgebra.from_brackets(6, table),
+                        Subspace.span([eye[0], eye[1], eye[3]], 6),
+                        Subspace.span([eye[2], eye[4], eye[5]], 6),
+                        BilinearForm.diagonal([1, 1, 1]))
     return out
 
 
@@ -767,10 +817,39 @@ def test_kostant_form_and_canonical_connection_match_the_oracles():
     assert kinds == {KostantResult}
 
 
+NUDGES = st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 5), F(7), F(2) ** 40])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kostant_form_matches_the_oracle_on_perturbed_grams(data):
+    """The Gram matrix of the metric on m plus drawn symmetric nudges, or a
+    drawn multiple of it: kostant_form accepts and refuses exactly where
+    the solve of the full bracket-transfer system did, and on acceptance
+    returns the same result."""
+    name = data.draw(st.sampled_from(sorted(_split_inputs())))
+    g, h, m, inner = _split_inputs()[name]
+    n = inner.dim
+    gram = [list(r) for r in inner.matrix]
+    if data.draw(st.booleans()):
+        c = data.draw(NUDGES)
+        gram = [[c * x for x in r] for r in gram]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        c = data.draw(NUDGES)
+        gram[i][j] += c
+        if i != j:
+            gram[j][i] += c
+    inner = BilinearForm(tuple(map(tuple, gram)))
+    assert _outcome(kostant_form, g, h, m, inner) == \
+        _outcome(_kostant_form_oracle, g, h, m, inner), name
+
+
 def test_split_refusals_match_the_oracles():
     """so(3) with h = span{L3}: a complement that [h, m] leaves, and a
     second subspace that meets h, are refused by kostant_form and
-    canonical_connection with the messages of the oracles."""
+    canonical_connection with the messages of the oracles; so(4) / so(3)
+    with a form on m that is not invariant is refused by kostant_form."""
     so3 = LieAlgebra.from_brackets(
         3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
     h = Subspace.span([[0, 0, 1]], 3)
@@ -789,6 +868,13 @@ def test_split_refusals_match_the_oracles():
             assert got == _outcome(_canonical_connection_oracle, so3, h, m)
         else:
             assert got == (ExtensionError, kostant_msg)
+    # so(4) / so(3): the three bracket projections are a basis of h, so
+    # the bracket-transfer system is consistent exactly when V = V^T
+    g, h, m, _ = _split_inputs()["so4 / so3"]
+    inner = BilinearForm(((1, 0, 1), (0, 1, 0), (1, 0, 2)))
+    got = _outcome(kostant_form, g, h, m, inner)
+    assert got == (KostantError, "not naturally reductive data")
+    assert got == _outcome(_kostant_form_oracle, g, h, m, inner)
 
 
 # -- _assemble_double: Q and the difference form against both sweeps ------

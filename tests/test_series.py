@@ -165,3 +165,20 @@ def test_beta_obstruction_matches_the_cocycle():
                 [gd.embed_h(linalg.mat_vec(gd.ell_inv, rep.beta(u, v)))
                  for u in left.basis() for v in right.basis()], gd.L.dim)
             assert _beta_obstruction(gd, left, right) == want
+
+
+def test_nilpotent_prediction_reads_the_common_kernel_of_pi():
+    """Two generators: the D^0 containment reads the kernel common to both
+    pi(h_1) and pi(h_2), here span{e3, e4} when both rotate the (e1, e2)
+    plane and all of d when both act trivially."""
+    d, form = LieAlgebra.abelian(4), BilinearForm.diagonal([1, 1, 1, 1])
+    rot = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    zero = ((0,) * 4,) * 4
+    h = LieAlgebra.abelian(2)
+    for mats, corrected in (((rot, rot), False), ((rot, zero), False),
+                            ((zero, rot), False), ((zero, zero), True)):
+        rep = Representation(h, BilinearForm.diagonal([1, 1]), d, form, mats)
+        rpt = predict_nilpotent_step(build_gd(rep))
+        assert rpt.corrected_index_test is corrected
+        assert rpt.consistent
+        assert rpt.step_gd_predicted == (1 if corrected else 2)
