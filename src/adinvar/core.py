@@ -5,12 +5,15 @@ follow by antisymmetry.  Subspaces are kept in reduced row echelon form so
 equality of subspaces is plain data equality.
 
 The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
-``check_jacobi`` and the bracket spans of the two series) run on Python
-ints: each scales its sparse input once by the lcm of its denominators,
-which changes no verdict (a sum of products is zero or not whatever the
-common scale of its terms) and no span.  ``Fraction``s are formed only at
-the boundary: the violation vectors of ``check_jacobi`` and the reduced
-rows that ``linalg.rref`` returns.
+``check_jacobi``, the bracket spans of the two series and ``killing_form``,
+and in ``derivations`` the commutators of ``MatrixLieAlgebra.from_matrices``)
+run on Python ints: each scales its sparse input once by the lcm of its
+denominators (``_integral``), which changes no verdict (a sum of products
+is zero or not whatever the common scale of its terms) and no span.
+``Fraction``s are formed only at the boundary, one per stored entry: the
+violation vectors of ``check_jacobi``, the Killing form, the reduced rows
+that ``linalg.rref`` returns and the data that ``_rational``, the inverse
+of ``_integral``, divides back by its scale.
 """
 
 from collections import Counter
@@ -247,6 +250,21 @@ def _integral(data):
              for key, comps in data.items()}, scale)
 
 
+def _rational(data, scale):
+    """The inverse of ``_integral``: the sparse int data {key: {p: x}}
+    divided by scale, one ``Fraction`` per nonzero entry; every key is
+    kept."""
+    return {key: {p: Fraction(x, scale) for p, x in comps.items() if x}
+            for key, comps in data.items()}
+
+
+def _form_rows(form):
+    """(rows, scale): the rows of the form's matrix as sparse int rows
+    {p: {q: b}}, scaled by ``_integral``."""
+    return _integral({p: {q: b for q, b in enumerate(row) if b}
+                      for p, row in enumerate(form.matrix)})
+
+
 def _nullspace(rows, width):
     """Canonical basis of the x in Q^width with sum_c row[c] x[c] = 0 for
     every sparse row {column: coeff}.  This is the one nullspace of the
@@ -308,8 +326,7 @@ def operator_data(mats):
 def skew_witnesses(op, form, n):
     """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
     op, _ = _integral(op)
-    rows, _ = _integral({p: {q: b for q, b in enumerate(row) if b}
-                         for p, row in enumerate(form.matrix)})
+    rows, _ = _form_rows(form)
     empty = {}
     for x in sorted({key[0] for key in op}):
         s = {}
@@ -506,7 +523,21 @@ def restrict_to_subalgebra(alg, sub, names=None):
 
 
 def killing_form(alg):
-    ads = [alg.ad(i) for i in range(alg.dim)]
-    m = [[linalg.trace_product(ads[i], ads[j]) for j in range(alg.dim)]
-         for i in range(alg.dim)]
-    return BilinearForm(tuple(tuple(r) for r in m))
+    """B(e_i, e_j) = trace(ad(e_i) ad(e_j)) = sum c_iq^p c_jp^q, summed over
+    the bracket table scaled by L to integers: each sum is L^2 times the
+    true trace."""
+    table, scale = _integral(alg.bracket_data)
+    n, den, empty = alg.dim, scale * scale, {}
+    m = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            t = 0
+            for q in range(n):
+                for p, x in table.get((i, q), empty).items():
+                    y = table.get((j, p), empty).get(q)
+                    if y:
+                        t += x * y
+            row.append(Fraction(t, den))
+        m.append(tuple(row))
+    return BilinearForm(tuple(m))

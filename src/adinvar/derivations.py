@@ -7,11 +7,13 @@ matrix coordinates, so dimensions and containments are deterministic.
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations, product
 
 from . import linalg
-from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _nullspace,
-                   center, derived_series, killing_form, lower_central_series)
+from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _form_rows,
+                   _integral, _nullspace, center, derived_series, killing_form,
+                   lower_central_series)
 
 
 def _flatten(m):
@@ -20,6 +22,36 @@ def _flatten(m):
 
 def _unflatten(v, rows, cols):
     return [list(v[i * cols:(i + 1) * cols]) for i in range(rows)]
+
+
+def _integer_matrices(mats):
+    """(ints, s): the matrices times s, the lcm of all their denominators,
+    each as sparse int rows ints[a][p] = {q: x}."""
+    data, s = _integral({(a, p): {q: x for q, x in enumerate(row) if x}
+                         for a, m in enumerate(mats) for p, row in enumerate(m)})
+    return [[data[a, p] for p in range(len(m))] for a, m in enumerate(mats)], s
+
+
+def _flatten_sparse(a):
+    """A matrix of sparse int rows, flattened row-major."""
+    n = len(a)
+    out = [0] * (n * n)
+    for p, row in enumerate(a):
+        for q, x in row.items():
+            out[p * n + q] = x
+    return out
+
+
+def _commutator_flat(a, b):
+    """ab - ba for matrices of sparse int rows, flattened row-major."""
+    n = len(a)
+    out = [0] * (n * n)
+    for x_rows, y_rows, sign in ((a, b, 1), (b, a, -1)):
+        for p, row in enumerate(x_rows):
+            for q, x in row.items():
+                for r, y in y_rows[q].items():
+                    out[p * n + r] += sign * x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -35,12 +67,15 @@ class MatrixLieAlgebra:
         mats = [[list(map(linalg.frac, row)) for row in m] for m in mats]
         k = len(mats)
         pairs = list(combinations(range(k), 2))
-        # One elimination of [basis | every commutator], flattened as
-        # columns: the basis is independent iff columns 0..k-1 all carry
-        # pivots, closed iff no other column does, and then rows 0..k-1
-        # hold the coordinates of each commutator in the basis.
-        cols = [_flatten(m) for m in mats]
-        cols += [_flatten(linalg.commutator(mats[i], mats[j])) for i, j in pairs]
+        # The basis is scaled by s to integer matrices A_i = s M_i, whose
+        # commutators are s^2 [M_i, M_j].  One elimination of [basis |
+        # every commutator], flattened as columns: the basis is independent
+        # iff columns 0..k-1 all carry pivots, closed iff no other column
+        # does, and then rows 0..k-1 hold the coordinates y of each
+        # s^2 [M_i, M_j] in the A basis; y / s are those of [M_i, M_j].
+        ints, s = _integer_matrices(mats)
+        cols = [_flatten_sparse(a) for a in ints]
+        cols += [_commutator_flat(ints[i], ints[j]) for i, j in pairs]
         rows, pivots = linalg.rref(linalg.transpose(cols))
         if pivots[:k] != list(range(k)):
             raise AlgebraError("matrix basis is not linearly independent")
@@ -48,7 +83,8 @@ class MatrixLieAlgebra:
             raise AlgebraError("matrix space is not closed under commutator")
         table = {}
         for col, pair in enumerate(pairs, start=k):
-            comps = {b: rows[b][col] for b in range(k) if rows[b][col] != 0}
+            comps = {b: Fraction(y.numerator, y.denominator * s)
+                     for b in range(k) if (y := rows[b][col])}
             if comps:
                 table[pair] = comps
         closure = LieAlgebra.from_brackets(len(mats), table, check=False)
@@ -73,8 +109,10 @@ class MatrixLieAlgebra:
 # columns offset, offset + 1, ..) is one sparse row {column: coeff}.
 
 def _leibniz_rows(alg, offset=0):
-    """(X [e_i, e_j] - [X e_i, e_j] - [e_i, X e_j])_k = 0 for i < j."""
-    n, table, empty = alg.dim, alg.bracket_data, {}
+    """(X [e_i, e_j] - [X e_i, e_j] - [e_i, X e_j])_k = 0 for i < j, on the
+    bracket table scaled to integers."""
+    n, empty = alg.dim, {}
+    table, _ = _integral(alg.bracket_data)
     for i, j in combinations(range(n), 2):
         rows = [Counter({offset + k * n + q: c
                          for q, c in table.get((i, j), empty).items()})
@@ -88,14 +126,16 @@ def _leibniz_rows(alg, offset=0):
 
 
 def _skew_rows(form, offset=0):
-    """(B X + X^T B)_ij = 0 for i <= j."""
-    n, b = form.dim, form.matrix
+    """(B X + X^T B)_ij = 0 for i <= j, on the form scaled to integers."""
+    n = form.dim
+    b, _ = _form_rows(form)
     for i in range(n):
         for j in range(i, n):
             row = Counter()
-            for q in range(n):
-                row[offset + q * n + j] += b[i][q]
-                row[offset + q * n + i] += b[j][q]
+            for q, x in b[i].items():
+                row[offset + q * n + j] += x
+            for q, x in b[j].items():
+                row[offset + q * n + i] += x
             yield row
 
 

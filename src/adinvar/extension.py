@@ -368,15 +368,11 @@ def lambda_matrix(gd):
 
     lambda(x + h*) = (h, x, h*); columns are images of the (d | h*) basis.
     """
-    nh, nd = gd.nh, gd.nd
-    cols = []
-    for a in range(nd):
-        cols.append(gd.double.embed_d(linalg.identity(nd)[a]))
-    w = [list(r) for r in gd.ell]
-    for k in range(nh):
-        col = gd.double.embed_h(linalg.identity(nh)[k])
-        dual = gd.double.embed_dual(w[k])
-        cols.append(linalg.vec_add(col, dual))
+    cols = [gd.double.embed_d(unit) for unit in linalg.identity(gd.nd)]
+    for k, row in enumerate(gd.ell):  # (h_k, 0, ell(h_k))
+        col = gd.double.embed_dual(row)
+        col[k] = Q1
+        cols.append(col)
     return linalg.transpose(cols)
 
 
@@ -522,15 +518,19 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     n = len(basis)
     form = BilinearForm(_block_sum(inner.matrix, qh))
 
+    # One elimination of [basis | every bracket], as columns: the basis is
+    # independent (m meets h, and so hbar, only in 0), gbar is closed iff
+    # no bracket column carries a pivot, and then rows 0..n-1 hold the
+    # coordinates of each bracket [basis[iu], basis[iv]] in column
+    # n + iu n + iv
     checks = []
-    bt = linalg.transpose(basis)
-    bracket_coords = [[linalg.solve(bt, g_alg.bracket(u, v)) for v in basis]
-                      for u in basis]
-    closed = all(c is not None for row in bracket_coords for c in row)
+    brackets = [g_alg.bracket(u, v) for u in basis for v in basis]
+    rows, found = linalg.rref(linalg.transpose(basis + brackets))
+    closed = len(found) == n
     checks.append(("gbar_closed", closed, None))
     ad_ok = closed and not any(skew_witnesses(
-        {(iu, iv): {p: x for p, x in enumerate(c) if x}
-         for iu, row in enumerate(bracket_coords) for iv, c in enumerate(row)},
+        {divmod(col - n, n): {p: rows[p][col] for p in range(n) if rows[p][col]}
+         for col in range(n, n + n * n)},
         form, n))
     checks.append(("ad_invariant_on_gbar", ad_ok, None))
     checks.append(("nondegenerate_on_hbar",

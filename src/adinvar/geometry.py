@@ -6,16 +6,26 @@ once from the Koszul formula / curvature definition (ground truth) and once
 from the block formulas of the d + h* algebras; tests pin exact equality.
 Every route builds ``Tensor.data`` directly, summing over the nonzero
 entries of the sparse data it reads (bracket tables, operator columns,
-the beta table); ``Tensor.from_function`` remains for test oracles and for
+the form rows, the columns of B^-1 and ell^-1, the beta table);
+``Tensor.from_function`` remains for test oracles and for
 ``bi_invariant_curvature_check``.
+
+The routes add Python ints.  Each scales every input once to integers
+with ``core._integral``, weights each term so that all the terms of one
+output share a scale, accumulates with ``add_scaled`` and divides by that
+scale with ``core._rational``, one ``Fraction`` per stored entry.  Where
+an entry is a single product (the blocks of ``gd_tensor``) it is formed
+as one ``Fraction`` by ``_product``.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from . import linalg
-from .core import BilinearForm, is_subalgebra, operator_data
+from .core import (BilinearForm, _form_rows, _integral, _rational,
+                   is_subalgebra, operator_data)
 from .linalg import Q0, Q1
 
 
@@ -78,23 +88,30 @@ class Tensor:
         return self.apply(unit, *vectors)
 
     def __sub__(self, other):
-        data = {idx: dict(comps) for idx, comps in self.data.items()}
-        for idx, comps in other.data.items():
-            out = data.setdefault(idx, {})
-            for p, c in comps.items():
-                out[p] = out.get(p, Q0) - c
-        return Tensor(self.dim, self.slots, data)
+        a, sa = _integral(self.data)
+        b, sb = _integral(other.data)
+        data = {idx: {p: x * sb for p, x in comps.items()} for idx, comps in a.items()}
+        for idx, comps in b.items():
+            add_scaled(data.setdefault(idx, {}), -sa, comps)
+        return Tensor(self.dim, self.slots, _rational(data, sa * sb))
 
 
 def add_scaled(out, c, comps, offset=0):
-    """out[p + offset] += c * x for each p: x of the sparse vector comps."""
+    """out[p + offset] += c * x for each p: x of the sparse vector comps;
+    the routes pass ints."""
     for p, x in comps.items():
-        out[p + offset] = out.get(p + offset, Q0) + c * x
+        out[p + offset] = out.get(p + offset, 0) + c * x
+
+
+def _product(c, x):
+    """c x as one Fraction, formed without Fraction arithmetic."""
+    return Fraction(c.numerator * x.numerator, c.denominator * x.denominator)
 
 
 def columns(m):
-    """The columns of a matrix as sparse vectors {row: entry}."""
-    return [{p: x for p, x in enumerate(col) if x} for col in zip(*m)]
+    """The columns of a matrix as sparse vectors {column: {row: entry}}."""
+    return {j: {p: x for p, x in enumerate(col) if x}
+            for j, col in enumerate(zip(*m))}
 
 
 def levi_civita(alg, form):
@@ -102,16 +119,19 @@ def levi_civita(alg, form):
 
     Each bracket is lowered through the form once, as the covector
     <[e_a, e_b], .>; D_i e_j is then B^-1 applied to the right-hand side,
-    summed over the nonzero columns of B^-1.
+    summed over the nonzero columns of B^-1.  The bracket, the form and
+    B^-1 are scaled to integers by sb, sf and si, so every sum is
+    2 sb sf si times the connection.
     """
     if not form.nondegenerate:
         raise GeometryError("metric is degenerate")
     n = alg.dim
-    binv = columns(linalg.inverse(form.rows()))
-    rows = [{q: b for q, b in enumerate(row) if b} for row in form.matrix]
+    br, sb = _integral(alg.bracket_data)
+    rows, sf = _form_rows(form)
+    binv, si = _integral(columns(linalg.inverse(form.rows())))
     low = {}  # low[a, b][k] = <[e_a, e_b], e_k>
     by_first = [[] for _ in range(n)]  # by_first[a] = [(b, low[a, b]), ..]
-    for (a, b), comps in alg.bracket_data.items():
+    for (a, b), comps in br.items():
         cov = low[a, b] = {}
         for q, c in comps.items():
             add_scaled(cov, c, rows[q])
@@ -120,14 +140,14 @@ def levi_civita(alg, form):
     for i, j in product(range(n), repeat=2):
         rhs = dict(low.get((i, j), {}))  # <[e_i,e_j], e_k>
         for k, cov in by_first[j]:       # - <[e_j,e_k], e_i>
-            rhs[k] = rhs.get(k, Q0) - cov.get(i, Q0)
+            rhs[k] = rhs.get(k, 0) - cov.get(i, 0)
         for k, cov in by_first[i]:       # + <[e_k,e_i], e_j>
-            rhs[k] = rhs.get(k, Q0) - cov.get(j, Q0)
+            rhs[k] = rhs.get(k, 0) - cov.get(j, 0)
         out = data[i, j] = {}
         for k, t in rhs.items():
             if t:
-                add_scaled(out, t / 2, binv[k])
-    return Tensor(n, 2, data)
+                add_scaled(out, t, binv[k])
+    return Tensor(n, 2, _rational(data, 2 * sb * sf * si))
 
 
 def gd_tensor(gd, dd, left, right, hstar):
@@ -135,39 +155,42 @@ def gd_tensor(gd, dd, left, right, hstar):
 
     dd[a, b] is the value on a pair of d basis vectors; the value on
     (h_k*, e_b) is left * pi(h_k) e_b, on (e_a, h_k*) it is right * pi(h_k) e_a,
-    and on (h_p*, h_q*) it is hstar * [h_p, h_q]*.
+    and on (h_p*, h_q*) it is hstar * [h_p, h_q]*.  The blocks use
+    different keys, so every entry outside dd is one product.
     """
     nd, n = gd.nd, gd.L.dim
     data = dict(dd)  # the other blocks use other keys
     for (k, b), col in operator_data(gd.rep.mats).items():
         for key, c in (((nd + k, b), left), ((b, nd + k), right)):
             if c:
-                add_scaled(data.setdefault(key, {}), c, col)
+                data[key] = {p: _product(c, x) for p, x in col.items()}
     if hstar:
         for (p, q), comps in gd.rep.h.bracket_data.items():
-            add_scaled(data.setdefault((nd + p, nd + q), {}), hstar, comps, nd)
+            data[nd + p, nd + q] = {nd + r: _product(hstar, x)
+                                    for r, x in comps.items()}
     return Tensor(n, 2, data)
 
 
 def d_bracket_half(gd):
     """[e_a, e_b]/2 in d + h* for d basis vectors, with its h* component."""
-    nd = gd.nd
-    return {(a, b): {p: c / 2 for p, c in comps.items()}
+    nd, half = gd.nd, Fraction(1, 2)
+    return {(a, b): {p: _product(half, c) for p, c in comps.items()}
             for (a, b), comps in gd.L.bracket_data.items() if a < nd and b < nd}
 
 
 def beta_star(gd):
     """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, from ``gd.beta_table``,
-    as {(a, b): {k: coeff}}."""
-    ellinv = columns(gd.ell_inv)
+    as {(a, b): {k: coeff}}; the table and ell^-1 are scaled to integers."""
+    ellinv, se = _integral(columns(gd.ell_inv))
+    beta, sb = _integral({(a, b): {k: x for k, x in enumerate(v) if x}
+                          for a, row in enumerate(gd.beta_table)
+                          for b, v in enumerate(row)})
     out = {}
-    for a, row in enumerate(gd.beta_table):
-        for b, beta in enumerate(row):
-            v = out[a, b] = {}
-            for k, x in enumerate(beta):
-                if x:
-                    add_scaled(v, x, ellinv[k])
-    return out
+    for ab, comps in beta.items():
+        v = out[ab] = {}
+        for k, x in comps.items():
+            add_scaled(v, x, ellinv[k])
+    return _rational(out, sb * se)
 
 
 def levi_civita_gd(gd):
@@ -176,26 +199,34 @@ def levi_civita_gd(gd):
     [x1,x2] is the full algebra bracket of the d parts (it carries the
     cocycle component), so the connection has an h* output as well.
     """
-    half = Q1 / 2
+    half = Fraction(1, 2)
     return gd_tensor(gd, d_bracket_half(gd), -half, -half, 0)
 
 
 def curvature(gamma, alg):
     """R(x,y)z = D_x D_y z - D_y D_x z - D_[x,y] z from a connection tensor,
-    summed over the nonzero entries of ``gamma.data`` and of the bracket."""
-    n = alg.dim
-    g, br, empty = gamma.data, alg.bracket_data, {}
+    summed over the nonzero entries of ``gamma.data`` and of the bracket.
+
+    The connection and the bracket are scaled to integers by sg and sb.  A
+    product of two connection entries is weighted by sb and one of a
+    bracket entry and a connection entry by sg, so every sum is sb sg^2
+    times the curvature."""
+    n, empty = alg.dim, {}
+    g, sg = _integral(gamma.data)
+    br, sb = _integral(alg.bracket_data)
+    outer = {key: {p: c * sb for p, c in comps.items()} for key, comps in g.items()}
+    br = {key: {q: c * sg for q, c in comps.items()} for key, comps in br.items()}
     data = {}
     for i, j, k in product(range(n), repeat=3):
         out = {}
-        for p, c in g.get((j, k), empty).items():
+        for p, c in outer.get((j, k), empty).items():
             add_scaled(out, c, g.get((i, p), empty))
-        for p, c in g.get((i, k), empty).items():
+        for p, c in outer.get((i, k), empty).items():
             add_scaled(out, -c, g.get((j, p), empty))
         for q, c in br.get((i, j), empty).items():
             add_scaled(out, -c, g.get((q, k), empty))
         data[i, j, k] = out
-    return Tensor(n, 3, data)
+    return Tensor(n, 3, _rational(data, sb * sg * sg))
 
 
 def curvature_gd(gd):
@@ -215,13 +246,23 @@ def curvature_gd(gd):
       R(h1*,h2*)x = pi([h1,h2])x/4
 
     with R(h*,x) = -R(x,h*) and R(h1*,h2*)h3* = 0.
+
+    Each input is scaled to integers by its own constant: sp for pi, sd,
+    sl and sh for the brackets of d, L and h, sb for beta*.  A term that
+    multiplies entries of inputs with scales s and t is weighted by
+    m / (s t), for m the lcm of those products, and by 2, 1 or -1 for the
+    coefficients 1/2, 1/4 and -1/4, so every sum is 4 m times R.
     """
     nd, nh = gd.nd, gd.nh
-    half, quarter = Q1 / 2, Q1 / 4
     empty = {}
-    pi = operator_data(gd.rep.mats)  # pi[k, b] = pi(h_k) e_b
-    d_br, l_br = gd.rep.d.bracket_data, gd.L.bracket_data
-    bstar = beta_star(gd)
+    pi, sp = _integral(operator_data(gd.rep.mats))  # pi[k, b] = pi(h_k) e_b
+    d_br, sd = _integral(gd.rep.d.bracket_data)
+    l_br, sl = _integral(gd.L.bracket_data)
+    h_br, sh = _integral(gd.rep.h.bracket_data)
+    bstar, sb = _integral(beta_star(gd))
+    m = lcm(sb * sp, sd * sl, sd * sp, sp * sl, sp * sp, sh * sp)
+    w_bp, w_dl, w_dp = m // (sb * sp), m // (sd * sl), m // (sd * sp)
+    w_pl, w_pp, w_hp = m // (sp * sl), m // (sp * sp), m // (sh * sp)
     pib = {}  # pib[a, b, c] = pi(beta*(e_a, e_b)) e_c, once per pair (a, b)
     for (a, b), hv in bstar.items():
         for c in range(nd):
@@ -231,40 +272,40 @@ def curvature_gd(gd):
     data = {}
     for a, b, c in product(range(nd), repeat=3):  # R(x,y)z
         out = {}
-        add_scaled(out, half, pib[a, b, c])
-        add_scaled(out, -quarter, pib[b, c, a])
-        add_scaled(out, -quarter, pib[c, a, b])
+        add_scaled(out, 2 * w_bp, pib[a, b, c])
+        add_scaled(out, -w_bp, pib[b, c, a])
+        add_scaled(out, -w_bp, pib[c, a, b])
         for q, x in d_br.get((a, b), empty).items():
-            add_scaled(out, -quarter * x, l_br.get((q, c), empty))
+            add_scaled(out, -w_dl * x, l_br.get((q, c), empty))
         data[a, b, c] = out
     mixed = {}
     for a, b, k in product(range(nd), range(nd), range(nh)):
         common = {}  # pi(h)[x,y]_d/4, a term of R(x,y)h* and of R(x,h*)y
         for q, x in d_br.get((a, b), empty).items():
-            add_scaled(common, quarter * x, pi.get((k, q), empty))
+            add_scaled(common, w_dp * x, pi.get((k, q), empty))
         out = data[a, b, nd + k] = dict(common)  # R(x,y)h*
         for q, x in pi.get((k, b), empty).items():
-            add_scaled(out, -quarter * x, bstar[a, q], nd)
+            add_scaled(out, -w_bp * x, bstar[a, q], nd)
         for q, x in pi.get((k, a), empty).items():
-            add_scaled(out, -quarter * x, bstar[q, b], nd)
+            add_scaled(out, -w_bp * x, bstar[q, b], nd)
         out = mixed[a, nd + k, b] = dict(common)  # R(x,h*)y
         for q, x in pi.get((k, b), empty).items():
-            add_scaled(out, -quarter * x, l_br.get((a, q), empty))
+            add_scaled(out, -w_pl * x, l_br.get((a, q), empty))
     for a, j, k in product(range(nd), range(nh), range(nh)):  # R(x,h1*)h2*
         out = {}
         for q, x in pi.get((k, a), empty).items():
-            add_scaled(out, -quarter * x, pi.get((j, q), empty))
+            add_scaled(out, -w_pp * x, pi.get((j, q), empty))
         mixed[a, nd + j, nd + k] = out
     for (i, j, k), out in mixed.items():  # R(h*,x) = -R(x,h*)
         data[i, j, k] = out
         data[j, i, k] = {p: -x for p, x in out.items()}
-    for (p, q), comps in gd.rep.h.bracket_data.items():  # R(h1*,h2*)x
+    for (p, q), comps in h_br.items():  # R(h1*,h2*)x
         for a in range(nd):
             out = {}
             for r, x in comps.items():
-                add_scaled(out, quarter * x, pi.get((r, a), empty))
+                add_scaled(out, w_hp * x, pi.get((r, a), empty))
             data[nd + p, nd + q, a] = out
-    return Tensor(nd + nh, 3, data)
+    return Tensor(nd + nh, 3, _rational(data, 4 * m))
 
 
 def plane_discriminant(form, x, y):

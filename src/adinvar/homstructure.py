@@ -6,16 +6,22 @@ operator combination over basis tuples; all checks are exact.  The routes
 to T and to nabla~ build ``Tensor.data`` by block from the bracket tables,
 the operator columns and ell^-1 beta, or, through lambda, from the bracket
 of the double extension over the nonzero entries of the lambda columns.
+
+As in ``geometry``, the routes make no ``Fraction`` arithmetic: the block
+routes form each entry as one product (``gd_tensor``), and the lambda
+route scales its inputs to integers with ``core._integral``, adds ints and
+divides once per stored entry with ``core._rational``.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .core import derivation_witnesses, skew_witnesses
-from .geometry import (Tensor, add_scaled, beta_star, columns, curvature_gd,
-                       d_bracket_half, gd_tensor, levi_civita_gd)
-from .linalg import Q0, Q1
+from .core import _integral, _rational, derivation_witnesses, skew_witnesses
+from .geometry import (Tensor, _product, add_scaled, beta_star, columns,
+                       curvature_gd, d_bracket_half, gd_tensor, levi_civita_gd)
+from .linalg import Q1
 
 
 class HomStructureError(Exception):
@@ -28,7 +34,7 @@ def t_tensor(gd):
     Computed both from this closed form and through lambda as half the
     m-projection of the bracket upstairs; the two must agree exactly.
     """
-    half = Q1 / 2
+    half = Fraction(1, 2)
     direct = gd_tensor(gd, d_bracket_half(gd), half, -half, Q1)
     if direct != _t_via_lambda(gd):
         raise HomStructureError("the two homogeneous structure formulas disagree")
@@ -38,9 +44,13 @@ def t_tensor(gd):
 def _t_via_lambda(gd):
     from .extension import lambda_matrix
     nh, nd, n = gd.nh, gd.nd, gd.L.dim
-    lam = columns(lambda_matrix(gd))  # lam[i] = lambda(e_i)
-    ellinv = columns(gd.ell_inv)
-    br, empty = gd.double.g.bracket_data, {}
+    # lambda, ell^-1 and the bracket upstairs are scaled to integers by sl,
+    # se and sb; the d part is weighted by se, so every sum is
+    # 2 sl^2 sb se times T
+    lam, sl = _integral(columns(lambda_matrix(gd)))  # lam[i] = lambda(e_i)
+    ellinv, se = _integral(columns(gd.ell_inv))
+    br, sb = _integral(gd.double.g.bracket_data)
+    empty = {}
     data = {}
     for i, j in product(range(n), repeat=2):
         w = {}
@@ -52,11 +62,11 @@ def _t_via_lambda(gd):
         out = {}
         for r, c in w.items():
             if nh <= r < nh + nd:
-                out[r - nh] = out.get(r - nh, Q0) + c / 2
+                out[r - nh] = out.get(r - nh, 0) + c * se
             elif r >= nh + nd:
-                add_scaled(out, c / 2, ellinv[r - nh - nd], nd)
+                add_scaled(out, c, ellinv[r - nh - nd], nd)
         data[i, j] = out
-    return Tensor(n, 2, data)
+    return Tensor(n, 2, _rational(data, 2 * sl * sl * sb * se))
 
 
 def nabla_tilde_closed(gd):
@@ -69,8 +79,8 @@ def nilmanifold_t_formula(gd):
 
     T = (pi(k1)v2 - pi(k2)v1)/2 + ell^-1 beta(v1, v2)/2 + [k1,k2]*.
     """
-    half, nd = Q1 / 2, gd.nd
-    dd = {ab: {nd + k: x / 2 for k, x in v.items()}
+    half, nd = Fraction(1, 2), gd.nd
+    dd = {ab: {nd + k: _product(half, x) for k, x in v.items()}
           for ab, v in beta_star(gd).items()}
     return gd_tensor(gd, dd, half, -half, Q1)
 

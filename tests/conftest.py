@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +11,7 @@ from adinvar import BilinearForm, LieAlgebra, Representation, linalg
 T_PLUS = ((0, -1), (1, 0))
 T_MINUS = ((0, 1), (1, 0))
 A_F3 = ((0, 1, 0), (1, 0, 1), (0, -1, 0))
+SO3_BRACKETS = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
 
 
 def h3_algebra():
@@ -30,15 +31,55 @@ def a12_rep():
 
 
 def so3_rep():
-    so3 = LieAlgebra.from_brackets(
-        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
-        names=("L1", "L2", "L3"))
-    l1 = ((0, 0, 0), (0, 0, -1), (0, 1, 0))
-    l2 = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
-    l3 = ((0, -1, 0), (1, 0, 0), (0, 0, 0))
-    return Representation(so3, BilinearForm.diagonal([1, 1, 1]),
-                          LieAlgebra.abelian(3), BilinearForm.diagonal([1, 1, 1]),
-                          (l1, l2, l3))
+    return so3_block_rep([1], 1)
+
+
+def so3_block_rep(scales, h_scale, perm=None, h_units=(1, 1, 1)):
+    """so(3) acting block-diagonally on R^{3k}, k = len(scales): h has the
+    basis h_i = u_i L_i for u = h_units, so [h_1, h_2] = (u_1 u_2 / u_3) h_3,
+    and h_i rotates each block as u_i L_i does on R^3.  Block b carries
+    scales[b] times the identity as its metric, and <,>_h is h_scale
+    diag(u_i^2), the identity in the basis L_i.  perm, a list of
+    (index, sign) pairs, rewrites d in the basis f_j = sign_j e_index_j,
+    where pi becomes P^-1 pi P and the metric P^T g P."""
+    gens = (((0, 0, 0), (0, 0, -1), (0, 1, 0)),
+            ((0, 0, 1), (0, 0, 0), (-1, 0, 0)),
+            ((0, -1, 0), (1, 0, 0), (0, 0, 0)))
+    n = 3 * len(scales)
+    perm = perm or [(j, 1) for j in range(n)]
+    mats = []
+    for gen, u in zip(gens, h_units):
+        block = [[0] * n for _ in range(n)]
+        for b in range(len(scales)):
+            for i, j in product(range(3), repeat=2):
+                block[3 * b + i][3 * b + j] = u * gen[i][j]
+        mats.append(tuple(tuple(si * sj * block[i][j] for j, sj in perm)
+                          for i, si in perm))
+    diag = [scales[i // 3] for i, _ in perm]
+    return Representation(
+        LieAlgebra.from_brackets(
+            3, {(i, j): {k: F(h_units[i] * h_units[j]) / h_units[k] * c
+                         for k, c in comps.items()}
+                for (i, j), comps in SO3_BRACKETS.items()},
+            names=("L1", "L2", "L3")),
+        BilinearForm.diagonal([h_scale * u * u for u in h_units]),
+        LieAlgebra.abelian(n), BilinearForm.diagonal(diag), tuple(mats))
+
+
+@st.composite
+def so3_block_reps(draw):
+    """so3_block_rep for k in {1, 2}: a nonzero rational scale of either
+    sign per block and for <,>_h, the basis of h scaled by one nonzero
+    rational (so <,>_h stays a multiple of the identity), and a signed
+    permutation of the basis of d."""
+    k = draw(st.integers(1, 2))
+    scale = st.fractions(-3, 3, max_denominator=5).filter(bool)
+    scales = draw(st.lists(scale, min_size=k, max_size=k))
+    order = draw(st.permutations(range(3 * k)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3 * k,
+                          max_size=3 * k))
+    return so3_block_rep(scales, draw(scale), list(zip(order, signs)),
+                         (draw(scale),) * 3)
 
 
 def torus_rep(weights, perm=None):

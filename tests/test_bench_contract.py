@@ -5,7 +5,8 @@
 in ``core``, ``extension`` and the package.  A refactor that renames or
 rebinds one of them fails here instead of in a benchmark run.
 
-The sweeps over basis tuples run on integers; the harness's
+The sweeps over basis tuples, the geometry routes, the matrix-algebra
+commutators and the Killing form run on integers; the harness's
 ``FractionCounter`` checks here that no ``Fraction`` arithmetic comes back
 into them.
 """
@@ -17,8 +18,12 @@ from pathlib import Path
 
 import adinvar
 from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
-                     check_jacobi, corpus_build, derived_series,
-                     lower_central_series, verify_as)
+                     check_jacobi, corpus_build, curvature, curvature_gd,
+                     derivation_algebra, derived_series, inner_derivations,
+                     killing_form, lambda_matrix, levi_civita, levi_civita_gd,
+                     lower_central_series, nilmanifold_t_formula,
+                     skew_derivations, t_tensor, verify_as)
+from adinvar.homstructure import nabla_tilde_closed
 from conftest import conjugated_rep
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -72,3 +77,32 @@ def test_sweeps_make_no_fraction_arithmetic():
     with counter() as count:
         F(1, 2) + F(1, 3)
     assert count.count == 1
+
+
+def test_routes_make_no_fraction_arithmetic():
+    """The connection, curvature and T routes, build_hom_structure, the
+    derivation solvers and killing_form on gH under a dense change of basis
+    add and multiply only ints.  The cached properties they read (the
+    signatures of the forms, ell^-1, the beta table) are warmed first."""
+    counter = _bench_layers().FractionCounter
+    gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
+    dbl = gd.double
+    pairs = ((gd.L, gd.metric), (dbl.g, dbl.Q), (dbl.g, dbl.Q_minus))
+    for _, form in pairs:
+        form.signature
+    gd.ell_inv
+    with counter() as count:
+        r = [curvature(levi_civita(alg, form), alg) for alg, form in pairs]
+        assert r[0] == curvature_gd(gd)
+        assert levi_civita_gd(gd) == levi_civita(gd.L, gd.metric)
+        t_tensor(gd)
+        nabla_tilde_closed(gd)
+        nilmanifold_t_formula(gd)
+        lambda_matrix(gd)
+        assert build_hom_structure(gd).t3_matches
+        der = derivation_algebra(gd.L)
+        skew = skew_derivations(gd.L, gd.metric)
+        inner = inner_derivations(gd.L)
+        assert der.dim >= skew.dim and der.dim >= inner.dim > 0
+        killing_form(gd.L)
+    assert count.count == 0

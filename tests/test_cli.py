@@ -347,6 +347,94 @@ def test_derivations_reports_match_the_digests(name, emitted_corpus, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
+# sha256 of `check NAME.json --json`, `geometry NAME.json --json` and
+# `verify-as NAME_builder.json --json`, run in the directory of the files
+# of `corpus all --emit` (the reports name the file they read)
+ROUTES_SHA256 = {
+    "a12": (
+        "33eb5b8d05a2cecf502cb23b72f0534f54a1aee9ca8e51baa9d1e0c25c00c9f8",
+        "0fdf1eee64ca2683002fbad04072936596f167882356df49e8fd77fb3827acd1",
+        "cef9844158410a6fd63532e35a67839b78545e35174e6396e2fd87ce4bc5680d",
+    ),
+    "gE": (
+        "bc9753a89dbe9213897c5e0c81a9ce7e13023c587bf03e51e336d27eac662603",
+        "1cfea23f08b356967c77741734abbe0d24fbcb50b5e471e9835029aeeee01c9e",
+        "a58fc5371038ae9b438e13a25dba07dd7b1f13cdedcc423c43699ffbff43e7e8",
+    ),
+    "gF": (
+        "e225557b4d527449d634fb252fcecab0cf9a1d13f5736354526973b41888825c",
+        "75abfb09c91cd340e38a12af941bb164fd233dfac4e620665df38b50369581f2",
+        "980a6aa311993c08cf3a74695107147f6516a7d8fbc06b5bc1319405ee80bd5d",
+    ),
+    "gH": (
+        "f0b985fcc3bd5fd2feb1a7e351176e775e4e9e8012ecf18f19e047e4c53c916e",
+        "9de7d832b6fa8e17ee8e04954fad175a114f5644792983f36a015184931fdfb9",
+        "66b1943ec56b287c12d41acc66f22b111a9f9049649b517afddef1674e6472fa",
+    ),
+    "h3_metric_0": (
+        "4e0e84c3fc4f557aff8a4ce36c07e05b8330dd19e11f7ab19458aad89c006f3f",
+        "f81e2e14a4202c5cb017308798bf3a4e893d238ac9a636b5231420b6211b3040",
+        "a36f4437003ea55ffc16f5fff1d7ea1f656e80862676c3bfad0de73b0d5156d7",
+    ),
+    "h3_metric_1": (
+        "c901679e3a5b611f4e1e35c5737efa60c2845c83d5769e9f292415ac67359cb7",
+        "8041d5fd6856bd130060673865ee1d96421f568472cd60e19040693dff0148de",
+        "1d2183fde99e53e6e8a98917c5614755dcd1eeebcbf56ec20f84ba62d1a592b5",
+    ),
+    "h3_metric_2": (
+        "e42d99ef471b463de826ad65a999d510390720d73afb1077f4842202437dcb3a",
+        "be72fc30f78fb63171496ab917d374bcbea9d2e2ba195124d3daf55fe66d1ae5",
+        "61882c6f17f652d6154ef80a71db0450836c896b34e05113dd8dcd173e0138e5",
+    ),
+    "h3_metric_3": (
+        "61793872635a6d69f8e003206e0a022f56f94311e4594b157a130db211f8f8b9",
+        "de828fa3343c234aeebc569cce0eaf389a36315978362d8259cf5e8192d43b40",
+        "5689d577c6ff8725a4f2be8e0375d006a349fb447f6003fc17166030b4c035a3",
+    ),
+    "nilmanifold_demo": (
+        "b02881818478463ab225a1c4c88ca99297152f81eff350359a1ec2c06a7f61c6",
+        "68581de072c5cf333e4e639d327a34b44f8df80124766bb3e25802654abaaf56",
+        "53b951b07510b32884e0f103b8538ccac2dc652dabc7e78ba3379c3bbb245ffd",
+    ),
+    "oscillator": (
+        "ccc1df160e8f5b7d849278501b1e90621c87f3ddaa13c6a1ff02cab765864957",
+        "5bfbc7cbee863b12372a0fcecaa869d24988482aa3074b35ac2a5cac8849bbe2",
+        "8ddbfcb50a896c3259f861aa88499f204961d11c588f5a08c340f2268b73f7e8",
+    ),
+    "rpq_1_1": (
+        "ede03dcda0e4c5b7402653718c159ab7e719b92134996bda5fba21a546da9374",
+        "ea87a91a030eb8997d257146c01c0b852d70942026cf7c0112d906487a7f62ad",
+        "0ae3b06a5fe2588de4a0a36e203afe491c57f48760a3b3f65f6f0acec3d31036",
+    ),
+    "rpq_2_0": (
+        "7f9e429f83cb14a64fa229d5500788865711b805d79a8b0a6db53244767d2479",
+        "d137206bebf988773d6dbfd5036df316c3ec0af0df6686da6bdb57db3dcaa819",
+        "ce71510a27b934bc9b49a3f73405de7ce6e6b9c920202ea8abe295f8a1307794",
+    ),
+    "rpq_2_2": (
+        "2308726d89fb1b2c879efcea52387972dc8b346d5e73ff4ca0c5f30e257c553c",
+        "e5e2dccdb7295faaef34287354eec74825a3f22279a6e7d1f8a00f3deb3f85a5",
+        "ad849d49fe40c0a6ca9affeb0e31f401a5889387fb001ce2ee5121ff18871d4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_route_reports_match_the_digests(name, emitted_corpus, capsys,
+                                         monkeypatch):
+    """The check, geometry and verify-as reports of every emitted corpus
+    entry, which read the connection, curvature and T routes, keep their
+    bytes."""
+    monkeypatch.chdir(emitted_corpus)
+    calls = (("check", f"{name}.json", "--json"),
+             ("geometry", f"{name}.json", "--json"),
+             ("verify-as", f"{name}_builder.json", "--json"))
+    for argv, want in zip(calls, ROUTES_SHA256[name]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
 def test_check_refuses_booleans_as_integers(tmp_path, capsys):
     cases = [
         ({"dim": True}, "dim"),

@@ -11,8 +11,9 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, build_gd, center,
                      induced_so_aut_pair)
 from adinvar import linalg
 from adinvar.derivations import MatrixLieAlgebra
-from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_table, dense_change,
-                      h3_rep, two_torus_rep)
+from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep,
+                      conjugated_table, dense_change, h3_rep, so3_block_reps,
+                      two_torus_rep)
 from corpus_help import lemma_rep
 
 
@@ -290,3 +291,18 @@ def test_from_matrices_rejects_unclosed_space():
     sl2 = MatrixLieAlgebra.from_matrices([e12, e21, diag], 2)
     assert sl2.closure.table == {(0, 1): {2: F(1)}, (0, 2): {0: F(-2)},
                                  (1, 2): {1: F(2)}}
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(so3_block_reps(), st.sampled_from([None, 7]))
+def test_from_matrices_matches_pair_solves_on_so3_blocks(rep, seed):
+    """Derivation algebras of d + h* and of the double extension for
+    so(3) acting on generated blocks, plain and under a dense change of
+    basis of d: non-abelian closures with mixed denominators."""
+    if seed is not None:
+        rep = conjugated_rep(rep, seed)
+    gd = build_gd(rep)
+    dbl = gd.double
+    for mla in (derivation_algebra(gd.L), skew_derivations(gd.L, gd.metric),
+                derivation_algebra(dbl.g), skew_derivations(dbl.g, dbl.Q_minus)):
+        assert mla.closure.table == closure_by_pairs(mla.matrices())

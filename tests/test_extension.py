@@ -817,6 +817,21 @@ def test_kostant_form_and_canonical_connection_match_the_oracles():
     assert kinds == {KostantResult}
 
 
+def test_kostant_form_reports_an_unclosed_gbar_as_the_oracle_does():
+    """On a Lie algebra gbar = m + [m, m]_h is closed, by Jacobi.  This
+    bracket breaks Jacobi at (e1, e2, e3): [m, m]_h spans hbar = <e0, e1>
+    and [e0, e1] = e4 leaves gbar, which both routes report."""
+    g = LieAlgebra.from_brackets(
+        6, {(2, 3): {0: 1}, (2, 5): {1: F(2, 3)}, (0, 1): {4: 1}}, check=False)
+    eye = linalg.identity(6)
+    h = Subspace.span([eye[0], eye[1], eye[4]], 6)
+    m = Subspace.span([eye[2], eye[3], eye[5]], 6)
+    inner = BilinearForm.diagonal([1, -1, F(1, 2)])
+    got = kostant_form(g, h, m, inner)
+    assert got == _kostant_form_oracle(g, h, m, inner)
+    assert ("gbar_closed", False, None) in got.checks
+
+
 NUDGES = st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 5), F(7), F(2) ** 40])
 
 

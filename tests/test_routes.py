@@ -4,8 +4,8 @@ replaced.
 The oracles below are the former ``Tensor.from_function`` bodies: each
 evaluates a dense vector on every basis tuple from the same formula.  The
 routes must give equal ``Tensor``s (equal data, since zeros are pruned) on
-the corpus, so(3), generated tori and every corpus builder under a dense
-change of basis of d.
+the corpus, so(3), generated tori, so(3) acting on generated blocks and
+every corpus builder under a dense change of basis of d.
 """
 
 import sys
@@ -19,11 +19,12 @@ import adinvar
 from adinvar import (bi_invariant_curvature_check, build_gd,
                      build_hom_structure, corpus_build, corpus_list, curvature,
                      curvature_gd, levi_civita, levi_civita_gd, linalg,
-                     nilmanifold_t_formula)
+                     nilmanifold_t_formula, verify_as)
 from adinvar.geometry import Tensor
 from adinvar.homstructure import _t_via_lambda, nabla_tilde_closed, t_tensor
 from adinvar.linalg import Q1
-from conftest import conjugated_rep, so3_rep, torus_rep, torus_reps
+from conftest import (conjugated_rep, so3_block_rep, so3_block_reps, so3_rep,
+                      torus_rep, torus_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,12 @@ def nilmanifold_oracle(gd):
 def _reps():
     reps = {name: lambda name=name: corpus_build(name).rep for name in corpus_list()}
     reps["so3"] = so3_rep
+    # non-abelian h on two blocks of opposite signs: the form on d, <,>_h,
+    # ell^-1 and the beta table all have their own denominators, and in
+    # the second one the bracket of h (1/3, from h_3 = 3 L3) as well
+    reps["so3 x2"] = lambda: so3_block_rep([F(1, 2), -3], F(2, 3))
+    reps["so3 x2, dense"] = lambda: conjugated_rep(
+        so3_block_rep([F(1, 2), -3], F(2, 3), h_units=(1, F(1, 2), 3)), 17)
     reps["torus"] = lambda: torus_rep([1, 2], [(2, 1), (0, -1), (3, 1), (1, 1)])
     for seed, name in enumerate(corpus_list()):
         reps[f"{name}, dense"] = (
@@ -250,6 +257,28 @@ def test_routes_match_the_dense_oracles_on_generated_tori(rep):
     gd = build_gd(rep)
     _check_gd_routes(gd)
     _check_koszul_and_definition(gd.L, gd.metric)
+
+
+def test_so3_on_two_blocks_is_naturally_reductive():
+    gd = _gd("so3 x2")
+    assert gd.rep.validate() == []
+    assert gd.metric.signature == (3, 6, 0)
+    assert verify_as(gd).all_pass
+    assert curvature(levi_civita(gd.L, gd.metric), gd.L) == curvature_gd(gd)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(so3_block_reps(), st.sampled_from([None, 5, 11]))
+def test_routes_match_the_dense_oracles_on_so3_blocks(rep, seed):
+    """Non-abelian h, whose [h1,h2]* and pi([h1,h2])x/4 blocks the tori
+    never reach, with rational scales of either sign, plain and under a
+    dense change of basis of d."""
+    if seed is not None:
+        rep = conjugated_rep(rep, seed)
+    gd = build_gd(rep)
+    _check_gd_routes(gd)
+    _check_koszul_and_definition(gd.L, gd.metric)
+    _check_koszul_and_definition(gd.double.g, gd.double.Q_minus)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
