@@ -214,7 +214,11 @@ def cmd_derivations(args):
         return _finish(report, args)
     alg, form = load_algebra_file(args.file)
     if args.metric:
-        _, form = load_algebra_file(args.metric)
+        partner, form = load_algebra_file(args.metric)
+        if partner.dim != alg.dim:
+            raise SpecFormatError(f"metric has dimension {partner.dim}, but the "
+                                  f"algebra in {args.file} has dimension {alg.dim}",
+                                  args.metric)
     violations = check_jacobi(alg)
     if violations:
         report["checks"].append(_jacobi_check(violations))

@@ -127,7 +127,8 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Symmetric bilinear form; signature cached from congruence diagonalization."""
+    """Symmetric bilinear form; its signature is cached, read off a
+    fraction-free symmetric elimination (``linalg.signature_of``)."""
 
     matrix: tuple
 
@@ -209,10 +210,24 @@ class Subspace:
         return self.contains_all([v])
 
     def contains_all(self, vectors):
-        """True iff every vector lies in this subspace: one elimination of
-        the basis stacked with all of them."""
-        stacked = self.basis() + [list(map(frac, v)) for v in vectors]
-        return linalg.rank(stacked) == self.dim
+        """True iff every vector lies in this subspace.  The rows are in
+        reduced echelon form, so v lies in it iff v = sum_r v[pivot_r] row_r;
+        both sides agree on the pivot columns, so only the other columns
+        are compared, and nothing is eliminated."""
+        pivots = [next(c for c, x in enumerate(row) if x) for row in self.rows]
+        for v in vectors:
+            v = list(map(frac, v))
+            rest = v[:]
+            for p, row in zip(pivots, self.rows):
+                rest[p] = Q0
+                x = v[p]
+                if x:
+                    for c, y in enumerate(row):
+                        if y and c != p:
+                            rest[c] -= x * y
+            if any(rest):
+                return False
+        return True
 
     def contains_subspace(self, other):
         return self.contains_all(other.rows)
@@ -379,14 +394,15 @@ def kernel_of(matrix):
 
 
 def center(alg):
-    """Solutions of [e_i, x] = 0 for every basis e_i."""
-    rows = []
-    for i in range(alg.dim):
-        adi = alg.ad(i)
-        rows.extend(adi)
-    if not rows:
-        return Subspace.full(alg.dim)
-    return Subspace.span(linalg.nullspace(rows), alg.dim)
+    """Solutions of [e_i, x] = sum_j c_ij^k x_j e_k = 0 for every basis e_i:
+    one sparse row {j: c_ij^k} per (i, k), scaled to integers."""
+    table, _ = _integral(alg.bracket_data)
+    rows = {}
+    for (i, j), comps in table.items():
+        for k, c in comps.items():
+            rows.setdefault((i, k), {})[j] = c
+    basis = _nullspace(rows.values(), alg.dim)  # already in reduced echelon form
+    return Subspace(alg.dim, tuple(map(tuple, basis)))
 
 
 def orthogonal_complement(sub, form):

@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows, vectors are flat lists, all entries
-``fractions.Fraction``.  Everything here is deterministic: pivoting is
-always leftmost-first, so echelon forms are canonical representatives.
+``fractions.Fraction``.  Everything here is deterministic: reduced
+echelon forms are unique, so they are canonical representatives.
 
 Products (``mat_mul``, ``mat_vec`` and everything built on them:
 ``commutator``, ``charpoly``) sum over the nonzero entries only, so they
 cost what the nonzero entries cost; zero products are never formed.
 
 Elimination (``rref`` and everything built on it: ``rank``,
-``nullspace``, ``solve``, ``inverse``) runs fraction-free on integer
-rows; ``Fraction``s are formed only at the boundary, once per entry of
-the result.
+``nullspace``, ``solve``, ``inverse``) runs fraction-free on sparse
+integer rows, each pivot taken from the sparsest row that has one;
+``Fraction``s are formed only at the boundary, once per entry of the
+result.  ``signature_of`` is a symmetric fraction-free elimination on
+the integer-scaled matrix and forms no ``Fraction`` at all.
 """
 
 from fractions import Fraction
@@ -44,10 +46,6 @@ def identity(n):
 
 def zero_vector(n):
     return [Q0] * n
-
-
-def copy_matrix(a):
-    return [row[:] for row in a]
 
 
 def transpose(a):
@@ -141,54 +139,79 @@ def is_zero_vector(v):
 
 
 def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    """The sparse integer row {column: x} divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _integer_row(row):
+    """The nonzero entries of a rational row as a primitive sparse integer
+    row: scaled by the lcm of their denominators, then divided by the gcd."""
+    nz = {c: x for c, x in enumerate(row) if x}
+    den = lcm(*(x.denominator for x in nz.values()))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in nz.items()})
+
+
+def _eliminate(row, prow, c):
+    """The primitive part of p*row - f*prow, where p = prow[c] and f = row[c]:
+    column c eliminated from row, summed over the union of the supports."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = {q: p * x for q, x in row.items()} if p != 1 else dict(row)
+    for q, y in prow.items():
+        v = out.get(q, 0) - f * y
+        if v:
+            out[q] = v
+        else:
+            del out[q]
+    return _primitive(out)
 
 
 def rref(a):
-    """Reduced row echelon form with leftmost pivots.
+    """Reduced row echelon form.
 
     Returns (rows, pivot_columns); zero rows are dropped, so the result
     is the canonical basis of the row space.
 
-    Each row is scaled by the lcm of its denominators to an integer row.
-    Gauss-Jordan elimination then replaces row_i by p*row_i - f*row_r for
-    the pivot p of row_r and divides it by the gcd of its entries, which
-    keeps the integers small as Bareiss's exact division does (E. H.
-    Bareiss, Math. Comp. 22, 1968).  Each pivot row is divided by its
-    pivot only at the end.
+    Each row is a sparse integer row {column: x}: scaled by the lcm of its
+    denominators, divided by the gcd of its entries.  For each column, left
+    to right, the pivot row is the remaining row with the fewest nonzeros,
+    then the smallest |pivot|, then input order (H. M. Markowitz, Management
+    Science 3, 1957).  Gauss-Jordan elimination replaces every other row
+    with a nonzero there by p*row - f*pivot_row over the union of their
+    supports, divided by the gcd of its entries, which keeps the integers
+    small as Bareiss's exact division does (E. H. Bareiss, Math. Comp. 22,
+    1968); zero rows are dropped.  Pivot rows are divided by their pivots
+    only at the end.  The RREF is unique: the pivot rule changes only the
+    cost.
     """
-    rows = []
-    for row in a:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            rows.append(_primitive(ints))
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
+    rows = [r for r in map(_integer_row, a) if r]
+    n = len(a[0]) if rows else 0
+    active = list(range(len(rows)))  # rows not yet pivots, in input order
+    chosen, pivots = [], []
     for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _primitive([p * x - f * y
-                                      for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == m:
+        if not active:
             break
+        hit = [i for i in active if c in rows[i]]
+        if not hit:
+            continue
+        k = min(hit, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
+        prow = rows[k]
+        active.remove(k)
+        for i in hit + [i for i in chosen if c in rows[i]]:
+            if i != k:
+                rows[i] = _eliminate(rows[i], prow, c)
+                if not rows[i]:
+                    active.remove(i)
+        chosen.append(k)
+        pivots.append(c)
     out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append([Fraction(x, p) if x else Q0 for x in row])
+    for k, c in zip(chosen, pivots):
+        dense, p = [Q0] * n, rows[k][c]
+        for q, x in rows[k].items():
+            dense[q] = Fraction(x, p)
+        out.append(dense)
     return out, pivots
 
 
@@ -252,50 +275,36 @@ def charpoly(a):
     return coeffs
 
 
-def congruence_diagonal(g):
-    """Symmetric congruence diagonalization: returns (p, d) with p g p^T = d.
+def signature_of(g):
+    """(n_minus, n_plus, n_zero) of a symmetric rational matrix.
 
-    d is a diagonal matrix (as a full matrix).  Uses symmetric row+column
-    elimination; an isotropic pivot with a nonzero off-diagonal partner is
-    repaired by adding the partner row (a hyperbolic-pair rotation).
+    Symmetric fraction-free elimination on g scaled to integers.  A pivot
+    on a nonzero diagonal entry p replaces the rest w of the block by
+    |p| w_ij - sign(p) w_ik w_kj: |p| times the Schur complement, so a
+    congruence scaled by a positive number, and by Sylvester's law of
+    inertia the signature is the signs of the pivots plus that of the
+    rest.  A block with a zero diagonal first adds row and column j to
+    row and column k for some w_kj != 0, so that w_kk = 2 w_kj (a
+    hyperbolic pair).  Each block is divided by the gcd of its entries;
+    a zero block is the radical.
     """
     n = len(g)
-    work = copy_matrix(g)
-    p = identity(n)
-
-    def add_row(i, j, f):
-        # row_i += f*row_j, col_i += f*col_j  (congruence by elementary E)
-        work[i] = [x + f * y for x, y in zip(work[i], work[j])]
-        for row in work:
-            row[i] += f * row[j]
-        p[i] = [x + f * y for x, y in zip(p[i], p[j])]
-
-    def swap(i, j):
-        work[i], work[j] = work[j], work[i]
-        for row in work:
-            row[i], row[j] = row[j], row[i]
-        p[i], p[j] = p[j], p[i]
-
-    for k in range(n):
-        if work[k][k] == 0:
-            j = next((i for i in range(k + 1, n) if work[i][i] != 0), None)
-            if j is not None:
-                swap(k, j)
-            else:
-                j = next((i for i in range(k + 1, n) if work[k][i] != 0), None)
-                if j is None:
-                    continue  # row is in the radical from here on
-                add_row(k, j, Q1)
-        piv = work[k][k]
-        for i in range(k + 1, n):
-            if work[i][k] != 0:
-                add_row(i, k, -work[i][k] / piv)
-    return p, work
-
-
-def signature_of(g):
-    """(n_minus, n_plus, n_zero) of a symmetric rational matrix."""
-    _, d = congruence_diagonal(g)
-    n_minus = sum(1 for i in range(len(g)) if d[i][i] < 0)
-    n_plus = sum(1 for i in range(len(g)) if d[i][i] > 0)
-    return (n_minus, n_plus, len(g) - n_minus - n_plus)
+    den = lcm(*(x.denominator for row in g for x in row))
+    w = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+    n_minus = n_plus = 0
+    while d := gcd(*(x for row in w for x in row)):
+        w = [[x // d for x in row] for row in w]
+        k = next((i for i, row in enumerate(w) if row[i]), None)
+        if k is None:
+            k, j = next((i, j) for i, row in enumerate(w) for j, x in enumerate(row) if x)
+            w[k] = [x + y for x, y in zip(w[k], w[j])]
+            for row in w:
+                row[k] += row[j]
+        wk = w.pop(k)
+        p = wk.pop(k)
+        n_plus, n_minus = n_plus + (p > 0), n_minus + (p < 0)
+        s, ap = (1 if p > 0 else -1), abs(p)
+        for i, row in enumerate(w):
+            f = s * row.pop(k)
+            w[i] = [ap * x - f * y for x, y in zip(row, wk)]
+    return (n_minus, n_plus, n - n_minus - n_plus)

@@ -6,9 +6,9 @@ in ``core``, ``extension`` and the package.  A refactor that renames or
 rebinds one of them fails here instead of in a benchmark run.
 
 The sweeps over basis tuples, the geometry routes, the matrix-algebra
-commutators and the Killing form run on integers; the harness's
-``FractionCounter`` checks here that no ``Fraction`` arithmetic comes back
-into them.
+commutators, the Killing form, the signatures and the centre run on
+integers; the harness's ``FractionCounter`` checks here that no
+``Fraction`` arithmetic comes back into them.
 """
 
 import importlib
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import adinvar
 from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
-                     check_jacobi, corpus_build, curvature, curvature_gd,
+                     center, check_jacobi, corpus_build, curvature, curvature_gd,
                      derivation_algebra, derived_series, inner_derivations,
                      killing_form, lambda_matrix, levi_civita, levi_civita_gd,
                      lower_central_series, nilmanifold_t_formula,
@@ -81,17 +81,19 @@ def test_sweeps_make_no_fraction_arithmetic():
 
 def test_routes_make_no_fraction_arithmetic():
     """The connection, curvature and T routes, build_hom_structure, the
-    derivation solvers and killing_form on gH under a dense change of basis
-    add and multiply only ints.  The cached properties they read (the
-    signatures of the forms, ell^-1, the beta table) are warmed first."""
+    derivation solvers, killing_form, the signatures of the forms and the
+    centres on gH under a dense change of basis add and multiply only
+    ints.  The cached ell^-1 and beta table are warmed first."""
     counter = _bench_layers().FractionCounter
     gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
     dbl = gd.double
     pairs = ((gd.L, gd.metric), (dbl.g, dbl.Q), (dbl.g, dbl.Q_minus))
-    for _, form in pairs:
-        form.signature
     gd.ell_inv
     with counter() as count:
+        for _, form in pairs:
+            assert form.signature[2] == 0
+        center(gd.L)
+        center(dbl.g)
         r = [curvature(levi_civita(alg, form), alg) for alg, form in pairs]
         assert r[0] == curvature_gd(gd)
         assert levi_civita_gd(gd) == levi_civita(gd.L, gd.metric)
@@ -104,5 +106,5 @@ def test_routes_make_no_fraction_arithmetic():
         skew = skew_derivations(gd.L, gd.metric)
         inner = inner_derivations(gd.L)
         assert der.dim >= skew.dim and der.dim >= inner.dim > 0
-        killing_form(gd.L)
+        killing_form(gd.L).signature
     assert count.count == 0

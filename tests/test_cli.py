@@ -202,6 +202,22 @@ def test_derivations_command(tmp_path, capsys):
     assert code == 2  # that builder was not emitted into this directory
 
 
+def test_derivations_refuses_a_metric_of_another_dimension(tmp_path, capsys):
+    """A --metric file of another dimension is malformed input in either
+    direction: smaller (which ran on with a bogus skew_dim) and larger
+    (which ended in a traceback)."""
+    outdir = emit_corpus(tmp_path, capsys, "gH")
+    run(capsys, "corpus", "h3_metric_1", "--emit", "--dir", str(outdir))
+    big, small = str(outdir / "gH.json"), str(outdir / "h3_metric_1.json")
+    for algebra, metric, dims in ((small, big, (6, 3)), (big, small, (3, 6))):
+        code, out, err = run(capsys, "derivations", algebra, "--metric", metric,
+                             "--json")
+        assert code == 2, (algebra, metric)
+        assert out == ""
+        assert err == (f"error: {metric}: metric has dimension {dims[0]}, but the "
+                       f"algebra in {algebra} has dimension {dims[1]}\n")
+
+
 def test_derivations_so_aut(tmp_path, capsys):
     outdir = emit_corpus(tmp_path, capsys, "h3_metric_0")
     code, out, _ = run(capsys, "derivations", "--so-aut",

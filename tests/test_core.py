@@ -16,7 +16,7 @@ from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
 from conftest import (T_PLUS, a12_rep, conjugated_rep, conjugated_table,
-                      dense_change, h3_rep, torus_reps)
+                      dense_change, h3_rep, so3_block_reps, torus_reps)
 
 
 def test_bracket_heisenberg(h3):
@@ -650,3 +650,81 @@ def test_series_match_the_span_route_on_tori(rep):
     gd = build_gd(rep)
     _assert_series_match(gd.L)
     _assert_series_match(gd.double.g)
+
+
+# ---------------------------------------------------------------------------
+# subspace membership and the centre against their eliminating definitions
+# ---------------------------------------------------------------------------
+
+def _rank_contains(sub, vectors):
+    """The basis stacked with all the vectors has rank dim sub."""
+    stacked = sub.basis() + [list(map(F, v)) for v in vectors]
+    return linalg.rank(stacked) == sub.dim
+
+
+@st.composite
+def subspaces_and_vectors(draw):
+    """A span of up to 4 sparse vectors in Q^n (n <= 7), combinations of
+    them (inside), and vectors drawn freely or as an inside vector nudged
+    in one coordinate, pivot or not (mostly outside)."""
+    n = draw(st.integers(1, 7))
+    span = draw(st.lists(st.lists(SPARSE_Q, min_size=n, max_size=n), max_size=4))
+    sub = Subspace.span(span, n)
+    inside = [[sum((c * x for c, x in zip(cs, col)), F(0)) for col in zip(*span)]
+              if span else [F(0)] * n
+              for cs in draw(st.lists(st.lists(MIXED_Q, min_size=len(span),
+                                               max_size=len(span)),
+                                      min_size=1, max_size=3))]
+    others = draw(st.lists(st.lists(MIXED_Q, min_size=n, max_size=n), max_size=2))
+    for v in inside:
+        c = draw(st.integers(0, n - 1))
+        others.append(v[:c] + [v[c] + draw(MIXED_Q.filter(bool))] + v[c + 1:])
+    return sub, inside, others
+
+
+@KERNELS
+@given(subspaces_and_vectors())
+def test_contains_all_matches_the_rank_test(case):
+    sub, inside, others = case
+    assert sub.contains_all(inside) and _rank_contains(sub, inside)
+    for v in others:
+        assert sub.contains(v) == _rank_contains(sub, [v])
+        assert sub.contains_all(inside + [v]) == _rank_contains(sub, inside + [v])
+    n = sub.ambient_dim
+    assert sub.contains_subspace(sub) and sub.contains_subspace(Subspace.zero(n))
+    assert sub.contains_subspace(Subspace.full(n)) == (sub.dim == n)
+
+
+def _center_oracle(alg):
+    """The nullspace of the dense ad(e_i) matrices stacked."""
+    rows = [row for i in range(alg.dim) for row in alg.ad(i)]
+    if not rows:
+        return Subspace.full(alg.dim)
+    return Subspace.span(linalg.nullspace(rows), alg.dim)
+
+
+def _algebras(rep):
+    gd = build_gd(rep)
+    return rep.d, rep.h, gd.L, gd.double.g
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_center_matches_the_ad_nullspace_on_the_corpus(name):
+    rep = corpus_build(name).rep
+    for alg in _algebras(rep) + _algebras(conjugated_rep(rep, len(name))):
+        assert center(alg) == _center_oracle(alg)
+
+
+@KERNELS
+@given(st.one_of(torus_reps(), so3_block_reps()), st.sampled_from([None, 5]))
+def test_center_matches_the_ad_nullspace_on_generated_reps(rep, seed):
+    if seed is not None:
+        rep = conjugated_rep(rep, seed)
+    for alg in _algebras(rep):
+        assert center(alg) == _center_oracle(alg)
+
+
+@KERNELS
+@given(bracket_tables())
+def test_center_matches_the_ad_nullspace_on_bracket_tables(alg):
+    assert center(alg) == _center_oracle(alg)

@@ -78,13 +78,6 @@ def test_signature_congruence_invariant():
         assert linalg.signature_of(moved) == sig
 
 
-def test_congruence_diagonal_identity():
-    g = [[F(0), F(1)], [F(1), F(0)]]
-    p, d = linalg.congruence_diagonal(g)
-    assert linalg.mat_mul(p, linalg.mat_mul(g, linalg.transpose(p))) == d
-    assert d[0][1] == 0 and d[1][0] == 0
-
-
 # -- sympy as an independent oracle for the elimination kernel ------------
 
 ORACLE = settings(derandomize=True, max_examples=120, deadline=None)
@@ -95,15 +88,24 @@ ENTRIES = st.one_of(
     st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
     st.sampled_from([F(2**70, 3**40), F(-(3**40), 2**70), F(2**70 + 1, 7)]),
 )
+NONZERO = ENTRIES.filter(bool)
+SPARSE = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), NONZERO)  # 3 in 4 are zero
 
 
 @st.composite
 def rational_matrices(draw, square=False):
     """Rational matrices up to 8 x 9 with zero rows, rows that combine
-    earlier rows, tall and wide shapes and the empty matrix; square ones
-    are 1 x 1 to 6 x 6."""
-    m = draw(st.integers(1, 6) if square else st.integers(0, 8))
-    n = m if square else draw(st.integers(0, 9))
+    earlier rows, tall and wide shapes and the empty matrix, or sparse
+    tall ones from 8 x 1 up to 24 x 8, where the sparsest pivot row is
+    seldom the first; square ones are 1 x 1 to 6 x 6."""
+    tall = not square and draw(st.sampled_from([False, False, True]))
+    if square:
+        m = n = draw(st.integers(1, 6))
+    elif tall:
+        m, n = draw(st.integers(8, 24)), draw(st.integers(1, 8))
+    else:
+        m, n = draw(st.integers(0, 8)), draw(st.integers(0, 9))
+    entry = SPARSE if tall else ENTRIES
     out = []
     for _ in range(m):
         kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
@@ -111,10 +113,10 @@ def rational_matrices(draw, square=False):
             out.append([F(0)] * n)
         elif kind == "combination" and out:
             u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
-            a, b = draw(ENTRIES), draw(ENTRIES)
+            a, b = draw(entry), draw(entry)
             out.append([a * x + b * y for x, y in zip(u, v)])
         else:
-            out.append(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+            out.append(draw(st.lists(entry, min_size=n, max_size=n)))
     return out
 
 
@@ -191,25 +193,52 @@ def test_inverse_matches_sympy(a):
 
 @st.composite
 def symmetric_matrices(draw):
-    """Symmetric rational matrices up to 6 x 6: free entries, or
-    P^T diag(signs) P for an invertible integer P (unit upper triangular,
-    rows permuted), degenerate when a sign is 0."""
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["free", "frame", "degenerate"]))
+    """Symmetric rational matrices up to 6 x 6 (8 x 8 for blocks): free
+    entries; P^T diag(signs) P for an invertible integer P (unit upper
+    triangular, rows permuted), degenerate when a sign is 0; or a direct
+    sum of isotropic blocks [[0, a], [a, 0]], zero blocks and signed
+    scalars, with rows and columns permuted and, one time in three, moved
+    by such a P, so that the diagonal is often zero where the rest is
+    not."""
+    kind = draw(st.sampled_from(["free", "frame", "degenerate", "blocks", "blocks"]))
+    if kind == "blocks":
+        blocks = draw(st.lists(st.sampled_from(["hyperbolic", "zero", "scalar"]),
+                               min_size=1, max_size=5))
+        entries = []  # (i, j, value), i <= j
+        n = 0
+        for block in blocks:
+            if block == "hyperbolic":
+                entries.append((n, n + 1, draw(NONZERO)))
+                n += 2
+            else:
+                entries.append((n, n, draw(NONZERO) if block == "scalar" else F(0)))
+                n += 1
+        n = min(n, 8)
+        g = [[F(0)] * n for _ in range(n)]
+        for i, j, x in entries:
+            if j < n:
+                g[i][j] = g[j][i] = x
+        order = draw(st.permutations(range(n)))
+        g = [[g[i][j] for j in order] for i in order]
+        if draw(st.sampled_from([False, True, True])):
+            return g
+    else:
+        n = draw(st.integers(1, 6))
     if kind == "free":
         g = [[F(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 g[i][j] = g[j][i] = draw(ENTRIES)
         return g
-    values = [1, -1] + ([0] if kind == "degenerate" else [])
-    signs = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     p = [[F(1) if i == j else draw(st.integers(-2, 2).map(F)) if j > i else F(0)
           for j in range(n)] for i in range(n)]
     p = [p[i] for i in draw(st.permutations(range(n)))]
-    diag = [[F(s) if i == j else F(0) for j, s in enumerate(signs)]
-            for i in range(n)]
-    return linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(diag, p))
+    if kind != "blocks":
+        values = [1, -1] + ([0] if kind == "degenerate" else [])
+        signs = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        g = [[F(s) if i == j else F(0) for j, s in enumerate(signs)]
+             for i in range(n)]
+    return linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(g, p))
 
 
 def sign_changes(coeffs):
@@ -240,32 +269,18 @@ def test_det_and_charpoly_match_sympy(a):
 
 @ORACLE
 @given(symmetric_matrices())
-def test_congruence_diagonal_and_signature_match_sympy(g):
-    p, d = linalg.congruence_diagonal(g)
-    n = len(g)
-    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-    sp = to_sympy(p)
-    assert sp.det() != 0
-    assert sp * to_sympy(g) * sp.T == to_sympy(d)
-    sig = linalg.signature_of(g)
-    assert sig == descartes_signature(g)
-    assert sig == (sum(1 for i in range(n) if d[i][i] < 0),
-                   sum(1 for i in range(n) if d[i][i] > 0),
-                   sum(1 for i in range(n) if d[i][i] == 0))
+def test_signature_matches_descartes(g):
+    assert linalg.signature_of(g) == descartes_signature(g)
 
 
 # -- the sparse products against their literal dense sums and sympy ---------
-
-NONZERO = ENTRIES.filter(bool)
-
 
 @st.composite
 def sparse_or_dense(draw, m, n):
     """An m x n matrix: sparse (mostly zero), dense (no zero) or mixed
     entries, then some rows and columns zeroed."""
     kind = draw(st.sampled_from(["sparse", "dense", "mixed"]))
-    entry = {"sparse": st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), NONZERO),
-             "dense": NONZERO, "mixed": ENTRIES}[kind]  # sparse: 3 in 4 are zero
+    entry = {"sparse": SPARSE, "dense": NONZERO, "mixed": ENTRIES}[kind]
     a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
     for i in draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else ():
         a[i] = [F(0)] * n
