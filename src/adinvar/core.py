@@ -7,13 +7,17 @@ equality of subspaces is plain data equality.
 The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
 ``check_jacobi``, the bracket spans of the two series and ``killing_form``,
 and in ``derivations`` the commutators of ``MatrixLieAlgebra.from_matrices``)
-run on Python ints: each scales its sparse input once by the lcm of its
-denominators (``_integral``), which changes no verdict (a sum of products
-is zero or not whatever the common scale of its terms) and no span.
-``Fraction``s are formed only at the boundary, one per stored entry: the
-violation vectors of ``check_jacobi``, the Killing form, the reduced rows
-that ``linalg.rref`` returns and the data that ``_rational``, the inverse
-of ``_integral``, divides back by its scale.
+run on Python ints.  One rule scales them, and the geometry routes too: a
+kernel passes all its sparse inputs to one ``_integral`` call, which
+multiplies every one of them by the same s, the lcm of all their
+denominators.  A term that multiplies d input entries is then s^d times
+its true value, so a sum of such terms is too; a verdict (zero or not) and
+a span do not change, and an exact value is the int sum divided once by
+k s^d (``_rational``, the inverse of ``_integral``).  No term carries a
+weight of its own.  ``Fraction``s are formed only at the boundary, one per
+stored entry: the violation vectors of ``check_jacobi``, the Killing form,
+the reduced rows that ``linalg.rref`` returns and the data that
+``_rational`` divides back.
 """
 
 from collections import Counter
@@ -257,12 +261,14 @@ class Subspace:
 # operations
 # ---------------------------------------------------------------------------
 
-def _integral(data):
-    """(ints, scale): the sparse data {key: {p: c}} times scale, the lcm of
-    the denominators of its entries, so that every entry is a Python int."""
-    scale = lcm(*{c.denominator for comps in data.values() for c in comps.values()})
-    return ({key: {p: c.numerator * (scale // c.denominator) for p, c in comps.items()}
-             for key, comps in data.items()}, scale)
+def _integral(*datas):
+    """(*ints, scale): each sparse data {key: {p: c}} times scale, the lcm of
+    the denominators of the entries of all of them, so that every entry is
+    a Python int.  One call scales all the inputs of a kernel alike."""
+    scale = lcm(*{c.denominator for data in datas
+                  for comps in data.values() for c in comps.values()})
+    return (*({key: {p: c.numerator * (scale // c.denominator) for p, c in comps.items()}
+               for key, comps in data.items()} for data in datas), scale)
 
 
 def _rational(data, scale):
@@ -273,24 +279,10 @@ def _rational(data, scale):
             for key, comps in data.items()}
 
 
-def _form_rows(form):
-    """(rows, scale): the rows of the form's matrix as sparse int rows
-    {p: {q: b}}, scaled by ``_integral``."""
-    return _integral({p: {q: b for q, b in enumerate(row) if b}
-                      for p, row in enumerate(form.matrix)})
-
-
-def _nullspace(rows, width):
-    """Canonical basis of the x in Q^width with sum_c row[c] x[c] = 0 for
-    every sparse row {column: coeff}.  This is the one nullspace of the
-    matrix solvers; rows that are zero are dropped."""
-    dense = []
-    for row in rows:
-        if any(row.values()):
-            dense.append([Q0] * width)
-            for c, x in row.items():
-                dense[-1][c] = x
-    return linalg.nullspace(dense) if dense else linalg.identity(width)
+def _rows(m):
+    """The rows of a dense matrix as sparse rows {p: {q: x}}, one key per
+    row, zero rows included."""
+    return {p: {q: x for q, x in enumerate(row) if x} for p, row in enumerate(m)}
 
 
 def check_jacobi(alg):
@@ -327,9 +319,8 @@ def ad_invariant(alg, form):
 # Identities on all basis tuples.  Operator fields and tensors are given as
 # ``geometry.Tensor`` data, {(i, j, ..): {p: coeff}}, so that
 # C_x e_q = sum_p op[(x, q)][p] e_p.  The kernels yield the failing index
-# tuples in loop order, so a verdict stops at the first one.  Operator,
-# form and tensor are each scaled to integers by their own constant, and
-# every term is a product of one entry of each of two of them.
+# tuples in loop order, so a verdict stops at the first one.  The two
+# inputs of a kernel are scaled to integers by one ``_integral`` call.
 
 def operator_data(mats):
     """The operator field x -> mats[x] in the sparse tensor format."""
@@ -340,8 +331,7 @@ def operator_data(mats):
 
 def skew_witnesses(op, form, n):
     """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
-    op, _ = _integral(op)
-    rows, _ = _form_rows(form)
+    op, rows, _ = _integral(op, _rows(form.matrix))
     empty = {}
     for x in sorted({key[0] for key in op}):
         s = {}
@@ -364,8 +354,7 @@ def derivation_witnesses(op, tensor, n, slots):
       (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
 
     With S the bracket this is the Leibniz rule for C_x."""
-    op, _ = _integral(op)
-    tensor, _ = _integral(tensor)
+    op, tensor, _ = _integral(op, tensor)
     empty = {}
     for x in sorted({key[0] for key in op}):
         cx = [op.get((x, q), empty) for q in range(n)]
@@ -401,7 +390,7 @@ def center(alg):
     for (i, j), comps in table.items():
         for k, c in comps.items():
             rows.setdefault((i, k), {})[j] = c
-    basis = _nullspace(rows.values(), alg.dim)  # already in reduced echelon form
+    basis = linalg._nullspace(rows.values(), alg.dim)  # in reduced echelon form
     return Subspace(alg.dim, tuple(map(tuple, basis)))
 
 
@@ -442,18 +431,18 @@ class SeriesResult:
 
 def _bracket_span(table, left, right):
     """[left, right] for the bracket table scaled to integers: the two
-    bases, scaled to integers, are bracketed over the nonzero entries and
-    reduced by ``linalg.rref``.  Scaling a spanning vector keeps the span,
-    and the reduced basis is unique."""
+    bases, scaled to integers by one ``_integral`` call, are bracketed over
+    the nonzero entries and reduced by ``linalg.rref``.  Scaling a spanning
+    vector keeps the span, and the reduced basis is unique."""
     n = left.ambient_dim
     by_first = {}
     for (i, j), comps in table.items():
         by_first.setdefault(i, []).append((j, comps))
-    lrows = _integer_rows(left)
+    lrows, rrows, _ = _integral(_rows(left.rows), _rows(right.rows))
+    lrows, rrows = list(lrows.values()), list(rrows.values())
     if left is right:  # [u, u] = 0 and [v, u] = -[u, v]
-        rrows, pairs = lrows, combinations(range(len(lrows)), 2)
+        pairs = combinations(range(len(lrows)), 2)
     else:
-        rrows = _integer_rows(right)
         pairs = product(range(len(lrows)), range(len(rrows)))
     vecs = []
     for a, b in pairs:
@@ -467,13 +456,6 @@ def _bracket_span(table, left, right):
                         w[k] += c * z
         vecs.append(w)
     return Subspace(n, tuple(map(tuple, linalg.rref(vecs)[0])))
-
-
-def _integer_rows(sub):
-    """The basis of sub scaled to integers, as sparse rows {p: int}."""
-    rows, _ = _integral({a: {p: x for p, x in enumerate(row) if x}
-                         for a, row in enumerate(sub.rows)})
-    return list(rows.values())
 
 
 def _series(alg, next_term):
@@ -519,7 +501,7 @@ def invariant_forms(alg):
             rows.append(row)
     return [BilinearForm(tuple(tuple(s[index[p, q]] for q in range(n))
                                for p in range(n)))
-            for s in _nullspace(rows, len(pairs))]
+            for s in linalg._nullspace(rows, len(pairs))]
 
 
 def restrict_to_subalgebra(alg, sub, names=None):

@@ -11,9 +11,8 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from . import linalg
-from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _form_rows,
-                   _integral, _nullspace, center, derived_series, killing_form,
-                   lower_central_series)
+from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _integral,
+                   _rows, center, derived_series, killing_form, lower_central_series)
 
 
 def _flatten(m):
@@ -24,30 +23,23 @@ def _unflatten(v, rows, cols):
     return [list(v[i * cols:(i + 1) * cols]) for i in range(rows)]
 
 
-def _integer_matrices(mats):
-    """(ints, s): the matrices times s, the lcm of all their denominators,
-    each as sparse int rows ints[a][p] = {q: x}."""
-    data, s = _integral({(a, p): {q: x for q, x in enumerate(row) if x}
-                         for a, m in enumerate(mats) for p, row in enumerate(m)})
-    return [[data[a, p] for p in range(len(m))] for a, m in enumerate(mats)], s
-
-
 def _flatten_sparse(a):
-    """A matrix of sparse int rows, flattened row-major."""
+    """A matrix of sparse int rows {p: {q: x}}, flattened row-major."""
     n = len(a)
     out = [0] * (n * n)
-    for p, row in enumerate(a):
+    for p, row in a.items():
         for q, x in row.items():
             out[p * n + q] = x
     return out
 
 
 def _commutator_flat(a, b):
-    """ab - ba for matrices of sparse int rows, flattened row-major."""
+    """ab - ba for matrices of sparse int rows {p: {q: x}}, flattened
+    row-major."""
     n = len(a)
     out = [0] * (n * n)
     for x_rows, y_rows, sign in ((a, b, 1), (b, a, -1)):
-        for p, row in enumerate(x_rows):
+        for p, row in x_rows.items():
             for q, x in row.items():
                 for r, y in y_rows[q].items():
                     out[p * n + r] += sign * x * y
@@ -73,7 +65,7 @@ class MatrixLieAlgebra:
         # iff columns 0..k-1 all carry pivots, closed iff no other column
         # does, and then rows 0..k-1 hold the coordinates y of each
         # s^2 [M_i, M_j] in the A basis; y / s are those of [M_i, M_j].
-        ints, s = _integer_matrices(mats)
+        *ints, s = _integral(*map(_rows, mats))
         cols = [_flatten_sparse(a) for a in ints]
         cols += [_commutator_flat(ints[i], ints[j]) for i, j in pairs]
         rows, pivots = linalg.rref(linalg.transpose(cols))
@@ -128,7 +120,7 @@ def _leibniz_rows(alg, offset=0):
 def _skew_rows(form, offset=0):
     """(B X + X^T B)_ij = 0 for i <= j, on the form scaled to integers."""
     n = form.dim
-    b, _ = _form_rows(form)
+    b, _ = _integral(_rows(form.matrix))
     for i in range(n):
         for j in range(i, n):
             row = Counter()
@@ -152,7 +144,7 @@ def _commuting_rows(m, offset=0):
 
 def _solutions(rows, n):
     """The matrix Lie algebra of the n x n matrices X satisfying the rows."""
-    mats = [_unflatten(s, n, n) for s in _nullspace(rows, n * n)]
+    mats = [_unflatten(s, n, n) for s in linalg._nullspace(rows, n * n)]
     return MatrixLieAlgebra.from_matrices(mats, n)
 
 
@@ -209,7 +201,7 @@ def so_aut(gd):
                 row[j * nh + i] -= gd.rep.mats[j][p][q]
             rows.append(row)
     pairs = []
-    for s in _nullspace(rows, na + nd * nd):
+    for s in linalg._nullspace(rows, na + nd * nd):
         a = _unflatten(s[:na], nh, nh)
         b = _unflatten(s[na:], nd, nd)
         pairs.append((tuple(tuple(r) for r in a), tuple(tuple(r) for r in b)))

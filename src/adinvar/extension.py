@@ -261,6 +261,7 @@ class GdAlgebra:
     metric: BilinearForm
     beta_table: tuple  # beta_table[a][b][k] = <pi(h_k) e_a, e_b>_d
     ell: tuple         # matrix of ell: h -> h* in dual-basis coords (= <,>_h)
+    ell_inv: tuple     # its inverse, computed once per algebra
     mu_mats: tuple     # mu of each h basis vector, operators on d + h*
     double: DoubleExtension
 
@@ -271,11 +272,6 @@ class GdAlgebra:
     @property
     def nh(self):
         return self.rep.h.dim
-
-    @cached_property
-    def ell_inv(self):
-        """The inverse of ell, computed once per algebra."""
-        return linalg.inverse([list(r) for r in self.ell])
 
     def split(self, v):
         return list(v[:self.nd]), list(v[self.nd:])
@@ -321,7 +317,8 @@ def build_gd(rep):
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
     # h* in the ell basis
     mu_mats = tuple(_block_sum(rep.mats[k], rep.h.ad(k)) for k in range(nh))
-    gd = GdAlgebra(rep, alg, metric, betas, tuple(tuple(r) for r in w), mu_mats, dbl)
+    gd = GdAlgebra(rep, alg, metric, betas, tuple(map(tuple, w)),
+                   tuple(map(tuple, winv)), mu_mats, dbl)
     _verify_gd(gd)
     return gd
 

@@ -10,22 +10,23 @@ the form rows, the columns of B^-1 and ell^-1, the beta table);
 ``Tensor.from_function`` remains for test oracles and for
 ``bi_invariant_curvature_check``.
 
-The routes add Python ints.  Each scales every input once to integers
-with ``core._integral``, weights each term so that all the terms of one
-output share a scale, accumulates with ``add_scaled`` and divides by that
-scale with ``core._rational``, one ``Fraction`` per stored entry.  Where
-an entry is a single product (the blocks of ``gd_tensor``) it is formed
-as one ``Fraction`` by ``_product``.
+The routes add Python ints.  Each passes all its inputs to one
+``core._integral`` call, which scales them by one common s; it then
+accumulates with ``add_scaled`` and divides once by k s^d with
+``core._rational``, for d the number of input entries in each term and k
+the denominator of the coefficients: one ``Fraction`` per stored entry,
+and no weight per term.  Where an entry is a single product (the blocks of ``gd_tensor``)
+it is formed as one ``Fraction`` by ``_product``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from . import linalg
-from .core import (BilinearForm, _form_rows, _integral, _rational,
-                   is_subalgebra, operator_data)
+from .core import (BilinearForm, _integral, _rational, _rows, is_subalgebra,
+                   operator_data)
 from .linalg import Q0, Q1
 
 
@@ -88,12 +89,10 @@ class Tensor:
         return self.apply(unit, *vectors)
 
     def __sub__(self, other):
-        a, sa = _integral(self.data)
-        b, sb = _integral(other.data)
-        data = {idx: {p: x * sb for p, x in comps.items()} for idx, comps in a.items()}
+        data, b, s = _integral(self.data, other.data)
         for idx, comps in b.items():
-            add_scaled(data.setdefault(idx, {}), -sa, comps)
-        return Tensor(self.dim, self.slots, _rational(data, sa * sb))
+            add_scaled(data.setdefault(idx, {}), -1, comps)
+        return Tensor(self.dim, self.slots, _rational(data, s))
 
 
 def add_scaled(out, c, comps, offset=0):
@@ -108,27 +107,20 @@ def _product(c, x):
     return Fraction(c.numerator * x.numerator, c.denominator * x.denominator)
 
 
-def columns(m):
-    """The columns of a matrix as sparse vectors {column: {row: entry}}."""
-    return {j: {p: x for p, x in enumerate(col) if x}
-            for j, col in enumerate(zip(*m))}
-
-
 def levi_civita(alg, form):
     """Koszul formula: 2<D_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>.
 
     Each bracket is lowered through the form once, as the covector
     <[e_a, e_b], .>; D_i e_j is then B^-1 applied to the right-hand side,
-    summed over the nonzero columns of B^-1.  The bracket, the form and
-    B^-1 are scaled to integers by sb, sf and si, so every sum is
-    2 sb sf si times the connection.
+    summed over the nonzero columns of B^-1, which are its rows as B is
+    symmetric.  The bracket, the form and B^-1 are scaled to integers by
+    one s, so every sum is 2 s^3 times the connection.
     """
     if not form.nondegenerate:
         raise GeometryError("metric is degenerate")
     n = alg.dim
-    br, sb = _integral(alg.bracket_data)
-    rows, sf = _form_rows(form)
-    binv, si = _integral(columns(linalg.inverse(form.rows())))
+    br, rows, binv, s = _integral(alg.bracket_data, _rows(form.matrix),
+                                  _rows(linalg.inverse(form.rows())))
     low = {}  # low[a, b][k] = <[e_a, e_b], e_k>
     by_first = [[] for _ in range(n)]  # by_first[a] = [(b, low[a, b]), ..]
     for (a, b), comps in br.items():
@@ -147,7 +139,7 @@ def levi_civita(alg, form):
         for k, t in rhs.items():
             if t:
                 add_scaled(out, t, binv[k])
-    return Tensor(n, 2, _rational(data, 2 * sb * sf * si))
+    return Tensor(n, 2, _rational(data, 2 * s ** 3))
 
 
 def gd_tensor(gd, dd, left, right, hstar):
@@ -180,17 +172,18 @@ def d_bracket_half(gd):
 
 def beta_star(gd):
     """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, from ``gd.beta_table``,
-    as {(a, b): {k: coeff}}; the table and ell^-1 are scaled to integers."""
-    ellinv, se = _integral(columns(gd.ell_inv))
-    beta, sb = _integral({(a, b): {k: x for k, x in enumerate(v) if x}
-                          for a, row in enumerate(gd.beta_table)
-                          for b, v in enumerate(row)})
+    as {(a, b): {k: coeff}}; the table and the columns of ell^-1 (its rows,
+    as ell is symmetric) are scaled to integers by one s."""
+    ellinv, beta, s = _integral(
+        _rows(gd.ell_inv),
+        {(a, b): {k: x for k, x in enumerate(v) if x}
+         for a, row in enumerate(gd.beta_table) for b, v in enumerate(row)})
     out = {}
     for ab, comps in beta.items():
         v = out[ab] = {}
         for k, x in comps.items():
             add_scaled(v, x, ellinv[k])
-    return _rational(out, sb * se)
+    return _rational(out, s * s)
 
 
 def levi_civita_gd(gd):
@@ -207,26 +200,22 @@ def curvature(gamma, alg):
     """R(x,y)z = D_x D_y z - D_y D_x z - D_[x,y] z from a connection tensor,
     summed over the nonzero entries of ``gamma.data`` and of the bracket.
 
-    The connection and the bracket are scaled to integers by sg and sb.  A
-    product of two connection entries is weighted by sb and one of a
-    bracket entry and a connection entry by sg, so every sum is sb sg^2
+    The connection and the bracket are scaled to integers by one s, and
+    every term is a product of two of their entries, so every sum is s^2
     times the curvature."""
     n, empty = alg.dim, {}
-    g, sg = _integral(gamma.data)
-    br, sb = _integral(alg.bracket_data)
-    outer = {key: {p: c * sb for p, c in comps.items()} for key, comps in g.items()}
-    br = {key: {q: c * sg for q, c in comps.items()} for key, comps in br.items()}
+    g, br, s = _integral(gamma.data, alg.bracket_data)
     data = {}
     for i, j, k in product(range(n), repeat=3):
         out = {}
-        for p, c in outer.get((j, k), empty).items():
+        for p, c in g.get((j, k), empty).items():
             add_scaled(out, c, g.get((i, p), empty))
-        for p, c in outer.get((i, k), empty).items():
+        for p, c in g.get((i, k), empty).items():
             add_scaled(out, -c, g.get((j, p), empty))
         for q, c in br.get((i, j), empty).items():
             add_scaled(out, -c, g.get((q, k), empty))
         data[i, j, k] = out
-    return Tensor(n, 3, _rational(data, sb * sg * sg))
+    return Tensor(n, 3, _rational(data, s * s))
 
 
 def curvature_gd(gd):
@@ -247,22 +236,16 @@ def curvature_gd(gd):
 
     with R(h*,x) = -R(x,h*) and R(h1*,h2*)h3* = 0.
 
-    Each input is scaled to integers by its own constant: sp for pi, sd,
-    sl and sh for the brackets of d, L and h, sb for beta*.  A term that
-    multiplies entries of inputs with scales s and t is weighted by
-    m / (s t), for m the lcm of those products, and by 2, 1 or -1 for the
-    coefficients 1/2, 1/4 and -1/4, so every sum is 4 m times R.
+    pi, the brackets of d, L and h and beta* are scaled to integers by one
+    s.  Every term multiplies two of their entries, and the coefficients
+    1/2, 1/4 and -1/4 become 2, 1 and -1, so every sum is 4 s^2 times R.
     """
     nd, nh = gd.nd, gd.nh
     empty = {}
-    pi, sp = _integral(operator_data(gd.rep.mats))  # pi[k, b] = pi(h_k) e_b
-    d_br, sd = _integral(gd.rep.d.bracket_data)
-    l_br, sl = _integral(gd.L.bracket_data)
-    h_br, sh = _integral(gd.rep.h.bracket_data)
-    bstar, sb = _integral(beta_star(gd))
-    m = lcm(sb * sp, sd * sl, sd * sp, sp * sl, sp * sp, sh * sp)
-    w_bp, w_dl, w_dp = m // (sb * sp), m // (sd * sl), m // (sd * sp)
-    w_pl, w_pp, w_hp = m // (sp * sl), m // (sp * sp), m // (sh * sp)
+    # pi[k, b] = pi(h_k) e_b
+    pi, d_br, l_br, h_br, bstar, s = _integral(
+        operator_data(gd.rep.mats), gd.rep.d.bracket_data, gd.L.bracket_data,
+        gd.rep.h.bracket_data, beta_star(gd))
     pib = {}  # pib[a, b, c] = pi(beta*(e_a, e_b)) e_c, once per pair (a, b)
     for (a, b), hv in bstar.items():
         for c in range(nd):
@@ -272,29 +255,29 @@ def curvature_gd(gd):
     data = {}
     for a, b, c in product(range(nd), repeat=3):  # R(x,y)z
         out = {}
-        add_scaled(out, 2 * w_bp, pib[a, b, c])
-        add_scaled(out, -w_bp, pib[b, c, a])
-        add_scaled(out, -w_bp, pib[c, a, b])
+        add_scaled(out, 2, pib[a, b, c])
+        add_scaled(out, -1, pib[b, c, a])
+        add_scaled(out, -1, pib[c, a, b])
         for q, x in d_br.get((a, b), empty).items():
-            add_scaled(out, -w_dl * x, l_br.get((q, c), empty))
+            add_scaled(out, -x, l_br.get((q, c), empty))
         data[a, b, c] = out
     mixed = {}
     for a, b, k in product(range(nd), range(nd), range(nh)):
         common = {}  # pi(h)[x,y]_d/4, a term of R(x,y)h* and of R(x,h*)y
         for q, x in d_br.get((a, b), empty).items():
-            add_scaled(common, w_dp * x, pi.get((k, q), empty))
+            add_scaled(common, x, pi.get((k, q), empty))
         out = data[a, b, nd + k] = dict(common)  # R(x,y)h*
         for q, x in pi.get((k, b), empty).items():
-            add_scaled(out, -w_bp * x, bstar[a, q], nd)
+            add_scaled(out, -x, bstar[a, q], nd)
         for q, x in pi.get((k, a), empty).items():
-            add_scaled(out, -w_bp * x, bstar[q, b], nd)
+            add_scaled(out, -x, bstar[q, b], nd)
         out = mixed[a, nd + k, b] = dict(common)  # R(x,h*)y
         for q, x in pi.get((k, b), empty).items():
-            add_scaled(out, -w_pl * x, l_br.get((a, q), empty))
+            add_scaled(out, -x, l_br.get((a, q), empty))
     for a, j, k in product(range(nd), range(nh), range(nh)):  # R(x,h1*)h2*
         out = {}
         for q, x in pi.get((k, a), empty).items():
-            add_scaled(out, -w_pp * x, pi.get((j, q), empty))
+            add_scaled(out, -x, pi.get((j, q), empty))
         mixed[a, nd + j, nd + k] = out
     for (i, j, k), out in mixed.items():  # R(h*,x) = -R(x,h*)
         data[i, j, k] = out
@@ -303,9 +286,9 @@ def curvature_gd(gd):
         for a in range(nd):
             out = {}
             for r, x in comps.items():
-                add_scaled(out, w_hp * x, pi.get((r, a), empty))
+                add_scaled(out, x, pi.get((r, a), empty))
             data[nd + p, nd + q, a] = out
-    return Tensor(nd + nh, 3, _rational(data, 4 * m))
+    return Tensor(nd + nh, 3, _rational(data, 4 * s * s))
 
 
 def plane_discriminant(form, x, y):
@@ -379,7 +362,7 @@ def ricci_gd_closed(gd):
 
     The d-d block needs the signed sum of pi(f)^2 over an orthonormal h*
     basis f.  It is evaluated as the equal contraction
-    sum_ab ell^-1[a][b] pi(h_a) pi(h_b) with the cached ``gd.ell_inv``, which
+    sum_ab ell^-1[a][b] pi(h_a) pi(h_b) with the stored ``gd.ell_inv``, which
     needs no orthonormal frame over Q and so serves every form on h.
     """
     nd, nh = gd.nd, gd.nh

@@ -9,8 +9,9 @@ of the double extension over the nonzero entries of the lambda columns.
 
 As in ``geometry``, the routes make no ``Fraction`` arithmetic: the block
 routes form each entry as one product (``gd_tensor``), and the lambda
-route scales its inputs to integers with ``core._integral``, adds ints and
-divides once per stored entry with ``core._rational``.
+route scales all its inputs by one common s in one ``core._integral``
+call, adds ints and divides once per stored entry by k s^d with
+``core._rational``, without a weight per term.
 """
 
 from dataclasses import dataclass
@@ -18,10 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .core import _integral, _rational, derivation_witnesses, skew_witnesses
-from .geometry import (Tensor, _product, add_scaled, beta_star, columns,
-                       curvature_gd, d_bracket_half, gd_tensor, levi_civita_gd)
-from .linalg import Q1
+from .core import _integral, _rational, _rows, derivation_witnesses, skew_witnesses
+from .geometry import (Tensor, _product, add_scaled, beta_star, curvature_gd,
+                       d_bracket_half, gd_tensor, levi_civita_gd)
+from .linalg import Q1, transpose
 
 
 class HomStructureError(Exception):
@@ -44,12 +45,13 @@ def t_tensor(gd):
 def _t_via_lambda(gd):
     from .extension import lambda_matrix
     nh, nd, n = gd.nh, gd.nd, gd.L.dim
-    # lambda, ell^-1 and the bracket upstairs are scaled to integers by sl,
-    # se and sb; the d part is weighted by se, so every sum is
-    # 2 sl^2 sb se times T
-    lam, sl = _integral(columns(lambda_matrix(gd)))  # lam[i] = lambda(e_i)
-    ellinv, se = _integral(columns(gd.ell_inv))
-    br, sb = _integral(gd.double.g.bracket_data)
+    # lambda (lam[i] = lambda(e_i)), ell^-1 (symmetric, so its rows are its
+    # columns) and the bracket upstairs are scaled to integers by one s; w
+    # is s^3 times the bracket of the lambda images, and each part of it
+    # gains one more factor s (ell^-1 on the h* part, s itself on the d
+    # part), so every sum is 2 s^4 times T
+    lam, ellinv, br, s = _integral(_rows(transpose(lambda_matrix(gd))),
+                                   _rows(gd.ell_inv), gd.double.g.bracket_data)
     empty = {}
     data = {}
     for i, j in product(range(n), repeat=2):
@@ -62,11 +64,11 @@ def _t_via_lambda(gd):
         out = {}
         for r, c in w.items():
             if nh <= r < nh + nd:
-                out[r - nh] = out.get(r - nh, 0) + c * se
+                out[r - nh] = out.get(r - nh, 0) + c * s
             elif r >= nh + nd:
                 add_scaled(out, c, ellinv[r - nh - nd], nd)
         data[i, j] = out
-    return Tensor(n, 2, _rational(data, 2 * sl * sl * sb * se))
+    return Tensor(n, 2, _rational(data, 2 * s ** 4))
 
 
 def nabla_tilde_closed(gd):

@@ -22,7 +22,7 @@ class SpecFormatError(Exception):
         super().__init__(message if where is None else f"{where}: {message}")
 
 
-_RATIONAL = re.compile(r"[-+]?\d+(/\d+)?")
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 # The largest algebra dimension a file may declare.  Checking the Jacobi
 # identity costs about n^5 integer operations on a dense structure table:
@@ -32,8 +32,9 @@ MAX_DIM = 24
 
 
 def parse_rational(value, where=""):
-    """An integer or a string 'n' or 'p/q'; decimals and exponents such as
-    '0.5' and '1e3', which Fraction would accept, are refused."""
+    """An integer or a string 'n' or 'p/q' of ASCII digits; decimals,
+    exponents and other digits, such as '0.5', '1e3' and '١/٢', which
+    Fraction would accept, are refused."""
     if (isinstance(value, (bool, float))
             or isinstance(value, str) and not _RATIONAL.fullmatch(value.strip())):
         raise SpecFormatError(f"rational must be an integer or 'p/q' string, got {value!r}", where)
@@ -76,6 +77,9 @@ def load_algebra_dict(doc, where="algebra"):
                 raise SpecFormatError(f"name {name!r} repeats names[{first[name]}]",
                                       f"{where}.names[{pos}]")
             first[name] = pos
+    for key in ("brackets", "metric"):
+        if not isinstance(doc.get(key, []), list):
+            raise SpecFormatError(f"'{key}' must be a list", where)
     table = {}
     for pos, item in enumerate(doc.get("brackets", [])):
         loc = f"{where}.brackets[{pos}]"

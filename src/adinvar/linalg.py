@@ -145,9 +145,10 @@ def _primitive(row):
 
 
 def _integer_row(row):
-    """The nonzero entries of a rational row as a primitive sparse integer
-    row: scaled by the lcm of their denominators, then divided by the gcd."""
-    nz = {c: x for c, x in enumerate(row) if x}
+    """The nonzero entries of a sparse rational row {column: x} as a
+    primitive sparse integer row: scaled by the lcm of their denominators,
+    then divided by the gcd."""
+    nz = {c: x for c, x in row.items() if x}
     den = lcm(*(x.denominator for x in nz.values()))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in nz.items()})
 
@@ -173,6 +174,12 @@ def rref(a):
 
     Returns (rows, pivot_columns); zero rows are dropped, so the result
     is the canonical basis of the row space.
+    """
+    return _rref([dict(enumerate(row)) for row in a], len(a[0]) if a else 0)
+
+
+def _rref(a, n):
+    """``rref`` of the sparse rows {column: x} of width n.
 
     Each row is a sparse integer row {column: x}: scaled by the lcm of its
     denominators, divided by the gcd of its entries.  For each column, left
@@ -187,7 +194,6 @@ def rref(a):
     cost.
     """
     rows = [r for r in map(_integer_row, a) if r]
-    n = len(a[0]) if rows else 0
     active = list(range(len(rows)))  # rows not yet pivots, in input order
     chosen, pivots = [], []
     for c in range(n):
@@ -221,10 +227,14 @@ def rank(a):
 
 def nullspace(a):
     """Canonical basis (RREF rows) of {x : a x = 0}."""
-    if not a:
-        return []
-    n = len(a[0])
-    rows, pivots = rref(a)
+    return _nullspace([dict(enumerate(row)) for row in a], len(a[0])) if a else []
+
+
+def _nullspace(a, n):
+    """``nullspace`` of the sparse rows {column: x} of width n, which the
+    matrix solvers pass as they build them; zero rows are dropped, and no
+    rows give the unit basis."""
+    rows, pivots = _rref(a, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:

@@ -451,6 +451,92 @@ def test_route_reports_match_the_digests(name, emitted_corpus, capsys,
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
+# sha256 of `gd NAME_builder.json --json`, `extend NAME_builder.json --json`
+# and `series NAME_builder.json --json`, run in the directory of the files of
+# `corpus all --emit` (the reports name the spec they read)
+CONSTRUCTION_SHA256 = {
+    "a12": (
+        "d428455c3c7e93601cacb0e18f4961445c3e3373754f5430332d1067bdef5d53",
+        "d1214c704ddb92e5b18fb2ae6c6678d5bd5fb9bae24f3ac82eb380849fdcdff9",
+        "bb645ae782713c980d07392c1b0b4e3f978f7782af6dfb71335a3f74f9571554",
+    ),
+    "gE": (
+        "43ab8c8d12a7581795ecaf1cbbebdbfee7140b6fb03972b7b95a20e591c8623e",
+        "e6dd00e853024480e2fdef44d217e826ede0e98b90a8873eb335e2440616cc35",
+        "46056b2d000a58de7cd9cafe6f401916110c7fef482babc7a2fbff0ddec5d914",
+    ),
+    "gF": (
+        "9be08576c3e4980f49ca4c462e93274e19619b754fe35681a800e887d6f9577f",
+        "79ba769420fd7cd17953a7da04d2f7b0ec046c46fc2b5929f70ada70af80f996",
+        "bda97bf9ed8b1f59f11cc2cb205d23c32ab46c7081231c46d2cb58cb32fab07a",
+    ),
+    "gH": (
+        "c1b4eddedd8e7f209fb3e563af1f2eba9c7a0a4f1119ea4284cfce128f5d8956",
+        "ed0a3bb055a449a61ddc3b87443bbb576bae8841f459a344ecab0c450edbdc53",
+        "96b31b746809f6a7f652f36294e42c254d6d5278e4090589271ec2aa73b8c523",
+    ),
+    "h3_metric_0": (
+        "263ecdf07359c1e86f382e36c0cb099627f9d50c334a79d6fc6b44de464204fe",
+        "316ca23333d256fff711401e05abb2d128c14c82007dd0e9ada58a271221ab3a",
+        "5c2260331ebbc8898ae56c8f6d75a0f42cbdac053cd214c988b0dd85ccd27150",
+    ),
+    "h3_metric_1": (
+        "55acbab2a3c3394033c1dc6fe5c7e46ef3680eac71e1d6636c2e2f0b98ffc269",
+        "f912d90cfd9045a7d10d9c28e627d38bbea01b5df8ab34783b3af96017c4d930",
+        "7ba4887441ee4834d5ca7e554d65c3661be531f987792ab93ff1076625d4d981",
+    ),
+    "h3_metric_2": (
+        "d1af6442f11ad637990f4ead1c7a906623c42b7ee94923a28bf55d19a124dd03",
+        "f3d780e5d30beae5a0cf885ec5ca4ed899ae26a58e442a572c44249caaafbbb0",
+        "9834af0d079d823bdda9f66440219801ad8eae8278485718862b612e5dae96e0",
+    ),
+    "h3_metric_3": (
+        "743cbb6fe880247de079d3190628197685ebe885beef5b32c8c4a2d30893da52",
+        "653abfd5d022bde92e40dd5b6278e70c59e5766568a3e7480a46934158d4234f",
+        "4918e4444db27646c6a615be2b36499c445b47960af54c44b1441181bf85ceab",
+    ),
+    "nilmanifold_demo": (
+        "4b751009cfee6800248ad67c5d8027fc319926aca35ec9c7518ef11f9b8ec9ef",
+        "b22ea8d4bf0ab3246e719276f447e172e8d7f99b07d5d531e09ff05e5711ac8d",
+        "fc47c3d9faedae4814ed58dc2f5e18160c9adfe3b4b5415834a467acd4bc3961",
+    ),
+    "oscillator": (
+        "189dee3c523b7c2cf0f5f526cffa3b3617fa82ae234aee160427e51c7c86aca4",
+        "819795e72d974c67b92d6d410ba9c7c7b438e868b534b4a1bd2b40317dfbc5ca",
+        "6d14cae54cb82d9a9ff84add4c88a1d6ddfebdbb3023a605cafcf67198e1fcf1",
+    ),
+    "rpq_1_1": (
+        "3f8471ed8054e0957b873e1c3928cacb0877bfa6df124ad8bc36e4c98763a63d",
+        "bceffec6aaf2bae5d1dd959abec0ef19947a2e7842a07692341e1b5e6cd05755",
+        "e8b24a668eaef04c9b4bb452b98949edf0da3bbc0106e6d5070066e9cfb43ffb",
+    ),
+    "rpq_2_0": (
+        "3a1ff84eff85317a9a702c2ed502e2071eb163b71ca78f04b61fd37581087556",
+        "88be922b49758fa06cbba4d9c64cb2600500eeab444494bfafbdf4a61164ca37",
+        "2ad93ab51ac186f48d359c9c019c50bf1fb776a11b058b90b6a95308b57ededc",
+    ),
+    "rpq_2_2": (
+        "8749f79b47f85cd330323618ff1aa9aac918663ea2b8b191c2a2ddfa9c3e069f",
+        "f81e1ec0e6f54e804062f8909fd93264e2309593db353037092f70ad97a5b4c4",
+        "e22dd4295dcd45f2c0d23c3f1c61c2fe1b713f1556dc85bfc8821f7665b0214a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_construction_reports_match_the_digests(name, emitted_corpus, capsys,
+                                                monkeypatch):
+    """The gd, extend and series reports of every emitted corpus builder,
+    which read the construction of d + h* and of the double extension, keep
+    their bytes."""
+    monkeypatch.chdir(emitted_corpus)
+    spec = f"{name}_builder.json"
+    for cmd, want in zip(("gd", "extend", "series"), CONSTRUCTION_SHA256[name]):
+        code, out, _ = run(capsys, cmd, spec, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, cmd
+
+
 def test_check_refuses_booleans_as_integers(tmp_path, capsys):
     cases = [
         ({"dim": True}, "dim"),
@@ -536,3 +622,31 @@ def test_commands_refuse_a_dimension_above_the_cap(tmp_path, capsys):
         assert code == 2, argv
         assert out == ""
         assert "'dim' 100000000 exceeds" in err
+
+
+def test_commands_refuse_brackets_and_metric_that_are_not_lists(tmp_path, capsys):
+    """'brackets': null, 'metric': null and 'metric': 5 in an emitted algebra
+    file exit 2 with a located message from every command that reads it."""
+    outdir = emit_corpus(tmp_path, capsys, "gH")
+    good = str(outdir / "gH.json")
+    doc = json.loads((outdir / "gH.json").read_text())
+    for key, value in (("brackets", None), ("metric", None), ("metric", 5)):
+        bad = tmp_path / "gH.json"
+        bad.write_text(json.dumps({**doc, key: value}))
+        for argv in (["check", str(bad)], ["geometry", str(bad)],
+                     ["derivations", str(bad)],
+                     ["derivations", good, "--metric", str(bad)]):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 2, (key, value, argv)
+            assert out == ""
+            assert err == f"error: {bad}: '{key}' must be a list\n"
+    spec = json.loads((outdir / "gH_builder.json").read_text())
+    for part, key, value in (("d", "brackets", None), ("h", "metric", 5)):
+        bad = tmp_path / "gH_builder.json"
+        bad.write_text(json.dumps({**spec, part: {**spec[part], key: value}}))
+        for argv in (["gd", str(bad)], ["extend", str(bad)], ["verify-as", str(bad)],
+                     ["series", str(bad)], ["derivations", "--so-aut", str(bad)]):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 2, (part, key, argv)
+            assert out == ""
+            assert err == f"error: {part}: '{key}' must be a list\n"

@@ -99,7 +99,9 @@ def test_repeated_metric_entry_refused():
 
 
 def test_decimal_and_exponent_rationals_refused():
-    for bad in ("0.5", "1e3", "-2.25", "1E-2", "1_000"):
+    # Unicode digits, which \d and Fraction accept: Arabic-Indic 1/2,
+    # mathematical double-struck 1, fullwidth 3
+    for bad in ("0.5", "1e3", "-2.25", "1E-2", "1_000", "١/٢", "𝟙", "３"):
         with pytest.raises(SpecFormatError, match="integer or 'p/q' string"):
             parse_rational(bad)
     assert parse_rational(" -3/4 ") == F(-3, 4)
@@ -127,3 +129,21 @@ def test_dimension_above_the_cap_refused_before_allocation():
             with pytest.raises(SpecFormatError, match=f"^{part}: 'dim' {dim} exceeds"):
                 load_builder_dict(spec)
     assert load_algebra_dict({"dim": MAX_DIM})[0].dim == MAX_DIM
+
+
+def test_brackets_and_metric_that_are_not_lists_refused():
+    """null, a number, a string or an object as 'brackets' or 'metric', in an
+    algebra and in either part of a builder, is malformed input with a
+    located message (it used to end in a TypeError)."""
+    small = {"dim": 1, "metric": [[1, 1, 1]]}
+    for key in ("brackets", "metric"):
+        for value in (None, 5, "[]", {}):
+            with pytest.raises(SpecFormatError,
+                               match=f"^algebra: '{key}' must be a list$"):
+                load_algebra_dict({"dim": 2, key: value})
+            for part in ("d", "h"):
+                spec = {"d": small, "h": small, "pi": [[[0]]],
+                        part: {**small, key: value}}
+                with pytest.raises(SpecFormatError,
+                                   match=f"^{part}: '{key}' must be a list$"):
+                    load_builder_dict(spec)
