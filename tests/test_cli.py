@@ -650,3 +650,66 @@ def test_commands_refuse_brackets_and_metric_that_are_not_lists(tmp_path, capsys
             assert code == 2, (part, key, argv)
             assert out == ""
             assert err == f"error: {part}: '{key}' must be a list\n"
+
+
+def _failing_inputs(emitted, here):
+    """Write into ``here`` the inputs of FAILING_SHA256, made from the emitted
+    gH files: a bracket constant nudged (Jacobi fails), no metric, a
+    degenerate metric, and a builder with one pi entry moved."""
+    alg = json.loads((emitted / "gH.json").read_text())
+    nudged = json.loads(json.dumps(alg))
+    nudged["brackets"][1][3] = "2"  # [e1, e2] = 2 e0
+    (here / "gH_nudged.json").write_text(json.dumps(nudged))
+    (here / "gH_no_metric.json").write_text(
+        json.dumps({k: v for k, v in alg.items() if k != "metric"}))
+    (here / "gH_degenerate.json").write_text(
+        json.dumps({**alg, "metric": [[1, 1, "1"]]}))
+    spec = json.loads((emitted / "gH_builder.json").read_text())
+    spec["pi"][0][0][0] = str(Fraction(spec["pi"][0][0][0]) + 1)
+    (here / "gH_moved_builder.json").write_text(json.dumps(spec))
+    (here / "gH_builder.json").write_text((emitted / "gH_builder.json").read_text())
+
+
+# exit code and sha256 of the stdout of reports that fail a check or print
+# the human form, run in the directory of the files of ``_failing_inputs``
+FAILING_SHA256 = {
+    ("check", "gH_nudged.json", "--json"):
+        (1, "9c53597c86f49fc0d35c4fcf285fa26979da55a206e1b8eee17a9e8ce7a99ccb"),
+    ("geometry", "gH_nudged.json", "--json"):
+        (1, "3e205a9bccff2ad7c8e4f29883284ca15edf88e11fa60e9de8605cdf09752794"),
+    ("derivations", "gH_nudged.json", "--json"):
+        (1, "9ed01801191a7d9d88f000b2b372e264eb4d6e65f65e4d17854f681b4019a3eb"),
+    ("geometry", "gH_no_metric.json", "--json"):
+        (1, "d6e093c600aab98ba3ed0121a595693aa3e5849fab9071634cb73135ad0e2a80"),
+    ("geometry", "gH_degenerate.json", "--json"):
+        (1, "7b4d99ecd917e1acd702a17f8fd98b18283ade107b1489e6119a69fd4d74355b"),
+    ("gd", "gH_moved_builder.json", "--json"):
+        (1, "c33b192e01df403a103b7dce3c7dc5cbe4a72dc7565b1e1cf78f6474552d9720"),
+    ("extend", "gH_moved_builder.json", "--json"):
+        (1, "2081ac7c81b3bb3e0c4a3dffd46a3c89f44be275a13393a199d669e8ccc57e18"),
+    ("verify-as", "gH_moved_builder.json", "--json"):
+        (1, "e8e37e1ac4cc6008b7978019cbdb2748adb17893d50c9213e48a4cb0420ade23"),
+    ("series", "gH_moved_builder.json", "--json"):
+        (1, "b04fe64bb258d4a5ecaac34c3432f6e62496fbb17f14a8fc62c2b3db565b3819"),
+    ("derivations", "--so-aut", "gH_moved_builder.json", "--json"):
+        (1, "cb5cf4103863cf5cd10ce4daf6ba0f902d08978731c9b5b6e90f0caa72e19c78"),
+    ("check", "gH_nudged.json"):
+        (1, "5e1e54455963c7741d157255ddb506982aaa72181b495ee8e12ba888e7db415e"),
+    ("verify-as", "gH_builder.json"):
+        (0, "c0f44bdc2fe9133ec8a10d2aae42688adb7b848146af3b2b03b1fdd42cd17e6a"),
+    ("corpus", "gH"):
+        (0, "e9ecfc999fec5f9c5a8b68ffbb853aa86d847883468f820d01490a8b7ac898c9"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FAILING_SHA256))
+def test_failing_and_human_reports_match_the_digests(argv, emitted_corpus,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    """Reports with failed checks, and the human form of two reports, keep
+    their bytes."""
+    _failing_inputs(emitted_corpus, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == FAILING_SHA256[argv]
+    assert err == ""
