@@ -1,13 +1,12 @@
 """Exact-arithmetic workbench for metric Lie algebras: double extensions,
 naturally reductive structures, their geometry and automorphisms."""
 
-from .core import (AlgebraError, BilinearForm, LieAlgebra, SeriesResult,
-                   Subspace, ad_invariant, center, check_jacobi,
+from .core import (AlgebraError, BilinearForm, Check, LieAlgebra,
+                   SeriesResult, Subspace, ad_invariant, center, check_jacobi,
                    derivation_witnesses, derived_series, invariant_forms,
                    is_ideal, is_subalgebra, kernel_of, killing_form,
                    lower_central_series, orthogonal_complement,
-                   restrict_to_subalgebra, signature, skew_witnesses,
-                   totally_isotropic)
+                   restrict_to_subalgebra, skew_witnesses, totally_isotropic)
 from .extension import (DoubleExtension, ExtensionError, GdAlgebra,
                         KostantError, KostantResult, Representation,
                         SplitResult, build_gd, canonical_connection,

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 malformed
-input.  Reports are deterministic: checks are emitted in lexicographic
-order by name and witness, scalars as exact 'p/q' strings.
+input or an output path that cannot be written.  Each command collects
+``core.Check``s, and ``_finish`` alone renders them as the report's
+deterministic entries, sorted by name and witness (no witness sorts as
+""); scalars are exact 'p/q' strings.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import linalg
-from .core import ad_invariant, center, check_jacobi, skew_witnesses
+from .core import Check, ad_invariant, center, check_jacobi, skew_witnesses
 from .corpus import corpus_build, corpus_list
 from .derivations import (derivation_algebra, induced_so_aut_pair,
                           inner_derivations, profile, skew_derivations, so_aut)
@@ -20,26 +22,25 @@ from .geometry import (GeometryError, curvature, levi_civita,
                        plane_discriminant, ricci, ricci_operator, sectional)
 from .homstructure import verify_as
 from .io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
-                 load_algebra_file, load_builder_file, rational_str)
+                 load_algebra_file, load_builder_file, rational_str, write_json)
 from .series import SeriesError, predict_nilpotent_step, predict_solvable_step
 
 
-def _check(name, passed, witness=None):
-    entry = {"name": name, "pass": bool(passed)}
-    if witness is not None:
-        entry["witness"] = witness
-    return entry
-
-
 def _finish(report, args):
-    report["checks"] = sorted(report.get("checks", []),
-                              key=lambda c: (c["name"], str(c.get("witness", ""))))
-    report["passed"] = all(c["pass"] for c in report["checks"])
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Render the report's Checks as entries, write and print it; exit 0 or 1."""
+    entries = []
+    for c in sorted(report["checks"],
+                    key=lambda c: (c.name, "" if c.witness is None else str(c.witness))):
+        entry = {"name": c.name, "pass": bool(c.ok)}
+        if c.witness is not None:
+            entry["witness"] = c.witness
+        entries.append(entry)
+    report["checks"] = entries
+    report["passed"] = all(e["pass"] for e in entries)
     if getattr(args, "report", None):
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        write_json(args.report, report, indent=2, sort_keys=True)
     if getattr(args, "json", False):
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         _print_human(report)
     return 0 if report["passed"] else 1
@@ -72,14 +73,14 @@ def _jacobi_check(violations):
     """The jacobi check, witnessed by each failing 1-based triple and its
     cyclic sum."""
     witness = [[i + 1, j + 1, k + 1, _vec_str(s)] for i, j, k, s in violations]
-    return _check("jacobi", not violations, witness or None)
+    return Check("jacobi", not violations, witness or None)
 
 
 def _refused(report, exc, args):
     """Finish a report whose construction raised an ExtensionError: one
     failed check per violation it names."""
-    for v in exc.violations or ("construction_failed",):
-        report["checks"].append(_check(v, False))
+    report["checks"] += [Check(v, False)
+                         for v in exc.violations or ("construction_failed",)]
     report["error"] = str(exc)
     return _finish(report, args)
 
@@ -109,15 +110,11 @@ def cmd_extend(args):
         dbl = double_extend(rep)
     except ExtensionError as exc:
         return _refused(report, exc, args)
-    for name in ("jacobi", "Q_ad_invariant", "Q_minus_ad_invariant",
-                 "h_subalgebra", "gd_ideal", "signature_relation"):
-        report["checks"].append(_check(name, True))
-    report["algebra"] = dump_algebra_dict(dbl.g, dbl.Q)
+    report["checks"] += dbl.checks
+    report["algebra"] = doc = dump_algebra_dict(dbl.g, dbl.Q)
     report["Q_signature"] = list(dbl.Q.signature)
     if args.emit:
-        Path(args.emit).write_text(
-            json.dumps(dump_algebra_dict(dbl.g, dbl.Q), indent=2) + "\n",
-            encoding="utf-8")
+        write_json(args.emit, doc, indent=2)
     return _finish(report, args)
 
 
@@ -128,14 +125,10 @@ def cmd_gd(args):
         gd = build_gd(rep)
     except ExtensionError as exc:
         return _refused(report, exc, args)
-    for name in ("jacobi", "metric_blocks", "hstar_central", "cm_relation",
-                 "mu_skew_derivations", "lambda_isometry"):
-        report["checks"].append(_check(name, True))
-    report["algebra"] = dump_algebra_dict(gd.L, gd.metric)
+    report["checks"] += gd.checks
+    report["algebra"] = doc = dump_algebra_dict(gd.L, gd.metric)
     if args.emit:
-        Path(args.emit).write_text(
-            json.dumps(dump_algebra_dict(gd.L, gd.metric), indent=2) + "\n",
-            encoding="utf-8")
+        write_json(args.emit, doc, indent=2)
     return _finish(report, args)
 
 
@@ -143,11 +136,11 @@ def cmd_geometry(args):
     alg, form = load_algebra_file(args.file)
     report = {"command": "geometry", "file": str(args.file), "checks": []}
     bad = check_jacobi(alg)
-    report["checks"].append(_check("jacobi", not bad))
+    report["checks"].append(Check("jacobi", not bad))
     if form is None or not form.nondegenerate:
-        report["checks"].append(_check("metric_nondegenerate", False))
+        report["checks"].append(Check("metric_nondegenerate", False))
         return _finish(report, args)
-    report["checks"].append(_check("metric_nondegenerate", True))
+    report["checks"].append(Check("metric_nondegenerate", True))
     if bad:
         return _finish(report, args)
     gamma = levi_civita(alg, form)
@@ -160,8 +153,8 @@ def cmd_geometry(args):
                                             alg.basis_bracket(i, j))
         for i in range(alg.dim) for j in range(alg.dim))
     metric_comp = not any(skew_witnesses(gamma.data, form, alg.dim))
-    report["checks"].append(_check("torsion_free", torsion_free))
-    report["checks"].append(_check("metric_compatible", metric_comp))
+    report["checks"] += [Check("torsion_free", torsion_free),
+                         Check("metric_compatible", metric_comp)]
     for key, tensor in (("connection", gamma), ("curvature", r)):
         report[key] = {",".join(str(i + 1) for i in idx):
                        _vec_str(tensor.entry(*idx)) for idx in tensor.data}
@@ -187,10 +180,9 @@ def cmd_verify_as(args):
         gd = build_gd(rep)
     except ExtensionError as exc:
         return _refused(report, exc, args)
-    rpt = verify_as(gd)
-    for name, (ok, witnesses) in sorted(rpt.axioms.items()):
-        shown = [[x + 1 for x in tup] for tup in witnesses[:20]]
-        report["checks"].append(_check(f"axiom_{name}", ok, shown or None))
+    for c in verify_as(gd).checks:
+        shown = [[x + 1 for x in tup] for tup in c.witness[:20]]
+        report["checks"].append(Check(f"axiom_{c.name}", c.ok, shown or None))
     return _finish(report, args)
 
 
@@ -210,7 +202,7 @@ def cmd_derivations(args):
         induced_ok = all(
             sa.contains(*([list(r) for r in m] for m in induced_so_aut_pair(gd, i)))
             for i in range(gd.nh))
-        report["checks"].append(_check("contains_induced_pairs", induced_ok))
+        report["checks"].append(Check("contains_induced_pairs", induced_ok))
         return _finish(report, args)
     alg, form = load_algebra_file(args.file)
     if args.metric:
@@ -219,6 +211,8 @@ def cmd_derivations(args):
             raise SpecFormatError(f"metric has dimension {partner.dim}, but the "
                                   f"algebra in {args.file} has dimension {alg.dim}",
                                   args.metric)
+        if form is None:
+            raise SpecFormatError("--metric needs a file with a 'metric'", args.metric)
     violations = check_jacobi(alg)
     if violations:
         report["checks"].append(_jacobi_check(violations))
@@ -229,17 +223,16 @@ def cmd_derivations(args):
     report["inner_dim"] = inner.dim
     report["derivations_profile"] = _profile_json(der)
     report["inner_profile"] = _profile_json(inner)
-    report["checks"].append(_check(
-        "inner_dim_relation", inner.dim == alg.dim - center(alg).dim))
-    report["checks"].append(_check(
-        "inner_inside_derivations",
-        der.flat_subspace().contains_subspace(inner.flat_subspace())))
+    report["checks"] += [
+        Check("inner_dim_relation", inner.dim == alg.dim - center(alg).dim),
+        Check("inner_inside_derivations",
+              der.flat_subspace().contains_subspace(inner.flat_subspace()))]
     if form is not None and form.nondegenerate:
         sk = skew_derivations(alg, form)
         report["skew_dim"] = sk.dim
         report["skew_profile"] = _profile_json(sk)
         report["skew_basis"] = [_mat_str(m) for m in sk.matrices()]
-        report["checks"].append(_check(
+        report["checks"].append(Check(
             "skew_inside_derivations",
             der.flat_subspace().contains_subspace(sk.flat_subspace())))
     return _finish(report, args)
@@ -262,7 +255,7 @@ def cmd_series(args):
             "naive_index_test": nil.naive_index_test,
             "corrected_index_test": nil.corrected_index_test,
         }
-        report["checks"].append(_check("nilpotent_prediction", nil.consistent))
+        report["checks"].append(Check("nilpotent_prediction", nil.consistent))
     except SeriesError as exc:
         report["nilpotent"] = str(exc)
     try:
@@ -273,7 +266,7 @@ def cmd_series(args):
             "computed": sol.step_gd_computed,
             "witness_dim": sol.witness.dim,
         }
-        report["checks"].append(_check("solvable_prediction", sol.consistent))
+        report["checks"].append(Check("solvable_prediction", sol.consistent))
     except SeriesError as exc:
         report["solvable"] = str(exc)
     return _finish(report, args)
@@ -291,24 +284,25 @@ def cmd_corpus(args):
         raise SpecFormatError(str(exc))
     built = [(entry, build_gd(entry.rep)) for entry in entries]
     for entry, gd in built:
-        for cname, ok, detail in entry.checks(gd):
-            report["checks"].append(_check(f"{entry.name}.{cname}", ok, detail))
+        report["checks"] += [c._replace(name=f"{entry.name}.{c.name}")
+                             for c in entry.checks(gd)]
     if args.emit:
         outdir = Path(args.dir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SpecFormatError(str(exc), args.dir)
         written = []
         for entry, gd in built:
             if entry.primary == "double":
                 doc = dump_algebra_dict(gd.double.g, gd.double.Q)
             else:
                 doc = dump_algebra_dict(gd.L, gd.metric)
-            path = outdir / f"{entry.name}.json"
-            path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-            written.append(str(path))
-            bpath = outdir / f"{entry.name}_builder.json"
-            bpath.write_text(json.dumps(dump_builder_dict(entry.rep), indent=2) + "\n",
-                             encoding="utf-8")
-            written.append(str(bpath))
+            for path, out in ((outdir / f"{entry.name}.json", doc),
+                              (outdir / f"{entry.name}_builder.json",
+                               dump_builder_dict(entry.rep))):
+                write_json(path, out, indent=2)
+                written.append(str(path))
         report["written"] = written
     return _finish(report, args)
 
@@ -383,6 +377,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.fn is cmd_derivations and not args.so_aut and not args.file:
         parser.error("derivations needs an algebra file or --so-aut")
+    if args.fn is cmd_derivations and args.so_aut and (args.file or args.metric):
+        parser.error("derivations --so-aut takes no algebra file and no --metric")
     try:
         return args.fn(args)
     except SpecFormatError as exc:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import Q0, frac
@@ -285,6 +286,20 @@ def _rows(m):
     return {p: {q: x for q, x in enumerate(row) if x} for p, row in enumerate(m)}
 
 
+class Check(NamedTuple):
+    """The verdict on one identity: its name, whether it holds, and where
+    it fails (or any detail worth showing), None when there is nothing to
+    show.  A tuple is always true, so read ``.ok``."""
+
+    name: str
+    ok: bool
+    witness: object = None
+
+
+# ``all_pass`` of the result types that carry a tuple ``checks`` of Check
+all_pass = property(lambda self: all(c.ok for c in self.checks))
+
+
 def check_jacobi(alg):
     """All triples i<j<k whose cyclic bracket sum is nonzero.
 
@@ -369,11 +384,6 @@ def derivation_witnesses(op, tensor, n, slots):
                         out[r] = out.get(r, 0) - c * v
             if any(out.values()):
                 yield (x,) + t
-
-
-def signature(form):
-    """(n_minus, n_plus, n_zero); R^{p,q} carries p negative squares."""
-    return form.signature
 
 
 def kernel_of(matrix):

@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import linalg
-from .core import (BilinearForm, LieAlgebra, ad_invariant, center, kernel_of,
-                   lower_central_series, totally_isotropic)
+from .core import (BilinearForm, Check, LieAlgebra, ad_invariant, center,
+                   kernel_of, lower_central_series, totally_isotropic)
 from .extension import Representation, kostant_form, reductive_split
 from .geometry import curvature, levi_civita, ricci_operator, sectional
 from .homstructure import build_hom_structure, nilmanifold_t_formula, verify_as
@@ -97,53 +97,55 @@ class CorpusEntry:
         return self.expected.get("primary", "gd")
 
     def checks(self, gd):
-        """Run every expectation on ``gd = build_gd(self.rep)``; (name,
-        passed, detail) triples.  The closed-form connection and curvature
-        are read from one homogeneous structure."""
+        """Run every expectation on ``gd = build_gd(self.rep)``; one Check
+        each.  The closed-form connection and curvature are read from one
+        homogeneous structure."""
         out = []
         dbl = gd.double
         exp = self.expected
         hom = build_hom_structure(gd)
         lcs = lower_central_series(gd.L)
 
-        out.append(("Q_ad_invariant", ad_invariant(dbl.g, dbl.Q), None))
-        out.append(("Q_minus_ad_invariant", ad_invariant(dbl.g, dbl.Q_minus), None))
+        out.append(Check("Q_ad_invariant", ad_invariant(dbl.g, dbl.Q)))
+        out.append(Check("Q_minus_ad_invariant", ad_invariant(dbl.g, dbl.Q_minus)))
         rpt = verify_as(gd, hom)
-        out.append(("ambrose_singer_all", rpt.all_pass,
-                    None if rpt.all_pass else str({k: v[0] for k, v in rpt.axioms.items()})))
+        out.append(Check("ambrose_singer_all", rpt.all_pass, None if rpt.all_pass
+                         else str({c.name: c.ok for c in rpt.checks})))
         lc = levi_civita(gd.L, gd.metric)
-        out.append(("levi_civita_closed_form", lc == hom.nabla, None))
-        out.append(("curvature_closed_form", curvature(lc, gd.L) == hom.R, None))
+        out.append(Check("levi_civita_closed_form", lc == hom.nabla))
+        out.append(Check("curvature_closed_form", curvature(lc, gd.L) == hom.R))
 
         if "gd_brackets" in exp:
             got = {k: dict(v) for k, v in gd.L.table.items()}
-            out.append(("gd_bracket_table", got == exp["gd_brackets"],
-                        None if got == exp["gd_brackets"] else str(got)))
+            out.append(Check("gd_bracket_table", got == exp["gd_brackets"],
+                             None if got == exp["gd_brackets"] else str(got)))
         if "gd_metric_diag" in exp:
             want = [F(x) for x in exp["gd_metric_diag"]]
             got = [gd.metric.matrix[i][i] for i in range(gd.L.dim)]
             offdiag = all(gd.metric.matrix[i][j] == 0
                           for i in range(gd.L.dim) for j in range(gd.L.dim) if i != j)
-            out.append(("gd_metric", got == want and offdiag, str(got)))
+            out.append(Check("gd_metric", got == want and offdiag, str(got)))
         if "double_brackets" in exp:
             got = {k: dict(v) for k, v in dbl.g.table.items()}
-            out.append(("double_bracket_table", got == exp["double_brackets"],
-                        None if got == exp["double_brackets"] else str(got)))
+            out.append(Check("double_bracket_table", got == exp["double_brackets"],
+                             None if got == exp["double_brackets"] else str(got)))
         if "Q_matrix" in exp:
             want = tuple(tuple(F(x) for x in row) for row in exp["Q_matrix"])
-            out.append(("Q_matrix", dbl.Q.matrix == want, None))
+            out.append(Check("Q_matrix", dbl.Q.matrix == want))
         if "Q_signature" in exp:
-            out.append(("Q_signature", dbl.Q.signature == tuple(exp["Q_signature"]),
-                        str(dbl.Q.signature)))
+            out.append(Check("Q_signature",
+                             dbl.Q.signature == tuple(exp["Q_signature"]),
+                             str(dbl.Q.signature)))
         if "double_step" in exp:
             ser = lower_central_series(dbl.g)
-            out.append(("double_nilpotent_step", ser.step == exp["double_step"],
-                        str(ser.step)))
+            out.append(Check("double_nilpotent_step", ser.step == exp["double_step"],
+                             str(ser.step)))
         if "gd_step" in exp:
-            out.append(("gd_nilpotent_step", lcs.step == exp["gd_step"], str(lcs.step)))
+            out.append(Check("gd_nilpotent_step", lcs.step == exp["gd_step"],
+                             str(lcs.step)))
         if "gd_lcs_dims" in exp:
-            out.append(("gd_lcs_dims", lcs.dims == tuple(exp["gd_lcs_dims"]),
-                        str(lcs.dims)))
+            out.append(Check("gd_lcs_dims", lcs.dims == tuple(exp["gd_lcs_dims"]),
+                             str(lcs.dims)))
         if "recognizer" in exp:
             rec = heisenberg_recognizer(gd)
             want = exp["recognizer"]
@@ -151,45 +153,45 @@ class CorpusEntry:
                   and rec.heisenberg_dim == want["heisenberg_dim"]
                   and rec.indecomposable == want["indecomposable"]
                   and rec.center_matches)
-            out.append(("heisenberg_recognizer", ok, str(rec)))
+            out.append(Check("heisenberg_recognizer", ok, str(rec)))
         if "sectional" in exp:
             eye = linalg.identity(gd.L.dim)
             for (i, j), val in sorted(exp["sectional"].items()):
                 got = sectional(hom.R, gd.metric, eye[i], eye[j])
-                out.append((f"sectional_{i+1}{j+1}", got == F(val), str(got)))
+                out.append(Check(f"sectional_{i+1}{j+1}", got == F(val), str(got)))
         if "ricci_operator_diag" in exp:
             op = ricci_operator(hom.R, gd.metric)
             got = [op[i][i] for i in range(gd.L.dim)]
             want = [F(x) for x in exp["ricci_operator_diag"]]
             offdiag = all(op[i][j] == 0 for i in range(gd.L.dim)
                           for j in range(gd.L.dim) if i != j)
-            out.append(("ricci_operator", got == want and offdiag, str(got)))
+            out.append(Check("ricci_operator", got == want and offdiag, str(got)))
         if "prediction" in exp:
             rpt2 = predict_nilpotent_step(gd)
-            out.append(("nilpotent_step_prediction",
-                        rpt2.consistent
-                        and rpt2.step_gd_predicted == exp["gd_step"], str(rpt2)))
+            out.append(Check("nilpotent_step_prediction",
+                             rpt2.consistent
+                             and rpt2.step_gd_predicted == exp["gd_step"], str(rpt2)))
         if "so_aut_dim" in exp:
             sa = so_aut(gd)
-            out.append(("so_aut_dim", sa.dim == exp["so_aut_dim"], str(sa.dim)))
+            out.append(Check("so_aut_dim", sa.dim == exp["so_aut_dim"], str(sa.dim)))
         if "intertwiners_dim" in exp:
             u = intertwiners_skew([self.rep.mat(i) for i in range(self.rep.h.dim)],
                                   self.rep.d_form)
-            out.append(("intertwiners_dim", u.dim == exp["intertwiners_dim"],
-                        str(u.dim)))
+            out.append(Check("intertwiners_dim", u.dim == exp["intertwiners_dim"],
+                             str(u.dim)))
         if exp.get("nilmanifold_T"):
-            out.append(("nilmanifold_T_formula",
-                        nilmanifold_t_formula(gd) == hom.T, None))
+            out.append(Check("nilmanifold_T_formula",
+                             nilmanifold_t_formula(gd) == hom.T))
         if exp.get("center_is_hstar"):
             want = gd.L.dim - gd.nd
             z = center(gd.L)
             hstar = [gd.embed_h(v) for v in linalg.identity(gd.nh)]
             ok = z.dim == want and all(z.contains(v) for v in hstar)
-            out.append(("center_equals_hstar", ok, str(z.dim)))
+            out.append(Check("center_equals_hstar", ok, str(z.dim)))
         if exp.get("kerA_isotropic"):
             ker = kernel_of(self.rep.mat(0))
-            out.append(("kerA_totally_isotropic",
-                        totally_isotropic(ker, self.rep.d_form), None))
+            out.append(Check("kerA_totally_isotropic",
+                             totally_isotropic(ker, self.rep.d_form)))
         if exp.get("kostant"):
             split = reductive_split(dbl.g, dbl.Q_minus, dbl.h_sub)
             inner = BilinearForm(tuple(
@@ -200,8 +202,8 @@ class CorpusEntry:
             # res.pair on them reads res.form.matrix
             agree = res.form.matrix == tuple(
                 tuple(dbl.Q_minus.apply(u, v) for v in res.basis) for u in res.basis)
-            out.append(("kostant_reconstruction",
-                        res.all_pass and agree and split.all_pass, None))
+            out.append(Check("kostant_reconstruction",
+                             res.all_pass and agree and split.all_pass))
         return out
 
 

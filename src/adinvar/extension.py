@@ -14,8 +14,8 @@ from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
-from .core import (BilinearForm, LieAlgebra, Subspace, ad_invariant,
-                   check_jacobi, derivation_witnesses, is_ideal,
+from .core import (BilinearForm, Check, LieAlgebra, Subspace, ad_invariant,
+                   all_pass, check_jacobi, derivation_witnesses, is_ideal,
                    is_subalgebra, operator_data, orthogonal_complement,
                    skew_witnesses)
 from .geometry import Tensor
@@ -147,6 +147,10 @@ class DoubleExtension:
     h_sub: Subspace
     d_sub: Subspace
     hstar_sub: Subspace
+    # what ``_assemble_double`` verifies, raising on a failure
+    checks = tuple(Check(name, True) for name in (
+        "jacobi", "Q_ad_invariant", "Q_minus_ad_invariant", "h_subalgebra",
+        "gd_ideal", "signature_relation"))
 
     @property
     def nh(self):
@@ -264,6 +268,10 @@ class GdAlgebra:
     ell_inv: tuple     # its inverse, computed once per algebra
     mu_mats: tuple     # mu of each h basis vector, operators on d + h*
     double: DoubleExtension
+    # what ``build_gd`` and ``_verify_gd`` verify, raising on a failure
+    checks = tuple(Check(name, True) for name in (
+        "jacobi", "metric_blocks", "hstar_central", "cm_relation",
+        "mu_skew_derivations", "lambda_isometry"))
 
     @property
     def nd(self):
@@ -376,11 +384,8 @@ def lambda_matrix(gd):
 @dataclass(frozen=True)
 class SplitResult:
     m: Subspace
-    checks: tuple  # (name, passed, detail)
-
-    @property
-    def all_pass(self):
-        return all(ok for _, ok, _ in self.checks)
+    checks: tuple  # of Check
+    all_pass = all_pass
 
 
 class _Projector:
@@ -415,11 +420,11 @@ def reductive_split(g_alg, form, h_sub):
     # a form nondegenerate on h gives g = h + h-perp, so the projector exists
     split = _Projector(h_sub, m).split
     mb = m.basis()
-    checks = [("direct_sum", True, None)]
+    checks = [Check("direct_sum", True)]
     escapes = any(any(split(g_alg.bracket(u, v))[0])
                   for u in h_sub.basis() for v in mb)
-    checks.append(("bracket_h_m_in_m", not escapes,
-                   "[h,m] escapes m" if escapes else None))
+    checks.append(Check("bracket_h_m_in_m", not escapes,
+                        "[h,m] escapes m" if escapes else None))
     # the m-projected bracket as an operator field on m, skew for the Gram
     # matrix of m exactly when the naturally reductive condition holds
     op = {}
@@ -429,8 +434,8 @@ def reductive_split(g_alg, form, h_sub):
             op[a, b] = comps
     gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
     fails = any(skew_witnesses(op, gram_m, len(mb)))
-    checks.append(("naturally_reductive", not fails,
-                   "naturally reductive condition fails" if fails else None))
+    checks.append(Check("naturally_reductive", not fails,
+                        "naturally reductive condition fails" if fails else None))
     return SplitResult(m, tuple(checks))
 
 
@@ -447,11 +452,8 @@ class KostantResult:
     form: BilinearForm  # the reconstructed invariant form on this basis
     hbar: Subspace
     m: Subspace
-    checks: tuple
-
-    @property
-    def all_pass(self):
-        return all(ok for _, ok, _ in self.checks)
+    checks: tuple  # of Check
+    all_pass = all_pass
 
     def pair(self, u, v):
         cu = linalg.solve(linalg.transpose([list(b) for b in self.basis]), list(u))
@@ -520,21 +522,18 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     # no bracket column carries a pivot, and then rows 0..n-1 hold the
     # coordinates of each bracket [basis[iu], basis[iv]] in column
     # n + iu n + iv
-    checks = []
     brackets = [g_alg.bracket(u, v) for u in basis for v in basis]
     rows, found = linalg.rref(linalg.transpose(basis + brackets))
     closed = len(found) == n
-    checks.append(("gbar_closed", closed, None))
     ad_ok = closed and not any(skew_witnesses(
         {divmod(col - n, n): {p: rows[p][col] for p in range(n) if rows[p][col]}
          for col in range(n, n + n * n)},
         form, n))
-    checks.append(("ad_invariant_on_gbar", ad_ok, None))
-    checks.append(("nondegenerate_on_hbar",
-                   linalg.signature_of(qh)[2] == 0, None))
-    checks.append(("nondegenerate", form.nondegenerate, None))
+    checks = (Check("gbar_closed", closed), Check("ad_invariant_on_gbar", ad_ok),
+              Check("nondegenerate_on_hbar", linalg.signature_of(qh)[2] == 0),
+              Check("nondegenerate", form.nondegenerate))
     return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
-                         m_sub, tuple(checks))
+                         m_sub, checks)
 
 
 def canonical_connection(g_alg, h_sub, m_sub):

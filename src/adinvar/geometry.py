@@ -82,12 +82,6 @@ class Tensor:
                     out[p] += c * t
         return out
 
-    def apply_left(self, i, *vectors):
-        """Op(e_i) applied to the remaining arguments."""
-        unit = linalg.zero_vector(self.dim)
-        unit[i] = Q1
-        return self.apply(unit, *vectors)
-
     def __sub__(self, other):
         data, b, s = _integral(self.data, other.data)
         for idx, comps in b.items():

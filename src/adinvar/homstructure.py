@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .core import _integral, _rational, _rows, derivation_witnesses, skew_witnesses
+from .core import (Check, _integral, _rational, _rows, all_pass,
+                   derivation_witnesses, skew_witnesses)
 from .geometry import (Tensor, _product, add_scaled, beta_star, curvature_gd,
                        d_bracket_half, gd_tensor, levi_civita_gd)
 from .linalg import Q1, transpose
@@ -110,19 +111,11 @@ def build_hom_structure(gd):
 
 @dataclass(frozen=True)
 class AsReport:
-    """Per-axiom verdicts with the violating index tuples."""
+    """One Check per axiom, witnessed by the tuple of its violating index
+    tuples."""
 
-    axioms: dict
-
-    @property
-    def all_pass(self):
-        return all(ok for ok, _ in self.axioms.values())
-
-    def passed(self, name):
-        return self.axioms[name][0]
-
-    def witnesses(self, name):
-        return self.axioms[name][1]
+    checks: tuple
+    all_pass = all_pass
 
 
 def verify_as(gd, hom=None):
@@ -137,7 +130,7 @@ def verify_as(gd, hom=None):
     T_x x = 0.  As nabla~ = T - nabla, the actions in (ii) and (ii') are
     negatives of each other and vanish on the same tuples, and so are those
     in (iii) and (iii'); each pair is evaluated once.  Witnesses are the
-    failing index tuples in loop order.
+    failing index tuples in loop order, 0-based.
     """
     hom = hom or build_hom_structure(gd)
     n = gd.L.dim
@@ -155,4 +148,4 @@ def verify_as(gd, hom=None):
     found["iv"] = tuple((i, j) for i in range(n) for j in range(i, n)
                         if t.get((i, j), empty)
                         != {p: -c for p, c in t.get((j, i), empty).items()})
-    return AsReport({name: (not bad, bad) for name, bad in found.items()})
+    return AsReport(tuple(Check(name, not bad, bad) for name, bad in found.items()))

@@ -142,16 +142,28 @@ def dump_algebra_dict(alg, form=None):
     return doc
 
 
-def load_algebra_file(path):
+def read_json(path):
+    """The JSON document at path; unreadable or invalid is a SpecFormatError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecFormatError(str(exc), str(path))
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON: {exc}", str(path))
-    return load_algebra_dict(doc, where=str(path))
+
+
+def write_json(path, doc, **dump):
+    """``json.dumps(doc, **dump)`` and a newline to path, or a SpecFormatError."""
+    try:
+        Path(path).write_text(json.dumps(doc, **dump) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise SpecFormatError(str(exc), str(path))
+
+
+def load_algebra_file(path):
+    return load_algebra_dict(read_json(path), where=str(path))
 
 
 def _load_part(spec, key, base_dir):
@@ -192,15 +204,7 @@ def load_builder_dict(spec, base_dir="."):
 
 
 def load_builder_file(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecFormatError(str(exc), str(path))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc}", str(path))
-    return load_builder_dict(doc, base_dir=Path(path).parent)
+    return load_builder_dict(read_json(path), base_dir=Path(path).parent)
 
 
 def dump_builder_dict(rep):

@@ -713,3 +713,72 @@ def test_failing_and_human_reports_match_the_digests(argv, emitted_corpus,
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == FAILING_SHA256[argv]
     assert err == ""
+
+
+def test_output_paths_that_cannot_be_written_exit_2(tmp_path, capsys):
+    """--report, --emit and corpus --emit --dir under a regular file end in
+    exit 2 and a message that names the path, not in a traceback."""
+    outdir = emit_corpus(tmp_path, capsys, "h3_metric_0")
+    spec, alg = outdir / "h3_metric_0_builder.json", outdir / "h3_metric_0.json"
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    under = str(blocker / "out.json")
+    for argv in (["check", str(alg), "--report", under],
+                 ["gd", str(spec), "--emit", under],
+                 ["extend", str(spec), "--emit", under],
+                 ["verify-as", str(spec), "--json", "--report", under],
+                 ["corpus", "h3_metric_0", "--emit", "--dir", under],
+                 ["corpus", "h3_metric_0", "--emit", "--dir", str(blocker)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {argv[-1]}: ") and "Traceback" not in err
+
+
+def test_written_reports_and_emitted_files_keep_their_layout(tmp_path, capsys):
+    """A --report file holds the --json report byte for byte (sorted keys);
+    emitted algebra files keep the order in which they are built."""
+    outdir = emit_corpus(tmp_path, capsys, "h3_metric_0")
+    report, emitted = tmp_path / "r.json", tmp_path / "gd.json"
+    code, out, _ = run(capsys, "gd", str(outdir / "h3_metric_0_builder.json"),
+                       "--json", "--report", str(report), "--emit", str(emitted))
+    assert code == 0
+    assert report.read_text() == out
+    doc = json.loads(emitted.read_text())
+    assert doc == json.loads(out)["algebra"]
+    assert list(doc) == ["dim", "names", "brackets", "metric"]
+    assert emitted.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_derivations_refuses_input_it_would_ignore(tmp_path, capsys):
+    """An algebra file or --metric next to --so-aut, and a --metric file
+    without a metric, exit 2 instead of being dropped."""
+    outdir = emit_corpus(tmp_path, capsys, "gH")
+    alg, spec = str(outdir / "gH.json"), str(outdir / "gH_builder.json")
+    for argv in (["derivations", alg, "--so-aut", spec],
+                 ["derivations", "--metric", alg, "--so-aut", spec]):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--json")
+        assert exc.value.code == 2, argv
+        assert "--so-aut takes no algebra file" in capsys.readouterr().err
+    doc = json.loads((outdir / "gH.json").read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in doc.items() if k != "metric"}))
+    code, out, err = run(capsys, "derivations", alg, "--metric", str(bare), "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {bare}: --metric needs a file with a 'metric'\n"
+
+
+def test_derivations_omits_skew_fields_for_a_degenerate_metric_file(tmp_path,
+                                                                     capsys):
+    """A --metric file whose metric is degenerate is taken, and the skew
+    fields are omitted as for a degenerate metric in the algebra file."""
+    outdir = emit_corpus(tmp_path, capsys, "gH")
+    alg = str(outdir / "gH.json")
+    doc = json.loads((outdir / "gH.json").read_text())
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({**doc, "metric": [[1, 1, "1"]]}))
+    code, out, _ = run(capsys, "derivations", alg, "--metric", str(flat), "--json")
+    _, plain, _ = run(capsys, "derivations", str(flat), "--json")
+    assert code == 0
+    assert "skew_dim" not in json.loads(out)
+    assert out == plain

@@ -351,8 +351,6 @@ def test_tensor_matches_dense_sums(case):
             c *= v[i]
         want = [w + c * x for w, x in zip(want, vec)]
     assert t.apply(*vectors) == want
-    unit = [F(1)] + [F(0)] * (n - 1)
-    assert t.apply_left(0, *vectors[1:]) == t.apply(unit, *vectors[1:])
     doubled = Tensor.from_function(n, slots, lambda *idx: [2 * x for x in values[idx]])
     assert (doubled - t) == t and (t - t).data == {}
     assert Tensor(n, slots, {idx: dict(enumerate(v)) for idx, v in values.items()}) == t

@@ -60,7 +60,7 @@ def test_verify_as_passes_everywhere():
                 so3_rep(), two_torus_rep(), a12_rep(),
                 lemma_rep("H"), lemma_rep("E"), lemma_rep("F")):
         report = verify_as(build_gd(rep))
-        assert report.all_pass, report.axioms
+        assert report.all_pass, report.checks
 
 
 def test_corrupted_t_located_by_axiom_iii():
@@ -69,8 +69,12 @@ def test_corrupted_t_located_by_axiom_iii():
     bad_t = _nudged(hom.T, (2, 0, 1), F(1, 3))  # perturb T_{e3} e1
     broken = HomStructure(gd, bad_t, hom.nabla, hom.R, False)
     report = verify_as(gd, broken)
-    assert not report.passed("iii")
-    assert any(2 in w and 0 in w for w in report.witnesses("iii"))
+    got = {c.name: (c.ok, c.witness) for c in report.checks}
+    want = _verify_as_oracle(gd, broken)
+    assert got == want and list(got) == list(want)
+    ok, witnesses = got["iii"]
+    assert not ok
+    assert any(2 in w and 0 in w for w in witnesses)
     assert not report.all_pass
 
 
@@ -111,7 +115,7 @@ def _verify_as_oracle(gd, hom):
         axioms[name] = (not bad, tuple(bad))
 
     def nabla_r(conn, x, y, z, w):
-        out = conn.apply_left(x, r.entry(y, z, w))
+        out = conn.apply(basis[x], r.entry(y, z, w))
         out = linalg.vec_sub(out, r.apply(conn.entry(x, y), basis[z], basis[w]))
         out = linalg.vec_sub(out, r.apply(basis[y], conn.entry(x, z), basis[w]))
         return linalg.vec_sub(out, r.apply(basis[y], basis[z], conn.entry(x, w)))
@@ -121,7 +125,7 @@ def _verify_as_oracle(gd, hom):
         for y in range(n):
             for z in range(n):
                 for w in range(n):
-                    rhs = t.apply_left(x, r.entry(y, z, w))
+                    rhs = t.apply(basis[x], r.entry(y, z, w))
                     rhs = linalg.vec_sub(rhs, r.apply(basis[y], basis[z],
                                                       t.entry(x, w)))
                     rhs = linalg.vec_sub(rhs, r.apply(t.entry(x, y), basis[z],
@@ -136,7 +140,7 @@ def _verify_as_oracle(gd, hom):
     axioms["ii_prime"] = (not bad_p, tuple(bad_p))
 
     def nabla_t(conn, x, y, w):
-        out = conn.apply_left(x, t.entry(y, w))
+        out = conn.apply(basis[x], t.entry(y, w))
         out = linalg.vec_sub(out, t.apply(conn.entry(x, y), basis[w]))
         return linalg.vec_sub(out, t.apply(basis[y], conn.entry(x, w)))
 
@@ -144,7 +148,7 @@ def _verify_as_oracle(gd, hom):
     for x in range(n):
         for y in range(n):
             for w in range(n):
-                rhs = t.apply_left(x, t.entry(y, w))
+                rhs = t.apply(basis[x], t.entry(y, w))
                 rhs = linalg.vec_sub(rhs, t.apply(basis[y], t.entry(x, w)))
                 rhs = linalg.vec_sub(rhs, t.apply(t.entry(x, y), basis[w]))
                 if nabla_t(nabla, x, y, w) != rhs:
@@ -204,4 +208,5 @@ def test_verify_as_witnesses_match_sweep_on_broken_structures(name, part, data,
         broken = HomStructure(gd, hom.T, hom.nabla,
                               _nudged(hom.R, index, delta), False)
     report = verify_as(gd, broken)
-    assert report.axioms == _verify_as_oracle(gd, broken)
+    assert ({c.name: (c.ok, c.witness) for c in report.checks}
+            == _verify_as_oracle(gd, broken))

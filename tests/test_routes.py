@@ -67,8 +67,8 @@ def curvature_oracle(gamma, alg):
     basis = linalg.identity(alg.dim)
 
     def r(i, j, k):
-        out = gamma.apply_left(i, gamma.entry(j, k))
-        out = linalg.vec_sub(out, gamma.apply_left(j, gamma.entry(i, k)))
+        out = gamma.apply(basis[i], gamma.entry(j, k))
+        out = linalg.vec_sub(out, gamma.apply(basis[j], gamma.entry(i, k)))
         return linalg.vec_sub(out, gamma.apply(alg.basis_bracket(i, j), basis[k]))
 
     return Tensor.from_function(alg.dim, 3, r)
