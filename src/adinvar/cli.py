@@ -1,8 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 malformed
-input or an output path that cannot be written.  Each command collects
-``core.Check``s, and ``_finish`` alone renders them as the report's
+input or an output path that cannot be written.  ``main`` makes, refuses
+and finishes every report: it starts ``{"command", "checks"}``, a command
+only fills it in with its fields and ``core.Check``s, an ``ExtensionError``
+from the construction data becomes one failed check per violation and the
+``error`` text, and ``_finish`` alone renders the checks as the report's
 deterministic entries, sorted by name and witness (no witness sorts as
 ""); scalars are exact 'p/q' strings.
 """
@@ -76,73 +79,52 @@ def _jacobi_check(violations):
     return Check("jacobi", not violations, witness or None)
 
 
-def _refused(report, exc, args):
-    """Finish a report whose construction raised an ExtensionError: one
-    failed check per violation it names."""
-    report["checks"] += [Check(v, False)
-                         for v in exc.violations or ("construction_failed",)]
-    report["error"] = str(exc)
-    return _finish(report, args)
-
-
 def _profile_json(alg):
     return {k: list(v) if isinstance(v, tuple) else v
             for k, v in profile(alg).items()}
 
 
-def cmd_check(args):
+def cmd_check(args, report):
     alg, form = load_algebra_file(args.file)
-    report = {"command": "check", "file": str(args.file),
-              "dim": alg.dim, "names": list(alg.names), "checks": []}
+    report.update(file=str(args.file), dim=alg.dim, names=list(alg.names))
     violations = check_jacobi(alg)
     report["checks"].append(_jacobi_check(violations))
     if form is not None:
         report["metric_signature"] = list(form.signature)
         report["metric_nondegenerate"] = form.nondegenerate
         report["metric_ad_invariant"] = (not violations) and ad_invariant(alg, form)
-    return _finish(report, args)
 
 
-def cmd_extend(args):
-    rep = load_builder_file(args.spec)
-    report = {"command": "extend", "spec": str(args.spec), "checks": []}
-    try:
-        dbl = double_extend(rep)
-    except ExtensionError as exc:
-        return _refused(report, exc, args)
+def cmd_extend(args, report):
+    report["spec"] = str(args.spec)
+    dbl = double_extend(load_builder_file(args.spec))
     report["checks"] += dbl.checks
     report["algebra"] = doc = dump_algebra_dict(dbl.g, dbl.Q)
     report["Q_signature"] = list(dbl.Q.signature)
     if args.emit:
         write_json(args.emit, doc, indent=2)
-    return _finish(report, args)
 
 
-def cmd_gd(args):
-    rep = load_builder_file(args.spec)
-    report = {"command": "gd", "spec": str(args.spec), "checks": []}
-    try:
-        gd = build_gd(rep)
-    except ExtensionError as exc:
-        return _refused(report, exc, args)
+def cmd_gd(args, report):
+    report["spec"] = str(args.spec)
+    gd = build_gd(load_builder_file(args.spec))
     report["checks"] += gd.checks
     report["algebra"] = doc = dump_algebra_dict(gd.L, gd.metric)
     if args.emit:
         write_json(args.emit, doc, indent=2)
-    return _finish(report, args)
 
 
-def cmd_geometry(args):
+def cmd_geometry(args, report):
     alg, form = load_algebra_file(args.file)
-    report = {"command": "geometry", "file": str(args.file), "checks": []}
+    report["file"] = str(args.file)
     bad = check_jacobi(alg)
-    report["checks"].append(Check("jacobi", not bad))
+    report["checks"].append(_jacobi_check(bad))
     if form is None or not form.nondegenerate:
         report["checks"].append(Check("metric_nondegenerate", False))
-        return _finish(report, args)
+        return
     report["checks"].append(Check("metric_nondegenerate", True))
     if bad:
-        return _finish(report, args)
+        return
     gamma = levi_civita(alg, form)
     r = curvature(gamma, alg)
     ric = ricci(r, form)
@@ -170,30 +152,18 @@ def cmd_geometry(args):
                 planes[f"{i+1},{j+1}"] = rational_str(
                     sectional(r, form, basis[i], basis[j]))
     report["sectional"] = planes
-    return _finish(report, args)
 
 
-def cmd_verify_as(args):
-    rep = load_builder_file(args.spec)
-    report = {"command": "verify-as", "spec": str(args.spec), "checks": []}
-    try:
-        gd = build_gd(rep)
-    except ExtensionError as exc:
-        return _refused(report, exc, args)
-    for c in verify_as(gd).checks:
+def cmd_verify_as(args, report):
+    report["spec"] = str(args.spec)
+    for c in verify_as(build_gd(load_builder_file(args.spec))).checks:
         shown = [[x + 1 for x in tup] for tup in c.witness[:20]]
         report["checks"].append(Check(f"axiom_{c.name}", c.ok, shown or None))
-    return _finish(report, args)
 
 
-def cmd_derivations(args):
-    report = {"command": "derivations", "checks": []}
+def cmd_derivations(args, report):
     if args.so_aut:
-        rep = load_builder_file(args.so_aut)
-        try:
-            gd = build_gd(rep)
-        except ExtensionError as exc:
-            return _refused(report, exc, args)
+        gd = build_gd(load_builder_file(args.so_aut))
         sa = so_aut(gd)
         report["so_aut_dim"] = sa.dim
         report["so_aut_pairs"] = [
@@ -203,7 +173,7 @@ def cmd_derivations(args):
             sa.contains(*([list(r) for r in m] for m in induced_so_aut_pair(gd, i)))
             for i in range(gd.nh))
         report["checks"].append(Check("contains_induced_pairs", induced_ok))
-        return _finish(report, args)
+        return
     alg, form = load_algebra_file(args.file)
     if args.metric:
         partner, form = load_algebra_file(args.metric)
@@ -216,7 +186,7 @@ def cmd_derivations(args):
     violations = check_jacobi(alg)
     if violations:
         report["checks"].append(_jacobi_check(violations))
-        return _finish(report, args)
+        return
     der = derivation_algebra(alg)
     inner = inner_derivations(alg)
     report["derivations_dim"] = der.dim
@@ -235,16 +205,11 @@ def cmd_derivations(args):
         report["checks"].append(Check(
             "skew_inside_derivations",
             der.flat_subspace().contains_subspace(sk.flat_subspace())))
-    return _finish(report, args)
 
 
-def cmd_series(args):
-    rep = load_builder_file(args.spec)
-    report = {"command": "series", "spec": str(args.spec), "checks": []}
-    try:
-        gd = build_gd(rep)
-    except ExtensionError as exc:
-        return _refused(report, exc, args)
+def cmd_series(args, report):
+    report["spec"] = str(args.spec)
+    gd = build_gd(load_builder_file(args.spec))
     try:
         nil = predict_nilpotent_step(gd)
         report["nilpotent"] = {
@@ -269,14 +234,12 @@ def cmd_series(args):
         report["checks"].append(Check("solvable_prediction", sol.consistent))
     except SeriesError as exc:
         report["solvable"] = str(exc)
-    return _finish(report, args)
 
 
-def cmd_corpus(args):
-    report = {"command": "corpus", "checks": []}
+def cmd_corpus(args, report):
     if not args.name:
         report["entries"] = corpus_list()
-        return _finish(report, args)
+        return
     names = corpus_list() if args.name == "all" else [args.name]
     try:
         entries = [corpus_build(n) for n in names]
@@ -304,7 +267,6 @@ def cmd_corpus(args):
                 write_json(path, out, indent=2)
                 written.append(str(path))
         report["written"] = written
-    return _finish(report, args)
 
 
 def build_parser():
@@ -379,12 +341,19 @@ def main(argv=None):
         parser.error("derivations needs an algebra file or --so-aut")
     if args.fn is cmd_derivations and args.so_aut and (args.file or args.metric):
         parser.error("derivations --so-aut takes no algebra file and no --metric")
+    report = {"command": args.cmd, "checks": []}
     try:
-        return args.fn(args)
+        try:
+            args.fn(args, report)
+        except ExtensionError as exc:
+            report["checks"] += [Check(v, False)
+                                 for v in exc.violations or ("construction_failed",)]
+            report["error"] = str(exc)
+        return _finish(report, args)
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExtensionError, GeometryError, SeriesError) as exc:
+    except (GeometryError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -143,15 +143,20 @@ def dump_algebra_dict(alg, form=None):
 
 
 def read_json(path):
-    """The JSON document at path; unreadable or invalid is a SpecFormatError."""
+    """The JSON document at path; unreadable, not UTF-8, invalid or nested
+    deeper than the parser can follow is a SpecFormatError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecFormatError(str(exc), str(path))
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"not UTF-8: {exc}", str(path))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON: {exc}", str(path))
+    except RecursionError:
+        raise SpecFormatError("invalid JSON: nested too deeply", str(path))
 
 
 def write_json(path, doc, **dump):

@@ -3,7 +3,9 @@
 ``bench/layers.py`` wraps the functions listed in ``LAYERS`` by name, and
 ``bench/selftest.py`` requires ``ad_invariant`` to be one function bound
 in ``core``, ``extension`` and the package.  A refactor that renames or
-rebinds one of them fails here instead of in a benchmark run.
+rebinds one of them fails here instead of in a benchmark run, and so
+does a ``cli.main`` that dispatches around the module-level ``cmd_*``
+functions the harness counts.
 
 The sweeps over basis tuples, the geometry routes, the matrix-algebra
 commutators, the Killing form, the signatures and the centre run on
@@ -11,8 +13,10 @@ integers; the harness's ``FractionCounter`` checks here that no
 ``Fraction`` arithmetic comes back into them.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +27,7 @@ from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
                      killing_form, lambda_matrix, levi_civita, levi_civita_gd,
                      lower_central_series, nilmanifold_t_formula,
                      skew_derivations, t_tensor, verify_as)
+from adinvar.cli import main
 from adinvar.homstructure import nabla_tilde_closed
 from conftest import conjugated_rep
 
@@ -44,6 +49,25 @@ def test_every_wrapped_name_resolves():
             for part in name.split("."):
                 obj = getattr(obj, part)
             assert callable(obj) and hasattr(obj, "__code__"), f"{layer}.{name}"
+
+
+def test_each_wrapped_command_is_counted_once_per_call(tmp_path):
+    """One ``main`` call of each command the harness wraps adds exactly one
+    to that command's ``cli.cmd_*`` count."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", "h3_metric_0", "--emit", "--dir", str(tmp_path)]) == 0
+    alg = str(tmp_path / "h3_metric_0.json")
+    spec = str(tmp_path / "h3_metric_0_builder.json")
+    runs = {"cmd_check": ["check", alg], "cmd_gd": ["gd", spec],
+            "cmd_geometry": ["geometry", alg], "cmd_verify_as": ["verify-as", spec],
+            "cmd_derivations": ["derivations", alg], "cmd_series": ["series", spec],
+            "cmd_corpus": ["corpus", "h3_metric_0"]}
+    layers = _bench_layers()
+    assert sorted(runs) == sorted(layers.LAYERS["cli"])
+    with layers.Tracer(adinvar) as tracer, contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs.values():
+            assert main(argv + ["--json"]) == 0, argv
+    assert {name: tracer.stats[f"cli.{name}"].calls for name in runs} == dict.fromkeys(runs, 1)
 
 
 def test_ad_invariant_is_one_binding():

@@ -652,6 +652,24 @@ def test_commands_refuse_brackets_and_metric_that_are_not_lists(tmp_path, capsys
             assert err == f"error: {part}: '{key}' must be a list\n"
 
 
+def test_commands_refuse_files_that_are_not_utf8_or_nested_too_deeply(tmp_path,
+                                                                       capsys):
+    """A file that is not UTF-8, and JSON nested deeper than the parser's
+    recursion limit, exit 2 with a message naming the file, read directly
+    or as the 'd' part of a builder."""
+    small = {"dim": 1, "metric": [[1, 1, 1]]}
+    for name, data in (("latin.json", b'\xff\xfe{"dim": 1}'),
+                       ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        spec = tmp_path / f"builder_{name}"
+        spec.write_text(json.dumps({"d": name, "h": small, "pi": [[[0]]]}))
+        for argv in (["check", str(bad)], ["gd", str(spec)]):
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
 def _failing_inputs(emitted, here):
     """Write into ``here`` the inputs of FAILING_SHA256, made from the emitted
     gH files: a bracket constant nudged (Jacobi fails), no metric, a
@@ -676,7 +694,7 @@ FAILING_SHA256 = {
     ("check", "gH_nudged.json", "--json"):
         (1, "9c53597c86f49fc0d35c4fcf285fa26979da55a206e1b8eee17a9e8ce7a99ccb"),
     ("geometry", "gH_nudged.json", "--json"):
-        (1, "3e205a9bccff2ad7c8e4f29883284ca15edf88e11fa60e9de8605cdf09752794"),
+        (1, "f4ab1c0158fc3156abc9bd28bdf0fb6dbb3bc0123f674f6cee48524a83d0c450"),
     ("derivations", "gH_nudged.json", "--json"):
         (1, "9ed01801191a7d9d88f000b2b372e264eb4d6e65f65e4d17854f681b4019a3eb"),
     ("geometry", "gH_no_metric.json", "--json"):
@@ -713,6 +731,37 @@ def test_failing_and_human_reports_match_the_digests(argv, emitted_corpus,
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == FAILING_SHA256[argv]
     assert err == ""
+
+
+def test_geometry_and_check_report_the_same_jacobi_witness(emitted_corpus,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+    """geometry reports a failed Jacobi identity with the witness of check:
+    each failing 1-based triple and its cyclic sum."""
+    _failing_inputs(emitted_corpus, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    jacobi = []
+    for command in ("check", "geometry"):
+        code, out, _ = run(capsys, command, "gH_nudged.json", "--json")
+        assert code == 1
+        jacobi.append([c for c in json.loads(out)["checks"] if c["name"] == "jacobi"])
+    assert jacobi[0] == jacobi[1]
+    assert jacobi[0][0]["pass"] is False and jacobi[0][0]["witness"]
+
+
+@pytest.mark.parametrize("command", [("gd",), ("extend",), ("verify-as",),
+                                     ("series",), ("derivations", "--so-aut")])
+def test_refused_reports_are_written_as_printed(command, emitted_corpus,
+                                                tmp_path, capsys, monkeypatch):
+    """A report refused for its construction data goes to --report byte for
+    byte as to stdout, with exit 1."""
+    _failing_inputs(emitted_corpus, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, "gH_moved_builder.json", "--json",
+                         "--report", "r.json")
+    assert (code, err) == (1, "")
+    assert "error" in json.loads(out)
+    assert (tmp_path / "r.json").read_text() == out
 
 
 def test_output_paths_that_cannot_be_written_exit_2(tmp_path, capsys):
