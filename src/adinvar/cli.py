@@ -7,10 +7,13 @@ only fills it in with its fields and ``core.Check``s, an ``ExtensionError``
 from the construction data becomes one failed check per violation and the
 ``error`` text, and ``_finish`` alone renders the checks as the report's
 deterministic entries, sorted by name and witness (no witness sorts as
-""); scalars are exact 'p/q' strings.
+""); scalars are exact 'p/q' strings.  The parser is built once per process,
+on the first ``main`` call; ``main`` looks up ``cmd_<name>`` by command name
+at each call, so module-level patches such as the benchmark's tracer apply.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -55,7 +58,10 @@ def _print_human(report):
         if key in ("command", "checks", "passed"):
             continue
         print(f"{key}:")
-        print("  " + json.dumps(value, sort_keys=True, default=str)[:2000])
+        text = json.dumps(value, sort_keys=True, default=str)
+        if len(text) > 2000:
+            text = f"{text[:2000]}... ({len(text)} characters in all; see --json)"
+        print("  " + text)
     width = max((len(c["name"]) for c in report["checks"]), default=4)
     for c in report["checks"]:
         mark = "PASS" if c["pass"] else "FAIL"
@@ -196,7 +202,7 @@ def cmd_derivations(args, report):
     report["checks"] += [
         Check("inner_dim_relation", inner.dim == alg.dim - center(alg).dim),
         Check("inner_inside_derivations",
-              der.flat_subspace().contains_subspace(inner.flat_subspace()))]
+              der.flat_subspace.contains_subspace(inner.flat_subspace))]
     if form is not None and form.nondegenerate:
         sk = skew_derivations(alg, form)
         report["skew_dim"] = sk.dim
@@ -204,7 +210,7 @@ def cmd_derivations(args, report):
         report["skew_basis"] = [_mat_str(m) for m in sk.matrices()]
         report["checks"].append(Check(
             "skew_inside_derivations",
-            der.flat_subspace().contains_subspace(sk.flat_subspace())))
+            der.flat_subspace.contains_subspace(sk.flat_subspace)))
 
 
 def cmd_series(args, report):
@@ -269,6 +275,7 @@ def cmd_corpus(args, report):
         report["written"] = written
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="adinvar",
@@ -285,29 +292,24 @@ def build_parser():
     p = sub.add_parser("check", help="validate an algebra file")
     p.add_argument("file")
     common(p)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("extend", help="build the double extension h + d + h*")
     p.add_argument("spec")
     p.add_argument("--emit", metavar="PATH", help="write the built algebra")
     common(p)
-    p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("gd", help="build the metric algebra on d + h*")
     p.add_argument("spec")
     p.add_argument("--emit", metavar="PATH", help="write the built algebra")
     common(p)
-    p.set_defaults(fn=cmd_gd)
 
     p = sub.add_parser("geometry", help="connection, curvature, Ricci, sectional")
     p.add_argument("file")
     common(p)
-    p.set_defaults(fn=cmd_geometry)
 
     p = sub.add_parser("verify-as", help="check the homogeneous structure axioms")
     p.add_argument("spec")
     common(p)
-    p.set_defaults(fn=cmd_verify_as)
 
     p = sub.add_parser("derivations", help="derivation and automorphism algebras")
     p.add_argument("file", nargs="?")
@@ -316,12 +318,10 @@ def build_parser():
     p.add_argument("--so-aut", metavar="SPEC", dest="so_aut",
                    help="builder spec: compute orthogonal automorphisms instead")
     common(p)
-    p.set_defaults(fn=cmd_derivations)
 
     p = sub.add_parser("series", help="predicted vs computed nilpotency/solvability")
     p.add_argument("spec")
     common(p)
-    p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("corpus", help="build and verify the example registry")
     p.add_argument("name", nargs="?",
@@ -330,21 +330,20 @@ def build_parser():
                    help="write algebra and builder files")
     p.add_argument("--dir", default="corpus", help="output directory for --emit")
     common(p)
-    p.set_defaults(fn=cmd_corpus)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.fn is cmd_derivations and not args.so_aut and not args.file:
+    if args.cmd == "derivations" and not args.so_aut and not args.file:
         parser.error("derivations needs an algebra file or --so-aut")
-    if args.fn is cmd_derivations and args.so_aut and (args.file or args.metric):
+    if args.cmd == "derivations" and args.so_aut and (args.file or args.metric):
         parser.error("derivations --so-aut takes no algebra file and no --metric")
     report = {"command": args.cmd, "checks": []}
     try:
         try:
-            args.fn(args, report)
+            globals()["cmd_" + args.cmd.replace("-", "_")](args, report)
         except ExtensionError as exc:
             report["checks"] += [Check(v, False)
                                  for v in exc.violations or ("construction_failed",)]

@@ -8,6 +8,7 @@ matrix coordinates, so dimensions and containments are deterministic.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, product
 
 from . import linalg
@@ -90,11 +91,12 @@ class MatrixLieAlgebra:
     def matrices(self):
         return [[list(row) for row in m] for m in self.basis]
 
+    @cached_property
     def flat_subspace(self):
         return Subspace.span([_flatten(m) for m in self.basis], self.n * self.n)
 
     def contains(self, mat):
-        return self.flat_subspace().contains(_flatten(mat))
+        return self.flat_subspace.contains(_flatten(mat))
 
 
 # Each linear condition on a matrix unknown X (flattened row-major into the
@@ -178,12 +180,13 @@ class SoAut:
     def dim(self):
         return len(self.pairs)
 
+    @cached_property
     def flat_subspace(self):
         vecs = [_flatten(a) + _flatten(b) for a, b in self.pairs]
         return Subspace.span(vecs, self.nh * self.nh + self.nd * self.nd)
 
     def contains(self, a, b):
-        return self.flat_subspace().contains(_flatten(a) + _flatten(b))
+        return self.flat_subspace.contains(_flatten(a) + _flatten(b))
 
 
 def so_aut(gd):

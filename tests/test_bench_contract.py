@@ -5,7 +5,7 @@
 in ``core``, ``extension`` and the package.  A refactor that renames or
 rebinds one of them fails here instead of in a benchmark run, and so
 does a ``cli.main`` that dispatches around the module-level ``cmd_*``
-functions the harness counts.
+functions the harness counts, also after it has run once untraced.
 
 The sweeps over basis tuples, the geometry routes, the matrix-algebra
 commutators, the Killing form, the signatures and the centre run on
@@ -51,9 +51,9 @@ def test_every_wrapped_name_resolves():
             assert callable(obj) and hasattr(obj, "__code__"), f"{layer}.{name}"
 
 
-def test_each_wrapped_command_is_counted_once_per_call(tmp_path):
-    """One ``main`` call of each command the harness wraps adds exactly one
-    to that command's ``cli.cmd_*`` count."""
+def _wrapped_command_runs(tmp_path):
+    """argv of one call of each command the harness wraps, by its ``cmd_*``
+    name, on the ``h3_metric_0`` files emitted into ``tmp_path``."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["corpus", "h3_metric_0", "--emit", "--dir", str(tmp_path)]) == 0
     alg = str(tmp_path / "h3_metric_0.json")
@@ -62,12 +62,34 @@ def test_each_wrapped_command_is_counted_once_per_call(tmp_path):
             "cmd_geometry": ["geometry", alg], "cmd_verify_as": ["verify-as", spec],
             "cmd_derivations": ["derivations", alg], "cmd_series": ["series", spec],
             "cmd_corpus": ["corpus", "h3_metric_0"]}
+    assert sorted(runs) == sorted(_bench_layers().LAYERS["cli"])
+    return {name: argv + ["--json"] for name, argv in runs.items()}
+
+
+def _traced_command_calls(runs):
     layers = _bench_layers()
-    assert sorted(runs) == sorted(layers.LAYERS["cli"])
     with layers.Tracer(adinvar) as tracer, contextlib.redirect_stdout(io.StringIO()):
         for argv in runs.values():
-            assert main(argv + ["--json"]) == 0, argv
-    assert {name: tracer.stats[f"cli.{name}"].calls for name in runs} == dict.fromkeys(runs, 1)
+            assert main(argv) == 0, argv
+    return {name: tracer.stats[f"cli.{name}"].calls for name in runs}
+
+
+def test_each_wrapped_command_is_counted_once_per_call(tmp_path):
+    """One ``main`` call of each command the harness wraps adds exactly one
+    to that command's ``cli.cmd_*`` count."""
+    runs = _wrapped_command_runs(tmp_path)
+    assert _traced_command_calls(runs) == dict.fromkeys(runs, 1)
+
+
+def test_commands_run_before_the_tracer_are_counted_under_it(tmp_path):
+    """``main`` reaches the ``cmd_*`` functions through the module at each
+    call, so the parser it keeps for the process holds no function that
+    the tracer cannot patch."""
+    runs = _wrapped_command_runs(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs.values():
+            assert main(argv) == 0, argv
+    assert _traced_command_calls(runs) == dict.fromkeys(runs, 1)
 
 
 def test_ad_invariant_is_one_binding():

@@ -1,7 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,14 +14,25 @@ import pytest
 from adinvar import corpus_list
 from adinvar.cli import main
 
-GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
-                    .read_text(encoding="utf-8"))
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def one_shot(*argv):
+    """Exit code, stdout and stderr of ``python -m adinvar.cli ARGV`` in a
+    fresh interpreter, at the usage width of the in-process calls."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "adinvar.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+    return done.returncode, done.stdout, done.stderr
 
 
 def emit_corpus(tmp_path, capsys, name):
@@ -831,3 +846,73 @@ def test_derivations_omits_skew_fields_for_a_degenerate_metric_file(tmp_path,
     assert code == 0
     assert "skew_dim" not in json.loads(out)
     assert out == plain
+
+
+def test_long_fields_end_in_a_marker_in_the_human_form(emitted_corpus, capsys):
+    """The human form prints each field's JSON whole up to 2000 characters;
+    a longer one is cut there and says how long it is and where to see it."""
+    alg = str(emitted_corpus / "gH.json")
+    code, out, _ = run(capsys, "geometry", alg, "--json")
+    human_code, human, _ = run(capsys, "geometry", alg)
+    assert code == human_code == 0
+    lines = human.splitlines()
+    cut = 0
+    for key, value in json.loads(out).items():
+        if key in ("command", "checks", "passed"):
+            continue
+        text = json.dumps(value, sort_keys=True)
+        shown = lines[lines.index(f"{key}:") + 1]
+        if len(text) > 2000:
+            cut += 1
+            text = f"{text[:2000]}... ({len(text)} characters in all; see --json)"
+        assert shown == "  " + text, key
+    assert cut
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    """Several ``main`` calls construct the ``adinvar`` parser at most once
+    (none if an earlier call in the process built it), and no subparser
+    twice."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["corpus"], ["corpus", "h3_metric_0", "--json"], ["corpus"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built.count("adinvar") <= 1 and len(built) == len(set(built))
+
+
+def test_calls_in_one_process_match_calls_on_their_own(emitted_corpus, tmp_path,
+                                                       capsys, monkeypatch):
+    """No option of one in-process call leaks into the next: after a usage
+    error, a --metric whose metric is degenerate (no skew fields) and the
+    same algebra without it, --so-aut still takes no algebra file, and each
+    call prints what it prints in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    alg = str(emitted_corpus / "h3_metric_0.json")
+    doc = json.loads((emitted_corpus / "h3_metric_0.json").read_text())
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({**doc, "metric": [[1, 1, "1"]]}))
+    spec = str(emitted_corpus / "h3_metric_0_builder.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["derivations"])
+    assert (exc.value.code, *capsys.readouterr()) == one_shot("derivations")
+    outs = []
+    for argv in (["derivations", alg, "--metric", str(flat), "--json"],
+                 ["derivations", alg, "--json"],
+                 ["derivations", "--so-aut", spec, "--json"]):
+        outs.append(run(capsys, *argv))
+        assert outs[-1] == one_shot(*argv), argv
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert "skew_dim" in json.loads(outs[1][1]) and "skew_dim" not in json.loads(outs[0][1])
+
+
+def test_a_fresh_interpreter_prints_what_main_prints_in_process(capsys):
+    for argv in (["corpus"], ["corpus", "gH"], ["corpus", "nope", "--json"]):
+        run(capsys, *argv)
+    argv = ["corpus", "h3_metric_0", "--json"]
+    assert run(capsys, *argv) == one_shot(*argv)

@@ -100,7 +100,7 @@ def test_inner_inside_skew_for_invariant_form():
     alg = a12_algebra()
     sk = skew_derivations(alg, a12_lemma_form())
     inner = inner_derivations(alg)
-    assert sk.flat_subspace().contains_subspace(inner.flat_subspace())
+    assert sk.flat_subspace.contains_subspace(inner.flat_subspace)
 
 
 def test_skew_derivation_profile_semidirect():
