@@ -202,7 +202,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.span(linalg.identity(ambient_dim), ambient_dim)
+        return cls(ambient_dim, tuple(map(tuple, linalg.identity(ambient_dim))))
 
     @property
     def dim(self):
@@ -389,7 +389,7 @@ def derivation_witnesses(op, tensor, n, slots):
 def kernel_of(matrix):
     rows = [list(map(frac, r)) for r in matrix]
     ncols = len(rows[0]) if rows else 0
-    return Subspace.span(linalg.nullspace(rows), ncols)
+    return Subspace(ncols, tuple(map(tuple, linalg.nullspace(rows))))  # reduced
 
 
 def center(alg):
@@ -409,7 +409,7 @@ def orthogonal_complement(sub, form):
     if sub.dim == 0:
         return Subspace.full(sub.ambient_dim)
     rows = [linalg.mat_vec(form.rows(), list(r)) for r in sub.rows]
-    return Subspace.span(linalg.nullspace(rows), sub.ambient_dim)
+    return Subspace(sub.ambient_dim, tuple(map(tuple, linalg.nullspace(rows))))
 
 
 def is_subalgebra(alg, sub):

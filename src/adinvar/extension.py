@@ -7,6 +7,10 @@ Basis conventions, fixed once:
 * the algebra on d + h* is ordered (d | h*), with the h* basis taken as
   the images of the h basis under the musical map ell(h) = <h,.>_h, so
   the metric block on h* is literally the matrix of <,>_h.
+
+Both bracket tables are written from the sparse data of the
+representation; the block checks, and every reader of beta* = ell^-1 beta
+(the h* part of the bracket of d + h*), read those tables.
 """
 
 from dataclasses import dataclass
@@ -15,9 +19,8 @@ from itertools import combinations, product
 
 from . import linalg
 from .core import (BilinearForm, Check, LieAlgebra, Subspace, ad_invariant,
-                   all_pass, check_jacobi, derivation_witnesses, is_ideal,
-                   is_subalgebra, operator_data, orthogonal_complement,
-                   skew_witnesses)
+                   all_pass, check_jacobi, derivation_witnesses, operator_data,
+                   orthogonal_complement, skew_witnesses)
 from .geometry import Tensor
 from .linalg import Q0, Q1
 
@@ -129,13 +132,6 @@ def _action_faults(mats, h, form, bracket_data, n):
             yield "homomorphism", i, j
 
 
-def _block_vector(parts):
-    out = []
-    for p in parts:
-        out.extend(p)
-    return out
-
-
 @dataclass(frozen=True)
 class DoubleExtension:
     """The Lie algebra h + d + h* with its two ad-invariant metrics."""
@@ -161,14 +157,14 @@ class DoubleExtension:
         return self.rep.d.dim
 
     def embed_h(self, v):
-        return _block_vector([list(v), [Q0] * self.nd, [Q0] * self.nh])
+        return list(v) + [Q0] * (self.nd + self.nh)
 
     def embed_d(self, v):
-        return _block_vector([[Q0] * self.nh, list(v), [Q0] * self.nh])
+        return [Q0] * self.nh + list(v) + [Q0] * self.nh
 
     def embed_dual(self, v):
         """Embed a covector given in dual-basis coordinates."""
-        return _block_vector([[Q0] * self.nh, [Q0] * self.nd, list(v)])
+        return [Q0] * (self.nh + self.nd) + list(v)
 
     def split(self, w):
         nh, nd = self.nh, self.nd
@@ -187,73 +183,65 @@ def double_extend(rep):
 
 
 def _assemble_double(rep):
-    """h + d + h* and its checks, from data that ``validate`` accepted."""
+    """h + d + h* and its checks, from data that ``validate`` accepted: the
+    bracket of h, [h_i, e_b] = pi(h_i) e_b, the coadjoint action
+    [h_i, delta_k] = -sum_m c_im^k delta_m, and [e_a, e_b]_d + beta(e_a, e_b)."""
     nh, nd = rep.h.dim, rep.d.dim
-    n = 2 * nh + nd
-    table = {}
-
-    def put(i, j, vec):
-        comps = {k: c for k, c in enumerate(vec) if c != 0}
-        if comps:
-            table[(i, j)] = comps
-
-    hs = lambda k: nh + nd + k
-    for i, j in combinations(range(nh), 2):
-        put(i, j, _block_vector([rep.h.basis_bracket(i, j), [Q0] * (nd + nh)]))
-    for i in range(nh):
-        adh = rep.h.ad(i)
-        for b in range(nd):
-            col = [rep.mats[i][p][b] for p in range(nd)]
-            put(i, nh + b, _block_vector([[Q0] * nh, col, [Q0] * nh]))
-        # coadjoint: (ad*(h_i) delta_k)(h_m) = -delta_k([h_i, h_m])
-        for k in range(nh):
-            cov = [-adh[k][m] for m in range(nh)]
-            put(i, hs(k), _block_vector([[Q0] * (nh + nd), cov]))
-    for a, b in combinations(range(nd), 2):
-        put(nh + a, nh + b,
-            _block_vector([[Q0] * nh, rep.d.basis_bracket(a, b), rep.beta_table[a][b]]))
-
+    hs, n = nh + nd, 2 * nh + nd
+    table = dict(rep.h.table)
+    for (i, b), col in operator_data(rep.mats).items():
+        table[i, nh + b] = {nh + p: x for p, x in col.items()}
+    for (i, m), comps in rep.h.bracket_data.items():
+        for k, c in comps.items():
+            table.setdefault((i, hs + k), {})[hs + m] = -c
+    table.update(_d_pairs(rep, nh, hs, list))
     names = (rep.h.names + rep.d.names
              + tuple(f"{s}*" for s in rep.h.names))
     g = LieAlgebra(n, names, table)
     if check_jacobi(g):
         raise ExtensionError("constructed bracket violates Jacobi")
 
-    w = rep.h_form.rows()
-    qm = linalg.zeros(n, n)
-    for i in range(nh):
-        for j in range(nh):
-            qm[i][j] = w[i][j]
-        qm[i][hs(i)] = Q1
-        qm[hs(i)][i] = Q1
-    for a in range(nd):
-        for b in range(nd):
-            qm[nh + a][nh + b] = rep.d_form.matrix[a][b]
-    q = BilinearForm(tuple(tuple(r) for r in qm))
-    diff = linalg.zeros(n, n)  # Q - Q_minus: 2<,>_h on the h x h block
-    for i in range(nh):
-        for j in range(nh):
-            qm[i][j] = -w[i][j]
-            diff[i][j] = 2 * w[i][j]
-    q_minus = BilinearForm(tuple(tuple(r) for r in qm))
+    forms = []
+    for c in (Q1, -Q1):  # Q and Q_minus: c<,>_h + <,>_d + the pairing of h, h*
+        m = [list(r) for r in _block_sum(_block_sum(
+            linalg.mat_scale(c, rep.h_form.rows()), rep.d_form.matrix),
+            linalg.zeros(nh, nh))]
+        for i in range(nh):
+            m[i][hs + i] = m[hs + i][i] = Q1
+        forms.append(BilinearForm(m))
+    q, q_minus = forms
     # skewness is linear in the form: Q and Q_minus are ad-invariant iff Q
-    # and their sparse difference are
-    if not (ad_invariant(g, q) and ad_invariant(g, BilinearForm(diff))):
+    # and their sparse difference, 2<,>_h on the h x h block, are
+    diff = BilinearForm(linalg.mat_sub(q.rows(), q_minus.rows()))
+    if not (ad_invariant(g, q) and ad_invariant(g, diff)):
         raise ExtensionError("constructed metric is not ad-invariant")
 
-    eye = linalg.identity(n)
-    h_sub = Subspace.span(eye[:nh], n)
-    d_sub = Subspace.span(eye[nh:nh + nd], n)
-    hstar_sub = Subspace.span(eye[nh + nd:], n)
-    ext = DoubleExtension(rep, g, q, q_minus, h_sub, d_sub, hstar_sub)
-    if not is_subalgebra(g, h_sub):
+    # h is the first nh coordinates: a key (i, j), i < j, brackets two h
+    # vectors iff j < nh, and d + h* is an ideal iff no other key has an h
+    # component
+    if any(k >= nh for (_, j), comps in g.table.items() if j < nh for k in comps):
         raise ExtensionError("h is not a subalgebra")
-    if not is_ideal(g, d_sub.add(hstar_sub)):
+    if any(k < nh for (_, j), comps in g.table.items() if j >= nh for k in comps):
         raise ExtensionError("d + h* is not an ideal")
     sd = rep.d_form.signature
     if q.signature != (sd[0] + nh, sd[1] + nh, sd[2]):
         raise ExtensionError("signature relation violated")
-    return ext
+    eye = tuple(map(tuple, linalg.identity(n)))  # unit rows are reduced
+    return DoubleExtension(rep, g, q, q_minus, Subspace(n, eye[:nh]),
+                           Subspace(n, eye[nh:hs]), Subspace(n, eye[hs:]))
+
+
+def _d_pairs(rep, d0, h0, hstar):
+    """[e_a, e_b] for a < b in an algebra where d starts at d0 and h* at h0:
+    the bracket of d plus the nonzero entries of hstar(beta(e_a, e_b))."""
+    table = {}
+    for a, b in combinations(range(rep.d.dim), 2):
+        comps = {d0 + p: x for p, x in rep.d.table.get((a, b), {}).items()}
+        comps.update((h0 + k, x)
+                     for k, x in enumerate(hstar(rep.beta_table[a][b])) if x)
+        if comps:
+            table[d0 + a, d0 + b] = comps
+    return table
 
 
 @dataclass(frozen=True)
@@ -309,13 +297,7 @@ def build_gd(rep):
     w = rep.h_form.rows()
     winv = linalg.inverse(w)
 
-    table = {}
-    betas = rep.beta_table
-    for a, b in combinations(range(nd), 2):
-        vec = list(rep.d.basis_bracket(a, b)) + linalg.mat_vec(winv, betas[a][b])
-        comps = {k: c for k, c in enumerate(vec) if c != 0}
-        if comps:
-            table[(a, b)] = comps
+    table = _d_pairs(rep, 0, nd, lambda beta: linalg.mat_vec(winv, beta))
     names = rep.d.names + tuple(f"{s}*" for s in rep.h.names)
     alg = LieAlgebra(nd + nh, names, table)
     if check_jacobi(alg):
@@ -325,7 +307,7 @@ def build_gd(rep):
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
     # h* in the ell basis
     mu_mats = tuple(_block_sum(rep.mats[k], rep.h.ad(k)) for k in range(nh))
-    gd = GdAlgebra(rep, alg, metric, betas, tuple(map(tuple, w)),
+    gd = GdAlgebra(rep, alg, metric, rep.beta_table, tuple(map(tuple, w)),
                    tuple(map(tuple, winv)), mu_mats, dbl)
     _verify_gd(gd)
     return gd
@@ -346,26 +328,23 @@ def _verify_gd(gd):
         raise ExtensionError("metric is not <,>_d + <,>_h")
     if any(j >= nd for _, j in alg.table):
         raise ExtensionError("h* is not central")
-    basis = linalg.identity(nd + nh)
-    for k in range(nh):
-        fk = basis[nd + k]
-        for a in range(nd):
-            for b in range(nd):
-                br = alg.basis_bracket(a, b)
-                if metric.apply(fk, br) != gd.beta_table[a][b][k]:
-                    raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
+    # the metric is the block sum, so <h_k*, [e_a, e_b]> reads its h* block
+    # and the h* part of the bracket
+    h_block = [row[nd:] for row in metric.matrix[nd:]]
+    for a, b in product(range(nd), repeat=2):
+        hstar = alg.basis_bracket(a, b)[nd:]
+        if linalg.mat_vec(h_block, hstar) != list(gd.beta_table[a][b]):
+            raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
     fault = next(_action_faults(gd.mu_mats, gd.rep.h, metric,
                                 alg.bracket_data, nd + nh), None)
     if fault is not None:
         raise ExtensionError({"skew": "mu(h) is not metric-skew",
                               "derivation": "mu(h) is not a derivation",
                               "homomorphism": "mu is not a homomorphism"}[fault[0]])
-    lam_cols = linalg.transpose(lambda_matrix(gd))  # lam_cols[a] = lambda(e_a)
-    qm = gd.double.Q_minus
-    for a in range(nd + nh):
-        for b in range(nd + nh):
-            if qm.apply(lam_cols[a], lam_cols[b]) != metric.matrix[a][b]:
-                raise ExtensionError("lambda is not a linear isometry")
+    lam = lambda_matrix(gd)
+    if linalg.mat_mul(linalg.transpose(lam), linalg.mat_mul(
+            gd.double.Q_minus.rows(), lam)) != metric.rows():
+        raise ExtensionError("lambda is not a linear isometry")
 
 
 def lambda_matrix(gd):

@@ -6,7 +6,7 @@ once from the Koszul formula / curvature definition (ground truth) and once
 from the block formulas of the d + h* algebras; tests pin exact equality.
 Every route builds ``Tensor.data`` directly, summing over the nonzero
 entries of the sparse data it reads (bracket tables, operator columns,
-the form rows, the columns of B^-1 and ell^-1, the beta table);
+the form rows, the columns of B^-1 and ell^-1);
 ``Tensor.from_function`` remains for test oracles and for
 ``bi_invariant_curvature_check``.
 
@@ -165,19 +165,12 @@ def d_bracket_half(gd):
 
 
 def beta_star(gd):
-    """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, from ``gd.beta_table``,
-    as {(a, b): {k: coeff}}; the table and the columns of ell^-1 (its rows,
-    as ell is symmetric) are scaled to integers by one s."""
-    ellinv, beta, s = _integral(
-        _rows(gd.ell_inv),
-        {(a, b): {k: x for k, x in enumerate(v) if x}
-         for a, row in enumerate(gd.beta_table) for b, v in enumerate(row)})
-    out = {}
-    for ab, comps in beta.items():
-        v = out[ab] = {}
-        for k, x in comps.items():
-            add_scaled(v, x, ellinv[k])
-    return _rational(out, s * s)
+    """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, as {(a, b): {k: coeff}}
+    for every pair of d indices, zero pairs included: the h* part of the
+    bracket of ``gd.L``, which cm_relation checks against ``gd.beta_table``."""
+    nd, br = gd.nd, gd.L.bracket_data
+    return {(a, b): {k - nd: x for k, x in br.get((a, b), {}).items() if k >= nd}
+            for a, b in product(range(nd), repeat=2)}
 
 
 def levi_civita_gd(gd):
@@ -215,9 +208,9 @@ def curvature(gamma, alg):
 def curvature_gd(gd):
     """Block formulas for the curvature of the d + h* algebra.
 
-    Reads only stored construction data: ``gd.beta_table``, ``gd.ell_inv``,
-    the operators ``gd.rep.mats`` (as columns) and the bracket tables of d,
-    h and ``gd.L``.  It never builds or reads a connection, so it
+    Reads only stored construction data: the operators ``gd.rep.mats`` (as
+    columns) and the bracket tables of d, h and ``gd.L``, whose h* part is
+    beta* (``beta_star``).  It never builds or reads a connection, so it
     stays a check of ``curvature`` independent of the Koszul and definition
     routes.  With beta*(x,y) = ell^-1 beta(x,y) in h, x, y, z in d:
 

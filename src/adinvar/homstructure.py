@@ -23,6 +23,7 @@ from .core import (Check, _integral, _rational, _rows, all_pass,
                    derivation_witnesses, skew_witnesses)
 from .geometry import (Tensor, _product, add_scaled, beta_star, curvature_gd,
                        d_bracket_half, gd_tensor, levi_civita_gd)
+from .extension import lambda_matrix
 from .linalg import Q1, transpose
 
 
@@ -44,7 +45,6 @@ def t_tensor(gd):
 
 
 def _t_via_lambda(gd):
-    from .extension import lambda_matrix
     nh, nd, n = gd.nh, gd.nd, gd.L.dim
     # lambda (lam[i] = lambda(e_i)), ell^-1 (symmetric, so its rows are its
     # columns) and the bracket upstairs are scaled to integers by one s; w

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from . import linalg
 from .core import (Subspace, center, derived_series, kernel_of,
                    lower_central_series, totally_isotropic)
-from .linalg import Q0
 
 
 class SeriesError(Exception):
@@ -35,19 +34,10 @@ class StepReport:
 
 
 def _beta_obstruction(gd, left, right):
-    """Span of beta(u, v) for u in left, v in right, inside d + h*; the
-    covector beta(u, v) is read from ``gd.beta_table`` and mapped into the
-    ell basis by ``gd.ell_inv``."""
-    vecs = []
-    for u in left.basis():
-        for v in right.basis():
-            cov = [Q0] * gd.nh
-            for a, ua in enumerate(u):
-                for b, vb in enumerate(v):
-                    if ua and vb:
-                        cov = linalg.vec_add(
-                            cov, linalg.vec_scale(ua * vb, gd.beta_table[a][b]))
-            vecs.append(gd.embed_h(linalg.mat_vec(gd.ell_inv, cov)))
+    """Span of beta(u, v) for u in left, v in right, inside d + h*: the h*
+    part of [u, v] in ``gd.L``, which ``build_gd`` writes as ell^-1 beta."""
+    vecs = [gd.embed_h(gd.L.bracket(gd.embed_d(u), gd.embed_d(v))[gd.nd:])
+            for u in left.basis() for v in right.basis()]
     return Subspace.span(vecs, gd.L.dim)
 
 

@@ -163,6 +163,83 @@ def test_series_refuses_invalid_data_on_non_solvable_d(tmp_path, capsys):
     assert (doc["checks"], doc["error"]) == (gd_doc["checks"], gd_doc["error"])
 
 
+def test_series_reports_a_d_that_is_neither_nilpotent_nor_solvable(tmp_path,
+                                                                    capsys):
+    # d = so(3) with the identity metric, pi(z) = ad(e1): valid data
+    spec = tmp_path / "so3_ad.json"
+    spec.write_text(json.dumps({
+        "d": {"dim": 3, "metric": [[1, 1, 1], [2, 2, 1], [3, 3, 1]],
+              "brackets": [[1, 2, 3, 1], [2, 3, 1, 1], [1, 3, 2, -1]]},
+        "h": {"dim": 1, "names": ["z"], "metric": [[1, 1, 1]]},
+        "pi": [[[0, 0, 0], [0, 0, -1], [0, 1, 0]]],
+    }))
+    code, out, err = run(capsys, "series", str(spec), "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["nilpotent"] == "d is not nilpotent"
+    assert doc["solvable"] == "d is not solvable"
+    assert doc["checks"] == [] and doc["passed"] is True
+
+
+NOT_JACOBI = [[1, 2, 3, 1], [1, 3, 1, 1]]
+UNIT_3 = [[1, 1, 1], [2, 2, 1], [3, 3, 1]]
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("d_not_lie_algebra",
+     {"d": {"dim": 3, "metric": UNIT_3, "brackets": NOT_JACOBI},
+      "h": {"dim": 1, "metric": [[1, 1, 1]]}, "pi": [[[0] * 3] * 3]}),
+    ("h_not_lie_algebra",
+     {"d": {"dim": 1, "metric": [[1, 1, 1]]},
+      "h": {"dim": 3, "metric": UNIT_3, "brackets": NOT_JACOBI},
+      "pi": [[[0]]] * 3}),
+    ("d_metric_degenerate",
+     {"d": {"dim": 2, "metric": [[1, 1, 1]]},
+      "h": {"dim": 1, "metric": [[1, 1, 1]]}, "pi": [[[0, 0], [0, 0]]]}),
+])
+def test_gd_and_extend_refuse_each_invalid_part(name, spec, tmp_path, capsys):
+    """A d or h that is not a Lie algebra, or a degenerate metric on d, is
+    refused by gd and extend: exit 1, with the violation among the failed
+    checks and in the error."""
+    path = tmp_path / "builder.json"
+    path.write_text(json.dumps(spec))
+    for command in ("gd", "extend"):
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert (code, err) == (1, ""), command
+        doc = json.loads(out)
+        assert {"name": name, "pass": False} in doc["checks"]
+        assert name in doc["error"]
+
+
+def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
+    """The refusals of the algebra and builder loaders, through check and
+    through gd and extend: exit 2, nothing on standard output, and the
+    message with its location where the loader knows one."""
+    small = {"dim": 1, "metric": [[1, 1, 1]]}
+    alg = tmp_path / "alg.json"
+    for doc, message in (
+            ([], f"{alg}: algebra spec must be an object"),
+            ({"dim": 2, "metric": [[1, 1]]},
+             f"{alg}.metric[0]: metric entry must be [i, j, value]")):
+        alg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(alg), "--json")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    spec = tmp_path / "builder.json"
+    for doc, message in (
+            ([], "builder spec must be an object"),
+            ({"h": small, "pi": [[[0]]]}, "builder spec is missing 'd'"),
+            ({"d": small, "pi": [[[0]]]}, "builder spec is missing 'h'"),
+            ({"d": small, "h": {"dim": 1}, "pi": [[[0]]]}, "'h' needs a metric"),
+            ({"d": small, "h": small, "pi": [[[0, 0]]]},
+             "pi[0]: matrix must be 1x1"),
+            ({"d": "alg.json", "h": small, "pi": [[[0]]]},
+             f"{alg}.metric[0]: metric entry must be [i, j, value]")):
+        spec.write_text(json.dumps(doc))
+        for command in ("gd", "extend"):
+            code, out, err = run(capsys, command, str(spec), "--json")
+            assert (code, out, err) == (2, "", f"error: {message}\n"), doc
+
+
 @pytest.mark.parametrize("name", ["gH", "h3_metric_0", "rpq_2_2"])
 def test_series_and_so_aut_refuse_a_perturbed_pi(name, tmp_path, capsys):
     """A builder with one moved pi entry is refused by series and

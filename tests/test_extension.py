@@ -1,8 +1,9 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from adinvar.core import skew_witnesses
 from adinvar.extension import KostantResult, SplitResult, _verify_gd
 from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
-                      so3_rep, torus_rep)
+                      so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
 
 
@@ -444,6 +445,19 @@ def test_verify_gd_rejects_a_bracket_with_an_hstar_argument():
                     broken = LieAlgebra(n, gd.L.names, table)
                     with pytest.raises(ExtensionError, match=r"h\* is not central"):
                         _verify_gd(replace(gd, L=broken))
+
+
+def test_verify_gd_rejects_a_moved_beta_entry():
+    """One entry of beta_table moved, anywhere, no longer matches the h*
+    part of the bracket of d + h*: the cm relation refuses it."""
+    cm = re.escape("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
+    for gd in _gd_inputs() + [build_gd(so3_rep())]:
+        for a, b, k in product(range(gd.nd), range(gd.nd), range(gd.nh)):
+            beta = [[list(v) for v in row] for row in gd.beta_table]
+            beta[a][b][k] += 1
+            moved = tuple(tuple(map(tuple, row)) for row in beta)
+            with pytest.raises(ExtensionError, match=cm):
+                _verify_gd(replace(gd, beta_table=moved))
 
 
 # -- validate: once per build, and equal to the loops it replaced ----------
@@ -941,3 +955,87 @@ def test_assemble_double_matches_the_two_sweeps():
         assert verdict == _two_sweep_verdict(rep)
         rejected += not verdict
     assert rejected == 4
+
+
+# -- the sparse assembly against the dense block assembly it replaced -----
+
+def _block_vector(parts):
+    out = []
+    for p in parts:
+        out.extend(p)
+    return out
+
+
+def _dense_assembly(rep):
+    """The table, Q, Q_minus and block subspaces of the double extension,
+    and the table of d + h*, from one dense block vector per basis pair."""
+    nh, nd = rep.h.dim, rep.d.dim
+    n = 2 * nh + nd
+    table = {}
+
+    def put(table, i, j, vec):
+        comps = {k: c for k, c in enumerate(vec) if c != 0}
+        if comps:
+            table[(i, j)] = comps
+
+    hs = lambda k: nh + nd + k
+    for i, j in combinations(range(nh), 2):
+        put(table, i, j, _block_vector([rep.h.basis_bracket(i, j), [F(0)] * (nd + nh)]))
+    for i in range(nh):
+        adh = rep.h.ad(i)
+        for b in range(nd):
+            col = [rep.mats[i][p][b] for p in range(nd)]
+            put(table, i, nh + b, _block_vector([[F(0)] * nh, col, [F(0)] * nh]))
+        # coadjoint: (ad*(h_i) delta_k)(h_m) = -delta_k([h_i, h_m])
+        for k in range(nh):
+            cov = [-adh[k][m] for m in range(nh)]
+            put(table, i, hs(k), _block_vector([[F(0)] * (nh + nd), cov]))
+    for a, b in combinations(range(nd), 2):
+        put(table, nh + a, nh + b, _block_vector(
+            [[F(0)] * nh, rep.d.basis_bracket(a, b), rep.beta_table[a][b]]))
+
+    w = rep.h_form.rows()
+    forms = []
+    for sign in (1, -1):
+        qm = linalg.zeros(n, n)
+        for i in range(nh):
+            for j in range(nh):
+                qm[i][j] = sign * w[i][j]
+            qm[i][hs(i)] = qm[hs(i)][i] = F(1)
+        for a in range(nd):
+            for b in range(nd):
+                qm[nh + a][nh + b] = rep.d_form.matrix[a][b]
+        forms.append(BilinearForm(tuple(tuple(r) for r in qm)))
+    eye = linalg.identity(n)
+    subs = (Subspace.span(eye[:nh], n), Subspace.span(eye[nh:nh + nd], n),
+            Subspace.span(eye[nh + nd:], n))
+
+    gd_table = {}
+    winv = linalg.inverse(w)
+    for a, b in combinations(range(nd), 2):
+        put(gd_table, a, b, list(rep.d.basis_bracket(a, b))
+            + linalg.mat_vec(winv, rep.beta_table[a][b]))
+    return table, forms, subs, gd_table
+
+
+def _assert_sparse_assembly_is_the_dense_one(rep):
+    table, (q, q_minus), subs, gd_table = _dense_assembly(rep)
+    dbl = double_extend(rep)
+    assert dbl.g.table == table
+    assert (dbl.Q, dbl.Q_minus) == (q, q_minus)
+    assert (dbl.h_sub, dbl.d_sub, dbl.hstar_sub) == subs
+    assert build_gd(rep).L.table == gd_table
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(torus_reps(), so3_block_reps()))
+def test_sparse_assembly_matches_the_dense_one_on_generated_reps(rep):
+    _assert_sparse_assembly_is_the_dense_one(rep)
+
+
+def test_sparse_assembly_matches_the_dense_one_on_conjugated_builders():
+    """Every corpus builder, plain and under dense changes of basis of d."""
+    for seed, name in enumerate(corpus_list()):
+        rep = corpus_build(name).rep
+        for r in (rep, conjugated_rep(rep, seed), conjugated_rep(rep, seed + 50)):
+            _assert_sparse_assembly_is_the_dense_one(r)

@@ -58,12 +58,32 @@ def test_format_diagnostics_carry_location():
         load_algebra_dict({"dim": 2, "names": ["only-one"]})
     with pytest.raises(SpecFormatError, match="rational"):
         load_algebra_dict({"dim": 2, "brackets": [[1, 2, 1, 0.5]]})
+    with pytest.raises(SpecFormatError,
+                       match="^algebra: algebra spec must be an object$"):
+        load_algebra_dict([{"dim": 2}])
+    with pytest.raises(SpecFormatError,
+                       match=r"^algebra\.metric\[1\]: metric entry must be \[i, j, value\]$"):
+        load_algebra_dict({"dim": 2, "metric": [[1, 1, 1], [1, 2, 1, 1]]})
+    small = {"dim": 1, "metric": [[1, 1, 1]]}
+    with pytest.raises(SpecFormatError, match=r"^pi\[1\]: matrix must be 1x1$"):
+        load_builder_dict({"d": small, "h": {"dim": 2, "metric": [[1, 1, 1], [2, 2, 1]]},
+                           "pi": [[[0]], [[0], [0]]]})
 
 
 def test_builder_requires_metrics():
     with pytest.raises(SpecFormatError, match="'d' needs a metric"):
         load_builder_dict({"d": {"dim": 1}, "h": {"dim": 1, "metric": [[1, 1, 1]]},
                            "pi": [[[0]]]})
+    with pytest.raises(SpecFormatError, match="^'h' needs a metric$"):
+        load_builder_dict({"d": {"dim": 1, "metric": [[1, 1, 1]]}, "h": {"dim": 1},
+                           "pi": [[[0]]]})
+    for part in ("d", "h"):
+        with pytest.raises(SpecFormatError,
+                           match=f"^builder spec is missing '{part}'$"):
+            load_builder_dict({"d": {"dim": 1}, "h": {"dim": 1}, "pi": [[[0]]],
+                               part: None})
+    with pytest.raises(SpecFormatError, match="^builder spec must be an object$"):
+        load_builder_dict([])
     with pytest.raises(SpecFormatError, match="'pi' must list"):
         load_builder_dict({"d": {"dim": 1, "metric": [[1, 1, 1]]},
                            "h": {"dim": 1, "metric": [[1, 1, 1]]},
