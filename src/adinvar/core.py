@@ -5,12 +5,13 @@ follow by antisymmetry.  Subspaces are kept in reduced row echelon form so
 equality of subspaces is plain data equality.
 
 The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
-``check_jacobi``, the bracket spans of the two series and ``killing_form``,
-and in ``derivations`` the commutators of ``MatrixLieAlgebra.from_matrices``)
-run on Python ints.  One rule scales them, and the geometry routes too: a
-kernel passes all its sparse inputs to one ``_integral`` call, which
-multiplies every one of them by the same s, the lcm of all their
-denominators.  A term that multiplies d input entries is then s^d times
+``check_jacobi``, the bracket spans of the two series and ``killing_form``),
+the commutators of ``_commutator_flat`` (which ``derivations`` and the
+homomorphism test of ``extension`` read) and the commuting rows of
+``derivations`` run on Python ints.  One rule scales them, and the geometry
+routes too: a kernel passes all its sparse inputs to one ``_integral``
+call, which multiplies every one of them by the same s, the lcm of all
+their denominators.  A term that multiplies d input entries is then s^d times
 its true value, so a sum of such terms is too; a verdict (zero or not) and
 a span do not change, and an exact value is the int sum divided once by
 k s^d (``_rational``, the inverse of ``_integral``).  No term carries a
@@ -286,6 +287,19 @@ def _rows(m):
     return {p: {q: x for q, x in enumerate(row) if x} for p, row in enumerate(m)}
 
 
+def _commutator_flat(a, b):
+    """ab - ba for matrices of sparse int rows {p: {q: x}}, flattened
+    row-major."""
+    n = len(a)
+    out = [0] * (n * n)
+    for x_rows, y_rows, sign in ((a, b, 1), (b, a, -1)):
+        for p, row in x_rows.items():
+            for q, x in row.items():
+                for r, y in y_rows[q].items():
+                    out[p * n + r] += sign * x * y
+    return out
+
+
 class Check(NamedTuple):
     """The verdict on one identity: its name, whether it holds, and where
     it fails (or any detail worth showing), None when there is nothing to
@@ -362,18 +376,39 @@ def skew_witnesses(op, form, n):
                 yield (x, j, k)
 
 
+def _antisymmetric(tensor):
+    """True iff S(t_1, t_0, ..) = -S(t_0, t_1, ..) on every stored key, so
+    that S(y, y, ..) = 0 too; zero entries are ignored."""
+    empty = {}
+    return all({p: c for p, c in comps.items() if c}
+               == {p: -c for p, c in tensor.get((t[1], t[0]) + t[2:], empty).items() if c}
+               for t, comps in tensor.items())
+
+
 def derivation_witnesses(op, tensor, n, slots):
     """(x, *t), in order, where the derivation action of the operator
     field C on the tensor S does not vanish:
 
       (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
 
-    With S the bracket this is the Leibniz rule for C_x."""
+    With S the bracket this is the Leibniz rule for C_x.
+
+    When S is antisymmetric in its first two slots (read once off its
+    entries), so is C.S, and (C.S)(x; y, y, ..) = 0: only the tuples with
+    t_0 < t_1 are computed, and (x, z, y, ..) is yielded, in its place in
+    the loop, when (x, y, z, ..) failed.  Any other S has every tuple
+    computed."""
     op, tensor, _ = _integral(op, tensor)
     empty = {}
+    half = slots >= 2 and _antisymmetric(tensor)
     for x in sorted({key[0] for key in op}):
         cx = [op.get((x, q), empty) for q in range(n)]
+        failed = set()  # the mirrors of the failing tuples, when half
         for t in product(range(n), repeat=slots):
+            if half and t[0] >= t[1]:
+                if t in failed:
+                    yield (x,) + t
+                continue
             out = {}
             for p, c in tensor.get(t, empty).items():
                 for r, v in cx[p].items():
@@ -383,6 +418,8 @@ def derivation_witnesses(op, tensor, n, slots):
                     for r, v in tensor.get(t[:s] + (q,) + t[s + 1:], empty).items():
                         out[r] = out.get(r, 0) - c * v
             if any(out.values()):
+                if half:
+                    failed.add((t[1], t[0]) + t[2:])
                 yield (x,) + t
 
 

@@ -12,8 +12,9 @@ from functools import cached_property
 from itertools import chain, combinations, product
 
 from . import linalg
-from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _integral,
-                   _rows, center, derived_series, killing_form, lower_central_series)
+from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _commutator_flat,
+                   _integral, _rows, center, derived_series, killing_form,
+                   lower_central_series)
 
 
 def _flatten(m):
@@ -31,19 +32,6 @@ def _flatten_sparse(a):
     for p, row in a.items():
         for q, x in row.items():
             out[p * n + q] = x
-    return out
-
-
-def _commutator_flat(a, b):
-    """ab - ba for matrices of sparse int rows {p: {q: x}}, flattened
-    row-major."""
-    n = len(a)
-    out = [0] * (n * n)
-    for x_rows, y_rows, sign in ((a, b, 1), (b, a, -1)):
-        for p, row in x_rows.items():
-            for q, x in row.items():
-                for r, y in y_rows[q].items():
-                    out[p * n + r] += sign * x * y
     return out
 
 
@@ -134,13 +122,18 @@ def _skew_rows(form, offset=0):
 
 
 def _commuting_rows(m, offset=0):
-    """(X m - m X)_pq = 0 for every (p, q), in row-major order."""
-    n = len(m)
+    """(X m - m X)_pq = 0 for every (p, q), in row-major order, for m given
+    as sparse int rows {p: {q: x}}: X_ps has the coefficient m_sq and X_sq
+    the coefficient -m_ps."""
+    n, empty = len(m), {}
+    cols = {}
+    for s, row in m.items():
+        for q, x in row.items():
+            cols.setdefault(q, {})[s] = x
     for p, q in product(range(n), repeat=2):
-        row = Counter()
-        for s in range(n):
-            row[offset + p * n + s] += m[s][q]
-            row[offset + s * n + q] -= m[p][s]
+        row = Counter({offset + p * n + s: x for s, x in cols.get(q, empty).items()})
+        for s, x in m[p].items():
+            row[offset + s * n + q] -= x
         yield row
 
 
@@ -197,11 +190,15 @@ def so_aut(gd):
     rows = list(_skew_rows(BilinearForm(gd.ell)))
     rows += _leibniz_rows(gd.rep.d, na)
     rows += _skew_rows(gd.rep.d_form, na)
-    # [B, pi(h_i)] = pi(A h_i): column i of A weights the pi generators
-    for i, m in enumerate(gd.rep.mats):
+    # [B, pi(h_i)] = pi(A h_i): column i of A weights the pi generators.
+    # Every term carries one pi entry, so the pi matrices are scaled to
+    # integers by one s, which leaves the nullspace as it is.
+    *mats, _ = _integral(*map(_rows, gd.rep.mats))
+    for i, m in enumerate(mats):
         for (p, q), row in zip(product(range(nd), repeat=2), _commuting_rows(m, na)):
-            for j in range(nh):
-                row[j * nh + i] -= gd.rep.mats[j][p][q]
+            for j, mj in enumerate(mats):
+                if x := mj[p].get(q):
+                    row[j * nh + i] -= x
             rows.append(row)
     pairs = []
     for s in linalg._nullspace(rows, na + nd * nd):
@@ -219,9 +216,11 @@ def induced_so_aut_pair(gd, i):
 
 
 def intertwiners_skew(mats, form):
-    """Matrices commuting with every generator and skew for the form."""
-    rows = [row for m in mats
-            for row in _commuting_rows([list(map(linalg.frac, r)) for r in m])]
+    """Matrices commuting with every generator and skew for the form.  The
+    commuting rows of each generator are linear in it, so all of them are
+    scaled to integers by one s."""
+    *ints, _ = _integral(*(_rows([list(map(linalg.frac, r)) for r in m]) for m in mats))
+    rows = [row for m in ints for row in _commuting_rows(m)]
     return _solutions(chain(rows, _skew_rows(form)), form.dim)
 
 

@@ -18,9 +18,10 @@ from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
-from .core import (BilinearForm, Check, LieAlgebra, Subspace, ad_invariant,
-                   all_pass, check_jacobi, derivation_witnesses, operator_data,
-                   orthogonal_complement, skew_witnesses)
+from .core import (BilinearForm, Check, LieAlgebra, Subspace, _commutator_flat,
+                   _integral, _rows, ad_invariant, all_pass, check_jacobi,
+                   derivation_witnesses, operator_data, orthogonal_complement,
+                   skew_witnesses)
 from .geometry import Tensor
 from .linalg import Q0, Q1
 
@@ -119,16 +120,30 @@ def _action_faults(mats, h, form, bracket_data, n):
     """Where the operators mats[i] of the h basis vectors fail to be an
     action of h by skew derivations of (bracket_data, form) on an
     n-dimensional algebra, in order: ("skew", i) and ("derivation", i) for
-    each i, then ("homomorphism", i, j) for each pair i < j."""
+    each i, then ("homomorphism", i, j) for each pair i < j.
+
+    The skew and derivation sweeps stop at the first witness of each
+    operator.  The homomorphism test compares [M_i, M_j] with
+    sum_k c_ij^k M_k on sparse int rows, all the operators and the bracket
+    of h scaled by one ``_integral`` call, made only when h has a pair."""
     for i, m in enumerate(mats):
         op = operator_data([m])
         if any(skew_witnesses(op, form, n)):
             yield "skew", i
         if any(derivation_witnesses(op, bracket_data, n, 2)):
             yield "derivation", i
+    if h.dim < 2:
+        return
+    # the operators and the bracket of h scaled by one s: [sM_i, sM_j] and
+    # sum_k (s c_ij^k)(s M_k) are s^2 times the two sides
+    *ints, bracket, _ = _integral(*map(_rows, mats), h.bracket_data)
     for i, j in combinations(range(h.dim), 2):
-        if _combination(mats, h.basis_bracket(i, j), n) != \
-                linalg.commutator(mats[i], mats[j]):
+        out = _commutator_flat(ints[i], ints[j])
+        for k, c in bracket.get((i, j), {}).items():
+            for p, row in ints[k].items():
+                for q, x in row.items():
+                    out[p * n + q] -= c * x
+        if any(out):
             yield "homomorphism", i, j
 
 
@@ -216,19 +231,24 @@ def _assemble_double(rep):
     if not (ad_invariant(g, q) and ad_invariant(g, diff)):
         raise ExtensionError("constructed metric is not ad-invariant")
 
-    # h is the first nh coordinates: a key (i, j), i < j, brackets two h
-    # vectors iff j < nh, and d + h* is an ideal iff no other key has an h
-    # component
-    if any(k >= nh for (_, j), comps in g.table.items() if j < nh for k in comps):
-        raise ExtensionError("h is not a subalgebra")
-    if any(k < nh for (_, j), comps in g.table.items() if j >= nh for k in comps):
-        raise ExtensionError("d + h* is not an ideal")
+    _check_blocks(g.table, nh)
     sd = rep.d_form.signature
     if q.signature != (sd[0] + nh, sd[1] + nh, sd[2]):
         raise ExtensionError("signature relation violated")
     eye = tuple(map(tuple, linalg.identity(n)))  # unit rows are reduced
     return DoubleExtension(rep, g, q, q_minus, Subspace(n, eye[:nh]),
                            Subspace(n, eye[nh:hs]), Subspace(n, eye[hs:]))
+
+
+def _check_blocks(table, nh):
+    """Raise unless, in the bracket table of h + d + h*, h is a subalgebra
+    and d + h* an ideal.  h is the first nh coordinates: a key (i, j),
+    i < j, brackets two h vectors iff j < nh, and d + h* is an ideal iff no
+    other key has an h component."""
+    if any(k >= nh for (_, j), comps in table.items() if j < nh for k in comps):
+        raise ExtensionError("h is not a subalgebra")
+    if any(k < nh for (_, j), comps in table.items() if j >= nh for k in comps):
+        raise ExtensionError("d + h* is not an ideal")
 
 
 def _d_pairs(rep, d0, h0, hstar):

@@ -171,36 +171,37 @@ def load_algebra_file(path):
     return load_algebra_dict(read_json(path), where=str(path))
 
 
-def _load_part(spec, key, base_dir):
+def _load_part(spec, key, base_dir, where):
     part = spec.get(key)
     if part is None:
-        raise SpecFormatError(f"builder spec is missing '{key}'")
+        raise SpecFormatError(f"builder spec is missing '{key}'", where)
     if isinstance(part, str):
         return load_algebra_file(Path(base_dir) / part)
-    return load_algebra_dict(part, where=key)
+    return load_algebra_dict(part, where=f"{where}.{key}")
 
 
-def load_builder_dict(spec, base_dir="."):
+def load_builder_dict(spec, base_dir=".", where="builder"):
     """Representation from {"d": ..., "h": ..., "pi": [matrix, ...]}.
 
     'd' and 'h' are algebra specs (inline objects or file paths relative to
     the spec file) and must carry metrics; 'pi' is one d-matrix per h basis
-    vector.
+    vector.  Every refusal starts with ``where`` (the file, when loaded
+    from one), as those of ``load_algebra_dict`` do.
     """
     if not isinstance(spec, dict):
-        raise SpecFormatError("builder spec must be an object")
-    d_alg, d_form = _load_part(spec, "d", base_dir)
-    h_alg, h_form = _load_part(spec, "h", base_dir)
+        raise SpecFormatError("builder spec must be an object", where)
+    d_alg, d_form = _load_part(spec, "d", base_dir, where)
+    h_alg, h_form = _load_part(spec, "h", base_dir, where)
     if d_form is None:
-        raise SpecFormatError("'d' needs a metric")
+        raise SpecFormatError("'d' needs a metric", where)
     if h_form is None:
-        raise SpecFormatError("'h' needs a metric")
+        raise SpecFormatError("'h' needs a metric", where)
     pi = spec.get("pi")
     if not isinstance(pi, list) or len(pi) != h_alg.dim:
-        raise SpecFormatError(f"'pi' must list {h_alg.dim} matrices")
+        raise SpecFormatError(f"'pi' must list {h_alg.dim} matrices", where)
     mats = []
     for pos, mat in enumerate(pi):
-        loc = f"pi[{pos}]"
+        loc = f"{where}.pi[{pos}]"
         if (not isinstance(mat, list) or len(mat) != d_alg.dim
                 or any(not isinstance(r, list) or len(r) != d_alg.dim for r in mat)):
             raise SpecFormatError(f"matrix must be {d_alg.dim}x{d_alg.dim}", loc)
@@ -209,7 +210,8 @@ def load_builder_dict(spec, base_dir="."):
 
 
 def load_builder_file(path):
-    return load_builder_dict(read_json(path), base_dir=Path(path).parent)
+    return load_builder_dict(read_json(path), base_dir=Path(path).parent,
+                             where=str(path))
 
 
 def dump_builder_dict(rep):

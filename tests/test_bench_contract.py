@@ -7,9 +7,10 @@ rebinds one of them fails here instead of in a benchmark run, and so
 does a ``cli.main`` that dispatches around the module-level ``cmd_*``
 functions the harness counts, also after it has run once untraced.
 
-The sweeps over basis tuples, the geometry routes, the matrix-algebra
-commutators, the Killing form, the signatures and the centre run on
-integers; the harness's ``FractionCounter`` checks here that no
+The sweeps over basis tuples, the construction checks of ``validate``,
+the geometry routes, the matrix-algebra commutators, the commuting rows
+of ``so_aut`` and ``intertwiners_skew``, the Killing form, the
+signatures and the centre run on integers; the harness's ``FractionCounter`` checks here that no
 ``Fraction`` arithmetic comes back into them.
 """
 
@@ -17,6 +18,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,12 +26,12 @@ import adinvar
 from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
                      center, check_jacobi, corpus_build, curvature, curvature_gd,
                      derivation_algebra, derived_series, inner_derivations,
-                     killing_form, lambda_matrix, levi_civita, levi_civita_gd,
-                     lower_central_series, nilmanifold_t_formula,
-                     skew_derivations, t_tensor, verify_as)
+                     intertwiners_skew, killing_form, lambda_matrix, levi_civita,
+                     levi_civita_gd, lower_central_series, nilmanifold_t_formula,
+                     skew_derivations, so_aut, t_tensor, verify_as)
 from adinvar.cli import main
 from adinvar.homstructure import nabla_tilde_closed
-from conftest import conjugated_rep
+from conftest import conjugated_rep, torus_rep
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -123,6 +125,26 @@ def test_sweeps_make_no_fraction_arithmetic():
     with counter() as count:
         F(1, 2) + F(1, 3)
     assert count.count == 1
+
+
+def test_construction_checks_and_so_aut_make_no_fraction_arithmetic():
+    """Representation.validate (its skew, derivation and homomorphism
+    tests of pi on an h with a pair), so_aut and intertwiners_skew on a
+    two-torus under a dense change of basis add and multiply only ints.
+    build_gd as a whole is not counted: it forms ell^-1, the beta table
+    and the lambda congruence in Fractions."""
+    counter = _bench_layers().FractionCounter
+    rep = conjugated_rep(torus_rep([1, 2]), 3)
+    gd = build_gd(rep)
+    broken = replace(rep, mats=(rep.mats[0], tuple(
+        tuple(x + (p == q == 0) for q, x in enumerate(row))
+        for p, row in enumerate(rep.mats[1]))))
+    with counter() as count:
+        assert rep.validate() == []
+        assert broken.validate() == ["pi(k2)_not_skew", "pi_not_homomorphism(k1,k2)"]
+        assert so_aut(gd).dim > 0
+        assert intertwiners_skew(rep.mats, rep.d_form).dim > 0
+    assert count.count == 0
 
 
 def test_routes_make_no_fraction_arithmetic():

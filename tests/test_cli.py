@@ -214,7 +214,8 @@ def test_gd_and_extend_refuse_each_invalid_part(name, spec, tmp_path, capsys):
 def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
     """The refusals of the algebra and builder loaders, through check and
     through gd and extend: exit 2, nothing on standard output, and the
-    message with its location where the loader knows one."""
+    message with its location: a builder file's own refusals start with
+    its path, and those of a part it names start with that file's path."""
     small = {"dim": 1, "metric": [[1, 1, 1]]}
     alg = tmp_path / "alg.json"
     for doc, message in (
@@ -226,12 +227,16 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n")
     spec = tmp_path / "builder.json"
     for doc, message in (
-            ([], "builder spec must be an object"),
-            ({"h": small, "pi": [[[0]]]}, "builder spec is missing 'd'"),
-            ({"d": small, "pi": [[[0]]]}, "builder spec is missing 'h'"),
-            ({"d": small, "h": {"dim": 1}, "pi": [[[0]]]}, "'h' needs a metric"),
+            ([], f"{spec}: builder spec must be an object"),
+            ({"h": small, "pi": [[[0]]]}, f"{spec}: builder spec is missing 'd'"),
+            ({"d": small, "pi": [[[0]]]}, f"{spec}: builder spec is missing 'h'"),
+            ({"d": {"dim": 1}, "h": small, "pi": [[[0]]]}, f"{spec}: 'd' needs a metric"),
+            ({"d": small, "h": {"dim": 1}, "pi": [[[0]]]}, f"{spec}: 'h' needs a metric"),
+            ({"d": small, "h": small, "pi": []}, f"{spec}: 'pi' must list 1 matrices"),
             ({"d": small, "h": small, "pi": [[[0, 0]]]},
-             "pi[0]: matrix must be 1x1"),
+             f"{spec}.pi[0]: matrix must be 1x1"),
+            ({"d": {**small, "metric": [[1, 1]]}, "h": small, "pi": [[[0]]]},
+             f"{spec}.d.metric[0]: metric entry must be [i, j, value]"),
             ({"d": "alg.json", "h": small, "pi": [[[0]]]},
              f"{alg}.metric[0]: metric entry must be [i, j, value]")):
         spec.write_text(json.dumps(doc))
@@ -741,7 +746,7 @@ def test_commands_refuse_brackets_and_metric_that_are_not_lists(tmp_path, capsys
             code, out, err = run(capsys, *argv, "--json")
             assert code == 2, (part, key, argv)
             assert out == ""
-            assert err == f"error: {part}: '{key}' must be a list\n"
+            assert err == f"error: {bad}.{part}: '{key}' must be a list\n"
 
 
 def test_commands_refuse_files_that_are_not_utf8_or_nested_too_deeply(tmp_path,

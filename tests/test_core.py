@@ -11,7 +11,7 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      kernel_of, killing_form, lower_central_series,
                      orthogonal_complement, restrict_to_subalgebra,
                      skew_witnesses, totally_isotropic)
-from adinvar.core import SeriesResult, operator_data
+from adinvar.core import SeriesResult, _antisymmetric, operator_data
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
@@ -451,6 +451,41 @@ def test_derivation_witnesses_match_the_slot_loop(case):
     n, nx, slots, op, tensor, _ = case
     assert (list(derivation_witnesses(op, tensor, n, slots))
             == _derivation_loop(op, tensor, n, slots, nx))
+
+
+@st.composite
+def antisymmetric_cases(draw):
+    """(n, nx, slots, op, S, nudged): S antisymmetric in its first two
+    slots, drawn on the tuples with t_0 < t_1 and mirrored with the
+    opposite sign, and S with one entry nudged, which is not.  slots = 1
+    has no pair of slots: S and its nudge are any data."""
+    n, nx, slots = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    op = draw(sparse_data(n, list(product(range(nx), range(n)))))
+    keys = [t for t in product(range(n), repeat=slots) if slots == 1 or t[0] < t[1]]
+    tensor = draw(sparse_data(n, keys)) if keys else {}
+    if slots > 1:
+        tensor.update({(t[1], t[0]) + t[2:]: {p: -c for p, c in comps.items()}
+                       for t, comps in list(tensor.items())})
+    key = draw(st.sampled_from(list(product(range(n), repeat=slots))))
+    p, c = draw(st.integers(0, n - 1)), draw(MIXED_Q.filter(bool))
+    comps = {**tensor.get(key, {})}
+    comps[p] = comps.get(p, 0) + c
+    nudged = {**tensor, key: {q: x for q, x in comps.items() if x}}
+    return n, nx, slots, op, tensor, nudged
+
+
+@LOOPS
+@given(antisymmetric_cases())
+def test_derivation_witnesses_half_sweep_and_fall_through(case):
+    """On S antisymmetric in two slots the kernel computes half the tuples
+    and mirrors the rest; with one entry nudged it computes them all.
+    Both give the loop's witnesses in the loop's order."""
+    n, nx, slots, op, tensor, nudged = case
+    if slots > 1:
+        assert _antisymmetric(tensor) and not _antisymmetric(nudged)
+    for data in (tensor, nudged):
+        assert (list(derivation_witnesses(op, data, n, slots))
+                == _derivation_loop(op, data, n, slots, nx))
 
 
 @LOOPS

@@ -460,6 +460,23 @@ def test_verify_gd_rejects_a_moved_beta_entry():
                 _verify_gd(replace(gd, beta_table=moved))
 
 
+def test_block_checks_refuse_a_component_in_the_wrong_block():
+    """The block reads of _assemble_double pass the table it wrote.  They
+    refuse a bracket of two h vectors with a component just past h (index
+    nh), and a bracket of h with the first vector of d (index nh) with a
+    component in h."""
+    for rep in (so3_rep(), torus_rep([1, 2]), conjugated_rep(so3_rep(), 7)):
+        dbl = double_extend(rep)
+        nh, table = dbl.nh, dbl.g.table
+        extension._check_blocks(table, nh)
+        out_of_h = {**table, (0, nh - 1): {**table.get((0, nh - 1), {}), nh: F(1)}}
+        with pytest.raises(ExtensionError, match="^h is not a subalgebra$"):
+            extension._check_blocks(out_of_h, nh)
+        into_h = {**table, (0, nh): {**table.get((0, nh), {}), nh - 1: F(1)}}
+        with pytest.raises(ExtensionError, match=r"^d \+ h\* is not an ideal$"):
+            extension._check_blocks(into_h, nh)
+
+
 # -- validate: once per build, and equal to the loops it replaced ----------
 
 def test_build_gd_validates_once(monkeypatch):

@@ -65,7 +65,7 @@ def test_format_diagnostics_carry_location():
                        match=r"^algebra\.metric\[1\]: metric entry must be \[i, j, value\]$"):
         load_algebra_dict({"dim": 2, "metric": [[1, 1, 1], [1, 2, 1, 1]]})
     small = {"dim": 1, "metric": [[1, 1, 1]]}
-    with pytest.raises(SpecFormatError, match=r"^pi\[1\]: matrix must be 1x1$"):
+    with pytest.raises(SpecFormatError, match=r"^builder\.pi\[1\]: matrix must be 1x1$"):
         load_builder_dict({"d": small, "h": {"dim": 2, "metric": [[1, 1, 1], [2, 2, 1]]},
                            "pi": [[[0]], [[0], [0]]]})
 
@@ -74,15 +74,15 @@ def test_builder_requires_metrics():
     with pytest.raises(SpecFormatError, match="'d' needs a metric"):
         load_builder_dict({"d": {"dim": 1}, "h": {"dim": 1, "metric": [[1, 1, 1]]},
                            "pi": [[[0]]]})
-    with pytest.raises(SpecFormatError, match="^'h' needs a metric$"):
+    with pytest.raises(SpecFormatError, match="^builder: 'h' needs a metric$"):
         load_builder_dict({"d": {"dim": 1, "metric": [[1, 1, 1]]}, "h": {"dim": 1},
                            "pi": [[[0]]]})
     for part in ("d", "h"):
         with pytest.raises(SpecFormatError,
-                           match=f"^builder spec is missing '{part}'$"):
+                           match=f"^builder: builder spec is missing '{part}'$"):
             load_builder_dict({"d": {"dim": 1}, "h": {"dim": 1}, "pi": [[[0]]],
                                part: None})
-    with pytest.raises(SpecFormatError, match="^builder spec must be an object$"):
+    with pytest.raises(SpecFormatError, match="^builder: builder spec must be an object$"):
         load_builder_dict([])
     with pytest.raises(SpecFormatError, match="'pi' must list"):
         load_builder_dict({"d": {"dim": 1, "metric": [[1, 1, 1]]},
@@ -146,7 +146,7 @@ def test_dimension_above_the_cap_refused_before_allocation():
             load_algebra_dict({"dim": dim, "metric": [[1, 1, 1]]})
         for part in ("d", "h"):
             spec = {"d": small, "h": small, "pi": [[[0]]], part: {"dim": dim}}
-            with pytest.raises(SpecFormatError, match=f"^{part}: 'dim' {dim} exceeds"):
+            with pytest.raises(SpecFormatError, match=f"^builder\\.{part}: 'dim' {dim} exceeds"):
                 load_builder_dict(spec)
     assert load_algebra_dict({"dim": MAX_DIM})[0].dim == MAX_DIM
 
@@ -165,5 +165,5 @@ def test_brackets_and_metric_that_are_not_lists_refused():
                 spec = {"d": small, "h": small, "pi": [[[0]]],
                         part: {**small, key: value}}
                 with pytest.raises(SpecFormatError,
-                                   match=f"^{part}: '{key}' must be a list$"):
+                                   match=f"^builder\\.{part}: '{key}' must be a list$"):
                     load_builder_dict(spec)
