@@ -15,11 +15,10 @@ from .extension import (DoubleExtension, ExtensionError, GdAlgebra,
 from .geometry import (GeometryError, Tensor,
                        bi_invariant_connection_check,
                        bi_invariant_curvature_check, check_pair_symmetry,
-                       curvature, curvature_gd, curvature_relation_check,
-                       geodesic_one_param, levi_civita, levi_civita_gd,
-                       plane_discriminant, ricci, ricci_gd_closed,
-                       ricci_operator, sectional, sectional_gd_closed,
-                       totally_geodesic)
+                       curvature, curvature_gd, geodesic_one_param,
+                       levi_civita, levi_civita_gd, plane_discriminant, ricci,
+                       ricci_gd_closed, ricci_operator, sectional,
+                       sectional_gd_closed, totally_geodesic)
 from .homstructure import (AsReport, HomStructure, build_hom_structure,
                            nilmanifold_t_formula, t_tensor, verify_as)
 from .derivations import (MatrixLieAlgebra, SoAut, derivation_algebra,

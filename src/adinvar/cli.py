@@ -24,8 +24,8 @@ from .corpus import corpus_build, corpus_list
 from .derivations import (derivation_algebra, induced_so_aut_pair,
                           inner_derivations, profile, skew_derivations, so_aut)
 from .extension import ExtensionError, build_gd, double_extend
-from .geometry import (GeometryError, curvature, levi_civita,
-                       plane_discriminant, ricci, ricci_operator, sectional)
+from .geometry import (GeometryError, curvature, levi_civita, ricci,
+                       ricci_operator, sectional)
 from .homstructure import verify_as
 from .io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
                  load_algebra_file, load_builder_file, rational_str, write_json)
@@ -140,7 +140,7 @@ def cmd_geometry(args, report):
         gamma.entry(i, j) == linalg.vec_add(gamma.entry(j, i),
                                             alg.basis_bracket(i, j))
         for i in range(alg.dim) for j in range(alg.dim))
-    metric_comp = not any(skew_witnesses(gamma.data, form, alg.dim))
+    metric_comp = not any(skew_witnesses(gamma.data, form))
     report["checks"] += [Check("torsion_free", torsion_free),
                          Check("metric_compatible", metric_comp)]
     for key, tensor in (("connection", gamma), ("curvature", r)):
@@ -152,11 +152,10 @@ def cmd_geometry(args, report):
     planes = {}
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            if plane_discriminant(form, basis[i], basis[j]) == 0:
+            try:
+                planes[f"{i+1},{j+1}"] = rational_str(sectional(r, form, basis[i], basis[j]))
+            except GeometryError:  # sectional refuses a degenerate plane
                 planes[f"{i+1},{j+1}"] = "degenerate"
-            else:
-                planes[f"{i+1},{j+1}"] = rational_str(
-                    sectional(r, form, basis[i], basis[j]))
     report["sectional"] = planes
 
 

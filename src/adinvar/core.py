@@ -342,7 +342,7 @@ def ad_invariant(alg, form):
     iff every ad(e_i) is skew for B."""
     if form.dim != alg.dim:
         raise AlgebraError("form and algebra dimensions differ")
-    return next(skew_witnesses(alg.bracket_data, form, alg.dim), None) is None
+    return next(skew_witnesses(alg.bracket_data, form), None) is None
 
 
 # Identities on all basis tuples.  Operator fields and tensors are given as
@@ -358,13 +358,13 @@ def operator_data(mats):
             if any(row[q] for row in m)}
 
 
-def skew_witnesses(op, form, n):
+def skew_witnesses(op, form):
     """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
     op, rows, _ = _integral(op, _rows(form.matrix))
     empty = {}
     for x in sorted({key[0] for key in op}):
         s = {}
-        for j in range(n):
+        for j in range(form.dim):
             for p, c in op.get((x, j), empty).items():
                 for k, b in rows[p].items():
                     # c b is a term of <C_x e_j, e_k> and, as the form is
@@ -385,19 +385,21 @@ def _antisymmetric(tensor):
                for t, comps in tensor.items())
 
 
-def derivation_witnesses(op, tensor, n, slots):
+def derivation_witnesses(op, tensor, n):
     """(x, *t), in order, where the derivation action of the operator
-    field C on the tensor S does not vanish:
+    field C on the tensor S, on an n-dimensional space, does not vanish:
 
       (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
 
-    With S the bracket this is the Leibniz rule for C_x.
+    With S the bracket this is the Leibniz rule for C_x.  The keys of S
+    give its number of slots.
 
     When S is antisymmetric in its first two slots (read once off its
     entries), so is C.S, and (C.S)(x; y, y, ..) = 0: only the tuples with
     t_0 < t_1 are computed, and (x, z, y, ..) is yielded, in its place in
     the loop, when (x, y, z, ..) failed.  Any other S has every tuple
     computed."""
+    slots = len(next(iter(tensor), ()))  # 0 for an empty S: no witness
     op, tensor, _ = _integral(op, tensor)
     empty = {}
     half = slots >= 2 and _antisymmetric(tensor)

@@ -95,7 +95,7 @@ class Representation:
             bad.append("h_form_not_ad_invariant")
         names = self.h.names
         for fault, *at in _action_faults(self.mats, self.h, self.d_form,
-                                         self.d.bracket_data, self.d.dim):
+                                         self.d.bracket_data):
             if fault == "homomorphism":
                 bad.append(f"pi_not_homomorphism({names[at[0]]},{names[at[1]]})")
             else:
@@ -116,21 +116,22 @@ def _combination(mats, coeffs, n):
     return out
 
 
-def _action_faults(mats, h, form, bracket_data, n):
+def _action_faults(mats, h, form, bracket_data):
     """Where the operators mats[i] of the h basis vectors fail to be an
-    action of h by skew derivations of (bracket_data, form) on an
-    n-dimensional algebra, in order: ("skew", i) and ("derivation", i) for
-    each i, then ("homomorphism", i, j) for each pair i < j.
+    action of h by skew derivations of (bracket_data, form), in order:
+    ("skew", i) and ("derivation", i) for each i, then
+    ("homomorphism", i, j) for each pair i < j.
 
     The skew and derivation sweeps stop at the first witness of each
     operator.  The homomorphism test compares [M_i, M_j] with
     sum_k c_ij^k M_k on sparse int rows, all the operators and the bracket
     of h scaled by one ``_integral`` call, made only when h has a pair."""
+    n = form.dim
     for i, m in enumerate(mats):
         op = operator_data([m])
-        if any(skew_witnesses(op, form, n)):
+        if any(skew_witnesses(op, form)):
             yield "skew", i
-        if any(derivation_witnesses(op, bracket_data, n, 2)):
+        if any(derivation_witnesses(op, bracket_data, n)):
             yield "derivation", i
     if h.dim < 2:
         return
@@ -210,9 +211,7 @@ def _assemble_double(rep):
         for k, c in comps.items():
             table.setdefault((i, hs + k), {})[hs + m] = -c
     table.update(_d_pairs(rep, nh, hs, list))
-    names = (rep.h.names + rep.d.names
-             + tuple(f"{s}*" for s in rep.h.names))
-    g = LieAlgebra(n, names, table)
+    g = LieAlgebra(n, _joined_names(rep.h.names + rep.d.names, rep.h.names), table)
     if check_jacobi(g):
         raise ExtensionError("constructed bracket violates Jacobi")
 
@@ -238,6 +237,13 @@ def _assemble_double(rep):
     eye = tuple(map(tuple, linalg.identity(n)))  # unit rows are reduced
     return DoubleExtension(rep, g, q, q_minus, Subspace(n, eye[:nh]),
                            Subspace(n, eye[nh:hs]), Subspace(n, eye[hs:]))
+
+
+def _joined_names(plain, dual):
+    """plain, then dual starred; e1, .., en if a name repeats (files refuse it)."""
+    names = tuple(plain) + tuple(f"{s}*" for s in dual)
+    return names if len(set(names)) == len(names) else tuple(
+        f"e{i + 1}" for i in range(len(names)))
 
 
 def _check_blocks(table, nh):
@@ -318,8 +324,7 @@ def build_gd(rep):
     winv = linalg.inverse(w)
 
     table = _d_pairs(rep, 0, nd, lambda beta: linalg.mat_vec(winv, beta))
-    names = rep.d.names + tuple(f"{s}*" for s in rep.h.names)
-    alg = LieAlgebra(nd + nh, names, table)
+    alg = LieAlgebra(nd + nh, _joined_names(rep.d.names, rep.h.names), table)
     if check_jacobi(alg):
         raise ExtensionError("constructed bracket violates Jacobi")
 
@@ -355,8 +360,7 @@ def _verify_gd(gd):
         hstar = alg.basis_bracket(a, b)[nd:]
         if linalg.mat_vec(h_block, hstar) != list(gd.beta_table[a][b]):
             raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
-    fault = next(_action_faults(gd.mu_mats, gd.rep.h, metric,
-                                alg.bracket_data, nd + nh), None)
+    fault = next(_action_faults(gd.mu_mats, gd.rep.h, metric, alg.bracket_data), None)
     if fault is not None:
         raise ExtensionError({"skew": "mu(h) is not metric-skew",
                               "derivation": "mu(h) is not a derivation",
@@ -432,16 +436,14 @@ def reductive_split(g_alg, form, h_sub):
         if comps:
             op[a, b] = comps
     gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
-    fails = any(skew_witnesses(op, gram_m, len(mb)))
+    fails = any(skew_witnesses(op, gram_m))
     checks.append(Check("naturally_reductive", not fails,
                         "naturally reductive condition fails" if fails else None))
     return SplitResult(m, tuple(checks))
 
 
 class KostantError(Exception):
-    def __init__(self, message, uncovered=None):
-        super().__init__(message)
-        self.uncovered = uncovered
+    pass
 
 
 @dataclass(frozen=True)
@@ -468,8 +470,7 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     inner is the Gram matrix of the metric on the rows of m_sub.  The
     extension to the h part is the unique solution of the bracket-transfer
     equations, read off a basis of hbar among the bracket projections; an
-    inconsistent system means the data was not naturally reductive, a
-    spanning failure reports the uncovered part of h.
+    inconsistent system means the data was not naturally reductive.
     """
     try:
         proj = _Projector(h_sub, m_sub)
@@ -486,11 +487,8 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     reduced, pivots = linalg.rref(s_vectors)
     hbar = Subspace(g_alg.dim, tuple(map(tuple, reduced)))
     gbar = m_sub.add(hbar)
-    true_hbar = h_sub.intersect(gbar)
-    if hbar != true_hbar:
-        missing = [v for v in true_hbar.basis() if not hbar.contains(v)]
-        raise KostantError("bracket projections do not span h within gbar",
-                           uncovered=Subspace.span(missing, g_alg.dim))
+    if hbar != h_sub.intersect(gbar):
+        raise KostantError("bracket projections do not span h within gbar")
 
     # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> on all pairs of pairs,
     # V[ab][cd] = -<[m_a, s_cd], m_b>, where [m_a, s_cd] lies in [m, h] < m
@@ -527,7 +525,7 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     ad_ok = closed and not any(skew_witnesses(
         {divmod(col - n, n): {p: rows[p][col] for p in range(n) if rows[p][col]}
          for col in range(n, n + n * n)},
-        form, n))
+        form))
     checks = (Check("gbar_closed", closed), Check("ad_invariant_on_gbar", ad_ok),
               Check("nondegenerate_on_hbar", linalg.signature_of(qh)[2] == 0),
               Check("nondegenerate", form.nondegenerate))

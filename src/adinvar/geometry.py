@@ -416,35 +416,3 @@ def bi_invariant_curvature_check(alg, r_tensor):
         return linalg.vec_scale(-Q1 / 4, alg.bracket(alg.basis_bracket(i, j), basis[k]))
     return r_tensor == Tensor.from_function(alg.dim, 3, want)
 
-
-def curvature_relation_check(gd, r_tensor):
-    """d-d-d curvature against the pi/beta expansion plus the inner curvature.
-
-    R(x,y)z = pi(b*(x,y))z/2 - pi(b*(y,z))x/4 - pi(b*(z,x))y/4
-              + beta(z, [x,y]_d)/4 + R^d(x,y)z with R^d = -ad([x,y]_d)/4.
-    """
-    nd = gd.nd
-    ellinv = gd.ell_inv
-    unit = linalg.identity(nd)
-    for i in range(nd):
-        for j in range(nd):
-            for k in range(nd):
-                x, y, z = unit[i], unit[j], unit[k]
-                bxy = gd.rep.d.bracket(x, y)
-                out = gd.embed_d(linalg.mat_vec(
-                    gd.rep.pi_of(linalg.mat_vec(ellinv, gd.rep.beta(x, y))),
-                    linalg.vec_scale(Q1 / 2, z)))
-                out = linalg.vec_sub(out, gd.embed_d(linalg.mat_vec(
-                    gd.rep.pi_of(linalg.mat_vec(ellinv, gd.rep.beta(y, z))),
-                    linalg.vec_scale(Q1 / 4, x))))
-                out = linalg.vec_sub(out, gd.embed_d(linalg.mat_vec(
-                    gd.rep.pi_of(linalg.mat_vec(ellinv, gd.rep.beta(z, x))),
-                    linalg.vec_scale(Q1 / 4, y))))
-                out = linalg.vec_add(out, linalg.vec_scale(
-                    Q1 / 4,
-                    gd.embed_h(linalg.mat_vec(ellinv, gd.rep.beta(z, bxy)))))
-                out = linalg.vec_sub(out, gd.embed_d(linalg.vec_scale(
-                    Q1 / 4, gd.rep.d.bracket(bxy, z))))
-                if r_tensor.entry(i, j, k) != out:
-                    return False
-    return True

@@ -94,7 +94,6 @@ class HomStructure:
     T: Tensor
     nabla: Tensor
     R: Tensor
-    t3_matches: bool  # nabla_tilde equals its displayed closed form
 
     @cached_property
     def nabla_tilde(self):
@@ -103,10 +102,7 @@ class HomStructure:
 
 
 def build_hom_structure(gd):
-    t = t_tensor(gd)
-    nabla = levi_civita_gd(gd)
-    return HomStructure(gd, t, nabla, curvature_gd(gd),
-                        t - nabla == nabla_tilde_closed(gd))
+    return HomStructure(gd, t_tensor(gd), levi_civita_gd(gd), curvature_gd(gd))
 
 
 @dataclass(frozen=True)
@@ -135,11 +131,11 @@ def verify_as(gd, hom=None):
     hom = hom or build_hom_structure(gd)
     n = gd.L.dim
     t, nt = hom.T.data, hom.nabla_tilde.data
-    on_r = tuple(derivation_witnesses(nt, hom.R.data, n, 3))
-    on_t = tuple(derivation_witnesses(nt, t, n, 2))
+    on_r = tuple(derivation_witnesses(nt, hom.R.data, n))
+    on_t = tuple(derivation_witnesses(nt, t, n))
     found = {
-        "i": tuple(skew_witnesses(t, gd.metric, n)),
-        "i_prime": tuple(skew_witnesses(nt, gd.metric, n)),
+        "i": tuple(skew_witnesses(t, gd.metric)),
+        "i_prime": tuple(skew_witnesses(nt, gd.metric)),
         "ii": on_r, "ii_prime": on_r, "iii": on_t, "iii_prime": on_t,
     }
     # T_x x = 0 for all x iff T(e_i, e_j) = -T(e_j, e_i) for i <= j; the

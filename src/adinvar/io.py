@@ -24,10 +24,10 @@ class SpecFormatError(Exception):
 
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
-# The largest algebra dimension a file may declare.  Checking the Jacobi
-# identity costs about n^5 integer operations on a dense structure table:
-# `adinvar check` on a dense 24-dimensional file takes about 0.7 s, on a
-# 32-dimensional one about 3 s (2-core host, Python 3.11).
+# The largest dimension of an algebra file and of a builder's double h + d + h*.
+# Checking the Jacobi identity costs about n^5 integer operations on a dense
+# structure table: `adinvar check` on a dense 24-dimensional file takes about
+# 0.7 s, on a 32-dimensional one about 3 s (2-core host, Python 3.11).
 MAX_DIM = 24
 
 
@@ -192,6 +192,9 @@ def load_builder_dict(spec, base_dir=".", where="builder"):
         raise SpecFormatError("builder spec must be an object", where)
     d_alg, d_form = _load_part(spec, "d", base_dir, where)
     h_alg, h_form = _load_part(spec, "h", base_dir, where)
+    if (n := d_alg.dim + 2 * h_alg.dim) > MAX_DIM:
+        raise SpecFormatError(f"the double h + d + h* has dimension {n}, above the "
+                              f"largest supported dimension {MAX_DIM}", where)
     if d_form is None:
         raise SpecFormatError("'d' needs a metric", where)
     if h_form is None:

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import strategies as st
 
-from adinvar import BilinearForm, LieAlgebra, Representation, linalg
+from adinvar import BilinearForm, LieAlgebra, Representation, corpus, linalg
 
 T_PLUS = ((0, -1), (1, 0))
 T_MINUS = ((0, 1), (1, 0))
@@ -151,6 +151,51 @@ def conjugated_rep(rep, seed):
     mats = tuple(tuple(map(tuple, linalg.mat_mul(p_inv, linalg.mat_mul(rep.mat(k), p))))
                  for k in range(rep.h.dim))
     return replace(rep, d=d, d_form=BilinearForm(tuple(map(tuple, g))), mats=mats)
+
+
+SIGNS = st.sampled_from([1, -1])
+SMALL_Q = st.fractions(-3, 3, max_denominator=4)
+SEEDS = st.none() | st.integers(0, 99)
+
+
+def _line_rep(draw, d, d_form, pi):
+    """The one-dimensional h, with the form +-1, acting on (d, d_form) by
+    pi; d rewritten by conjugated_rep for a drawn seed, or left as it is."""
+    rep = Representation(LieAlgebra.abelian(1, names=("z",)),
+                         BilinearForm.diagonal([draw(SIGNS)]), d, d_form,
+                         (tuple(map(tuple, pi)),))
+    seed = draw(SEEDS)
+    return rep if seed is None else conjugated_rep(rep, seed)
+
+
+@st.composite
+def indefinite_abelian_reps(draw):
+    """Abelian d of signature (p, q), 1 <= p, q <= 2, with a diagonal +-1
+    form g in a drawn order, and pi = g^-1 S for a drawn nonzero
+    antisymmetric rational S: g pi = S, so pi is skew, and every skew map
+    of an abelian d is a derivation."""
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    g = draw(st.permutations([1] * p + [-1] * q))
+    n = p + q
+    pairs = list(combinations(range(n), 2))
+    upper = draw(st.lists(SMALL_Q, min_size=len(pairs), max_size=len(pairs)).filter(any))
+    s = [[F(0)] * n for _ in range(n)]
+    for (i, j), c in zip(pairs, upper):
+        s[i][j], s[j][i] = c, -c
+    pi = [[g[i] * x for x in row] for i, row in enumerate(s)]  # g^-1 = g
+    return _line_rep(draw, LieAlgebra.abelian(n), BilinearForm.diagonal(g), pi)
+
+
+@st.composite
+def nilpotent_reps(draw):
+    """The 3-step nilpotent d of gH, gE and gF with its ad-invariant form,
+    and pi a drawn nonzero rational combination of the six skew
+    derivations of the derivation lemma, so again a skew derivation."""
+    ders = list(corpus._lemma_derivations().values())
+    coeffs = draw(st.lists(SMALL_Q, min_size=len(ders), max_size=len(ders)).filter(any))
+    pi = [[sum(c * m[i][j] for c, m in zip(coeffs, ders)) for j in range(5)]
+          for i in range(5)]
+    return _line_rep(draw, corpus._a12_reference_basis(), corpus._a12_skew_metric(), pi)
 
 
 @pytest.fixture

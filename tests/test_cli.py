@@ -13,6 +13,8 @@ import pytest
 
 from adinvar import corpus_list
 from adinvar.cli import main
+from adinvar.io import MAX_DIM, dump_builder_dict
+from conftest import torus_rep
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
@@ -95,19 +97,32 @@ def test_check_malformed_input(tmp_path, capsys):
 
 
 def test_gd_and_extend_emit_loadable_files(tmp_path, capsys):
+    """check accepts what gd --emit and extend --emit write: from a corpus
+    builder, from one whose parts omit 'names' (its double would repeat
+    e1, so it is named e1, .., e4), and from the largest builder the cap
+    accepts, whose double has dimension MAX_DIM."""
     outdir = emit_corpus(tmp_path, capsys, "h3_metric_2")
-    spec = outdir / "h3_metric_2_builder.json"
-    built = tmp_path / "gd.json"
-    code, _, _ = run(capsys, "gd", str(spec), "--emit", str(built))
-    assert code == 0
-    code, out, _ = run(capsys, "check", str(built), "--json")
-    assert code == 0
-    assert json.loads(out)["metric_signature"] == [1, 2, 0]
-    code, _, _ = run(capsys, "extend", str(spec), "--emit", str(tmp_path / "g.json"))
-    assert code == 0
-    code, out, _ = run(capsys, "check", str(tmp_path / "g.json"), "--json")
-    assert code == 0
-    assert json.loads(out)["metric_ad_invariant"] is True
+    unnamed = tmp_path / "unnamed_builder.json"
+    unnamed.write_text(json.dumps({
+        "d": {"dim": 2, "metric": [[1, 1, 1], [2, 2, 1]]},
+        "h": {"dim": 1, "metric": [[1, 1, 1]]},
+        "pi": [[[0, -1], [1, 0]]]}))
+    largest = tmp_path / "largest_builder.json"
+    largest.write_text(json.dumps(dump_builder_dict(torus_rep([1, 2, 3, 4, 5, 6]))))
+    for spec, gd_check, g_check in (
+            (outdir / "h3_metric_2_builder.json", {"metric_signature": [1, 2, 0]},
+             {"metric_ad_invariant": True}),
+            (unnamed, {"names": ["e1", "e2", "e1*"]},
+             {"names": ["e1", "e2", "e3", "e4"], "metric_ad_invariant": True}),
+            (largest, {"dim": 18}, {"dim": MAX_DIM, "metric_ad_invariant": True})):
+        for command, want in (("gd", gd_check), ("extend", g_check)):
+            built = tmp_path / f"{command}.json"
+            code, _, _ = run(capsys, command, str(spec), "--emit", str(built))
+            assert code == 0
+            code, out, _ = run(capsys, "check", str(built), "--json")
+            assert code == 0
+            doc = json.loads(out)
+            assert {key: doc[key] for key in want} == want, (spec, command)
 
 
 def test_gd_rejects_bad_pi(tmp_path, capsys):
@@ -238,7 +253,10 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
             ({"d": {**small, "metric": [[1, 1]]}, "h": small, "pi": [[[0]]]},
              f"{spec}.d.metric[0]: metric entry must be [i, j, value]"),
             ({"d": "alg.json", "h": small, "pi": [[[0]]]},
-             f"{alg}.metric[0]: metric entry must be [i, j, value]")):
+             f"{alg}.metric[0]: metric entry must be [i, j, value]"),
+            ({"d": {"dim": 13, "metric": []}, "h": {"dim": 6, "metric": []}},
+             f"{spec}: the double h + d + h* has dimension 25, above the "
+             f"largest supported dimension {MAX_DIM}")):
         spec.write_text(json.dumps(doc))
         for command in ("gd", "extend"):
             code, out, err = run(capsys, command, str(spec), "--json")

@@ -442,14 +442,14 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_skew_witnesses_match_the_triple_loop(case):
     n, nx, _, op, _, form = case
-    assert list(skew_witnesses(op, form, n)) == _skew_loop(op, form, n, nx)
+    assert list(skew_witnesses(op, form)) == _skew_loop(op, form, n, nx)
 
 
 @LOOPS
 @given(kernel_cases())
 def test_derivation_witnesses_match_the_slot_loop(case):
     n, nx, slots, op, tensor, _ = case
-    assert (list(derivation_witnesses(op, tensor, n, slots))
+    assert (list(derivation_witnesses(op, tensor, n))
             == _derivation_loop(op, tensor, n, slots, nx))
 
 
@@ -484,7 +484,7 @@ def test_derivation_witnesses_half_sweep_and_fall_through(case):
     if slots > 1:
         assert _antisymmetric(tensor) and not _antisymmetric(nudged)
     for data in (tensor, nudged):
-        assert (list(derivation_witnesses(op, data, n, slots))
+        assert (list(derivation_witnesses(op, data, n))
                 == _derivation_loop(op, data, n, slots, nx))
 
 
@@ -497,8 +497,8 @@ def test_kernels_on_brackets_and_their_operators(case):
     n = alg.dim
     ad = operator_data([alg.ad(i) for i in range(n)])
     assert ad == alg.bracket_data
-    assert list(skew_witnesses(ad, form, n)) == _skew_loop(ad, form, n, n)
-    bad = list(derivation_witnesses(ad, alg.bracket_data, n, 2))
+    assert list(skew_witnesses(ad, form)) == _skew_loop(ad, form, n, n)
+    bad = list(derivation_witnesses(ad, alg.bracket_data, n))
     assert bad == _derivation_loop(ad, alg.bracket_data, n, 2, n)
     assert (not bad) == (not check_jacobi(alg))
 
@@ -507,10 +507,10 @@ def test_kernels_stop_at_the_first_witness():
     """Verdicts read one witness; the rest of the sweep is never run."""
     op = {(0, 0): {0: F(1)}, (1, 0): {0: F(1)}}
     form = BilinearForm.diagonal([1])
-    found = skew_witnesses(op, form, 1)
+    found = skew_witnesses(op, form)
     assert next(found) == (0, 0, 0)
     assert next(found) == (1, 0, 0)
-    found = derivation_witnesses(op, {(0, 0): {0: F(1)}}, 1, 2)
+    found = derivation_witnesses(op, {(0, 0): {0: F(1)}}, 1)
     assert next(found) == (0, 0, 0)
 
 
@@ -611,8 +611,8 @@ def test_kernels_cancel_across_mixed_denominators():
         assert len(dens) > 2 and max(dens) > 2**64
         br = conj.bracket_data
         assert check_jacobi(conj) == _jacobi_loop(conj) == []
-        assert list(skew_witnesses(br, g, n)) == _skew_loop(br, g, n, n) == []
-        assert list(derivation_witnesses(br, br, n, 2)) == []
+        assert list(skew_witnesses(br, g)) == _skew_loop(br, g, n, n) == []
+        assert list(derivation_witnesses(br, br, n)) == []
         assert _derivation_loop(br, br, n, 2, n) == []
 
         (i, j), comps = min(table.items())
@@ -623,9 +623,9 @@ def test_kernels_cancel_across_mixed_denominators():
         assert bad and bad == _jacobi_loop(broken)
         assert all(type(x) is F for *_, v in bad for x in v)
         bb = broken.bracket_data
-        found = list(skew_witnesses(bb, g, n))
+        found = list(skew_witnesses(bb, g))
         assert found and found == _skew_loop(bb, g, n, n)
-        found = list(derivation_witnesses(bb, bb, n, 2))
+        found = list(derivation_witnesses(bb, bb, n))
         assert found and found == _derivation_loop(bb, bb, n, 2, n)
 
 

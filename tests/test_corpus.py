@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import adinvar
-from adinvar import ad_invariant, build_gd, cli, corpus_build, corpus_list, verify_as
+from adinvar import (ad_invariant, build_gd, build_hom_structure, cli,
+                     corpus_build, corpus_list, verify_as)
 from adinvar.io import dump_builder_dict
 
 
@@ -69,6 +70,17 @@ def test_corpus_command_builds_once(name, monkeypatch, capsys):
     assert cli.main(["corpus", name, "--json"]) == 0
     capsys.readouterr()
     assert {k: len(v) for k, v in counted.items()} == dict.fromkeys(counted, 1)
+
+
+def test_hom_structure_builds_t_and_nabla_only(monkeypatch):
+    """build_hom_structure assembles two tensors by block, T and nabla;
+    nabla~ is derived from them on demand, and its closed form is left to
+    the tests."""
+    gd = build_gd(corpus_build("gH").rep)
+    blocks = _count_calls(monkeypatch, adinvar.geometry, "gd_tensor")
+    closed = _count_calls(monkeypatch, adinvar.homstructure, "nabla_tilde_closed")
+    build_hom_structure(gd)
+    assert (len(blocks), len(closed)) == (2, 0)
 
 
 def test_registry_builds_only_the_named_entry(monkeypatch):

@@ -7,6 +7,7 @@ from adinvar import (HomStructure, build_gd, build_hom_structure,
                      nilmanifold_t_formula, t_tensor, verify_as)
 from adinvar import linalg
 from adinvar.geometry import Tensor
+from adinvar.homstructure import nabla_tilde_closed
 from conftest import (T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep,
                       torus_reps, two_torus_rep)
 
@@ -50,8 +51,8 @@ def test_t_tensor_zero_for_trivial_action():
 def test_nabla_tilde_matches_closed_form():
     for rep in (h3_rep([1, 1], T_PLUS, 1), h3_rep([-1, 1], T_MINUS, -1),
                 so3_rep(), two_torus_rep(), a12_rep(), lemma_rep("H")):
-        hom = build_hom_structure(build_gd(rep))
-        assert hom.t3_matches
+        gd = build_gd(rep)
+        assert build_hom_structure(gd).nabla_tilde == nabla_tilde_closed(gd)
 
 
 def test_verify_as_passes_everywhere():
@@ -67,7 +68,7 @@ def test_corrupted_t_located_by_axiom_iii():
     gd = build_gd(h3_rep([1, 1], T_PLUS, 1))
     hom = build_hom_structure(gd)
     bad_t = _nudged(hom.T, (2, 0, 1), F(1, 3))  # perturb T_{e3} e1
-    broken = HomStructure(gd, bad_t, hom.nabla, hom.R, False)
+    broken = HomStructure(gd, bad_t, hom.nabla, hom.R)
     report = verify_as(gd, broken)
     got = {c.name: (c.ok, c.witness) for c in report.checks}
     want = _verify_as_oracle(gd, broken)
@@ -200,13 +201,13 @@ def test_verify_as_witnesses_match_sweep_on_broken_structures(name, part, data,
     index = tuple(data.draw(st.integers(0, n - 1)) for _ in range(slots))
     if part == "T":
         broken = HomStructure(gd, _nudged(hom.T, index, delta), hom.nabla,
-                              hom.R, False)
+                              hom.R)
     elif part == "nabla":
         broken = HomStructure(gd, hom.T, _nudged(hom.nabla, index, delta),
-                              hom.R, False)
+                              hom.R)
     else:
         broken = HomStructure(gd, hom.T, hom.nabla,
-                              _nudged(hom.R, index, delta), False)
+                              _nudged(hom.R, index, delta))
     report = verify_as(gd, broken)
     assert ({c.name: (c.ok, c.witness) for c in report.checks}
             == _verify_as_oracle(gd, broken))

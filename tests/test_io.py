@@ -139,7 +139,8 @@ def test_repeated_name_refused():
 def test_dimension_above_the_cap_refused_before_allocation():
     """Only dims that allocate nothing when refused: a declared dimension of
     10^8 is refused from the number alone, in an algebra and in either part
-    of a builder."""
+    of a builder, and a builder whose double h + d + h* would exceed the
+    cap, d = 13 and h = 6, before its 'pi' is read."""
     small = {"dim": 1, "metric": [[1, 1, 1]]}
     for dim in (MAX_DIM + 1, 100000000):
         with pytest.raises(SpecFormatError, match=f"'dim' {dim} exceeds"):
@@ -149,6 +150,10 @@ def test_dimension_above_the_cap_refused_before_allocation():
             with pytest.raises(SpecFormatError, match=f"^builder\\.{part}: 'dim' {dim} exceeds"):
                 load_builder_dict(spec)
     assert load_algebra_dict({"dim": MAX_DIM})[0].dim == MAX_DIM
+    d, h = ({"dim": n, "metric": [[i, i, 1] for i in range(1, n + 1)]} for n in (13, 6))
+    with pytest.raises(SpecFormatError, match=r"^builder: the double h \+ d \+ h\* "
+                       r"has dimension 25, above the largest supported dimension 24$"):
+        load_builder_dict({"d": d, "h": h})
 
 
 def test_brackets_and_metric_that_are_not_lists_refused():
