@@ -24,8 +24,8 @@ from .corpus import corpus_build, corpus_list
 from .derivations import (derivation_algebra, induced_so_aut_pair,
                           inner_derivations, profile, skew_derivations, so_aut)
 from .extension import ExtensionError, build_gd, double_extend
-from .geometry import (GeometryError, curvature, levi_civita, ricci,
-                       ricci_operator, sectional)
+from .geometry import (GeometryError, Tensor, curvature, levi_civita,
+                       ricci, ricci_operator, sectional)
 from .homstructure import verify_as
 from .io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
                  load_algebra_file, load_builder_file, rational_str, write_json)
@@ -132,17 +132,17 @@ def cmd_geometry(args, report):
     if bad:
         return
     gamma = levi_civita(alg, form)
+    swapped = Tensor(alg.dim, 2, {(j, i): c for (i, j), c in gamma.data.items()})
+    torsion_free = (gamma - swapped).data == alg.bracket_data
+    metric_comp = not any(skew_witnesses(gamma.data, form))
+    report["checks"] += [Check("torsion_free", torsion_free),
+                         Check("metric_compatible", metric_comp)]
+    if not (torsion_free and metric_comp):
+        return  # only the Levi-Civita connection makes the Ricci form symmetric
     r = curvature(gamma, alg)
     ric = ricci(r, form)
     op = ricci_operator(r, form)
     basis = linalg.identity(alg.dim)
-    torsion_free = all(
-        gamma.entry(i, j) == linalg.vec_add(gamma.entry(j, i),
-                                            alg.basis_bracket(i, j))
-        for i in range(alg.dim) for j in range(alg.dim))
-    metric_comp = not any(skew_witnesses(gamma.data, form))
-    report["checks"] += [Check("torsion_free", torsion_free),
-                         Check("metric_compatible", metric_comp)]
     for key, tensor in (("connection", gamma), ("curvature", r)):
         report[key] = {",".join(str(i + 1) for i in idx):
                        _vec_str(tensor.entry(*idx)) for idx in tensor.data}

@@ -247,17 +247,6 @@ class Subspace:
     def add(self, other):
         return Subspace.span(self.basis() + other.basis(), self.ambient_dim)
 
-    def intersect(self, other):
-        """Zassenhaus-free intersection via nullspace of stacked coordinates."""
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # x = sum a_i u_i = sum b_j v_j  <=>  [U^T | -V^T] (a,b)^T = 0
-        ut = linalg.transpose(self.basis())
-        vt = linalg.transpose(other.basis())
-        stacked = [ru + [-x for x in rv] for ru, rv in zip(ut, vt)]
-        vecs = [linalg.mat_vec(ut, s[:self.dim]) for s in linalg.nullspace(stacked)]
-        return Subspace.span(vecs, self.ambient_dim)
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -122,17 +122,16 @@ def _action_faults(mats, h, form, bracket_data):
     ("skew", i) and ("derivation", i) for each i, then
     ("homomorphism", i, j) for each pair i < j.
 
-    The skew and derivation sweeps stop at the first witness of each
-    operator.  The homomorphism test compares [M_i, M_j] with
-    sum_k c_ij^k M_k on sparse int rows, all the operators and the bracket
-    of h scaled by one ``_integral`` call, made only when h has a pair."""
+    The skew and derivation sweeps each run once over the whole family.
+    The homomorphism test compares [M_i, M_j] with sum_k c_ij^k M_k on
+    sparse int rows, all the operators and the bracket of h scaled by one
+    ``_integral`` call, made only when h has a pair."""
     n = form.dim
-    for i, m in enumerate(mats):
-        op = operator_data([m])
-        if any(skew_witnesses(op, form)):
-            yield "skew", i
-        if any(derivation_witnesses(op, bracket_data, n)):
-            yield "derivation", i
+    op = operator_data(mats)
+    bad = {("skew", x) for x, *_ in skew_witnesses(op, form)}
+    bad |= {("derivation", x) for x, *_ in derivation_witnesses(op, bracket_data, n)}
+    for i in range(len(mats)):
+        yield from (f for f in (("skew", i), ("derivation", i)) if f in bad)
     if h.dim < 2:
         return
     # the operators and the bracket of h scaled by one s: [sM_i, sM_j] and
@@ -304,10 +303,6 @@ class GdAlgebra:
     def embed_h(self, hc):
         """Embed an h vector through ell; f-coordinates equal h-coordinates."""
         return [Q0] * self.nd + list(hc)
-
-    def mu(self, h_coeffs):
-        """Operator mu(h): pi on d, coadjoint action on h*."""
-        return _combination(self.mu_mats, h_coeffs, self.nd + self.nh)
 
 
 def build_gd(rep):
@@ -487,8 +482,6 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     reduced, pivots = linalg.rref(s_vectors)
     hbar = Subspace(g_alg.dim, tuple(map(tuple, reduced)))
     gbar = m_sub.add(hbar)
-    if hbar != h_sub.intersect(gbar):
-        raise KostantError("bracket projections do not span h within gbar")
 
     # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> on all pairs of pairs,
     # V[ab][cd] = -<[m_a, s_cd], m_b>, where [m_a, s_cd] lies in [m, h] < m

@@ -70,8 +70,7 @@ def predict_nilpotent_step(gd):
     stacked = [list(r) for m in gd.rep.mats for r in m]
     kernels = kernel_of(stacked) if stacked else full_d
     corrected = kernels.contains_subspace(dk1)
-    naive_test = kernels.contains_subspace(dser.chain[k]) if k < len(dser.chain) \
-        else True
+    naive_test = kernels.contains_subspace(dser.chain[k])
     predicted = k if corrected else k + 1
     computed = lower_central_series(gd.L).step
     return StepReport("nilpotent", k, predicted, computed, obstruction,

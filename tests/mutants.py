@@ -1,0 +1,138 @@
+"""A catalogue of mutants of ``src/adinvar`` and the tests that must kill them.
+
+Each entry replaces one exact snippet of one module.  The script applies
+each mutant alone to a temporary copy of the project (``src/``, ``tests/``,
+``bench/`` and ``pyproject.toml``), never to the working tree, runs the
+entry's pytest selection there with ``-x``, and prints killed or
+survived.  It exits nonzero if a mutant survives that is not listed as
+equivalent, or if a selection does not run.
+
+    python tests/mutants.py
+
+Pytest does not collect this file.  ``tests/test_mutants_catalogue.py``
+checks that every snippet occurs exactly once in its module, so a change
+that moves mutated code updates the catalogue with it.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str        # file under src/adinvar
+    snippet: str       # occurs exactly once in the module
+    replacement: str
+    selection: tuple   # pytest node ids, run with -x, of which one must fail
+    equivalent: str = ""  # why no test can kill it, when none can
+
+
+EXT = "tests/test_extension.py::"
+GEO = "tests/test_geometry.py::"
+CLI = "tests/test_cli.py::"
+
+CATALOGUE = (
+    # _action_faults sweeps each operator family once
+    Mutant("action_faults-no_derivation_sweep", "extension.py",
+           '    bad |= {("derivation", x) for x, *_ in derivation_witnesses(op, bracket_data, n)}\n',
+           "", (EXT + "test_validate_reports_each_fault_of_a_family_in_order",)),
+    Mutant("action_faults-derivation_before_skew", "extension.py",
+           '(("skew", i), ("derivation", i))', '(("derivation", i), ("skew", i))',
+           (EXT + "test_validate_matches_the_loops_on_nudged_pi",)),
+    Mutant("action_faults-homomorphism_sign", "extension.py",
+           "out[p * n + q] -= c * x", "out[p * n + q] += c * x",
+           (EXT + "test_action_faults_scales_each_family_once",)),
+    # geometry's torsion self-check
+    Mutant("geometry-torsion_without_swap", "cli.py",
+           "torsion_free = (gamma - swapped).data", "torsion_free = gamma.data",
+           (CLI + "test_geometry_command",)),
+    # the d-d-d block of curvature_gd and the d-d block of ricci_gd_closed
+    Mutant("curvature_gd-pib_bca_coefficient", "geometry.py",
+           "add_scaled(out, -1, pib[b, c, a])", "add_scaled(out, -2, pib[b, c, a])",
+           (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
+    Mutant("curvature_gd-pib_cab_coefficient", "geometry.py",
+           "add_scaled(out, -1, pib[c, a, b])", "add_scaled(out, 1, pib[c, a, b])",
+           (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
+    Mutant("curvature_gd-bracket_term_sign", "geometry.py",
+           "add_scaled(out, -x, l_br.get((q, c), empty))",
+           "add_scaled(out, x, l_br.get((q, c), empty))",
+           (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
+    Mutant("ricci_gd_closed-dd_half", "geometry.py",
+           "gs[b][a] / 2 -", "gs[b][a] -",
+           (GEO + "test_routes_agree_on_generated_indefinite_abelian_data",)),
+    # nabla~ and what build_hom_structure builds
+    Mutant("nabla_tilde_closed-pi_sign", "homstructure.py",
+           "gd_tensor(gd, {}, Q1, 0, Q1)", "gd_tensor(gd, {}, -Q1, 0, Q1)",
+           ("tests/test_homstructure.py::test_nabla_tilde_matches_closed_form",)),
+    Mutant("nabla_tilde_closed-no_h_bracket", "homstructure.py",
+           "gd_tensor(gd, {}, Q1, 0, Q1)", "gd_tensor(gd, {}, Q1, 0, 0)",
+           ("tests/test_homstructure.py::test_nabla_tilde_matches_closed_form",)),
+    Mutant("build_hom_structure-builds_nabla_tilde_closed", "homstructure.py",
+           "    return HomStructure(gd, t_tensor(gd),",
+           "    nabla_tilde_closed(gd)\n    return HomStructure(gd, t_tensor(gd),",
+           ("tests/test_corpus.py::test_hom_structure_builds_t_and_nabla_only",)),
+    # derivation_witnesses reads its slot count off the tensor
+    Mutant("derivation_witnesses-two_slots", "core.py",
+           "slots = len(next(iter(tensor), ()))", "slots = 2",
+           ("tests/test_core.py::test_derivation_witnesses_match_the_slot_loop",)),
+    # names of a built algebra, the size cap, the degenerate-plane label
+    Mutant("joined_names-no_fallback", "extension.py",
+           "return names if len(set(names)) == len(names) else tuple(",
+           "return names if True else tuple(",
+           (CLI + "test_gd_and_extend_emit_loadable_files",)),
+    Mutant("builder_cap-counts_h_once", "io.py",
+           "d_alg.dim + 2 * h_alg.dim) > MAX_DIM", "d_alg.dim + h_alg.dim) > MAX_DIM",
+           ("tests/test_io.py::test_dimension_above_the_cap_refused_before_allocation",)),
+    Mutant("builder_cap-off_by_one", "io.py",
+           "d_alg.dim + 2 * h_alg.dim) > MAX_DIM", "d_alg.dim + 2 * h_alg.dim) > MAX_DIM + 1",
+           ("tests/test_io.py::test_dimension_above_the_cap_refused_before_allocation",)),
+    Mutant("geometry-degenerate_label", "cli.py",
+           'planes[f"{i+1},{j+1}"] = "degenerate"', 'planes[f"{i+1},{j+1}"] = "0"',
+           (CLI + "test_geometry_flags_degenerate_planes",)),
+)
+
+
+def run(mutant):
+    """pytest's exit code on the entry's selection, with the mutant applied
+    to a temporary copy of the project: 1 means killed, 0 survived."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "out")
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / part, tmp / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = tmp / "src" / "adinvar" / mutant.module
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.snippet) != 1:
+            raise SystemExit(f"{mutant.name}: the snippet does not occur exactly once")
+        path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *mutant.selection], cwd=tmp, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode
+
+
+def main():
+    bad = 0
+    start = time.perf_counter()
+    for m in CATALOGUE:
+        code = run(m)
+        verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        if code == 0 and m.equivalent:
+            verdict += f" (equivalent: {m.equivalent})"
+        elif code != 1:
+            bad += 1
+        print(f"{verdict:<10} {m.name}", flush=True)
+    print(f"{len(CATALOGUE)} mutants, {bad} not killed, {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from adinvar import corpus_list
+from adinvar import cli, corpus_list, linalg
 from adinvar.cli import main
+from adinvar.geometry import Tensor
 from adinvar.io import MAX_DIM, dump_builder_dict
 from conftest import torus_rep
 
@@ -303,6 +304,41 @@ def test_geometry_flags_degenerate_planes(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert "degenerate" in doc["sectional"].values()
+
+
+def _add_e0_to_g00(data, ginv):
+    """Gamma(e0, e0) + e0: torsion is unchanged, and Gamma_e0 is no longer
+    metric-skew, as the metric is nondegenerate."""
+    comps = data.setdefault((0, 0), {})
+    comps[0] = comps.get(0, 0) + 1
+
+
+def _add_skew_to_gamma_e0(data, ginv):
+    """Gamma_e0 + g^-1 S for S = E_01 - E_10, which changes only
+    Gamma(e0, e0) and Gamma(e0, e1): Gamma_e0 stays metric-skew, and
+    Gamma(e0, e1) - Gamma(e1, e0) moves by g^-1 e0."""
+    for p, row in enumerate(ginv):
+        for x, c in ((0, -row[1]), (1, row[0])):
+            comps = data.setdefault((0, x), {})
+            comps[p] = comps.get(p, 0) + c
+
+
+@pytest.mark.parametrize("change, broken", [(_add_e0_to_g00, "metric_compatible"),
+                                            (_add_skew_to_gamma_e0, "torsion_free")])
+def test_geometry_reports_a_connection_that_fails_a_self_check(
+        change, broken, tmp_path, capsys, monkeypatch):
+    real = cli.levi_civita
+
+    def nudged(alg, form):
+        data = {k: dict(v) for k, v in real(alg, form).data.items()}
+        change(data, linalg.inverse(form.rows()))
+        return Tensor(alg.dim, 2, data)
+
+    monkeypatch.setattr(cli, "levi_civita", nudged)
+    outdir = emit_corpus(tmp_path, capsys, "gH")
+    code, out, _ = run(capsys, "geometry", str(outdir / "gH.json"), "--json")
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [broken]
 
 
 def test_derivations_command(tmp_path, capsys):

@@ -13,13 +13,14 @@ from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      canonical_connection, check_jacobi, corpus_build,
                      corpus_list, double_extend, kostant_form, lambda_matrix,
                      orthogonal_complement, reductive_split)
-from adinvar import extension, linalg
+from adinvar import core, corpus, extension, linalg
 from adinvar.core import skew_witnesses
 from adinvar.extension import KostantResult, SplitResult, _verify_gd
 from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
                       so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
+from test_corpus import _count_calls
 
 
 def test_double_extend_a12_golden():
@@ -112,14 +113,14 @@ def test_build_gd_heisenberg_both_signs():
 
 def test_mu_examples(oscillator_rep):
     gd = build_gd(oscillator_rep)
-    mu = gd.mu([F(1)])
+    mu = [list(r) for r in gd.mu_mats[0]]
     assert mu == [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(0)]]
-    assert gd.mu([F(0)]) == linalg.zeros(3, 3)
+    assert extension._combination(gd.mu_mats, [F(0)], 3) == linalg.zeros(3, 3)
 
 
 def test_mu_coadjoint_nonabelian():
     gd = build_gd(so3_rep())
-    mu = gd.mu([F(1), F(0), F(0)])
+    mu = gd.mu_mats[0]
     # lower-right block is ad(L1) acting through the ell identification
     adl1 = gd.rep.h.ad(0)
     for p in range(3):
@@ -306,7 +307,7 @@ def test_mu_is_homomorphism_of_nonabelian_h():
     gd = build_gd(so3_rep())
     for i in range(3):
         for j in range(3):
-            lhs = gd.mu(gd.rep.h.basis_bracket(i, j))
+            lhs = extension._combination(gd.mu_mats, gd.rep.h.basis_bracket(i, j), 6)
             rhs = linalg.commutator([list(r) for r in gd.mu_mats[i]],
                                     [list(r) for r in gd.mu_mats[j]])
             assert lhs == rhs
@@ -316,7 +317,7 @@ def test_mu_block_for_lemma_extension():
     from corpus_help import lemma_rep
     rep = lemma_rep("H")
     gd = build_gd(rep)
-    mu = gd.mu([F(1)])
+    mu = gd.mu_mats[0]
     h = rep.mat(0)
     for p in range(5):
         for q in range(5):
@@ -557,6 +558,46 @@ def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
     assert broken.validate() == _validate_loops(broken)
 
 
+def _pi_family(rep):
+    return rep.mats, rep.h, rep.d_form, rep.d.bracket_data
+
+
+def _mu_family(rep):
+    gd = build_gd(rep)
+    return gd.mu_mats, rep.h, gd.metric, gd.L.bracket_data
+
+
+@pytest.mark.parametrize("family", [_pi_family, _mu_family])
+@pytest.mark.parametrize("rep", [so3_rep, lambda: conjugated_rep(torus_rep([1, 2, 3]), 5)],
+                         ids=["so3", "dense_torus3"])
+def test_action_faults_scales_each_family_once(family, rep, monkeypatch):
+    """One skew sweep and one Leibniz sweep over the whole family, and one
+    scaling for the homomorphism test: three ``_integral`` calls for a
+    three-dimensional h, not one pair of sweeps per operator."""
+    args = family(rep())
+    calls = _count_calls(monkeypatch, core, "_integral")
+    assert list(extension._action_faults(*args)) == []
+    assert len(calls) == 3
+
+
+def test_validate_reports_each_fault_of_a_family_in_order():
+    """gH's d with a two-dimensional abelian h: pi(a) = g^-1 S is skew but
+    not a derivation, pi(b) = diag(2, 1, 1, 1, 0), the grading, is a
+    derivation but not skew, and the two do not commute."""
+    d, g = corpus._a12_reference_basis(), corpus._a12_skew_metric()
+    s = linalg.zeros(5, 5)
+    s[0][1], s[1][0] = F(1), F(-1)
+    skew = linalg.mat_mul(linalg.inverse(g.rows()), s)
+    grading = [[F(w) if p == q else F(0) for q in range(5)]
+               for p, w in enumerate((2, 1, 1, 1, 0))]
+    rep = Representation(LieAlgebra.abelian(2, names=("a", "b")),
+                         BilinearForm.diagonal([1, 1]), d, g,
+                         (tuple(map(tuple, skew)), tuple(map(tuple, grading))))
+    assert rep.validate() == ["pi(a)_not_derivation", "pi(b)_not_skew",
+                              "pi_not_homomorphism(a,b)"]
+    assert rep.validate() == _validate_loops(rep)
+
+
 # -- reductive_split, kostant_form and canonical_connection against their
 # former per-bracket bodies, which decompose each bracket by its own solve
 
@@ -686,8 +727,6 @@ def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
                                      g_alg.dim)
     hbar = Subspace.span(list(s_vectors.values()), g_alg.dim)
     gbar = m_sub.add(hbar)
-    if hbar != h_sub.intersect(gbar):
-        raise KostantError("bracket projections do not span h within gbar")
 
     r = hbar.dim
     unknowns = [(p, q) for p in range(r) for q in range(p, r)]

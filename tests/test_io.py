@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from adinvar import build_gd, corpus_build, double_extend
 from adinvar.io import (MAX_DIM, SpecFormatError, dump_algebra_dict,
                         dump_builder_dict, load_algebra_dict, load_builder_dict,
                         parse_rational)
+from conftest import indefinite_abelian_reps, nilpotent_reps
 
 
 def test_parse_rational():
@@ -38,6 +40,12 @@ def test_builder_roundtrip():
     doc = dump_builder_dict(rep)
     back = load_builder_dict(doc)
     assert back == rep
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(indefinite_abelian_reps() | nilpotent_reps())
+def test_builder_roundtrip_on_generated_data(rep):
+    assert load_builder_dict(dump_builder_dict(rep)) == rep
 
 
 def test_indices_are_one_based_lower_triangular():

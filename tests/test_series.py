@@ -3,13 +3,15 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from adinvar import (BilinearForm, LieAlgebra, Representation, Subspace,
                      build_gd, center, heisenberg_recognizer, kernel_of,
                      lower_central_series, predict_nilpotent_step,
                      predict_solvable_step, SeriesError)
 from adinvar import linalg
-from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep
+from conftest import (T_MINUS, T_PLUS, a12_rep, h3_rep, indefinite_abelian_reps,
+                      nilpotent_reps)
 from corpus_help import lemma_rep
 
 
@@ -182,3 +184,11 @@ def test_nilpotent_prediction_reads_the_common_kernel_of_pi():
         assert rpt.corrected_index_test is corrected
         assert rpt.consistent
         assert rpt.step_gd_predicted == (1 if corrected else 2)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(indefinite_abelian_reps() | nilpotent_reps())
+def test_predicted_steps_hold_on_generated_data(rep):
+    gd = build_gd(rep)
+    assert predict_nilpotent_step(gd).consistent
+    assert predict_solvable_step(gd).consistent
