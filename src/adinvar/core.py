@@ -240,9 +240,8 @@ class Subspace:
 
     def coordinates(self, v):
         """Coefficients of v in this basis, or None if v is outside."""
-        if self.dim == 0:
-            return [] if linalg.is_zero_vector(list(v)) else None
-        return linalg.solve(linalg.transpose(self.basis()), list(map(frac, v)))
+        coords = linalg.coordinates(self.rows, [list(map(frac, v))])
+        return None if coords is None else coords[0]
 
     def add(self, other):
         return Subspace.span(self.basis() + other.basis(), self.ambient_dim)
@@ -545,16 +544,15 @@ def invariant_forms(alg):
 def restrict_to_subalgebra(alg, sub, names=None):
     """Lie algebra on sub's basis; raises if sub is not closed under brackets."""
     base = sub.basis()
+    pairs = list(combinations(range(sub.dim), 2))
+    coords = linalg.coordinates(base, [alg.bracket(base[a], base[b]) for a, b in pairs])
+    if coords is None:
+        raise AlgebraError("subspace is not a subalgebra")
     table = {}
-    for a in range(sub.dim):
-        for b in range(a + 1, sub.dim):
-            w = alg.bracket(base[a], base[b])
-            coords = sub.coordinates(w)
-            if coords is None:
-                raise AlgebraError("subspace is not a subalgebra")
-            comps = {k: c for k, c in enumerate(coords) if c != 0}
-            if comps:
-                table[(a, b)] = comps
+    for pair, cs in zip(pairs, coords):
+        comps = {k: c for k, c in enumerate(cs) if c != 0}
+        if comps:
+            table[pair] = comps
     return LieAlgebra.from_brackets(sub.dim, table, names, check=False)
 
 

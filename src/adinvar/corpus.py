@@ -27,21 +27,23 @@ A22 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 def _rep(h_names, h_diag, d_dim, d_diag, mats, h_table=None, d_table=None,
          d_names=None):
-    h = LieAlgebra.from_brackets(len(h_diag), h_table or {}, h_names)
-    d = LieAlgebra.from_brackets(d_dim, d_table or {}, d_names)
+    # Jacobi on h and d is checked once, by Representation.validate
+    h = LieAlgebra.from_brackets(len(h_diag), h_table or {}, h_names, check=False)
+    d = LieAlgebra.from_brackets(d_dim, d_table or {}, d_names, check=False)
     return Representation(h, BilinearForm.diagonal(h_diag),
                           d, BilinearForm.diagonal(d_diag), mats)
 
 
 def _a12_reference_basis():
-    """The free 3-step nilpotent algebra on two generators, basis e0..e4."""
+    """The free 3-step nilpotent algebra on two generators, basis e0..e4;
+    Jacobi is checked by Representation.validate."""
     return LieAlgebra.from_brackets(5, {
         (1, 2): {0: 1},
         (2, 3): {0: -1},
         (1, 4): {2: -1},
         (2, 4): {1: -1, 3: 1},
         (3, 4): {2: -1},
-    }, names=("e0", "e1", "e2", "e3", "e4"))
+    }, names=("e0", "e1", "e2", "e3", "e4"), check=False)
 
 
 def _a12_skew_metric():
@@ -195,10 +197,7 @@ class CorpusEntry:
                              totally_isotropic(ker, self.rep.d_form)))
         if exp.get("kostant"):
             split = reductive_split(dbl.g, dbl.Q_minus, dbl.h_sub)
-            inner = BilinearForm(tuple(
-                tuple(dbl.Q_minus.apply(u, v) for v in split.m.basis())
-                for u in split.m.basis()))
-            res = kostant_form(dbl.g, dbl.h_sub, split.m, inner)
+            res = kostant_form(dbl.g, dbl.h_sub, split.m, split.gram)
             # the coordinates of the basis vectors are the unit vectors, so
             # res.pair on them reads res.form.matrix
             agree = res.form.matrix == tuple(

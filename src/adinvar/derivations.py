@@ -46,26 +46,24 @@ class MatrixLieAlgebra:
     @classmethod
     def from_matrices(cls, mats, n):
         mats = [[list(map(linalg.frac, row)) for row in m] for m in mats]
-        k = len(mats)
-        pairs = list(combinations(range(k), 2))
+        pairs = list(combinations(range(len(mats)), 2))
         # The basis is scaled by s to integer matrices A_i = s M_i, whose
-        # commutators are s^2 [M_i, M_j].  One elimination of [basis |
-        # every commutator], flattened as columns: the basis is independent
-        # iff columns 0..k-1 all carry pivots, closed iff no other column
-        # does, and then rows 0..k-1 hold the coordinates y of each
-        # s^2 [M_i, M_j] in the A basis; y / s are those of [M_i, M_j].
+        # commutators are s^2 [M_i, M_j]: the coordinates y of each
+        # s^2 [M_i, M_j] in the A basis are s times those of [M_i, M_j],
+        # and each y / s is built as one Fraction, without arithmetic.
         *ints, s = _integral(*map(_rows, mats))
-        cols = [_flatten_sparse(a) for a in ints]
-        cols += [_commutator_flat(ints[i], ints[j]) for i, j in pairs]
-        rows, pivots = linalg.rref(linalg.transpose(cols))
-        if pivots[:k] != list(range(k)):
-            raise AlgebraError("matrix basis is not linearly independent")
-        if len(pivots) > k:
+        try:
+            coords = linalg.coordinates(
+                [_flatten_sparse(a) for a in ints],
+                [_commutator_flat(ints[i], ints[j]) for i, j in pairs])
+        except linalg.LinAlgError:
+            raise AlgebraError("matrix basis is not linearly independent") from None
+        if coords is None:
             raise AlgebraError("matrix space is not closed under commutator")
         table = {}
-        for col, pair in enumerate(pairs, start=k):
+        for pair, ys in zip(pairs, coords):
             comps = {b: Fraction(y.numerator, y.denominator * s)
-                     for b in range(k) if (y := rows[b][col])}
+                     for b, y in enumerate(ys) if y}
             if comps:
                 table[pair] = comps
         closure = LieAlgebra.from_brackets(len(mats), table, check=False)

@@ -382,31 +382,28 @@ def lambda_matrix(gd):
 @dataclass(frozen=True)
 class SplitResult:
     m: Subspace
+    gram: BilinearForm  # the form on the rows of m
     checks: tuple  # of Check
     all_pass = all_pass
 
 
-class _Projector:
-    """Coordinates in g = h + m.  The stacked (h | m) basis is inverted
-    once; each vector is then split by one ``mat_vec``.  Raises
-    ``LinAlgError`` unless g is the direct sum of h and m."""
+def _split(g_alg, h_sub, m_sub, pairs):
+    """(h coordinates, m coordinates) of the bracket [x, y] of each pair
+    (x, y) in g = h + m, from one ``linalg.coordinates`` call over the
+    stacked (h | m) basis.  Raises ``LinAlgError`` unless g is the direct
+    sum of h and m."""
+    nh = h_sub.dim
+    if nh + m_sub.dim != h_sub.ambient_dim:
+        raise linalg.LinAlgError("g is not the direct sum of h and m")
+    coords = linalg.coordinates(h_sub.rows + m_sub.rows,
+                                [g_alg.bracket(x, y) for x, y in pairs])
+    return [(c[:nh], c[nh:]) for c in coords]
 
-    def __init__(self, h_sub, m_sub):
-        if h_sub.dim + m_sub.dim != h_sub.ambient_dim:
-            raise linalg.LinAlgError("g is not the direct sum of h and m")
-        self.nh = h_sub.dim
-        self.columns = linalg.transpose(h_sub.basis() + m_sub.basis())
-        self.inverse = linalg.inverse(self.columns)
 
-    def split(self, w):
-        """(h coordinates, m coordinates) of w."""
-        c = linalg.mat_vec(self.inverse, w)
-        return c[:self.nh], c[self.nh:]
-
-    def h_vector(self, hc):
-        """The vector of h with coordinates hc."""
-        pad = [Q0] * (len(self.columns) - self.nh)
-        return linalg.mat_vec(self.columns, list(hc) + pad)
+def _h_vector(h_sub, hc):
+    """The vector of h with coordinates hc."""
+    return [sum((c * row[p] for c, row in zip(hc, h_sub.rows) if c), Q0)
+            for p in range(h_sub.ambient_dim)]
 
 
 def reductive_split(g_alg, form, h_sub):
@@ -415,26 +412,26 @@ def reductive_split(g_alg, form, h_sub):
     if linalg.signature_of(gram)[2] != 0:
         raise ExtensionError("form is degenerate on h")
     m = orthogonal_complement(h_sub, form)
-    # a form nondegenerate on h gives g = h + h-perp, so the projector exists
-    split = _Projector(h_sub, m).split
     mb = m.basis()
+    cross = list(product(h_sub.basis(), mb))
+    # a form nondegenerate on h gives g = h + h-perp, so the split exists
+    parts = _split(g_alg, h_sub, m, cross + list(product(mb, repeat=2)))
     checks = [Check("direct_sum", True)]
-    escapes = any(any(split(g_alg.bracket(u, v))[0])
-                  for u in h_sub.basis() for v in mb)
+    escapes = any(any(hc) for hc, _ in parts[:len(cross)])
     checks.append(Check("bracket_h_m_in_m", not escapes,
                         "[h,m] escapes m" if escapes else None))
     # the m-projected bracket as an operator field on m, skew for the Gram
     # matrix of m exactly when the naturally reductive condition holds
     op = {}
-    for a, b in product(range(len(mb)), repeat=2):
-        comps = {p: x for p, x in enumerate(split(g_alg.bracket(mb[a], mb[b]))[1]) if x}
+    for ab, (_, mc) in zip(product(range(len(mb)), repeat=2), parts[len(cross):]):
+        comps = {p: x for p, x in enumerate(mc) if x}
         if comps:
-            op[a, b] = comps
+            op[ab] = comps
     gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
     fails = any(skew_witnesses(op, gram_m))
     checks.append(Check("naturally_reductive", not fails,
                         "naturally reductive condition fails" if fails else None))
-    return SplitResult(m, tuple(checks))
+    return SplitResult(m, gram_m, tuple(checks))
 
 
 class KostantError(Exception):
@@ -447,16 +444,14 @@ class KostantResult:
     basis: tuple        # vectors of gbar: m rows first, then hbar rows
     form: BilinearForm  # the reconstructed invariant form on this basis
     hbar: Subspace
-    m: Subspace
     checks: tuple  # of Check
     all_pass = all_pass
 
     def pair(self, u, v):
-        cu = linalg.solve(linalg.transpose([list(b) for b in self.basis]), list(u))
-        cv = linalg.solve(linalg.transpose([list(b) for b in self.basis]), list(v))
-        if cu is None or cv is None:
+        coords = linalg.coordinates(self.basis, [u, v])
+        if coords is None:
             raise KostantError("vector outside gbar")
-        return self.form.apply(cu, cv)
+        return self.form.apply(*coords)
 
 
 def kostant_form(g_alg, h_sub, m_sub, inner):
@@ -467,26 +462,27 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     equations, read off a basis of hbar among the bracket projections; an
     inconsistent system means the data was not naturally reductive.
     """
+    mb = m_sub.basis()
+    cross = list(product(h_sub.basis(), mb))
+    pairs = list(combinations(range(m_sub.dim), 2))
     try:
-        proj = _Projector(h_sub, m_sub)
+        parts = _split(g_alg, h_sub, m_sub, cross + [(mb[a], mb[b]) for a, b in pairs])
     except linalg.LinAlgError:
         raise KostantError("g is not the direct sum of h and m") from None
-    mb = m_sub.basis()
-    if any(any(proj.split(g_alg.bracket(u, v))[0])
-           for u in h_sub.basis() for v in mb):
+    if any(any(hc) for hc, _ in parts[:len(cross)]):
         raise KostantError("[h, m] is not contained in m")
 
-    pairs = list(combinations(range(m_sub.dim), 2))
-    s_vectors = [proj.h_vector(proj.split(g_alg.bracket(mb[a], mb[b]))[0])
-                 for a, b in pairs]
+    s_vectors = [_h_vector(h_sub, hc) for hc, _ in parts[len(cross):]]
     reduced, pivots = linalg.rref(s_vectors)
     hbar = Subspace(g_alg.dim, tuple(map(tuple, reduced)))
     gbar = m_sub.add(hbar)
 
     # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> on all pairs of pairs,
-    # V[ab][cd] = -<[m_a, s_cd], m_b>, where [m_a, s_cd] lies in [m, h] < m
-    lifted = [[proj.split(g_alg.bracket(u, s))[1] for s in s_vectors] for u in mb]
-    v_mat = [[-linalg.dot(mc, inner.matrix[b]) for mc in lifted[a]]
+    # V[ab][cd] = -<[m_a, s_cd], m_b>, where [m_a, s_cd] lies in [m, h] < m;
+    # lifted[a * q + cd] holds its m coordinates
+    q = len(pairs)
+    lifted = [mc for _, mc in _split(g_alg, h_sub, m_sub, product(mb, s_vectors))]
+    v_mat = [[-linalg.dot(mc, inner.matrix[b]) for mc in lifted[a * q:(a + 1) * q]]
              for a, b in pairs]
     # A, the hbar coordinates of the s vectors, is read at the pivots of
     # hbar; it has full column rank, so A Q A^T = V has one solution or
@@ -507,23 +503,18 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     n = len(basis)
     form = BilinearForm(_block_sum(inner.matrix, qh))
 
-    # One elimination of [basis | every bracket], as columns: the basis is
-    # independent (m meets h, and so hbar, only in 0), gbar is closed iff
-    # no bracket column carries a pivot, and then rows 0..n-1 hold the
-    # coordinates of each bracket [basis[iu], basis[iv]] in column
-    # n + iu n + iv
-    brackets = [g_alg.bracket(u, v) for u in basis for v in basis]
-    rows, found = linalg.rref(linalg.transpose(basis + brackets))
-    closed = len(found) == n
+    # the basis is independent (m meets h, and so hbar, only in 0), so gbar
+    # is closed iff every bracket [basis[iu], basis[iv]] has coordinates in it
+    coords = linalg.coordinates(basis, [g_alg.bracket(u, v) for u in basis for v in basis])
+    closed = coords is not None
     ad_ok = closed and not any(skew_witnesses(
-        {divmod(col - n, n): {p: rows[p][col] for p in range(n) if rows[p][col]}
-         for col in range(n, n + n * n)},
+        {uv: {p: x for p, x in enumerate(c) if x}
+         for uv, c in zip(product(range(n), repeat=2), coords)},
         form))
     checks = (Check("gbar_closed", closed), Check("ad_invariant_on_gbar", ad_ok),
               Check("nondegenerate_on_hbar", linalg.signature_of(qh)[2] == 0),
               Check("nondegenerate", form.nondegenerate))
-    return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
-                         m_sub, checks)
+    return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar, checks)
 
 
 def canonical_connection(g_alg, h_sub, m_sub):
@@ -532,20 +523,18 @@ def canonical_connection(g_alg, h_sub, m_sub):
     T(x,y) = -[x,y]_m and R(x,y)z = -[[x,y]_h, z], components taken in the
     decomposition g = h + m, which must be direct.
     """
-    try:
-        proj = _Projector(h_sub, m_sub)
-    except linalg.LinAlgError:
-        raise ExtensionError("g is not the direct sum of h and m") from None
     mb = m_sub.basis()
     k = len(mb)
-    tor, cur = {}, {}
-    for a, b in product(range(k), repeat=2):
-        hc, mc = proj.split(g_alg.bracket(mb[a], mb[b]))
-        tor[a, b] = {p: -x for p, x in enumerate(mc)}
-        h_part = proj.h_vector(hc)
-        for c in range(k):
-            zh, zm = proj.split(g_alg.bracket(h_part, mb[c]))
-            if any(zh):
-                raise ExtensionError("[h, m] escapes m")
-            cur[a, b, c] = {p: -x for p, x in enumerate(zm)}
+    try:
+        parts = _split(g_alg, h_sub, m_sub, product(mb, repeat=2))
+    except linalg.LinAlgError:
+        raise ExtensionError("g is not the direct sum of h and m") from None
+    h_parts = [_h_vector(h_sub, hc) for hc, _ in parts]
+    zs = _split(g_alg, h_sub, m_sub, product(h_parts, mb))
+    if any(any(zh) for zh, _ in zs):
+        raise ExtensionError("[h, m] escapes m")
+    tor = {ab: {p: -x for p, x in enumerate(mc)}
+           for ab, (_, mc) in zip(product(range(k), repeat=2), parts)}
+    cur = {abc: {p: -x for p, x in enumerate(zm)}
+           for abc, (_, zm) in zip(product(range(k), repeat=3), zs)}
     return Tensor(k, 2, tor), Tensor(k, 3, cur)

@@ -90,7 +90,6 @@ def nilmanifold_t_formula(gd):
 
 @dataclass(frozen=True)
 class HomStructure:
-    gd: object
     T: Tensor
     nabla: Tensor
     R: Tensor
@@ -102,7 +101,7 @@ class HomStructure:
 
 
 def build_hom_structure(gd):
-    return HomStructure(gd, t_tensor(gd), levi_civita_gd(gd), curvature_gd(gd))
+    return HomStructure(t_tensor(gd), levi_civita_gd(gd), curvature_gd(gd))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ Products (``mat_mul``, ``mat_vec`` and everything built on them:
 cost what the nonzero entries cost; zero products are never formed.
 
 Elimination (``rref`` and everything built on it: ``rank``,
-``nullspace``, ``solve``, ``inverse``) runs fraction-free on sparse
-integer rows, each pivot taken from the sparsest row that has one;
-``Fraction``s are formed only at the boundary, once per entry of the
-result.  ``signature_of`` is a symmetric fraction-free elimination on
-the integer-scaled matrix and forms no ``Fraction`` at all.
+``nullspace``, ``solve``, ``coordinates``, ``inverse``) runs
+fraction-free on sparse integer rows, each pivot taken from the sparsest
+row that has one; ``Fraction``s are formed only at the boundary, once
+per entry of the result.  ``signature_of`` is a symmetric fraction-free
+elimination on the integer-scaled matrix and forms no ``Fraction``.
 """
 
 from fractions import Fraction
@@ -259,6 +259,21 @@ def solve(a, b):
     for r, c in enumerate(pivots):
         x[c] = rows[r][n]
     return x
+
+
+def coordinates(basis, vectors):
+    """The coordinates of each vector in basis, or None if one lies outside
+    its span; ``LinAlgError`` if the basis is dependent.  One ``rref`` of
+    the columns [basis | vectors]: the basis is independent iff its k
+    columns carry pivots, the vectors lie in its span iff no other column
+    does, and then the rows hold their (unique) coordinates."""
+    k, cols = len(basis), [*basis, *vectors]
+    rows, pivots = rref(transpose(cols))
+    if pivots[:k] != list(range(k)):
+        raise LinAlgError("basis is not linearly independent")
+    if len(pivots) > k:
+        return None
+    return [[row[col] for row in rows] for col in range(k, len(cols))]
 
 
 def inverse(a):

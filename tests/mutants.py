@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 EXT = "tests/test_extension.py::"
+LIN = "tests/test_linalg.py::"
 GEO = "tests/test_geometry.py::"
 CLI = "tests/test_cli.py::"
 
@@ -49,6 +50,20 @@ CATALOGUE = (
     Mutant("action_faults-homomorphism_sign", "extension.py",
            "out[p * n + q] -= c * x", "out[p * n + q] += c * x",
            (EXT + "test_action_faults_scales_each_family_once",)),
+    # linalg.coordinates and the (h | m) split of extension that reads it
+    Mutant("coordinates-independence_by_rank", "linalg.py",
+           "if pivots[:k] != list(range(k)):", "if len(pivots) < k:",
+           (LIN + "test_coordinates_of_each_kind",)),
+    Mutant("coordinates-closure_off_by_one", "linalg.py",
+           "if len(pivots) > k:", "if len(pivots) > k + 1:",
+           (LIN + "test_coordinates_of_each_kind",)),
+    Mutant("split-h_slice_one_too_long", "extension.py",
+           "return [(c[:nh], c[nh:]) for c in coords]",
+           "return [(c[:nh + 1], c[nh + 1:]) for c in coords]",
+           (EXT + "test_kostant_form_and_canonical_connection_match_the_oracles",)),
+    Mutant("kostant_form-block_row_from_b", "extension.py",
+           "lifted[a * q:(a + 1) * q]", "lifted[b * q:(b + 1) * q]",
+           (EXT + "test_kostant_form_and_canonical_connection_match_the_oracles",)),
     # geometry's torsion self-check
     Mutant("geometry-torsion_without_swap", "cli.py",
            "torsion_free = (gamma - swapped).data", "torsion_free = gamma.data",
@@ -75,8 +90,8 @@ CATALOGUE = (
            "gd_tensor(gd, {}, Q1, 0, Q1)", "gd_tensor(gd, {}, Q1, 0, 0)",
            ("tests/test_homstructure.py::test_nabla_tilde_matches_closed_form",)),
     Mutant("build_hom_structure-builds_nabla_tilde_closed", "homstructure.py",
-           "    return HomStructure(gd, t_tensor(gd),",
-           "    nabla_tilde_closed(gd)\n    return HomStructure(gd, t_tensor(gd),",
+           "    return HomStructure(t_tensor(gd),",
+           "    nabla_tilde_closed(gd)\n    return HomStructure(t_tensor(gd),",
            ("tests/test_corpus.py::test_hom_structure_builds_t_and_nabla_only",)),
     # derivation_witnesses reads its slot count off the tensor
     Mutant("derivation_witnesses-two_slots", "core.py",

@@ -83,6 +83,16 @@ def test_hom_structure_builds_t_and_nabla_only(monkeypatch):
     assert (len(blocks), len(closed)) == (2, 0)
 
 
+@pytest.mark.parametrize("name", ["h3_metric_0", "gH"])
+def test_build_sweeps_jacobi_once_per_algebra(name, monkeypatch):
+    """corpus_build leaves Jacobi on h and d to Representation.validate, so
+    one corpus_build and build_gd sweep it four times: on h, d, the double
+    and d + h*."""
+    calls = _count_calls(monkeypatch, adinvar.core, "check_jacobi")
+    build_gd(corpus_build(name).rep)
+    assert len(calls) == 4
+
+
 def test_registry_builds_only_the_named_entry(monkeypatch):
     calls = _count_calls(monkeypatch, adinvar.corpus, "_lemma_derivations")
     corpus_list()

@@ -651,7 +651,8 @@ def _reductive_split_oracle(g_alg, form, h_sub):
         if not ok:
             break
     checks.append(("naturally_reductive", ok, witness))
-    return SplitResult(m, tuple(checks))
+    gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
+    return SplitResult(m, gram_m, tuple(checks))
 
 
 def _random_symmetric_form(n, rng):
@@ -802,7 +803,7 @@ def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
                    linalg.signature_of(qh)[2] == 0 if r else True, None))
     checks.append(("nondegenerate", form.nondegenerate, None))
     return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
-                         m_sub, tuple(checks))
+                         tuple(checks))
 
 
 def _canonical_connection_oracle(g_alg, h_sub, m_sub):
@@ -957,6 +958,40 @@ def test_split_refusals_match_the_oracles():
     got = _outcome(kostant_form, g, h, m, inner)
     assert got == (KostantError, "not naturally reductive data")
     assert got == _outcome(_kostant_form_oracle, g, h, m, inner)
+
+
+def test_kostant_pair_refuses_a_vector_outside_gbar():
+    """R^2 with h = <e0> and m = <e1>: [m, m] = 0, so hbar = 0 and gbar = m;
+    pair reads the form on m and refuses e0."""
+    h, m = Subspace.span([[1, 0]], 2), Subspace.span([[0, 1]], 2)
+    res = kostant_form(LieAlgebra.abelian(2), h, m, BilinearForm.diagonal([3]))
+    assert res.all_pass and res.gbar == m
+    assert res.pair([0, 2], [0, 1]) == 6
+    with pytest.raises(KostantError, match="vector outside gbar"):
+        res.pair([0, 1], [1, 0])
+
+
+@pytest.mark.parametrize("name", ["so4 / so3", "gH"])
+def test_split_routines_make_a_fixed_number_of_eliminations(name, monkeypatch):
+    """reductive_split makes one linalg.coordinates call, kostant_form three
+    (the split, the [m_a, s_cd] brackets and the closure of gbar) and
+    canonical_connection two (the [m_a, m_b] and the [h part, m_c]),
+    whatever dim m is: not one per pair of basis vectors."""
+    if name == "gH":
+        dbl = double_extend(corpus_build(name).rep)
+        g, form, h = dbl.g, dbl.Q_minus, dbl.h_sub
+    else:
+        g, h, _, _ = _split_inputs()[name]
+        form = BilinearForm.diagonal([1] * 6)
+    calls = _count_calls(monkeypatch, linalg, "coordinates")
+    split = reductive_split(g, form, h)
+    counts = [len(calls)]
+    res = kostant_form(g, h, split.m, split.gram)
+    counts.append(len(calls))
+    canonical_connection(g, h, split.m)
+    counts.append(len(calls))
+    assert split.all_pass and res.all_pass and split.m.dim >= 3
+    assert counts == [1, 1 + 3, 1 + 3 + 2]
 
 
 # -- _assemble_double: Q and the difference form against both sweeps ------

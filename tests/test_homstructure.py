@@ -68,7 +68,7 @@ def test_corrupted_t_located_by_axiom_iii():
     gd = build_gd(h3_rep([1, 1], T_PLUS, 1))
     hom = build_hom_structure(gd)
     bad_t = _nudged(hom.T, (2, 0, 1), F(1, 3))  # perturb T_{e3} e1
-    broken = HomStructure(gd, bad_t, hom.nabla, hom.R)
+    broken = HomStructure(bad_t, hom.nabla, hom.R)
     report = verify_as(gd, broken)
     got = {c.name: (c.ok, c.witness) for c in report.checks}
     want = _verify_as_oracle(gd, broken)
@@ -200,14 +200,11 @@ def test_verify_as_witnesses_match_sweep_on_broken_structures(name, part, data,
     slots = 4 if part == "R" else 3
     index = tuple(data.draw(st.integers(0, n - 1)) for _ in range(slots))
     if part == "T":
-        broken = HomStructure(gd, _nudged(hom.T, index, delta), hom.nabla,
-                              hom.R)
+        broken = HomStructure(_nudged(hom.T, index, delta), hom.nabla, hom.R)
     elif part == "nabla":
-        broken = HomStructure(gd, hom.T, _nudged(hom.nabla, index, delta),
-                              hom.R)
+        broken = HomStructure(hom.T, _nudged(hom.nabla, index, delta), hom.R)
     else:
-        broken = HomStructure(gd, hom.T, hom.nabla,
-                              _nudged(hom.R, index, delta))
+        broken = HomStructure(hom.T, hom.nabla, _nudged(hom.R, index, delta))
     report = verify_as(gd, broken)
     assert ({c.name: (c.ok, c.witness) for c in report.checks}
             == _verify_as_oracle(gd, broken))

@@ -177,6 +177,69 @@ def test_solve_matches_sympy_consistency(a, data):
 
 
 @ORACLE
+@given(rational_matrices(), st.data())
+def test_coordinates_match_sympy(a, data):
+    """coordinates in the rows of a drawn matrix, often dependent, or in an
+    independent basis made from it (its RREF rows, each plus drawn
+    multiples of the rows above it), of drawn vectors: combinations of the
+    basis and free vectors, which mostly lie outside its span.  A
+    dependent basis raises, a vector outside gives None, and otherwise
+    each result is sympy's unique solution of B^T x = v."""
+    n = len(a[0]) if a else data.draw(st.integers(0, 4))
+    basis = a
+    if a and data.draw(st.sampled_from([False, True, True])):
+        basis = []
+        for row in sympy_rref_rows(to_sympy(a))[0]:
+            for prev in basis:
+                row = linalg.vec_add(row, linalg.vec_scale(data.draw(ENTRIES), prev))
+            basis.append(row)
+    k = len(basis)
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if k and data.draw(st.booleans()):
+            x = data.draw(st.lists(ENTRIES, min_size=k, max_size=k))
+            vectors.append(linalg.mat_vec(linalg.transpose(basis), x))
+        else:
+            vectors.append(data.draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    if not k:
+        want = None if any(map(any, vectors)) else [[] for _ in vectors]
+        assert linalg.coordinates(basis, vectors) == want
+        return
+    bt = shaped_sympy(basis, k, n).T
+    if bt.rank() < k:
+        with pytest.raises(linalg.LinAlgError):
+            linalg.coordinates(basis, vectors)
+        return
+    want = []
+    for v in vectors:
+        try:
+            x, free = bt.gauss_jordan_solve(shaped_sympy([[y] for y in v], n, 1))
+        except ValueError:
+            want = None
+            break
+        assert free.rows == 0
+        want.append([F(int(y.p), int(y.q)) for y in x])
+    got = linalg.coordinates(basis, vectors)
+    assert got == want
+    assert got is None or all(type(y) is F for c in got for y in c)
+
+
+def test_coordinates_of_each_kind():
+    """One case of each outcome: unique coordinates, a vector outside the
+    span, a dependent basis, and the empty basis with zero and nonzero
+    vectors."""
+    basis = [[F(1), F(1), F(0)], [F(0), F(2), F(1, 2)]]
+    assert linalg.coordinates(basis, [[F(2), F(6), F(1)], [F(0)] * 3]) == [
+        [F(2), F(2)], [F(0), F(0)]]
+    assert linalg.coordinates(basis, [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]) is None
+    with pytest.raises(linalg.LinAlgError):
+        linalg.coordinates(basis + [[F(1), F(3), F(1, 2)]], [[F(0), F(0), F(1)]])
+    assert linalg.coordinates([], [[F(0)] * 3, [F(0)] * 3]) == [[], []]
+    assert linalg.coordinates([], [[F(0), F(1), F(0)]]) is None
+    assert linalg.coordinates([], []) == []
+
+
+@ORACLE
 @given(rational_matrices(square=True))
 def test_inverse_matches_sympy(a):
     mat = to_sympy(a)
