@@ -24,7 +24,7 @@ from .homstructure import (AsReport, HomStructure, build_hom_structure,
 from .derivations import (MatrixLieAlgebra, SoAut, derivation_algebra,
                           equivalence_check, induced_so_aut_pair,
                           inner_derivations, intertwiners_skew, profile,
-                          skew_derivations, so_aut)
+                          skew_derivations, skew_part, so_aut)
 from .series import (HeisenbergReport, SeriesError, StepReport,
                      heisenberg_recognizer, predict_nilpotent_step,
                      predict_solvable_step)

@@ -22,7 +22,7 @@ from . import linalg
 from .core import Check, ad_invariant, center, check_jacobi, skew_witnesses
 from .corpus import corpus_build, corpus_list
 from .derivations import (derivation_algebra, induced_so_aut_pair,
-                          inner_derivations, profile, skew_derivations, so_aut)
+                          inner_derivations, profile, skew_part, so_aut)
 from .extension import ExtensionError, build_gd, double_extend
 from .geometry import (GeometryError, Tensor, curvature, levi_civita,
                        ricci, ricci_operator, sectional)
@@ -203,7 +203,7 @@ def cmd_derivations(args, report):
         Check("inner_inside_derivations",
               der.flat_subspace.contains_subspace(inner.flat_subspace))]
     if form is not None and form.nondegenerate:
-        sk = skew_derivations(alg, form)
+        sk = skew_part(der, form)
         report["skew_dim"] = sk.dim
         report["skew_profile"] = _profile_json(sk)
         report["skew_basis"] = [_mat_str(m) for m in sk.matrices()]

@@ -6,9 +6,12 @@ equality of subspaces is plain data equality.
 
 The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
 ``check_jacobi``, the bracket spans of the two series and ``killing_form``),
-the commutators of ``_commutator_flat`` (which ``derivations`` and the
-homomorphism test of ``extension`` read) and the commuting rows of
-``derivations`` run on Python ints.  One rule scales them, and the geometry
+the containment test ``Subspace.contains_all``, the commutators of
+``_commutator_flat`` (which ``derivations`` and the homomorphism test of
+``extension`` read) and the commuting rows of ``derivations`` run on
+Python ints.  Symmetric work is done once: a bracket span of a subspace
+with itself (by value) brackets the pairs a < b, and ``killing_form``
+computes the entries i <= j.  One rule scales them, and the geometry
 routes too: a kernel passes all its sparse inputs to one ``_integral``
 call, which multiplies every one of them by the same s, the lcm of all
 their denominators.  A term that multiplies d input entries is then s^d times
@@ -218,30 +221,28 @@ class Subspace:
     def contains_all(self, vectors):
         """True iff every vector lies in this subspace.  The rows are in
         reduced echelon form, so v lies in it iff v = sum_r v[pivot_r] row_r;
-        both sides agree on the pivot columns, so only the other columns
-        are compared, and nothing is eliminated."""
-        pivots = [next(c for c, x in enumerate(row) if x) for row in self.rows]
+        both sides agree on the pivot columns, so the rest of v minus that
+        combination must vanish, and nothing is eliminated.  On ints: the
+        rows are scaled by one s (``_integral``), each v by its own t, and
+        s (t v) - sum_r (t v)[pivot_r] (s row_r) is compared with zero."""
+        rows, s = _integral(_rows(self.rows))
+        rows = [(next(iter(row)), row) for row in rows.values()]  # (pivot, row)
         for v in vectors:
             v = list(map(frac, v))
-            rest = v[:]
-            for p, row in zip(pivots, self.rows):
-                rest[p] = Q0
-                x = v[p]
+            t = lcm(*(x.denominator for x in v))
+            w = [x.numerator * (t // x.denominator) for x in v]
+            rest = [s * x for x in w]
+            for p, row in rows:
+                x = w[p]
                 if x:
-                    for c, y in enumerate(row):
-                        if y and c != p:
-                            rest[c] -= x * y
+                    for c, y in row.items():
+                        rest[c] -= x * y
             if any(rest):
                 return False
         return True
 
     def contains_subspace(self, other):
         return self.contains_all(other.rows)
-
-    def coordinates(self, v):
-        """Coefficients of v in this basis, or None if v is outside."""
-        coords = linalg.coordinates(self.rows, [list(map(frac, v))])
-        return None if coords is None else coords[0]
 
     def add(self, other):
         return Subspace.span(self.basis() + other.basis(), self.ambient_dim)
@@ -477,7 +478,7 @@ def _bracket_span(table, left, right):
         by_first.setdefault(i, []).append((j, comps))
     lrows, rrows, _ = _integral(_rows(left.rows), _rows(right.rows))
     lrows, rrows = list(lrows.values()), list(rrows.values())
-    if left is right:  # [u, u] = 0 and [v, u] = -[u, v]
+    if left == right:  # [u, u] = 0 and [v, u] = -[u, v]
         pairs = combinations(range(len(lrows)), 2)
     else:
         pairs = product(range(len(lrows)), range(len(rrows)))
@@ -559,19 +560,18 @@ def restrict_to_subalgebra(alg, sub, names=None):
 def killing_form(alg):
     """B(e_i, e_j) = trace(ad(e_i) ad(e_j)) = sum c_iq^p c_jp^q, summed over
     the bracket table scaled by L to integers: each sum is L^2 times the
-    true trace."""
+    true trace.  B is symmetric, so the entries with i <= j are computed
+    and mirrored."""
     table, scale = _integral(alg.bracket_data)
     n, den, empty = alg.dim, scale * scale, {}
-    m = []
+    m = [[Q0] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
+        for j in range(i, n):
             t = 0
             for q in range(n):
                 for p, x in table.get((i, q), empty).items():
                     y = table.get((j, p), empty).get(q)
                     if y:
                         t += x * y
-            row.append(Fraction(t, den))
-        m.append(tuple(row))
-    return BilinearForm(tuple(m))
+            m[i][j] = m[j][i] = Fraction(t, den)
+    return BilinearForm(tuple(map(tuple, m)))

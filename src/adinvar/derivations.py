@@ -3,6 +3,8 @@ of orthogonal automorphisms of the d + h* construction.
 
 Nullspace bases are canonicalized by reduced echelon form over flattened
 matrix coordinates, so dimensions and containments are deterministic.
+The skew derivations are solved inside the derivation algebra
+(``skew_part``), so a report that needs both solves the Leibniz rule once.
 """
 
 from collections import Counter
@@ -135,10 +137,25 @@ def _commuting_rows(m, offset=0):
         yield row
 
 
+def _times(v, m):
+    """The sparse row v {i: x} times the sparse matrix m {i: {j: y}}."""
+    out, empty = Counter(), {}
+    for i, x in v.items():
+        for j, y in m.get(i, empty).items():
+            out[j] += x * y
+    return out
+
+
+def _span(vectors, n):
+    """The matrix Lie algebra spanned by the n x n matrices, given flattened
+    as sparse rows {column: x}, in its canonical basis."""
+    mats = [_unflatten(s, n, n) for s in linalg._rref(vectors, n * n)[0]]
+    return MatrixLieAlgebra.from_matrices(mats, n)
+
+
 def _solutions(rows, n):
     """The matrix Lie algebra of the n x n matrices X satisfying the rows."""
-    mats = [_unflatten(s, n, n) for s in linalg._nullspace(rows, n * n)]
-    return MatrixLieAlgebra.from_matrices(mats, n)
+    return _span(linalg._kernel(rows, n * n), n)
 
 
 def derivation_algebra(alg):
@@ -148,15 +165,32 @@ def derivation_algebra(alg):
 
 def skew_derivations(alg, form):
     """Derivations that are skew for the given nondegenerate form."""
-    return _solutions(chain(_leibniz_rows(alg), _skew_rows(form)), alg.dim)
+    return skew_part(derivation_algebra(alg), form)
+
+
+def skew_part(der, form):
+    """The members of the matrix algebra der (a derivation algebra) that
+    are skew for form.  X = sum_t c_t D_t over the basis D_t of der,
+    scaled to integer matrices s D_t by one ``core._integral`` call, is
+    skew iff every skew row r gives sum_t c_t (r . s D_t) = 0: a system in
+    dim der unknowns.  Its ``linalg._kernel`` vectors c give the int
+    matrices sum_t c_t s D_t, which one ``rref`` reduces to the canonical
+    basis."""
+    n = der.n
+    *ints, _ = _integral(*map(_rows, der.basis))
+    flats = {t: {p * n + q: x for p, row in a.items() for q, x in row.items()}
+             for t, a in enumerate(ints)}
+    cols = {}  # flats transposed, {column: {t: x}}
+    for t, flat in flats.items():
+        for col, x in flat.items():
+            cols.setdefault(col, {})[t] = x
+    rows = [_times(row, cols) for row in _skew_rows(form)]
+    return _span([_times(c, flats) for c in linalg._kernel(rows, der.dim)], n)
 
 
 def inner_derivations(alg):
     """Canonical basis of span{ad(x)}."""
-    flats = [_flatten(alg.ad(i)) for i in range(alg.dim)]
-    reduced = linalg.rref(flats)[0] if flats else []
-    mats = [_unflatten(v, alg.dim, alg.dim) for v in reduced]
-    return MatrixLieAlgebra.from_matrices(mats, alg.dim)
+    return _span([dict(enumerate(_flatten(alg.ad(i)))) for i in range(alg.dim)], alg.dim)
 
 
 @dataclass(frozen=True)

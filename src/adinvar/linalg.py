@@ -12,8 +12,14 @@ Elimination (``rref`` and everything built on it: ``rank``,
 ``nullspace``, ``solve``, ``coordinates``, ``inverse``) runs
 fraction-free on sparse integer rows, each pivot taken from the sparsest
 row that has one; ``Fraction``s are formed only at the boundary, once
-per entry of the result.  ``signature_of`` is a symmetric fraction-free
-elimination on the integer-scaled matrix and forms no ``Fraction``.
+per entry of the result.  The integer core is ``_echelon`` (primitive
+int rows and their pivots) and ``_kernel`` (an int basis of a
+nullspace, read off those rows); ``_rref`` divides the rows of
+``_echelon`` by their pivots, and ``_nullspace`` forms its ``Fraction``s
+only there, in the reduced basis of the ``_kernel`` vectors.  A row of
+ints enters the core as it is.  ``signature_of`` is a symmetric
+fraction-free elimination on the integer-scaled matrix and forms no
+``Fraction``.
 """
 
 from fractions import Fraction
@@ -147,8 +153,10 @@ def _primitive(row):
 def _integer_row(row):
     """The nonzero entries of a sparse rational row {column: x} as a
     primitive sparse integer row: scaled by the lcm of their denominators,
-    then divided by the gcd."""
+    then divided by the gcd.  A row of ints needs no scale."""
     nz = {c: x for c, x in row.items() if x}
+    if all(type(x) is int for x in nz.values()):
+        return _primitive(nz)
     den = lcm(*(x.denominator for x in nz.values()))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in nz.items()})
 
@@ -179,7 +187,23 @@ def rref(a):
 
 
 def _rref(a, n):
-    """``rref`` of the sparse rows {column: x} of width n.
+    """``rref`` of the sparse rows {column: x} of width n: ``_echelon``,
+    then each primitive int row divided by its pivot, one ``Fraction`` per
+    nonzero entry."""
+    rows, pivots = _echelon(a, n)
+    out = []
+    for row, c in zip(rows, pivots):
+        dense, p = [Q0] * n, row[c]
+        for q, x in row.items():
+            dense[q] = Fraction(x, p)
+        out.append(dense)
+    return out, pivots
+
+
+def _echelon(a, n):
+    """The integer core of ``rref``: the sparse rows {column: x} of width n
+    reduced to (primitive int rows, pivot columns), in pivot order; row r
+    is its reduced echelon row times the int at its pivot.
 
     Each row is a sparse integer row {column: x}: scaled by the lcm of its
     denominators, divided by the gcd of its entries.  For each column, left
@@ -189,9 +213,8 @@ def _rref(a, n):
     with a nonzero there by p*row - f*pivot_row over the union of their
     supports, divided by the gcd of its entries, which keeps the integers
     small as Bareiss's exact division does (E. H. Bareiss, Math. Comp. 22,
-    1968); zero rows are dropped.  Pivot rows are divided by their pivots
-    only at the end.  The RREF is unique: the pivot rule changes only the
-    cost.
+    1968); zero rows are dropped.  The RREF is unique: the pivot rule
+    changes only the cost.
     """
     rows = [r for r in map(_integer_row, a) if r]
     active = list(range(len(rows)))  # rows not yet pivots, in input order
@@ -212,13 +235,7 @@ def _rref(a, n):
                     active.remove(i)
         chosen.append(k)
         pivots.append(c)
-    out = []
-    for k, c in zip(chosen, pivots):
-        dense, p = [Q0] * n, rows[k][c]
-        for q, x in rows[k].items():
-            dense[q] = Fraction(x, p)
-        out.append(dense)
-    return out, pivots
+    return [rows[k] for k in chosen], pivots
 
 
 def rank(a):
@@ -233,17 +250,32 @@ def nullspace(a):
 def _nullspace(a, n):
     """``nullspace`` of the sparse rows {column: x} of width n, which the
     matrix solvers pass as they build them; zero rows are dropped, and no
-    rows give the unit basis."""
-    rows, pivots = _rref(a, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = zero_vector(n)
-        v[f] = Q1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
-    return rref(basis)[0] if basis else []
+    rows give the unit basis.  The ``_kernel`` vectors are reduced by
+    ``_rref``, which forms the only ``Fraction``s."""
+    return _rref(_kernel(a, n), n)[0]
+
+
+def _kernel(a, n):
+    """A basis of {x : a x = 0} as sparse int vectors {column: x}, one per
+    free column f of ``_echelon(a, n)``, not reduced.  Row r reads
+    h_r x_{c_r} + sum_f row_r[f] x_f = 0 at its pivot c_r, so the vector
+    is m at f and -row_r[f] m / h_r at each c_r, for m the lcm of the
+    h_r of the rows that have an entry at f."""
+    rows, pivots = _echelon(a, n)
+    pivot_set = set(pivots)
+    touched = {f: [] for f in range(n) if f not in pivot_set}  # f: [(c_r, row_r)]
+    for row, c in zip(rows, pivots):
+        for f in row:
+            if f != c:
+                touched[f].append((c, row))
+    out = []
+    for f, hits in touched.items():
+        m = lcm(*(row[c] for c, row in hits))
+        v = {f: m}
+        for c, row in hits:
+            v[c] = -row[f] * (m // row[c])
+        out.append(v)
+    return out
 
 
 def solve(a, b):

@@ -64,6 +64,21 @@ CATALOGUE = (
     Mutant("kostant_form-block_row_from_b", "extension.py",
            "lifted[a * q:(a + 1) * q]", "lifted[b * q:(b + 1) * q]",
            (EXT + "test_kostant_form_and_canonical_connection_match_the_oracles",)),
+    # the skew derivations solved inside the derivation algebra, the
+    # integer kernel behind every nullspace, and the two halved sweeps
+    Mutant("skew_part-row_skips_a_basis_matrix", "derivations.py",
+           "    for t, flat in flats.items():\n",
+           "    for t, flat in list(flats.items())[1:]:\n",
+           ("tests/test_solvers.py::test_solvers_match_the_dense_systems_on_the_corpus",)),
+    Mutant("kernel-free_entry_sign", "linalg.py",
+           "v = {f: m}", "v = {f: -m}",
+           (LIN + "test_nullspace_matches_sympy",)),
+    Mutant("killing_form-no_mirror", "core.py",
+           "m[i][j] = m[j][i] = Fraction(t, den)", "m[i][j] = Fraction(t, den)",
+           ("tests/test_core.py::test_killing_form_matches_trace_of_product",)),
+    Mutant("bracket_span-pairs_by_identity", "core.py",
+           "if left == right:", "if left is right:",
+           ("tests/test_corpus.py::test_lower_central_series_brackets_each_pair_of_g_once",)),
     # geometry's torsion self-check
     Mutant("geometry-torsion_without_swap", "cli.py",
            "torsion_free = (gamma - swapped).data", "torsion_free = gamma.data",

@@ -149,10 +149,10 @@ def test_construction_checks_and_so_aut_make_no_fraction_arithmetic():
 
 def test_routes_make_no_fraction_arithmetic():
     """The connection, curvature and T routes, build_hom_structure, the
-    derivation solvers, killing_form, the signatures of the forms and the
-    centres on gH under a dense change of basis add and multiply only
-    ints.  ell^-1 and the beta table are built by build_gd, before the
-    count starts."""
+    derivation solvers, the containments of their spans, killing_form,
+    the signatures of the forms and the centres on gH under a dense
+    change of basis add and multiply only ints.  ell^-1 and the beta
+    table are built by build_gd, before the count starts."""
     counter = _bench_layers().FractionCounter
     gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
     dbl = gd.double
@@ -174,5 +174,8 @@ def test_routes_make_no_fraction_arithmetic():
         skew = skew_derivations(gd.L, gd.metric)
         inner = inner_derivations(gd.L)
         assert der.dim >= skew.dim and der.dim >= inner.dim > 0
+        assert der.flat_subspace.contains_subspace(skew.flat_subspace)
+        assert der.flat_subspace.contains_subspace(inner.flat_subspace)
+        assert not skew.flat_subspace.contains_subspace(der.flat_subspace)
         killing_form(gd.L).signature
     assert count.count == 0

@@ -5,8 +5,9 @@ import pytest
 
 import adinvar
 from adinvar import (ad_invariant, build_gd, build_hom_structure, cli,
-                     corpus_build, corpus_list, verify_as)
-from adinvar.io import dump_builder_dict
+                     corpus_build, corpus_list, lower_central_series, verify_as)
+from adinvar.io import dump_algebra_dict, dump_builder_dict
+from conftest import conjugated_rep
 
 
 def test_listing_is_stable():
@@ -109,3 +110,26 @@ def test_series_command_builds_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["series", str(spec), "--json"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_derivations_command_sweeps_leibniz_once(tmp_path, monkeypatch, capsys):
+    """The derivations report on a dense gH file solves the Leibniz rule
+    once: the skew derivations are read inside the derivation algebra."""
+    gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
+    path = tmp_path / "gH_gd.json"
+    path.write_text(json.dumps(dump_algebra_dict(gd.L, gd.metric)))
+    calls = _count_calls(monkeypatch, adinvar.derivations, "_leibniz_rows")
+    assert cli.main(["derivations", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["skew_dim"] > 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["h3_metric_0", "gH"])
+def test_lower_central_series_brackets_each_pair_of_g_once(name, monkeypatch):
+    """The first term [g, g] of the lower central series brackets the
+    n(n-1)/2 pairs i < j of basis vectors, not all n^2."""
+    alg = build_gd(corpus_build(name).rep).L
+    calls = _count_calls(monkeypatch, adinvar.linalg, "rref")
+    lower_central_series(alg)
+    n = alg.dim
+    assert len(calls[0][0]) == n * (n - 1) // 2

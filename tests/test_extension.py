@@ -751,20 +751,20 @@ def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
 
     for (a, b) in pairs:
         s_ab = s_vectors[(a, b)]
-        alpha = hbar.coordinates(s_ab)
+        alpha, = linalg.coordinates(hbar.rows, [s_ab])
         for (c, d) in pairs:
             s_cd = s_vectors[(c, d)]
-            gamma = hbar.coordinates(s_cd)
+            gamma, = linalg.coordinates(hbar.rows, [s_cd])
             w1 = g_alg.bracket(mb[a], s_cd)
-            m1 = m_sub.coordinates(w1)
+            m1 = linalg.coordinates(m_sub.rows, [w1])
             if m1 is None:
                 raise KostantError("[m, h] escapes m")
-            add_equation(alpha, gamma, -inner_pair(m1, b))
+            add_equation(alpha, gamma, -inner_pair(m1[0], b))
             w2 = g_alg.bracket(mb[c], s_ab)
-            m2 = m_sub.coordinates(w2)
+            m2 = linalg.coordinates(m_sub.rows, [w2])
             if m2 is None:
                 raise KostantError("[m, h] escapes m")
-            add_equation(alpha, gamma, -inner_pair(m2, d))
+            add_equation(alpha, gamma, -inner_pair(m2[0], d))
 
     if unknowns:
         sol = linalg.solve(rows, rhs) if rows else [F(0)] * len(unknowns)
@@ -821,10 +821,10 @@ def _canonical_connection_oracle(g_alg, h_sub, m_sub):
             tor[a, b] = {p: -x for p, x in enumerate(coeffs[h_sub.dim:])}
             for c in range(k):
                 z = g_alg.bracket(h_part, mb[c])
-                zc = m_sub.coordinates(z)
+                zc = linalg.coordinates(m_sub.rows, [z])
                 if zc is None:
                     raise ExtensionError("[h, m] escapes m")
-                cur[a, b, c] = {p: -x for p, x in enumerate(zc)}
+                cur[a, b, c] = {p: -x for p, x in enumerate(zc[0])}
     return Tensor(k, 2, tor), Tensor(k, 3, cur)
 
 

@@ -7,20 +7,23 @@ unknowns and takes one ``linalg.nullspace``.  A nullspace basis in reduced
 echelon form is canonical, so the solvers must return equal data: the same
 ``MatrixLieAlgebra``, the same ``SoAut.pairs`` and the same list of forms,
 on every algebra and builder of the corpus, plain and under a dense change
-of basis of d, and on generated tori.
+of basis of d, and on generated tori, indefinite abelian and nilpotent
+representations.
 """
 
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinvar import (BilinearForm, LieAlgebra, build_gd, corpus_build,
                      corpus_list, derivation_algebra, intertwiners_skew,
                      invariant_forms, linalg, skew_derivations, so_aut)
 from adinvar.derivations import MatrixLieAlgebra, SoAut
 from adinvar.linalg import Q0
-from conftest import conjugated_rep, torus_reps
+from conftest import (conjugated_rep, indefinite_abelian_reps, nilpotent_reps,
+                      torus_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +199,15 @@ def test_solvers_match_the_dense_systems_on_the_corpus(name, dense):
 @given(rep=torus_reps())
 def test_solvers_match_the_dense_systems_on_tori(rep):
     _assert_solvers_match(rep)
+
+
+@pytest.mark.parametrize("reps", [indefinite_abelian_reps, nilpotent_reps])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_solvers_match_the_dense_systems_on_generated_data(reps, data):
+    """Forms of both signs on h and d, plain and under a dense change of
+    basis of d."""
+    _assert_solvers_match(data.draw(reps()))
 
 
 def test_solvers_on_trivial_inputs():
