@@ -7,7 +7,8 @@ only fills it in with its fields and ``core.Check``s, an ``ExtensionError``
 from the construction data becomes one failed check per violation and the
 ``error`` text, and ``_finish`` alone renders the checks as the report's
 deterministic entries, sorted by name and witness (no witness sorts as
-""); scalars are exact 'p/q' strings.  The parser is built once per process,
+""), and dumps every value of the library as it is: a Fraction as its exact
+'p/q' string, a tuple as an array.  The parser is built once per process,
 on the first ``main`` call; ``main`` looks up ``cmd_<name>`` by command name
 at each call, so module-level patches such as the benchmark's tracer apply.
 """
@@ -28,7 +29,7 @@ from .geometry import (GeometryError, Tensor, curvature, levi_civita,
                        ricci, ricci_operator, sectional)
 from .homstructure import verify_as
 from .io import (SpecFormatError, dump_algebra_dict, dump_builder_dict,
-                 load_algebra_file, load_builder_file, rational_str, write_json)
+                 load_algebra_file, load_builder_file, write_json)
 from .series import SeriesError, predict_nilpotent_step, predict_solvable_step
 
 
@@ -44,9 +45,9 @@ def _finish(report, args):
     report["checks"] = entries
     report["passed"] = all(e["pass"] for e in entries)
     if getattr(args, "report", None):
-        write_json(args.report, report, indent=2, sort_keys=True)
+        write_json(args.report, report, indent=2, sort_keys=True, default=str)
     if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         _print_human(report)
     return 0 if report["passed"] else 1
@@ -70,24 +71,11 @@ def _print_human(report):
     print("result:", "PASS" if report["passed"] else "FAIL")
 
 
-def _vec_str(v):
-    return [rational_str(x) for x in v]
-
-
-def _mat_str(m):
-    return [[rational_str(x) for x in row] for row in m]
-
-
 def _jacobi_check(violations):
     """The jacobi check, witnessed by each failing 1-based triple and its
-    cyclic sum."""
-    witness = [[i + 1, j + 1, k + 1, _vec_str(s)] for i, j, k, s in violations]
+    cyclic sum, as strings: the human form prints a witness with repr."""
+    witness = [[i + 1, j + 1, k + 1, [str(x) for x in s]] for i, j, k, s in violations]
     return Check("jacobi", not violations, witness or None)
-
-
-def _profile_json(alg):
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in profile(alg).items()}
 
 
 def cmd_check(args, report):
@@ -145,15 +133,15 @@ def cmd_geometry(args, report):
     basis = linalg.identity(alg.dim)
     for key, tensor in (("connection", gamma), ("curvature", r)):
         report[key] = {",".join(str(i + 1) for i in idx):
-                       _vec_str(tensor.entry(*idx)) for idx in tensor.data}
-    report["ricci"] = _mat_str(ric.rows())
-    report["ricci_operator"] = _mat_str(op)
-    report["ricci_charpoly"] = _vec_str(linalg.charpoly(op))
+                       tensor.entry(*idx) for idx in tensor.data}
+    report["ricci"] = ric.rows()
+    report["ricci_operator"] = op
+    report["ricci_charpoly"] = linalg.charpoly(op)
     planes = {}
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             try:
-                planes[f"{i+1},{j+1}"] = rational_str(sectional(r, form, basis[i], basis[j]))
+                planes[f"{i+1},{j+1}"] = sectional(r, form, basis[i], basis[j])
             except GeometryError:  # sectional refuses a degenerate plane
                 planes[f"{i+1},{j+1}"] = "degenerate"
     report["sectional"] = planes
@@ -171,12 +159,8 @@ def cmd_derivations(args, report):
         gd = build_gd(load_builder_file(args.so_aut))
         sa = so_aut(gd)
         report["so_aut_dim"] = sa.dim
-        report["so_aut_pairs"] = [
-            {"A": _mat_str([list(r) for r in a]), "B": _mat_str([list(r) for r in b])}
-            for a, b in sa.pairs]
-        induced_ok = all(
-            sa.contains(*([list(r) for r in m] for m in induced_so_aut_pair(gd, i)))
-            for i in range(gd.nh))
+        report["so_aut_pairs"] = [{"A": a, "B": b} for a, b in sa.pairs]
+        induced_ok = all(sa.contains(*induced_so_aut_pair(gd, i)) for i in range(gd.nh))
         report["checks"].append(Check("contains_induced_pairs", induced_ok))
         return
     alg, form = load_algebra_file(args.file)
@@ -196,8 +180,8 @@ def cmd_derivations(args, report):
     inner = inner_derivations(alg)
     report["derivations_dim"] = der.dim
     report["inner_dim"] = inner.dim
-    report["derivations_profile"] = _profile_json(der)
-    report["inner_profile"] = _profile_json(inner)
+    report["derivations_profile"] = profile(der)
+    report["inner_profile"] = profile(inner)
     report["checks"] += [
         Check("inner_dim_relation", inner.dim == alg.dim - center(alg).dim),
         Check("inner_inside_derivations",
@@ -205,8 +189,8 @@ def cmd_derivations(args, report):
     if form is not None and form.nondegenerate:
         sk = skew_part(der, form)
         report["skew_dim"] = sk.dim
-        report["skew_profile"] = _profile_json(sk)
-        report["skew_basis"] = [_mat_str(m) for m in sk.matrices()]
+        report["skew_profile"] = profile(sk)
+        report["skew_basis"] = sk.basis
         report["checks"].append(Check(
             "skew_inside_derivations",
             der.flat_subspace.contains_subspace(sk.flat_subspace)))
@@ -255,11 +239,12 @@ def cmd_corpus(args, report):
         report["checks"] += [c._replace(name=f"{entry.name}.{c.name}")
                              for c in entry.checks(gd)]
     if args.emit:
-        outdir = Path(args.dir)
+        where = args.dir or "corpus"
+        outdir = Path(where)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise SpecFormatError(str(exc), args.dir)
+            raise SpecFormatError(str(exc), where)
         written = []
         for entry, gd in built:
             if entry.primary == "double":
@@ -327,7 +312,7 @@ def build_parser():
                    help="entry name, 'all', or omit to list entries")
     p.add_argument("--emit", action="store_true",
                    help="write algebra and builder files")
-    p.add_argument("--dir", default="corpus", help="output directory for --emit")
+    p.add_argument("--dir", help="output directory for --emit")
     common(p)
     return parser
 
@@ -339,6 +324,10 @@ def main(argv=None):
         parser.error("derivations needs an algebra file or --so-aut")
     if args.cmd == "derivations" and args.so_aut and (args.file or args.metric):
         parser.error("derivations --so-aut takes no algebra file and no --metric")
+    if args.cmd == "corpus" and args.emit and not args.name:
+        parser.error("corpus --emit needs an entry name or 'all'")
+    if args.cmd == "corpus" and args.dir is not None and not args.emit:
+        parser.error("corpus --dir takes effect only with --emit")
     report = {"command": args.cmd, "checks": []}
     try:
         try:

@@ -58,6 +58,7 @@ class LieAlgebra:
     table[(i, j)][k] is the e_k coefficient of [e_i, e_j], for i < j.
     Antisymmetry is built in; the Jacobi identity is *not* implied and is
     checked by ``check_jacobi`` (builders call it, raw loaders may not).
+    ``names`` None or empty names the basis e1, .., en.
     """
 
     dim: int
@@ -65,6 +66,8 @@ class LieAlgebra:
     table: dict = field(compare=True)
 
     def __post_init__(self):
+        object.__setattr__(self, "names",
+                           tuple(self.names or (f"e{i + 1}" for i in range(self.dim))))
         object.__setattr__(self, "table", _freeze_table(self.table))
         if len(self.names) != self.dim:
             raise AlgebraError("names length does not match dim")
@@ -75,20 +78,18 @@ class LieAlgebra:
                 raise AlgebraError("bracket component index out of range")
 
     @classmethod
-    def from_brackets(cls, dim, brackets, names=None, check=True):
-        """Build from {(i, j): {k: coeff}}; check=True asserts Jacobi."""
-        names = tuple(names) if names else tuple(f"e{i+1}" for i in range(dim))
-        alg = cls(dim, names, dict(brackets))
-        if check:
-            bad = check_jacobi(alg)
-            if bad:
-                i, j, k, _ = bad[0]
-                raise AlgebraError(f"Jacobi identity fails at triple ({i},{j},{k})")
+    def from_brackets(cls, dim, brackets, names=None):
+        """Build from {(i, j): {k: coeff}}; raises unless Jacobi holds."""
+        alg = cls(dim, names, brackets)
+        bad = check_jacobi(alg)
+        if bad:
+            i, j, k, _ = bad[0]
+            raise AlgebraError(f"Jacobi identity fails at triple ({i},{j},{k})")
         return alg
 
     @classmethod
     def abelian(cls, dim, names=None):
-        return cls.from_brackets(dim, {}, names, check=False)
+        return cls(dim, names, {})
 
     @cached_property
     def bracket_data(self):
@@ -542,19 +543,15 @@ def invariant_forms(alg):
             for s in linalg._nullspace(rows, len(pairs))]
 
 
-def restrict_to_subalgebra(alg, sub, names=None):
+def restrict_to_subalgebra(alg, sub):
     """Lie algebra on sub's basis; raises if sub is not closed under brackets."""
     base = sub.basis()
     pairs = list(combinations(range(sub.dim), 2))
     coords = linalg.coordinates(base, [alg.bracket(base[a], base[b]) for a, b in pairs])
     if coords is None:
         raise AlgebraError("subspace is not a subalgebra")
-    table = {}
-    for pair, cs in zip(pairs, coords):
-        comps = {k: c for k, c in enumerate(cs) if c != 0}
-        if comps:
-            table[pair] = comps
-    return LieAlgebra.from_brackets(sub.dim, table, names, check=False)
+    return LieAlgebra(sub.dim, None, {pair: dict(enumerate(cs))
+                                      for pair, cs in zip(pairs, coords)})
 
 
 def killing_form(alg):

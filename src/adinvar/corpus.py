@@ -28,8 +28,8 @@ A22 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 def _rep(h_names, h_diag, d_dim, d_diag, mats, h_table=None, d_table=None,
          d_names=None):
     # Jacobi on h and d is checked once, by Representation.validate
-    h = LieAlgebra.from_brackets(len(h_diag), h_table or {}, h_names, check=False)
-    d = LieAlgebra.from_brackets(d_dim, d_table or {}, d_names, check=False)
+    h = LieAlgebra(len(h_diag), h_names, h_table or {})
+    d = LieAlgebra(d_dim, d_names, d_table or {})
     return Representation(h, BilinearForm.diagonal(h_diag),
                           d, BilinearForm.diagonal(d_diag), mats)
 
@@ -37,13 +37,13 @@ def _rep(h_names, h_diag, d_dim, d_diag, mats, h_table=None, d_table=None,
 def _a12_reference_basis():
     """The free 3-step nilpotent algebra on two generators, basis e0..e4;
     Jacobi is checked by Representation.validate."""
-    return LieAlgebra.from_brackets(5, {
+    return LieAlgebra(5, ("e0", "e1", "e2", "e3", "e4"), {
         (1, 2): {0: 1},
         (2, 3): {0: -1},
         (1, 4): {2: -1},
         (2, 4): {1: -1, 3: 1},
         (3, 4): {2: -1},
-    }, names=("e0", "e1", "e2", "e3", "e4"), check=False)
+    })
 
 
 def _a12_skew_metric():

@@ -14,9 +14,8 @@ from functools import cached_property
 from itertools import chain, combinations, product
 
 from . import linalg
-from .core import (AlgebraError, BilinearForm, LieAlgebra, Subspace, _commutator_flat,
-                   _integral, _rows, center, derived_series, killing_form,
-                   lower_central_series)
+from .core import (AlgebraError, LieAlgebra, Subspace, _commutator_flat, _integral,
+                   _rows, center, derived_series, killing_form, lower_central_series)
 
 
 def _flatten(m):
@@ -62,13 +61,10 @@ class MatrixLieAlgebra:
             raise AlgebraError("matrix basis is not linearly independent") from None
         if coords is None:
             raise AlgebraError("matrix space is not closed under commutator")
-        table = {}
-        for pair, ys in zip(pairs, coords):
-            comps = {b: Fraction(y.numerator, y.denominator * s)
-                     for b, y in enumerate(ys) if y}
-            if comps:
-                table[pair] = comps
-        closure = LieAlgebra.from_brackets(len(mats), table, check=False)
+        table = {pair: {b: Fraction(y.numerator, y.denominator * s)
+                        for b, y in enumerate(ys) if y}
+                 for pair, ys in zip(pairs, coords)}
+        closure = LieAlgebra(len(mats), None, table)
         frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
         return cls(n, frozen, closure)
 
@@ -219,7 +215,7 @@ def so_aut(gd):
     the unknown (A, B) is A flattened, then B."""
     nh, nd = gd.nh, gd.nd
     na = nh * nh
-    rows = list(_skew_rows(BilinearForm(gd.ell)))
+    rows = list(_skew_rows(gd.rep.h_form))
     rows += _leibniz_rows(gd.rep.d, na)
     rows += _skew_rows(gd.rep.d_form, na)
     # [B, pi(h_i)] = pi(A h_i): column i of A weights the pi generators.

@@ -239,10 +239,10 @@ def _assemble_double(rep):
 
 
 def _joined_names(plain, dual):
-    """plain, then dual starred; e1, .., en if a name repeats (files refuse it)."""
+    """plain, then dual starred; None, so e1, .., en, if a name repeats
+    (files refuse it)."""
     names = tuple(plain) + tuple(f"{s}*" for s in dual)
-    return names if len(set(names)) == len(names) else tuple(
-        f"e{i + 1}" for i in range(len(names)))
+    return names if len(set(names)) == len(names) else None
 
 
 def _check_blocks(table, nh):

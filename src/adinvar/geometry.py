@@ -345,29 +345,24 @@ def ricci_operator(r_tensor, form):
 
 
 def ricci_gd_closed(gd):
-    """Block closed forms of the Ricci tensor on d + h*.
+    """Closed form of the Ricci tensor on d + h*: -tr(AB)/4 over the
+    operators ad e_1 .. ad e_nd, pi(h_1) .. pi(h_nh) of d, plus (gS)^T/2 on
+    the d-d block.
 
-    The d-d block needs the signed sum of pi(f)^2 over an orthonormal h*
-    basis f.  It is evaluated as the equal contraction
-    sum_ab ell^-1[a][b] pi(h_a) pi(h_b) with the stored ``gd.ell_inv``, which
-    needs no orthonormal frame over Q and so serves every form on h.
+    S is the signed sum of pi(f)^2 over an orthonormal h* basis f.  It is
+    evaluated as the equal contraction sum_ab ell^-1[a][b] pi(h_a) pi(h_b)
+    with the stored ``gd.ell_inv``, which needs no orthonormal frame over Q
+    and so serves every form on h.
     """
-    nd, nh = gd.nd, gd.nh
-    pis = gd.rep.mats
+    nd, pis = gd.nd, gd.rep.mats
     s = linalg.zeros(nd, nd)
     for pa, row in zip(pis, gd.ell_inv):
         s = linalg.mat_add(s, linalg.mat_mul(pa, gd.rep.pi_of(row)))
     gs = linalg.mat_mul(gd.rep.d_form.rows(), s)
-    ads = [gd.rep.d.ad(a) for a in range(nd)]
-    m = linalg.zeros(nd + nh, nd + nh)
-    for a in range(nd):
-        for b in range(nd):
-            m[a][b] = gs[b][a] / 2 - linalg.trace_product(ads[a], ads[b]) / 4
-        for k in range(nh):
-            m[a][nd + k] = m[nd + k][a] = -linalg.trace_product(pis[k], ads[a]) / 4
-    for j in range(nh):
-        for k in range(nh):
-            m[nd + j][nd + k] = -linalg.trace_product(pis[j], pis[k]) / 4
+    ops = [gd.rep.d.ad(a) for a in range(nd)] + list(pis)
+    m = [[-linalg.trace_product(x, y) / 4 for y in ops] for x in ops]
+    for a, b in product(range(nd), repeat=2):
+        m[a][b] += gs[b][a] / 2
     return BilinearForm(tuple(tuple(row) for row in m))
 
 

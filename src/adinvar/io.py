@@ -96,8 +96,7 @@ def load_algebra_dict(doc, where="algebra"):
             table.setdefault((i - 1, j - 1), {})
             table[(i - 1, j - 1)][k - 1] = table[(i - 1, j - 1)].get(k - 1, Q0) + c
     try:
-        alg = LieAlgebra(dim, tuple(names) if names else
-                         tuple(f"e{i+1}" for i in range(dim)), table)
+        alg = LieAlgebra(dim, names, table)
     except AlgebraError as exc:
         raise SpecFormatError(str(exc), where)
     form = None
@@ -143,17 +142,18 @@ def dump_algebra_dict(alg, form=None):
 
 
 def read_json(path):
-    """The JSON document at path; unreadable, not UTF-8, invalid or nested
-    deeper than the parser can follow is a SpecFormatError."""
+    """The JSON document at path; a path that cannot be opened, text that is
+    not UTF-8 or not JSON (the int digit limit too), or nesting deeper than
+    the parser can follow is a SpecFormatError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecFormatError(str(exc), str(path))
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
         raise SpecFormatError(f"not UTF-8: {exc}", str(path))
+    except (OSError, ValueError) as exc:
+        raise SpecFormatError(str(exc), str(path))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or the integer digit limit
         raise SpecFormatError(f"invalid JSON: {exc}", str(path))
     except RecursionError:
         raise SpecFormatError("invalid JSON: nested too deeply", str(path))

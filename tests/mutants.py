@@ -95,8 +95,13 @@ CATALOGUE = (
            "add_scaled(out, x, l_br.get((q, c), empty))",
            (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
     Mutant("ricci_gd_closed-dd_half", "geometry.py",
-           "gs[b][a] / 2 -", "gs[b][a] -",
+           "m[a][b] += gs[b][a] / 2", "m[a][b] += gs[b][a]",
            (GEO + "test_routes_agree_on_generated_indefinite_abelian_data",)),
+    Mutant("ricci_gd_closed-dd_transpose", "geometry.py",
+           "m[a][b] += gs[b][a] / 2", "m[a][b] += gs[a][b] / 2",
+           (GEO + "test_routes_agree_on_generated_indefinite_abelian_data",),
+           equivalent="gS is symmetric when every pi(h) is g-skew and ell^-1 is "
+                      "symmetric, because (g pi_a pi_b)^T = g pi_b pi_a"),
     # nabla~ and what build_hom_structure builds
     Mutant("nabla_tilde_closed-pi_sign", "homstructure.py",
            "gd_tensor(gd, {}, Q1, 0, Q1)", "gd_tensor(gd, {}, -Q1, 0, Q1)",
@@ -114,9 +119,21 @@ CATALOGUE = (
            ("tests/test_core.py::test_derivation_witnesses_match_the_slot_loop",)),
     # names of a built algebra, the size cap, the degenerate-plane label
     Mutant("joined_names-no_fallback", "extension.py",
-           "return names if len(set(names)) == len(names) else tuple(",
-           "return names if True else tuple(",
+           "return names if len(set(names)) == len(names) else None",
+           "return names if True else None",
            (CLI + "test_gd_and_extend_emit_loadable_files",)),
+    Mutant("default_names-from_zero", "core.py",
+           'f"e{i + 1}" for i in range(self.dim)', 'f"e{i}" for i in range(self.dim)',
+           (CLI + "test_gd_and_extend_emit_loadable_files",)),
+    # the Jacobi refusal of from_brackets and the one renderer of reports
+    Mutant("from_brackets-no_jacobi_refusal", "core.py",
+           "        bad = check_jacobi(alg)\n        if bad:\n",
+           "        bad = []\n        if bad:\n",
+           ("tests/test_core.py::test_jacobi_violation_located",)),
+    Mutant("finish-report_without_default_str", "cli.py",
+           "write_json(args.report, report, indent=2, sort_keys=True, default=str)",
+           "write_json(args.report, report, indent=2, sort_keys=True)",
+           (CLI + "test_written_reports_and_emitted_files_keep_their_layout",)),
     Mutant("builder_cap-counts_h_once", "io.py",
            "d_alg.dim + 2 * h_alg.dim) > MAX_DIM", "d_alg.dim + h_alg.dim) > MAX_DIM",
            ("tests/test_io.py::test_dimension_above_the_cap_refused_before_allocation",)),

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from adinvar import cli, corpus_list, linalg
+from adinvar import cli, corpus_build, corpus_list, linalg
 from adinvar.cli import main
 from adinvar.geometry import Tensor
 from adinvar.io import MAX_DIM, dump_builder_dict
-from conftest import torus_rep
+from conftest import conjugated_rep, torus_rep
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
@@ -231,9 +231,17 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
     """The refusals of the algebra and builder loaders, through check and
     through gd and extend: exit 2, nothing on standard output, and the
     message with its location: a builder file's own refusals start with
-    its path, and those of a part it names start with that file's path."""
+    its path, and those of a part it names start with that file's path.
+    A part path with a null byte cannot be opened, and an integer of 5000
+    digits is beyond Python's limit for converting text to int."""
     small = {"dim": 1, "metric": [[1, 1, 1]]}
     alg = tmp_path / "alg.json"
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 1, "brackets": [[1, 1, 1, ' + "9" * 5000 + "]]}")
+    code, out, err = run(capsys, "check", str(huge), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {huge}: invalid JSON: Exceeds the limit")
+    nul = tmp_path / "a\u0000b.json"
     for doc, message in (
             ([], f"{alg}: algebra spec must be an object"),
             ({"dim": 2, "metric": [[1, 1]]},
@@ -255,6 +263,8 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
              f"{spec}.d.metric[0]: metric entry must be [i, j, value]"),
             ({"d": "alg.json", "h": small, "pi": [[[0]]]},
              f"{alg}.metric[0]: metric entry must be [i, j, value]"),
+            ({"d": "a\u0000b.json", "h": small, "pi": [[[0]]]},
+             f"{nul}: embedded null byte"),
             ({"d": {"dim": 13, "metric": []}, "h": {"dim": 6, "metric": []}},
              f"{spec}: the double h + d + h* has dimension 25, above the "
              f"largest supported dimension {MAX_DIM}")):
@@ -935,7 +945,9 @@ def test_output_paths_that_cannot_be_written_exit_2(tmp_path, capsys):
 
 
 def test_written_reports_and_emitted_files_keep_their_layout(tmp_path, capsys):
-    """A --report file holds the --json report byte for byte (sorted keys);
+    """A --report file holds the --json report byte for byte (sorted keys),
+    also where the report holds the library's Fractions and tuples, as
+    geometry and derivations --so-aut do on a dense conjugated builder;
     emitted algebra files keep the order in which they are built."""
     outdir = emit_corpus(tmp_path, capsys, "h3_metric_0")
     report, emitted = tmp_path / "r.json", tmp_path / "gd.json"
@@ -947,6 +959,13 @@ def test_written_reports_and_emitted_files_keep_their_layout(tmp_path, capsys):
     assert doc == json.loads(out)["algebra"]
     assert list(doc) == ["dim", "names", "brackets", "metric"]
     assert emitted.read_text() == json.dumps(doc, indent=2) + "\n"
+    dense = tmp_path / "dense_builder.json"
+    dense.write_text(json.dumps(dump_builder_dict(conjugated_rep(corpus_build("gH").rep, 5))))
+    assert run(capsys, "gd", str(dense), "--emit", str(emitted))[0] == 0
+    for argv in (("geometry", str(emitted)), ("derivations", "--so-aut", str(dense))):
+        code, out, _ = run(capsys, *argv, "--json", "--report", str(report))
+        assert code == 0, argv
+        assert report.read_text() == out, argv
 
 
 def test_derivations_refuses_input_it_would_ignore(tmp_path, capsys):
@@ -966,6 +985,24 @@ def test_derivations_refuses_input_it_would_ignore(tmp_path, capsys):
     code, out, err = run(capsys, "derivations", alg, "--metric", str(bare), "--json")
     assert (code, out) == (2, "")
     assert err == f"error: {bare}: --metric needs a file with a 'metric'\n"
+
+
+def test_corpus_refuses_input_it_would_ignore(tmp_path, capsys):
+    """corpus --emit without an entry name, and --dir without --emit, exit 2
+    and write nothing instead of being dropped."""
+    outdir = tmp_path / "out"
+    for argv, message in (
+            (["corpus", "--emit"], "corpus --emit needs an entry name or 'all'"),
+            (["corpus", "--emit", "--dir", str(outdir)],
+             "corpus --emit needs an entry name or 'all'"),
+            (["corpus", "--dir", str(outdir)], "corpus --dir takes effect only with --emit"),
+            (["corpus", "gH", "--dir", str(outdir)],
+             "corpus --dir takes effect only with --emit")):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--json")
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.endswith(f"error: {message}\n"), argv
+    assert not outdir.exists()
 
 
 def test_derivations_omits_skew_fields_for_a_degenerate_metric_file(tmp_path,

@@ -889,8 +889,7 @@ def test_kostant_form_reports_an_unclosed_gbar_as_the_oracle_does():
     """On a Lie algebra gbar = m + [m, m]_h is closed, by Jacobi.  This
     bracket breaks Jacobi at (e1, e2, e3): [m, m]_h spans hbar = <e0, e1>
     and [e0, e1] = e4 leaves gbar, which both routes report."""
-    g = LieAlgebra.from_brackets(
-        6, {(2, 3): {0: 1}, (2, 5): {1: F(2, 3)}, (0, 1): {4: 1}}, check=False)
+    g = LieAlgebra(6, None, {(2, 3): {0: 1}, (2, 5): {1: F(2, 3)}, (0, 1): {4: 1}})
     eye = linalg.identity(6)
     h = Subspace.span([eye[0], eye[1], eye[4]], 6)
     m = Subspace.span([eye[2], eye[3], eye[5]], 6)
