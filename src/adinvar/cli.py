@@ -66,15 +66,15 @@ def _print_human(report):
     width = max((len(c["name"]) for c in report["checks"]), default=4)
     for c in report["checks"]:
         mark = "PASS" if c["pass"] else "FAIL"
-        extra = f"  {c['witness']}" if "witness" in c and not c["pass"] else ""
+        extra = (f"  {json.dumps(c['witness'], default=str)}"
+                 if "witness" in c and not c["pass"] else "")
         print(f"{c['name']:<{width}}  {mark}{extra}")
     print("result:", "PASS" if report["passed"] else "FAIL")
 
 
 def _jacobi_check(violations):
-    """The jacobi check, witnessed by each failing 1-based triple and its
-    cyclic sum, as strings: the human form prints a witness with repr."""
-    witness = [[i + 1, j + 1, k + 1, [str(x) for x in s]] for i, j, k, s in violations]
+    """The jacobi check, witnessed by each failing 1-based triple and its sum."""
+    witness = [[i + 1, j + 1, k + 1, s] for i, j, k, s in violations]
     return Check("jacobi", not violations, witness or None)
 
 

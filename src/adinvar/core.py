@@ -471,8 +471,8 @@ class SeriesResult:
 def _bracket_span(table, left, right):
     """[left, right] for the bracket table scaled to integers: the two
     bases, scaled to integers by one ``_integral`` call, are bracketed over
-    the nonzero entries and reduced by ``linalg.rref``.  Scaling a spanning
-    vector keeps the span, and the reduced basis is unique."""
+    the nonzero entries into sparse rows, which ``linalg._rref`` reduces.
+    Scaling a spanning vector keeps the span; the reduced basis is unique."""
     n = left.ambient_dim
     by_first = {}
     for (i, j), comps in table.items():
@@ -485,7 +485,7 @@ def _bracket_span(table, left, right):
         pairs = product(range(len(lrows)), range(len(rrows)))
     vecs = []
     for a, b in pairs:
-        v, w = rrows[b], [0] * n
+        v, w = rrows[b], Counter()
         for i, x in lrows[a].items():
             for j, comps in by_first.get(i, ()):
                 y = v.get(j)
@@ -494,7 +494,7 @@ def _bracket_span(table, left, right):
                     for k, z in comps.items():
                         w[k] += c * z
         vecs.append(w)
-    return Subspace(n, tuple(map(tuple, linalg.rref(vecs)[0])))
+    return Subspace(n, tuple(map(tuple, linalg._rref(vecs, n)[0])))
 
 
 def _series(alg, next_term):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
+from math import lcm
 
 from . import linalg
 from .core import (AlgebraError, LieAlgebra, Subspace, _commutator_flat, _integral,
@@ -26,16 +27,6 @@ def _unflatten(v, rows, cols):
     return [list(v[i * cols:(i + 1) * cols]) for i in range(rows)]
 
 
-def _flatten_sparse(a):
-    """A matrix of sparse int rows {p: {q: x}}, flattened row-major."""
-    n = len(a)
-    out = [0] * (n * n)
-    for p, row in a.items():
-        for q, x in row.items():
-            out[p * n + q] = x
-    return out
-
-
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
     """A commutator-closed space of matrices with its abstract closure table."""
@@ -46,27 +37,8 @@ class MatrixLieAlgebra:
 
     @classmethod
     def from_matrices(cls, mats, n):
-        mats = [[list(map(linalg.frac, row)) for row in m] for m in mats]
-        pairs = list(combinations(range(len(mats)), 2))
-        # The basis is scaled by s to integer matrices A_i = s M_i, whose
-        # commutators are s^2 [M_i, M_j]: the coordinates y of each
-        # s^2 [M_i, M_j] in the A basis are s times those of [M_i, M_j],
-        # and each y / s is built as one Fraction, without arithmetic.
-        *ints, s = _integral(*map(_rows, mats))
-        try:
-            coords = linalg.coordinates(
-                [_flatten_sparse(a) for a in ints],
-                [_commutator_flat(ints[i], ints[j]) for i, j in pairs])
-        except linalg.LinAlgError:
-            raise AlgebraError("matrix basis is not linearly independent") from None
-        if coords is None:
-            raise AlgebraError("matrix space is not closed under commutator")
-        table = {pair: {b: Fraction(y.numerator, y.denominator * s)
-                        for b, y in enumerate(ys) if y}
-                 for pair, ys in zip(pairs, coords)}
-        closure = LieAlgebra(len(mats), None, table)
-        frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
-        return cls(n, frozen, closure)
+        """The span of the n x n matrices, in its canonical basis (``_span``)."""
+        return _span([dict(enumerate(_flatten(m))) for m in mats], n)
 
     @property
     def dim(self):
@@ -77,7 +49,7 @@ class MatrixLieAlgebra:
 
     @cached_property
     def flat_subspace(self):
-        return Subspace.span([_flatten(m) for m in self.basis], self.n * self.n)
+        return Subspace(self.n * self.n, tuple(tuple(_flatten(m)) for m in self.basis))
 
     def contains(self, mat):
         return self.flat_subspace.contains(_flatten(mat))
@@ -144,9 +116,37 @@ def _times(v, m):
 
 def _span(vectors, n):
     """The matrix Lie algebra spanned by the n x n matrices, given flattened
-    as sparse rows {column: x}, in its canonical basis."""
-    mats = [_unflatten(s, n, n) for s in linalg._rref(vectors, n * n)[0]]
-    return MatrixLieAlgebra.from_matrices(mats, n)
+    as sparse rows {column: x}, in its canonical basis M_r = R_r / h_r, for
+    R_r the int rows of one ``linalg._echelon`` and h_r the entry of R_r at
+    its pivot p_r.  The coordinates of a matrix in that basis are its
+    entries at the pivots, so those of [M_i, M_j] are C[p_r] / (h_i h_j) for
+    C = [R_i, R_j], and the span is closed iff every H C = sum_r C[p_r]
+    (H / h_r) R_r on ints, for H the lcm of the h_r."""
+    rows, pivots = linalg._echelon(vectors, n * n)
+    h = [row[p] for row, p in zip(rows, pivots)]
+    big = lcm(*h)
+    mats, basis, scaled = [], [], []  # R_r as {p: {q: x}}, M_r, (p_r, H R_r / h_r)
+    for row, p, hr in zip(rows, pivots, h):
+        m, flat = {q: {} for q in range(n)}, [linalg.Q0] * (n * n)
+        for c, x in row.items():
+            m[c // n][c % n] = x
+            flat[c] = Fraction(x, hr)
+        mats.append(m)
+        basis.append(tuple(map(tuple, _unflatten(flat, n, n))))
+        scaled.append((p, {c: x * (big // hr) for c, x in row.items()}))
+    table = {}
+    for i, j in combinations(range(len(rows)), 2):
+        comm = _commutator_flat(mats[i], mats[j])
+        rest, den = [big * x for x in comm], h[i] * h[j]
+        table[i, j] = comps = {}
+        for r, (p, row) in enumerate(scaled):
+            if y := comm[p]:
+                comps[r] = Fraction(y, den)
+                for c, x in row.items():
+                    rest[c] -= y * x
+        if any(rest):
+            raise AlgebraError("matrix space is not closed under commutator")
+    return MatrixLieAlgebra(n, tuple(basis), LieAlgebra(len(rows), None, table))
 
 
 def _solutions(rows, n):
@@ -203,8 +203,8 @@ class SoAut:
 
     @cached_property
     def flat_subspace(self):
-        vecs = [_flatten(a) + _flatten(b) for a, b in self.pairs]
-        return Subspace.span(vecs, self.nh * self.nh + self.nd * self.nd)
+        return Subspace(self.nh * self.nh + self.nd * self.nd,
+                        tuple(tuple(_flatten(a) + _flatten(b)) for a, b in self.pairs))
 
     def contains(self, a, b):
         return self.flat_subspace.contains(_flatten(a) + _flatten(b))

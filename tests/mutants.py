@@ -70,6 +70,18 @@ CATALOGUE = (
            "    for t, flat in flats.items():\n",
            "    for t, flat in list(flats.items())[1:]:\n",
            ("tests/test_solvers.py::test_solvers_match_the_dense_systems_on_the_corpus",)),
+    # the closure table of a matrix span, read at the pivots of its rows
+    Mutant("span-coordinate_over_h_i_only", "derivations.py",
+           "rest, den = [big * x for x in comm], h[i] * h[j]",
+           "rest, den = [big * x for x in comm], h[i]",
+           ("tests/test_derivations.py::test_from_matrices_matches_pair_solves_on_corpus",)),
+    Mutant("span-closure_without_lcm_scale", "derivations.py",
+           "rest, den = [big * x for x in comm], h[i] * h[j]",
+           "rest, den = list(comm), h[i] * h[j]",
+           ("tests/test_derivations.py::test_from_matrices_matches_pair_solves_on_corpus",)),
+    Mutant("span-pivot_off_by_one", "derivations.py",
+           "if y := comm[p]:", "if y := comm[p - 1]:",
+           ("tests/test_derivations.py::test_from_matrices_rejects_unclosed_space",)),
     Mutant("kernel-free_entry_sign", "linalg.py",
            "v = {f: m}", "v = {f: -m}",
            (LIN + "test_nullspace_matches_sympy",)),

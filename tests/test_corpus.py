@@ -5,8 +5,9 @@ import pytest
 
 import adinvar
 from adinvar import (ad_invariant, build_gd, build_hom_structure, cli,
-                     corpus_build, corpus_list, lower_central_series, verify_as)
-from adinvar.io import dump_algebra_dict, dump_builder_dict
+                     corpus_build, corpus_list, derivation_algebra,
+                     lower_central_series, verify_as)
+from adinvar.io import dump_algebra_dict, dump_builder_dict, load_algebra_file
 from conftest import conjugated_rep
 
 
@@ -124,12 +125,29 @@ def test_derivations_command_sweeps_leibniz_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_derivation_algebra_eliminates_once_per_matrix_space(tmp_path, monkeypatch):
+    """derivation_algebra on a dense gH file runs one ``_echelon`` for the
+    Leibniz kernel and one for the span of its solutions, whose closure
+    table is read at the pivots, not solved for; the flat subspace of the
+    result is its reduced rows, with no elimination."""
+    gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
+    path = tmp_path / "gH_gd.json"
+    path.write_text(json.dumps(dump_algebra_dict(gd.L, gd.metric)))
+    alg, _ = load_algebra_file(path)
+    echelons = _count_calls(monkeypatch, adinvar.linalg, "_echelon")
+    coordinates = _count_calls(monkeypatch, adinvar.linalg, "coordinates")
+    der = derivation_algebra(alg)
+    assert (len(echelons), len(coordinates)) == (2, 0)
+    assert der.flat_subspace.dim == der.dim
+    assert (len(echelons), len(coordinates)) == (2, 0)
+
+
 @pytest.mark.parametrize("name", ["h3_metric_0", "gH"])
 def test_lower_central_series_brackets_each_pair_of_g_once(name, monkeypatch):
     """The first term [g, g] of the lower central series brackets the
     n(n-1)/2 pairs i < j of basis vectors, not all n^2."""
     alg = build_gd(corpus_build(name).rep).L
-    calls = _count_calls(monkeypatch, adinvar.linalg, "rref")
+    calls = _count_calls(monkeypatch, adinvar.linalg, "_rref")
     lower_central_series(alg)
     n = alg.dim
     assert len(calls[0][0]) == n * (n - 1) // 2

@@ -263,7 +263,8 @@ def test_from_matrices_matches_pair_solves_on_corpus(corpus_algebras):
 def test_from_matrices_matches_pair_solves_on_subsets(corpus_algebras, data):
     """Generated subsets of a derivation algebra, some members shifted by a
     rational multiple of another: closed, unclosed and dependent sets all
-    occur."""
+    occur.  from_matrices spans them in the reduced echelon basis of the
+    flattened list."""
     basis = data.draw(st.sampled_from(corpus_algebras))[2].matrices()
     picks = data.draw(st.lists(st.sampled_from(range(len(basis))),
                                min_size=1, max_size=6, unique=True))
@@ -273,13 +274,17 @@ def test_from_matrices_matches_pair_solves_on_subsets(corpus_algebras, data):
         mats[i] = linalg.mat_add(mats[i], linalg.mat_scale(c, mats[i - 1]))
     if data.draw(st.booleans()):
         mats.append(data.draw(st.sampled_from(mats)))
-    assert outcome(closure_table, mats) == outcome(closure_by_pairs, mats)
+    n = len(mats[0])
+    reduced = linalg.rref([[x for row in m for x in row] for m in mats])[0]
+    basis = [[r[p * n:(p + 1) * n] for p in range(n)] for r in reduced]
+    assert outcome(closure_table, mats) == outcome(closure_by_pairs, basis)
 
 
-def test_from_matrices_rejects_dependent_basis():
+def test_from_matrices_spans_a_dependent_list():
     e12 = [[F(0), F(1)], [F(0), F(0)]]
-    with pytest.raises(AlgebraError, match="not linearly independent"):
-        MatrixLieAlgebra.from_matrices([e12, linalg.mat_scale(F(2), e12)], 2)
+    span = MatrixLieAlgebra.from_matrices([linalg.mat_scale(F(2), e12), e12], 2)
+    assert span.matrices() == [e12]
+    assert span.closure.table == {}
 
 
 def test_from_matrices_rejects_unclosed_space():
@@ -289,8 +294,9 @@ def test_from_matrices_rejects_unclosed_space():
         MatrixLieAlgebra.from_matrices([e12, e21], 2)
     diag = [[F(1), F(0)], [F(0), F(-1)]]
     sl2 = MatrixLieAlgebra.from_matrices([e12, e21, diag], 2)
-    assert sl2.closure.table == {(0, 1): {2: F(1)}, (0, 2): {0: F(-2)},
-                                 (1, 2): {1: F(2)}}
+    assert sl2.matrices() == [diag, e12, e21]
+    assert sl2.closure.table == {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)},
+                                 (1, 2): {0: F(1)}}
 
 
 @settings(derandomize=True, max_examples=5, deadline=None)
