@@ -10,15 +10,18 @@ the containment test ``Subspace.contains_all``, the commutators of
 ``_commutator_flat`` (which ``derivations`` and the homomorphism test of
 ``extension`` read) and the commuting rows of ``derivations`` run on
 Python ints.  Symmetric work is done once: a bracket span of a subspace
-with itself (by value) brackets the pairs a < b, and ``killing_form``
+with itself (by value) brackets the pairs a < b, [g, g], where both
+series start, is bracketed once per algebra, and ``killing_form``
 computes the entries i <= j.  One rule scales them, and the geometry
 routes too: a kernel passes all its sparse inputs to one ``_integral``
 call, which multiplies every one of them by the same s, the lcm of all
-their denominators.  A term that multiplies d input entries is then s^d times
-its true value, so a sum of such terms is too; a verdict (zero or not) and
-a span do not change, and an exact value is the int sum divided once by
-k s^d (``_rational``, the inverse of ``_integral``).  No term carries a
-weight of its own.  ``Fraction``s are formed only at the boundary, one per
+their denominators (an algebra scales its bracket once, in
+``LieAlgebra.int_bracket_data``, for the kernels that read it alone).  A
+term that multiplies d input entries is then s^d times its true value,
+so a sum of such terms is too; a verdict (zero or not) and a span do not
+change, and an exact value is the int sum divided once by k s^d
+(``_rational``, the inverse of ``_integral``).  No term carries a weight
+of its own.  ``Fraction``s are formed only at the boundary, one per
 stored entry: the violation vectors of ``check_jacobi``, the Killing form,
 the reduced rows that ``linalg.rref`` returns and the data that
 ``_rational`` divides back.
@@ -100,6 +103,20 @@ class LieAlgebra:
             out[i, j] = dict(comps)
             out[j, i] = {k: -c for k, c in comps.items()}
         return out
+
+    @cached_property
+    def int_bracket_data(self):
+        """(table, scale): ``bracket_data`` scaled to ints by one
+        ``_integral`` call, made once for the sweeps and solvers that read
+        the bracket alone."""
+        return _integral(self.bracket_data)
+
+    @cached_property
+    def derived_algebra(self):
+        """[g, g], the first term of both the derived and the lower central
+        series."""
+        full = Subspace.full(self.dim)
+        return _bracket_span(self.int_bracket_data[0], full, full)
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a coefficient vector."""
@@ -311,7 +328,7 @@ def check_jacobi(alg):
     The sums run over the table scaled by L to integers, so each is L^2
     times the true one.
     """
-    table, scale = _integral(alg.bracket_data)
+    table, scale = alg.int_bracket_data
     den = scale * scale
     empty = {}
     violations = []
@@ -424,7 +441,7 @@ def kernel_of(matrix):
 def center(alg):
     """Solutions of [e_i, x] = sum_j c_ij^k x_j e_k = 0 for every basis e_i:
     one sparse row {j: c_ij^k} per (i, k), scaled to integers."""
-    table, _ = _integral(alg.bracket_data)
+    table, _ = alg.int_bracket_data
     rows = {}
     for (i, j), comps in table.items():
         for k, c in comps.items():
@@ -468,11 +485,29 @@ class SeriesResult:
         return tuple(s.dim for s in self.chain)
 
 
+def _bracket(by_first, u, v):
+    """[u, v] for sparse int vectors u and v, summed over the nonzero
+    entries of u, v and the int table {i: [(j, {k: c_ij^k})]}."""
+    w = Counter()
+    for i, x in u.items():
+        for j, comps in by_first.get(i, ()):
+            y = v.get(j)
+            if y:
+                c = x * y
+                for k, z in comps.items():
+                    w[k] += c * z
+    return w
+
+
 def _bracket_span(table, left, right):
-    """[left, right] for the bracket table scaled to integers: the two
-    bases, scaled to integers by one ``_integral`` call, are bracketed over
-    the nonzero entries into sparse rows, which ``linalg._rref`` reduces.
-    Scaling a spanning vector keeps the span; the reduced basis is unique."""
+    """[left, right] for the bracket table scaled to integers, where
+    [left, right] lies in right, as it does down both series ([C, C] in C,
+    and [g, D] in D, by induction).  The two bases, scaled to integers by
+    one ``_integral`` call, are bracketed one pair at a time and fed to
+    ``linalg._rref`` with the rank bound dim right: once that many
+    brackets are independent, the span is right and no further pair is
+    bracketed.  Scaling a spanning vector keeps the span; the reduced
+    basis is unique."""
     n = left.ambient_dim
     by_first = {}
     for (i, j), comps in table.items():
@@ -483,40 +518,33 @@ def _bracket_span(table, left, right):
         pairs = combinations(range(len(lrows)), 2)
     else:
         pairs = product(range(len(lrows)), range(len(rrows)))
-    vecs = []
-    for a, b in pairs:
-        v, w = rrows[b], Counter()
-        for i, x in lrows[a].items():
-            for j, comps in by_first.get(i, ()):
-                y = v.get(j)
-                if y:
-                    c = x * y
-                    for k, z in comps.items():
-                        w[k] += c * z
-        vecs.append(w)
-    return Subspace(n, tuple(map(tuple, linalg._rref(vecs, n)[0])))
+    brackets = (_bracket(by_first, lrows[a], rrows[b]) for a, b in pairs)
+    return Subspace(n, tuple(map(tuple, linalg._rref(brackets, n, right.dim)[0])))
 
 
 def _series(alg, next_term):
+    """g, [g, g] (computed once per algebra), then next_term of the last
+    term, until a term is zero (step k) or equals the one before (step
+    None)."""
     chain = [Subspace.full(alg.dim)]
-    while True:
-        nxt = next_term(chain[-1])
-        if nxt == chain[-1]:
-            return SeriesResult(tuple(chain), None)
+    nxt = alg.derived_algebra
+    while nxt != chain[-1]:
         chain.append(nxt)
         if nxt.dim == 0:
             return SeriesResult(tuple(chain), len(chain) - 1)
+        nxt = next_term(nxt)
+    return SeriesResult(tuple(chain), None)
 
 
 def derived_series(alg):
     """C^0 = g, C^i = [C^{i-1}, C^{i-1}]; step k means k-step solvable."""
-    table, _ = _integral(alg.bracket_data)
+    table, _ = alg.int_bracket_data
     return _series(alg, lambda s: _bracket_span(table, s, s))
 
 
 def lower_central_series(alg):
     """D^0 = g, D^i = [g, D^{i-1}]; step k means k-step nilpotent."""
-    table, _ = _integral(alg.bracket_data)
+    table, _ = alg.int_bracket_data
     full = Subspace.full(alg.dim)
     return _series(alg, lambda s: _bracket_span(table, full, s))
 
@@ -559,7 +587,7 @@ def killing_form(alg):
     the bracket table scaled by L to integers: each sum is L^2 times the
     true trace.  B is symmetric, so the entries with i <= j are computed
     and mirrored."""
-    table, scale = _integral(alg.bracket_data)
+    table, scale = alg.int_bracket_data
     n, den, empty = alg.dim, scale * scale, {}
     m = [[Q0] * n for _ in range(n)]
     for i in range(n):

@@ -62,7 +62,7 @@ def _leibniz_rows(alg, offset=0):
     """(X [e_i, e_j] - [X e_i, e_j] - [e_i, X e_j])_k = 0 for i < j, on the
     bracket table scaled to integers."""
     n, empty = alg.dim, {}
-    table, _ = _integral(alg.bracket_data)
+    table, _ = alg.int_bracket_data
     for i, j in combinations(range(n), 2):
         rows = [Counter({offset + k * n + q: c
                          for q, c in table.get((i, j), empty).items()})

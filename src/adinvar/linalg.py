@@ -10,16 +10,18 @@ cost what the nonzero entries cost; zero products are never formed.
 
 Elimination (``rref`` and everything built on it: ``rank``,
 ``nullspace``, ``solve``, ``coordinates``, ``inverse``) runs
-fraction-free on sparse integer rows, each pivot taken from the sparsest
-row that has one; ``Fraction``s are formed only at the boundary, once
-per entry of the result.  The integer core is ``_echelon`` (primitive
-int rows and their pivots) and ``_kernel`` (an int basis of a
-nullspace, read off those rows); ``_rref`` divides the rows of
-``_echelon`` by their pivots, and ``_nullspace`` forms its ``Fraction``s
-only there, in the reduced basis of the ``_kernel`` vectors.  A row of
-ints enters the core as it is.  ``signature_of`` is a symmetric
-fraction-free elimination on the integer-scaled matrix and forms no
-``Fraction``.
+fraction-free on sparse integer rows, read one at a time in input order:
+each row is reduced against the reduced rows kept so far and kept if it
+is not then zero, and reading stops once the rank reaches a bound (the
+width, or a smaller one that the caller knows).  ``Fraction``s are
+formed only at the boundary, once per entry of the result.  The integer
+core is ``_echelon`` (primitive int rows with positive pivots, and their
+pivots) and ``_kernel`` (an int basis of a nullspace, read off those
+rows); ``_rref`` divides the rows of ``_echelon`` by their pivots, and
+``_nullspace`` forms its ``Fraction``s only there, in the reduced basis
+of the ``_kernel`` vectors.  A row of ints enters the core as it is.
+``signature_of`` is a symmetric fraction-free elimination on the
+integer-scaled matrix and forms no ``Fraction``.
 """
 
 from fractions import Fraction
@@ -186,11 +188,11 @@ def rref(a):
     return _rref([dict(enumerate(row)) for row in a], len(a[0]) if a else 0)
 
 
-def _rref(a, n):
-    """``rref`` of the sparse rows {column: x} of width n: ``_echelon``,
-    then each primitive int row divided by its pivot, one ``Fraction`` per
-    nonzero entry."""
-    rows, pivots = _echelon(a, n)
+def _rref(a, n, bound=None):
+    """``rref`` of the sparse rows {column: x} of width n: ``_echelon``
+    (which stops at the rank bound), then each primitive int row divided by
+    its pivot, one ``Fraction`` per nonzero entry."""
+    rows, pivots = _echelon(a, n, bound)
     out = []
     for row, c in zip(rows, pivots):
         dense, p = [Q0] * n, row[c]
@@ -200,42 +202,46 @@ def _rref(a, n):
     return out, pivots
 
 
-def _echelon(a, n):
+def _echelon(a, n, bound=None):
     """The integer core of ``rref``: the sparse rows {column: x} of width n
     reduced to (primitive int rows, pivot columns), in pivot order; row r
-    is its reduced echelon row times the int at its pivot.
+    is its reduced echelon row times the positive int at its pivot.
 
-    Each row is a sparse integer row {column: x}: scaled by the lcm of its
-    denominators, divided by the gcd of its entries.  For each column, left
-    to right, the pivot row is the remaining row with the fewest nonzeros,
-    then the smallest |pivot|, then input order (H. M. Markowitz, Management
-    Science 3, 1957).  Gauss-Jordan elimination replaces every other row
-    with a nonzero there by p*row - f*pivot_row over the union of their
+    The rows are read one at a time, in input order, and each is made a
+    sparse integer row {column: x}: scaled by the lcm of its denominators,
+    divided by the gcd of its entries.  The rows kept so far are in
+    reduced echelon form, so a new row is reduced by eliminating, at each
+    of their pivots it touches, p*row - f*basis_row over the union of the
     supports, divided by the gcd of its entries, which keeps the integers
     small as Bareiss's exact division does (E. H. Bareiss, Math. Comp. 22,
-    1968); zero rows are dropped.  The RREF is unique: the pivot rule
-    changes only the cost.
+    1968).  A row that becomes zero is dropped; otherwise its leftmost
+    column is a new pivot, its pivot entry is made positive, and that
+    column is eliminated from the rows kept before it.  Reading stops once
+    the rank reaches bound (n by default: no row adds to full column
+    rank), so a caller that knows the rank of the span cannot exceed it
+    has no further row formed or read.  The result does not depend on the
+    order of the rows: a primitive row with a positive pivot is unique.
     """
-    rows = [r for r in map(_integer_row, a) if r]
-    active = list(range(len(rows)))  # rows not yet pivots, in input order
-    chosen, pivots = [], []
-    for c in range(n):
-        if not active:
-            break
-        hit = [i for i in active if c in rows[i]]
-        if not hit:
+    bound = n if bound is None else bound
+    if not bound:
+        return [], []
+    basis = {}  # pivot column: primitive int row
+    for row in map(_integer_row, a):
+        for c in [c for c in row if c in basis]:
+            row = _eliminate(row, basis[c], c)
+        if not row:
             continue
-        k = min(hit, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
-        prow = rows[k]
-        active.remove(k)
-        for i in hit + [i for i in chosen if c in rows[i]]:
-            if i != k:
-                rows[i] = _eliminate(rows[i], prow, c)
-                if not rows[i]:
-                    active.remove(i)
-        chosen.append(k)
-        pivots.append(c)
-    return [rows[k] for k in chosen], pivots
+        c = min(row)
+        if row[c] < 0:
+            row = {q: -x for q, x in row.items()}
+        for k, prow in basis.items():
+            if c in prow:
+                basis[k] = _eliminate(prow, row, c)
+        basis[c] = row
+        if len(basis) == bound:
+            break
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def rank(a):

@@ -82,6 +82,17 @@ CATALOGUE = (
     Mutant("span-pivot_off_by_one", "derivations.py",
            "if y := comm[p]:", "if y := comm[p - 1]:",
            ("tests/test_derivations.py::test_from_matrices_rejects_unclosed_space",)),
+    # the row-incremental elimination and the rank bound of the series
+    Mutant("echelon-no_back_elimination", "linalg.py",
+           "                basis[k] = _eliminate(prow, row, c)\n",
+           "                pass\n",
+           (LIN + "test_rref_matches_sympy",)),
+    Mutant("echelon-stop_one_row_early", "linalg.py",
+           "if len(basis) == bound:", "if len(basis) == bound - 1:",
+           (LIN + "test_echelon_stops_at_the_rank_bound",)),
+    Mutant("bracket_span-bound_one_less", "core.py",
+           "linalg._rref(brackets, n, right.dim)", "linalg._rref(brackets, n, right.dim - 1)",
+           ("tests/test_core.py::test_series_match_the_span_route",)),
     Mutant("kernel-free_entry_sign", "linalg.py",
            "v = {f: m}", "v = {f: -m}",
            (LIN + "test_nullspace_matches_sympy",)),

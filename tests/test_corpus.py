@@ -4,9 +4,10 @@ import sys
 import pytest
 
 import adinvar
-from adinvar import (ad_invariant, build_gd, build_hom_structure, cli,
-                     corpus_build, corpus_list, derivation_algebra,
-                     lower_central_series, verify_as)
+from adinvar import (LieAlgebra, Subspace, ad_invariant, build_gd,
+                     build_hom_structure, cli, corpus_build, corpus_list,
+                     derivation_algebra, derived_series, lower_central_series,
+                     profile, verify_as)
 from adinvar.io import dump_algebra_dict, dump_builder_dict, load_algebra_file
 from conftest import conjugated_rep
 
@@ -142,12 +143,63 @@ def test_derivation_algebra_eliminates_once_per_matrix_space(tmp_path, monkeypat
     assert (len(echelons), len(coordinates)) == (2, 0)
 
 
+def _count_pairs(monkeypatch):
+    """Patch ``core._bracket_span`` and ``core._bracket`` so that each span
+    records [dim left, dim right, pairs bracketed]."""
+    spans = []
+    real_span, real_bracket = adinvar.core._bracket_span, adinvar.core._bracket
+
+    def span(table, left, right):
+        spans.append([left.dim, right.dim, 0])
+        return real_span(table, left, right)
+
+    def bracket(*args):
+        spans[-1][2] += 1
+        return real_bracket(*args)
+
+    monkeypatch.setattr(adinvar.core, "_bracket_span", span)
+    monkeypatch.setattr(adinvar.core, "_bracket", bracket)
+    return spans
+
+
 @pytest.mark.parametrize("name", ["h3_metric_0", "gH"])
 def test_lower_central_series_brackets_each_pair_of_g_once(name, monkeypatch):
-    """The first term [g, g] of the lower central series brackets the
-    n(n-1)/2 pairs i < j of basis vectors, not all n^2."""
+    """The first term [g, g] brackets the n(n-1)/2 pairs i < j of basis
+    vectors, not all n^2, also when it is given two equal but distinct
+    subspaces; and a profile brackets them once for both series, which
+    start with it."""
     alg = build_gd(corpus_build(name).rep).L
-    calls = _count_calls(monkeypatch, adinvar.linalg, "_rref")
-    lower_central_series(alg)
     n = alg.dim
-    assert len(calls[0][0]) == n * (n - 1) // 2
+    spans = _count_pairs(monkeypatch)
+    lower_central_series(alg)
+    assert spans[0] == [n, n, n * (n - 1) // 2]
+    spans.clear()
+    full = Subspace.full(n)
+    adinvar.core._bracket_span(alg.int_bracket_data[0], full, Subspace.full(n))
+    assert spans == [[n, n, n * (n - 1) // 2]]
+
+    der = derivation_algebra(alg)
+    alone = []
+    for series in (derived_series, lower_central_series):
+        spans.clear()
+        series(LieAlgebra(der.dim, None, der.closure.table))  # nothing cached
+        alone.append(sum(pairs for *_, pairs in spans))
+    spans.clear()
+    profile(der)
+    m = der.dim
+    assert sum(pairs for *_, pairs in spans) == sum(alone) - m * (m - 1) // 2
+    assert sum(span[:2] == [m, m] for span in spans) == 1
+
+
+@pytest.mark.parametrize("name", ["oscillator", "gH"])
+def test_a_stalled_term_stops_at_the_rank_bound(name, monkeypatch):
+    """The double h + d + h* of these entries is solvable, not nilpotent:
+    [g, [g, g]] = [g, g], which is found after fewer pairs than
+    |g| |[g, g]|."""
+    alg = build_gd(corpus_build(name).rep).double.g
+    spans = _count_pairs(monkeypatch)
+    result = lower_central_series(alg)
+    assert result.step is None
+    left, right, pairs = spans[-1]
+    assert right == result.chain[-1].dim
+    assert pairs < left * right

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
@@ -95,19 +96,33 @@ SPARSE = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), NONZERO)  # 3 in
 @st.composite
 def rational_matrices(draw, square=False):
     """Rational matrices up to 8 x 9 with zero rows, rows that combine
-    earlier rows, tall and wide shapes and the empty matrix, or sparse
-    tall ones from 8 x 1 up to 24 x 8, where the sparsest pivot row is
-    seldom the first; square ones are 1 x 1 to 6 x 6."""
-    tall = not square and draw(st.sampled_from([False, False, True]))
-    if square:
+    earlier rows, tall and wide shapes and the empty matrix; sparse tall
+    ones from 8 x 1 up to 24 x 8; or n x n of full rank (triangular with
+    a nonzero diagonal, rows and columns permuted, n from 1 to 6)
+    followed by up to 8 rows, which are then all dependent, so that the
+    elimination stops at the rank bound before it reads them.  Square
+    ones are 1 x 1 to 6 x 6."""
+    shape = "square" if square else draw(
+        st.sampled_from(["small", "small", "tall", "full_rank"]))
+    out = []
+    if shape == "square":
         m = n = draw(st.integers(1, 6))
-    elif tall:
+    elif shape == "tall":
         m, n = draw(st.integers(8, 24)), draw(st.integers(1, 8))
+    elif shape == "full_rank":
+        n = draw(st.integers(1, 6))
+        cols = draw(st.permutations(range(n)))
+        for i in draw(st.permutations(range(n))):
+            row = [F(0)] * n
+            row[cols[i]] = draw(NONZERO)
+            for j in range(i + 1, n):
+                row[cols[j]] = draw(ENTRIES)
+            out.append(row)
+        m = n + draw(st.integers(1, 8))
     else:
         m, n = draw(st.integers(0, 8)), draw(st.integers(0, 9))
-    entry = SPARSE if tall else ENTRIES
-    out = []
-    for _ in range(m):
+    entry = SPARSE if shape == "tall" else ENTRIES
+    while len(out) < m:
         kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
         if kind == "zero":
             out.append([F(0)] * n)
@@ -145,6 +160,37 @@ def test_rref_matches_sympy(a):
     rows, pivots = linalg.rref(a)
     assert (rows, pivots) == sympy_rref_rows(to_sympy(a))
     assert all_fractions(rows)
+
+
+def _guarded(a, bound):
+    """The rows of a as sparse rows, read one at a time; asking for a row
+    once the rows already read have rank bound raises."""
+    for k, row in enumerate(a):
+        if to_sympy(a[:k]).rank() >= bound:
+            raise AssertionError(f"row {k} read at rank {bound}")
+        yield dict(enumerate(row))
+
+
+@ORACLE
+@given(rational_matrices())
+def test_echelon_stops_at_the_rank_bound(a):
+    """The int rows of ``_echelon`` are the RREF rows scaled to primitive
+    ints with a positive pivot; a bound equal to the rank gives the same
+    result; and no row is read once the rank reaches the bound (by
+    default the width, which the full-rank draws reach early)."""
+    n = len(a[0]) if a else 0
+    rows, pivots = linalg._echelon([dict(enumerate(r)) for r in a], n)
+    reduced, want = sympy_rref_rows(to_sympy(a))
+    assert pivots == want
+    for row, c, dense in zip(rows, pivots, reduced):
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+        assert {q: F(x, row[c]) for q, x in row.items()} == {
+            q: x for q, x in enumerate(dense) if x}
+    rank = len(pivots)
+    assert linalg._echelon(_guarded(a, rank), n, rank) == (rows, pivots)
+    if rank == n:
+        assert linalg._echelon(_guarded(a, n), n) == (rows, pivots)
 
 
 @ORACLE
