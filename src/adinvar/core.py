@@ -6,25 +6,18 @@ equality of subspaces is plain data equality.
 
 The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
 ``check_jacobi``, the bracket spans of the two series and ``killing_form``),
-the containment test ``Subspace.contains_all``, the commutators of
-``_commutator_flat`` (which ``derivations`` and the homomorphism test of
-``extension`` read) and the commuting rows of ``derivations`` run on
-Python ints.  Symmetric work is done once: a bracket span of a subspace
-with itself (by value) brackets the pairs a < b, [g, g], where both
-series start, is bracketed once per algebra, and ``killing_form``
-computes the entries i <= j.  One rule scales them, and the geometry
-routes too: a kernel passes all its sparse inputs to one ``_integral``
-call, which multiplies every one of them by the same s, the lcm of all
-their denominators (an algebra scales its bracket once, in
-``LieAlgebra.int_bracket_data``, for the kernels that read it alone).  A
-term that multiplies d input entries is then s^d times its true value,
-so a sum of such terms is too; a verdict (zero or not) and a span do not
-change, and an exact value is the int sum divided once by k s^d
-(``_rational``, the inverse of ``_integral``).  No term carries a weight
-of its own.  ``Fraction``s are formed only at the boundary, one per
-stored entry: the violation vectors of ``check_jacobi``, the Killing form,
-the reduced rows that ``linalg.rref`` returns and the data that
-``_rational`` divides back.
+``Subspace.contains_all``, ``_commutator_flat`` and the construction checks
+of ``extension`` run on Python ints.  Symmetric work is done once: a
+bracket span of a subspace with itself (by value) brackets the pairs
+a < b, [g, g] is bracketed once per algebra, and ``killing_form``
+computes the entries i <= j.  ``_integral`` multiplies sparse data by s,
+the lcm of its denominators, and each object caches its own view once
+(``LieAlgebra.int_bracket_data``, ``BilinearForm.int_rows``,
+``Representation.int_ops``).  A term multiplying one entry of each input
+is the product of their scales times its value, so a scale per input
+keeps every verdict and span; a route whose terms multiply d entries of
+one input scales all its inputs by one call (s^d).  An exact value is an
+int sum divided once (``_rational``), one ``Fraction`` per stored entry.
 """
 
 from collections import Counter
@@ -48,7 +41,7 @@ def _freeze_table(table):
     for (i, j), comps in table.items():
         if i >= j:
             raise AlgebraError(f"bracket key ({i},{j}) must have i < j")
-        cleaned = {k: frac(v) for k, v in comps.items() if frac(v) != 0}
+        cleaned = {k: v for k, v in zip(comps, map(frac, comps.values())) if v}
         if cleaned:
             out[(i, j)] = cleaned
     return out
@@ -144,12 +137,10 @@ class LieAlgebra:
 
     def ad(self, i):
         """Matrix of ad(e_i): columns are [e_i, e_j]."""
-        cols = [self.basis_bracket(i, j) for j in range(self.dim)]
-        return linalg.transpose(cols)
+        return linalg.transpose([self.basis_bracket(i, j) for j in range(self.dim)])
 
     def ad_vector(self, x):
-        cols = [self.bracket(x, v) for v in linalg.identity(self.dim)]
-        return linalg.transpose(cols)
+        return linalg.transpose([self.bracket(x, v) for v in linalg.identity(self.dim)])
 
 
 @dataclass(frozen=True)
@@ -160,15 +151,14 @@ class BilinearForm:
     matrix: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(frac(x) for x in row) for row in self.matrix)
+        rows = tuple(tuple(map(frac, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise AlgebraError("form matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise AlgebraError(f"form is not symmetric at ({i},{j})")
+        if rows != tuple(zip(*rows)):  # entries compared by identity first
+            i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
+            raise AlgebraError(f"form is not symmetric at ({i},{j})")
 
     @classmethod
     def diagonal(cls, entries):
@@ -193,6 +183,11 @@ class BilinearForm:
                     if bij and yj:
                         total += xi * bij * yj
         return total
+
+    @cached_property
+    def int_rows(self):
+        """(rows, scale): the rows as sparse ints, scaled once per form."""
+        return _integral(_rows(self.matrix))
 
     @cached_property
     def signature(self):
@@ -272,8 +267,7 @@ class Subspace:
 
 def _integral(*datas):
     """(*ints, scale): each sparse data {key: {p: c}} times scale, the lcm of
-    the denominators of the entries of all of them, so that every entry is
-    a Python int.  One call scales all the inputs of a kernel alike."""
+    the denominators of the entries of all of them: every entry an int."""
     scale = lcm(*{c.denominator for data in datas
                   for comps in data.values() for c in comps.values()})
     return (*({key: {p: c.numerator * (scale // c.denominator) for p, c in comps.items()}
@@ -281,9 +275,8 @@ def _integral(*datas):
 
 
 def _rational(data, scale):
-    """The inverse of ``_integral``: the sparse int data {key: {p: x}}
-    divided by scale, one ``Fraction`` per nonzero entry; every key is
-    kept."""
+    """The inverse of ``_integral``: the sparse int data divided by scale,
+    one ``Fraction`` per nonzero entry; every key is kept."""
     return {key: {p: Fraction(x, scale) for p, x in comps.items() if x}
             for key, comps in data.items()}
 
@@ -326,21 +319,22 @@ def check_jacobi(alg):
 
     Returns a list of (i, j, k, sum_vector); empty iff alg is a Lie algebra.
     The sums run over the table scaled by L to integers, so each is L^2
-    times the true one.
+    times the true one.  A triple with no nonzero [e_a, e_b] is skipped.
     """
     table, scale = alg.int_bracket_data
     den = scale * scale
     empty = {}
     violations = []
     for i, j, k in combinations(range(alg.dim), 3):
-        s = [0] * alg.dim
         # [[e_a, e_b], e_c] = sum_p c_ab^p [e_p, e_c], read from the table
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for p, x in table.get((a, b), empty).items():
-                for r, y in table.get((p, c), empty).items():
-                    s[r] += x * y
-        if any(s):
-            violations.append((i, j, k, [Fraction(x, den) if x else Q0 for x in s]))
+        if (i, j) in table or (j, k) in table or (k, i) in table:
+            s = [0] * alg.dim
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for p, x in table.get((a, b), empty).items():
+                    for r, y in table.get((p, c), empty).items():
+                        s[r] += x * y
+            if any(s):
+                violations.append((i, j, k, [Fraction(x, den) if x else Q0 for x in s]))
     return violations
 
 
@@ -349,14 +343,14 @@ def ad_invariant(alg, form):
     iff every ad(e_i) is skew for B."""
     if form.dim != alg.dim:
         raise AlgebraError("form and algebra dimensions differ")
-    return next(skew_witnesses(alg.bracket_data, form), None) is None
+    return next(_skew(alg.int_bracket_data[0], form.int_rows[0]), None) is None
 
 
 # Identities on all basis tuples.  Operator fields and tensors are given as
 # ``geometry.Tensor`` data, {(i, j, ..): {p: coeff}}, so that
 # C_x e_q = sum_p op[(x, q)][p] e_p.  The kernels yield the failing index
-# tuples in loop order, so a verdict stops at the first one.  The two
-# inputs of a kernel are scaled to integers by one ``_integral`` call.
+# tuples in loop order, so a verdict stops at the first one.  Each kernel
+# reads integer views, one scale per input.
 
 def operator_data(mats):
     """The operator field x -> mats[x] in the sparse tensor format."""
@@ -367,20 +361,25 @@ def operator_data(mats):
 
 def skew_witnesses(op, form):
     """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
-    op, rows, _ = _integral(op, _rows(form.matrix))
-    empty = {}
+    return _skew(_integral(op)[0], form.int_rows[0])
+
+
+def _lowered(v, rows):
+    """{k: <v, e_k>} = sum_p v[p] rows[p], on ints."""
+    out = {}
+    for p, c in v.items():
+        for k, b in rows[p].items():
+            out[k] = out.get(k, 0) + c * b
+    return out
+
+
+def _skew(op, rows):
+    """``skew_witnesses`` on ints: the row m_j = <C_x e_j, .> of each
+    basis vector, each stored entry m_j[k] added to its transpose m_k[j]."""
     for x in sorted({key[0] for key in op}):
-        s = {}
-        for j in range(form.dim):
-            for p, c in op.get((x, j), empty).items():
-                for k, b in rows[p].items():
-                    # c b is a term of <C_x e_j, e_k> and, as the form is
-                    # symmetric, of <e_k, C_x e_j>
-                    s[j, k] = s.get((j, k), 0) + c * b
-                    s[k, j] = s.get((k, j), 0) + c * b
-        for j, k in sorted(s):
-            if s[j, k]:
-                yield (x, j, k)
+        m = [_lowered(op[x, j], rows) if (x, j) in op else {} for j in range(len(rows))]
+        yield from sorted({(x, *jk) for j, row in enumerate(m) for k, v in row.items()
+                           if v + m[k].get(j, 0) for jk in ((j, k), (k, j))})
 
 
 def _antisymmetric(tensor):
@@ -406,8 +405,12 @@ def derivation_witnesses(op, tensor, n):
     t_0 < t_1 are computed, and (x, z, y, ..) is yielded, in its place in
     the loop, when (x, y, z, ..) failed.  Any other S has every tuple
     computed."""
+    return _leibniz(_integral(op)[0], _integral(tensor)[0], n)
+
+
+def _leibniz(op, tensor, n):
+    """``derivation_witnesses`` on the int operator field and int tensor."""
     slots = len(next(iter(tensor), ()))  # 0 for an empty S: no witness
-    op, tensor, _ = _integral(op, tensor)
     empty = {}
     half = slots >= 2 and _antisymmetric(tensor)
     for x in sorted({key[0] for key in op}):

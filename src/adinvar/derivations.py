@@ -78,7 +78,7 @@ def _leibniz_rows(alg, offset=0):
 def _skew_rows(form, offset=0):
     """(B X + X^T B)_ij = 0 for i <= j, on the form scaled to integers."""
     n = form.dim
-    b, _ = _integral(_rows(form.matrix))
+    b, _ = form.int_rows
     for i in range(n):
         for j in range(i, n):
             row = Counter()

@@ -14,14 +14,14 @@ representation; the block checks, and every reader of beta* = ell^-1 beta
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
 from .core import (BilinearForm, Check, LieAlgebra, Subspace, _commutator_flat,
-                   _integral, _rows, ad_invariant, all_pass, check_jacobi,
-                   derivation_witnesses, operator_data, orthogonal_complement,
-                   skew_witnesses)
+                   _integral, _leibniz, _lowered, _rows, _skew, ad_invariant, all_pass,
+                   check_jacobi, operator_data, orthogonal_complement, skew_witnesses)
 from .geometry import Tensor
 from .linalg import Q0, Q1
 
@@ -71,31 +71,37 @@ class Representation:
                 for k in range(self.h.dim)]
 
     @cached_property
+    def int_ops(self):
+        """(op, scale): the operator field of the mats, scaled to ints once."""
+        return _integral(operator_data(self.mats))
+
+    @cached_property
+    def int_beta(self):
+        """({(a, b): {k: x}}, scale): <pi(h_k) e_a, e_b>_d = x / scale."""
+        (op, s), (rows, t) = self.int_ops, self.d_form.int_rows
+        out = {}
+        for (k, a), col in op.items():
+            for b, x in _lowered(col, rows).items():
+                out.setdefault((a, b), {})[k] = x
+        return out, s * t
+
+    @cached_property
     def beta_table(self):
-        """beta_table[a][b][k] = beta(e_a, e_b)[k] = (pi(h_k)^T g)[a][b],
-        one matrix product per h basis vector, built once."""
-        g = self.d_form.rows()
-        prods = [linalg.mat_mul(linalg.transpose(m), g) for m in self.mats]
-        nd = self.d.dim
-        return tuple(tuple(tuple(p[a][b] for p in prods) for b in range(nd))
-                     for a in range(nd))
+        """beta_table[a][b][k] = beta(e_a, e_b)[k] = (pi(h_k)^T g)[a][b]."""
+        (beta, s), nd, empty = self.int_beta, range(self.d.dim), {}
+        return tuple(tuple(tuple(Fraction(x, s) if (x := beta.get((a, b), empty).get(k)) else Q0
+                                 for k in range(self.h.dim)) for b in nd) for a in nd)
 
     def validate(self):
         """Names of violated construction invariants (empty = good data)."""
-        bad = []
-        if check_jacobi(self.d):
-            bad.append("d_not_lie_algebra")
-        if check_jacobi(self.h):
-            bad.append("h_not_lie_algebra")
-        if not self.d_form.nondegenerate:
-            bad.append("d_metric_degenerate")
-        if not ad_invariant(self.d, self.d_form):
-            bad.append("d_metric_not_ad_invariant")
-        if not ad_invariant(self.h, self.h_form):
-            bad.append("h_form_not_ad_invariant")
+        bad = [name for name, fails in (
+            ("d_not_lie_algebra", check_jacobi(self.d)),
+            ("h_not_lie_algebra", check_jacobi(self.h)),
+            ("d_metric_degenerate", not self.d_form.nondegenerate),
+            ("d_metric_not_ad_invariant", not ad_invariant(self.d, self.d_form)),
+            ("h_form_not_ad_invariant", not ad_invariant(self.h, self.h_form))) if fails]
         names = self.h.names
-        for fault, *at in _action_faults(self.mats, self.h, self.d_form,
-                                         self.d.bracket_data):
+        for fault, *at in _action_faults(self.int_ops, self.h, self.d_form, self.d):
             if fault == "homomorphism":
                 bad.append(f"pi_not_homomorphism({names[at[0]]},{names[at[1]]})")
             else:
@@ -116,33 +122,26 @@ def _combination(mats, coeffs, n):
     return out
 
 
-def _action_faults(mats, h, form, bracket_data):
-    """Where the operators mats[i] of the h basis vectors fail to be an
-    action of h by skew derivations of (bracket_data, form), in order:
-    ("skew", i) and ("derivation", i) for each i, then
-    ("homomorphism", i, j) for each pair i < j.
-
-    The skew and derivation sweeps each run once over the whole family.
-    The homomorphism test compares [M_i, M_j] with sum_k c_ij^k M_k on
-    sparse int rows, all the operators and the bracket of h scaled by one
-    ``_integral`` call, made only when h has a pair."""
-    n = form.dim
-    op = operator_data(mats)
-    bad = {("skew", x) for x, *_ in skew_witnesses(op, form)}
-    bad |= {("derivation", x) for x, *_ in derivation_witnesses(op, bracket_data, n)}
-    for i in range(len(mats)):
+def _action_faults(ops, h, form, alg):
+    """Where the operators M_i of the h basis vectors, the int operator
+    field op of s M_i in ops = (op, s), fail to be an action of h by skew
+    derivations of (alg, form), in order: ("skew", i) and ("derivation", i)
+    for each i, then ("homomorphism", i, j) for each pair i < j.  Each
+    sweep runs once over the whole family.  The columns of s M_i are the
+    rows of s M_i^T, and with the bracket of h scaled by t, [M_i, M_j] =
+    sum_k c_ij^k M_k iff t [sM_i^T, sM_j^T] + s sum_k (t c_ij^k)(s M_k^T) = 0."""
+    (op, s), (bracket, t), n = ops, h.int_bracket_data, form.dim
+    bad = {("skew", x) for x, *_ in _skew(op, form.int_rows[0])}
+    bad |= {("derivation", x) for x, *_ in _leibniz(op, alg.int_bracket_data[0], n)}
+    for i in range(h.dim):
         yield from (f for f in (("skew", i), ("derivation", i)) if f in bad)
-    if h.dim < 2:
-        return
-    # the operators and the bracket of h scaled by one s: [sM_i, sM_j] and
-    # sum_k (s c_ij^k)(s M_k) are s^2 times the two sides
-    *ints, bracket, _ = _integral(*map(_rows, mats), h.bracket_data)
+    ints = [{q: op.get((i, q), {}) for q in range(n)} for i in range(h.dim)]
     for i, j in combinations(range(h.dim), 2):
-        out = _commutator_flat(ints[i], ints[j])
+        out = [t * x for x in _commutator_flat(ints[i], ints[j])]
         for k, c in bracket.get((i, j), {}).items():
             for p, row in ints[k].items():
                 for q, x in row.items():
-                    out[p * n + q] -= c * x
+                    out[p * n + q] += s * c * x
         if any(out):
             yield "homomorphism", i, j
 
@@ -209,24 +208,20 @@ def _assemble_double(rep):
     for (i, m), comps in rep.h.bracket_data.items():
         for k, c in comps.items():
             table.setdefault((i, hs + k), {})[hs + m] = -c
-    table.update(_d_pairs(rep, nh, hs, list))
+    table.update(_d_pairs(rep, nh, hs, {k: {k: 1} for k in range(nh)}, 1))
     g = LieAlgebra(n, _joined_names(rep.h.names + rep.d.names, rep.h.names), table)
     if check_jacobi(g):
         raise ExtensionError("constructed bracket violates Jacobi")
 
-    forms = []
-    for c in (Q1, -Q1):  # Q and Q_minus: c<,>_h + <,>_d + the pairing of h, h*
-        m = [list(r) for r in _block_sum(_block_sum(
-            linalg.mat_scale(c, rep.h_form.rows()), rep.d_form.matrix),
-            linalg.zeros(nh, nh))]
+    forms = []  # Q and Q_minus: +-<,>_h + <,>_d + the pairing of h, h*
+    for h_rows in (rep.h_form.matrix, [[-x for x in row] for row in rep.h_form.matrix]):
+        m = [list(r) for r in _block_sum(_block_sum(h_rows, rep.d_form.matrix),
+                                         linalg.zeros(nh, nh))]
         for i in range(nh):
             m[i][hs + i] = m[hs + i][i] = Q1
         forms.append(BilinearForm(m))
     q, q_minus = forms
-    # skewness is linear in the form: Q and Q_minus are ad-invariant iff Q
-    # and their sparse difference, 2<,>_h on the h x h block, are
-    diff = BilinearForm(linalg.mat_sub(q.rows(), q_minus.rows()))
-    if not (ad_invariant(g, q) and ad_invariant(g, diff)):
+    if not (ad_invariant(g, q) and ad_invariant(g, q_minus)):
         raise ExtensionError("constructed metric is not ad-invariant")
 
     _check_blocks(g.table, nh)
@@ -256,14 +251,17 @@ def _check_blocks(table, nh):
         raise ExtensionError("d + h* is not an ideal")
 
 
-def _d_pairs(rep, d0, h0, hstar):
+def _d_pairs(rep, d0, h0, mix, scale):
     """[e_a, e_b] for a < b in an algebra where d starts at d0 and h* at h0:
-    the bracket of d plus the nonzero entries of hstar(beta(e_a, e_b))."""
-    table = {}
+    the bracket of d plus the nonzero entries of M beta(e_a, e_b), for mix
+    the int rows {j: {k: x}} of scale M, summed on ``int_beta``."""
+    (beta, s), table = rep.int_beta, {}
     for a, b in combinations(range(rep.d.dim), 2):
         comps = {d0 + p: x for p, x in rep.d.table.get((a, b), {}).items()}
-        comps.update((h0 + k, x)
-                     for k, x in enumerate(hstar(rep.beta_table[a][b])) if x)
+        if v := beta.get((a, b)):
+            for j, row in mix.items():
+                if x := sum(y * v.get(k, 0) for k, y in row.items()):
+                    comps[h0 + j] = Fraction(x, s * scale)
         if comps:
             table[d0 + a, d0 + b] = comps
     return table
@@ -317,8 +315,7 @@ def build_gd(rep):
     nh, nd = rep.h.dim, rep.d.dim
     w = rep.h_form.rows()
     winv = linalg.inverse(w)
-
-    table = _d_pairs(rep, 0, nd, lambda beta: linalg.mat_vec(winv, beta))
+    table = _d_pairs(rep, 0, nd, *_integral(_rows(winv)))
     alg = LieAlgebra(nd + nh, _joined_names(rep.d.names, rep.h.names), table)
     if check_jacobi(alg):
         raise ExtensionError("constructed bracket violates Jacobi")
@@ -342,28 +339,33 @@ def _block_sum(a, b):
 def _verify_gd(gd):
     """Construction-time identities: the metric blocks, h* central, (cm),
     mu properties, lambda isometry."""
-    alg, metric = gd.L, gd.metric
-    nd, nh = gd.nd, gd.nh
+    alg, metric, nd = gd.L, gd.metric, gd.nd
     if metric.matrix != _block_sum(gd.rep.d_form.matrix, gd.rep.h_form.matrix):
         raise ExtensionError("metric is not <,>_d + <,>_h")
     if any(j >= nd for _, j in alg.table):
         raise ExtensionError("h* is not central")
-    # the metric is the block sum, so <h_k*, [e_a, e_b]> reads its h* block
-    # and the h* part of the bracket
-    h_block = [row[nd:] for row in metric.matrix[nd:]]
+    # <h_k*, [e_a, e_b]> = beta(e_a, e_b)[k]: on the int views, s t times it
+    (br, s), (rows, t) = alg.int_bracket_data, metric.int_rows
     for a, b in product(range(nd), repeat=2):
-        hstar = alg.basis_bracket(a, b)[nd:]
-        if linalg.mat_vec(h_block, hstar) != list(gd.beta_table[a][b]):
-            raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
-    fault = next(_action_faults(gd.mu_mats, gd.rep.h, metric, alg.bracket_data), None)
+        low = _lowered(br.get((a, b), {}), rows)
+        for k, beta in enumerate(gd.beta_table[a][b]):
+            if low.get(nd + k, 0) * beta.denominator != beta.numerator * s * t:
+                raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
+    fault = next(_action_faults(_integral(operator_data(gd.mu_mats)), gd.rep.h, metric, alg),
+                 None)
     if fault is not None:
         raise ExtensionError({"skew": "mu(h) is not metric-skew",
                               "derivation": "mu(h) is not a derivation",
                               "homomorphism": "mu is not a homomorphism"}[fault[0]])
-    lam = lambda_matrix(gd)
-    if linalg.mat_mul(linalg.transpose(lam), linalg.mat_mul(
-            gd.double.Q_minus.rows(), lam)) != metric.rows():
-        raise ExtensionError("lambda is not a linear isometry")
+    # lambda^T Q_minus lambda = metric: the columns of lambda scaled by u and
+    # Q_minus by w make each entry u^2 w times its value, the metric t times
+    cols, u = _integral(_rows(linalg.transpose(lambda_matrix(gd))))
+    q_rows, w = gd.double.Q_minus.int_rows
+    for i, ci in cols.items():
+        low = _lowered(ci, q_rows)
+        if any(sum(low.get(p, 0) * y for p, y in cj.items()) * t != rows[i].get(j, 0) * u * u * w
+               for j, cj in cols.items()):
+            raise ExtensionError("lambda is not a linear isometry")
 
 
 def lambda_matrix(gd):

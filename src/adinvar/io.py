@@ -22,7 +22,7 @@ class SpecFormatError(Exception):
         super().__init__(message if where is None else f"{where}: {message}")
 
 
-_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 # The largest dimension of an algebra file and of a builder's double h + d + h*.
 # Checking the Jacobi identity costs about n^5 integer operations on a dense
@@ -32,14 +32,14 @@ MAX_DIM = 24
 
 
 def parse_rational(value, where=""):
-    """An integer or a string 'n' or 'p/q' of ASCII digits; decimals,
-    exponents and other digits, such as '0.5', '1e3' and '١/٢', which
-    Fraction would accept, are refused."""
-    if (isinstance(value, (bool, float))
-            or isinstance(value, str) and not _RATIONAL.fullmatch(value.strip())):
+    """An integer or a string 'n' or 'p/q' of ASCII digits, read off the
+    match; decimals, exponents and other digits, such as '0.5', '1e3' and
+    '١/٢', which Fraction would accept, are refused."""
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value.strip())
+    if isinstance(value, (bool, float)) or isinstance(value, str) and not match:
         raise SpecFormatError(f"rational must be an integer or 'p/q' string, got {value!r}", where)
     try:
-        return Fraction(value)
+        return Fraction(int(match[1]), int(match[2] or 1)) if match else Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SpecFormatError(f"bad rational {value!r}: {exc}", where)
 
@@ -93,8 +93,8 @@ def load_algebra_dict(doc, where="algebra"):
             raise SpecFormatError(f"bracket indices must satisfy i < j, got ({i},{j})", loc)
         c = parse_rational(value, loc)
         if c != 0:
-            table.setdefault((i - 1, j - 1), {})
-            table[(i - 1, j - 1)][k - 1] = table[(i - 1, j - 1)].get(k - 1, Q0) + c
+            comps = table.setdefault((i - 1, j - 1), {})
+            comps[k - 1] = comps[k - 1] + c if k - 1 in comps else c
     try:
         alg = LieAlgebra(dim, names, table)
     except AlgebraError as exc:
@@ -125,19 +125,12 @@ def load_algebra_dict(doc, where="algebra"):
 
 
 def dump_algebra_dict(alg, form=None):
-    doc = {"dim": alg.dim, "names": list(alg.names)}
-    brackets = []
-    for (i, j) in sorted(alg.table):
-        for k in sorted(alg.table[(i, j)]):
-            brackets.append([i + 1, j + 1, k + 1, rational_str(alg.table[(i, j)][k])])
-    doc["brackets"] = brackets
+    doc = {"dim": alg.dim, "names": list(alg.names),
+           "brackets": [[i + 1, j + 1, k + 1, rational_str(comps[k])]
+                        for (i, j), comps in sorted(alg.table.items()) for k in sorted(comps)]}
     if form is not None:
-        metric = []
-        for i in range(alg.dim):
-            for j in range(i, alg.dim):
-                if form.matrix[i][j] != 0:
-                    metric.append([i + 1, j + 1, rational_str(form.matrix[i][j])])
-        doc["metric"] = metric
+        doc["metric"] = [[i + 1, j + 1, rational_str(x)] for i, row in enumerate(form.matrix)
+                         for j, x in enumerate(row[i:], i) if x != 0]
     return doc
 
 

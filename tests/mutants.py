@@ -4,10 +4,12 @@ Each entry replaces one exact snippet of one module.  The script applies
 each mutant alone to a temporary copy of the project (``src/``, ``tests/``,
 ``bench/`` and ``pyproject.toml``), never to the working tree, runs the
 entry's pytest selection there with ``-x``, and prints killed or
-survived.  It exits nonzero if a mutant survives that is not listed as
-equivalent, or if a selection does not run.
+survived.  It exits 1 if a mutant survives that is not listed as
+equivalent, or if a selection does not run.  Named entries run alone, so
+a change can re-run the mutants of the code it touches without the whole
+catalogue; a name that is not in the catalogue exits 2 before any run.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
 Pytest does not collect this file.  ``tests/test_mutants_catalogue.py``
 checks that every snippet occurs exactly once in its module, so a change
@@ -42,14 +44,38 @@ CLI = "tests/test_cli.py::"
 CATALOGUE = (
     # _action_faults sweeps each operator family once
     Mutant("action_faults-no_derivation_sweep", "extension.py",
-           '    bad |= {("derivation", x) for x, *_ in derivation_witnesses(op, bracket_data, n)}\n',
+           '    bad |= {("derivation", x) for x, *_ in _leibniz(op, alg.int_bracket_data[0], n)}\n',
            "", (EXT + "test_validate_reports_each_fault_of_a_family_in_order",)),
     Mutant("action_faults-derivation_before_skew", "extension.py",
            '(("skew", i), ("derivation", i))', '(("derivation", i), ("skew", i))',
            (EXT + "test_validate_matches_the_loops_on_nudged_pi",)),
     Mutant("action_faults-homomorphism_sign", "extension.py",
-           "out[p * n + q] -= c * x", "out[p * n + q] += c * x",
+           "out[p * n + q] += s * c * x", "out[p * n + q] -= s * c * x",
            (EXT + "test_action_faults_scales_each_family_once",)),
+    Mutant("action_faults-homomorphism_without_scale", "extension.py",
+           "out = [t * x for x in _commutator_flat(ints[i], ints[j])]",
+           "out = _commutator_flat(ints[i], ints[j])",
+           (EXT + "test_sparse_assembly_matches_the_dense_one_on_generated_reps",)),
+    # the two sweeps that validate leans on, and the integer construction
+    Mutant("skew-no_transpose_term", "core.py",
+           "if v + m[k].get(j, 0)", "if v",
+           ("tests/test_core.py::test_ad_invariant_corpus_doubles_and_corruptions",)),
+    Mutant("jacobi-one_cyclic_term_dropped", "core.py",
+           "for a, b, c in ((i, j, k), (j, k, i), (k, i, j))",
+           "for a, b, c in ((i, j, k), (j, k, i))",
+           ("tests/test_core.py::test_check_jacobi_matches_the_bracket_loop",)),
+    Mutant("beta_table-one_scale_only", "extension.py",
+           "return out, s * t", "return out, s",
+           (EXT + "test_beta_table_is_the_cocycle_on_basis_pairs",)),
+    Mutant("lambda_congruence-without_scale", "extension.py",
+           "* t != rows[i].get(j, 0) * u * u * w", "!= rows[i].get(j, 0)",
+           (EXT + "test_verify_gd_accepts_fractional_forms_under_a_dense_change_of_basis",)),
+    Mutant("cm_relation-sign", "extension.py",
+           "!= beta.numerator * s * t:", "!= -beta.numerator * s * t:",
+           (EXT + "test_verify_gd_accepts_built_algebras",)),
+    Mutant("loader-repeated_entry_overwrites", "io.py",
+           "comps[k - 1] = comps[k - 1] + c if k - 1 in comps else c", "comps[k - 1] = c",
+           ("tests/test_io.py::test_repeated_bracket_entries_add_up",)),
     # linalg.coordinates and the (h | m) split of extension that reads it
     Mutant("coordinates-independence_by_rank", "linalg.py",
            "if pivots[:k] != list(range(k)):", "if len(pivots) < k:",
@@ -189,10 +215,15 @@ def run(mutant):
             stderr=subprocess.DEVNULL).returncode
 
 
-def main():
+def main(names):
+    known = {m.name: m for m in CATALOGUE}
+    if unknown := [name for name in names if name not in known]:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in names] or CATALOGUE
     bad = 0
     start = time.perf_counter()
-    for m in CATALOGUE:
+    for m in chosen:
         code = run(m)
         verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
         if code == 0 and m.equivalent:
@@ -200,9 +231,9 @@ def main():
         elif code != 1:
             bad += 1
         print(f"{verdict:<10} {m.name}", flush=True)
-    print(f"{len(CATALOGUE)} mutants, {bad} not killed, {time.perf_counter() - start:.0f} s")
+    print(f"{len(chosen)} mutants, {bad} not killed, {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -7,10 +7,11 @@ rebinds one of them fails here instead of in a benchmark run, and so
 does a ``cli.main`` that dispatches around the module-level ``cmd_*``
 functions the harness counts, also after it has run once untraced.
 
-The sweeps over basis tuples, the construction checks of ``validate``,
-the geometry routes, the matrix-algebra commutators, the commuting rows
-of ``so_aut`` and ``intertwiners_skew``, the Killing form, the
-signatures and the centre run on integers; the harness's ``FractionCounter`` checks here that no
+The sweeps over basis tuples, the construction path (the loader,
+``validate``, ``double_extend`` and ``build_gd``), the geometry routes,
+the matrix-algebra commutators, the commuting rows of ``so_aut`` and
+``intertwiners_skew``, the Killing form, the signatures and the centre
+run on integers; the harness's ``FractionCounter`` checks here that no
 ``Fraction`` arithmetic comes back into them.
 """
 
@@ -25,12 +26,13 @@ from pathlib import Path
 import adinvar
 from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
                      center, check_jacobi, corpus_build, curvature, curvature_gd,
-                     derivation_algebra, derived_series, inner_derivations,
+                     derivation_algebra, double_extend, derived_series, inner_derivations,
                      intertwiners_skew, killing_form, lambda_matrix, levi_civita,
                      levi_civita_gd, lower_central_series, nilmanifold_t_formula,
                      skew_derivations, so_aut, t_tensor, verify_as)
 from adinvar.cli import main
 from adinvar.homstructure import nabla_tilde_closed
+from adinvar.io import dump_builder_dict, load_builder_dict
 from conftest import conjugated_rep, torus_rep
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -130,9 +132,7 @@ def test_sweeps_make_no_fraction_arithmetic():
 def test_construction_checks_and_so_aut_make_no_fraction_arithmetic():
     """Representation.validate (its skew, derivation and homomorphism
     tests of pi on an h with a pair), so_aut and intertwiners_skew on a
-    two-torus under a dense change of basis add and multiply only ints.
-    build_gd as a whole is not counted: it forms ell^-1, the beta table
-    and the lambda congruence in Fractions."""
+    two-torus under a dense change of basis add and multiply only ints."""
     counter = _bench_layers().FractionCounter
     rep = conjugated_rep(torus_rep([1, 2]), 3)
     gd = build_gd(rep)
@@ -145,6 +145,27 @@ def test_construction_checks_and_so_aut_make_no_fraction_arithmetic():
         assert so_aut(gd).dim > 0
         assert intertwiners_skew(rep.mats, rep.d_form).dim > 0
     assert count.count == 0
+
+
+def test_construction_path_makes_no_fraction_arithmetic():
+    """load_builder_dict, Representation.validate, double_extend and
+    build_gd, each called whole on its own freshly loaded builder (no
+    integer view cached), on gH and on a two-torus under a dense change of
+    basis, add and multiply only ints: ell^-1, the beta table, Q, Q_minus,
+    the cm relation and the lambda congruence included."""
+    counter = _bench_layers().FractionCounter
+    for rep in (conjugated_rep(corpus_build("gH").rep, 3),
+                conjugated_rep(torus_rep([1, 2]), 3)):
+        doc = dump_builder_dict(rep)
+        reps = [load_builder_dict(doc) for _ in range(3)]
+        with counter() as count:
+            assert load_builder_dict(doc) == rep
+        assert count.count == 0
+        for run in (lambda: reps[0].validate() == [], lambda: double_extend(reps[1]),
+                    lambda: build_gd(reps[2])):
+            with counter() as count:
+                assert run()
+            assert count.count == 0, run
 
 
 def test_routes_make_no_fraction_arithmetic():

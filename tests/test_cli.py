@@ -624,6 +624,149 @@ def test_dense_derivations_reports_match_the_digests(name, dense_corpus, capsys)
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
+# sha256 of the file NAME.json that `gd --emit` writes from the corpus
+# builder under `conjugated_rep(rep, 5)`, then of `gd`, `extend`, `series` and
+# `verify-as NAME_builder.json --json` and of `check` and `geometry NAME.json
+# --json`, run in the directory of `dense_corpus` (the reports name the file
+# they read): the construction of d + h* and of the double on dense rationals
+DENSE_CONSTRUCTION_SHA256 = {
+    "a12": (
+        "b86d79a41106a5293fa3f03e503c466882a51898263568f1c66c7c268b3f5000",
+        "a72ffce3da07aa7e353d73c8cf6b637629931ee4335c49513974c72d131d67e5",
+        "074ecdc32f9df2f9cb446f9015c26553e06ca39c045d8815c11607f163cbecb6",
+        "bb645ae782713c980d07392c1b0b4e3f978f7782af6dfb71335a3f74f9571554",
+        "cef9844158410a6fd63532e35a67839b78545e35174e6396e2fd87ce4bc5680d",
+        "038bfd7fb92e8b8cf52ead54a9eecea98c62dec6138b1ab5ee0dc4f264a40fc2",
+        "7010e39059ae3dc613ba4396041a65e3ebe5e86ab97fb90599dd1bb6a4bb2dfe",
+    ),
+    "gE": (
+        "7a46e84894a0d75dc5e8b612753a2c4cb1b54e3b322c2a511947089df0e12d29",
+        "7fd21134ed0010f116677dc7ff1563dabdf9772340c64a19517a4f206593ee3f",
+        "2bc882dfd2a74ac40eabbe1ce3dda26372410419b6f32450e368ad563b991796",
+        "46056b2d000a58de7cd9cafe6f401916110c7fef482babc7a2fbff0ddec5d914",
+        "a58fc5371038ae9b438e13a25dba07dd7b1f13cdedcc423c43699ffbff43e7e8",
+        "bc9753a89dbe9213897c5e0c81a9ce7e13023c587bf03e51e336d27eac662603",
+        "c9e17fa5f1ca0045b9e6a6256f7df1d339c623175a6df2ebd3a6b4566d501256",
+    ),
+    "gF": (
+        "8ce55e2235c07fad6b80e0bc7854b39e02177d9b55ccd612058d58be536d6666",
+        "7f4c02296d5b34930a2f8d484207509cb8577f4a6b1596c9d2931c038d780768",
+        "2e159d3a3ef400624c978189537b08b2a7bfedfb8a116b3ac13b53ca30e33958",
+        "bda97bf9ed8b1f59f11cc2cb205d23c32ab46c7081231c46d2cb58cb32fab07a",
+        "980a6aa311993c08cf3a74695107147f6516a7d8fbc06b5bc1319405ee80bd5d",
+        "e225557b4d527449d634fb252fcecab0cf9a1d13f5736354526973b41888825c",
+        "2b41ed92a3a312c2ab3c0e690d3a5642072d5b28429f3ca3f6c9c048992b6b2e",
+    ),
+    "gH": (
+        "7b870fb0aa44143b59f942dc8c79e3de699765a33f67af991420795f6f92da88",
+        "f53c99b91f3a1846b87ea9a3bcb676b07f3057dc8e1705cab337558a4a87e681",
+        "6760300aef2c344437c4fa3a7350a8d7398a2d07156ddf94a24543b700e2b42d",
+        "96b31b746809f6a7f652f36294e42c254d6d5278e4090589271ec2aa73b8c523",
+        "66b1943ec56b287c12d41acc66f22b111a9f9049649b517afddef1674e6472fa",
+        "f0b985fcc3bd5fd2feb1a7e351176e775e4e9e8012ecf18f19e047e4c53c916e",
+        "94c1d3e207c792bb24f56da81603fd64707d41c19bbcba89905edce461e2674f",
+    ),
+    "h3_metric_0": (
+        "7249cb6b75f48cf1974e657a65935bea92abc8297d7fba486218b88c77d41e6c",
+        "a9b8746a315a12d4d110702114802c0660abdadbf00d1b83643a4c88923d0a3d",
+        "bfd3b552a53d7f8a07744ec9c456236ab2cd75639a30805eae860c901ee153d4",
+        "5c2260331ebbc8898ae56c8f6d75a0f42cbdac053cd214c988b0dd85ccd27150",
+        "a36f4437003ea55ffc16f5fff1d7ea1f656e80862676c3bfad0de73b0d5156d7",
+        "4e0e84c3fc4f557aff8a4ce36c07e05b8330dd19e11f7ab19458aad89c006f3f",
+        "8a781bf6686a055aecbaf8cfcb48e328b7dc4db4537ade2adc58ec29581358ce",
+    ),
+    "h3_metric_1": (
+        "aa572a27e04bd80f1a086de8288aede406c79db21ee3efb642eabba7773fb74c",
+        "2ed4536ae75faf1d23566983475fb38d232dd24a641386ca5b601e1a1fac1643",
+        "6245479f5f9ee0b8f5ff4de33a7adf232189538da0824477c226f2d4aa503483",
+        "7ba4887441ee4834d5ca7e554d65c3661be531f987792ab93ff1076625d4d981",
+        "1d2183fde99e53e6e8a98917c5614755dcd1eeebcbf56ec20f84ba62d1a592b5",
+        "c901679e3a5b611f4e1e35c5737efa60c2845c83d5769e9f292415ac67359cb7",
+        "7b86da7d1204f1e474a15e686aa0cb504e7ef6d374f84c34f0a9db0eaf94cbab",
+    ),
+    "h3_metric_2": (
+        "8a7e288bfaaf19f8abc756616b4d22714b42b38867ca82f6dfc97d721774d1ef",
+        "4f1fd500b7503751d4b20ad5c302fe1c2e0bcffb35986b3df28350a6e85c64b7",
+        "b6d280194fee6ec00687ba0edd6ade46f4eaa170fe7e1e64569941def2c2d3d9",
+        "9834af0d079d823bdda9f66440219801ad8eae8278485718862b612e5dae96e0",
+        "61882c6f17f652d6154ef80a71db0450836c896b34e05113dd8dcd173e0138e5",
+        "e42d99ef471b463de826ad65a999d510390720d73afb1077f4842202437dcb3a",
+        "41474e3d7f66502040282204d339fe507478955d60224b262460c1108f154d48",
+    ),
+    "h3_metric_3": (
+        "a1d7fb20bba98b3d6aa2922ac591d0ccd9559e5f34d59620a1fbed4c91846e58",
+        "2840286f435e17f0ecd376226f8b54f87ef9fa194b9d822908354ad1bcda4bd2",
+        "7e6ad05dd6f8fcfdd96c06abd53efb9c82562103e9741e82f764e67c88709073",
+        "4918e4444db27646c6a615be2b36499c445b47960af54c44b1441181bf85ceab",
+        "5689d577c6ff8725a4f2be8e0375d006a349fb447f6003fc17166030b4c035a3",
+        "61793872635a6d69f8e003206e0a022f56f94311e4594b157a130db211f8f8b9",
+        "a25aaa6412c09754abe93cae59b8eccafa87bdf31d4be62dee8602a46af475b5",
+    ),
+    "nilmanifold_demo": (
+        "d3eb65135f59cfefb2527e536348bb4450ba6cf1ca9210113b78e51857183b89",
+        "41038500f6c939c1cc8997f406d7e8ba9b4e49030630804c7b13666742b6d50e",
+        "db52b9eb7d0518273bc823ea3dfee4767ed06b5a0be93c23527bc0e33e703036",
+        "fc47c3d9faedae4814ed58dc2f5e18160c9adfe3b4b5415834a467acd4bc3961",
+        "53b951b07510b32884e0f103b8538ccac2dc652dabc7e78ba3379c3bbb245ffd",
+        "b02881818478463ab225a1c4c88ca99297152f81eff350359a1ec2c06a7f61c6",
+        "3a18d4f43245513f8987f38be70fb8fff5af31bfcea8a9487ba166c9c5645d11",
+    ),
+    "oscillator": (
+        "7249cb6b75f48cf1974e657a65935bea92abc8297d7fba486218b88c77d41e6c",
+        "6f67ffc0b79de4b780091572d6122ed578b35975deacb552b1542e9de998ea18",
+        "ba2e10410a25cceedafd4d0c58074bd43c03934b41e72d0fb27dd55e2bf495c6",
+        "6d14cae54cb82d9a9ff84add4c88a1d6ddfebdbb3023a605cafcf67198e1fcf1",
+        "8ddbfcb50a896c3259f861aa88499f204961d11c588f5a08c340f2268b73f7e8",
+        "c7f8ebfd5a7ca6e1a9e896d3561a669d41c85bb5e30fb0c199493e9c3f5cee70",
+        "fc91baef406471b5b99e5bf2f96da3752be11b337ce59dd2f7c3f8decb6548a8",
+    ),
+    "rpq_1_1": (
+        "8a7e288bfaaf19f8abc756616b4d22714b42b38867ca82f6dfc97d721774d1ef",
+        "90c7b189da8c3fee9b17cac2bfc796a39a694fce94214b7d3ac19d17149b174b",
+        "38d671892e5fb19793ed69fb46f3374e47db99ec9cceccd4a3e907cd27210645",
+        "e8b24a668eaef04c9b4bb452b98949edf0da3bbc0106e6d5070066e9cfb43ffb",
+        "0ae3b06a5fe2588de4a0a36e203afe491c57f48760a3b3f65f6f0acec3d31036",
+        "ede03dcda0e4c5b7402653718c159ab7e719b92134996bda5fba21a546da9374",
+        "f73f54bc7d315219ce2c9c9202b0857f76a8ee379d09ed25da5d96bf1277ceb6",
+    ),
+    "rpq_2_0": (
+        "7249cb6b75f48cf1974e657a65935bea92abc8297d7fba486218b88c77d41e6c",
+        "d43484e80e17617511566666f2bf5cbe9d3585d6d2bfa5c84e463b4d6ee3e240",
+        "64fcc84dde5c2ed29b377d3449a225e9439bd5fe6c1514aa925effc0f4f0a15d",
+        "2ad93ab51ac186f48d359c9c019c50bf1fb776a11b058b90b6a95308b57ededc",
+        "ce71510a27b934bc9b49a3f73405de7ce6e6b9c920202ea8abe295f8a1307794",
+        "7f9e429f83cb14a64fa229d5500788865711b805d79a8b0a6db53244767d2479",
+        "efa5768284dbf82092883afe247f39cd8864249bd4356bd7387b9d939da48174",
+    ),
+    "rpq_2_2": (
+        "9b4113fa89bd95578e1be4b2e10d6788a6f074859e23d5199b3f19f0166bba2b",
+        "8333a8a76a34859b58ab6cf4c76a6e1f61490cb2d84fd836c6f212f8c503bab9",
+        "917a3f467f1a63815de9ba42f1f20d8a5080338d12192848339f3ab752d88282",
+        "e22dd4295dcd45f2c0d23c3f1c61c2fe1b713f1556dc85bfc8821f7665b0214a",
+        "ad849d49fe40c0a6ca9affeb0e31f401a5889387fb001ce2ee5121ff18871d4c",
+        "2308726d89fb1b2c879efcea52387972dc8b346d5e73ff4ca0c5f30e257c553c",
+        "a1f3bdeca53dbb2825d6609d0006e1afa107f9aed79fd50cebf87c23bb4e6b08",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_dense_construction_reports_match_the_digests(name, dense_corpus, capsys,
+                                                      monkeypatch):
+    """The d + h* that gd writes from every corpus builder under a dense
+    change of basis, and the gd, extend, series, verify-as, check and
+    geometry reports on it and on its builder, keep their bytes."""
+    monkeypatch.chdir(dense_corpus)
+    emitted, *want = DENSE_CONSTRUCTION_SHA256[name]
+    assert hashlib.sha256((dense_corpus / f"{name}.json").read_bytes()).hexdigest() == emitted
+    calls = [(cmd, f"{name}_builder.json") for cmd in ("gd", "extend", "series", "verify-as")]
+    calls += [(cmd, f"{name}.json") for cmd in ("check", "geometry")]
+    for argv, digest in zip(calls, want, strict=True):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 # sha256 of `check NAME.json --json`, `geometry NAME.json --json` and
 # `verify-as NAME_builder.json --json`, run in the directory of the files
 # of `corpus all --emit` (the reports name the file they read)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -63,6 +64,19 @@ def test_jacobi_violation_located():
 def test_antisymmetric_storage_enforced():
     with pytest.raises(AlgebraError):
         LieAlgebra(2, ("a", "b"), {(1, 0): {0: 1}})
+
+
+def test_form_refuses_the_first_asymmetric_entry():
+    """Equal entries pass whether or not they are one object; the first
+    (i, j) with j < i, in row order, where the matrix differs from its
+    transpose is named."""
+    assert BilinearForm(((F(1, 2), F(2, 3)), (F(4, 6), 0))).matrix[1][0] == F(2, 3)
+    for rows, at in ((((1, 2, 0), (3, 1, 5), (0, 4, 1)), "(1,0)"),
+                     (((1, 2, 0), (2, 1, 5), (0, 4, 1)), "(2,1)")):
+        with pytest.raises(AlgebraError, match=re.escape(f"form is not symmetric at {at}")):
+            BilinearForm(rows)
+    with pytest.raises(AlgebraError, match="not square"):
+        BilinearForm(((1, 2), (2,)))
 
 
 def test_ad_invariant():

@@ -18,7 +18,7 @@ from adinvar.core import skew_witnesses
 from adinvar.extension import KostantResult, SplitResult, _verify_gd
 from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
-                      so3_block_reps, so3_rep, torus_rep, torus_reps)
+                      so3_block_rep, so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
 from test_corpus import _count_calls
 
@@ -370,6 +370,15 @@ def test_verify_gd_accepts_built_algebras():
         _verify_gd(gd)
 
 
+def test_verify_gd_accepts_fractional_forms_under_a_dense_change_of_basis():
+    """The cm relation and the lambda congruence compare int sums, each
+    scaled by the denominators of its own inputs: so(3) on two blocks with
+    fractional metrics, <,>_h = 5/3 diag(1, 1, 1) included, and gH, each
+    under a dense change of basis of d, pass."""
+    for rep in (so3_block_rep([F(1, 2), F(-3)], F(5, 3)), lemma_rep("H")):
+        _verify_gd(build_gd(conjugated_rep(rep, 5)))
+
+
 def test_verify_gd_rejects_mu_entry_that_breaks_skewness():
     for gd in _gd_inputs():
         n = gd.L.dim
@@ -558,26 +567,37 @@ def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
     assert broken.validate() == _validate_loops(broken)
 
 
+def _fresh(alg, form):
+    """Copies of alg and form with no integer view cached yet."""
+    return LieAlgebra(alg.dim, alg.names, alg.table), BilinearForm(form.matrix)
+
+
 def _pi_family(rep):
-    return rep.mats, rep.h, rep.d_form, rep.d.bracket_data
+    (d, d_form), (h, _) = _fresh(rep.d, rep.d_form), _fresh(rep.h, rep.h_form)
+    return replace(rep, h=h, d=d, d_form=d_form).int_ops, h, d_form, d
 
 
 def _mu_family(rep):
     gd = build_gd(rep)
-    return gd.mu_mats, rep.h, gd.metric, gd.L.bracket_data
+    (alg, metric), (h, _) = _fresh(gd.L, gd.metric), _fresh(rep.h, rep.h_form)
+    return core._integral(core.operator_data(gd.mu_mats)), h, metric, alg
 
 
 @pytest.mark.parametrize("family", [_pi_family, _mu_family])
 @pytest.mark.parametrize("rep", [so3_rep, lambda: conjugated_rep(torus_rep([1, 2, 3]), 5)],
                          ids=["so3", "dense_torus3"])
 def test_action_faults_scales_each_family_once(family, rep, monkeypatch):
-    """One skew sweep and one Leibniz sweep over the whole family, and one
-    scaling for the homomorphism test: three ``_integral`` calls for a
-    three-dimensional h, not one pair of sweeps per operator."""
+    """The operators come scaled once for the whole family; each run makes
+    one skew sweep and one Leibniz sweep over all of them, not a pair per
+    operator; and the form, the bracket and the bracket of h are scaled
+    once each, by the views cached on them, however many runs read them."""
     args = family(rep())
-    calls = _count_calls(monkeypatch, core, "_integral")
-    assert list(extension._action_faults(*args)) == []
-    assert len(calls) == 3
+    integral = _count_calls(monkeypatch, core, "_integral")
+    sweeps = [_count_calls(monkeypatch, core, name) for name in ("_skew", "_leibniz")]
+    for _ in range(2):
+        assert list(extension._action_faults(*args)) == []
+    assert len(integral) == 3
+    assert [len(calls) for calls in sweeps] == [2, 2]
 
 
 def test_validate_reports_each_fault_of_a_family_in_order():

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from adinvar import build_gd, corpus_build, double_extend
 from adinvar.io import (MAX_DIM, SpecFormatError, dump_algebra_dict,
@@ -17,6 +17,50 @@ def test_parse_rational():
     for bad in (1.5, "x", None, "1/0"):
         with pytest.raises(SpecFormatError):
             parse_rational(bad)
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["", " ", "\t", "\n ", "\u2003"]), st.sampled_from(["", "+", "-"]),
+       st.sampled_from(["", "0", "000"]), DIGITS,
+       st.none() | st.tuples(st.sampled_from(["", "0", "00"]), DIGITS.filter(
+           lambda s: s.strip("0"))), st.sampled_from(["", " ", "\r\n"]))
+def test_parse_rational_equals_fraction_on_valid_strings(left, sign, zeros, num, den, right):
+    """'n' and 'p/q' with a sign, leading zeros and surrounding whitespace
+    parse to what Fraction makes of the same string."""
+    value = f"{left}{sign}{zeros}{num}{'' if den is None else '/' + ''.join(den)}{right}"
+    assert parse_rational(value) == F(value)
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+    (LONG, f"bad rational '{LONG}': Exceeds the limit (4300 digits) for integer string "
+           "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+           "increase the limit"),
+    ("0.5", "rational must be an integer or 'p/q' string, got '0.5'"),
+    ("\u0661/\u0662", "rational must be an integer or 'p/q' string, got '\u0661/\u0662'"),
+    ("1/-2", "rational must be an integer or 'p/q' string, got '1/-2'"),
+    (True, "rational must be an integer or 'p/q' string, got True"),
+    (1.5, "rational must be an integer or 'p/q' string, got 1.5"),
+], ids=["zero_denominator", "5000_digits", "decimal", "arabic_indic", "signed_denominator",
+        "bool", "float"])
+def test_parse_rational_refusals_keep_their_messages(value, message):
+    with pytest.raises(SpecFormatError) as exc:
+        parse_rational(value, "here")
+    assert str(exc.value) == f"here: {message}"
+
+
+def test_repeated_bracket_entries_add_up():
+    """Entries of one bracket component add up, and a sum of zero is no
+    entry; the first entry of a component is kept as it is."""
+    alg, _ = load_algebra_dict({"dim": 3, "brackets": [
+        [1, 2, 3, "1/2"], [1, 2, 1, 1], [1, 2, 3, "1/3"], [1, 2, 1, -1], [2, 3, 1, "2/4"]]})
+    assert alg.table == {(0, 1): {2: F(5, 6)}, (1, 2): {0: F(1, 2)}}
 
 
 def test_roundtrip_every_corpus_entry():
