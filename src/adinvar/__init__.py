@@ -4,14 +4,13 @@ naturally reductive structures, their geometry and automorphisms."""
 from .core import (AlgebraError, BilinearForm, Check, LieAlgebra,
                    SeriesResult, Subspace, ad_invariant, center, check_jacobi,
                    derivation_witnesses, derived_series, invariant_forms,
-                   is_ideal, is_subalgebra, kernel_of, killing_form,
+                   is_subalgebra, kernel_of, killing_form,
                    lower_central_series, orthogonal_complement,
                    restrict_to_subalgebra, skew_witnesses, totally_isotropic)
 from .extension import (DoubleExtension, ExtensionError, GdAlgebra,
                         KostantError, KostantResult, Representation,
                         SplitResult, build_gd, canonical_connection,
-                        double_extend, kostant_form, lambda_matrix,
-                        reductive_split)
+                        double_extend, kostant_form, reductive_split)
 from .geometry import (GeometryError, Tensor,
                        bi_invariant_connection_check,
                        bi_invariant_curvature_check, check_pair_symmetry,

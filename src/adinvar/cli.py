@@ -233,7 +233,7 @@ def cmd_corpus(args, report):
     try:
         entries = [corpus_build(n) for n in names]
     except KeyError as exc:
-        raise SpecFormatError(str(exc))
+        raise SpecFormatError(exc.args[0])
     built = [(entry, build_gd(entry.rep)) for entry in entries]
     for entry, gd in built:
         report["checks"] += [c._replace(name=f"{entry.name}.{c.name}")

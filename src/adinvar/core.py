@@ -74,16 +74,6 @@ class LieAlgebra:
                 raise AlgebraError("bracket component index out of range")
 
     @classmethod
-    def from_brackets(cls, dim, brackets, names=None):
-        """Build from {(i, j): {k: coeff}}; raises unless Jacobi holds."""
-        alg = cls(dim, names, brackets)
-        bad = check_jacobi(alg)
-        if bad:
-            i, j, k, _ = bad[0]
-            raise AlgebraError(f"Jacobi identity fails at triple ({i},{j},{k})")
-        return alg
-
-    @classmethod
     def abelian(cls, dim, names=None):
         return cls(dim, names, {})
 
@@ -212,10 +202,6 @@ class Subspace:
             raise AlgebraError("spanning vector has wrong length")
         reduced = linalg.rref(vectors)[0] if vectors else []
         return cls(ambient_dim, tuple(tuple(r) for r in reduced))
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim):
@@ -365,10 +351,11 @@ def skew_witnesses(op, form):
 
 
 def _lowered(v, rows):
-    """{k: <v, e_k>} = sum_p v[p] rows[p], on ints."""
-    out = {}
+    """{k: <v, e_k>} = sum_p v[p] rows[p], on ints: the sparse row v times
+    the sparse matrix rows, in which a missing row is zero."""
+    out, empty = {}, {}
     for p, c in v.items():
-        for k, b in rows[p].items():
+        for k, b in rows.get(p, empty).items():
             out[k] = out.get(k, 0) + c * b
     return out
 
@@ -465,11 +452,6 @@ def is_subalgebra(alg, sub):
     base = sub.basis()
     return sub.contains_all([alg.bracket(u, v)
                              for a, u in enumerate(base) for v in base[a + 1:]])
-
-
-def is_ideal(alg, sub):
-    basis = linalg.identity(alg.dim)
-    return sub.contains_all([alg.bracket(b, u) for b in basis for u in sub.basis()])
 
 
 def totally_isotropic(sub, form):

@@ -16,7 +16,7 @@ from math import lcm
 
 from . import linalg
 from .core import (AlgebraError, LieAlgebra, Subspace, _commutator_flat, _integral,
-                   _rows, center, derived_series, killing_form, lower_central_series)
+                   _lowered, _rows, center, derived_series, killing_form, lower_central_series)
 
 
 def _flatten(m):
@@ -44,15 +44,9 @@ class MatrixLieAlgebra:
     def dim(self):
         return len(self.basis)
 
-    def matrices(self):
-        return [[list(row) for row in m] for m in self.basis]
-
     @cached_property
     def flat_subspace(self):
         return Subspace(self.n * self.n, tuple(tuple(_flatten(m)) for m in self.basis))
-
-    def contains(self, mat):
-        return self.flat_subspace.contains(_flatten(mat))
 
 
 # Each linear condition on a matrix unknown X (flattened row-major into the
@@ -103,15 +97,6 @@ def _commuting_rows(m, offset=0):
         for s, x in m[p].items():
             row[offset + s * n + q] -= x
         yield row
-
-
-def _times(v, m):
-    """The sparse row v {i: x} times the sparse matrix m {i: {j: y}}."""
-    out, empty = Counter(), {}
-    for i, x in v.items():
-        for j, y in m.get(i, empty).items():
-            out[j] += x * y
-    return out
 
 
 def _span(vectors, n):
@@ -180,8 +165,8 @@ def skew_part(der, form):
     for t, flat in flats.items():
         for col, x in flat.items():
             cols.setdefault(col, {})[t] = x
-    rows = [_times(row, cols) for row in _skew_rows(form)]
-    return _span([_times(c, flats) for c in linalg._kernel(rows, der.dim)], n)
+    rows = [_lowered(row, cols) for row in _skew_rows(form)]
+    return _span([_lowered(c, flats) for c in linalg._kernel(rows, der.dim)], n)
 
 
 def inner_derivations(alg):

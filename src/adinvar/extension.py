@@ -71,26 +71,25 @@ class Representation:
                 for k in range(self.h.dim)]
 
     @cached_property
+    def op_data(self):
+        """The operator field of the mats: op_data[i, b] = pi(h_i) e_b."""
+        return operator_data(self.mats)
+
+    @cached_property
     def int_ops(self):
-        """(op, scale): the operator field of the mats, scaled to ints once."""
-        return _integral(operator_data(self.mats))
+        """(op, scale): ``op_data`` scaled to ints once."""
+        return _integral(self.op_data)
 
     @cached_property
     def int_beta(self):
-        """({(a, b): {k: x}}, scale): <pi(h_k) e_a, e_b>_d = x / scale."""
+        """The cocycle, ({(a, b): {k: x}}, scale) with beta(e_a, e_b)[k] =
+        <pi(h_k) e_a, e_b>_d = x / scale."""
         (op, s), (rows, t) = self.int_ops, self.d_form.int_rows
         out = {}
         for (k, a), col in op.items():
             for b, x in _lowered(col, rows).items():
                 out.setdefault((a, b), {})[k] = x
         return out, s * t
-
-    @cached_property
-    def beta_table(self):
-        """beta_table[a][b][k] = beta(e_a, e_b)[k] = (pi(h_k)^T g)[a][b]."""
-        (beta, s), nd, empty = self.int_beta, range(self.d.dim), {}
-        return tuple(tuple(tuple(Fraction(x, s) if (x := beta.get((a, b), empty).get(k)) else Q0
-                                 for k in range(self.h.dim)) for b in nd) for a in nd)
 
     def validate(self):
         """Names of violated construction invariants (empty = good data)."""
@@ -155,8 +154,6 @@ class DoubleExtension:
     Q: BilinearForm
     Q_minus: BilinearForm
     h_sub: Subspace
-    d_sub: Subspace
-    hstar_sub: Subspace
     # what ``_assemble_double`` verifies, raising on a failure
     checks = tuple(Check(name, True) for name in (
         "jacobi", "Q_ad_invariant", "Q_minus_ad_invariant", "h_subalgebra",
@@ -169,20 +166,6 @@ class DoubleExtension:
     @property
     def nd(self):
         return self.rep.d.dim
-
-    def embed_h(self, v):
-        return list(v) + [Q0] * (self.nd + self.nh)
-
-    def embed_d(self, v):
-        return [Q0] * self.nh + list(v) + [Q0] * self.nh
-
-    def embed_dual(self, v):
-        """Embed a covector given in dual-basis coordinates."""
-        return [Q0] * (self.nh + self.nd) + list(v)
-
-    def split(self, w):
-        nh, nd = self.nh, self.nd
-        return list(w[:nh]), list(w[nh:nh + nd]), list(w[nh + nd:])
 
 
 def double_extend(rep):
@@ -203,7 +186,7 @@ def _assemble_double(rep):
     nh, nd = rep.h.dim, rep.d.dim
     hs, n = nh + nd, 2 * nh + nd
     table = dict(rep.h.table)
-    for (i, b), col in operator_data(rep.mats).items():
+    for (i, b), col in rep.op_data.items():
         table[i, nh + b] = {nh + p: x for p, x in col.items()}
     for (i, m), comps in rep.h.bracket_data.items():
         for k, c in comps.items():
@@ -229,8 +212,7 @@ def _assemble_double(rep):
     if q.signature != (sd[0] + nh, sd[1] + nh, sd[2]):
         raise ExtensionError("signature relation violated")
     eye = tuple(map(tuple, linalg.identity(n)))  # unit rows are reduced
-    return DoubleExtension(rep, g, q, q_minus, Subspace(n, eye[:nh]),
-                           Subspace(n, eye[nh:hs]), Subspace(n, eye[hs:]))
+    return DoubleExtension(rep, g, q, q_minus, Subspace(n, eye[:nh]))
 
 
 def _joined_names(plain, dual):
@@ -274,7 +256,6 @@ class GdAlgebra:
     rep: Representation
     L: LieAlgebra
     metric: BilinearForm
-    beta_table: tuple  # beta_table[a][b][k] = <pi(h_k) e_a, e_b>_d
     ell: tuple         # matrix of ell: h -> h* in dual-basis coords (= <,>_h)
     ell_inv: tuple     # its inverse, computed once per algebra
     mu_mats: tuple     # mu of each h basis vector, operators on d + h*
@@ -302,6 +283,17 @@ class GdAlgebra:
         """Embed an h vector through ell; f-coordinates equal h-coordinates."""
         return [Q0] * self.nd + list(hc)
 
+    @cached_property
+    def lambda_columns(self):
+        """lambda: d + h* -> m inside the double extension h + d + h*, as
+        sparse columns {i: {p: x}}, the images of the (d | h*) basis:
+        e_a -> e_a, and h_k* -> h_k + ell(h_k) in dual-basis coordinates."""
+        nh, nd = self.nh, self.nd
+        cols = {a: {nh + a: Q1} for a in range(nd)}
+        for k, row in enumerate(self.ell):
+            cols[nd + k] = {k: Q1} | {nh + nd + j: x for j, x in enumerate(row) if x}
+        return cols
+
 
 def build_gd(rep):
     """The naturally reductive algebra on d + h*; needs <,>_h nondegenerate."""
@@ -324,7 +316,7 @@ def build_gd(rep):
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
     # h* in the ell basis
     mu_mats = tuple(_block_sum(rep.mats[k], rep.h.ad(k)) for k in range(nh))
-    gd = GdAlgebra(rep, alg, metric, rep.beta_table, tuple(map(tuple, w)),
+    gd = GdAlgebra(rep, alg, metric, tuple(map(tuple, w)),
                    tuple(map(tuple, winv)), mu_mats, dbl)
     _verify_gd(gd)
     return gd
@@ -345,12 +337,13 @@ def _verify_gd(gd):
     if any(j >= nd for _, j in alg.table):
         raise ExtensionError("h* is not central")
     # <h_k*, [e_a, e_b]> = beta(e_a, e_b)[k]: on the int views, s t times it
-    (br, s), (rows, t) = alg.int_bracket_data, metric.int_rows
+    # on the left, v times it in int_beta
+    (br, s), (rows, t), (beta, v) = alg.int_bracket_data, metric.int_rows, gd.rep.int_beta
+    empty = {}
     for a, b in product(range(nd), repeat=2):
-        low = _lowered(br.get((a, b), {}), rows)
-        for k, beta in enumerate(gd.beta_table[a][b]):
-            if low.get(nd + k, 0) * beta.denominator != beta.numerator * s * t:
-                raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
+        low, want = _lowered(br.get((a, b), empty), rows), beta.get((a, b), empty)
+        if any(low.get(nd + k, 0) * v != want.get(k, 0) * s * t for k in range(gd.nh)):
+            raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
     fault = next(_action_faults(_integral(operator_data(gd.mu_mats)), gd.rep.h, metric, alg),
                  None)
     if fault is not None:
@@ -359,26 +352,13 @@ def _verify_gd(gd):
                               "homomorphism": "mu is not a homomorphism"}[fault[0]])
     # lambda^T Q_minus lambda = metric: the columns of lambda scaled by u and
     # Q_minus by w make each entry u^2 w times its value, the metric t times
-    cols, u = _integral(_rows(linalg.transpose(lambda_matrix(gd))))
+    cols, u = _integral(gd.lambda_columns)
     q_rows, w = gd.double.Q_minus.int_rows
     for i, ci in cols.items():
         low = _lowered(ci, q_rows)
         if any(sum(low.get(p, 0) * y for p, y in cj.items()) * t != rows[i].get(j, 0) * u * u * w
                for j, cj in cols.items()):
             raise ExtensionError("lambda is not a linear isometry")
-
-
-def lambda_matrix(gd):
-    """Matrix of lambda: d + h* -> m inside the double extension.
-
-    lambda(x + h*) = (h, x, h*); columns are images of the (d | h*) basis.
-    """
-    cols = [gd.double.embed_d(unit) for unit in linalg.identity(gd.nd)]
-    for k, row in enumerate(gd.ell):  # (h_k, 0, ell(h_k))
-        col = gd.double.embed_dual(row)
-        col[k] = Q1
-        cols.append(col)
-    return linalg.transpose(cols)
 
 
 @dataclass(frozen=True)

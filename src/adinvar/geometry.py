@@ -25,8 +25,7 @@ from itertools import product
 from math import prod
 
 from . import linalg
-from .core import (BilinearForm, _integral, _rational, _rows, is_subalgebra,
-                   operator_data)
+from .core import BilinearForm, _integral, _rational, _rows, is_subalgebra
 from .linalg import Q0, Q1
 
 
@@ -146,7 +145,7 @@ def gd_tensor(gd, dd, left, right, hstar):
     """
     nd, n = gd.nd, gd.L.dim
     data = dict(dd)  # the other blocks use other keys
-    for (k, b), col in operator_data(gd.rep.mats).items():
+    for (k, b), col in gd.rep.op_data.items():
         for key, c in (((nd + k, b), left), ((b, nd + k), right)):
             if c:
                 data[key] = {p: _product(c, x) for p, x in col.items()}
@@ -167,7 +166,7 @@ def d_bracket_half(gd):
 def beta_star(gd):
     """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, as {(a, b): {k: coeff}}
     for every pair of d indices, zero pairs included: the h* part of the
-    bracket of ``gd.L``, which cm_relation checks against ``gd.beta_table``."""
+    bracket of ``gd.L``, which cm_relation checks against ``rep.int_beta``."""
     nd, br = gd.nd, gd.L.bracket_data
     return {(a, b): {k - nd: x for k, x in br.get((a, b), {}).items() if k >= nd}
             for a, b in product(range(nd), repeat=2)}
@@ -208,9 +207,9 @@ def curvature(gamma, alg):
 def curvature_gd(gd):
     """Block formulas for the curvature of the d + h* algebra.
 
-    Reads only stored construction data: the operators ``gd.rep.mats`` (as
-    columns) and the bracket tables of d, h and ``gd.L``, whose h* part is
-    beta* (``beta_star``).  It never builds or reads a connection, so it
+    Reads only stored construction data: the operator columns
+    ``gd.rep.op_data`` and the bracket tables of d, h and ``gd.L``, whose h*
+    part is beta* (``beta_star``).  It never builds or reads a connection, so it
     stays a check of ``curvature`` independent of the Koszul and definition
     routes.  With beta*(x,y) = ell^-1 beta(x,y) in h, x, y, z in d:
 
@@ -231,7 +230,7 @@ def curvature_gd(gd):
     empty = {}
     # pi[k, b] = pi(h_k) e_b
     pi, d_br, l_br, h_br, bstar, s = _integral(
-        operator_data(gd.rep.mats), gd.rep.d.bracket_data, gd.L.bracket_data,
+        gd.rep.op_data, gd.rep.d.bracket_data, gd.L.bracket_data,
         gd.rep.h.bracket_data, beta_star(gd))
     pib = {}  # pib[a, b, c] = pi(beta*(e_a, e_b)) e_c, once per pair (a, b)
     for (a, b), hv in bstar.items():

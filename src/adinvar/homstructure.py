@@ -23,8 +23,7 @@ from .core import (Check, _integral, _rational, _rows, all_pass,
                    derivation_witnesses, skew_witnesses)
 from .geometry import (Tensor, _product, add_scaled, beta_star, curvature_gd,
                        d_bracket_half, gd_tensor, levi_civita_gd)
-from .extension import lambda_matrix
-from .linalg import Q1, transpose
+from .linalg import Q1
 
 
 class HomStructureError(Exception):
@@ -51,8 +50,8 @@ def _t_via_lambda(gd):
     # is s^3 times the bracket of the lambda images, and each part of it
     # gains one more factor s (ell^-1 on the h* part, s itself on the d
     # part), so every sum is 2 s^4 times T
-    lam, ellinv, br, s = _integral(_rows(transpose(lambda_matrix(gd))),
-                                   _rows(gd.ell_inv), gd.double.g.bracket_data)
+    lam, ellinv, br, s = _integral(gd.lambda_columns, _rows(gd.ell_inv),
+                                   gd.double.g.bracket_data)
     empty = {}
     data = {}
     for i, j in product(range(n), repeat=2):

@@ -15,7 +15,7 @@ SO3_BRACKETS = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
 
 
 def h3_algebra():
-    return LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
+    return LieAlgebra(3, None, {(0, 1): {2: 1}})
 
 
 def h3_rep(d_diag, mat, zsign):
@@ -57,11 +57,10 @@ def so3_block_rep(scales, h_scale, perm=None, h_units=(1, 1, 1)):
                           for i, si in perm))
     diag = [scales[i // 3] for i, _ in perm]
     return Representation(
-        LieAlgebra.from_brackets(
-            3, {(i, j): {k: F(h_units[i] * h_units[j]) / h_units[k] * c
-                         for k, c in comps.items()}
-                for (i, j), comps in SO3_BRACKETS.items()},
-            names=("L1", "L2", "L3")),
+        LieAlgebra(3, ("L1", "L2", "L3"),
+                   {(i, j): {k: F(h_units[i] * h_units[j]) / h_units[k] * c
+                             for k, c in comps.items()}
+                    for (i, j), comps in SO3_BRACKETS.items()}),
         BilinearForm.diagonal([h_scale * u * u for u in h_units]),
         LieAlgebra.abelian(n), BilinearForm.diagonal(diag), tuple(mats))
 

@@ -64,15 +64,22 @@ CATALOGUE = (
            "for a, b, c in ((i, j, k), (j, k, i), (k, i, j))",
            "for a, b, c in ((i, j, k), (j, k, i))",
            ("tests/test_core.py::test_check_jacobi_matches_the_bracket_loop",)),
-    Mutant("beta_table-one_scale_only", "extension.py",
+    Mutant("int_beta-one_scale_only", "extension.py",
            "return out, s * t", "return out, s",
-           (EXT + "test_beta_table_is_the_cocycle_on_basis_pairs",)),
+           (EXT + "test_int_beta_is_the_cocycle_on_basis_pairs",)),
     Mutant("lambda_congruence-without_scale", "extension.py",
            "* t != rows[i].get(j, 0) * u * u * w", "!= rows[i].get(j, 0)",
            (EXT + "test_verify_gd_accepts_fractional_forms_under_a_dense_change_of_basis",)),
+    Mutant("lambda_columns-ell_part_one_column_off", "extension.py",
+           "{nh + nd + j: x for j, x in enumerate(row) if x}",
+           "{nh + nd + j - 1: x for j, x in enumerate(row) if x}",
+           (EXT + "test_lambda_is_isometry",)),
     Mutant("cm_relation-sign", "extension.py",
-           "!= beta.numerator * s * t:", "!= -beta.numerator * s * t:",
+           "!= want.get(k, 0) * s * t", "!= -want.get(k, 0) * s * t",
            (EXT + "test_verify_gd_accepts_built_algebras",)),
+    Mutant("cm_relation-without_int_beta_scale", "extension.py",
+           "low.get(nd + k, 0) * v != ", "low.get(nd + k, 0) != ",
+           (EXT + "test_verify_gd_accepts_fractional_forms_under_a_dense_change_of_basis",)),
     Mutant("loader-repeated_entry_overwrites", "io.py",
            "comps[k - 1] = comps[k - 1] + c if k - 1 in comps else c", "comps[k - 1] = c",
            ("tests/test_io.py::test_repeated_bracket_entries_add_up",)),
@@ -174,11 +181,11 @@ CATALOGUE = (
     Mutant("default_names-from_zero", "core.py",
            'f"e{i + 1}" for i in range(self.dim)', 'f"e{i}" for i in range(self.dim)',
            (CLI + "test_gd_and_extend_emit_loadable_files",)),
-    # the Jacobi refusal of from_brackets and the one renderer of reports
-    Mutant("from_brackets-no_jacobi_refusal", "core.py",
-           "        bad = check_jacobi(alg)\n        if bad:\n",
-           "        bad = []\n        if bad:\n",
-           ("tests/test_core.py::test_jacobi_violation_located",)),
+    # the Jacobi refusal of the construction data and the one renderer of
+    # reports
+    Mutant("validate-no_d_jacobi_refusal", "extension.py",
+           '("d_not_lie_algebra", check_jacobi(self.d)),', '("d_not_lie_algebra", []),',
+           (CLI + "test_gd_and_extend_refuse_each_invalid_part",)),
     Mutant("finish-report_without_default_str", "cli.py",
            "write_json(args.report, report, indent=2, sort_keys=True, default=str)",
            "write_json(args.report, report, indent=2, sort_keys=True)",

@@ -1,4 +1,5 @@
-"""The names the benchmark harness wraps must exist in the package.
+"""The names the benchmark harness wraps must exist in the package, every
+exported name must have a reader, and every name README cites must exist.
 
 ``bench/layers.py`` wraps the functions listed in ``LAYERS`` by name, and
 ``bench/selftest.py`` requires ``ad_invariant`` to be one function bound
@@ -13,12 +14,19 @@ the matrix-algebra commutators, the commuting rows of ``so_aut`` and
 ``intertwiners_skew``, the Killing form, the signatures and the centre
 run on integers; the harness's ``FractionCounter`` checks here that no
 ``Fraction`` arithmetic comes back into them.
+
+A name that ``adinvar`` exports feeds a command, the corpus or the
+benchmark: something in ``src/adinvar`` or ``bench/`` reads it, or it is
+one of the few listed below that wait for a reader.
 """
 
+import ast
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -27,7 +35,7 @@ import adinvar
 from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
                      center, check_jacobi, corpus_build, curvature, curvature_gd,
                      derivation_algebra, double_extend, derived_series, inner_derivations,
-                     intertwiners_skew, killing_form, lambda_matrix, levi_civita,
+                     intertwiners_skew, killing_form, levi_civita,
                      levi_civita_gd, lower_central_series, nilmanifold_t_formula,
                      skew_derivations, so_aut, t_tensor, verify_as)
 from adinvar.cli import main
@@ -35,7 +43,19 @@ from adinvar.homstructure import nabla_tilde_closed
 from adinvar.io import dump_builder_dict, load_builder_dict
 from conftest import conjugated_rep, torus_rep
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "bench" / "layers.py"
+MODULES = ("cli", "core", "corpus", "derivations", "extension", "geometry",
+           "homstructure", "io", "linalg", "series")
+# Exported names that nothing in src/adinvar or bench/ reads: the paper
+# identities, which wait for a command that runs them, and the solvers
+# that the acceptance criteria read.
+UNREAD_EXPORTS = frozenset((
+    "sectional_gd_closed", "ricci_gd_closed", "nabla_tilde_closed", "check_pair_symmetry",
+    "bi_invariant_connection_check", "bi_invariant_curvature_check", "totally_geodesic",
+    "geodesic_one_param", "equivalence_check", "canonical_connection",
+    "invariant_forms", "restrict_to_subalgebra", "skew_derivations"))
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _bench_layers():
@@ -99,6 +119,81 @@ def test_commands_run_before_the_tracer_are_counted_under_it(tmp_path):
 def test_ad_invariant_is_one_binding():
     assert adinvar.extension.ad_invariant is adinvar.core.ad_invariant
     assert adinvar.ad_invariant is adinvar.core.ad_invariant
+
+
+def _names_in(paths, strings):
+    """The names the Python files read: each loaded name and attribute,
+    and, with strings, each part of a string constant that is a dotted
+    identifier (``bench/layers.py`` wraps its functions by such names)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and IDENTIFIER.fullmatch(node.value)):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_exported_name_has_a_reader():
+    """Each name in ``adinvar.__all__`` is read in src/adinvar, outside the
+    package's ``__init__``, or in bench/, or waits on UNREAD_EXPORTS."""
+    src = [p for p in sorted((ROOT / "src" / "adinvar").glob("*.py")) if p.name != "__init__.py"]
+    read = _names_in(src, False) | _names_in(sorted((ROOT / "bench").glob("*.py")), True)
+    assert sorted(set(adinvar.__all__) - read - UNREAD_EXPORTS) == []
+
+
+def _resolves(dotted):
+    """None unless the head of the dotted name is ``adinvar``, one of its
+    modules or an exported name; else whether each part is an attribute
+    of the one before, or a field of a dataclass."""
+    parts = dotted.split(".")
+    if parts[0] == "adinvar":
+        obj, parts = adinvar, parts[1:]
+    elif parts[0] in MODULES:
+        obj, parts = importlib.import_module(f"adinvar.{parts[0]}"), parts[1:]
+    elif parts[0] in adinvar.__all__:
+        obj = adinvar
+    else:
+        return None
+    for part in parts:
+        if dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            return part == parts[-1]
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_readme_cites_exists():
+    """Every backticked name README cites, outside its list of removed
+    names, exists: a dotted name that starts at the package, a module or
+    an exported name resolves attribute by attribute, and a bare private
+    name (``_integral``) or snake_case name (``int_beta``) is a name the
+    package's code reads or defines."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = text[:text.index("Removed public names:")] + text[text.index("Basis conventions:"):]
+    src = sorted((ROOT / "src" / "adinvar").glob("*.py"))
+    known = _names_in(src, True) | {
+        node.name for path in src for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    missing = []
+    for token in re.findall(r"`([^`\n]+)`", text):
+        name = re.fullmatch(r"([A-Za-z_][\w.]*)(?:\(.*\))?", token)
+        if not name:
+            continue
+        name = name.group(1)
+        if "." in name:
+            if _resolves(name) is False:
+                missing.append(name)
+        elif name.startswith("_") or (name.islower() and "_" in name and all(
+                len(part) > 1 for part in name.split("_"))):
+            if name not in known and not hasattr(adinvar, name):
+                missing.append(name)
+    assert missing == []
 
 
 def test_sweeps_make_no_fraction_arithmetic():
@@ -172,8 +267,9 @@ def test_routes_make_no_fraction_arithmetic():
     """The connection, curvature and T routes, build_hom_structure, the
     derivation solvers, the containments of their spans, killing_form,
     the signatures of the forms and the centres on gH under a dense
-    change of basis add and multiply only ints.  ell^-1 and the beta
-    table are built by build_gd, before the count starts."""
+    change of basis add and multiply only ints, and so does forming the
+    lambda columns of a copy of gd.  ell^-1 and int_beta are built by
+    build_gd, before the count starts."""
     counter = _bench_layers().FractionCounter
     gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
     dbl = gd.double
@@ -189,7 +285,7 @@ def test_routes_make_no_fraction_arithmetic():
         t_tensor(gd)
         nabla_tilde_closed(gd)
         nilmanifold_t_formula(gd)
-        lambda_matrix(gd)
+        replace(gd).lambda_columns
         assert build_hom_structure(gd).nabla_tilde == nabla_tilde_closed(gd)
         der = derivation_algebra(gd.L)
         skew = skew_derivations(gd.L, gd.metric)

@@ -1248,6 +1248,15 @@ def test_corpus_refuses_input_it_would_ignore(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_corpus_refuses_an_unknown_entry(capsys):
+    """An entry name that is not in the registry exits 2 and prints the
+    message itself, not the repr of the KeyError that carries it."""
+    known = ", ".join(corpus_list())
+    for argv in (["corpus", "nosuch"], ["corpus", "nosuch", "--json"]):
+        assert run(capsys, *argv) == (
+            2, "", f"error: unknown corpus entry 'nosuch'; known: {known}\n"), argv
+
+
 def test_derivations_omits_skew_fields_for_a_degenerate_metric_file(tmp_path,
                                                                      capsys):
     """A --metric file whose metric is degenerate is taken, and the skew

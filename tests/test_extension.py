@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      Representation, Subspace, ad_invariant, build_gd,
                      canonical_connection, check_jacobi, corpus_build,
-                     corpus_list, double_extend, kostant_form, lambda_matrix,
+                     corpus_list, double_extend, kostant_form,
                      orthogonal_complement, reductive_split)
 from adinvar import core, corpus, extension, linalg
 from adinvar.core import skew_witnesses
 from adinvar.extension import KostantResult, SplitResult, _verify_gd
 from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
-                      so3_block_rep, so3_block_reps, so3_rep, torus_rep, torus_reps)
+                      indefinite_abelian_reps, nilpotent_reps, so3_block_rep,
+                      so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
 from test_corpus import _count_calls
 
@@ -56,7 +57,8 @@ def test_double_extend_trivial_action():
     dbl = double_extend(rep)
     assert not dbl.g.table  # abelian
     # hyperbolic pairing between h and h*
-    assert dbl.Q.apply(dbl.embed_h([F(1), F(0)]), dbl.embed_dual([F(1), F(0)])) == 1
+    eye = linalg.identity(6)  # (h | d | h*), two vectors each
+    assert dbl.Q.apply(eye[0], eye[4]) == 1
     assert dbl.Q.signature == (2, 4, 0)
 
 
@@ -69,7 +71,7 @@ def test_double_extend_rejects_bad_pi():
         double_extend(rep)
     assert any("not_skew" in v for v in exc.value.violations)
 
-    h3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}})
+    h3 = LieAlgebra(3, None, {(0, 1): {2: 1}})
     not_derivation = ((0, 0, 0), (0, 0, -1), (0, 1, 0))
     rep = Representation(
         LieAlgebra.abelian(1), BilinearForm.diagonal([1]),
@@ -128,27 +130,28 @@ def test_mu_coadjoint_nonabelian():
             assert mu[3 + p][3 + q] == adl1[p][q]
 
 
+def _lambda_images(gd):
+    """lambda(e_i) for each basis vector e_i of d + h*, as dense vectors of
+    the double extension, read off the lambda columns."""
+    n = gd.double.g.dim
+    return [[col.get(p, F(0)) for p in range(n)] for col in gd.lambda_columns.values()]
+
+
 def test_lambda_is_isometry(oscillator_rep):
     gd = build_gd(oscillator_rep)
-    lam = lambda_matrix(gd)
-    basis = linalg.identity(3)
-    for u in basis:
-        for v in basis:
-            lu, lv = linalg.mat_vec(lam, u), linalg.mat_vec(lam, v)
-            assert gd.double.Q_minus.apply(lu, lv) == gd.metric.apply(u, v)
+    lam = _lambda_images(gd)
+    for i, j in product(range(3), repeat=2):
+        assert gd.double.Q_minus.apply(lam[i], lam[j]) == gd.metric.matrix[i][j]
     # the h* basis vector maps to (z, 0, z*) with Q_minus norm -1+1+1 = 1
-    image = linalg.mat_vec(lam, basis[2])
-    assert image == [F(1), F(0), F(0), F(1)]
-    assert gd.double.Q_minus.apply(image, image) == 1
+    assert lam[2] == [F(1), F(0), F(0), F(1)]
+    assert gd.double.Q_minus.apply(lam[2], lam[2]) == 1
 
 
 def test_lambda_negative_z_sign():
     gd = build_gd(h3_rep([1, 1], T_PLUS, -1))
-    lam = lambda_matrix(gd)
-    image = linalg.mat_vec(lam, linalg.identity(3)[2])
+    image = _lambda_images(gd)[2]
     assert image == [F(1), F(0), F(0), F(-1)]
-    assert gd.double.Q_minus.apply(image, image) == -1 == gd.metric.apply(
-        linalg.identity(3)[2], linalg.identity(3)[2])
+    assert gd.double.Q_minus.apply(image, image) == -1 == gd.metric.matrix[2][2]
 
 
 def test_reductive_split_oscillator(oscillator_rep):
@@ -157,13 +160,12 @@ def test_reductive_split_oscillator(oscillator_rep):
     assert res.all_pass
     assert res.m.dim == 3
     for row in res.m.basis():
-        h_part, _, dual = dbl.split(row)
-        assert dual == h_part  # ell is the identity for <z,z> = 1
+        assert row[3:] == row[:1]  # (h | d | h*): ell is the identity for <z,z> = 1
 
 
 def test_reductive_split_trivial_h():
     dbl = double_extend(a12_rep())
-    res = reductive_split(dbl.g, dbl.Q, Subspace.zero(5))
+    res = reductive_split(dbl.g, dbl.Q, Subspace(5, ()))
     assert res.all_pass  # reduces to ad-invariance of Q
     assert res.m.dim == 5
 
@@ -181,7 +183,7 @@ def test_kostant_trivial_h():
     dbl = double_extend(a12_rep())
     m = Subspace.full(5)
     inner = dbl.Q
-    res = kostant_form(dbl.g, Subspace.zero(5), m, inner)
+    res = kostant_form(dbl.g, Subspace(5, ()), m, inner)
     assert res.all_pass
     assert res.gbar.dim == 5
     assert res.form.matrix == dbl.Q.matrix
@@ -231,7 +233,7 @@ def test_kostant_so3_reconstruction():
 
 def test_canonical_connection_abelian():
     g = LieAlgebra.abelian(3)
-    tor, cur = canonical_connection(g, Subspace.zero(3), Subspace.full(3))
+    tor, cur = canonical_connection(g, Subspace(3, ()), Subspace.full(3))
     assert all(tor.entry(i, j) == [F(0)] * 3 for i in range(3) for j in range(3))
     assert all(cur.entry(i, j, k) == [F(0)] * 3
                for i in range(3) for j in range(3) for k in range(3))
@@ -256,8 +258,7 @@ def test_canonical_connection_oscillator(oscillator_rep):
 
 def test_canonical_connection_symmetric_pair():
     # so(3) with h = span{L3}: [m, m] lands in h, so the torsion vanishes
-    so3 = LieAlgebra.from_brackets(
-        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    so3 = LieAlgebra(3, None, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
     h = Subspace.span([[0, 0, 1]], 3)
     m = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
     tor, cur = canonical_connection(so3, h, m)
@@ -457,17 +458,31 @@ def test_verify_gd_rejects_a_bracket_with_an_hstar_argument():
                         _verify_gd(replace(gd, L=broken))
 
 
-def test_verify_gd_rejects_a_moved_beta_entry():
-    """One entry of beta_table moved, anywhere, no longer matches the h*
-    part of the bracket of d + h*: the cm relation refuses it."""
+def _assert_cm_refuses_each_moved_beta_entry(gd):
+    """Each h* component of each bracket [e_a, e_b] of d + h*, a < b,
+    moved by one no longer matches beta(e_a, e_b) = rep.int_beta: the cm
+    relation refuses it."""
     cm = re.escape("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
+    for ab, k in product(combinations(range(gd.nd), 2), range(gd.nh)):
+        table = {key: dict(v) for key, v in gd.L.table.items()}
+        comps = table.setdefault(ab, {})
+        comps[gd.nd + k] = comps.get(gd.nd + k, 0) + 1
+        with pytest.raises(ExtensionError, match=cm):
+            _verify_gd(replace(gd, L=LieAlgebra(gd.L.dim, gd.L.names, table)))
+
+
+def test_verify_gd_rejects_a_moved_beta_entry():
+    """On the corpus inputs and so(3)."""
     for gd in _gd_inputs() + [build_gd(so3_rep())]:
-        for a, b, k in product(range(gd.nd), range(gd.nd), range(gd.nh)):
-            beta = [[list(v) for v in row] for row in gd.beta_table]
-            beta[a][b][k] += 1
-            moved = tuple(tuple(map(tuple, row)) for row in beta)
-            with pytest.raises(ExtensionError, match=cm):
-                _verify_gd(replace(gd, beta_table=moved))
+        _assert_cm_refuses_each_moved_beta_entry(gd)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.one_of(indefinite_abelian_reps(), nilpotent_reps()))
+def test_verify_gd_rejects_a_moved_beta_entry_on_generated_reps(rep):
+    """On indefinite abelian and 3-step nilpotent d, plain and under a
+    dense change of basis: the cocycle and the forms have denominators."""
+    _assert_cm_refuses_each_moved_beta_entry(build_gd(rep))
 
 
 def test_block_checks_refuse_a_component_in_the_wrong_block():
@@ -703,7 +718,7 @@ def test_reductive_split_matches_the_triple_loop(name):
     assert outcomes == {None, "naturally reductive condition fails"}
 
 
-# -- the beta table against the cocycle evaluated pair by pair -------------
+# -- int_beta against the cocycle evaluated pair by pair -------------------
 
 def _beta_reps():
     reps = {name: corpus_build(name).rep for name in corpus_list()}
@@ -714,17 +729,17 @@ def _beta_reps():
     return reps
 
 
-def test_beta_table_is_the_cocycle_on_basis_pairs():
-    """beta_table[a][b] == beta(e_a, e_b) on the corpus, so(3), a permuted
-    torus and each of them under a dense change of basis of d; build_gd
-    keeps that same table."""
+def test_int_beta_is_the_cocycle_on_basis_pairs():
+    """int_beta divided by its scale is beta(e_a, e_b), evaluated densely,
+    on the corpus, so(3), a permuted torus and each of them under a dense
+    change of basis of d; its entries are ints."""
     for name, rep in _beta_reps().items():
-        unit = linalg.identity(rep.d.dim)
-        table = rep.beta_table
-        assert [[list(v) for v in row] for row in table] == [
-            [rep.beta(ea, eb) for eb in unit] for ea in unit], name
-        assert all(type(c) is F for row in table for v in row for c in v)
-        assert build_gd(rep).beta_table is table, name
+        unit, (beta, s) = linalg.identity(rep.d.dim), rep.int_beta
+        assert all(type(x) is int for v in beta.values() for x in v.values()), name
+        for a, b in product(range(rep.d.dim), repeat=2):
+            v = beta.get((a, b), {})
+            assert [F(v.get(k, 0), s) for k in range(rep.h.dim)] == rep.beta(
+                unit[a], unit[b]), name
 
 
 def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
@@ -861,8 +876,7 @@ def _split_inputs():
         gram = tuple(tuple(dbl.Q_minus.apply(u, v) for v in m.basis())
                      for u in m.basis())
         out[name] = (dbl.g, dbl.h_sub, m, BilinearForm(gram))
-    so3 = LieAlgebra.from_brackets(
-        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    so3 = LieAlgebra(3, None, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
     out["so3 / so2"] = (so3, Subspace.span([[0, 0, 1]], 3),
                         Subspace.span([[1, 0, 0], [0, 1, 0]], 3),
                         BilinearForm.diagonal([1, 1]))
@@ -878,8 +892,9 @@ def _split_inputs():
     for a, b in combinations(range(6), 2):
         c = linalg.commutator(units[a], units[b])
         table[a, b] = {k: c[i][j] for k, (i, j) in enumerate(idx) if c[i][j]}
-    eye = linalg.identity(6)
-    out["so4 / so3"] = (LieAlgebra.from_brackets(6, table),
+    eye, so4 = linalg.identity(6), LieAlgebra(6, None, table)
+    assert not check_jacobi(so4)
+    out["so4 / so3"] = (so4,
                         Subspace.span([eye[0], eye[1], eye[3]], 6),
                         Subspace.span([eye[2], eye[4], eye[5]], 6),
                         BilinearForm.diagonal([1, 1, 1]))
@@ -952,8 +967,7 @@ def test_split_refusals_match_the_oracles():
     second subspace that meets h, are refused by kostant_form and
     canonical_connection with the messages of the oracles; so(4) / so(3)
     with a form on m that is not invariant is refused by kostant_form."""
-    so3 = LieAlgebra.from_brackets(
-        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    so3 = LieAlgebra(3, None, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
     h = Subspace.span([[0, 0, 1]], 3)
     inner = BilinearForm.diagonal([1, 1])
     cases = [(Subspace.span([[1, 0, 0], [0, 1, 1]], 3),
@@ -1074,10 +1088,10 @@ def _block_vector(parts):
 
 
 def _dense_assembly(rep):
-    """The table, Q, Q_minus and block subspaces of the double extension,
-    and the table of d + h*, from one dense block vector per basis pair."""
+    """The table, Q, Q_minus and h block of the double extension, and the
+    table of d + h*, from one dense block vector per basis pair."""
     nh, nd = rep.h.dim, rep.d.dim
-    n = 2 * nh + nd
+    n, unit = 2 * nh + nd, linalg.identity(nd)
     table = {}
 
     def put(table, i, j, vec):
@@ -1099,7 +1113,7 @@ def _dense_assembly(rep):
             put(table, i, hs(k), _block_vector([[F(0)] * (nh + nd), cov]))
     for a, b in combinations(range(nd), 2):
         put(table, nh + a, nh + b, _block_vector(
-            [[F(0)] * nh, rep.d.basis_bracket(a, b), rep.beta_table[a][b]]))
+            [[F(0)] * nh, rep.d.basis_bracket(a, b), rep.beta(unit[a], unit[b])]))
 
     w = rep.h_form.rows()
     forms = []
@@ -1113,24 +1127,22 @@ def _dense_assembly(rep):
             for b in range(nd):
                 qm[nh + a][nh + b] = rep.d_form.matrix[a][b]
         forms.append(BilinearForm(tuple(tuple(r) for r in qm)))
-    eye = linalg.identity(n)
-    subs = (Subspace.span(eye[:nh], n), Subspace.span(eye[nh:nh + nd], n),
-            Subspace.span(eye[nh + nd:], n))
+    h_sub = Subspace.span(linalg.identity(n)[:nh], n)
 
     gd_table = {}
     winv = linalg.inverse(w)
     for a, b in combinations(range(nd), 2):
         put(gd_table, a, b, list(rep.d.basis_bracket(a, b))
-            + linalg.mat_vec(winv, rep.beta_table[a][b]))
-    return table, forms, subs, gd_table
+            + linalg.mat_vec(winv, rep.beta(unit[a], unit[b])))
+    return table, forms, h_sub, gd_table
 
 
 def _assert_sparse_assembly_is_the_dense_one(rep):
-    table, (q, q_minus), subs, gd_table = _dense_assembly(rep)
+    table, (q, q_minus), h_sub, gd_table = _dense_assembly(rep)
     dbl = double_extend(rep)
     assert dbl.g.table == table
     assert (dbl.Q, dbl.Q_minus) == (q, q_minus)
-    assert (dbl.h_sub, dbl.d_sub, dbl.hstar_sub) == subs
+    assert dbl.h_sub == h_sub
     assert build_gd(rep).L.table == gd_table
 
 

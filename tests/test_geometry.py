@@ -205,8 +205,7 @@ def _so3_inner_rep():
     """h = R acting on d = so(3) by the inner derivation ad(L3): d is not
     nilpotent, so its Killing form and trace(pi(h) ad x) do not vanish."""
     from adinvar import Representation, LieAlgebra
-    so3 = LieAlgebra.from_brackets(
-        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    so3 = LieAlgebra(3, None, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
     return Representation(
         LieAlgebra.abelian(1, names=("z",)), BilinearForm.diagonal([1]),
         so3, BilinearForm.diagonal([1, 1, 1]), (tuple(map(tuple, so3.ad(2))),))

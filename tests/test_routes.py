@@ -149,13 +149,13 @@ def t_direct_oracle(gd):
 
 
 def t_via_lambda_oracle(gd):
-    lam_cols = linalg.transpose(adinvar.lambda_matrix(gd))
-    dbl = gd.double
+    g, hs = gd.double.g, gd.nh + gd.nd
+    lam = [[col.get(p, 0) for p in range(g.dim)] for col in gd.lambda_columns.values()]
 
     def t(i, j):
-        _, dvec, dual = dbl.split(dbl.g.bracket(lam_cols[i], lam_cols[j]))
-        hc = linalg.mat_vec(gd.ell_inv, dual)
-        return linalg.vec_scale(Q1 / 2, list(dvec) + list(hc))
+        w = g.bracket(lam[i], lam[j])  # (h | d | h*)
+        hc = linalg.mat_vec(gd.ell_inv, w[hs:])
+        return linalg.vec_scale(Q1 / 2, w[gd.nh:hs] + hc)
 
     return Tensor.from_function(gd.L.dim, 2, t)
 

@@ -150,7 +150,7 @@ def test_center_is_z_plus_kernel_randomized():
 
 
 def test_beta_obstruction_matches_the_cocycle():
-    """The obstruction read from beta_table equals the span of
+    """The obstruction read off the h* parts of gd.L equals the span of
     ell^-1 beta(u, v) computed from pi and the metric of d."""
     from adinvar import corpus_build, corpus_list
     from adinvar.series import _beta_obstruction

@@ -221,5 +221,5 @@ def test_solvers_on_trivial_inputs():
     form = BilinearForm.diagonal([1, -1])
     assert intertwiners_skew([], form) == intertwiners_skew_oracle([], form)
     zero = MatrixLieAlgebra.from_matrices([], 2)
-    assert zero.contains(linalg.zeros(2, 2))
-    assert not zero.contains([[Q0, Q0], [Q0, linalg.Q1]])
+    assert zero.flat_subspace.contains([Q0] * 4)
+    assert not zero.flat_subspace.contains([Q0, Q0, Q0, linalg.Q1])
