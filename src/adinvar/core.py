@@ -361,12 +361,15 @@ def _lowered(v, rows):
 
 
 def _skew(op, rows):
-    """``skew_witnesses`` on ints: the row m_j = <C_x e_j, .> of each
-    basis vector, each stored entry m_j[k] added to its transpose m_k[j]."""
-    for x in sorted({key[0] for key in op}):
-        m = [_lowered(op[x, j], rows) if (x, j) in op else {} for j in range(len(rows))]
-        yield from sorted({(x, *jk) for j, row in enumerate(m) for k, v in row.items()
-                           if v + m[k].get(j, 0) for jk in ((j, k), (k, j))})
+    """``skew_witnesses`` on ints: the row m_j = <C_x e_j, .> of each stored
+    column, grouped by operator once; each m_j[k] is added to m_k[j]."""
+    cols, empty = {}, {}
+    for (x, j), col in op.items():
+        cols.setdefault(x, {})[j] = col
+    for x in sorted(cols):
+        m = {j: _lowered(col, rows) for j, col in cols[x].items()}
+        yield from sorted({(x, *jk) for j, row in m.items() for k, v in row.items()
+                           if v + m.get(k, empty).get(j, 0) for jk in ((j, k), (k, j))})
 
 
 def _antisymmetric(tensor):

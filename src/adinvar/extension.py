@@ -204,7 +204,8 @@ def _assemble_double(rep):
             m[i][hs + i] = m[hs + i][i] = Q1
         forms.append(BilinearForm(m))
     q, q_minus = forms
-    if not (ad_invariant(g, q) and ad_invariant(g, q_minus)):
+    # once Q passes, Q_minus is ad-invariant iff Q - Q_minus = 2 <,>_h on h x h is
+    if not ad_invariant(g, q) or any(_skew(g.int_bracket_data[0], rep.h_form.int_rows[0])):
         raise ExtensionError("constructed metric is not ad-invariant")
 
     _check_blocks(g.table, nh)

@@ -6,7 +6,8 @@ once from the Koszul formula / curvature definition (ground truth) and once
 from the block formulas of the d + h* algebras; tests pin exact equality.
 Every route builds ``Tensor.data`` directly, summing over the nonzero
 entries of the sparse data it reads (bracket tables, operator columns,
-the form rows, the columns of B^-1 and ell^-1);
+the form rows, the columns of B^-1 and ell^-1); the curvature routes
+scatter each stored entry to the keys of the terms it is a factor of.
 ``Tensor.from_function`` remains for test oracles and for
 ``bi_invariant_curvature_check``.
 
@@ -165,11 +166,11 @@ def d_bracket_half(gd):
 
 def beta_star(gd):
     """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, as {(a, b): {k: coeff}}
-    for every pair of d indices, zero pairs included: the h* part of the
+    for the pairs of d indices where it is nonzero: the h* part of the
     bracket of ``gd.L``, which cm_relation checks against ``rep.int_beta``."""
-    nd, br = gd.nd, gd.L.bracket_data
-    return {(a, b): {k - nd: x for k, x in br.get((a, b), {}).items() if k >= nd}
-            for a, b in product(range(nd), repeat=2)}
+    nd = gd.nd
+    return {ab: v for ab, comps in gd.L.bracket_data.items() if max(ab) < nd
+            if (v := {k - nd: x for k, x in comps.items() if k >= nd})}
 
 
 def levi_civita_gd(gd):
@@ -184,23 +185,32 @@ def levi_civita_gd(gd):
 
 def curvature(gamma, alg):
     """R(x,y)z = D_x D_y z - D_y D_x z - D_[x,y] z from a connection tensor,
-    summed over the nonzero entries of ``gamma.data`` and of the bracket.
+    scattered from the stored entries: with the connection indexed once by
+    each slot, the sum over p of c_p D_i e_p, for D_j e_k = sum c_p e_p and
+    each i with a stored D_i e_p, goes to (i, j, k) and its negative to
+    (j, i, k), and a stored c e_q in [e_i, e_j] adds -c D_q e_k to (i, j, k).
 
     The connection and the bracket are scaled to integers by one s, and
     every term is a product of two of their entries, so every sum is s^2
     times the curvature."""
-    n, empty = alg.dim, {}
+    n, data = alg.dim, {}
     g, br, s = _integral(gamma.data, alg.bracket_data)
-    data = {}
-    for i, j, k in product(range(n), repeat=3):
-        out = {}
-        for p, c in g.get((j, k), empty).items():
-            add_scaled(out, c, g.get((i, p), empty))
-        for p, c in g.get((i, k), empty).items():
-            add_scaled(out, -c, g.get((j, p), empty))
-        for q, c in br.get((i, j), empty).items():
-            add_scaled(out, -c, g.get((q, k), empty))
-        data[i, j, k] = out
+    by_p, by_q = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (i, p), comps in g.items():
+        by_p[p].append((i, comps))
+        by_q[i].append((p, comps))
+    for (j, k), comps in g.items():  # D_i D_j e_k - D_j D_i e_k
+        acc = {}  # acc[i] = D_i D_j e_k
+        for p, c in comps.items():
+            for i, v in by_p[p]:
+                add_scaled(acc.setdefault(i, {}), c, v)
+        for i, v in acc.items():
+            add_scaled(data.setdefault((i, j, k), {}), 1, v)
+            add_scaled(data.setdefault((j, i, k), {}), -1, v)
+    for (i, j), comps in br.items():  # - D_[e_i, e_j] e_k
+        for q, c in comps.items():
+            for k, v in by_q[q]:
+                add_scaled(data.setdefault((i, j, k), {}), -c, v)
     return Tensor(n, 3, _rational(data, s * s))
 
 
@@ -220,60 +230,59 @@ def curvature_gd(gd):
       R(x,h1*)h2* = -pi(h1)pi(h2)x/4
       R(h1*,h2*)x = pi([h1,h2])x/4
 
-    with R(h*,x) = -R(x,h*) and R(h1*,h2*)h3* = 0.
+    with R(h*,x) = -R(x,h*) and R(h1*,h2*)h3* = 0.  Scattered: pi is
+    indexed by operator and by column, L and beta* by first slot (both
+    antisymmetric); each stored beta*(u,v) forms pi(beta*(u,v)) e_w once per
+    w for (u,v,w), (w,u,v) and (v,w,u), and the rest reads stored entries.
 
     pi, the brackets of d, L and h and beta* are scaled to integers by one
     s.  Every term multiplies two of their entries, and the coefficients
     1/2, 1/4 and -1/4 become 2, 1 and -1, so every sum is 4 s^2 times R.
     """
     nd, nh = gd.nd, gd.nh
-    empty = {}
-    # pi[k, b] = pi(h_k) e_b
     pi, d_br, l_br, h_br, bstar, s = _integral(
         gd.rep.op_data, gd.rep.d.bracket_data, gd.L.bracket_data,
         gd.rep.h.bracket_data, beta_star(gd))
-    pib = {}  # pib[a, b, c] = pi(beta*(e_a, e_b)) e_c, once per pair (a, b)
-    for (a, b), hv in bstar.items():
-        for c in range(nd):
-            col = pib[a, b, c] = {}
-            for k, x in hv.items():
-                add_scaled(col, x, pi.get((k, c), empty))
-    data = {}
-    for a, b, c in product(range(nd), repeat=3):  # R(x,y)z
-        out = {}
-        add_scaled(out, 2, pib[a, b, c])
-        add_scaled(out, -1, pib[b, c, a])
-        add_scaled(out, -1, pib[c, a, b])
-        for q, x in d_br.get((a, b), empty).items():
-            add_scaled(out, -x, l_br.get((q, c), empty))
-        data[a, b, c] = out
-    mixed = {}
-    for a, b, k in product(range(nd), range(nd), range(nh)):
-        common = {}  # pi(h)[x,y]_d/4, a term of R(x,y)h* and of R(x,h*)y
-        for q, x in d_br.get((a, b), empty).items():
-            add_scaled(common, x, pi.get((k, q), empty))
-        out = data[a, b, nd + k] = dict(common)  # R(x,y)h*
-        for q, x in pi.get((k, b), empty).items():
-            add_scaled(out, -x, bstar[a, q], nd)
-        for q, x in pi.get((k, a), empty).items():
-            add_scaled(out, -x, bstar[q, b], nd)
-        out = mixed[a, nd + k, b] = dict(common)  # R(x,h*)y
-        for q, x in pi.get((k, b), empty).items():
-            add_scaled(out, -x, l_br.get((a, q), empty))
-    for a, j, k in product(range(nd), range(nh), range(nh)):  # R(x,h1*)h2*
-        out = {}
-        for q, x in pi.get((k, a), empty).items():
-            add_scaled(out, -x, pi.get((j, q), empty))
-        mixed[a, nd + j, nd + k] = out
+    by_k, by_q, l_by, b_by = ([[] for _ in range(m)] for m in (nh, nd, nd, nd))
+    for (k, q), col in pi.items():
+        by_k[k].append((q, col))
+        by_q[q].append((k, col))
+    for by, br in ((l_by, l_br), (b_by, bstar)):  # h* is central: d pairs only
+        for (q, c), comps in br.items():
+            by[q].append((c, comps))
+    data, mixed = {}, {}  # mixed: R(x,h*), mirrored into R(h*,x) at the end
+    for (u, v), hv in bstar.items():  # the pi(beta*) terms of R(x,y)z
+        cols = {}  # cols[w] = pi(beta*(e_u, e_v)) e_w
+        for k, x in hv.items():
+            for w, col in by_k[k]:
+                add_scaled(cols.setdefault(w, {}), x, col)
+        for w, col in cols.items():
+            add_scaled(data.setdefault((u, v, w), {}), 2, col)
+            add_scaled(data.setdefault((w, u, v), {}), -1, col)
+            add_scaled(data.setdefault((v, w, u), {}), -1, col)
+    for (a, b), comps in d_br.items():
+        for q, x in comps.items():
+            for c, lc in l_by[q]:  # -[[x,y]_d, z] in R(x,y)z
+                add_scaled(data.setdefault((a, b, c), {}), -x, lc)
+            for k, col in by_q[q]:  # pi(h)[x,y]_d in R(x,y)h* and R(x,h*)y
+                add_scaled(data.setdefault((a, b, nd + k), {}), x, col)
+                add_scaled(mixed.setdefault((a, nd + k, b), {}), x, col)
+    for (k, b), col in pi.items():
+        for q, x in col.items():
+            for a, hv in b_by[q]:  # -beta*(a, pi(h)b) and -beta*(pi(h)b, a)
+                add_scaled(data.setdefault((a, b, nd + k), {}), x, hv, nd)
+                add_scaled(data.setdefault((b, a, nd + k), {}), -x, hv, nd)
+            for a, lc in l_by[q]:  # -[x, pi(h)y] in R(x,h*)y
+                add_scaled(mixed.setdefault((a, nd + k, b), {}), x, lc)
+            for j, jcol in by_q[q]:  # -pi(h1)pi(h2)x in R(x,h1*)h2*
+                add_scaled(mixed.setdefault((b, nd + j, nd + k), {}), -x, jcol)
     for (i, j, k), out in mixed.items():  # R(h*,x) = -R(x,h*)
         data[i, j, k] = out
         data[j, i, k] = {p: -x for p, x in out.items()}
     for (p, q), comps in h_br.items():  # R(h1*,h2*)x
-        for a in range(nd):
-            out = {}
-            for r, x in comps.items():
-                add_scaled(out, x, pi.get((r, a), empty))
-            data[nd + p, nd + q, a] = out
+        for r, x in comps.items():
+            for a, col in by_k[r]:
+                add_scaled(data.setdefault((nd + p, nd + q, a), {}), x, col)
     return Tensor(nd + nh, 3, _rational(data, 4 * s * s))
 
 
@@ -299,14 +308,13 @@ def sectional_gd_closed(gd, x, y):
     """
     xd, xh = gd.split(x)
     yd, yh = gd.split(y)
-    if _mixed_block(xd, xh) or _mixed_block(yd, yh):
+    if any(xd) and any(xh) or any(yd) and any(yh):
         raise GeometryError("closed form needs pure d or pure h* arguments")
     metric = gd.metric
     e1, e2 = metric.apply(x, x), metric.apply(y, y)
     if abs(e1) != 1 or abs(e2) != 1 or metric.apply(x, y) != 0:
         raise GeometryError("closed form needs an orthonormal pair")
-    x_in_d = any(c != 0 for c in xd)
-    y_in_d = any(c != 0 for c in yd)
+    x_in_d, y_in_d = any(xd), any(yd)
     if x_in_d and y_in_d:
         bxy = gd.rep.d.bracket(xd, yd)
         beta = gd.rep.beta(xd, yd)
@@ -321,10 +329,6 @@ def sectional_gd_closed(gd, x, y):
         e1, e2 = e2, e1
     pix = linalg.mat_vec(gd.rep.pi_of(yh), xd)
     return e1 * e2 * gd.rep.d_form.apply(pix, pix) / 4
-
-
-def _mixed_block(d_part, h_part):
-    return any(c != 0 for c in d_part) and any(c != 0 for c in h_part)
 
 
 def ricci(r_tensor, form):
@@ -382,18 +386,10 @@ def totally_geodesic(alg, form, sub):
 
 def check_pair_symmetry(r_tensor, form):
     """<R(x,y)z, w> = <R(z,w)x, y> on all basis tuples."""
-    n = r_tensor.dim
-    basis = linalg.identity(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rij = r_tensor.entry(i, j, k)
-                for l in range(n):
-                    lhs = form.apply(rij, basis[l])
-                    rhs = form.apply(r_tensor.entry(k, l, i), basis[j])
-                    if lhs != rhs:
-                        return False
-    return True
+    n, basis = r_tensor.dim, linalg.identity(r_tensor.dim)
+    return all(form.apply(r_tensor.entry(i, j, k), basis[l])
+               == form.apply(r_tensor.entry(k, l, i), basis[j])
+               for i, j, k, l in product(range(n), repeat=4))
 
 
 def bi_invariant_connection_check(alg, gamma):

@@ -58,12 +58,20 @@ CATALOGUE = (
            (EXT + "test_sparse_assembly_matches_the_dense_one_on_generated_reps",)),
     # the two sweeps that validate leans on, and the integer construction
     Mutant("skew-no_transpose_term", "core.py",
-           "if v + m[k].get(j, 0)", "if v",
+           "if v + m.get(k, empty).get(j, 0)", "if v",
            ("tests/test_core.py::test_ad_invariant_corpus_doubles_and_corruptions",)),
     Mutant("jacobi-one_cyclic_term_dropped", "core.py",
            "for a, b, c in ((i, j, k), (j, k, i), (k, i, j))",
            "for a, b, c in ((i, j, k), (j, k, i))",
            ("tests/test_core.py::test_check_jacobi_matches_the_bracket_loop",)),
+    Mutant("assemble_double-difference_sweep_on_q", "extension.py",
+           "any(_skew(g.int_bracket_data[0], rep.h_form.int_rows[0]))",
+           "any(_skew(g.int_bracket_data[0], q.int_rows[0]))",
+           (EXT + "test_assemble_double_matches_the_two_sweeps",),
+           equivalent="on the block table that _assemble_double builds, the defect "
+                      "B([x,y],z) + B(y,[x,z]) of <,>_h on h x h is nonzero on h triples "
+                      "only, where that of the rest of Q vanishes, so Q invariant "
+                      "already makes <,>_h invariant and both sweeps pass"),
     Mutant("int_beta-one_scale_only", "extension.py",
            "return out, s * t", "return out, s",
            (EXT + "test_int_beta_is_the_cocycle_on_basis_pairs",)),
@@ -139,16 +147,26 @@ CATALOGUE = (
     Mutant("geometry-torsion_without_swap", "cli.py",
            "torsion_free = (gamma - swapped).data", "torsion_free = gamma.data",
            (CLI + "test_geometry_command",)),
-    # the d-d-d block of curvature_gd and the d-d block of ricci_gd_closed
+    # the scatters of the two curvature routes, and the d-d block of
+    # ricci_gd_closed
+    Mutant("curvature-dj_di_scatter_key", "geometry.py",
+           "add_scaled(data.setdefault((j, i, k), {}), -1, v)",
+           "add_scaled(data.setdefault((i, j, k), {}), -1, v)",
+           (GEO + "test_curvature_routes_match_the_dense_oracle_on_the_scaling_family",)),
     Mutant("curvature_gd-pib_bca_coefficient", "geometry.py",
-           "add_scaled(out, -1, pib[b, c, a])", "add_scaled(out, -2, pib[b, c, a])",
+           "add_scaled(data.setdefault((w, u, v), {}), -1, col)",
+           "add_scaled(data.setdefault((w, u, v), {}), -2, col)",
            (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
     Mutant("curvature_gd-pib_cab_coefficient", "geometry.py",
-           "add_scaled(out, -1, pib[c, a, b])", "add_scaled(out, 1, pib[c, a, b])",
+           "add_scaled(data.setdefault((v, w, u), {}), -1, col)",
+           "add_scaled(data.setdefault((v, w, u), {}), 1, col)",
            (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
+    Mutant("curvature_gd-beta_star_target_dropped", "geometry.py",
+           "            add_scaled(data.setdefault((u, v, w), {}), 2, col)\n", "",
+           (GEO + "test_curvature_routes_match_the_dense_oracle_on_the_scaling_family",)),
     Mutant("curvature_gd-bracket_term_sign", "geometry.py",
-           "add_scaled(out, -x, l_br.get((q, c), empty))",
-           "add_scaled(out, x, l_br.get((q, c), empty))",
+           "add_scaled(data.setdefault((a, b, c), {}), -x, lc)",
+           "add_scaled(data.setdefault((a, b, c), {}), x, lc)",
            (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
     Mutant("ricci_gd_closed-dd_half", "geometry.py",
            "m[a][b] += gs[b][a] / 2", "m[a][b] += gs[b][a]",

@@ -268,13 +268,16 @@ def test_routes_make_no_fraction_arithmetic():
     derivation solvers, the containments of their spans, killing_form,
     the signatures of the forms and the centres on gH under a dense
     change of basis add and multiply only ints, and so does forming the
-    lambda columns of a copy of gd.  ell^-1 and int_beta are built by
-    build_gd, before the count starts."""
+    lambda columns of a copy of gd.  The two curvature routes run on a
+    sparse input too, a torus m = 3 under a signed permutation of d.  ell^-1
+    and int_beta are built by build_gd, before the count starts."""
     counter = _bench_layers().FractionCounter
     gd = build_gd(conjugated_rep(corpus_build("gH").rep, 3))
     dbl = gd.double
     pairs = ((gd.L, gd.metric), (dbl.g, dbl.Q), (dbl.g, dbl.Q_minus))
+    torus = build_gd(torus_rep([2, 1, 3], [(3, -1), (0, 1), (5, 1), (2, -1), (4, -1), (1, 1)]))
     with counter() as count:
+        assert curvature(levi_civita(torus.L, torus.metric), torus.L) == curvature_gd(torus)
         for _, form in pairs:
             assert form.signature[2] == 0
         center(gd.L)

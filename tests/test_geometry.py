@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -6,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from adinvar import (BilinearForm, GeometryError, LieAlgebra, Subspace,
                      bi_invariant_connection_check, bi_invariant_curvature_check,
-                     build_gd, check_pair_symmetry, curvature, curvature_gd,
-                     double_extend, geodesic_one_param,
+                     build_gd, check_pair_symmetry, corpus_build, corpus_list,
+                     curvature, curvature_gd, double_extend, geodesic_one_param,
                      levi_civita, levi_civita_gd, plane_discriminant, ricci,
                      ricci_gd_closed, ricci_operator, sectional,
                      totally_geodesic)
 from adinvar.geometry import Tensor
 from adinvar.homstructure import build_hom_structure, nabla_tilde_closed, verify_as
 from adinvar import linalg
-from conftest import (T_PLUS, T_MINUS, a12_rep, h3_rep, indefinite_abelian_reps,
-                      nilpotent_reps, so3_rep, torus_reps, two_torus_rep)
+from conftest import (T_PLUS, T_MINUS, a12_rep, conjugated_rep, h3_rep,
+                      indefinite_abelian_reps, nilpotent_reps, so3_rep, torus_rep,
+                      torus_reps, two_torus_rep)
 
 ALL_REPS = [h3_rep([1, 1], T_PLUS, 1), h3_rep([1, 1], T_PLUS, -1),
             h3_rep([-1, 1], T_MINUS, 1), h3_rep([-1, 1], T_MINUS, -1),
@@ -104,6 +106,78 @@ def test_routes_agree_on_generated_nilpotent_data(rep):
     """The 3-step nilpotent d, whose bracket reaches the [[x,y]_d, z]/4
     and beta* terms of the d-d-d block, plain and in a dense basis."""
     _routes_agree(rep)
+
+
+# ---------------------------------------------------------------------------
+# both curvature routes against the definition in dense loops
+# ---------------------------------------------------------------------------
+
+def _dense_curvature(alg, form):
+    """R(x,y)z = D_x D_y z - D_y D_x z - D_[x,y] z on every basis triple,
+    with D_x y = B^-1 of the Koszul right-hand side
+    (<[x,y],.> - <[y,.],x> + <[.,x],y>)/2, all dense vectors."""
+    n, basis = alg.dim, linalg.identity(alg.dim)
+    binv = linalg.inverse(form.rows())
+
+    def koszul(i, j):
+        x, y = basis[i], basis[j]
+        rhs = [(form.apply(alg.bracket(x, y), z) - form.apply(alg.bracket(y, z), x)
+                + form.apply(alg.bracket(z, x), y)) / 2 for z in basis]
+        return linalg.mat_vec(binv, rhs)
+    gamma = Tensor.from_function(n, 2, koszul)
+
+    def r(i, j, k):
+        x, y, z = basis[i], basis[j], basis[k]
+        return linalg.vec_sub(linalg.vec_sub(
+            gamma.apply(x, gamma.apply(y, z)), gamma.apply(y, gamma.apply(x, z))),
+            gamma.apply(alg.bracket(x, y), z))
+    return Tensor.from_function(n, 3, r)
+
+
+def _assert_routes_match_the_dense_curvature(rep):
+    gd = build_gd(rep)
+    want = _dense_curvature(gd.L, gd.metric)
+    for r in (curvature(levi_civita(gd.L, gd.metric), gd.L), curvature_gd(gd)):
+        assert r == want
+        # the scatters create keys lazily: none may be left empty
+        assert all(comps and all(comps.values()) for comps in r.data.values())
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(torus_reps())
+def test_curvature_routes_match_the_dense_oracle_on_generated_tori(rep):
+    _assert_routes_match_the_dense_curvature(rep)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(indefinite_abelian_reps())
+def test_curvature_routes_match_the_dense_oracle_on_generated_indefinite_abelian_data(rep):
+    _assert_routes_match_the_dense_curvature(rep)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(nilpotent_reps())
+def test_curvature_routes_match_the_dense_oracle_on_generated_nilpotent_data(rep):
+    _assert_routes_match_the_dense_curvature(rep)
+
+
+def test_curvature_routes_match_the_dense_oracle_on_the_scaling_family():
+    """Tori m = 2 and 3 under seeded signed permutations of d, and so(3)
+    on R^3: sparse data, where most basis triples have R = 0."""
+    rng = random.Random(71)
+    reps = [so3_rep()]
+    for m in (2, 3):
+        order = list(range(2 * m))
+        rng.shuffle(order)
+        perm = [(j, rng.choice((1, -1))) for j in order]
+        reps.append(torus_rep([rng.choice((1, 2, 3)) for _ in range(m)], perm))
+    for rep in reps:
+        _assert_routes_match_the_dense_curvature(rep)
+
+
+def test_curvature_routes_match_the_dense_oracle_on_conjugated_registry_builders():
+    for name in corpus_list():
+        _assert_routes_match_the_dense_curvature(conjugated_rep(corpus_build(name).rep, 5))
 
 
 def test_curvature_bi_invariant_identity():
