@@ -4,13 +4,14 @@ Structure constants are stored sparsely for i < j only; the i > j values
 follow by antisymmetry.  Subspaces are kept in reduced row echelon form so
 equality of subspaces is plain data equality.
 
-The sweeps over basis tuples (``skew_witnesses``, ``derivation_witnesses``,
-``check_jacobi``, the bracket spans of the two series and ``killing_form``),
+The sweeps (``skew_witnesses`` and ``derivation_witnesses``, which scatter
+from the stored entries, ``check_jacobi``, the series and ``killing_form``),
 ``Subspace.contains_all``, ``_commutator_flat`` and the construction checks
 of ``extension`` run on Python ints.  Symmetric work is done once: a
-bracket span of a subspace with itself (by value) brackets the pairs
-a < b, [g, g] is bracketed once per algebra, and ``killing_form``
-computes the entries i <= j.  ``_integral`` multiplies sparse data by s,
+derivation action on an antisymmetric S forms the tuples t_0 < t_1, a
+bracket span of a subspace with itself (by value) the pairs a < b, [g, g]
+is bracketed once per algebra, and ``killing_form`` computes the entries
+i <= j.  ``_integral`` multiplies sparse data by s,
 the lcm of its denominators, and each object caches its own view once
 (``LieAlgebra.int_bracket_data``, ``BilinearForm.int_rows``,
 ``Representation.int_ops``).  A term multiplying one entry of each input
@@ -20,7 +21,7 @@ one input scales all its inputs by one call (s^d).  An exact value is an
 int sum divided once (``_rational``), one ``Fraction`` per stored entry.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -335,8 +336,8 @@ def ad_invariant(alg, form):
 # Identities on all basis tuples.  Operator fields and tensors are given as
 # ``geometry.Tensor`` data, {(i, j, ..): {p: coeff}}, so that
 # C_x e_q = sum_p op[(x, q)][p] e_p.  The kernels yield the failing index
-# tuples in loop order, so a verdict stops at the first one.  Each kernel
-# reads integer views, one scale per input.
+# tuples in sorted order, operator by operator, so a verdict stops at the
+# first failing operator.  Each kernel reads integer views, one per input.
 
 def operator_data(mats):
     """The operator field x -> mats[x] in the sparse tensor format."""
@@ -382,47 +383,58 @@ def _antisymmetric(tensor):
 
 
 def derivation_witnesses(op, tensor, n):
-    """(x, *t), in order, where the derivation action of the operator
+    """(x, *t), in sorted order, where the derivation action of the operator
     field C on the tensor S, on an n-dimensional space, does not vanish:
 
       (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
 
     With S the bracket this is the Leibniz rule for C_x.  The keys of S
-    give its number of slots.
-
-    When S is antisymmetric in its first two slots (read once off its
-    entries), so is C.S, and (C.S)(x; y, y, ..) = 0: only the tuples with
-    t_0 < t_1 are computed, and (x, z, y, ..) is yielded, in its place in
-    the loop, when (x, y, z, ..) failed.  Any other S has every tuple
-    computed."""
+    give its number of slots.  Only the tuples a stored entry reaches are
+    formed, the action vanishing on the rest.  When S is antisymmetric in
+    its first two slots (read once off its entries), so is C.S, and
+    (C.S)(x; y, y, ..) = 0: only the tuples with t_0 < t_1 are formed,
+    and (x, z, y, ..) is yielded with a failing (x, y, z, ..)."""
     return _leibniz(_integral(op)[0], _integral(tensor)[0], n)
 
 
 def _leibniz(op, tensor, n):
-    """``derivation_witnesses`` on the int operator field and int tensor."""
+    """``derivation_witnesses`` on ints, scattered: each stored S(u) sends
+    C_x S(u) to u and, for each slot s and (y, c) in into[x][u_s] (C_x e_y
+    has entry c at e_{u_s}), -c S(u) to u with y in slot s.  An antisymmetric
+    S is read by halves: u = (a, b, ..), a < b, and its mirror -S(u)."""
     slots = len(next(iter(tensor), ()))  # 0 for an empty S: no witness
-    empty = {}
     half = slots >= 2 and _antisymmetric(tensor)
-    for x in sorted({key[0] for key in op}):
-        cx = [op.get((x, q), empty) for q in range(n)]
-        failed = set()  # the mirrors of the failing tuples, when half
-        for t in product(range(n), repeat=slots):
-            if half and t[0] >= t[1]:
-                if t in failed:
-                    yield (x,) + t
-                continue
-            out = {}
-            for p, c in tensor.get(t, empty).items():
-                for r, v in cx[p].items():
-                    out[r] = out.get(r, 0) + c * v
-            for s in range(slots):
-                for q, c in cx[t[s]].items():
-                    for r, v in tensor.get(t[:s] + (q,) + t[s + 1:], empty).items():
-                        out[r] = out.get(r, 0) - c * v
-            if any(out.values()):
-                if half:
-                    failed.add((t[1], t[0]) + t[2:])
-                yield (x,) + t
+    cols, into, empty = {}, {}, {}
+    for (x, y), col in op.items():
+        cols.setdefault(x, {})[y] = col
+        for q, c in col.items():
+            into.setdefault(x, {}).setdefault(q, []).append((y, c))
+    keys = [(u, comps) for u, comps in tensor.items() if not half or u[0] < u[1]]
+    for x in sorted(cols):
+        cx, ix, out = cols[x], into.get(x, empty), defaultdict(dict)
+        for u, comps in keys:
+            hits = []  # (t, k): k S(u) goes to the tuple t
+            if half:  # e_a: slot 0 of u, slot 1 of its mirror -S(u); e_b: the reverse
+                a, b, rest = u[0], u[1], u[2:]
+                for q, o, k in ((a, b, -1), (b, a, 1)):
+                    for y, c in ix.get(q, ()):
+                        if y < o:
+                            hits.append(((y, o) + rest, k * c))
+                        elif y > o:
+                            hits.append(((o, y) + rest, -k * c))
+            for s in range(2 * half, slots):
+                hits += [(u[:s] + (y,) + u[s + 1:], -c) for y, c in ix.get(u[s], ())]
+            acc = out[u]
+            for p, c in comps.items():
+                for r, v in cx.get(p, empty).items():
+                    acc[r] = acc.get(r, 0) + c * v
+            for t, k in hits:
+                acc = out[t]
+                for r, v in comps.items():
+                    acc[r] = acc.get(r, 0) + k * v
+        bad = [t for t, acc in out.items() if any(acc.values())]
+        bad += [(t[1], t[0]) + t[2:] for t in bad] if half else []
+        yield from ((x,) + t for t in sorted(bad))
 
 
 def kernel_of(matrix):

@@ -259,7 +259,7 @@ class GdAlgebra:
     metric: BilinearForm
     ell: tuple         # matrix of ell: h -> h* in dual-basis coords (= <,>_h)
     ell_inv: tuple     # its inverse, computed once per algebra
-    mu_mats: tuple     # mu of each h basis vector, operators on d + h*
+    mu_data: dict      # the operator field of mu on d + h*: (k, i) -> mu(h_k) e_i
     double: DoubleExtension
     # what ``build_gd`` and ``_verify_gd`` verify, raising on a failure
     checks = tuple(Check(name, True) for name in (
@@ -315,10 +315,11 @@ def build_gd(rep):
 
     metric = BilinearForm(_block_sum(rep.d_form.matrix, w))
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
-    # h* in the ell basis
-    mu_mats = tuple(_block_sum(rep.mats[k], rep.h.ad(k)) for k in range(nh))
+    # h* in the ell basis: the columns of pi, then those of the bracket of h
+    mu_data = rep.op_data | {(k, nd + j): {nd + m: c for m, c in col.items()}
+                             for (k, j), col in rep.h.bracket_data.items()}
     gd = GdAlgebra(rep, alg, metric, tuple(map(tuple, w)),
-                   tuple(map(tuple, winv)), mu_mats, dbl)
+                   tuple(map(tuple, winv)), mu_data, dbl)
     _verify_gd(gd)
     return gd
 
@@ -345,8 +346,7 @@ def _verify_gd(gd):
         low, want = _lowered(br.get((a, b), empty), rows), beta.get((a, b), empty)
         if any(low.get(nd + k, 0) * v != want.get(k, 0) * s * t for k in range(gd.nh)):
             raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
-    fault = next(_action_faults(_integral(operator_data(gd.mu_mats)), gd.rep.h, metric, alg),
-                 None)
+    fault = next(_action_faults(_integral(gd.mu_data), gd.rep.h, metric, alg), None)
     if fault is not None:
         raise ExtensionError({"skew": "mu(h) is not metric-skew",
                               "derivation": "mu(h) is not a derivation",

@@ -1,8 +1,8 @@
 """The naturally reductive homogeneous structure tensor on d + h* and the
 exact verification of the Ambrose-Singer conditions at the algebra level.
 
-For left-invariant tensors the covariant statements reduce to sweeps of the
-operator combination over basis tuples; all checks are exact.  The routes
+For left-invariant tensors the covariant statements reduce to identities on
+basis tuples, checked from the stored entries; all checks are exact.  The routes
 to T and to nabla~ build ``Tensor.data`` by block from the bracket tables,
 the operator columns and ell^-1 beta, or, through lambda, from the bracket
 of the double extension over the nonzero entries of the lambda columns.
@@ -113,8 +113,8 @@ class AsReport:
 
 
 def verify_as(gd, hom=None):
-    """Exact sweep of the Ambrose-Singer conditions (i)-(iv) and their
-    primed forms over all basis tuples.
+    """Exact check of the Ambrose-Singer conditions (i)-(iv) and their
+    primed forms on all basis tuples.
 
     (i)/(i') ask T_x and nabla~_x to be metric-skew.  The others use the
     derivation action of an operator field C on a tensor S,
@@ -123,8 +123,9 @@ def verify_as(gd, hom=None):
     (iii) is (nabla - T).T = 0 and (iii') is nabla~.T = 0; (iv) asks
     T_x x = 0.  As nabla~ = T - nabla, the actions in (ii) and (ii') are
     negatives of each other and vanish on the same tuples, and so are those
-    in (iii) and (iii'); each pair is evaluated once.  Witnesses are the
-    failing index tuples in loop order, 0-based.
+    in (iii) and (iii'); each pair is evaluated once, scattered from the
+    stored entries of R and T and, as both are antisymmetric, on t_0 < t_1.
+    Witnesses are the failing index tuples in sorted order, 0-based.
     """
     hom = hom or build_hom_structure(gd)
     n = gd.L.dim

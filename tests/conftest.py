@@ -152,6 +152,17 @@ def conjugated_rep(rep, seed):
     return replace(rep, d=d, d_form=BilinearForm(tuple(map(tuple, g))), mats=mats)
 
 
+def mu_mats(gd):
+    """The dense matrices of mu(h_k) on d + h*, read off the operator field
+    gd.mu_data: column i of mu_mats(gd)[k] is mu(h_k) e_i."""
+    n = gd.L.dim
+    mats = [[[F(0)] * n for _ in range(n)] for _ in range(gd.nh)]
+    for (k, i), col in gd.mu_data.items():
+        for p, c in col.items():
+            mats[k][p][i] = c
+    return tuple(tuple(map(tuple, m)) for m in mats)
+
+
 SIGNS = st.sampled_from([1, -1])
 SMALL_Q = st.fractions(-3, 3, max_denominator=4)
 SEEDS = st.none() | st.integers(0, 99)

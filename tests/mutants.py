@@ -40,6 +40,7 @@ EXT = "tests/test_extension.py::"
 LIN = "tests/test_linalg.py::"
 GEO = "tests/test_geometry.py::"
 CLI = "tests/test_cli.py::"
+BRANCHES = "tests/test_core.py::test_derivation_witnesses_pin_the_branches_of_the_scatter"
 
 CATALOGUE = (
     # _action_faults sweeps each operator family once
@@ -187,10 +188,21 @@ CATALOGUE = (
            "    return HomStructure(t_tensor(gd),",
            "    nabla_tilde_closed(gd)\n    return HomStructure(t_tensor(gd),",
            ("tests/test_corpus.py::test_hom_structure_builds_t_and_nabla_only",)),
-    # derivation_witnesses reads its slot count off the tensor
+    # derivation_witnesses reads its slot count off the tensor, and its
+    # scatter reads an antisymmetric S by halves
     Mutant("derivation_witnesses-two_slots", "core.py",
            "slots = len(next(iter(tensor), ()))", "slots = 2",
-           ("tests/test_core.py::test_derivation_witnesses_match_the_slot_loop",)),
+           (BRANCHES, "tests/test_core.py::test_derivation_witnesses_match_the_slot_loop")),
+    Mutant("leibniz-mirror_sign", "core.py",
+           "hits.append(((o, y) + rest, -k * c))", "hits.append(((o, y) + rest, k * c))",
+           (BRANCHES,)),
+    Mutant("leibniz-mirror_slot_on_the_diagonal", "core.py",
+           "if y < o:", "if y <= o:", (BRANCHES,)),
+    Mutant("leibniz-no_mirror_witness", "core.py",
+           "bad += [(t[1], t[0]) + t[2:] for t in bad] if half else []", "bad += []",
+           (BRANCHES,)),
+    Mutant("leibniz-no_action_on_the_value", "core.py",
+           "for r, v in cx.get(p, empty).items():", "for r, v in ():", (BRANCHES,)),
     # names of a built algebra, the size cap, the degenerate-plane label
     Mutant("joined_names-no_fallback", "extension.py",
            "return names if len(set(names)) == len(names) else None",

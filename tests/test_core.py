@@ -12,7 +12,8 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      kernel_of, killing_form, lower_central_series,
                      orthogonal_complement, restrict_to_subalgebra,
                      skew_witnesses, totally_isotropic)
-from adinvar.core import SeriesResult, _antisymmetric, operator_data
+from adinvar.core import (SeriesResult, _antisymmetric, _integral, _leibniz,
+                          operator_data)
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
@@ -531,6 +532,82 @@ def test_kernels_stop_at_the_first_witness():
     assert next(found) == (1, 0, 0)
     found = derivation_witnesses(op, {(0, 0): {0: F(1)}}, 1)
     assert next(found) == (0, 0, 0)
+
+
+def _mirrored(entries):
+    """Data antisymmetric in its first two slots, from its entries on the
+    keys with t_0 < t_1."""
+    data = {}
+    for t, comps in entries.items():
+        data[t] = {p: F(c) for p, c in comps.items()}
+        data[(t[1], t[0]) + t[2:]] = {p: -F(c) for p, c in comps.items()}
+    return data
+
+
+# C_0 e_y has entries at e_1 and e_3 for every y, so from a stored key with
+# (t_0, t_1) = (1, 3) it reaches y < 1, 1 < y < 3, y > 3 and y in {1, 3};
+# C_1 is diagonal with distinct weights
+BRANCH_OP = {**{(0, y): {1: F(y + 1), 3: F(2 * y - 3), 4: F(1, 2)} for y in range(5)},
+             **{(1, y): {y: F(y + 1)} for y in range(5)}}
+BRANCH_S = {
+    "two slots": _mirrored({(1, 3): {0: 1, 2: -2}, (0, 2): {4: 3}}),
+    "three slots": _mirrored({(1, 3, 2): {0: 1}, (0, 4, 4): {2: -1}, (2, 3, 1): {3: 2}}),
+    "two slots, mirror nudged": {**_mirrored({(1, 3): {0: 1, 2: -2}}), (3, 1): {0: F(-1)}},
+    "three slots, no mirror": {(1, 3, 2): {0: F(1)}, (4, 0, 1): {1: F(-2)}},
+}
+
+
+@pytest.mark.parametrize("name", BRANCH_S)
+def test_derivation_witnesses_pin_the_branches_of_the_scatter(name):
+    """Hand-built S whose keys the operator reaches from every side of the
+    two first slots, antisymmetric (read by halves) or not (read whole):
+    the witnesses, mirrors included, are the slot loop's."""
+    tensor = BRANCH_S[name]
+    slots = len(next(iter(tensor)))
+    assert _antisymmetric(tensor) == ("mirror" not in name)
+    found = list(derivation_witnesses(BRANCH_OP, tensor, 5))
+    assert found and found == _derivation_loop(BRANCH_OP, tensor, 5, slots, 2)
+    assert {x for x, *_ in found} == {0, 1}
+
+
+def test_derivation_witnesses_of_an_empty_s_and_an_operator_off_s():
+    """An empty S has no witness; an operator C_x that meets neither the
+    keys nor the values of S has none either, while one that does has the
+    loop's."""
+    assert list(derivation_witnesses(BRANCH_OP, {}, 5)) == []
+    tensor = _mirrored({(1, 3): {0: 1, 2: -2}})
+    op = {(0, 4): {4: F(1)}, (2, 0): {1: F(1)}}
+    found = list(derivation_witnesses(op, tensor, 5))
+    assert found and found == _derivation_loop(op, tensor, 5, 2, 3)
+    assert {x for x, *_ in found} == {2}
+
+
+class _CountedGets(dict):
+    """A dict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_leibniz_probes_the_tensor_once_per_stored_key():
+    """On a sparse antisymmetric 3-slot S at n = 40 the kernel reads S from
+    its stored entries: at most len(S) probes (those of the antisymmetry
+    test), where a sweep of the tuples t_0 < t_1 makes about n^3/2."""
+    n = 40
+    rng = random.Random(4)
+    entries = {}
+    while len(entries) < 12:
+        a, b = sorted(rng.sample(range(n), 2))
+        entries[a, b, rng.randrange(n)] = {rng.randrange(n): rng.choice((1, -2, 3))}
+    tensor = _CountedGets(_integral(_mirrored(entries))[0])
+    op = {(x, y): {rng.randrange(n): rng.choice((1, -1))} for x in range(3)
+          for y in rng.sample(range(n), 8)}
+    found = list(_leibniz(op, tensor, n))
+    assert found and 0 < tensor.gets <= len(tensor)
+    assert {(x, b, a, c) for x, a, b, c in found} == set(found)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from adinvar.core import skew_witnesses
 from adinvar.extension import KostantResult, SplitResult, _verify_gd
 from adinvar.geometry import Tensor
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
-                      indefinite_abelian_reps, nilpotent_reps, so3_block_rep,
+                      indefinite_abelian_reps, mu_mats, nilpotent_reps, so3_block_rep,
                       so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
 from test_corpus import _count_calls
@@ -115,14 +115,25 @@ def test_build_gd_heisenberg_both_signs():
 
 def test_mu_examples(oscillator_rep):
     gd = build_gd(oscillator_rep)
-    mu = [list(r) for r in gd.mu_mats[0]]
+    mu = [list(r) for r in mu_mats(gd)[0]]
     assert mu == [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(0)]]
-    assert extension._combination(gd.mu_mats, [F(0)], 3) == linalg.zeros(3, 3)
+    assert extension._combination(mu_mats(gd), [F(0)], 3) == linalg.zeros(3, 3)
+
+
+@pytest.mark.parametrize("name", corpus.corpus_list())
+def test_mu_data_holds_the_columns_of_the_block_sums(name):
+    """The operator field mu_data, read off the pi columns and the bracket
+    of h, holds the columns of pi(h_k) (+) ad(h_k), and no zero entry, also
+    under a dense change of basis of d."""
+    rep = corpus.corpus_build(name).rep
+    for rep in (rep, conjugated_rep(rep, 2)):
+        want = [extension._block_sum(rep.mats[k], rep.h.ad(k)) for k in range(rep.h.dim)]
+        assert build_gd(rep).mu_data == core.operator_data(want)
 
 
 def test_mu_coadjoint_nonabelian():
     gd = build_gd(so3_rep())
-    mu = gd.mu_mats[0]
+    mu = mu_mats(gd)[0]
     # lower-right block is ad(L1) acting through the ell identification
     adl1 = gd.rep.h.ad(0)
     for p in range(3):
@@ -308,9 +319,9 @@ def test_mu_is_homomorphism_of_nonabelian_h():
     gd = build_gd(so3_rep())
     for i in range(3):
         for j in range(3):
-            lhs = extension._combination(gd.mu_mats, gd.rep.h.basis_bracket(i, j), 6)
-            rhs = linalg.commutator([list(r) for r in gd.mu_mats[i]],
-                                    [list(r) for r in gd.mu_mats[j]])
+            lhs = extension._combination(mu_mats(gd), gd.rep.h.basis_bracket(i, j), 6)
+            rhs = linalg.commutator([list(r) for r in mu_mats(gd)[i]],
+                                    [list(r) for r in mu_mats(gd)[j]])
             assert lhs == rhs
 
 
@@ -318,7 +329,7 @@ def test_mu_block_for_lemma_extension():
     from corpus_help import lemma_rep
     rep = lemma_rep("H")
     gd = build_gd(rep)
-    mu = gd.mu_mats[0]
+    mu = mu_mats(gd)[0]
     h = rep.mat(0)
     for p in range(5):
         for q in range(5):
@@ -354,7 +365,9 @@ def _gd_inputs():
 
 
 def _with_mu(gd, mat):
-    return replace(gd, mu_mats=(tuple(tuple(r) for r in mat),) + gd.mu_mats[1:])
+    """gd with mu(h_0) replaced by the dense matrix mat."""
+    mats = (tuple(map(tuple, mat)),) + mu_mats(gd)[1:]
+    return replace(gd, mu_data=core.operator_data(mats))
 
 
 def _is_derivation(alg, m):
@@ -385,7 +398,7 @@ def test_verify_gd_rejects_mu_entry_that_breaks_skewness():
         n = gd.L.dim
         for p in range(n):
             for q in range(n):
-                mat = [list(r) for r in gd.mu_mats[0]]
+                mat = [list(r) for r in mu_mats(gd)[0]]
                 mat[p][q] += 1
                 with pytest.raises(ExtensionError, match=r"mu\(h\) is not metric-skew"):
                     _verify_gd(_with_mu(gd, mat))
@@ -403,7 +416,7 @@ def test_verify_gd_rejects_skew_mu_that_is_not_a_derivation():
             for q in range(p + 1, n):
                 s = linalg.zeros(n, n)
                 s[p][q], s[q][p] = F(1), F(-1)
-                mat = linalg.mat_add([list(r) for r in gd.mu_mats[0]],
+                mat = linalg.mat_add([list(r) for r in mu_mats(gd)[0]],
                                      linalg.mat_mul(g_inv, s))
                 if _is_derivation(gd.L, mat):
                     _verify_gd(_with_mu(gd, mat))
@@ -595,7 +608,7 @@ def _pi_family(rep):
 def _mu_family(rep):
     gd = build_gd(rep)
     (alg, metric), (h, _) = _fresh(gd.L, gd.metric), _fresh(rep.h, rep.h_form)
-    return core._integral(core.operator_data(gd.mu_mats)), h, metric, alg
+    return core._integral(gd.mu_data), h, metric, alg
 
 
 @pytest.mark.parametrize("family", [_pi_family, _mu_family])

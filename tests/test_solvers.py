@@ -22,8 +22,8 @@ from adinvar import (BilinearForm, LieAlgebra, build_gd, corpus_build,
                      invariant_forms, linalg, skew_derivations, so_aut)
 from adinvar.derivations import MatrixLieAlgebra, SoAut
 from adinvar.linalg import Q0
-from conftest import (conjugated_rep, indefinite_abelian_reps, nilpotent_reps,
-                      torus_reps)
+from conftest import (conjugated_rep, indefinite_abelian_reps, mu_mats,
+                      nilpotent_reps, torus_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _assert_solvers_match(rep):
     invariant forms of d, d + h* and the double extension."""
     gd = build_gd(rep)
     assert so_aut(gd) == so_aut_oracle(gd)
-    for mats, form in ((rep.mats, rep.d_form), (gd.mu_mats, gd.metric)):
+    for mats, form in ((rep.mats, rep.d_form), (mu_mats(gd), gd.metric)):
         assert intertwiners_skew(mats, form) == intertwiners_skew_oracle(mats, form)
     for alg, form in ((rep.d, rep.d_form), (gd.L, gd.metric),
                       (gd.double.g, gd.double.Q)):
