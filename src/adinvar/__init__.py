@@ -3,7 +3,7 @@ naturally reductive structures, their geometry and automorphisms."""
 
 from .core import (AlgebraError, BilinearForm, Check, LieAlgebra,
                    SeriesResult, Subspace, ad_invariant, center, check_jacobi,
-                   derivation_witnesses, derived_series, invariant_forms,
+                   derived_series, invariant_forms,
                    is_subalgebra, kernel_of, killing_form,
                    lower_central_series, orthogonal_complement,
                    restrict_to_subalgebra, skew_witnesses, totally_isotropic)

@@ -4,21 +4,22 @@ Structure constants are stored sparsely for i < j only; the i > j values
 follow by antisymmetry.  Subspaces are kept in reduced row echelon form so
 equality of subspaces is plain data equality.
 
-The sweeps (``skew_witnesses`` and ``derivation_witnesses``, which scatter
-from the stored entries, ``check_jacobi``, the series and ``killing_form``),
-``Subspace.contains_all``, ``_commutator_flat`` and the construction checks
-of ``extension`` run on Python ints.  Symmetric work is done once: a
-derivation action on an antisymmetric S forms the tuples t_0 < t_1, a
-bracket span of a subspace with itself (by value) the pairs a < b, [g, g]
-is bracketed once per algebra, and ``killing_form`` computes the entries
-i <= j.  ``_integral`` multiplies sparse data by s,
-the lcm of its denominators, and each object caches its own view once
-(``LieAlgebra.int_bracket_data``, ``BilinearForm.int_rows``,
-``Representation.int_ops``).  A term multiplying one entry of each input
-is the product of their scales times its value, so a scale per input
-keeps every verdict and span; a route whose terms multiply d entries of
-one input scales all its inputs by one call (s^d).  An exact value is an
-int sum divided once (``_rational``), one ``Fraction`` per stored entry.
+The sweeps (``skew_witnesses``, the derivation action ``_leibniz``,
+``check_jacobi`` and ``killing_form``, which scatter from the stored
+entries, and the series), ``Subspace.contains_all``, ``_commutator_flat``
+and the construction checks of ``extension`` run on Python ints.  Symmetric
+work is done once: a derivation action on an antisymmetric S forms the
+tuples t_0 < t_1, a bracket span of a subspace with itself (by value) the
+pairs a < b, [g, g] is bracketed once per algebra, ``check_jacobi`` reads
+[e_a, e_b] for a < b, and ``killing_form`` computes the entries i <= j.
+``_integral`` multiplies sparse data by s, the lcm of its denominators, and
+each object caches its own view once (``LieAlgebra.int_bracket_data``,
+``BilinearForm.int_rows``, ``Representation.int_ops``).  A term
+multiplying one entry of each input is the product of their scales times
+its value, so a scale per input keeps every verdict and span; a route
+whose terms multiply d entries of one input scales all its inputs by one
+call (s^d).  An exact value is an int sum divided once (``_rational``),
+one ``Fraction`` per stored entry.
 """
 
 from collections import Counter, defaultdict
@@ -137,7 +138,7 @@ class LieAlgebra:
 @dataclass(frozen=True)
 class BilinearForm:
     """Symmetric bilinear form; its signature is cached, read off a
-    fraction-free symmetric elimination (``linalg.signature_of``)."""
+    fraction-free elimination of its int rows (``linalg._signature``)."""
 
     matrix: tuple
 
@@ -182,7 +183,7 @@ class BilinearForm:
 
     @cached_property
     def signature(self):
-        return linalg.signature_of(self.rows())
+        return linalg._signature(self.int_rows[0], self.dim)
 
     @property
     def nondegenerate(self):
@@ -302,27 +303,29 @@ all_pass = property(lambda self: all(c.ok for c in self.checks))
 
 
 def check_jacobi(alg):
-    """All triples i<j<k whose cyclic bracket sum is nonzero.
+    """All triples i<j<k whose cyclic bracket sum is nonzero, as a sorted
+    list of (i, j, k, sum_vector); empty iff alg is a Lie algebra.
 
-    Returns a list of (i, j, k, sum_vector); empty iff alg is a Lie algebra.
-    The sums run over the table scaled by L to integers, so each is L^2
-    times the true one.  A triple with no nonzero [e_a, e_b] is skipped.
-    """
+    The table scaled by L to integers is indexed once by first slot, and
+    each stored c_ab^p, a < b, sends c_ab^p [e_p, e_c], L^2 times the true
+    term, to the triple {a, b, c} for every stored [e_p, e_c], c not in
+    {a, b}, signed as (a, b, c) is a cyclic order: -1 iff a < c < b."""
     table, scale = alg.int_bracket_data
-    den = scale * scale
-    empty = {}
-    violations = []
-    for i, j, k in combinations(range(alg.dim), 3):
-        # [[e_a, e_b], e_c] = sum_p c_ab^p [e_p, e_c], read from the table
-        if (i, j) in table or (j, k) in table or (k, i) in table:
-            s = [0] * alg.dim
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for p, x in table.get((a, b), empty).items():
-                    for r, y in table.get((p, c), empty).items():
-                        s[r] += x * y
-            if any(s):
-                violations.append((i, j, k, [Fraction(x, den) if x else Q0 for x in s]))
-    return violations
+    den, by_first = scale * scale, {}
+    for (p, c), comps in table.items():
+        by_first.setdefault(p, []).append((c, comps))
+    sums = defaultdict(lambda: defaultdict(int))
+    for (a, b), comps in table.items():
+        if a < b:
+            for p, x in comps.items():
+                for c, br in by_first.get(p, ()):
+                    if c != a and c != b:
+                        acc = sums[(c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)]
+                        t = -x if a < c < b else x
+                        for r, y in br.items():
+                            acc[r] += t * y
+    return [(*ijk, [Fraction(acc[r], den) if acc[r] else Q0 for r in range(alg.dim)])
+            for ijk, acc in sorted(sums.items()) if any(acc.values())]
 
 
 def ad_invariant(alg, form):
@@ -382,26 +385,20 @@ def _antisymmetric(tensor):
                for t, comps in tensor.items())
 
 
-def derivation_witnesses(op, tensor, n):
-    """(x, *t), in sorted order, where the derivation action of the operator
-    field C on the tensor S, on an n-dimensional space, does not vanish:
+def _leibniz(op, tensor):
+    """(x, *t), in sorted order, where the derivation action of the int
+    operator field C on the int tensor S does not vanish:
 
-      (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s).
+      (C.S)(x; t) = C_x S(t) - sum_s S(t with C_x e_{t_s} in slot s),
 
-    With S the bracket this is the Leibniz rule for C_x.  The keys of S
-    give its number of slots.  Only the tuples a stored entry reaches are
-    formed, the action vanishing on the rest.  When S is antisymmetric in
-    its first two slots (read once off its entries), so is C.S, and
-    (C.S)(x; y, y, ..) = 0: only the tuples with t_0 < t_1 are formed,
-    and (x, z, y, ..) is yielded with a failing (x, y, z, ..)."""
-    return _leibniz(_integral(op)[0], _integral(tensor)[0], n)
-
-
-def _leibniz(op, tensor, n):
-    """``derivation_witnesses`` on ints, scattered: each stored S(u) sends
-    C_x S(u) to u and, for each slot s and (y, c) in into[x][u_s] (C_x e_y
-    has entry c at e_{u_s}), -c S(u) to u with y in slot s.  An antisymmetric
-    S is read by halves: u = (a, b, ..), a < b, and its mirror -S(u)."""
+    with S the bracket the Leibniz rule for C_x; the keys of S give its
+    number of slots.  Scattered: each stored S(u) sends C_x S(u) to u and,
+    for each slot s and (y, c) in into[x][u_s] (C_x e_y has entry c at
+    e_{u_s}), -c S(u) to u with y in slot s; no other tuple is formed.
+    When S is antisymmetric in its first two slots (read once off its
+    entries), so is C.S, and (C.S)(x; y, y, ..) = 0: S is read by halves,
+    u = (a, b, ..), a < b, and its mirror -S(u), and (x, z, y, ..) is
+    yielded with a failing (x, y, z, ..)."""
     slots = len(next(iter(tensor), ()))  # 0 for an empty S: no witness
     half = slots >= 2 and _antisymmetric(tensor)
     cols, into, empty = {}, {}, {}
@@ -583,20 +580,23 @@ def restrict_to_subalgebra(alg, sub):
 
 
 def killing_form(alg):
-    """B(e_i, e_j) = trace(ad(e_i) ad(e_j)) = sum c_iq^p c_jp^q, summed over
-    the bracket table scaled by L to integers: each sum is L^2 times the
-    true trace.  B is symmetric, so the entries with i <= j are computed
-    and mirrored."""
+    """B(e_i, e_j) = trace(ad(e_i) ad(e_j)) = sum c_iq^p c_jp^q, a sparse
+    product (F. G. Gustavson, ACM TOMS 4, 1978): the table scaled by L to
+    integers is indexed once by (p, q), listing each (j, c_jp^q), and each
+    stored c_iq^p = x adds x y, L^2 times the true term, to B_ij for every
+    (j, y) at (p, q) with j >= i; the symmetric B is then mirrored."""
     table, scale = alg.int_bracket_data
-    n, den, empty = alg.dim, scale * scale, {}
-    m = [[Q0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = 0
-            for q in range(n):
-                for p, x in table.get((i, q), empty).items():
-                    y = table.get((j, p), empty).get(q)
-                    if y:
-                        t += x * y
-            m[i][j] = m[j][i] = Fraction(t, den)
+    n, den, at = alg.dim, scale * scale, {}
+    for (j, p), comps in table.items():
+        for q, y in comps.items():
+            at.setdefault((p, q), []).append((j, y))
+    m = [[0] * n for _ in range(n)]
+    for (i, q), comps in table.items():
+        row = m[i]
+        for p, x in comps.items():
+            for j, y in at.get((p, q), ()):
+                if j >= i:
+                    row[j] += x * y
+    for i, j in combinations_with_replacement(range(n), 2):
+        m[i][j] = m[j][i] = Fraction(m[i][j], den) if m[i][j] else Q0
     return BilinearForm(tuple(map(tuple, m)))

@@ -60,29 +60,23 @@ def _a12_skew_metric():
                          (1, 0, 0, 0, 0)))
 
 
-def _lemma_derivations():
-    """The six skew derivations of the derivation lemma, in e0..e4 coords."""
-    def eij(i, j):
-        m = linalg.zeros(5, 5)
-        m[i - 1][j - 1] = F(1)
-        return m
+# The six skew derivations of the derivation lemma in e0..e4 coords, by
+# their nonzero entries {(row, column): value}: P M P^-1 for each M
+# displayed in the ordered basis {e0, e1-e3, e2, e1, e4}, the columns of P.
+_LEMMA = {
+    "H": {(0, 0): 1, (1, 1): 1, (1, 3): 2, (3, 3): -1, (4, 4): -1},
+    "E": {(0, 3): -1, (1, 4): 1},
+    "F": {(1, 0): 1, (3, 0): -1, (4, 1): 1, (4, 3): 1},
+    "X": {(0, 2): 1, (2, 4): -1},
+    "Y": {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): -1},
+    "Z": {(0, 1): 1, (0, 3): 1, (1, 4): 1, (3, 4): -1},
+}
 
-    mats = {
-        "H": linalg.mat_sub(linalg.mat_add(eij(1, 1), eij(4, 4)),
-                            linalg.mat_add(eij(2, 2), eij(5, 5))),
-        "E": linalg.mat_add(eij(1, 2), eij(4, 5)),
-        "F": linalg.mat_add(eij(2, 1), eij(5, 4)),
-        "X": linalg.mat_sub(eij(1, 3), eij(3, 5)),
-        "Y": linalg.mat_add(eij(2, 3), eij(3, 4)),
-        "Z": linalg.mat_add(eij(1, 4), eij(2, 5)),
-    }
-    # displayed in the ordered basis {e0, e1-e3, e2, e1, e4}
-    p_cols = [[1, 0, 0, 0, 0], [0, 1, 0, -1, 0], [0, 0, 1, 0, 0],
-              [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
-    p = [[F(x) for x in row] for row in linalg.transpose(p_cols)]
-    p_inv = linalg.inverse(p)
-    return {k: tuple(tuple(r) for r in linalg.mat_mul(p, linalg.mat_mul(m, p_inv)))
-            for k, m in mats.items()}
+
+def _lemma_derivations(keys="HEFXYZ"):
+    """The derivations of the derivation lemma named by keys, as matrices."""
+    return {k: tuple(tuple(F(_LEMMA[k].get((r, q), 0)) for q in range(5)) for r in range(5))
+            for k in keys}
 
 
 @dataclass(frozen=True)
@@ -297,7 +291,7 @@ def _a12_entry():
 
 
 def _four_step_entry(key):
-    mats = _lemma_derivations()
+    mats = _lemma_derivations(key)
     d = _a12_reference_basis()
     rep = Representation(
         LieAlgebra.abelian(1, names=("w",)), BilinearForm.diagonal([1]),

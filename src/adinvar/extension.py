@@ -131,7 +131,7 @@ def _action_faults(ops, h, form, alg):
     sum_k c_ij^k M_k iff t [sM_i^T, sM_j^T] + s sum_k (t c_ij^k)(s M_k^T) = 0."""
     (op, s), (bracket, t), n = ops, h.int_bracket_data, form.dim
     bad = {("skew", x) for x, *_ in _skew(op, form.int_rows[0])}
-    bad |= {("derivation", x) for x, *_ in _leibniz(op, alg.int_bracket_data[0], n)}
+    bad |= {("derivation", x) for x, *_ in _leibniz(op, alg.int_bracket_data[0])}
     for i in range(h.dim):
         yield from (f for f in (("skew", i), ("derivation", i)) if f in bad)
     ints = [{q: op.get((i, q), {}) for q in range(n)} for i in range(h.dim)]

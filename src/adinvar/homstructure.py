@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .core import (Check, _integral, _rational, _rows, all_pass,
-                   derivation_witnesses, skew_witnesses)
+from .core import (Check, _integral, _leibniz, _rational, _rows, _skew, all_pass,
+                   skew_witnesses)
 from .geometry import (Tensor, _product, add_scaled, beta_star, curvature_gd,
                        d_bracket_half, gd_tensor, levi_civita_gd)
 from .linalg import Q1
@@ -129,12 +129,12 @@ def verify_as(gd, hom=None):
     """
     hom = hom or build_hom_structure(gd)
     n = gd.L.dim
-    t, nt = hom.T.data, hom.nabla_tilde.data
-    on_r = tuple(derivation_witnesses(nt, hom.R.data, n))
-    on_t = tuple(derivation_witnesses(nt, t, n))
+    t, (nt, _) = hom.T.data, _integral(hom.nabla_tilde.data)
+    on_r = tuple(_leibniz(nt, _integral(hom.R.data)[0]))
+    on_t = tuple(_leibniz(nt, _integral(t)[0]))
     found = {
         "i": tuple(skew_witnesses(t, gd.metric)),
-        "i_prime": tuple(skew_witnesses(nt, gd.metric)),
+        "i_prime": tuple(_skew(nt, gd.metric.int_rows[0])),
         "ii": on_r, "ii_prime": on_r, "iii": on_t, "iii_prime": on_t,
     }
     # T_x x = 0 for all x iff T(e_i, e_j) = -T(e_j, e_i) for i <= j; the

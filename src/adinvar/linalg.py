@@ -8,20 +8,20 @@ Products (``mat_mul``, ``mat_vec`` and everything built on them:
 ``commutator``, ``charpoly``) sum over the nonzero entries only, so they
 cost what the nonzero entries cost; zero products are never formed.
 
-Elimination (``rref`` and everything built on it: ``rank``,
-``nullspace``, ``solve``, ``coordinates``, ``inverse``) runs
-fraction-free on sparse integer rows, read one at a time in input order:
-each row is reduced against the reduced rows kept so far and kept if it
-is not then zero, and reading stops once the rank reaches a bound (the
-width, or a smaller one that the caller knows).  ``Fraction``s are
-formed only at the boundary, once per entry of the result.  The integer
-core is ``_echelon`` (primitive int rows with positive pivots, and their
-pivots) and ``_kernel`` (an int basis of a nullspace, read off those
-rows); ``_rref`` divides the rows of ``_echelon`` by their pivots, and
-``_nullspace`` forms its ``Fraction``s only there, in the reduced basis
-of the ``_kernel`` vectors.  A row of ints enters the core as it is.
-``signature_of`` is a symmetric fraction-free elimination on the
-integer-scaled matrix and forms no ``Fraction``.
+Elimination (``rref`` and everything built on it: ``nullspace``,
+``solve``, ``coordinates``, ``inverse``) runs fraction-free on sparse
+integer rows, read one at a time in input order: each row is reduced
+against the reduced rows kept so far and kept if it is not then zero, and
+reading stops once the rank reaches a bound (the width, or a smaller one
+that the caller knows).  ``Fraction``s are formed only at the boundary,
+once per entry of the result.  The integer core is ``_echelon``
+(primitive int rows with positive pivots, and their pivots) and
+``_kernel`` (an int basis of a nullspace, read off those rows); ``_rref``
+divides the rows of ``_echelon`` by their pivots, and ``_nullspace``
+forms its ``Fraction``s only there, in the reduced basis of the
+``_kernel`` vectors.  A row of ints enters the core as it is.  The
+signature is ``_signature``, a symmetric fraction-free elimination of
+sparse int rows (a form's cached ``int_rows``, or ``signature_of``'s).
 """
 
 from fractions import Fraction
@@ -103,14 +103,6 @@ def mat_vec(a, v):
                 total += x * y
         out.append(total)
     return out
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
 
 
 def vec_scale(c, v):
@@ -244,10 +236,6 @@ def _echelon(a, n, bound=None):
     return [basis[c] for c in pivots], pivots
 
 
-def rank(a):
-    return len(rref(a)[0])
-
-
 def nullspace(a):
     """Canonical basis (RREF rows) of {x : a x = 0}."""
     return _nullspace([dict(enumerate(row)) for row in a], len(a[0])) if a else []
@@ -339,35 +327,53 @@ def charpoly(a):
 
 
 def signature_of(g):
-    """(n_minus, n_plus, n_zero) of a symmetric rational matrix.
-
-    Symmetric fraction-free elimination on g scaled to integers.  A pivot
-    on a nonzero diagonal entry p replaces the rest w of the block by
-    |p| w_ij - sign(p) w_ik w_kj: |p| times the Schur complement, so a
-    congruence scaled by a positive number, and by Sylvester's law of
-    inertia the signature is the signs of the pivots plus that of the
-    rest.  A block with a zero diagonal first adds row and column j to
-    row and column k for some w_kj != 0, so that w_kk = 2 w_kj (a
-    hyperbolic pair).  Each block is divided by the gcd of its entries;
-    a zero block is the radical.
-    """
-    n = len(g)
+    """(n_minus, n_plus, n_zero) of a symmetric rational matrix: g scaled
+    to integers once, then ``_signature``."""
     den = lcm(*(x.denominator for row in g for x in row))
-    w = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+    return _signature({i: {j: x.numerator * (den // x.denominator)
+                           for j, x in enumerate(row) if x}
+                       for i, row in enumerate(g)}, len(g))
+
+
+def _signature(rows, n):
+    """(n_minus, n_plus, n_zero) of the symmetric int matrix of width n
+    given by its sparse rows {i: {j: x}}, which are read, not changed.
+
+    A pivot on a nonzero diagonal entry p replaces every other entry w_ij
+    by |p| w_ij - sign(p) w_ik w_kj, |p| times the Schur complement, so by
+    Sylvester's law of inertia the signature is the signs of the pivots
+    plus that of the rest, in any pivot order; the pivot row is the
+    shortest (H. M. Markowitz, Management Sci. 3, 1957).  A zero diagonal
+    first adds row and column j to row and column k for some w_kj != 0,
+    so that w_kk = 2 w_kj.  Each block is divided by the gcd of all its
+    entries (per row it would not be a congruence); zero is the radical."""
+    w = {i: dict(row) for i, row in rows.items() if row}
     n_minus = n_plus = 0
-    while d := gcd(*(x for row in w for x in row)):
-        w = [[x // d for x in row] for row in w]
-        k = next((i for i, row in enumerate(w) if row[i]), None)
-        if k is None:
-            k, j = next((i, j) for i, row in enumerate(w) for j, x in enumerate(row) if x)
-            w[k] = [x + y for x, y in zip(w[k], w[j])]
-            for row in w:
-                row[k] += row[j]
+    while d := gcd(*(gcd(*row.values()) for row in w.values())):
+        for row in w.values() if d > 1 else ():
+            for q, x in row.items():
+                row[q] = x // d
+        k = min((i for i, row in w.items() if i in row), key=lambda i: len(w[i]), default=None)
+        if k is None:  # a hyperbolic pair; the pivot on k drops any zero it leaves
+            k = min(w, key=lambda i: len(w[i]))
+            wk, j = w[k], next(iter(w[k]))
+            for q, x in w[j].items():
+                wk[q] = wk.get(q, 0) + x
+            for row in w.values():
+                if x := row.get(j):
+                    row[k] = row.get(k, 0) + x
         wk = w.pop(k)
         p = wk.pop(k)
         n_plus, n_minus = n_plus + (p > 0), n_minus + (p < 0)
         s, ap = (1 if p > 0 else -1), abs(p)
-        for i, row in enumerate(w):
-            f = s * row.pop(k)
-            w[i] = [ap * x - f * y for x, y in zip(row, wk)]
+        for row in w.values():
+            f = s * row.pop(k, 0)
+            for q, x in row.items() if ap != 1 else ():
+                row[q] = ap * x
+            for q, y in wk.items() if f else ():
+                if v := row.get(q, 0) - f * y:
+                    row[q] = v
+                else:
+                    row.pop(q, None)
+        w = {i: row for i, row in w.items() if row}
     return (n_minus, n_plus, n - n_minus - n_plus)

@@ -41,11 +41,13 @@ LIN = "tests/test_linalg.py::"
 GEO = "tests/test_geometry.py::"
 CLI = "tests/test_cli.py::"
 BRANCHES = "tests/test_core.py::test_derivation_witnesses_pin_the_branches_of_the_scatter"
+SIG = (LIN + "test_sparse_signature_matches_the_dense_oracle_and_sympy",
+       LIN + "test_signature_pins_the_block_gcd_and_the_hyperbolic_column_update")
 
 CATALOGUE = (
     # _action_faults sweeps each operator family once
     Mutant("action_faults-no_derivation_sweep", "extension.py",
-           '    bad |= {("derivation", x) for x, *_ in _leibniz(op, alg.int_bracket_data[0], n)}\n',
+           '    bad |= {("derivation", x) for x, *_ in _leibniz(op, alg.int_bracket_data[0])}\n',
            "", (EXT + "test_validate_reports_each_fault_of_a_family_in_order",)),
     Mutant("action_faults-derivation_before_skew", "extension.py",
            '(("skew", i), ("derivation", i))', '(("derivation", i), ("skew", i))',
@@ -61,10 +63,9 @@ CATALOGUE = (
     Mutant("skew-no_transpose_term", "core.py",
            "if v + m.get(k, empty).get(j, 0)", "if v",
            ("tests/test_core.py::test_ad_invariant_corpus_doubles_and_corruptions",)),
-    Mutant("jacobi-one_cyclic_term_dropped", "core.py",
-           "for a, b, c in ((i, j, k), (j, k, i), (k, i, j))",
-           "for a, b, c in ((i, j, k), (j, k, i))",
-           ("tests/test_core.py::test_check_jacobi_matches_the_bracket_loop",)),
+    Mutant("jacobi-middle_case_sign", "core.py",
+           "t = -x if a < c < b else x", "t = x",
+           ("tests/test_core.py::test_check_jacobi_matches_the_triple_loop_on_failing_tables",)),
     Mutant("assemble_double-difference_sweep_on_q", "extension.py",
            "any(_skew(g.int_bracket_data[0], rep.h_form.int_rows[0]))",
            "any(_skew(g.int_bracket_data[0], q.int_rows[0]))",
@@ -139,8 +140,30 @@ CATALOGUE = (
            "v = {f: m}", "v = {f: -m}",
            (LIN + "test_nullspace_matches_sympy",)),
     Mutant("killing_form-no_mirror", "core.py",
-           "m[i][j] = m[j][i] = Fraction(t, den)", "m[i][j] = Fraction(t, den)",
+           "m[i][j] = m[j][i] = Fraction(m[i][j], den) if m[i][j] else Q0",
+           "m[i][j] = Fraction(m[i][j], den) if m[i][j] else Q0",
            ("tests/test_core.py::test_killing_form_matches_trace_of_product",)),
+    Mutant("killing_form-index_keyed_qp", "core.py",
+           "at.setdefault((p, q), []).append((j, y))", "at.setdefault((q, p), []).append((j, y))",
+           ("tests/test_core.py::test_killing_form_matches_trace_of_product",)),
+    # the sparse signature: one gcd per block, the hyperbolic pair, the
+    # Markowitz pivot
+    Mutant("signature-gcd_per_row", "linalg.py",
+           "        for row in w.values() if d > 1 else ():\n"
+           "            for q, x in row.items():\n                row[q] = x // d\n",
+           "        for row in w.values():\n            e = gcd(*row.values())\n"
+           "            for q, x in row.items():\n                row[q] = x // e\n",
+           SIG),
+    Mutant("signature-hyperbolic_without_column_update", "linalg.py",
+           "            for row in w.values():\n                if x := row.get(j):",
+           "            for row in ():\n                if x := row.get(j):",
+           SIG),
+    Mutant("signature-first_nonzero_diagonal", "linalg.py",
+           "k = min((i for i, row in w.items() if i in row), key=lambda i: len(w[i]), default=None)",
+           "k = next((i for i, row in w.items() if i in row), None)",
+           SIG,
+           equivalent="by Sylvester's law of inertia every pivot order gives the same "
+                      "signature; the Markowitz choice only keeps the fill small"),
     Mutant("bracket_span-pairs_by_identity", "core.py",
            "if left == right:", "if left is right:",
            ("tests/test_corpus.py::test_lower_central_series_brackets_each_pair_of_g_once",)),

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
-                     ad_invariant, center, check_jacobi, derivation_witnesses,
+                     ad_invariant, center, check_jacobi,
                      derived_series, invariant_forms, is_subalgebra,
                      kernel_of, killing_form, lower_central_series,
                      orthogonal_complement, restrict_to_subalgebra,
@@ -19,6 +19,7 @@ from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
 from conftest import (T_PLUS, a12_rep, conjugated_rep, conjugated_table,
                       dense_change, h3_rep, so3_block_reps, torus_reps)
+from oracles import check_jacobi_triples, derivation_witnesses, rank, vec_add, vec_sub
 
 
 def test_bracket_heisenberg(h3):
@@ -253,7 +254,7 @@ def test_invariant_forms_a12_contains_source_form():
     assert len(forms) == 4
     flat = [x for row in dbl.Q.matrix for x in row]
     span = [[x for row in f.matrix for x in row] for f in forms]
-    assert linalg.rank(span + [flat]) == len(span)
+    assert rank(span + [flat]) == len(span)
     for f in forms:
         assert ad_invariant(dbl.g, f)
 
@@ -429,7 +430,7 @@ def _derivation_loop(op, tensor, n, slots, nx):
                 moved = linalg.mat_vec(cx, linalg.identity(n)[t[s]])
                 for q, c in enumerate(moved):
                     term = _dense(tensor, t[:s] + (q,) + t[s + 1:], n)
-                    out = linalg.vec_sub(out, linalg.vec_scale(c, term))
+                    out = vec_sub(out, linalg.vec_scale(c, term))
             if not linalg.is_zero_vector(out):
                 bad.append((x,) + t)
     return bad
@@ -469,7 +470,7 @@ def test_skew_witnesses_match_the_triple_loop(case):
 @given(kernel_cases())
 def test_derivation_witnesses_match_the_slot_loop(case):
     n, nx, slots, op, tensor, _ = case
-    assert (list(derivation_witnesses(op, tensor, n))
+    assert (list(derivation_witnesses(op, tensor))
             == _derivation_loop(op, tensor, n, slots, nx))
 
 
@@ -504,7 +505,7 @@ def test_derivation_witnesses_half_sweep_and_fall_through(case):
     if slots > 1:
         assert _antisymmetric(tensor) and not _antisymmetric(nudged)
     for data in (tensor, nudged):
-        assert (list(derivation_witnesses(op, data, n))
+        assert (list(derivation_witnesses(op, data))
                 == _derivation_loop(op, data, n, slots, nx))
 
 
@@ -518,7 +519,7 @@ def test_kernels_on_brackets_and_their_operators(case):
     ad = operator_data([alg.ad(i) for i in range(n)])
     assert ad == alg.bracket_data
     assert list(skew_witnesses(ad, form)) == _skew_loop(ad, form, n, n)
-    bad = list(derivation_witnesses(ad, alg.bracket_data, n))
+    bad = list(derivation_witnesses(ad, alg.bracket_data))
     assert bad == _derivation_loop(ad, alg.bracket_data, n, 2, n)
     assert (not bad) == (not check_jacobi(alg))
 
@@ -530,7 +531,7 @@ def test_kernels_stop_at_the_first_witness():
     found = skew_witnesses(op, form)
     assert next(found) == (0, 0, 0)
     assert next(found) == (1, 0, 0)
-    found = derivation_witnesses(op, {(0, 0): {0: F(1)}}, 1)
+    found = derivation_witnesses(op, {(0, 0): {0: F(1)}})
     assert next(found) == (0, 0, 0)
 
 
@@ -565,7 +566,7 @@ def test_derivation_witnesses_pin_the_branches_of_the_scatter(name):
     tensor = BRANCH_S[name]
     slots = len(next(iter(tensor)))
     assert _antisymmetric(tensor) == ("mirror" not in name)
-    found = list(derivation_witnesses(BRANCH_OP, tensor, 5))
+    found = list(derivation_witnesses(BRANCH_OP, tensor))
     assert found and found == _derivation_loop(BRANCH_OP, tensor, 5, slots, 2)
     assert {x for x, *_ in found} == {0, 1}
 
@@ -574,10 +575,10 @@ def test_derivation_witnesses_of_an_empty_s_and_an_operator_off_s():
     """An empty S has no witness; an operator C_x that meets neither the
     keys nor the values of S has none either, while one that does has the
     loop's."""
-    assert list(derivation_witnesses(BRANCH_OP, {}, 5)) == []
+    assert list(derivation_witnesses(BRANCH_OP, {})) == []
     tensor = _mirrored({(1, 3): {0: 1, 2: -2}})
     op = {(0, 4): {4: F(1)}, (2, 0): {1: F(1)}}
-    found = list(derivation_witnesses(op, tensor, 5))
+    found = list(derivation_witnesses(op, tensor))
     assert found and found == _derivation_loop(op, tensor, 5, 2, 3)
     assert {x for x, *_ in found} == {2}
 
@@ -605,7 +606,7 @@ def test_leibniz_probes_the_tensor_once_per_stored_key():
     tensor = _CountedGets(_integral(_mirrored(entries))[0])
     op = {(x, y): {rng.randrange(n): rng.choice((1, -1))} for x in range(3)
           for y in rng.sample(range(n), 8)}
-    found = list(_leibniz(op, tensor, n))
+    found = list(_leibniz(op, tensor))
     assert found and 0 < tensor.gets <= len(tensor)
     assert {(x, b, a, c) for x, a, b, c in found} == set(found)
 
@@ -621,8 +622,8 @@ def _jacobi_loop(alg):
     basis = linalg.identity(alg.dim)
     for i, j, k in combinations(range(alg.dim), 3):
         s = alg.bracket(alg.basis_bracket(i, j), basis[k])
-        s = linalg.vec_add(s, alg.bracket(alg.basis_bracket(j, k), basis[i]))
-        s = linalg.vec_add(s, alg.bracket(alg.basis_bracket(k, i), basis[j]))
+        s = vec_add(s, alg.bracket(alg.basis_bracket(j, k), basis[i]))
+        s = vec_add(s, alg.bracket(alg.basis_bracket(k, i), basis[j]))
         if not linalg.is_zero_vector(s):
             violations.append((i, j, k, s))
     return violations
@@ -646,6 +647,28 @@ def test_check_jacobi_matches_the_bracket_loop(alg):
     got = check_jacobi(alg)
     assert got == _jacobi_loop(alg)
     assert all(type(x) is F for *_, s in got for x in s)
+
+
+@st.composite
+def failing_tables(draw):
+    """Structure constants on 3 to 7 basis vectors, on at least two pairs,
+    that fail Jacobi: the triple loop reports a violation."""
+    n = draw(st.integers(3, 7))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          min_size=2, unique=True))
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), MIXED_Q.filter(bool),
+                                        min_size=1, max_size=3))
+             for pair in pairs}
+    alg = LieAlgebra(n, None, table)
+    assume(check_jacobi_triples(alg))
+    return alg
+
+
+@KERNELS
+@given(failing_tables())
+def test_check_jacobi_matches_the_triple_loop_on_failing_tables(alg):
+    """The scatter gives the triple loop's witnesses, sums and order."""
+    assert check_jacobi(alg) == check_jacobi_triples(alg)
 
 
 def test_check_jacobi_on_conjugated_corpus_algebras():
@@ -707,7 +730,7 @@ def test_kernels_cancel_across_mixed_denominators():
         br = conj.bracket_data
         assert check_jacobi(conj) == _jacobi_loop(conj) == []
         assert list(skew_witnesses(br, g)) == _skew_loop(br, g, n, n) == []
-        assert list(derivation_witnesses(br, br, n)) == []
+        assert list(derivation_witnesses(br, br)) == []
         assert _derivation_loop(br, br, n, 2, n) == []
 
         (i, j), comps = min(table.items())
@@ -720,7 +743,7 @@ def test_kernels_cancel_across_mixed_denominators():
         bb = broken.bracket_data
         found = list(skew_witnesses(bb, g))
         assert found and found == _skew_loop(bb, g, n, n)
-        found = list(derivation_witnesses(bb, bb, n))
+        found = list(derivation_witnesses(bb, bb))
         assert found and found == _derivation_loop(bb, bb, n, 2, n)
 
 
@@ -789,7 +812,7 @@ def test_series_match_the_span_route_on_tori(rep):
 def _rank_contains(sub, vectors):
     """The basis stacked with all the vectors has rank dim sub."""
     stacked = sub.basis() + [list(map(F, v)) for v in vectors]
-    return linalg.rank(stacked) == sub.dim
+    return rank(stacked) == sub.dim
 
 
 @st.composite

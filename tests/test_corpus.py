@@ -1,12 +1,13 @@
 import json
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 import adinvar
 from adinvar import (LieAlgebra, Subspace, ad_invariant, build_gd,
                      build_hom_structure, cli, corpus_build, corpus_list,
-                     derivation_algebra, derived_series, lower_central_series,
+                     derivation_algebra, derived_series, linalg, lower_central_series,
                      profile, verify_as)
 from adinvar.io import dump_algebra_dict, dump_builder_dict, load_algebra_file
 from conftest import conjugated_rep
@@ -103,6 +104,35 @@ def test_registry_builds_only_the_named_entry(monkeypatch):
     assert calls == []
     corpus_build("gH")
     assert len(calls) == 1
+
+
+def test_lemma_derivations_are_the_displays_conjugated_by_the_basis():
+    """Each stored derivation is P M P^-1 of its displayed matrix M, with P
+    the columns of the displayed basis {e0, e1-e3, e2, e1, e4}, multiplied
+    and inverted densely; one key builds one derivation."""
+    def eij(i, j):
+        m = linalg.zeros(5, 5)
+        m[i - 1][j - 1] = F(1)
+        return m
+
+    shown = {
+        "H": linalg.mat_sub(linalg.mat_add(eij(1, 1), eij(4, 4)),
+                            linalg.mat_add(eij(2, 2), eij(5, 5))),
+        "E": linalg.mat_add(eij(1, 2), eij(4, 5)),
+        "F": linalg.mat_add(eij(2, 1), eij(5, 4)),
+        "X": linalg.mat_sub(eij(1, 3), eij(3, 5)),
+        "Y": linalg.mat_add(eij(2, 3), eij(3, 4)),
+        "Z": linalg.mat_add(eij(1, 4), eij(2, 5)),
+    }
+    p = linalg.transpose([[F(x) for x in col] for col in (
+        [1, 0, 0, 0, 0], [0, 1, 0, -1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1])])
+    p_inv = linalg.inverse(p)
+    want = {k: tuple(map(tuple, linalg.mat_mul(p, linalg.mat_mul(m, p_inv))))
+            for k, m in shown.items()}
+    got = adinvar.corpus._lemma_derivations()
+    assert got == want
+    assert all(type(x) is F for m in got.values() for row in m for x in row)
+    assert adinvar.corpus._lemma_derivations("E") == {"E": want["E"]}
 
 
 def test_series_command_builds_once(tmp_path, monkeypatch, capsys):

@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from adinvar import (HomStructure, build_gd, build_hom_structure,
                      nilmanifold_t_formula, t_tensor, verify_as)
-from adinvar import linalg
+from adinvar import core, linalg
 from adinvar.geometry import Tensor
 from adinvar.homstructure import nabla_tilde_closed
 from conftest import (T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, torus_rep,
                       torus_reps, two_torus_rep)
 
 from corpus_help import lemma_rep
+from oracles import vec_add, vec_sub
+from test_corpus import _count_calls
 
 
 def test_t_tensor_h3_values():
@@ -53,6 +55,16 @@ def test_nabla_tilde_matches_closed_form():
                 so3_rep(), two_torus_rep(), a12_rep(), lemma_rep("H")):
         gd = build_gd(rep)
         assert build_hom_structure(gd).nabla_tilde == nabla_tilde_closed(gd)
+
+
+def test_verify_as_scales_nabla_tilde_once(monkeypatch):
+    """nabla~ is scaled to ints once per call, for (i') and both
+    derivation actions."""
+    gd = build_gd(so3_rep())
+    hom = build_hom_structure(gd)
+    calls = _count_calls(monkeypatch, core, "_integral")
+    assert verify_as(gd, hom).all_pass
+    assert [args[0] is hom.nabla_tilde.data for args in calls].count(True) == 1
 
 
 def test_verify_as_passes_everywhere():
@@ -117,9 +129,9 @@ def _verify_as_oracle(gd, hom):
 
     def nabla_r(conn, x, y, z, w):
         out = conn.apply(basis[x], r.entry(y, z, w))
-        out = linalg.vec_sub(out, r.apply(conn.entry(x, y), basis[z], basis[w]))
-        out = linalg.vec_sub(out, r.apply(basis[y], conn.entry(x, z), basis[w]))
-        return linalg.vec_sub(out, r.apply(basis[y], basis[z], conn.entry(x, w)))
+        out = vec_sub(out, r.apply(conn.entry(x, y), basis[z], basis[w]))
+        out = vec_sub(out, r.apply(basis[y], conn.entry(x, z), basis[w]))
+        return vec_sub(out, r.apply(basis[y], basis[z], conn.entry(x, w)))
 
     bad, bad_p = [], []
     for x in range(n):
@@ -127,11 +139,11 @@ def _verify_as_oracle(gd, hom):
             for z in range(n):
                 for w in range(n):
                     rhs = t.apply(basis[x], r.entry(y, z, w))
-                    rhs = linalg.vec_sub(rhs, r.apply(basis[y], basis[z],
+                    rhs = vec_sub(rhs, r.apply(basis[y], basis[z],
                                                       t.entry(x, w)))
-                    rhs = linalg.vec_sub(rhs, r.apply(t.entry(x, y), basis[z],
+                    rhs = vec_sub(rhs, r.apply(t.entry(x, y), basis[z],
                                                       basis[w]))
-                    rhs = linalg.vec_sub(rhs, r.apply(basis[y], t.entry(x, z),
+                    rhs = vec_sub(rhs, r.apply(basis[y], t.entry(x, z),
                                                       basis[w]))
                     if nabla_r(nabla, x, y, z, w) != rhs:
                         bad.append((x, y, z, w))
@@ -142,16 +154,16 @@ def _verify_as_oracle(gd, hom):
 
     def nabla_t(conn, x, y, w):
         out = conn.apply(basis[x], t.entry(y, w))
-        out = linalg.vec_sub(out, t.apply(conn.entry(x, y), basis[w]))
-        return linalg.vec_sub(out, t.apply(basis[y], conn.entry(x, w)))
+        out = vec_sub(out, t.apply(conn.entry(x, y), basis[w]))
+        return vec_sub(out, t.apply(basis[y], conn.entry(x, w)))
 
     bad, bad_p = [], []
     for x in range(n):
         for y in range(n):
             for w in range(n):
                 rhs = t.apply(basis[x], t.entry(y, w))
-                rhs = linalg.vec_sub(rhs, t.apply(basis[y], t.entry(x, w)))
-                rhs = linalg.vec_sub(rhs, t.apply(t.entry(x, y), basis[w]))
+                rhs = vec_sub(rhs, t.apply(basis[y], t.entry(x, w)))
+                rhs = vec_sub(rhs, t.apply(t.entry(x, y), basis[w]))
                 if nabla_t(nabla, x, y, w) != rhs:
                     bad.append((x, y, w))
                 if not linalg.is_zero_vector(nabla_t(nt, x, y, w)):
@@ -165,7 +177,7 @@ def _verify_as_oracle(gd, hom):
             bad.append((i, i))
         for j in range(i + 1, n):
             if not linalg.is_zero_vector(
-                    linalg.vec_add(t.entry(i, j), t.entry(j, i))):
+                    vec_add(t.entry(i, j), t.entry(j, i))):
                 bad.append((i, j))
     axioms["iv"] = (not bad, tuple(bad))
     return axioms

@@ -25,6 +25,7 @@ from adinvar.homstructure import _t_via_lambda, nabla_tilde_closed, t_tensor
 from adinvar.linalg import Q1
 from conftest import (conjugated_rep, so3_block_rep, so3_block_reps, so3_rep,
                       torus_rep, torus_reps)
+from oracles import vec_add, vec_sub
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +57,8 @@ def levi_civita_gd_oracle(gd):
         x1, h1 = gd.split(basis[i])
         x2, h2 = gd.split(basis[j])
         out = alg.bracket(gd.embed_d(x1), gd.embed_d(x2))
-        out = linalg.vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2)))
-        out = linalg.vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h2), x1)))
+        out = vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2)))
+        out = vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h2), x1)))
         return linalg.vec_scale(Q1 / 2, out)
 
     return Tensor.from_function(alg.dim, 2, nabla)
@@ -68,8 +69,8 @@ def curvature_oracle(gamma, alg):
 
     def r(i, j, k):
         out = gamma.apply(basis[i], gamma.entry(j, k))
-        out = linalg.vec_sub(out, gamma.apply(basis[j], gamma.entry(i, k)))
-        return linalg.vec_sub(out, gamma.apply(alg.basis_bracket(i, j), basis[k]))
+        out = vec_sub(out, gamma.apply(basis[j], gamma.entry(i, k)))
+        return vec_sub(out, gamma.apply(alg.basis_bracket(i, j), basis[k]))
 
     return Tensor.from_function(alg.dim, 3, r)
 
@@ -104,10 +105,10 @@ def curvature_gd_oracle(gd):
             out = gd.embed_d([half * x - quarter * (y + z) for x, y, z in zip(
                 pi_bstar[a][b][c], pi_bstar[b][c][a], pi_bstar[c][a][b])])
             inner = comb(d_br[a][b], [l_br[q][c] for q in range(nd)], n)
-            return linalg.vec_sub(out, linalg.vec_scale(quarter, inner))
+            return vec_sub(out, linalg.vec_scale(quarter, inner))
         if di and dj:
             a, b, pih = i, j, pi_h[k - nd]
-            hpart = linalg.vec_add(
+            hpart = vec_add(
                 comb(pih[b], bstar[a], nh),
                 comb(pih[a], [bstar[q][b] for q in range(nd)], nh))
             dpart = comb(d_br[a][b], pih, nd)
@@ -116,7 +117,7 @@ def curvature_gd_oracle(gd):
         if di and not dj and dk:
             a, b, pih = i, k, pi_h[j - nd]
             out = linalg.vec_scale(-quarter, comb(pih[b], l_br[a], n))
-            return linalg.vec_add(out, gd.embed_d(
+            return vec_add(out, gd.embed_d(
                 linalg.vec_scale(quarter, comb(d_br[a][b], pih, nd))))
         if not di and dj and dk:
             return linalg.vec_scale(-Q1, r(j, i, k))
@@ -140,10 +141,10 @@ def t_direct_oracle(gd):
         x1, h1 = gd.split(basis[i])
         x2, h2 = gd.split(basis[j])
         out = alg.bracket(gd.embed_d(x1), gd.embed_d(x2))
-        out = linalg.vec_add(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2)))
-        out = linalg.vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h2), x1)))
+        out = vec_add(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2)))
+        out = vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h2), x1)))
         out = linalg.vec_scale(Q1 / 2, out)
-        return linalg.vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
+        return vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
 
     return Tensor.from_function(alg.dim, 2, t)
 
@@ -167,7 +168,7 @@ def nabla_tilde_oracle(gd):
         x1, h1 = gd.split(basis[i])
         x2, h2 = gd.split(basis[j])
         out = gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2))
-        return linalg.vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
+        return vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
 
     return Tensor.from_function(gd.L.dim, 2, nt)
 
@@ -178,12 +179,12 @@ def nilmanifold_oracle(gd):
     def t(i, j):
         v1, k1 = gd.split(basis[i])
         v2, k2 = gd.split(basis[j])
-        out = linalg.vec_scale(Q1 / 2, gd.embed_d(linalg.vec_sub(
+        out = linalg.vec_scale(Q1 / 2, gd.embed_d(vec_sub(
             linalg.mat_vec(gd.rep.pi_of(k1), v2),
             linalg.mat_vec(gd.rep.pi_of(k2), v1))))
-        out = linalg.vec_add(out, linalg.vec_scale(Q1 / 2, gd.embed_h(
+        out = vec_add(out, linalg.vec_scale(Q1 / 2, gd.embed_h(
             linalg.mat_vec(gd.ell_inv, gd.rep.beta(v1, v2)))))
-        return linalg.vec_add(out, gd.embed_h(gd.rep.h.bracket(k1, k2)))
+        return vec_add(out, gd.embed_h(gd.rep.h.bracket(k1, k2)))
 
     return Tensor.from_function(gd.L.dim, 2, t)
 
