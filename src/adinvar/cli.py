@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import linalg
-from .core import Check, ad_invariant, center, check_jacobi, skew_witnesses
+from .core import Check, _skew, ad_invariant, center, check_jacobi
 from .corpus import corpus_build, corpus_list
 from .derivations import (derivation_algebra, induced_so_aut_pair,
                           inner_derivations, profile, skew_part, so_aut)
@@ -121,8 +121,8 @@ def cmd_geometry(args, report):
         return
     gamma = levi_civita(alg, form)
     swapped = Tensor(alg.dim, 2, {(j, i): c for (i, j), c in gamma.data.items()})
-    torsion_free = (gamma - swapped).data == alg.bracket_data
-    metric_comp = not any(skew_witnesses(gamma.data, form))
+    torsion_free = (gamma - swapped).int_data == alg.int_bracket_data
+    metric_comp = not any(_skew(gamma.int_data[0], form.int_rows[0]))
     report["checks"] += [Check("torsion_free", torsion_free),
                          Check("metric_compatible", metric_comp)]
     if not (torsion_free and metric_comp):

@@ -14,12 +14,12 @@ pairs a < b, [g, g] is bracketed once per algebra, ``check_jacobi`` reads
 [e_a, e_b] for a < b, and ``killing_form`` computes the entries i <= j.
 ``_integral`` multiplies sparse data by s, the lcm of its denominators, and
 each object caches its own view once (``LieAlgebra.int_bracket_data``,
-``BilinearForm.int_rows``, ``Representation.int_ops``).  A term
-multiplying one entry of each input is the product of their scales times
-its value, so a scale per input keeps every verdict and span; a route
-whose terms multiply d entries of one input scales all its inputs by one
-call (s^d).  An exact value is an int sum divided once (``_rational``),
-one ``Fraction`` per stored entry.
+``BilinearForm.int_rows``, ``Subspace.int_rows``, ``Representation.int_ops``,
+``geometry.Tensor.int_data``).  A term multiplying one entry of each input
+is the product of their scales times its value, so a scale per input keeps
+every verdict and span; a route whose terms multiply d entries of one
+input scales all its inputs by one call (s^d).  A tensor's exact entries
+are its int view divided once (``_rational``) when they are first read.
 """
 
 from collections import Counter, defaultdict
@@ -216,6 +216,11 @@ class Subspace:
     def basis(self):
         return [list(r) for r in self.rows]
 
+    @cached_property
+    def int_rows(self):
+        """(rows, scale): the rows as sparse ints, scaled once per subspace."""
+        return _integral(_rows(self.rows))
+
     def contains(self, v):
         return self.contains_all([v])
 
@@ -224,9 +229,9 @@ class Subspace:
         reduced echelon form, so v lies in it iff v = sum_r v[pivot_r] row_r;
         both sides agree on the pivot columns, so the rest of v minus that
         combination must vanish, and nothing is eliminated.  On ints: the
-        rows are scaled by one s (``_integral``), each v by its own t, and
+        rows scaled by one s (``int_rows``), each v by its own t, and
         s (t v) - sum_r (t v)[pivot_r] (s row_r) is compared with zero."""
-        rows, s = _integral(_rows(self.rows))
+        rows, s = self.int_rows
         rows = [(next(iter(row)), row) for row in rows.values()]  # (pivot, row)
         for v in vectors:
             v = list(map(frac, v))
@@ -499,8 +504,8 @@ def _bracket(by_first, u, v):
 def _bracket_span(table, left, right):
     """[left, right] for the bracket table scaled to integers, where
     [left, right] lies in right, as it does down both series ([C, C] in C,
-    and [g, D] in D, by induction).  The two bases, scaled to integers by
-    one ``_integral`` call, are bracketed one pair at a time and fed to
+    and [g, D] in D, by induction).  The two bases, each scaled to integers
+    once per subspace (``int_rows``), are bracketed one pair at a time and fed to
     ``linalg._rref`` with the rank bound dim right: once that many
     brackets are independent, the span is right and no further pair is
     bracketed.  Scaling a spanning vector keeps the span; the reduced
@@ -509,8 +514,7 @@ def _bracket_span(table, left, right):
     by_first = {}
     for (i, j), comps in table.items():
         by_first.setdefault(i, []).append((j, comps))
-    lrows, rrows, _ = _integral(_rows(left.rows), _rows(right.rows))
-    lrows, rrows = list(lrows.values()), list(rrows.values())
+    lrows, rrows = list(left.int_rows[0].values()), list(right.int_rows[0].values())
     if left == right:  # [u, u] = 0 and [v, u] = -[u, v]
         pairs = combinations(range(len(lrows)), 2)
     else:

@@ -4,29 +4,25 @@ curvature, Ricci tensor and geodesic criteria.
 Everything is computed twice where the construction admits a closed form:
 once from the Koszul formula / curvature definition (ground truth) and once
 from the block formulas of the d + h* algebras; tests pin exact equality.
-Every route builds ``Tensor.data`` directly, summing over the nonzero
-entries of the sparse data it reads (bracket tables, operator columns,
-the form rows, the columns of B^-1 and ell^-1); the curvature routes
-scatter each stored entry to the keys of the terms it is a factor of.
-``Tensor.from_function`` remains for test oracles and for
-``bi_invariant_curvature_check``.
-
-The routes add Python ints.  Each passes all its inputs to one
-``core._integral`` call, which scales them by one common s; it then
-accumulates with ``add_scaled`` and divides once by k s^d with
-``core._rational``, for d the number of input entries in each term and k
-the denominator of the coefficients: one ``Fraction`` per stored entry,
-and no weight per term.  Where an entry is a single product (the blocks of ``gd_tensor``)
-it is formed as one ``Fraction`` by ``_product``.
+Every route sums over the nonzero entries of the sparse data it reads
+(bracket tables, operator columns, the form rows, the columns of B^-1 and
+ell^-1); the curvature routes scatter each stored entry to the keys of
+the terms it is a factor of.  The routes add Python ints: each reads the
+int views of its inputs (a ``Tensor``'s ``int_data``, or one
+``core._integral`` call over all its rational inputs), accumulates with
+``add_scaled`` and hands the int sums and their scale to
+``Tensor.from_ints``, so no route forms a ``Fraction``.  The readers of R
+(Ricci, its operator, the sectional curvature) read its view and the
+form's ``int_rows`` and form one ``Fraction`` per output entry.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from . import linalg
-from .core import BilinearForm, _integral, _rational, _rows, is_subalgebra
+from .core import BilinearForm, _integral, _lowered, _rational, _rows, is_subalgebra
 from .linalg import Q0, Q1
 
 
@@ -34,27 +30,31 @@ class GeometryError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class Tensor:
     """Sparse multilinear map with vector values on basis tuples.
 
     data[(i, j, ..)] = {p: c} says that the map sends (e_i, e_j, ..) to
     the sum of c e_p; a connection has two slots (G(e_i, e_j) = Op(e_i) e_j)
-    and a curvature three (R(e_i, e_j) e_k).  Zero outputs and zero
-    coefficients are never stored, so equal tensors have equal data.
+    and a curvature three (R(e_i, e_j) e_k).  The tensor holds one int view
+    ``int_data`` = (ints, scale), data = ints / scale, divided by its gcd:
+    scale is the lcm of the denominators, as from ``core._integral(data)``.
+    Zeros are never stored, so equal tensors have equal views.  The routes
+    hand their int sums to ``from_ints``; ``data`` is formed on first read.
     """
 
-    dim: int
-    slots: int
-    data: dict
+    def __init__(self, dim, slots, data):
+        self.dim, self.slots, self.int_data = dim, slots, _reduced(*_integral(data))
 
-    def __post_init__(self):
-        clean = {}
-        for idx, comps in self.data.items():
-            comps = {p: c for p, c in comps.items() if c}
-            if comps:
-                clean[idx] = comps
-        object.__setattr__(self, "data", clean)
+    @classmethod
+    def from_ints(cls, dim, slots, ints, scale):
+        """ints / scale for sparse int data and an int scale > 0."""
+        self = cls.__new__(cls)
+        self.dim, self.slots, self.int_data = dim, slots, _reduced(ints, scale)
+        return self
+
+    @cached_property
+    def data(self):
+        return _rational(*self.int_data)
 
     @classmethod
     def from_function(cls, dim, slots, fn):
@@ -62,6 +62,9 @@ class Tensor:
         return cls(dim, slots, {
             idx: dict(enumerate(fn(*idx)))
             for idx in product(range(dim), repeat=slots)})
+
+    def __eq__(self, other):
+        return (self.dim, self.slots, self.int_data) == (other.dim, other.slots, other.int_data)
 
     def entry(self, *idx):
         """The value on a basis tuple as a dense vector."""
@@ -83,10 +86,21 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        data, b, s = _integral(self.data, other.data)
+        """self - other on the views: (a t - b s) / (s t) for a / s and b / t."""
+        (a, s), (b, t) = self.int_data, other.int_data
+        data = {idx: {p: x * t for p, x in comps.items()} for idx, comps in a.items()}
         for idx, comps in b.items():
-            add_scaled(data.setdefault(idx, {}), -1, comps)
-        return Tensor(self.dim, self.slots, _rational(data, s))
+            add_scaled(data.setdefault(idx, {}), -s, comps)
+        return Tensor.from_ints(self.dim, self.slots, data, s * t)
+
+
+def _reduced(ints, scale):
+    """(ints, scale) divided by their gcd, without zeros or empty outputs."""
+    g, out = gcd(scale, *(x for comps in ints.values() for x in comps.values())), {}
+    for idx, comps in ints.items():
+        if comps := {p: x // g for p, x in comps.items() if x}:
+            out[idx] = comps
+    return out, scale // g
 
 
 def add_scaled(out, c, comps, offset=0):
@@ -94,11 +108,6 @@ def add_scaled(out, c, comps, offset=0):
     the routes pass ints."""
     for p, x in comps.items():
         out[p + offset] = out.get(p + offset, 0) + c * x
-
-
-def _product(c, x):
-    """c x as one Fraction, formed without Fraction arithmetic."""
-    return Fraction(c.numerator * x.numerator, c.denominator * x.denominator)
 
 
 def levi_civita(alg, form):
@@ -133,35 +142,27 @@ def levi_civita(alg, form):
         for k, t in rhs.items():
             if t:
                 add_scaled(out, t, binv[k])
-    return Tensor(n, 2, _rational(data, 2 * s ** 3))
+    return Tensor.from_ints(n, 2, data, 2 * s ** 3)
 
 
 def gd_tensor(gd, dd, left, right, hstar):
-    """A two-slot tensor on d + h* assembled by block from construction data.
-
-    dd[a, b] is the value on a pair of d basis vectors; the value on
-    (h_k*, e_b) is left * pi(h_k) e_b, on (e_a, h_k*) it is right * pi(h_k) e_a,
-    and on (h_p*, h_q*) it is hstar * [h_p, h_q]*.  The blocks use
-    different keys, so every entry outside dd is one product.
-    """
+    """A two-slot tensor on d + h* assembled by block, in halves: dd[a, b]/2
+    on a pair of d basis vectors (dd's other keys are dropped), left/2
+    pi(h_k) e_b on (h_k*, e_b), right/2 pi(h_k) e_a on (e_a, h_k*) and
+    hstar/2 [h_p, h_q]* on (h_p*, h_q*), for ints left, right and hstar.
+    dd, pi and the bracket of h are scaled to integers by one s, so every
+    entry is 2 s times the tensor."""
     nd, n = gd.nd, gd.L.dim
-    data = dict(dd)  # the other blocks use other keys
-    for (k, b), col in gd.rep.op_data.items():
+    data, ops, h_br, s = _integral({ab: c for ab, c in dd.items() if max(ab) < nd},
+                                   gd.rep.op_data, gd.rep.h.bracket_data)
+    for (k, b), col in ops.items():
         for key, c in (((nd + k, b), left), ((b, nd + k), right)):
             if c:
-                data[key] = {p: _product(c, x) for p, x in col.items()}
+                data[key] = {p: c * x for p, x in col.items()}
     if hstar:
-        for (p, q), comps in gd.rep.h.bracket_data.items():
-            data[nd + p, nd + q] = {nd + r: _product(hstar, x)
-                                    for r, x in comps.items()}
-    return Tensor(n, 2, data)
-
-
-def d_bracket_half(gd):
-    """[e_a, e_b]/2 in d + h* for d basis vectors, with its h* component."""
-    nd, half = gd.nd, Fraction(1, 2)
-    return {(a, b): {p: _product(half, c) for p, c in comps.items()}
-            for (a, b), comps in gd.L.bracket_data.items() if a < nd and b < nd}
+        for (p, q), comps in h_br.items():
+            data[nd + p, nd + q] = {nd + r: hstar * x for r, x in comps.items()}
+    return Tensor.from_ints(n, 2, data, 2 * s)
 
 
 def beta_star(gd):
@@ -179,8 +180,7 @@ def levi_civita_gd(gd):
     [x1,x2] is the full algebra bracket of the d parts (it carries the
     cocycle component), so the connection has an h* output as well.
     """
-    half = Fraction(1, 2)
-    return gd_tensor(gd, d_bracket_half(gd), -half, -half, 0)
+    return gd_tensor(gd, gd.L.bracket_data, -1, -1, 0)
 
 
 def curvature(gamma, alg):
@@ -190,11 +190,11 @@ def curvature(gamma, alg):
     each i with a stored D_i e_p, goes to (i, j, k) and its negative to
     (j, i, k), and a stored c e_q in [e_i, e_j] adds -c D_q e_k to (i, j, k).
 
-    The connection and the bracket are scaled to integers by one s, and
-    every term is a product of two of their entries, so every sum is s^2
+    On the views G / sg of the connection and B / sb of the bracket, a D D
+    term is weighted by sb and a bracket term by sg: every sum is sg^2 sb
     times the curvature."""
     n, data = alg.dim, {}
-    g, br, s = _integral(gamma.data, alg.bracket_data)
+    (g, sg), (br, sb) = gamma.int_data, alg.int_bracket_data
     by_p, by_q = [[] for _ in range(n)], [[] for _ in range(n)]
     for (i, p), comps in g.items():
         by_p[p].append((i, comps))
@@ -205,13 +205,13 @@ def curvature(gamma, alg):
             for i, v in by_p[p]:
                 add_scaled(acc.setdefault(i, {}), c, v)
         for i, v in acc.items():
-            add_scaled(data.setdefault((i, j, k), {}), 1, v)
-            add_scaled(data.setdefault((j, i, k), {}), -1, v)
+            add_scaled(data.setdefault((i, j, k), {}), sb, v)
+            add_scaled(data.setdefault((j, i, k), {}), -sb, v)
     for (i, j), comps in br.items():  # - D_[e_i, e_j] e_k
         for q, c in comps.items():
             for k, v in by_q[q]:
-                add_scaled(data.setdefault((i, j, k), {}), -c, v)
-    return Tensor(n, 3, _rational(data, s * s))
+                add_scaled(data.setdefault((i, j, k), {}), -c * sg, v)
+    return Tensor.from_ints(n, 3, data, sg * sg * sb)
 
 
 def curvature_gd(gd):
@@ -283,19 +283,44 @@ def curvature_gd(gd):
         for r, x in comps.items():
             for a, col in by_k[r]:
                 add_scaled(data.setdefault((nd + p, nd + q, a), {}), x, col)
-    return Tensor(nd + nh, 3, _rational(data, 4 * s * s))
+    return Tensor.from_ints(nd + nh, 3, data, 4 * s * s)
+
+
+def _int_vectors(*vectors):
+    """The rational vectors as sparse int vectors {i: x}, scaled by one t,
+    followed by t."""
+    ints, t = _integral({a: {i: c for i, c in enumerate(v) if c} for a, v in enumerate(vectors)})
+    return (*ints.values(), t)
+
+
+def _pair(rows, u, v):
+    """B(u, v) for the sparse int rows of B and sparse int vectors."""
+    return sum(x * v.get(k, 0) for k, x in _lowered(u, rows).items())
 
 
 def plane_discriminant(form, x, y):
-    return form.apply(x, x) * form.apply(y, y) - form.apply(x, y) ** 2
+    """<x,x><y,y> - <x,y>^2, on the int rows of the form (scale s) and x, y
+    scaled to ints by one t: the int sum over s^2 t^4."""
+    u, v, t = _int_vectors(x, y)
+    rows, s = form.int_rows
+    return Fraction(_pair(rows, u, u) * _pair(rows, v, v) - _pair(rows, u, v) ** 2,
+                    (s * t * t) ** 2)
 
 
 def sectional(r_tensor, form, x, y):
-    """K = <R(x,y)y, x> / (<x,x><y,y> - <x,y>^2) on a nondegenerate plane."""
+    """K = <R(x,y)y, x> / (<x,x><y,y> - <x,y>^2) on a nondegenerate plane.
+
+    The numerator is summed on the view of R (scale r), the int rows of
+    the form (scale s) and x, y scaled to ints by one t: over r s t^4."""
     qp = plane_discriminant(form, x, y)
     if qp == 0:
         raise GeometryError("degenerate plane")
-    return form.apply(r_tensor.apply(x, y, y), x) / qp
+    u, v, t = _int_vectors(x, y)
+    (ints, r), (rows, s) = r_tensor.int_data, form.int_rows
+    w = {}  # R(u, v) v
+    for (i, a), (j, b), (k, c) in product(u.items(), v.items(), v.items()):
+        add_scaled(w, a * b * c, ints.get((i, j, k), {}))
+    return Fraction(_pair(rows, w, u) * qp.denominator, r * s * t ** 4 * qp.numerator)
 
 
 def sectional_gd_closed(gd, x, y):
@@ -331,20 +356,33 @@ def sectional_gd_closed(gd, x, y):
     return e1 * e2 * gd.rep.d_form.apply(pix, pix) / 4
 
 
-def ricci(r_tensor, form):
-    """Ric(x, y) = trace(z -> R(z, x) y); symmetric for a metric connection."""
+def _ricci_ints(r_tensor, form):
+    """(m, scale): Ric(e_i, e_j) = sum_a R(e_a, e_i) e_j at e_a, the int
+    matrix m over the scale of the view of R."""
     if not form.nondegenerate:
         raise GeometryError("metric is degenerate")
-    m = linalg.zeros(r_tensor.dim, r_tensor.dim)
-    for (a, i, j), comps in r_tensor.data.items():
-        m[i][j] += comps.get(a, Q0)
-    return BilinearForm(tuple(tuple(row) for row in m))
+    (ints, s), n = r_tensor.int_data, r_tensor.dim
+    m = [[0] * n for _ in range(n)]
+    for (a, i, j), comps in ints.items():
+        m[i][j] += comps.get(a, 0)
+    return m, s
+
+
+def ricci(r_tensor, form):
+    """Ric(x, y) = trace(z -> R(z, x) y); symmetric for a metric connection."""
+    m, s = _ricci_ints(r_tensor, form)
+    return BilinearForm(tuple(tuple(Fraction(x, s) if x else Q0 for x in row) for row in m))
 
 
 def ricci_operator(r_tensor, form):
-    """The metric-self-adjoint T with Ric(x,y) = <Tx, y>."""
-    ric = ricci(r_tensor, form)
-    return linalg.mat_mul(linalg.inverse(form.rows()), ric.rows())
+    """The metric-self-adjoint T = B^-1 Ric, with Ric(x,y) = <Tx, y>.  For
+    B = b / s (the int rows of the form) and Ric = c / r, one fraction-free
+    elimination of [b | c] (``linalg._echelon``) gives row i as
+    h_i [e_i | (r / s) T_i] for an int h_i."""
+    (c, r), (b, s), n = _ricci_ints(r_tensor, form), form.int_rows, form.dim
+    aug = [{**b[i], **{n + j: x for j, x in enumerate(c[i]) if x}} for i in range(n)]
+    return [[Fraction(x * s, row[i] * r) if (x := row.get(n + j)) else Q0 for j in range(n)]
+            for i, row in enumerate(linalg._echelon(aug, 2 * n)[0])]
 
 
 def ricci_gd_closed(gd):

@@ -3,27 +3,21 @@ exact verification of the Ambrose-Singer conditions at the algebra level.
 
 For left-invariant tensors the covariant statements reduce to identities on
 basis tuples, checked from the stored entries; all checks are exact.  The routes
-to T and to nabla~ build ``Tensor.data`` by block from the bracket tables,
-the operator columns and ell^-1 beta, or, through lambda, from the bracket
-of the double extension over the nonzero entries of the lambda columns.
-
-As in ``geometry``, the routes make no ``Fraction`` arithmetic: the block
-routes form each entry as one product (``gd_tensor``), and the lambda
-route scales all its inputs by one common s in one ``core._integral``
-call, adds ints and divides once per stored entry by k s^d with
-``core._rational``, without a weight per term.
+to T and to nabla~ sum by block over the bracket tables, the operator
+columns and ell^-1 beta (``gd_tensor``), or, through lambda, over the
+bracket of the double extension and the nonzero entries of the lambda
+columns.  As in ``geometry``, they add ints and hand them to
+``Tensor.from_ints``, and ``verify_as`` reads the int views of T, nabla~
+and R.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .core import (Check, _integral, _leibniz, _rational, _rows, _skew, all_pass,
-                   skew_witnesses)
-from .geometry import (Tensor, _product, add_scaled, beta_star, curvature_gd,
-                       d_bracket_half, gd_tensor, levi_civita_gd)
-from .linalg import Q1
+from .core import Check, _integral, _leibniz, _rows, _skew, all_pass
+from .geometry import (Tensor, add_scaled, beta_star, curvature_gd, gd_tensor,
+                       levi_civita_gd)
 
 
 class HomStructureError(Exception):
@@ -36,8 +30,7 @@ def t_tensor(gd):
     Computed both from this closed form and through lambda as half the
     m-projection of the bracket upstairs; the two must agree exactly.
     """
-    half = Fraction(1, 2)
-    direct = gd_tensor(gd, d_bracket_half(gd), half, -half, Q1)
+    direct = gd_tensor(gd, gd.L.bracket_data, 1, -1, 2)
     if direct != _t_via_lambda(gd):
         raise HomStructureError("the two homogeneous structure formulas disagree")
     return direct
@@ -68,12 +61,12 @@ def _t_via_lambda(gd):
             elif r >= nh + nd:
                 add_scaled(out, c, ellinv[r - nh - nd], nd)
         data[i, j] = out
-    return Tensor(n, 2, _rational(data, 2 * s ** 4))
+    return Tensor.from_ints(n, 2, data, 2 * s ** 4)
 
 
 def nabla_tilde_closed(gd):
     """Eq. form of T - nabla: x1+h1*, x2+h2* -> pi(h1)x2 + [h1,h2]*."""
-    return gd_tensor(gd, {}, Q1, 0, Q1)
+    return gd_tensor(gd, {}, 2, 0, 2)
 
 
 def nilmanifold_t_formula(gd):
@@ -81,10 +74,9 @@ def nilmanifold_t_formula(gd):
 
     T = (pi(k1)v2 - pi(k2)v1)/2 + ell^-1 beta(v1, v2)/2 + [k1,k2]*.
     """
-    half, nd = Fraction(1, 2), gd.nd
-    dd = {ab: {nd + k: _product(half, x) for k, x in v.items()}
-          for ab, v in beta_star(gd).items()}
-    return gd_tensor(gd, dd, half, -half, Q1)
+    nd = gd.nd
+    dd = {ab: {nd + k: x for k, x in v.items()} for ab, v in beta_star(gd).items()}
+    return gd_tensor(gd, dd, 1, -1, 2)
 
 
 @dataclass(frozen=True)
@@ -128,17 +120,17 @@ def verify_as(gd, hom=None):
     Witnesses are the failing index tuples in sorted order, 0-based.
     """
     hom = hom or build_hom_structure(gd)
-    n = gd.L.dim
-    t, (nt, _) = hom.T.data, _integral(hom.nabla_tilde.data)
-    on_r = tuple(_leibniz(nt, _integral(hom.R.data)[0]))
-    on_t = tuple(_leibniz(nt, _integral(t)[0]))
+    n, rows = gd.L.dim, gd.metric.int_rows[0]
+    (t, _), (nt, _) = hom.T.int_data, hom.nabla_tilde.int_data
+    on_r = tuple(_leibniz(nt, hom.R.int_data[0]))
+    on_t = tuple(_leibniz(nt, t))
     found = {
-        "i": tuple(skew_witnesses(t, gd.metric)),
-        "i_prime": tuple(_skew(nt, gd.metric.int_rows[0])),
+        "i": tuple(_skew(t, rows)),
+        "i_prime": tuple(_skew(nt, rows)),
         "ii": on_r, "ii_prime": on_r, "iii": on_t, "iii_prime": on_t,
     }
     # T_x x = 0 for all x iff T(e_i, e_j) = -T(e_j, e_i) for i <= j; the
-    # data holds no zeros, so this is equality of the sparse values
+    # view holds no zeros, so this is equality of the sparse values
     empty = {}
     found["iv"] = tuple((i, j) for i in range(n) for j in range(i, n)
                         if t.get((i, j), empty)

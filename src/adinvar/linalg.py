@@ -4,9 +4,9 @@ Matrices are lists of rows, vectors are flat lists, all entries
 ``fractions.Fraction``.  Everything here is deterministic: reduced
 echelon forms are unique, so they are canonical representatives.
 
-Products (``mat_mul``, ``mat_vec`` and everything built on them:
-``commutator``, ``charpoly``) sum over the nonzero entries only, so they
-cost what the nonzero entries cost; zero products are never formed.
+Products (``mat_mul`` and ``mat_vec``) sum over the nonzero entries
+only, so they cost what the nonzero entries cost; zero products are never
+formed.  ``charpoly`` runs on the matrix scaled to ints.
 
 Elimination (``rref`` and everything built on it: ``nullspace``,
 ``solve``, ``coordinates``, ``inverse``) runs fraction-free on sparse
@@ -64,10 +64,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
@@ -111,14 +107,6 @@ def vec_scale(c, v):
 
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def trace_product(a, b):
@@ -312,17 +300,20 @@ def inverse(a):
 
 
 def charpoly(a):
-    """Coefficients [1, c1, ..., cn] of det(tI - a), Faddeev-LeVerrier."""
+    """Coefficients [1, c1, ..., cn] of det(tI - a), Faddeev-LeVerrier on
+    the int matrix b = s a (s the lcm of the denominators): c_k(b) =
+    -trace(b M_{k-1}) / k, M_k = b M_{k-1} + c_k I are ints, the division
+    by k is exact, and c_k(a) = c_k(b) / s^k."""
     n = len(a)
-    coeffs = [Q1]
-    m = identity(n)
+    s = lcm(*(x.denominator for row in a for x in row))
+    b = [[(q, x.numerator * (s // x.denominator)) for q, x in enumerate(row) if x] for row in a]
+    coeffs, m = [Q1], [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = -trace(am) / k
-        coeffs.append(ck)
-        m = am
+        m = [[sum(x * m[q][j] for q, x in row) for j in range(n)] for row in b]
+        c = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(c, s ** k))
         for i in range(n):
-            m[i][i] += ck
+            m[i][i] += c
     return coeffs
 
 

@@ -10,7 +10,7 @@ effective criterion reads off D^{k-1}; both index readings are reported.
 from dataclasses import dataclass
 
 from . import linalg
-from .core import (Subspace, center, derived_series, kernel_of,
+from .core import (Subspace, _bracket, center, derived_series, kernel_of,
                    lower_central_series, totally_isotropic)
 
 
@@ -35,10 +35,15 @@ class StepReport:
 
 def _beta_obstruction(gd, left, right):
     """Span of beta(u, v) for u in left, v in right, inside d + h*: the h*
-    part of [u, v] in ``gd.L``, which ``build_gd`` writes as ell^-1 beta."""
-    vecs = [gd.embed_h(gd.L.bracket(gd.embed_d(u), gd.embed_d(v))[gd.nd:])
-            for u in left.basis() for v in right.basis()]
-    return Subspace.span(vecs, gd.L.dim)
+    part of [u, v] in ``gd.L``, which ``build_gd`` writes as ell^-1 beta,
+    summed on the int views of the table and of both bases."""
+    nd, n = gd.nd, gd.L.dim
+    by_first = {}
+    for (i, j), comps in gd.L.int_bracket_data[0].items():
+        by_first.setdefault(i, []).append((j, comps))
+    vecs = ({k: x for k, x in _bracket(by_first, u, v).items() if k >= nd}
+            for u in left.int_rows[0].values() for v in right.int_rows[0].values())
+    return Subspace(n, tuple(map(tuple, linalg._rref(vecs, n)[0])))
 
 
 def predict_solvable_step(gd):

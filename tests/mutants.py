@@ -41,6 +41,8 @@ LIN = "tests/test_linalg.py::"
 GEO = "tests/test_geometry.py::"
 CLI = "tests/test_cli.py::"
 BRANCHES = "tests/test_core.py::test_derivation_witnesses_pin_the_branches_of_the_scatter"
+VIEW = GEO + "test_tensor_view_is_one_canonical_int_view"
+READERS = GEO + "test_readers_match_the_fraction_oracles_on_the_corpus_and_dense_conjugates"
 SIG = (LIN + "test_sparse_signature_matches_the_dense_oracle_and_sympy",
        LIN + "test_signature_pins_the_block_gcd_and_the_hyperbolic_column_update")
 
@@ -169,14 +171,20 @@ CATALOGUE = (
            ("tests/test_corpus.py::test_lower_central_series_brackets_each_pair_of_g_once",)),
     # geometry's torsion self-check
     Mutant("geometry-torsion_without_swap", "cli.py",
-           "torsion_free = (gamma - swapped).data", "torsion_free = gamma.data",
+           "torsion_free = (gamma - swapped).int_data", "torsion_free = gamma.int_data",
            (CLI + "test_geometry_command",)),
     # the scatters of the two curvature routes, and the d-d block of
     # ricci_gd_closed
     Mutant("curvature-dj_di_scatter_key", "geometry.py",
-           "add_scaled(data.setdefault((j, i, k), {}), -1, v)",
-           "add_scaled(data.setdefault((i, j, k), {}), -1, v)",
+           "add_scaled(data.setdefault((j, i, k), {}), -sb, v)",
+           "add_scaled(data.setdefault((i, j, k), {}), -sb, v)",
            (GEO + "test_curvature_routes_match_the_dense_oracle_on_the_scaling_family",)),
+    Mutant("curvature-dd_without_bracket_scale", "geometry.py",
+           "add_scaled(data.setdefault((i, j, k), {}), sb, v)\n"
+           "            add_scaled(data.setdefault((j, i, k), {}), -sb, v)",
+           "add_scaled(data.setdefault((i, j, k), {}), 1, v)\n"
+           "            add_scaled(data.setdefault((j, i, k), {}), -1, v)",
+           (GEO + "test_curvature_routes_match_the_dense_oracle_on_conjugated_registry_builders",)),
     Mutant("curvature_gd-pib_bca_coefficient", "geometry.py",
            "add_scaled(data.setdefault((w, u, v), {}), -1, col)",
            "add_scaled(data.setdefault((w, u, v), {}), -2, col)",
@@ -200,12 +208,26 @@ CATALOGUE = (
            (GEO + "test_routes_agree_on_generated_indefinite_abelian_data",),
            equivalent="gS is symmetric when every pi(h) is g-skew and ell^-1 is "
                       "symmetric, because (g pi_a pi_b)^T = g pi_b pi_a"),
+    # the integer view of Tensor and the readers of R on ints
+    Mutant("tensor-equality_ignores_the_scale", "geometry.py",
+           "return (self.dim, self.slots, self.int_data) == (other.dim, other.slots, other.int_data)",
+           "return self.int_data[0] == other.int_data[0]", (VIEW,)),
+    Mutant("tensor-sub_weights_one_side", "geometry.py",
+           "data = {idx: {p: x * t for p, x in comps.items()} for idx, comps in a.items()}",
+           "data = {idx: dict(comps) for idx, comps in a.items()}", (VIEW,)),
+    Mutant("charpoly-divides_by_s", "linalg.py",
+           "coeffs.append(Fraction(c, s ** k))", "coeffs.append(Fraction(c, s))",
+           (LIN + "test_det_and_charpoly_match_sympy",)),
+    Mutant("ricci_operator-without_the_form_scale", "geometry.py",
+           "Fraction(x * s, row[i] * r)", "Fraction(x, row[i] * r)", (READERS,)),
+    Mutant("sectional-without_the_vector_scale", "geometry.py",
+           "r * s * t ** 4 * qp.numerator", "r * s * qp.numerator", (READERS,)),
     # nabla~ and what build_hom_structure builds
     Mutant("nabla_tilde_closed-pi_sign", "homstructure.py",
-           "gd_tensor(gd, {}, Q1, 0, Q1)", "gd_tensor(gd, {}, -Q1, 0, Q1)",
+           "gd_tensor(gd, {}, 2, 0, 2)", "gd_tensor(gd, {}, -2, 0, 2)",
            ("tests/test_homstructure.py::test_nabla_tilde_matches_closed_form",)),
     Mutant("nabla_tilde_closed-no_h_bracket", "homstructure.py",
-           "gd_tensor(gd, {}, Q1, 0, Q1)", "gd_tensor(gd, {}, Q1, 0, 0)",
+           "gd_tensor(gd, {}, 2, 0, 2)", "gd_tensor(gd, {}, 2, 0, 0)",
            ("tests/test_homstructure.py::test_nabla_tilde_matches_closed_form",)),
     Mutant("build_hom_structure-builds_nabla_tilde_closed", "homstructure.py",
            "    return HomStructure(t_tensor(gd),",

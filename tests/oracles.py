@@ -10,8 +10,13 @@ literal so that the tests can compare the kernels with them.
   scatters from the stored brackets).
 * ``derivation_witnesses(op, tensor)`` -- ``core._leibniz`` on rational
   data, each input scaled to ints by its own ``_integral`` call.
-* ``rank``, ``vec_add`` and ``vec_sub`` -- dense helpers that only the
-  tests read.
+* ``ricci``, ``ricci_operator``, ``plane_discriminant``, ``sectional``
+  and ``charpoly`` -- the geometry readers and Faddeev-LeVerrier in
+  ``Fraction`` arithmetic on ``Tensor.data`` and the form's rational
+  rows (the package reads the int views of R and of the form, and runs
+  Faddeev-LeVerrier on the int matrix).
+* ``rank``, ``trace``, ``commutator``, ``mat_sub``, ``vec_add`` and
+  ``vec_sub`` -- dense helpers that only the tests read.
 
 Pytest does not collect this file; the tests import it.
 """
@@ -20,7 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from adinvar import core, linalg
+from adinvar import BilinearForm, core, linalg
+from adinvar.geometry import GeometryError
 
 
 def derivation_witnesses(op, tensor):
@@ -29,6 +35,18 @@ def derivation_witnesses(op, tensor):
 
 def rank(a):
     return len(linalg.rref(a)[0])
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def commutator(a, b):
+    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def trace(a):
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def vec_add(u, v):
@@ -88,3 +106,42 @@ def check_jacobi_triples(alg):
         if any(s):
             violations.append((i, j, k, [Fraction(x, den) for x in s]))
     return violations
+
+
+def ricci(r_tensor, form):
+    if not form.nondegenerate:
+        raise GeometryError("metric is degenerate")
+    m = linalg.zeros(r_tensor.dim, r_tensor.dim)
+    for (a, i, j), comps in r_tensor.data.items():
+        m[i][j] += comps.get(a, linalg.Q0)
+    return BilinearForm(tuple(tuple(row) for row in m))
+
+
+def ricci_operator(r_tensor, form):
+    return linalg.mat_mul(linalg.inverse(form.rows()), ricci(r_tensor, form).rows())
+
+
+def plane_discriminant(form, x, y):
+    return form.apply(x, x) * form.apply(y, y) - form.apply(x, y) ** 2
+
+
+def sectional(r_tensor, form, x, y):
+    qp = plane_discriminant(form, x, y)
+    if qp == 0:
+        raise GeometryError("degenerate plane")
+    return form.apply(r_tensor.apply(x, y, y), x) / qp
+
+
+def charpoly(a):
+    """Faddeev-LeVerrier on the rational matrix: c_k = -trace(a M_{k-1}) / k."""
+    n = len(a)
+    coeffs = [linalg.Q1]
+    m = linalg.identity(n)
+    for k in range(1, n + 1):
+        am = linalg.mat_mul(a, m)
+        ck = -trace(am) / k
+        coeffs.append(ck)
+        m = am
+        for i in range(n):
+            m[i][i] += ck
+    return coeffs

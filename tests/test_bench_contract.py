@@ -11,9 +11,11 @@ functions the harness counts, also after it has run once untraced.
 The sweeps over basis tuples, the construction path (the loader,
 ``validate``, ``double_extend`` and ``build_gd``), the geometry routes,
 the matrix-algebra commutators, the commuting rows of ``so_aut`` and
-``intertwiners_skew``, the Killing form, the signatures and the centre
-run on integers; the harness's ``FractionCounter`` checks here that no
-``Fraction`` arithmetic comes back into them.
+``intertwiners_skew``, the Killing form, the signatures, the centre, the
+readers of the curvature and the series run on integers, and so does
+every command of the ``cli_dense`` workload between loading its file and
+rendering its report; the harness's ``FractionCounter`` checks here that
+no ``Fraction`` arithmetic comes back into them.
 
 A name that ``adinvar`` exports feeds a command, the corpus or the
 benchmark: something in ``src/adinvar`` or ``bench/`` reads it, or it is
@@ -38,9 +40,11 @@ from adinvar import (LieAlgebra, ad_invariant, build_gd, build_hom_structure,
                      intertwiners_skew, killing_form, levi_civita,
                      levi_civita_gd, lower_central_series, nilmanifold_t_formula,
                      skew_derivations, so_aut, t_tensor, verify_as)
+from adinvar import cli
 from adinvar.cli import main
 from adinvar.homstructure import nabla_tilde_closed
-from adinvar.io import dump_builder_dict, load_builder_dict
+from adinvar.io import dump_builder_dict, load_builder_dict, write_json
+from adinvar.corpus import corpus_list
 from conftest import conjugated_rep, torus_rep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -299,3 +303,45 @@ def test_routes_make_no_fraction_arithmetic():
         assert not skew.flat_subspace.contains_subspace(der.flat_subspace)
         killing_form(gd.L).signature
     assert count.count == 0
+
+
+def test_cli_dense_commands_make_no_fraction_arithmetic(tmp_path, monkeypatch):
+    """The seven commands of the benchmark's cli_dense workload, run
+    through ``cli.main`` on every registry builder under a dense change of
+    basis, add and multiply only ints between loading their input file and
+    ``_finish``: the geometry readers (Ricci, its operator and charpoly,
+    the sectional curvatures) and the series predictions included."""
+    layers, counts, active = _bench_layers(), {}, []
+
+    def counting(load):
+        def loaded(path):
+            out = load(path)
+            active.append(layers.FractionCounter().__enter__())
+            return out
+        return loaded
+
+    def finish(report, args, real=cli._finish):
+        counter = active.pop()
+        counter.__exit__(None, None, None)
+        counts[report["command"], getattr(args, "spec", None) or getattr(args, "file", None)
+               or args.so_aut] = counter.count
+        return real(report, args)
+
+    monkeypatch.setattr(cli, "load_builder_file", counting(cli.load_builder_file))
+    monkeypatch.setattr(cli, "load_algebra_file", counting(cli.load_algebra_file))
+    monkeypatch.setattr(cli, "_finish", finish)
+    for name in corpus_list():
+        spec, alg = str(tmp_path / f"{name}_builder.json"), str(tmp_path / f"{name}.json")
+        write_json(spec, dump_builder_dict(conjugated_rep(corpus_build(name).rep, 3)))
+        runs = (["gd", spec, "--emit", alg], ["check", alg], ["geometry", alg],
+                ["derivations", alg], ["verify-as", spec], ["series", spec],
+                ["derivations", "--so-aut", spec])
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in runs:
+                try:
+                    assert main(argv + ["--json"]) in (0, 1), (name, argv)
+                finally:
+                    while active:
+                        active.pop().__exit__(None, None, None)
+    assert len(counts) == 7 * len(corpus_list())
+    assert {key: n for key, n in counts.items() if n} == {}

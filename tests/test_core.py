@@ -19,7 +19,8 @@ from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
 from conftest import (T_PLUS, a12_rep, conjugated_rep, conjugated_table,
                       dense_change, h3_rep, so3_block_reps, torus_reps)
-from oracles import check_jacobi_triples, derivation_witnesses, rank, vec_add, vec_sub
+from oracles import (check_jacobi_triples, derivation_witnesses, rank, trace, vec_add,
+                     vec_sub)
 
 
 def test_bracket_heisenberg(h3):
@@ -361,7 +362,7 @@ def test_killing_form_matches_trace_of_product(case):
     alg = case[0]
     ads = [alg.ad(i) for i in range(alg.dim)]
     assert killing_form(alg).matrix == tuple(
-        tuple(linalg.trace(linalg.mat_mul(a, b)) for b in ads) for a in ads)
+        tuple(trace(linalg.mat_mul(a, b)) for b in ads) for a in ads)
 
 
 @KERNELS

@@ -11,6 +11,7 @@ from adinvar import (LieAlgebra, Subspace, ad_invariant, build_gd,
                      profile, verify_as)
 from adinvar.io import dump_algebra_dict, dump_builder_dict, load_algebra_file
 from conftest import conjugated_rep
+from oracles import mat_sub
 
 
 def test_listing_is_stable():
@@ -116,11 +117,11 @@ def test_lemma_derivations_are_the_displays_conjugated_by_the_basis():
         return m
 
     shown = {
-        "H": linalg.mat_sub(linalg.mat_add(eij(1, 1), eij(4, 4)),
-                            linalg.mat_add(eij(2, 2), eij(5, 5))),
+        "H": mat_sub(linalg.mat_add(eij(1, 1), eij(4, 4)),
+                     linalg.mat_add(eij(2, 2), eij(5, 5))),
         "E": linalg.mat_add(eij(1, 2), eij(4, 5)),
         "F": linalg.mat_add(eij(2, 1), eij(5, 4)),
-        "X": linalg.mat_sub(eij(1, 3), eij(3, 5)),
+        "X": mat_sub(eij(1, 3), eij(3, 5)),
         "Y": linalg.mat_add(eij(2, 3), eij(3, 4)),
         "Z": linalg.mat_add(eij(1, 4), eij(2, 5)),
     }

@@ -15,7 +15,7 @@ from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep,
                       conjugated_table, dense_change, h3_rep, so3_block_reps,
                       two_torus_rep)
 from corpus_help import lemma_rep
-from oracles import rank, vec_add
+from oracles import commutator, rank, vec_add
 
 
 def a12_algebra():
@@ -195,7 +195,7 @@ def test_intertwiners_commute_elementwise():
     u = intertwiners_skew([rep.mats[0]], rep.d_form)
     gen = [list(r) for r in rep.mats[0]]
     for m in u.basis:
-        assert linalg.commutator(m, gen) == linalg.zeros(3, 3)
+        assert commutator(m, gen) == linalg.zeros(3, 3)
 
 
 # -- MatrixLieAlgebra.from_matrices against the per-pair solve loop --------
@@ -209,7 +209,7 @@ def closure_by_pairs(mats):
     ft = linalg.transpose(flat) if flat else []
     table = {}
     for i, j in combinations(range(len(mats)), 2):
-        comm = [x for row in linalg.commutator(mats[i], mats[j]) for x in row]
+        comm = [x for row in commutator(mats[i], mats[j]) for x in row]
         coords = linalg.solve(ft, comm) if flat else None
         if coords is None:
             raise AlgebraError("matrix space is not closed under commutator")

@@ -21,7 +21,7 @@ from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
                       indefinite_abelian_reps, mu_mats, nilpotent_reps, so3_block_rep,
                       so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
-from oracles import vec_add
+from oracles import commutator, vec_add
 from test_corpus import _count_calls
 
 
@@ -321,7 +321,7 @@ def test_mu_is_homomorphism_of_nonabelian_h():
     for i in range(3):
         for j in range(3):
             lhs = extension._combination(mu_mats(gd), gd.rep.h.basis_bracket(i, j), 6)
-            rhs = linalg.commutator([list(r) for r in mu_mats(gd)[i]],
+            rhs = commutator([list(r) for r in mu_mats(gd)[i]],
                                     [list(r) for r in mu_mats(gd)[j]])
             assert lhs == rhs
 
@@ -567,7 +567,7 @@ def _validate_loops(rep):
                 bad.append(f"pi({rep.h.names[i]})_not_derivation")
                 break
     for i, j in combinations(range(rep.h.dim), 2):
-        if rep.pi_of(rep.h.basis_bracket(i, j)) != linalg.commutator(rep.mat(i), rep.mat(j)):
+        if rep.pi_of(rep.h.basis_bracket(i, j)) != commutator(rep.mat(i), rep.mat(j)):
             bad.append(f"pi_not_homomorphism({rep.h.names[i]},{rep.h.names[j]})")
     return bad
 
@@ -904,7 +904,7 @@ def _split_inputs():
         units.append(u)
     table = {}
     for a, b in combinations(range(6), 2):
-        c = linalg.commutator(units[a], units[b])
+        c = commutator(units[a], units[b])
         table[a, b] = {k: c[i][j] for k, (i, j) in enumerate(idx) if c[i][j]}
     eye, so4 = linalg.identity(6), LieAlgebra(6, None, table)
     assert not check_jacobi(so4)

@@ -18,6 +18,8 @@ from adinvar import linalg
 from conftest import (T_PLUS, T_MINUS, a12_rep, conjugated_rep, h3_rep,
                       indefinite_abelian_reps, nilpotent_reps, so3_rep, torus_rep,
                       torus_reps, two_torus_rep)
+import oracles
+from adinvar.core import _integral, _rational
 from oracles import vec_sub
 
 ALL_REPS = [h3_rep([1, 1], T_PLUS, 1), h3_rep([1, 1], T_PLUS, -1),
@@ -456,3 +458,80 @@ def test_tensor_matches_dense_sums(case):
     doubled = Tensor.from_function(n, slots, lambda *idx: [2 * x for x in values[idx]])
     assert (doubled - t) == t and (t - t).data == {}
     assert Tensor(n, slots, {idx: dict(enumerate(v)) for idx, v in values.items()}) == t
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tensors_and_vectors(), tensors_and_vectors(), st.integers(2, 12))
+def test_tensor_view_is_one_canonical_int_view(case, other, k):
+    """A Fraction-built and an int-built tensor are equal, views whose
+    scales differ by a factor are one view, a different scale is a
+    different tensor, data is the rational view, and the difference of
+    two views is weighted by both scales."""
+    n, slots, values, _ = case
+    t = Tensor.from_function(n, slots, lambda *idx: values[idx])
+    ints, s = t.int_data
+    assert (ints, s) == _integral(t.data)
+    built = Tensor.from_ints(n, slots, ints, s)
+    assert built == t and built.data == t.data == _rational(ints, s)
+    padded = {idx: {p: k * x for p, x in comps.items()} for idx, comps in ints.items()}
+    padded[(0,) * slots] = {**padded.get((0,) * slots, {}), n: 0}  # a zero is pruned
+    scaled = Tensor.from_ints(n, slots, padded, k * s)
+    assert scaled == t and scaled.int_data == (ints, s)
+    assert (Tensor.from_ints(n, slots, ints, k * s) == t) == (not ints)
+    m, slots_u, values_u, _ = other
+    if (m, slots_u) == (n, slots):
+        u = Tensor.from_function(n, slots, lambda *idx: values_u[idx])
+        want = Tensor.from_function(n, slots, lambda *idx: vec_sub(values[idx], values_u[idx]))
+        assert t - u == want and (t - u).data == want.data
+
+
+def _plane_vectors(n):
+    """The coordinate planes, and the pairs (e_i + e_j, e_j - 2 e_k / 3)
+    with i < j < k, pairs that are often degenerate on an indefinite form."""
+    basis = linalg.identity(n)
+    planes = [(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)]
+    for i, j, k in product(range(n), repeat=3):
+        if i < j < k:
+            planes.append(([a + b for a, b in zip(basis[i], basis[j])],
+                           [a - F(2, 3) * b for a, b in zip(basis[j], basis[k])]))
+    return planes
+
+
+def _readers_match_the_fraction_oracles(r, form):
+    """ricci, ricci_operator, its charpoly, plane_discriminant and
+    sectional against their Fraction versions; both refuse the same
+    degenerate planes.  Returns the number of degenerate planes."""
+    ric, op = ricci(r, form), ricci_operator(r, form)
+    assert ric == oracles.ricci(r, form)
+    assert op == oracles.ricci_operator(r, form)
+    assert linalg.charpoly(op) == oracles.charpoly(op)
+    values = [x for row in ric.matrix for x in row] + [x for row in op for x in row]
+    assert all(type(x) is F for x in values + linalg.charpoly(op))
+    degenerate = 0
+    for x, y in _plane_vectors(form.dim):
+        assert plane_discriminant(form, x, y) == oracles.plane_discriminant(form, x, y)
+        if oracles.plane_discriminant(form, x, y) == 0:
+            degenerate += 1
+            with pytest.raises(GeometryError):
+                sectional(r, form, x, y)
+            continue
+        k = sectional(r, form, x, y)
+        assert type(k) is F and k == oracles.sectional(r, form, x, y)
+    return degenerate
+
+
+def test_readers_match_the_fraction_oracles_on_the_corpus_and_dense_conjugates():
+    degenerate = 0
+    for name in corpus_list():
+        rep = corpus_build(name).rep
+        for gd in (build_gd(rep), build_gd(conjugated_rep(rep, 3))):
+            r = curvature(levi_civita(gd.L, gd.metric), gd.L)
+            degenerate += _readers_match_the_fraction_oracles(r, gd.metric)
+    assert degenerate > 0
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.one_of(indefinite_abelian_reps(), nilpotent_reps()))
+def test_readers_match_the_fraction_oracles_on_generated_data(rep):
+    gd = build_gd(rep)
+    _readers_match_the_fraction_oracles(curvature_gd(gd), gd.metric)

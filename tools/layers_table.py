@@ -1,10 +1,12 @@
-"""Wall times of the stages, of the structure kernels and of the cap.
+"""Wall times of the stages, of the structure kernels, of the geometry
+readers and of the cap.
 
 The stages are those of construction and of Ambrose-Singer; the cap is
 ``derivations`` on large abelian files.
 
     python tools/layers_table.py [--repeat K] [--max-m M] [--seed S]
-                                 [--tables stages,kernels,cap] [--cap-dims 12,16,20]
+                                 [--tables stages,kernels,geometry,cap]
+                                 [--cap-dims 12,16,20]
 
 Run from any directory; the package is imported from the ``src/`` of the
 checkout this file sits in, so a copy of the file in another checkout
@@ -36,6 +38,13 @@ and of the closure of its derivation algebra (solved once, not timed);
 and the signature of that Killing form from a new ``BilinearForm``, as
 ``derivations.profile`` reads it.
 
+``geometry``: the minimum of K calls, in ms, on d + h* of each input
+(the scaling inputs and the dense tori): ``levi_civita``, ``curvature``
+(from that connection), ``ricci_operator`` and the ``charpoly`` of that
+operator, ``sectional`` over every coordinate plane (a degenerate one
+refused), and one in-process ``geometry FILE --json`` call, output
+discarded, on the algebra file of d + h*, which loads the file anew.
+
 ``cap``: the wall s of one in-process ``derivations FILE --json`` call,
 output captured, per abelian file.
 """
@@ -43,6 +52,7 @@ output captured, per abelian file.
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 import tempfile
@@ -52,10 +62,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
-from adinvar import (BilinearForm, LieAlgebra, build_gd,  # noqa: E402
+from adinvar import (BilinearForm, GeometryError, LieAlgebra, build_gd,  # noqa: E402
                      build_hom_structure, check_jacobi, cli, corpus_build, corpus_list,
                      curvature, curvature_gd, derivation_algebra, io, killing_form,
-                     levi_civita, verify_as)
+                     levi_civita, linalg, ricci_operator, sectional, verify_as)
 from conftest import conjugated_rep, torus_rep  # noqa: E402
 import workloads  # noqa: E402
 
@@ -147,6 +157,42 @@ def kernel_times(reps, repeat):
     return total
 
 
+GEOMETRY = ("levi_civita", "curvature", "ricci_operator", "charpoly", "sectional (all planes)",
+            "geometry --json")
+
+
+def geometry_times(rep, repeat):
+    """The GEOMETRY columns in ms on d + h* of rep."""
+    gd = build_gd(rep)
+    alg, form = gd.L, gd.metric
+    gamma = levi_civita(alg, form)
+    r = curvature(gamma, alg)
+    op = ricci_operator(r, form)
+    basis = linalg.identity(alg.dim)
+    planes = [(basis[i], basis[j]) for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+
+    def all_planes():
+        for x, y in planes:
+            try:
+                sectional(r, form, x, y)
+            except GeometryError:
+                pass
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gd.json"
+        path.write_text(json.dumps(io.dump_algebra_dict(alg, form)), encoding="utf-8")
+
+        def command():
+            with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+                if cli.main(["geometry", str(path), "--json"]) not in (0, 1):
+                    raise SystemExit("geometry refused the algebra file of d + h*")
+
+        calls = (lambda: levi_civita(alg, form), lambda: curvature(gamma, alg),
+                 lambda: ricci_operator(r, form), lambda: linalg.charpoly(op), all_planes,
+                 command)
+        return [best_ms(call, repeat) for call in calls]
+
+
 def cap_seconds(dim):
     """Wall s of one ``derivations --json`` call on the abelian file of dim
     with the identity metric."""
@@ -168,8 +214,8 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=5, help="calls per stage (min taken)")
     parser.add_argument("--max-m", type=int, default=6, help="largest dense torus m")
     parser.add_argument("--seed", type=int, default=71, help="seed of the scaling inputs")
-    parser.add_argument("--tables", default="stages,kernels,cap",
-                        help="comma-separated tables to print: stages, kernels, cap")
+    parser.add_argument("--tables", default="stages,kernels,geometry,cap",
+                        help="comma-separated tables to print: stages, kernels, geometry, cap")
     parser.add_argument("--cap-dims", default="12,16,20",
                         help="comma-separated dims of the abelian files of the cap table")
     args = parser.parse_args(argv)
@@ -192,6 +238,14 @@ def main(argv=None):
         for label, reps in groups:
             row = kernel_times(reps, args.repeat)
             print(f"| {label} | " + " | ".join(f"{ms:.3f}" for ms in row) + " |", flush=True)
+    if "geometry" in tables:
+        print("\n| input | dim d+h* | " + " | ".join(f"`{g}` ms" for g in GEOMETRY) + " |")
+        print("|---|---:|" + "---:|" * len(GEOMETRY))
+        for label, rep in inputs(args.seed, args.max_m):
+            row = geometry_times(rep, args.repeat)
+            dim = rep.d.dim + rep.h.dim
+            print(f"| {label} | {dim} | " + " | ".join(f"{ms:.3f}" for ms in row) + " |",
+                  flush=True)
     if "cap" in tables:
         print("\n| abelian file | `derivations --json` wall s |")
         print("|---:|---:|")
