@@ -12,22 +12,24 @@ work is done once: a derivation action on an antisymmetric S forms the
 tuples t_0 < t_1, a bracket span of a subspace with itself (by value) the
 pairs a < b, [g, g] is bracketed once per algebra, ``check_jacobi`` reads
 [e_a, e_b] for a < b, and ``killing_form`` computes the entries i <= j.
-``_integral`` multiplies sparse data by s, the lcm of its denominators, and
-each object caches its own view once (``LieAlgebra.int_bracket_data``,
-``BilinearForm.int_rows``, ``Subspace.int_rows``, ``Representation.int_ops``,
-``geometry.Tensor.int_data``).  A term multiplying one entry of each input
-is the product of their scales times its value, so a scale per input keeps
-every verdict and span; a route whose terms multiply d entries of one
-input scales all its inputs by one call (s^d).  A tensor's exact entries
-are its int view divided once (``_rational``) when they are first read.
+Algebras, forms and tensors hold one int view each, data times a scale
+divided by its gcd (``LieAlgebra.int_bracket_data``, ``BilinearForm.int_rows``,
+``geometry.Tensor.int_data``), built at the source: the constructions hand
+their int sums to ``from_ints``, the rational constructors scale by the lcm
+of the denominators (``_integral``), and rational entries are divided out
+(``_rational``) only when first read.  A route brings the views it reads
+to one scale by ``_common``: a term multiplying one entry of each input is
+the product of their scales times its value, so a scale per input keeps
+every verdict and span, and a term of d entries on one scale s is s^d
+times its value.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -49,52 +51,63 @@ def _freeze_table(table):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class LieAlgebra:
     """Anticommutative algebra given by sparse structure constants.
 
     table[(i, j)][k] is the e_k coefficient of [e_i, e_j], for i < j.
     Antisymmetry is built in; the Jacobi identity is *not* implied and is
     checked by ``check_jacobi`` (builders call it, raw loaders may not).
-    ``names`` None or empty names the basis e1, .., en.
+    ``names`` None or empty names the basis e1, .., en.  The algebra holds
+    one int view, ``int_bracket_data`` = (ints, scale), of the bracket on
+    the ordered pairs with [e_i, e_j] != 0 (equality compares dim, names
+    and view); ``table`` and ``bracket_data`` are formed on first read.
     """
 
     dim: int
     names: tuple
-    table: dict = field(compare=True)
+    int_bracket_data: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "names",
-                           tuple(self.names or (f"e{i + 1}" for i in range(self.dim))))
-        object.__setattr__(self, "table", _freeze_table(self.table))
-        if len(self.names) != self.dim:
-            raise AlgebraError("names length does not match dim")
+    def __init__(self, dim, names, table):
+        self.table = _freeze_table(table)
+        self._view(dim, names, *_integral(self.table))
         for (i, j), comps in self.table.items():
-            if not (0 <= i < j < self.dim):
+            if not (0 <= i < j < dim):
                 raise AlgebraError(f"bracket index ({i},{j}) out of range")
-            if any(not 0 <= k < self.dim for k in comps):
+            if any(not 0 <= k < dim for k in comps):
                 raise AlgebraError("bracket component index out of range")
+
+    @classmethod
+    def from_ints(cls, dim, names, ints, scale):
+        """The algebra of table ints / scale, for int data {(i, j): {k: x}}
+        on pairs i < j and an int scale > 0, reduced by their gcd."""
+        self = cls.__new__(cls)
+        self._view(dim, names, *_reduced(ints, scale))
+        return self
+
+    def _view(self, dim, names, ints, scale):
+        self.dim, self.names = dim, tuple(names or (f"e{i + 1}" for i in range(dim)))
+        if len(self.names) != dim:
+            raise AlgebraError("names length does not match dim")
+        out = {}
+        for (i, j), comps in ints.items():
+            out[i, j], out[j, i] = comps, {k: -x for k, x in comps.items()}
+        self.int_bracket_data = out, scale
 
     @classmethod
     def abelian(cls, dim, names=None):
         return cls(dim, names, {})
 
     @cached_property
+    def table(self):
+        ints, scale = self.int_bracket_data
+        return _rational({ij: comps for ij, comps in ints.items() if ij[0] < ij[1]}, scale)
+
+    @cached_property
     def bracket_data(self):
         """The bracket in the sparse tensor format: {(i, j): {k: coeff}} for
         every ordered pair with [e_i, e_j] != 0."""
-        out = {}
-        for (i, j), comps in self.table.items():
-            out[i, j] = dict(comps)
-            out[j, i] = {k: -c for k, c in comps.items()}
-        return out
-
-    @cached_property
-    def int_bracket_data(self):
-        """(table, scale): ``bracket_data`` scaled to ints by one
-        ``_integral`` call, made once for the sweeps and solvers that read
-        the bracket alone."""
-        return _integral(self.bracket_data)
+        return _rational(*self.int_bracket_data)
 
     @cached_property
     def derived_algebra(self):
@@ -135,33 +148,48 @@ class LieAlgebra:
         return linalg.transpose([self.bracket(x, v) for v in linalg.identity(self.dim)])
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class BilinearForm:
     """Symmetric bilinear form; its signature is cached, read off a
-    fraction-free elimination of its int rows (``linalg._signature``)."""
+    fraction-free elimination of its int rows (``linalg._signature``).
+    The form holds one int view, ``int_rows`` = (rows, scale), a sparse row
+    per row, zero rows included (equality compares views); ``matrix`` is
+    formed on first read."""
 
-    matrix: tuple
+    int_rows: tuple
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(frac, row)) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
+    def __init__(self, matrix):
+        rows = tuple(tuple(map(frac, row)) for row in matrix)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise AlgebraError("form matrix is not square")
         if rows != tuple(zip(*rows)):  # entries compared by identity first
             i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
             raise AlgebraError(f"form is not symmetric at ({i},{j})")
+        self.matrix, self.int_rows = rows, _integral(_rows(rows))
+
+    @classmethod
+    def from_ints(cls, rows, scale):
+        """The form rows / scale, for symmetric sparse int rows {p: {q: x}},
+        one key per row, and an int scale > 0, reduced by their gcd."""
+        self = cls.__new__(cls)
+        ints, scale = _reduced(rows, scale)
+        self.int_rows = {p: ints.get(p, {}) for p in range(len(rows))}, scale
+        return self
+
+    @cached_property
+    def matrix(self):
+        rows, scale = self.int_rows
+        return tuple(tuple(Fraction(row[q], scale) if q in row else Q0 for q in range(len(rows)))
+                     for row in rows.values())
 
     @classmethod
     def diagonal(cls, entries):
-        entries = [frac(e) for e in entries]
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else Q0 for j in range(n))
-                         for i in range(n)))
+        return cls.from_ints(*_integral({i: {i: frac(e)} for i, e in enumerate(entries)}))
 
     @property
     def dim(self):
-        return len(self.matrix)
+        return len(self.int_rows[0])
 
     def rows(self):
         return [list(row) for row in self.matrix]
@@ -177,9 +205,18 @@ class BilinearForm:
         return total
 
     @cached_property
-    def int_rows(self):
-        """(rows, scale): the rows as sparse ints, scaled once per form."""
-        return _integral(_rows(self.matrix))
+    def int_inverse(self):
+        """(rows, scale) of B^-1, made once per form: for B = b / s, one
+        ``linalg._echelon`` of [b | I] makes row i h_i [e_i | row i of b^-1],
+        and B^-1 = s b^-1 over the lcm of the h_i.  ``LinAlgError`` if B is
+        singular."""
+        (b, s), n = self.int_rows, self.dim
+        rows, pivots = linalg._echelon(({**b[i], n + i: 1} for i in range(n)), 2 * n)
+        if pivots[:n] != list(range(n)):
+            raise linalg.LinAlgError("matrix is singular")
+        h = lcm(*(row[i] for i, row in enumerate(rows)))
+        return _reduced({i: {q - n: x * s * (h // row[i]) for q, x in row.items() if q >= n}
+                         for i, row in enumerate(rows)}, h)
 
     @cached_property
     def signature(self):
@@ -272,6 +309,25 @@ def _rational(data, scale):
     one ``Fraction`` per nonzero entry; every key is kept."""
     return {key: {p: Fraction(x, scale) for p, x in comps.items() if x}
             for key, comps in data.items()}
+
+
+def _reduced(ints, scale):
+    """(ints, scale) divided by their gcd, without zeros or empty outputs."""
+    g, out = gcd(scale, *(x for comps in ints.values() for x in comps.values())), {}
+    for key, comps in ints.items():
+        if comps := {p: x // g for p, x in comps.items() if x}:
+            out[key] = comps
+    return out, scale // g
+
+
+def _common(*views):
+    """(*datas, scale): the int views (data, s) brought to scale, the lcm of
+    their scales, each data times scale // s.  A data whose factor is 1 is
+    returned as it is, not copied: a caller that writes to it copies it."""
+    scale = lcm(*(s for _, s in views))
+    return (*(data if s == scale else
+              {key: {p: x * (scale // s) for p, x in comps.items()} for key, comps in data.items()}
+              for data, s in views), scale)
 
 
 def _rows(m):
@@ -601,6 +657,7 @@ def killing_form(alg):
             for j, y in at.get((p, q), ()):
                 if j >= i:
                     row[j] += x * y
-    for i, j in combinations_with_replacement(range(n), 2):
-        m[i][j] = m[j][i] = Fraction(m[i][j], den) if m[i][j] else Q0
-    return BilinearForm(tuple(map(tuple, m)))
+    for i, j in combinations(range(n), 2):
+        m[j][i] = m[i][j]
+    return BilinearForm.from_ints({i: {j: x for j, x in enumerate(row) if x}
+                                   for i, row in enumerate(m)}, den)

@@ -106,7 +106,8 @@ def _span(vectors, n):
     its pivot p_r.  The coordinates of a matrix in that basis are its
     entries at the pivots, so those of [M_i, M_j] are C[p_r] / (h_i h_j) for
     C = [R_i, R_j], and the span is closed iff every H C = sum_r C[p_r]
-    (H / h_r) R_r on ints, for H the lcm of the h_r."""
+    (H / h_r) R_r on ints, for H the lcm of the h_r.  The closure table is
+    handed over as ints on the scale H^2."""
     rows, pivots = linalg._echelon(vectors, n * n)
     h = [row[p] for row, p in zip(rows, pivots)]
     big = lcm(*h)
@@ -122,16 +123,17 @@ def _span(vectors, n):
     table = {}
     for i, j in combinations(range(len(rows)), 2):
         comm = _commutator_flat(mats[i], mats[j])
-        rest, den = [big * x for x in comm], h[i] * h[j]
+        rest, f = [big * x for x in comm], (big // h[i]) * (big // h[j])
         table[i, j] = comps = {}
         for r, (p, row) in enumerate(scaled):
             if y := comm[p]:
-                comps[r] = Fraction(y, den)
+                comps[r] = y * f
                 for c, x in row.items():
                     rest[c] -= y * x
         if any(rest):
             raise AlgebraError("matrix space is not closed under commutator")
-    return MatrixLieAlgebra(n, tuple(basis), LieAlgebra(len(rows), None, table))
+    return MatrixLieAlgebra(n, tuple(basis), LieAlgebra.from_ints(len(rows), None, table,
+                                                                  big * big))
 
 
 def _solutions(rows, n):

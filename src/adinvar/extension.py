@@ -14,13 +14,12 @@ representation; the block checks, and every reader of beta* = ell^-1 beta
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
-from .core import (BilinearForm, Check, LieAlgebra, Subspace, _commutator_flat,
-                   _integral, _leibniz, _lowered, _rows, _skew, ad_invariant, all_pass,
+from .core import (BilinearForm, Check, LieAlgebra, Subspace, _common, _commutator_flat,
+                   _integral, _leibniz, _lowered, _skew, ad_invariant, all_pass,
                    check_jacobi, operator_data, orthogonal_complement, skew_witnesses)
 from .geometry import Tensor
 from .linalg import Q0, Q1
@@ -182,33 +181,37 @@ def double_extend(rep):
 def _assemble_double(rep):
     """h + d + h* and its checks, from data that ``validate`` accepted: the
     bracket of h, [h_i, e_b] = pi(h_i) e_b, the coadjoint action
-    [h_i, delta_k] = -sum_m c_im^k delta_m, and [e_a, e_b]_d + beta(e_a, e_b)."""
+    [h_i, delta_k] = -sum_m c_im^k delta_m, and [e_a, e_b]_d + beta(e_a, e_b),
+    written on one scale from the int views of h, of pi and of ``_d_pairs``."""
     nh, nd = rep.h.dim, rep.d.dim
     hs, n = nh + nd, 2 * nh + nd
-    table = dict(rep.h.table)
-    for (i, b), col in rep.op_data.items():
+    h_br, ops, pairs, s = _common(rep.h.int_bracket_data, rep.int_ops,
+                                  _d_pairs(rep, nh, hs, ({k: {k: 1} for k in range(nh)}, 1)))
+    table = {ij: comps for ij, comps in h_br.items() if ij[0] < ij[1]}
+    for (i, b), col in ops.items():
         table[i, nh + b] = {nh + p: x for p, x in col.items()}
-    for (i, m), comps in rep.h.bracket_data.items():
+    for (i, m), comps in h_br.items():
         for k, c in comps.items():
             table.setdefault((i, hs + k), {})[hs + m] = -c
-    table.update(_d_pairs(rep, nh, hs, {k: {k: 1} for k in range(nh)}, 1))
-    g = LieAlgebra(n, _joined_names(rep.h.names + rep.d.names, rep.h.names), table)
+    g = LieAlgebra.from_ints(n, _joined_names(rep.h.names + rep.d.names, rep.h.names),
+                             table | pairs, s)
     if check_jacobi(g):
         raise ExtensionError("constructed bracket violates Jacobi")
 
-    forms = []  # Q and Q_minus: +-<,>_h + <,>_d + the pairing of h, h*
-    for h_rows in (rep.h_form.matrix, [[-x for x in row] for row in rep.h_form.matrix]):
-        m = [list(r) for r in _block_sum(_block_sum(h_rows, rep.d_form.matrix),
-                                         linalg.zeros(nh, nh))]
-        for i in range(nh):
-            m[i][hs + i] = m[hs + i][i] = Q1
-        forms.append(BilinearForm(m))
-    q, q_minus = forms
-    # once Q passes, Q_minus is ad-invariant iff Q - Q_minus = 2 <,>_h on h x h is
-    if not ad_invariant(g, q) or any(_skew(g.int_bracket_data[0], rep.h_form.int_rows[0])):
+    # Q and Q_minus: +-<,>_h + <,>_d + the pairing of h and h*, on one scale t
+    h_rows, d_rows, t = _common(rep.h_form.int_rows, rep.d_form.int_rows)
+    rest = {nh + a: {nh + q: x for q, x in d_rows[a].items()} for a in range(nd)}
+    rest |= {hs + i: {i: t} for i in range(nh)}
+    q, q_minus = (BilinearForm.from_ints({i: {j: sign * x for j, x in h_rows[i].items()}
+                                          | {hs + i: t} for i in range(nh)} | rest, t)
+                  for sign in (1, -1))
+    # Q_minus is ad-invariant once Q is: on this table the defect
+    # B([x,y],z) + B(y,[x,z]) of <,>_h is nonzero on all-h triples only,
+    # where that of the rest of Q vanishes, so Q invariant makes <,>_h so
+    if not ad_invariant(g, q):
         raise ExtensionError("constructed metric is not ad-invariant")
 
-    _check_blocks(g.table, nh)
+    _check_blocks(g.int_bracket_data[0], nh)
     sd = rep.d_form.signature
     if q.signature != (sd[0] + nh, sd[1] + nh, sd[2]):
         raise ExtensionError("signature relation violated")
@@ -223,31 +226,34 @@ def _joined_names(plain, dual):
     return names if len(set(names)) == len(names) else None
 
 
-def _check_blocks(table, nh):
-    """Raise unless, in the bracket table of h + d + h*, h is a subalgebra
-    and d + h* an ideal.  h is the first nh coordinates: a key (i, j),
-    i < j, brackets two h vectors iff j < nh, and d + h* is an ideal iff no
-    other key has an h component."""
-    if any(k >= nh for (_, j), comps in table.items() if j < nh for k in comps):
+def _check_blocks(bracket, nh):
+    """Raise unless, in the int view of the bracket of h + d + h*, h is a
+    subalgebra and d + h* an ideal.  h is the first nh coordinates: a key
+    (i, j) brackets two h vectors iff max(i, j) < nh, and d + h* is an
+    ideal iff no other key has an h component."""
+    if any(k >= nh for ij, comps in bracket.items() if max(ij) < nh for k in comps):
         raise ExtensionError("h is not a subalgebra")
-    if any(k < nh for (_, j), comps in table.items() if j >= nh for k in comps):
+    if any(k < nh for ij, comps in bracket.items() if max(ij) >= nh for k in comps):
         raise ExtensionError("d + h* is not an ideal")
 
 
-def _d_pairs(rep, d0, h0, mix, scale):
-    """[e_a, e_b] for a < b in an algebra where d starts at d0 and h* at h0:
-    the bracket of d plus the nonzero entries of M beta(e_a, e_b), for mix
-    the int rows {j: {k: x}} of scale M, summed on ``int_beta``."""
-    (beta, s), table = rep.int_beta, {}
+def _d_pairs(rep, d0, h0, mix):
+    """The int view of [e_a, e_b], a < b, in an algebra where d starts at
+    d0 and h* at h0: the bracket of d plus the nonzero entries of
+    M beta(e_a, e_b), for the int view mix = (rows {j: {k: x}}, t) of M,
+    summed on ``int_beta`` (scale v) as a view of scale v t."""
+    (rows, t), (beta, v) = mix, rep.int_beta
+    d_br, beta, s = _common(rep.d.int_bracket_data, (beta, v * t))
+    table = {}
     for a, b in combinations(range(rep.d.dim), 2):
-        comps = {d0 + p: x for p, x in rep.d.table.get((a, b), {}).items()}
-        if v := beta.get((a, b)):
-            for j, row in mix.items():
-                if x := sum(y * v.get(k, 0) for k, y in row.items()):
-                    comps[h0 + j] = Fraction(x, s * scale)
+        comps = {d0 + p: x for p, x in d_br.get((a, b), {}).items()}
+        if w := beta.get((a, b)):
+            for j, row in rows.items():
+                if x := sum(y * w.get(k, 0) for k, y in row.items()):
+                    comps[h0 + j] = x
         if comps:
             table[d0 + a, d0 + b] = comps
-    return table
+    return table, s
 
 
 @dataclass(frozen=True)
@@ -306,37 +312,39 @@ def build_gd(rep):
                              ["h_form_degenerate"])
     dbl = _assemble_double(rep)
     nh, nd = rep.h.dim, rep.d.dim
-    w = rep.h_form.rows()
-    winv = linalg.inverse(w)
-    table = _d_pairs(rep, 0, nd, *_integral(_rows(winv)))
-    alg = LieAlgebra(nd + nh, _joined_names(rep.d.names, rep.h.names), table)
+    # ell^-1 once per call, cached on a copy: the loaded form outlives the call
+    winv = BilinearForm.from_ints(*rep.h_form.int_rows).int_inverse
+    alg = LieAlgebra.from_ints(nd + nh, _joined_names(rep.d.names, rep.h.names),
+                               *_d_pairs(rep, 0, nd, winv))
     if check_jacobi(alg):
         raise ExtensionError("constructed bracket violates Jacobi")
 
-    metric = BilinearForm(_block_sum(rep.d_form.matrix, w))
+    metric = _block_form(rep.d_form, rep.h_form)
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
     # h* in the ell basis: the columns of pi, then those of the bracket of h
     mu_data = rep.op_data | {(k, nd + j): {nd + m: c for m, c in col.items()}
                              for (k, j), col in rep.h.bracket_data.items()}
-    gd = GdAlgebra(rep, alg, metric, tuple(map(tuple, w)),
-                   tuple(map(tuple, winv)), mu_data, dbl)
+    gd = GdAlgebra(rep, alg, metric, rep.h_form.matrix,
+                   BilinearForm.from_ints(*winv).matrix, mu_data, dbl)
     _verify_gd(gd)
     return gd
 
 
-def _block_sum(a, b):
-    """The block-diagonal matrix with blocks a and b, as a tuple of rows."""
-    return (tuple(tuple(row) + (Q0,) * len(b) for row in a)
-            + tuple((Q0,) * len(a) + tuple(row) for row in b))
+def _block_form(a, b):
+    """The block-diagonal form with blocks the forms a and b, written from
+    their int rows brought to one scale."""
+    a_rows, b_rows, s = _common(a.int_rows, b.int_rows)
+    return BilinearForm.from_ints(a_rows | {a.dim + p: {a.dim + q: x for q, x in row.items()}
+                                            for p, row in b_rows.items()}, s)
 
 
 def _verify_gd(gd):
     """Construction-time identities: the metric blocks, h* central, (cm),
     mu properties, lambda isometry."""
     alg, metric, nd = gd.L, gd.metric, gd.nd
-    if metric.matrix != _block_sum(gd.rep.d_form.matrix, gd.rep.h_form.matrix):
+    if metric != _block_form(gd.rep.d_form, gd.rep.h_form):
         raise ExtensionError("metric is not <,>_d + <,>_h")
-    if any(j >= nd for _, j in alg.table):
+    if any(max(ij) >= nd for ij in alg.int_bracket_data[0]):
         raise ExtensionError("h* is not central")
     # <h_k*, [e_a, e_b]> = beta(e_a, e_b)[k]: on the int views, s t times it
     # on the left, v times it in int_beta
@@ -484,7 +492,7 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
 
     basis = [list(v) for v in mb] + hbar.basis()
     n = len(basis)
-    form = BilinearForm(_block_sum(inner.matrix, qh))
+    form = _block_form(inner, BilinearForm(qh))
 
     # the basis is independent (m meets h, and so hbar, only in 0), so gbar
     # is closed iff every bracket [basis[iu], basis[iv]] has coordinates in it

@@ -8,8 +8,9 @@ Every route sums over the nonzero entries of the sparse data it reads
 (bracket tables, operator columns, the form rows, the columns of B^-1 and
 ell^-1); the curvature routes scatter each stored entry to the keys of
 the terms it is a factor of.  The routes add Python ints: each reads the
-int views of its inputs (a ``Tensor``'s ``int_data``, or one
-``core._integral`` call over all its rational inputs), accumulates with
+int views of its inputs (a ``Tensor``'s ``int_data``, an algebra's
+``int_bracket_data``, a form's ``int_rows`` and ``int_inverse``), brought
+to one scale by ``core._common`` where it sums them, accumulates with
 ``add_scaled`` and hands the int sums and their scale to
 ``Tensor.from_ints``, so no route forms a ``Fraction``.  The readers of R
 (Ricci, its operator, the sectional curvature) read its view and the
@@ -19,10 +20,11 @@ form's ``int_rows`` and form one ``Fraction`` per output entry.
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 from . import linalg
-from .core import BilinearForm, _integral, _lowered, _rational, _rows, is_subalgebra
+from .core import (BilinearForm, _common, _integral, _lowered, _rational, _reduced,
+                   is_subalgebra)
 from .linalg import Q0, Q1
 
 
@@ -94,15 +96,6 @@ class Tensor:
         return Tensor.from_ints(self.dim, self.slots, data, s * t)
 
 
-def _reduced(ints, scale):
-    """(ints, scale) divided by their gcd, without zeros or empty outputs."""
-    g, out = gcd(scale, *(x for comps in ints.values() for x in comps.values())), {}
-    for idx, comps in ints.items():
-        if comps := {p: x // g for p, x in comps.items() if x}:
-            out[idx] = comps
-    return out, scale // g
-
-
 def add_scaled(out, c, comps, offset=0):
     """out[p + offset] += c * x for each p: x of the sparse vector comps;
     the routes pass ints."""
@@ -116,14 +109,15 @@ def levi_civita(alg, form):
     Each bracket is lowered through the form once, as the covector
     <[e_a, e_b], .>; D_i e_j is then B^-1 applied to the right-hand side,
     summed over the nonzero columns of B^-1, which are its rows as B is
-    symmetric.  The bracket, the form and B^-1 are scaled to integers by
-    one s, so every sum is 2 s^3 times the connection.
+    symmetric.  It reads the int views of the bracket (scale sb), of the
+    form (sf) and of B^-1 (si, ``BilinearForm.int_inverse``); each term
+    multiplies one entry of each, so every sum is 2 sb sf si times the
+    connection.
     """
     if not form.nondegenerate:
         raise GeometryError("metric is degenerate")
     n = alg.dim
-    br, rows, binv, s = _integral(alg.bracket_data, _rows(form.matrix),
-                                  _rows(linalg.inverse(form.rows())))
+    (br, sb), (rows, sf), (binv, si) = alg.int_bracket_data, form.int_rows, form.int_inverse
     low = {}  # low[a, b][k] = <[e_a, e_b], e_k>
     by_first = [[] for _ in range(n)]  # by_first[a] = [(b, low[a, b]), ..]
     for (a, b), comps in br.items():
@@ -142,19 +136,21 @@ def levi_civita(alg, form):
         for k, t in rhs.items():
             if t:
                 add_scaled(out, t, binv[k])
-    return Tensor.from_ints(n, 2, data, 2 * s ** 3)
+    return Tensor.from_ints(n, 2, data, 2 * sb * sf * si)
 
 
 def gd_tensor(gd, dd, left, right, hstar):
-    """A two-slot tensor on d + h* assembled by block, in halves: dd[a, b]/2
-    on a pair of d basis vectors (dd's other keys are dropped), left/2
-    pi(h_k) e_b on (h_k*, e_b), right/2 pi(h_k) e_a on (e_a, h_k*) and
-    hstar/2 [h_p, h_q]* on (h_p*, h_q*), for ints left, right and hstar.
-    dd, pi and the bracket of h are scaled to integers by one s, so every
+    """A two-slot tensor on d + h* assembled by block, in halves: D[a, b]/2
+    on a pair of d basis vectors, for the int view dd = (ints, t) of D
+    (its other keys are dropped), left/2 pi(h_k) e_b on (h_k*, e_b),
+    right/2 pi(h_k) e_a on (e_a, h_k*) and hstar/2 [h_p, h_q]* on
+    (h_p*, h_q*), for ints left, right and hstar.  dd and the views of pi
+    and of the bracket of h are brought to one s (``_common``), so every
     entry is 2 s times the tensor."""
     nd, n = gd.nd, gd.L.dim
-    data, ops, h_br, s = _integral({ab: c for ab, c in dd.items() if max(ab) < nd},
-                                   gd.rep.op_data, gd.rep.h.bracket_data)
+    ints, t = dd  # a new dict: _common hands a view of factor 1 back as it is
+    data, ops, h_br, s = _common(({ab: c for ab, c in ints.items() if max(ab) < nd}, t),
+                                 gd.rep.int_ops, gd.rep.h.int_bracket_data)
     for (k, b), col in ops.items():
         for key, c in (((nd + k, b), left), ((b, nd + k), right)):
             if c:
@@ -166,12 +162,13 @@ def gd_tensor(gd, dd, left, right, hstar):
 
 
 def beta_star(gd):
-    """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, as {(a, b): {k: coeff}}
-    for the pairs of d indices where it is nonzero: the h* part of the
-    bracket of ``gd.L``, which cm_relation checks against ``rep.int_beta``."""
-    nd = gd.nd
-    return {ab: v for ab, comps in gd.L.bracket_data.items() if max(ab) < nd
-            if (v := {k - nd: x for k, x in comps.items() if k >= nd})}
+    """beta*(e_a, e_b) = ell^-1 beta(e_a, e_b) in h, as the int view
+    ({(a, b): {k: x}}, scale) for the pairs of d indices where it is
+    nonzero: the h* part of the view of the bracket of ``gd.L``, which
+    cm_relation checks against ``rep.int_beta``."""
+    nd, (br, s) = gd.nd, gd.L.int_bracket_data
+    return {ab: v for ab, comps in br.items() if max(ab) < nd
+            if (v := {k - nd: x for k, x in comps.items() if k >= nd})}, s
 
 
 def levi_civita_gd(gd):
@@ -180,7 +177,7 @@ def levi_civita_gd(gd):
     [x1,x2] is the full algebra bracket of the d parts (it carries the
     cocycle component), so the connection has an h* output as well.
     """
-    return gd_tensor(gd, gd.L.bracket_data, -1, -1, 0)
+    return gd_tensor(gd, gd.L.int_bracket_data, -1, -1, 0)
 
 
 def curvature(gamma, alg):
@@ -235,14 +232,15 @@ def curvature_gd(gd):
     antisymmetric); each stored beta*(u,v) forms pi(beta*(u,v)) e_w once per
     w for (u,v,w), (w,u,v) and (v,w,u), and the rest reads stored entries.
 
-    pi, the brackets of d, L and h and beta* are scaled to integers by one
-    s.  Every term multiplies two of their entries, and the coefficients
-    1/2, 1/4 and -1/4 become 2, 1 and -1, so every sum is 4 s^2 times R.
+    The int views of pi, of the brackets of d, L and h and of beta* are
+    brought to one s (``_common``).  Every term multiplies two of their
+    entries, and the coefficients 1/2, 1/4 and -1/4 become 2, 1 and -1, so
+    every sum is 4 s^2 times R.
     """
     nd, nh = gd.nd, gd.nh
-    pi, d_br, l_br, h_br, bstar, s = _integral(
-        gd.rep.op_data, gd.rep.d.bracket_data, gd.L.bracket_data,
-        gd.rep.h.bracket_data, beta_star(gd))
+    pi, d_br, l_br, h_br, bstar, s = _common(
+        gd.rep.int_ops, gd.rep.d.int_bracket_data, gd.L.int_bracket_data,
+        gd.rep.h.int_bracket_data, beta_star(gd))
     by_k, by_q, l_by, b_by = ([[] for _ in range(m)] for m in (nh, nd, nd, nd))
     for (k, q), col in pi.items():
         by_k[k].append((q, col))

@@ -30,7 +30,7 @@ def t_tensor(gd):
     Computed both from this closed form and through lambda as half the
     m-projection of the bracket upstairs; the two must agree exactly.
     """
-    direct = gd_tensor(gd, gd.L.bracket_data, 1, -1, 2)
+    direct = gd_tensor(gd, gd.L.int_bracket_data, 1, -1, 2)
     if direct != _t_via_lambda(gd):
         raise HomStructureError("the two homogeneous structure formulas disagree")
     return direct
@@ -38,13 +38,13 @@ def t_tensor(gd):
 
 def _t_via_lambda(gd):
     nh, nd, n = gd.nh, gd.nd, gd.L.dim
-    # lambda (lam[i] = lambda(e_i)), ell^-1 (symmetric, so its rows are its
-    # columns) and the bracket upstairs are scaled to integers by one s; w
-    # is s^3 times the bracket of the lambda images, and each part of it
-    # gains one more factor s (ell^-1 on the h* part, s itself on the d
-    # part), so every sum is 2 s^4 times T
-    lam, ellinv, br, s = _integral(gd.lambda_columns, _rows(gd.ell_inv),
-                                   gd.double.g.bracket_data)
+    # lambda (lam[i] = lambda(e_i)) and ell^-1 (symmetric, so its rows are
+    # its columns) are scaled to integers by one s, and the bracket upstairs
+    # is read on its view (scale sg); w is s^2 sg times the bracket of the
+    # lambda images, and each part of it gains one more factor s (ell^-1 on
+    # the h* part, s itself on the d part), so every sum is 2 s^3 sg times T
+    lam, ellinv, s = _integral(gd.lambda_columns, _rows(gd.ell_inv))
+    br, sg = gd.double.g.int_bracket_data
     empty = {}
     data = {}
     for i, j in product(range(n), repeat=2):
@@ -61,12 +61,12 @@ def _t_via_lambda(gd):
             elif r >= nh + nd:
                 add_scaled(out, c, ellinv[r - nh - nd], nd)
         data[i, j] = out
-    return Tensor.from_ints(n, 2, data, 2 * s ** 4)
+    return Tensor.from_ints(n, 2, data, 2 * s ** 3 * sg)
 
 
 def nabla_tilde_closed(gd):
     """Eq. form of T - nabla: x1+h1*, x2+h2* -> pi(h1)x2 + [h1,h2]*."""
-    return gd_tensor(gd, {}, 2, 0, 2)
+    return gd_tensor(gd, ({}, 1), 2, 0, 2)
 
 
 def nilmanifold_t_formula(gd):
@@ -74,9 +74,9 @@ def nilmanifold_t_formula(gd):
 
     T = (pi(k1)v2 - pi(k2)v1)/2 + ell^-1 beta(v1, v2)/2 + [k1,k2]*.
     """
-    nd = gd.nd
-    dd = {ab: {nd + k: x for k, x in v.items()} for ab, v in beta_star(gd).items()}
-    return gd_tensor(gd, dd, 1, -1, 2)
+    nd, (bstar, s) = gd.nd, beta_star(gd)
+    dd = {ab: {nd + k: x for k, x in v.items()} for ab, v in bstar.items()}
+    return gd_tensor(gd, (dd, s), 1, -1, 2)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ literal so that the tests can compare the kernels with them.
   ``Fraction`` arithmetic on ``Tensor.data`` and the form's rational
   rows (the package reads the int views of R and of the form, and runs
   Faddeev-LeVerrier on the int matrix).
+* ``assemble_double`` and ``assemble_gd`` -- g, Q and Q_minus of the
+  double extension and L and the metric of d + h*, assembled in
+  ``Fraction`` arithmetic from the rational tables and matrices and handed
+  to the rational constructors (the package writes them from int views
+  on one scale and hands them to ``from_ints``).
 * ``rank``, ``trace``, ``commutator``, ``mat_sub``, ``vec_add`` and
   ``vec_sub`` -- dense helpers that only the tests read.
 
@@ -25,7 +30,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from adinvar import BilinearForm, core, linalg
+from adinvar import BilinearForm, LieAlgebra, core, linalg
+from adinvar.extension import _joined_names
 from adinvar.geometry import GeometryError
 
 
@@ -145,3 +151,58 @@ def charpoly(a):
         for i in range(n):
             m[i][i] += ck
     return coeffs
+
+
+def block_sum(a, b):
+    """The block-diagonal matrix with blocks a and b, as a tuple of rows."""
+    return (tuple(tuple(row) + (linalg.Q0,) * len(b) for row in a)
+            + tuple((linalg.Q0,) * len(a) + tuple(row) for row in b))
+
+
+def d_pairs(rep, d0, h0, mix, scale):
+    """[e_a, e_b] for a < b in an algebra where d starts at d0 and h* at h0:
+    the bracket of d plus the nonzero entries of M beta(e_a, e_b), for mix
+    the int rows {j: {k: x}} of scale M, one ``Fraction`` per entry."""
+    (beta, s), table = rep.int_beta, {}
+    for a, b in combinations(range(rep.d.dim), 2):
+        comps = {d0 + p: x for p, x in rep.d.table.get((a, b), {}).items()}
+        if v := beta.get((a, b)):
+            for j, row in mix.items():
+                if x := sum(y * v.get(k, 0) for k, y in row.items()):
+                    comps[h0 + j] = Fraction(x, s * scale)
+        if comps:
+            table[d0 + a, d0 + b] = comps
+    return table
+
+
+def assemble_double(rep):
+    """(g, Q, Q_minus) of h + d + h*: the table from the rational tables of
+    h and d, pi and the coadjoint action, and +-<,>_h + <,>_d + the pairing
+    as dense matrices."""
+    nh, nd = rep.h.dim, rep.d.dim
+    hs, n = nh + nd, 2 * nh + nd
+    table = dict(rep.h.table)
+    for (i, b), col in rep.op_data.items():
+        table[i, nh + b] = {nh + p: x for p, x in col.items()}
+    for (i, m), comps in rep.h.bracket_data.items():
+        for k, c in comps.items():
+            table.setdefault((i, hs + k), {})[hs + m] = -c
+    table.update(d_pairs(rep, nh, hs, {k: {k: 1} for k in range(nh)}, 1))
+    g = LieAlgebra(n, _joined_names(rep.h.names + rep.d.names, rep.h.names), table)
+    forms = []
+    for h_rows in (rep.h_form.matrix, [[-x for x in row] for row in rep.h_form.matrix]):
+        m = [list(r) for r in block_sum(block_sum(h_rows, rep.d_form.matrix),
+                                        linalg.zeros(nh, nh))]
+        for i in range(nh):
+            m[i][hs + i] = m[hs + i][i] = linalg.Q1
+        forms.append(BilinearForm(m))
+    return g, *forms
+
+
+def assemble_gd(rep):
+    """(L, metric) of d + h*: beta* through the rational inverse of <,>_h,
+    and the block sum of the two rational matrices."""
+    w = rep.h_form.rows()
+    table = d_pairs(rep, 0, rep.d.dim, *core._integral(core._rows(linalg.inverse(w))))
+    alg = LieAlgebra(rep.d.dim + rep.h.dim, _joined_names(rep.d.names, rep.h.names), table)
+    return alg, BilinearForm(block_sum(rep.d_form.matrix, w))

@@ -15,7 +15,9 @@ the matrix-algebra commutators, the commuting rows of ``so_aut`` and
 readers of the curvature and the series run on integers, and so does
 every command of the ``cli_dense`` workload between loading its file and
 rendering its report; the harness's ``FractionCounter`` checks here that
-no ``Fraction`` arithmetic comes back into them.
+no ``Fraction`` arithmetic comes back into them.  The stages read the int
+views of the algebras and forms the construction writes, and a test here
+fails if one of them forms its rational table or matrix.
 
 A name that ``adinvar`` exports feeds a command, the corpus or the
 benchmark: something in ``src/adinvar`` or ``bench/`` reads it, or it is
@@ -303,6 +305,23 @@ def test_routes_make_no_fraction_arithmetic():
         assert not skew.flat_subspace.contains_subspace(der.flat_subspace)
         killing_form(gd.L).signature
     assert count.count == 0
+
+
+def test_stage_path_leaves_the_rational_views_unformed():
+    """build_gd, both connections and curvatures, build_hom_structure,
+    verify_as and so_aut on dense conjugates read only the int views of
+    what the construction writes: none of gd.L, gd.double.g, gd.metric or
+    gd.double.Q forms its table, bracket_data or matrix, so a reader that
+    falls back to Fraction fails here instead of slowing the run."""
+    for rep in (conjugated_rep(torus_rep([1, 2, 3]), 5), conjugated_rep(corpus_build("gH").rep, 5)):
+        gd = build_gd(rep)
+        assert curvature(levi_civita(gd.L, gd.metric), gd.L) == curvature_gd(gd)
+        assert levi_civita_gd(gd) == levi_civita(gd.L, gd.metric)
+        assert verify_as(gd, build_hom_structure(gd)).all_pass
+        assert so_aut(gd).dim > 0
+        built = {"L": gd.L, "g": gd.double.g, "metric": gd.metric, "Q": gd.double.Q}
+        assert {name: [key for key in ("table", "bracket_data", "matrix") if key in vars(obj)]
+                for name, obj in built.items()} == dict.fromkeys(built, [])
 
 
 def test_cli_dense_commands_make_no_fraction_arithmetic(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
                       indefinite_abelian_reps, mu_mats, nilpotent_reps, so3_block_rep,
                       so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
-from oracles import commutator, vec_add
+from oracles import assemble_double, assemble_gd, block_sum, commutator, vec_add
 from test_corpus import _count_calls
 
 
@@ -128,7 +128,7 @@ def test_mu_data_holds_the_columns_of_the_block_sums(name):
     under a dense change of basis of d."""
     rep = corpus.corpus_build(name).rep
     for rep in (rep, conjugated_rep(rep, 2)):
-        want = [extension._block_sum(rep.mats[k], rep.h.ad(k)) for k in range(rep.h.dim)]
+        want = [block_sum(rep.mats[k], rep.h.ad(k)) for k in range(rep.h.dim)]
         assert build_gd(rep).mu_data == core.operator_data(want)
 
 
@@ -597,7 +597,8 @@ def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
 
 
 def _fresh(alg, form):
-    """Copies of alg and form with no integer view cached yet."""
+    """Copies of alg and form from their rational data, which make their
+    int views as they are built."""
     return LieAlgebra(alg.dim, alg.names, alg.table), BilinearForm(form.matrix)
 
 
@@ -618,14 +619,14 @@ def _mu_family(rep):
 def test_action_faults_scales_each_family_once(family, rep, monkeypatch):
     """The operators come scaled once for the whole family; each run makes
     one skew sweep and one Leibniz sweep over all of them, not a pair per
-    operator; and the form, the bracket and the bracket of h are scaled
-    once each, by the views cached on them, however many runs read them."""
+    operator; and the form, the bracket and the bracket of h carry the int
+    views they were built with, so no run scales anything to ints."""
     args = family(rep())
     integral = _count_calls(monkeypatch, core, "_integral")
     sweeps = [_count_calls(monkeypatch, core, name) for name in ("_skew", "_leibniz")]
     for _ in range(2):
         assert list(extension._action_faults(*args)) == []
-    assert len(integral) == 3
+    assert integral == []
     assert [len(calls) for calls in sweeps] == [2, 2]
 
 
@@ -1172,3 +1173,37 @@ def test_sparse_assembly_matches_the_dense_one_on_conjugated_builders():
         rep = corpus_build(name).rep
         for r in (rep, conjugated_rep(rep, seed), conjugated_rep(rep, seed + 50)):
             _assert_sparse_assembly_is_the_dense_one(r)
+
+
+# -- the int construction against the Fraction assembly it replaced -------
+
+def _assert_int_construction_is_the_fraction_one(rep):
+    """g, Q, Q_minus, L and the metric, written from int views, equal the
+    Fraction assembly of ``tests/oracles.py``: as objects, in their int
+    views, in their rational tables and matrices, and in signature."""
+    gd = build_gd(rep)
+    got = (gd.double.g, gd.double.Q, gd.double.Q_minus, gd.L, gd.metric)
+    for new, old in zip(got, assemble_double(rep) + assemble_gd(rep), strict=True):
+        assert new == old
+        if isinstance(old, LieAlgebra):
+            assert new.int_bracket_data == old.int_bracket_data
+            assert (new.table, new.bracket_data) == (old.table, old.bracket_data)
+        else:
+            assert new.int_rows == old.int_rows and new.matrix == old.matrix
+            assert new.signature == linalg.signature_of(old.rows())
+
+
+@pytest.mark.parametrize("name", corpus_list())
+def test_int_construction_matches_the_fraction_assembly_on_builders(name):
+    """Every registry builder and its dense conjugate."""
+    rep = corpus_build(name).rep
+    for r in (rep, conjugated_rep(rep, 5)):
+        _assert_int_construction_is_the_fraction_one(r)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(indefinite_abelian_reps(), nilpotent_reps(), so3_block_reps()))
+def test_int_construction_matches_the_fraction_assembly_on_generated_reps(rep):
+    """Also so(3) on blocks: the registry's h are abelian, so only a
+    nonabelian h writes the coadjoint block of g."""
+    _assert_int_construction_is_the_fraction_one(rep)

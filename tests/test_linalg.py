@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from adinvar import linalg
+from adinvar import BilinearForm, core, linalg
 import oracles
 from oracles import signature_dense, vec_add
 
@@ -402,6 +402,19 @@ def test_det_and_charpoly_match_sympy(a):
 @given(symmetric_matrices())
 def test_signature_matches_descartes(g):
     assert linalg.signature_of(g) == descartes_signature(g)
+
+
+@ORACLE
+@given(symmetric_matrices())
+def test_int_inverse_matches_sympy(g):
+    """``BilinearForm.int_inverse`` is the one int view of sympy's inverse,
+    as ``_integral`` makes it; a singular form raises ``LinAlgError``."""
+    mat, form = to_sympy(g), BilinearForm(g)
+    if mat.det() == 0:
+        with pytest.raises(linalg.LinAlgError):
+            form.int_inverse
+        return
+    assert form.int_inverse == core._integral(core._rows(from_sympy(mat.inv())))
 
 
 # Zero-diagonal forms on which a hyperbolic step is followed by pivots

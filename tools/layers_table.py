@@ -23,11 +23,15 @@ times that checkout.  Inputs:
   with the identity metric, written as an algebra file.
 
 ``stages``: each stage is called K times on the same input and the
-minimum wall time is printed in ms: ``validate``, ``build_gd``,
+minimum wall time is printed in ms: ``validate``, ``double_extend``,
+``build_gd``, ``levi_civita`` (on the algebra and metric of a new d + h*
+per call, built untimed: the inverse it caches on the form is made once
+per ``build_gd``, as in a pass of the benchmark), ``levi_civita_gd``,
 ``build_hom_structure``, ``verify_as`` (given the built structure, so it
 excludes ``build_hom_structure``), ``curvature`` (from the Levi-Civita
-connection, which is not timed) and ``curvature_gd``.  Cached integer
-views are not cleared between calls, as in one process of the benchmark.
+connection, which is not timed), ``curvature_gd`` and ``so_aut``.  Other
+cached integer views are not cleared between calls, as in one process of
+the benchmark.
 
 ``kernels``: the minimum of K calls, in ms, summed over the inputs of a
 row: ``check_jacobi`` on d, h, the double and d + h* (the four calls of a
@@ -64,13 +68,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from adinvar import (BilinearForm, GeometryError, LieAlgebra, build_gd,  # noqa: E402
                      build_hom_structure, check_jacobi, cli, corpus_build, corpus_list,
-                     curvature, curvature_gd, derivation_algebra, io, killing_form,
-                     levi_civita, linalg, ricci_operator, sectional, verify_as)
+                     curvature, curvature_gd, derivation_algebra, double_extend, io,
+                     killing_form, levi_civita, levi_civita_gd, linalg, ricci_operator,
+                     sectional, so_aut, verify_as)
 from conftest import conjugated_rep, torus_rep  # noqa: E402
 import workloads  # noqa: E402
 
-STAGES = ("validate", "build_gd", "build_hom_structure", "verify_as", "curvature",
-          "curvature_gd")
+STAGES = ("validate", "double_extend", "build_gd", "levi_civita", "levi_civita_gd",
+          "build_hom_structure", "verify_as", "curvature", "curvature_gd", "so_aut")
 
 
 def inputs(seed, max_m):
@@ -102,13 +107,18 @@ def times(rep, repeat):
     gd = build_gd(rep)
     hom = build_hom_structure(gd)
     gamma = levi_civita(gd.L, gd.metric)
+    fresh = iter([(g.L, g.metric) for g in (build_gd(rep) for _ in range(repeat))])
     calls = {
         "validate": rep.validate,
+        "double_extend": lambda: double_extend(rep),
         "build_gd": lambda: build_gd(rep),
+        "levi_civita": lambda: levi_civita(*next(fresh)),
+        "levi_civita_gd": lambda: levi_civita_gd(gd),
         "build_hom_structure": lambda: build_hom_structure(gd),
         "verify_as": lambda: verify_as(gd, hom),
         "curvature": lambda: curvature(gamma, gd.L),
         "curvature_gd": lambda: curvature_gd(gd),
+        "so_aut": lambda: so_aut(gd),
     }
     return [best_ms(calls[name], repeat) for name in STAGES]
 
