@@ -120,9 +120,10 @@ def cmd_geometry(args, report):
     if bad:
         return
     gamma = levi_civita(alg, form)
-    swapped = Tensor(alg.dim, 2, {(j, i): c for (i, j), c in gamma.data.items()})
+    ints, scale = gamma.int_data
+    swapped = Tensor.from_ints(alg.dim, 2, {(j, i): c for (i, j), c in ints.items()}, scale)
     torsion_free = (gamma - swapped).int_data == alg.int_bracket_data
-    metric_comp = not any(_skew(gamma.int_data[0], form.int_rows[0]))
+    metric_comp = not any(_skew(ints, form.int_rows[0]))
     report["checks"] += [Check("torsion_free", torsion_free),
                          Check("metric_compatible", metric_comp)]
     if not (torsion_free and metric_comp):

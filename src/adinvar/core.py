@@ -12,16 +12,20 @@ work is done once: a derivation action on an antisymmetric S forms the
 tuples t_0 < t_1, a bracket span of a subspace with itself (by value) the
 pairs a < b, [g, g] is bracketed once per algebra, ``check_jacobi`` reads
 [e_a, e_b] for a < b, and ``killing_form`` computes the entries i <= j.
-Algebras, forms and tensors hold one int view each, data times a scale
-divided by its gcd (``LieAlgebra.int_bracket_data``, ``BilinearForm.int_rows``,
-``geometry.Tensor.int_data``), built at the source: the constructions hand
-their int sums to ``from_ints``, the rational constructors scale by the lcm
-of the denominators (``_integral``), and rational entries are divided out
-(``_rational``) only when first read.  A route brings the views it reads
-to one scale by ``_common``: a term multiplying one entry of each input is
-the product of their scales times its value, so a scale per input keeps
-every verdict and span, and a term of d entries on one scale s is s^d
-times its value.
+
+The int format is one type, ``View`` = (data, scale): sparse int data over
+an int scale, reduced so that equal rational data have equal views.
+Algebras, forms and tensors hold one view each (``LieAlgebra.int_bracket_data``,
+``BilinearForm.int_rows``, ``geometry.Tensor.int_data``), set in one
+place per class: the constructions hand their int sums to ``from_ints``,
+which reduces them once (``View.of``), and the rational constructors are a
+``View.of_rational`` in front of the same place.  The rational readers
+(``table``, ``bracket_data``, ``matrix``, ``Tensor.data``) are rendered
+from the view (``View.rational``) on first read.  A route brings the views
+it reads to one scale by ``View.common``: a term multiplying one entry of
+each input is the product of their scales times its value, so a scale per
+input keeps every verdict and span, and a term of d entries on one scale s
+is s^d times its value.
 """
 
 from collections import Counter, defaultdict
@@ -40,15 +44,52 @@ class AlgebraError(Exception):
     pass
 
 
-def _freeze_table(table):
-    out = {}
-    for (i, j), comps in table.items():
-        if i >= j:
-            raise AlgebraError(f"bracket key ({i},{j}) must have i < j")
-        cleaned = {k: v for k, v in zip(comps, map(frac, comps.values())) if v}
-        if cleaned:
-            out[(i, j)] = cleaned
-    return out
+class View(NamedTuple):
+    """Rational sparse data {key: {p: c}} as int data over an int scale,
+    c = data[key][p] / scale.  A view is canonical: scale > 0 and the
+    entries have no common factor with it, no entry is zero and no output
+    empty, so equal rational data have equal views.  ``of`` reduces int
+    data, ``of_rational`` scales rational data, ``common`` brings views to
+    one scale and ``rational`` renders a view; no other code does."""
+
+    data: dict
+    scale: int
+
+    @classmethod
+    def of(cls, data, scale):
+        """The view of data / scale, reduced once; when there is nothing
+        to divide or drop, the dicts are kept as given, so a caller that
+        writes to them later copies them first."""
+        g = gcd(scale, *(x for comps in data.values() for x in comps.values()))
+        if g == 1 and all(comps and all(comps.values()) for comps in data.values()):
+            return cls(data, scale)
+        return cls({key: out for key, comps in data.items()
+                    if (out := {p: x // g for p, x in comps.items() if x})}, scale // g)
+
+    @classmethod
+    def of_rational(cls, data):
+        """The view of rational data: each entry times the lcm of the
+        denominators, which leaves no common factor to divide."""
+        scale = lcm(*{c.denominator for comps in data.values() for c in comps.values()})
+        return cls({key: out for key, comps in data.items()
+                    if (out := {p: c.numerator * (scale // c.denominator)
+                                for p, c in comps.items() if c})}, scale)
+
+    @staticmethod
+    def common(*views):
+        """(*datas, scale): the views (data, s) brought to scale, the lcm of
+        their scales, each data times scale // s.  A data whose factor is 1
+        is returned as it is, not copied: a caller that writes to it
+        copies it."""
+        scale = lcm(*(s for _, s in views))
+        return (*(data if s == scale else
+                  {key: {p: x * (scale // s) for p, x in comps.items()}
+                   for key, comps in data.items()} for data, s in views), scale)
+
+    def rational(self):
+        """The rational data, one ``Fraction`` per entry."""
+        return {key: {p: Fraction(x, self.scale) for p, x in comps.items()}
+                for key, comps in self.data.items()}
 
 
 @dataclass(init=False)
@@ -59,9 +100,10 @@ class LieAlgebra:
     Antisymmetry is built in; the Jacobi identity is *not* implied and is
     checked by ``check_jacobi`` (builders call it, raw loaders may not).
     ``names`` None or empty names the basis e1, .., en.  The algebra holds
-    one int view, ``int_bracket_data`` = (ints, scale), of the bracket on
-    the ordered pairs with [e_i, e_j] != 0 (equality compares dim, names
-    and view); ``table`` and ``bracket_data`` are formed on first read.
+    one ``View``, ``int_bracket_data``, of the bracket on the ordered pairs
+    with [e_i, e_j] != 0 (equality compares dim, names and view), set by
+    ``_view`` alone; ``table`` and ``bracket_data`` are rendered from it
+    on first read.
     """
 
     dim: int
@@ -69,30 +111,34 @@ class LieAlgebra:
     int_bracket_data: tuple
 
     def __init__(self, dim, names, table):
-        self.table = _freeze_table(table)
-        self._view(dim, names, *_integral(self.table))
-        for (i, j), comps in self.table.items():
+        if bad := next((ij for ij in table if ij[0] >= ij[1]), None):
+            raise AlgebraError(f"bracket key ({bad[0]},{bad[1]}) must have i < j")
+        view = View.of_rational({ij: dict(zip(comps, map(frac, comps.values())))
+                                for ij, comps in table.items()})
+        for (i, j), comps in view.data.items():  # zeros dropped
             if not (0 <= i < j < dim):
                 raise AlgebraError(f"bracket index ({i},{j}) out of range")
             if any(not 0 <= k < dim for k in comps):
                 raise AlgebraError("bracket component index out of range")
+        self._view(dim, names, view)
 
     @classmethod
     def from_ints(cls, dim, names, ints, scale):
         """The algebra of table ints / scale, for int data {(i, j): {k: x}}
-        on pairs i < j and an int scale > 0, reduced by their gcd."""
-        self = cls.__new__(cls)
-        self._view(dim, names, *_reduced(ints, scale))
-        return self
+        on pairs i < j and an int scale > 0."""
+        return cls.__new__(cls)._view(dim, names, View.of(ints, scale))
 
-    def _view(self, dim, names, ints, scale):
+    def _view(self, dim, names, half):
+        """Set dim, names and the view, mirrored from the view of the pairs
+        i < j."""
         self.dim, self.names = dim, tuple(names or (f"e{i + 1}" for i in range(dim)))
         if len(self.names) != dim:
             raise AlgebraError("names length does not match dim")
         out = {}
-        for (i, j), comps in ints.items():
+        for (i, j), comps in half.data.items():
             out[i, j], out[j, i] = comps, {k: -x for k, x in comps.items()}
-        self.int_bracket_data = out, scale
+        self.int_bracket_data = View(out, half.scale)
+        return self
 
     @classmethod
     def abelian(cls, dim, names=None):
@@ -101,13 +147,13 @@ class LieAlgebra:
     @cached_property
     def table(self):
         ints, scale = self.int_bracket_data
-        return _rational({ij: comps for ij, comps in ints.items() if ij[0] < ij[1]}, scale)
+        return View({ij: comps for ij, comps in ints.items() if ij[0] < ij[1]}, scale).rational()
 
     @cached_property
     def bracket_data(self):
         """The bracket in the sparse tensor format: {(i, j): {k: coeff}} for
         every ordered pair with [e_i, e_j] != 0."""
-        return _rational(*self.int_bracket_data)
+        return self.int_bracket_data.rational()
 
     @cached_property
     def derived_algebra(self):
@@ -150,12 +196,14 @@ class LieAlgebra:
 
 @dataclass(init=False)
 class BilinearForm:
-    """Symmetric bilinear form; its signature is cached, read off a
-    fraction-free elimination of its int rows (``linalg._signature``).
-    The form holds one int view, ``int_rows`` = (rows, scale), a sparse row
-    per row, zero rows included (equality compares views); ``matrix`` is
-    formed on first read."""
+    """Symmetric bilinear form of dimension ``dim``; its signature is
+    cached, read off a fraction-free elimination of its int rows
+    (``linalg._signature``).  The form holds one ``View``, ``int_rows``, of
+    its sparse rows {p: {q: x}}, in which a zero row has no key (equality
+    compares dim and view), set by ``_view`` alone; ``matrix`` is rendered
+    from it on first read."""
 
+    dim: int
     int_rows: tuple
 
     def __init__(self, matrix):
@@ -166,30 +214,27 @@ class BilinearForm:
         if rows != tuple(zip(*rows)):  # entries compared by identity first
             i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
             raise AlgebraError(f"form is not symmetric at ({i},{j})")
-        self.matrix, self.int_rows = rows, _integral(_rows(rows))
+        self._view(n, View.of_rational({p: dict(enumerate(row)) for p, row in enumerate(rows)}))
 
     @classmethod
-    def from_ints(cls, rows, scale):
-        """The form rows / scale, for symmetric sparse int rows {p: {q: x}},
-        one key per row, and an int scale > 0, reduced by their gcd."""
-        self = cls.__new__(cls)
-        ints, scale = _reduced(rows, scale)
-        self.int_rows = {p: ints.get(p, {}) for p in range(len(rows))}, scale
+    def from_ints(cls, dim, rows, scale):
+        """The form rows / scale of dimension dim, for symmetric sparse int
+        rows {p: {q: x}} and an int scale > 0."""
+        return cls.__new__(cls)._view(dim, View.of(rows, scale))
+
+    @classmethod
+    def diagonal(cls, entries):
+        rows = {i: {i: frac(e)} for i, e in enumerate(entries)}
+        return cls.__new__(cls)._view(len(rows), View.of_rational(rows))
+
+    def _view(self, dim, view):
+        self.dim, self.int_rows = dim, view
         return self
 
     @cached_property
     def matrix(self):
-        rows, scale = self.int_rows
-        return tuple(tuple(Fraction(row[q], scale) if q in row else Q0 for q in range(len(rows)))
-                     for row in rows.values())
-
-    @classmethod
-    def diagonal(cls, entries):
-        return cls.from_ints(*_integral({i: {i: frac(e)} for i, e in enumerate(entries)}))
-
-    @property
-    def dim(self):
-        return len(self.int_rows[0])
+        rows, n, empty = self.int_rows.rational(), self.dim, {}
+        return tuple(tuple(rows.get(p, empty).get(q, Q0) for q in range(n)) for p in range(n))
 
     def rows(self):
         return [list(row) for row in self.matrix]
@@ -210,13 +255,13 @@ class BilinearForm:
         ``linalg._echelon`` of [b | I] makes row i h_i [e_i | row i of b^-1],
         and B^-1 = s b^-1 over the lcm of the h_i.  ``LinAlgError`` if B is
         singular."""
-        (b, s), n = self.int_rows, self.dim
-        rows, pivots = linalg._echelon(({**b[i], n + i: 1} for i in range(n)), 2 * n)
+        (b, s), n, empty = self.int_rows, self.dim, {}
+        rows, pivots = linalg._echelon(({**b.get(i, empty), n + i: 1} for i in range(n)), 2 * n)
         if pivots[:n] != list(range(n)):
             raise linalg.LinAlgError("matrix is singular")
         h = lcm(*(row[i] for i, row in enumerate(rows)))
-        return _reduced({i: {q - n: x * s * (h // row[i]) for q, x in row.items() if q >= n}
-                         for i, row in enumerate(rows)}, h)
+        return View.of({i: {q - n: x * s * (h // row[i]) for q, x in row.items() if q >= n}
+                        for i, row in enumerate(rows)}, h)
 
     @cached_property
     def signature(self):
@@ -255,8 +300,8 @@ class Subspace:
 
     @cached_property
     def int_rows(self):
-        """(rows, scale): the rows as sparse ints, scaled once per subspace."""
-        return _integral(_rows(self.rows))
+        """The ``View`` of the rows, scaled to ints once per subspace."""
+        return View.of_rational({r: dict(enumerate(row)) for r, row in enumerate(self.rows)})
 
     def contains(self, v):
         return self.contains_all([v])
@@ -294,47 +339,6 @@ class Subspace:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def _integral(*datas):
-    """(*ints, scale): each sparse data {key: {p: c}} times scale, the lcm of
-    the denominators of the entries of all of them: every entry an int."""
-    scale = lcm(*{c.denominator for data in datas
-                  for comps in data.values() for c in comps.values()})
-    return (*({key: {p: c.numerator * (scale // c.denominator) for p, c in comps.items()}
-               for key, comps in data.items()} for data in datas), scale)
-
-
-def _rational(data, scale):
-    """The inverse of ``_integral``: the sparse int data divided by scale,
-    one ``Fraction`` per nonzero entry; every key is kept."""
-    return {key: {p: Fraction(x, scale) for p, x in comps.items() if x}
-            for key, comps in data.items()}
-
-
-def _reduced(ints, scale):
-    """(ints, scale) divided by their gcd, without zeros or empty outputs."""
-    g, out = gcd(scale, *(x for comps in ints.values() for x in comps.values())), {}
-    for key, comps in ints.items():
-        if comps := {p: x // g for p, x in comps.items() if x}:
-            out[key] = comps
-    return out, scale // g
-
-
-def _common(*views):
-    """(*datas, scale): the int views (data, s) brought to scale, the lcm of
-    their scales, each data times scale // s.  A data whose factor is 1 is
-    returned as it is, not copied: a caller that writes to it copies it."""
-    scale = lcm(*(s for _, s in views))
-    return (*(data if s == scale else
-              {key: {p: x * (scale // s) for p, x in comps.items()} for key, comps in data.items()}
-              for data, s in views), scale)
-
-
-def _rows(m):
-    """The rows of a dense matrix as sparse rows {p: {q: x}}, one key per
-    row, zero rows included."""
-    return {p: {q: x for q, x in enumerate(row) if x} for p, row in enumerate(m)}
-
 
 def _commutator_flat(a, b):
     """ab - ba for matrices of sparse int rows {p: {q: x}}, flattened
@@ -412,7 +416,7 @@ def operator_data(mats):
 
 def skew_witnesses(op, form):
     """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
-    return _skew(_integral(op)[0], form.int_rows[0])
+    return _skew(View.of_rational(op).data, form.int_rows.data)
 
 
 def _lowered(v, rows):
@@ -659,5 +663,4 @@ def killing_form(alg):
                     row[j] += x * y
     for i, j in combinations(range(n), 2):
         m[j][i] = m[i][j]
-    return BilinearForm.from_ints({i: {j: x for j, x in enumerate(row) if x}
-                                   for i, row in enumerate(m)}, den)
+    return BilinearForm.from_ints(n, {i: dict(enumerate(row)) for i, row in enumerate(m)}, den)

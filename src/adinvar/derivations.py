@@ -15,8 +15,8 @@ from itertools import chain, combinations, product
 from math import lcm
 
 from . import linalg
-from .core import (AlgebraError, LieAlgebra, Subspace, _commutator_flat, _integral,
-                   _lowered, _rows, center, derived_series, killing_form, lower_central_series)
+from .core import (AlgebraError, LieAlgebra, Subspace, View, _commutator_flat, _lowered,
+                   center, derived_series, killing_form, lower_central_series)
 
 
 def _flatten(m):
@@ -29,11 +29,14 @@ def _unflatten(v, rows, cols):
 
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
-    """A commutator-closed space of matrices with its abstract closure table."""
+    """A commutator-closed space of matrices with its abstract closure
+    table; ``int_basis`` is the ``View`` {t: {p n + q: x}} of the basis
+    matrices, flattened row-major."""
 
     n: int
     basis: tuple
     closure: LieAlgebra
+    int_basis: View
 
     @classmethod
     def from_matrices(cls, mats, n):
@@ -72,29 +75,29 @@ def _leibniz_rows(alg, offset=0):
 def _skew_rows(form, offset=0):
     """(B X + X^T B)_ij = 0 for i <= j, on the form scaled to integers."""
     n = form.dim
-    b, _ = form.int_rows
+    b, empty = form.int_rows.data, {}
     for i in range(n):
         for j in range(i, n):
             row = Counter()
-            for q, x in b[i].items():
+            for q, x in b.get(i, empty).items():
                 row[offset + q * n + j] += x
-            for q, x in b[j].items():
+            for q, x in b.get(j, empty).items():
                 row[offset + q * n + i] += x
             yield row
 
 
-def _commuting_rows(m, offset=0):
-    """(X m - m X)_pq = 0 for every (p, q), in row-major order, for m given
-    as sparse int rows {p: {q: x}}: X_ps has the coefficient m_sq and X_sq
-    the coefficient -m_ps."""
-    n, empty = len(m), {}
-    cols = {}
-    for s, row in m.items():
-        for q, x in row.items():
-            cols.setdefault(q, {})[s] = x
+def _commuting_rows(m, n, offset=0):
+    """(X m - m X)_pq = 0 for every (p, q), in row-major order, for the
+    n x n matrix m given as sparse int columns {q: {p: m_pq}}, a zero
+    column left out: X_ps has the coefficient m_sq and X_sq the
+    coefficient -m_ps."""
+    empty, rows = {}, {}
+    for q, col in m.items():
+        for s, x in col.items():
+            rows.setdefault(s, {})[q] = x
     for p, q in product(range(n), repeat=2):
-        row = Counter({offset + p * n + s: x for s, x in cols.get(q, empty).items()})
-        for s, x in m[p].items():
+        row = Counter({offset + p * n + s: x for s, x in m.get(q, empty).items()})
+        for s, x in rows.get(p, empty).items():
             row[offset + s * n + q] -= x
         yield row
 
@@ -132,8 +135,9 @@ def _span(vectors, n):
                     rest[c] -= y * x
         if any(rest):
             raise AlgebraError("matrix space is not closed under commutator")
-    return MatrixLieAlgebra(n, tuple(basis), LieAlgebra.from_ints(len(rows), None, table,
-                                                                  big * big))
+    closure = LieAlgebra.from_ints(len(rows), None, table, big * big)
+    return MatrixLieAlgebra(n, tuple(basis), closure,
+                            View.of(dict(enumerate(row for _, row in scaled)), big))
 
 
 def _solutions(rows, n):
@@ -153,16 +157,12 @@ def skew_derivations(alg, form):
 
 def skew_part(der, form):
     """The members of the matrix algebra der (a derivation algebra) that
-    are skew for form.  X = sum_t c_t D_t over the basis D_t of der,
-    scaled to integer matrices s D_t by one ``core._integral`` call, is
-    skew iff every skew row r gives sum_t c_t (r . s D_t) = 0: a system in
-    dim der unknowns.  Its ``linalg._kernel`` vectors c give the int
-    matrices sum_t c_t s D_t, which one ``rref`` reduces to the canonical
-    basis."""
-    n = der.n
-    *ints, _ = _integral(*map(_rows, der.basis))
-    flats = {t: {p * n + q: x for p, row in a.items() for q, x in row.items()}
-             for t, a in enumerate(ints)}
+    are skew for form.  X = sum_t c_t D_t over the basis D_t of der, read
+    as the flattened int matrices s D_t of ``der.int_basis``, is skew iff
+    every skew row r gives sum_t c_t (r . s D_t) = 0: a system in dim der
+    unknowns.  Its ``linalg._kernel`` vectors c give the int matrices
+    sum_t c_t s D_t, which one ``rref`` reduces to the canonical basis."""
+    n, (flats, _) = der.n, der.int_basis
     cols = {}  # flats transposed, {column: {t: x}}
     for t, flat in flats.items():
         for col, x in flat.items():
@@ -206,13 +206,16 @@ def so_aut(gd):
     rows += _leibniz_rows(gd.rep.d, na)
     rows += _skew_rows(gd.rep.d_form, na)
     # [B, pi(h_i)] = pi(A h_i): column i of A weights the pi generators.
-    # Every term carries one pi entry, so the pi matrices are scaled to
-    # integers by one s, which leaves the nullspace as it is.
-    *mats, _ = _integral(*map(_rows, gd.rep.mats))
-    for i, m in enumerate(mats):
-        for (p, q), row in zip(product(range(nd), repeat=2), _commuting_rows(m, na)):
-            for j, mj in enumerate(mats):
-                if x := mj[p].get(q):
+    # Every term carries one pi entry, so the pi matrices are read on the
+    # one scale s of ``rep.int_ops``, which leaves the nullspace as it is.
+    (ops, _), empty = gd.rep.int_ops, {}
+    cols = [{} for _ in range(nh)]  # the columns of s pi(h_i)
+    for (i, q), col in ops.items():
+        cols[i][q] = col
+    for i, m in enumerate(cols):
+        for (p, q), row in zip(product(range(nd), repeat=2), _commuting_rows(m, nd, na)):
+            for j, mj in enumerate(cols):
+                if x := mj.get(q, empty).get(p):
                     row[j * nh + i] -= x
             rows.append(row)
     pairs = []
@@ -232,11 +235,12 @@ def induced_so_aut_pair(gd, i):
 
 def intertwiners_skew(mats, form):
     """Matrices commuting with every generator and skew for the form.  The
-    commuting rows of each generator are linear in it, so all of them are
-    scaled to integers by one s."""
-    *ints, _ = _integral(*(_rows([list(map(linalg.frac, r)) for r in m]) for m in mats))
-    rows = [row for m in ints for row in _commuting_rows(m)]
-    return _solutions(chain(rows, _skew_rows(form)), form.dim)
+    commuting rows of each generator are linear in it, so each generator
+    is scaled to integers on its own."""
+    n = form.dim
+    rows = [row for m in mats for row in _commuting_rows(View.of_rational(
+        {q: dict(enumerate(map(linalg.frac, c))) for q, c in enumerate(zip(*m))}).data, n)]
+    return _solutions(chain(rows, _skew_rows(form)), n)
 
 
 def profile(mla):
@@ -261,8 +265,7 @@ def equivalence_check(alg, a, b, lam, tvec, phi):
         raise AlgebraError("phi is singular")
     lhs = linalg.mat_mul(phi, linalg.mat_mul(
         [list(map(linalg.frac, row)) for row in b], phi_inv))
-    rhs = linalg.mat_add(
-        linalg.mat_scale(linalg.frac(lam),
-                         [list(map(linalg.frac, row)) for row in a]),
-        alg.ad_vector(list(map(linalg.frac, tvec))))
+    lam = linalg.frac(lam)
+    rhs = [[lam * linalg.frac(x) + y for x, y in zip(ra, rb)]
+           for ra, rb in zip(a, alg.ad_vector(list(map(linalg.frac, tvec))))]
     return lhs == rhs

@@ -18,11 +18,11 @@ from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
-from .core import (BilinearForm, Check, LieAlgebra, Subspace, _common, _commutator_flat,
-                   _integral, _leibniz, _lowered, _skew, ad_invariant, all_pass,
-                   check_jacobi, operator_data, orthogonal_complement, skew_witnesses)
+from .core import (BilinearForm, Check, LieAlgebra, Subspace, View, _commutator_flat,
+                   _leibniz, _lowered, _skew, ad_invariant, all_pass, check_jacobi,
+                   operator_data, orthogonal_complement, skew_witnesses)
 from .geometry import Tensor
-from .linalg import Q0, Q1
+from .linalg import Q0
 
 
 class ExtensionError(Exception):
@@ -76,19 +76,19 @@ class Representation:
 
     @cached_property
     def int_ops(self):
-        """(op, scale): ``op_data`` scaled to ints once."""
-        return _integral(self.op_data)
+        """The ``View`` of ``op_data``, scaled to ints once."""
+        return View.of_rational(self.op_data)
 
     @cached_property
     def int_beta(self):
-        """The cocycle, ({(a, b): {k: x}}, scale) with beta(e_a, e_b)[k] =
-        <pi(h_k) e_a, e_b>_d = x / scale."""
+        """The ``View`` ({(a, b): {k: x}}, scale) of the cocycle,
+        beta(e_a, e_b)[k] = <pi(h_k) e_a, e_b>_d = x / scale."""
         (op, s), (rows, t) = self.int_ops, self.d_form.int_rows
         out = {}
         for (k, a), col in op.items():
             for b, x in _lowered(col, rows).items():
                 out.setdefault((a, b), {})[k] = x
-        return out, s * t
+        return View.of(out, s * t)
 
     def validate(self):
         """Names of violated construction invariants (empty = good data)."""
@@ -110,7 +110,7 @@ class Representation:
 def _combination(mats, coeffs, n):
     """sum_i coeffs[i] mats[i] as an n x n matrix, summed over the nonzero
     coefficients and the nonzero entries of their operators."""
-    out = linalg.zeros(n, n)
+    out = [[Q0] * n for _ in range(n)]
     for c, m in zip(coeffs, mats):
         if c:
             for orow, mrow in zip(out, m):
@@ -185,8 +185,8 @@ def _assemble_double(rep):
     written on one scale from the int views of h, of pi and of ``_d_pairs``."""
     nh, nd = rep.h.dim, rep.d.dim
     hs, n = nh + nd, 2 * nh + nd
-    h_br, ops, pairs, s = _common(rep.h.int_bracket_data, rep.int_ops,
-                                  _d_pairs(rep, nh, hs, ({k: {k: 1} for k in range(nh)}, 1)))
+    h_br, ops, pairs, s = View.common(rep.h.int_bracket_data, rep.int_ops,
+                                      _d_pairs(rep, nh, hs, ({k: {k: 1} for k in range(nh)}, 1)))
     table = {ij: comps for ij, comps in h_br.items() if ij[0] < ij[1]}
     for (i, b), col in ops.items():
         table[i, nh + b] = {nh + p: x for p, x in col.items()}
@@ -199,11 +199,11 @@ def _assemble_double(rep):
         raise ExtensionError("constructed bracket violates Jacobi")
 
     # Q and Q_minus: +-<,>_h + <,>_d + the pairing of h and h*, on one scale t
-    h_rows, d_rows, t = _common(rep.h_form.int_rows, rep.d_form.int_rows)
-    rest = {nh + a: {nh + q: x for q, x in d_rows[a].items()} for a in range(nd)}
+    h_rows, d_rows, t = View.common(rep.h_form.int_rows, rep.d_form.int_rows)
+    rest = {nh + a: {nh + q: x for q, x in row.items()} for a, row in d_rows.items()}
     rest |= {hs + i: {i: t} for i in range(nh)}
-    q, q_minus = (BilinearForm.from_ints({i: {j: sign * x for j, x in h_rows[i].items()}
-                                          | {hs + i: t} for i in range(nh)} | rest, t)
+    q, q_minus = (BilinearForm.from_ints(n, {i: {j: sign * x for j, x in h_rows.get(i, {}).items()}
+                                             | {hs + i: t} for i in range(nh)} | rest, t)
                   for sign in (1, -1))
     # Q_minus is ad-invariant once Q is: on this table the defect
     # B([x,y],z) + B(y,[x,z]) of <,>_h is nonzero on all-h triples only,
@@ -243,7 +243,7 @@ def _d_pairs(rep, d0, h0, mix):
     M beta(e_a, e_b), for the int view mix = (rows {j: {k: x}}, t) of M,
     summed on ``int_beta`` (scale v) as a view of scale v t."""
     (rows, t), (beta, v) = mix, rep.int_beta
-    d_br, beta, s = _common(rep.d.int_bracket_data, (beta, v * t))
+    d_br, beta, s = View.common(rep.d.int_bracket_data, (beta, v * t))
     table = {}
     for a, b in combinations(range(rep.d.dim), 2):
         comps = {d0 + p: x for p, x in d_br.get((a, b), {}).items()}
@@ -263,9 +263,9 @@ class GdAlgebra:
     rep: Representation
     L: LieAlgebra
     metric: BilinearForm
-    ell: tuple         # matrix of ell: h -> h* in dual-basis coords (= <,>_h)
-    ell_inv: tuple     # its inverse, computed once per algebra
-    mu_data: dict      # the operator field of mu on d + h*: (k, i) -> mu(h_k) e_i
+    ell: View          # ell: h -> h* in dual-basis coords, the int rows of <,>_h
+    ell_inv: View      # the int rows of its inverse, computed once per algebra
+    mu_data: View      # the operator field of mu on d + h*: (k, i) -> mu(h_k) e_i
     double: DoubleExtension
     # what ``build_gd`` and ``_verify_gd`` verify, raising on a failure
     checks = tuple(Check(name, True) for name in (
@@ -293,13 +293,13 @@ class GdAlgebra:
     @cached_property
     def lambda_columns(self):
         """lambda: d + h* -> m inside the double extension h + d + h*, as
-        sparse columns {i: {p: x}}, the images of the (d | h*) basis:
-        e_a -> e_a, and h_k* -> h_k + ell(h_k) in dual-basis coordinates."""
-        nh, nd = self.nh, self.nd
-        cols = {a: {nh + a: Q1} for a in range(nd)}
-        for k, row in enumerate(self.ell):
-            cols[nd + k] = {k: Q1} | {nh + nd + j: x for j, x in enumerate(row) if x}
-        return cols
+        the ``View`` of its sparse columns {i: {p: x}}, the images of the
+        (d | h*) basis: e_a -> e_a, and h_k* -> h_k + ell(h_k) in
+        dual-basis coordinates, on the scale s of ``ell``."""
+        nh, nd, (rows, s) = self.nh, self.nd, self.ell
+        return View.of({a: {nh + a: s} for a in range(nd)} | {
+            nd + k: {k: s} | {nh + nd + j: x for j, x in rows.get(k, {}).items()}
+            for k in range(nh)}, s)
 
 
 def build_gd(rep):
@@ -313,7 +313,7 @@ def build_gd(rep):
     dbl = _assemble_double(rep)
     nh, nd = rep.h.dim, rep.d.dim
     # ell^-1 once per call, cached on a copy: the loaded form outlives the call
-    winv = BilinearForm.from_ints(*rep.h_form.int_rows).int_inverse
+    winv = BilinearForm.from_ints(nh, *rep.h_form.int_rows).int_inverse
     alg = LieAlgebra.from_ints(nd + nh, _joined_names(rep.d.names, rep.h.names),
                                *_d_pairs(rep, 0, nd, winv))
     if check_jacobi(alg):
@@ -322,10 +322,10 @@ def build_gd(rep):
     metric = _block_form(rep.d_form, rep.h_form)
     # mu(h_k) is pi(h_k) on d and, as mu(h) f_j = ell([h, h_j]), ad(h_k) on
     # h* in the ell basis: the columns of pi, then those of the bracket of h
-    mu_data = rep.op_data | {(k, nd + j): {nd + m: c for m, c in col.items()}
-                             for (k, j), col in rep.h.bracket_data.items()}
-    gd = GdAlgebra(rep, alg, metric, rep.h_form.matrix,
-                   BilinearForm.from_ints(*winv).matrix, mu_data, dbl)
+    ops, h_br, s = View.common(rep.int_ops, rep.h.int_bracket_data)
+    mu_data = View.of(ops | {(k, nd + j): {nd + m: c for m, c in col.items()}
+                             for (k, j), col in h_br.items()}, s)
+    gd = GdAlgebra(rep, alg, metric, rep.h_form.int_rows, winv, mu_data, dbl)
     _verify_gd(gd)
     return gd
 
@@ -333,9 +333,9 @@ def build_gd(rep):
 def _block_form(a, b):
     """The block-diagonal form with blocks the forms a and b, written from
     their int rows brought to one scale."""
-    a_rows, b_rows, s = _common(a.int_rows, b.int_rows)
-    return BilinearForm.from_ints(a_rows | {a.dim + p: {a.dim + q: x for q, x in row.items()}
-                                            for p, row in b_rows.items()}, s)
+    a_rows, b_rows, s = View.common(a.int_rows, b.int_rows)
+    return BilinearForm.from_ints(a.dim + b.dim, a_rows | {
+        a.dim + p: {a.dim + q: x for q, x in row.items()} for p, row in b_rows.items()}, s)
 
 
 def _verify_gd(gd):
@@ -354,18 +354,18 @@ def _verify_gd(gd):
         low, want = _lowered(br.get((a, b), empty), rows), beta.get((a, b), empty)
         if any(low.get(nd + k, 0) * v != want.get(k, 0) * s * t for k in range(gd.nh)):
             raise ExtensionError("relation <h*,[x1,x2]> = <pi(h)x1,x2> fails")
-    fault = next(_action_faults(_integral(gd.mu_data), gd.rep.h, metric, alg), None)
+    fault = next(_action_faults(gd.mu_data, gd.rep.h, metric, alg), None)
     if fault is not None:
         raise ExtensionError({"skew": "mu(h) is not metric-skew",
                               "derivation": "mu(h) is not a derivation",
                               "homomorphism": "mu is not a homomorphism"}[fault[0]])
     # lambda^T Q_minus lambda = metric: the columns of lambda scaled by u and
     # Q_minus by w make each entry u^2 w times its value, the metric t times
-    cols, u = _integral(gd.lambda_columns)
+    cols, u = gd.lambda_columns
     q_rows, w = gd.double.Q_minus.int_rows
     for i, ci in cols.items():
-        low = _lowered(ci, q_rows)
-        if any(sum(low.get(p, 0) * y for p, y in cj.items()) * t != rows[i].get(j, 0) * u * u * w
+        low, row = _lowered(ci, q_rows), rows.get(i, empty)
+        if any(sum(low.get(p, 0) * y for p, y in cj.items()) * t != row.get(j, 0) * u * u * w
                for j, cj in cols.items()):
             raise ExtensionError("lambda is not a linear isometry")
 

@@ -8,13 +8,15 @@ Every route sums over the nonzero entries of the sparse data it reads
 (bracket tables, operator columns, the form rows, the columns of B^-1 and
 ell^-1); the curvature routes scatter each stored entry to the keys of
 the terms it is a factor of.  The routes add Python ints: each reads the
-int views of its inputs (a ``Tensor``'s ``int_data``, an algebra's
+``core.View``s of its inputs (a ``Tensor``'s ``int_data``, an algebra's
 ``int_bracket_data``, a form's ``int_rows`` and ``int_inverse``), brought
-to one scale by ``core._common`` where it sums them, accumulates with
+to one scale by ``View.common`` where it sums them, accumulates with
 ``add_scaled`` and hands the int sums and their scale to
 ``Tensor.from_ints``, so no route forms a ``Fraction``.  The readers of R
 (Ricci, its operator, the sectional curvature) read its view and the
-form's ``int_rows`` and form one ``Fraction`` per output entry.
+form's ``int_rows`` and form one ``Fraction`` per output entry; the closed
+forms read the construction's views (``ricci_gd_closed`` hands an int
+form to ``BilinearForm.from_ints``).
 """
 
 from fractions import Fraction
@@ -23,9 +25,8 @@ from itertools import product
 from math import prod
 
 from . import linalg
-from .core import (BilinearForm, _common, _integral, _lowered, _rational, _reduced,
-                   is_subalgebra)
-from .linalg import Q0, Q1
+from .core import BilinearForm, View, _lowered, is_subalgebra
+from .linalg import Q0
 
 
 class GeometryError(Exception):
@@ -37,26 +38,28 @@ class Tensor:
 
     data[(i, j, ..)] = {p: c} says that the map sends (e_i, e_j, ..) to
     the sum of c e_p; a connection has two slots (G(e_i, e_j) = Op(e_i) e_j)
-    and a curvature three (R(e_i, e_j) e_k).  The tensor holds one int view
-    ``int_data`` = (ints, scale), data = ints / scale, divided by its gcd:
-    scale is the lcm of the denominators, as from ``core._integral(data)``.
-    Zeros are never stored, so equal tensors have equal views.  The routes
-    hand their int sums to ``from_ints``; ``data`` is formed on first read.
+    and a curvature three (R(e_i, e_j) e_k).  The tensor holds one
+    ``core.View``, ``int_data``, data = ints / scale, set by ``_view``
+    alone, so equal tensors have equal views.  The routes hand their int
+    sums to ``from_ints``; ``data`` is rendered from the view on first
+    read.
     """
 
     def __init__(self, dim, slots, data):
-        self.dim, self.slots, self.int_data = dim, slots, _reduced(*_integral(data))
+        self._view(dim, slots, View.of_rational(data))
 
     @classmethod
     def from_ints(cls, dim, slots, ints, scale):
         """ints / scale for sparse int data and an int scale > 0."""
-        self = cls.__new__(cls)
-        self.dim, self.slots, self.int_data = dim, slots, _reduced(ints, scale)
+        return cls.__new__(cls)._view(dim, slots, View.of(ints, scale))
+
+    def _view(self, dim, slots, view):
+        self.dim, self.slots, self.int_data = dim, slots, view
         return self
 
     @cached_property
     def data(self):
-        return _rational(*self.int_data)
+        return self.int_data.rational()
 
     @classmethod
     def from_function(cls, dim, slots, fn):
@@ -123,7 +126,7 @@ def levi_civita(alg, form):
     for (a, b), comps in br.items():
         cov = low[a, b] = {}
         for q, c in comps.items():
-            add_scaled(cov, c, rows[q])
+            add_scaled(cov, c, rows.get(q, {}))
         by_first[a].append((b, cov))
     data = {}
     for i, j in product(range(n), repeat=2):
@@ -145,12 +148,12 @@ def gd_tensor(gd, dd, left, right, hstar):
     (its other keys are dropped), left/2 pi(h_k) e_b on (h_k*, e_b),
     right/2 pi(h_k) e_a on (e_a, h_k*) and hstar/2 [h_p, h_q]* on
     (h_p*, h_q*), for ints left, right and hstar.  dd and the views of pi
-    and of the bracket of h are brought to one s (``_common``), so every
-    entry is 2 s times the tensor."""
+    and of the bracket of h are brought to one s (``View.common``), so
+    every entry is 2 s times the tensor."""
     nd, n = gd.nd, gd.L.dim
-    ints, t = dd  # a new dict: _common hands a view of factor 1 back as it is
-    data, ops, h_br, s = _common(({ab: c for ab, c in ints.items() if max(ab) < nd}, t),
-                                 gd.rep.int_ops, gd.rep.h.int_bracket_data)
+    ints, t = dd  # a new dict: View.common hands a data of factor 1 back as it is
+    data, ops, h_br, s = View.common(({ab: c for ab, c in ints.items() if max(ab) < nd}, t),
+                                     gd.rep.int_ops, gd.rep.h.int_bracket_data)
     for (k, b), col in ops.items():
         for key, c in (((nd + k, b), left), ((b, nd + k), right)):
             if c:
@@ -233,12 +236,12 @@ def curvature_gd(gd):
     w for (u,v,w), (w,u,v) and (v,w,u), and the rest reads stored entries.
 
     The int views of pi, of the brackets of d, L and h and of beta* are
-    brought to one s (``_common``).  Every term multiplies two of their
+    brought to one s (``View.common``).  Every term multiplies two of their
     entries, and the coefficients 1/2, 1/4 and -1/4 become 2, 1 and -1, so
     every sum is 4 s^2 times R.
     """
     nd, nh = gd.nd, gd.nh
-    pi, d_br, l_br, h_br, bstar, s = _common(
+    pi, d_br, l_br, h_br, bstar, s = View.common(
         gd.rep.int_ops, gd.rep.d.int_bracket_data, gd.L.int_bracket_data,
         gd.rep.h.int_bracket_data, beta_star(gd))
     by_k, by_q, l_by, b_by = ([[] for _ in range(m)] for m in (nh, nd, nd, nd))
@@ -287,8 +290,8 @@ def curvature_gd(gd):
 def _int_vectors(*vectors):
     """The rational vectors as sparse int vectors {i: x}, scaled by one t,
     followed by t."""
-    ints, t = _integral({a: {i: c for i, c in enumerate(v) if c} for a, v in enumerate(vectors)})
-    return (*ints.values(), t)
+    ints, t = View.of_rational({a: dict(enumerate(v)) for a, v in enumerate(vectors)})
+    return (*(ints.get(a, {}) for a in range(len(vectors))), t)
 
 
 def _pair(rows, u, v):
@@ -340,9 +343,9 @@ def sectional_gd_closed(gd, x, y):
     x_in_d, y_in_d = any(xd), any(yd)
     if x_in_d and y_in_d:
         bxy = gd.rep.d.bracket(xd, yd)
-        beta = gd.rep.beta(xd, yd)
-        winv = gd.ell_inv
-        beta_norm = linalg.dot(beta, linalg.mat_vec(winv, beta))
+        beta, (winv, si) = gd.rep.beta(xd, yd), gd.ell_inv
+        beta_norm = Fraction(sum(beta[a] * x * beta[b] for a, row in winv.items()
+                                 for b, x in row.items()), si)
         inner = gd.rep.d_form.apply(bxy, bxy)
         return e1 * e2 * (inner / 4 - 3 * beta_norm / 4)
     if not x_in_d and not y_in_d:
@@ -378,7 +381,7 @@ def ricci_operator(r_tensor, form):
     elimination of [b | c] (``linalg._echelon``) gives row i as
     h_i [e_i | (r / s) T_i] for an int h_i."""
     (c, r), (b, s), n = _ricci_ints(r_tensor, form), form.int_rows, form.dim
-    aug = [{**b[i], **{n + j: x for j, x in enumerate(c[i]) if x}} for i in range(n)]
+    aug = [{**b.get(i, {}), **{n + j: x for j, x in enumerate(c[i]) if x}} for i in range(n)]
     return [[Fraction(x * s, row[i] * r) if (x := row.get(n + j)) else Q0 for j in range(n)]
             for i, row in enumerate(linalg._echelon(aug, 2 * n)[0])]
 
@@ -392,17 +395,26 @@ def ricci_gd_closed(gd):
     evaluated as the equal contraction sum_ab ell^-1[a][b] pi(h_a) pi(h_b)
     with the stored ``gd.ell_inv``, which needs no orthonormal frame over Q
     and so serves every form on h.
+
+    The operators are read as columns X e_q off the views of the bracket
+    of d and of pi, brought to one s; with ell^-1 on the scale e and
+    <,>_d on g, every entry is 4 g e s^2 times Ric.
     """
-    nd, pis = gd.nd, gd.rep.mats
-    s = linalg.zeros(nd, nd)
-    for pa, row in zip(pis, gd.ell_inv):
-        s = linalg.mat_add(s, linalg.mat_mul(pa, gd.rep.pi_of(row)))
-    gs = linalg.mat_mul(gd.rep.d_form.rows(), s)
-    ops = [gd.rep.d.ad(a) for a in range(nd)] + list(pis)
-    m = [[-linalg.trace_product(x, y) / 4 for y in ops] for x in ops]
-    for a, b in product(range(nd), repeat=2):
-        m[a][b] += gs[b][a] / 2
-    return BilinearForm(tuple(tuple(row) for row in m))
+    nd, n = gd.nd, gd.L.dim
+    d_br, pi, s = View.common(gd.rep.d.int_bracket_data, gd.rep.int_ops)
+    (einv, e), (g_rows, g) = gd.ell_inv, gd.rep.d_form.int_rows
+    ops = [{} for _ in range(n)]  # ops[i][q] = X_i e_q: ad(e_a), then pi(h_k)
+    for (i, q), col in [*d_br.items(), *(((nd + k, q), c) for (k, q), c in pi.items())]:
+        ops[i][q] = col
+    m = {i: {j: -g * e * sum(c * y.get(p, {}).get(q, 0) for q, col in x.items()
+                             for p, c in col.items())  # -tr(X_i X_j)
+             for j, y in enumerate(ops)} for i, x in enumerate(ops)}
+    for a, row in einv.items():  # (gS)^T[q][r] = <S e_q, e_r>, pi(h_b) e_q read entry by entry
+        for b, x in row.items():
+            for q, col in ops[nd + b].items():
+                for p, y in col.items():
+                    add_scaled(m[q], 2 * x * y, _lowered(ops[nd + a].get(p, {}), g_rows))
+    return BilinearForm.from_ints(n, m, 4 * g * e * s * s)
 
 
 def geodesic_one_param(gd, xi):
@@ -439,6 +451,6 @@ def bi_invariant_curvature_check(alg, r_tensor):
     basis = linalg.identity(alg.dim)
 
     def want(i, j, k):
-        return linalg.vec_scale(-Q1 / 4, alg.bracket(alg.basis_bracket(i, j), basis[k]))
+        return [-x / 4 for x in alg.bracket(alg.basis_bracket(i, j), basis[k])]
     return r_tensor == Tensor.from_function(alg.dim, 3, want)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .core import Check, _integral, _leibniz, _rows, _skew, all_pass
+from .core import Check, View, _leibniz, _skew, all_pass
 from .geometry import (Tensor, add_scaled, beta_star, curvature_gd, gd_tensor,
                        levi_civita_gd)
 
@@ -38,12 +38,12 @@ def t_tensor(gd):
 
 def _t_via_lambda(gd):
     nh, nd, n = gd.nh, gd.nd, gd.L.dim
-    # lambda (lam[i] = lambda(e_i)) and ell^-1 (symmetric, so its rows are
-    # its columns) are scaled to integers by one s, and the bracket upstairs
+    # the views of lambda (lam[i] = lambda(e_i)) and ell^-1 (symmetric, so
+    # its rows are its columns) are brought to one s, and the bracket upstairs
     # is read on its view (scale sg); w is s^2 sg times the bracket of the
     # lambda images, and each part of it gains one more factor s (ell^-1 on
     # the h* part, s itself on the d part), so every sum is 2 s^3 sg times T
-    lam, ellinv, s = _integral(gd.lambda_columns, _rows(gd.ell_inv))
+    lam, ellinv, s = View.common(gd.lambda_columns, gd.ell_inv)
     br, sg = gd.double.g.int_bracket_data
     empty = {}
     data = {}

@@ -48,6 +48,13 @@ def rational_str(x):
     return str(Fraction(x))
 
 
+def _known_keys(doc, keys, where):
+    """Refuse a key of doc outside keys, which would be read as absent."""
+    for key in doc:
+        if key not in keys:
+            raise SpecFormatError(f"unknown key {key!r}; the keys are {', '.join(keys)}", where)
+
+
 def _is_int(value):
     """JSON integer; true and false are refused although bool is an int."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -60,6 +67,7 @@ def load_algebra_dict(doc, where="algebra"):
     """
     if not isinstance(doc, dict):
         raise SpecFormatError("algebra spec must be an object", where)
+    _known_keys(doc, ("dim", "names", "brackets", "metric"), where)
     if "dim" not in doc or not _is_int(doc["dim"]) or doc["dim"] < 1:
         raise SpecFormatError("'dim' must be a positive integer", where)
     dim = doc["dim"]
@@ -183,6 +191,7 @@ def load_builder_dict(spec, base_dir=".", where="builder"):
     """
     if not isinstance(spec, dict):
         raise SpecFormatError("builder spec must be an object", where)
+    _known_keys(spec, ("d", "h", "pi"), where)
     d_alg, d_form = _load_part(spec, "d", base_dir, where)
     h_alg, h_form = _load_part(spec, "h", base_dir, where)
     if (n := d_alg.dim + 2 * h_alg.dim) > MAX_DIM:

@@ -44,10 +44,6 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def zeros(m, n):
-    return [[Q0] * n for _ in range(m)]
-
-
 def identity(n):
     return [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
 
@@ -58,14 +54,6 @@ def zero_vector(n):
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -101,25 +89,8 @@ def mat_vec(a, v):
     return out
 
 
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def trace_product(a, b):
-    """trace(a b) = sum a[p][q] b[q][p] over the nonzero entries, without
-    forming the product."""
-    total = Q0
-    for p, row in enumerate(a):
-        for q, x in enumerate(row):
-            if x:
-                y = b[q][p]
-                if y:
-                    total += x * y
-    return total
 
 
 def is_zero_vector(v):

@@ -157,7 +157,7 @@ def mu_mats(gd):
     gd.mu_data: column i of mu_mats(gd)[k] is mu(h_k) e_i."""
     n = gd.L.dim
     mats = [[[F(0)] * n for _ in range(n)] for _ in range(gd.nh)]
-    for (k, i), col in gd.mu_data.items():
+    for (k, i), col in gd.mu_data.rational().items():
         for p, c in col.items():
             mats[k][p][i] = c
     return tuple(tuple(map(tuple, m)) for m in mats)

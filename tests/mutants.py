@@ -42,6 +42,7 @@ GEO = "tests/test_geometry.py::"
 CLI = "tests/test_cli.py::"
 BRANCHES = "tests/test_core.py::test_derivation_witnesses_pin_the_branches_of_the_scatter"
 VIEW = GEO + "test_tensor_view_is_one_canonical_int_view"
+VIEW_TYPE = "tests/test_core.py::test_view_is_the_one_canonical_int_form_of_rational_data"
 READERS = GEO + "test_readers_match_the_fraction_oracles_on_the_corpus_and_dense_conjugates"
 INT_BUILD = EXT + "test_int_construction_matches_the_fraction_assembly_on_builders"
 ROUTES = "tests/test_routes.py::test_closed_form_routes_match_the_dense_oracles"
@@ -71,14 +72,14 @@ CATALOGUE = (
            "t = -x if a < c < b else x", "t = x",
            ("tests/test_core.py::test_check_jacobi_matches_the_triple_loop_on_failing_tables",)),
     Mutant("int_beta-one_scale_only", "extension.py",
-           "return out, s * t", "return out, s",
+           "return View.of(out, s * t)", "return View.of(out, s)",
            (EXT + "test_int_beta_is_the_cocycle_on_basis_pairs",)),
     Mutant("lambda_congruence-without_scale", "extension.py",
-           "* t != rows[i].get(j, 0) * u * u * w", "!= rows[i].get(j, 0)",
+           "* t != row.get(j, 0) * u * u * w", "!= row.get(j, 0)",
            (EXT + "test_verify_gd_accepts_fractional_forms_under_a_dense_change_of_basis",)),
     Mutant("lambda_columns-ell_part_one_column_off", "extension.py",
-           "{nh + nd + j: x for j, x in enumerate(row) if x}",
-           "{nh + nd + j - 1: x for j, x in enumerate(row) if x}",
+           "{nh + nd + j: x for j, x in rows.get(k, {}).items()}",
+           "{nh + nd + j - 1: x for j, x in rows.get(k, {}).items()}",
            (EXT + "test_lambda_is_isometry",)),
     Mutant("cm_relation-sign", "extension.py",
            "!= want.get(k, 0) * s * t", "!= -want.get(k, 0) * s * t",
@@ -86,9 +87,26 @@ CATALOGUE = (
     Mutant("cm_relation-without_int_beta_scale", "extension.py",
            "low.get(nd + k, 0) * v != ", "low.get(nd + k, 0) != ",
            (EXT + "test_verify_gd_accepts_fractional_forms_under_a_dense_change_of_basis",)),
+    Mutant("loader-accepts_unknown_keys", "io.py",
+           '    _known_keys(doc, ("dim", "names", "brackets", "metric"), where)\n', "",
+           (CLI + "test_malformed_specs_exit_2_with_the_loader_message",)),
     Mutant("loader-repeated_entry_overwrites", "io.py",
            "comps[k - 1] = comps[k - 1] + c if k - 1 in comps else c", "comps[k - 1] = c",
            ("tests/test_io.py::test_repeated_bracket_entries_add_up",)),
+    # the one view type: reduced once, scaled, brought to one scale, rendered
+    Mutant("view-keeps_an_unreduced_view", "core.py",
+           "if g == 1 and all(comps and all(comps.values()) for comps in data.values()):",
+           "if all(comps and all(comps.values()) for comps in data.values()):", (VIEW_TYPE,)),
+    Mutant("view-renders_over_the_wrong_scale", "core.py",
+           "{p: Fraction(x, self.scale) for p, x in comps.items()}",
+           "{p: Fraction(x, 2 * self.scale) for p, x in comps.items()}", (VIEW_TYPE,)),
+    Mutant("view-common_misses_the_last_factor", "core.py",
+           "data if s == scale else", "data if s in (scale, views[-1][1]) else", (VIEW_TYPE,)),
+    # the byte-identity matrix of the reports
+    Mutant("report-one_byte", "cli.py",
+           'report["Q_signature"] = list(dbl.Q.signature)',
+           'report["Q_Signature"] = list(dbl.Q.signature)',
+           (CLI + "test_reports_match_the_recorded_digests",)),
     # the int views that the construction writes and the routes read
     Mutant("common-without_its_factor", "core.py",
            "{key: {p: x * (scale // s) for p, x in comps.items()}",
@@ -208,10 +226,12 @@ CATALOGUE = (
            "add_scaled(data.setdefault((a, b, c), {}), x, lc)",
            (GEO + "test_routes_agree_on_generated_nilpotent_data",)),
     Mutant("ricci_gd_closed-dd_half", "geometry.py",
-           "m[a][b] += gs[b][a] / 2", "m[a][b] += gs[b][a]",
+           "add_scaled(m[q], 2 * x * y,", "add_scaled(m[q], x * y,",
            (GEO + "test_routes_agree_on_generated_indefinite_abelian_data",)),
     Mutant("ricci_gd_closed-dd_transpose", "geometry.py",
-           "m[a][b] += gs[b][a] / 2", "m[a][b] += gs[a][b] / 2",
+           "add_scaled(m[q], 2 * x * y, _lowered(ops[nd + a].get(p, {}), g_rows))",
+           "for r, z in _lowered(ops[nd + a].get(p, {}), g_rows).items():\n"
+           "                        m[r][q] += 2 * x * y * z",
            (GEO + "test_routes_agree_on_generated_indefinite_abelian_data",),
            equivalent="gS is symmetric when every pi(h) is g-skew and ell^-1 is "
                       "symmetric, because (g pi_a pi_b)^T = g pi_b pi_a"),

@@ -18,6 +18,7 @@ from adinvar import (BilinearForm, ad_invariant, bi_invariant_curvature_check,
                      skew_derivations, so_aut, verify_as)
 from adinvar import linalg
 from conftest import T_MINUS, T_PLUS, a12_rep, h3_rep, so3_rep, two_torus_rep
+from oracles import mat_add, mat_scale, zeros
 
 
 def conclude(number, label, ok, detail=""):
@@ -88,10 +89,10 @@ def test_criterion_03_skew_derivation_family():
     detail = f"family dim {len(family)}"
     checked = 0
     for coeffs in product(grid, repeat=len(family)):
-        mat = linalg.zeros(alg.dim, alg.dim)
+        mat = zeros(alg.dim, alg.dim)
         for c, f in zip(coeffs, family):
             if c:
-                mat = linalg.mat_add(mat, linalg.mat_scale(c, f.rows()))
+                mat = mat_add(mat, mat_scale(c, f.rows()))
         form = BilinearForm(tuple(tuple(r) for r in mat))
         if not form.nondegenerate:
             continue

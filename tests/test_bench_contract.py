@@ -307,21 +307,43 @@ def test_routes_make_no_fraction_arithmetic():
     assert count.count == 0
 
 
+def _fractions_in(obj):
+    """How many Fractions obj holds, walked through its fields, dicts,
+    tuples (``View``s included) and lists."""
+    if isinstance(obj, F):
+        return 1
+    if isinstance(obj, dict):
+        return sum(_fractions_in(key) + _fractions_in(value) for key, value in obj.items())
+    if isinstance(obj, (tuple, list)):
+        return sum(map(_fractions_in, obj))
+    return sum(map(_fractions_in, vars(obj).values())) if hasattr(obj, "__dict__") else 0
+
+
 def test_stage_path_leaves_the_rational_views_unformed():
     """build_gd, both connections and curvatures, build_hom_structure,
     verify_as and so_aut on dense conjugates read only the int views of
     what the construction writes: none of gd.L, gd.double.g, gd.metric or
     gd.double.Q forms its table, bracket_data or matrix, so a reader that
-    falls back to Fraction fails here instead of slowing the run."""
+    falls back to Fraction fails here instead of slowing the run.  And what
+    the construction writes holds no Fraction: L, the metric, ell, ell^-1,
+    the lambda columns, mu, g, Q, Q_minus and the tensors of the
+    homogeneous structure."""
     for rep in (conjugated_rep(torus_rep([1, 2, 3]), 5), conjugated_rep(corpus_build("gH").rep, 5)):
         gd = build_gd(rep)
         assert curvature(levi_civita(gd.L, gd.metric), gd.L) == curvature_gd(gd)
         assert levi_civita_gd(gd) == levi_civita(gd.L, gd.metric)
-        assert verify_as(gd, build_hom_structure(gd)).all_pass
+        hom = build_hom_structure(gd)
+        assert verify_as(gd, hom).all_pass
         assert so_aut(gd).dim > 0
         built = {"L": gd.L, "g": gd.double.g, "metric": gd.metric, "Q": gd.double.Q}
         assert {name: [key for key in ("table", "bracket_data", "matrix") if key in vars(obj)]
                 for name, obj in built.items()} == dict.fromkeys(built, [])
+        written = {"L": gd.L, "metric": gd.metric, "ell": gd.ell, "ell_inv": gd.ell_inv,
+                   "lambda_columns": gd.lambda_columns, "mu_data": gd.mu_data,
+                   "g": gd.double.g, "Q": gd.double.Q, "Q_minus": gd.double.Q_minus,
+                   "T": hom.T, "nabla": hom.nabla, "R": hom.R, "nabla_tilde": hom.nabla_tilde}
+        assert {name: _fractions_in(obj) for name, obj in written.items()} == dict.fromkeys(
+            written, 0)
 
 
 def test_cli_dense_commands_make_no_fraction_arithmetic(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from adinvar.cli import main
 from adinvar.geometry import Tensor
 from adinvar.io import MAX_DIM, dump_builder_dict
 from conftest import conjugated_rep, torus_rep
+import report_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
@@ -244,6 +245,8 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
     nul = tmp_path / "a\u0000b.json"
     for doc, message in (
             ([], f"{alg}: algebra spec must be an object"),
+            ({"dim": 2, "brakets": [[1, 2, 2, 1]]},
+             f"{alg}: unknown key 'brakets'; the keys are dim, names, brackets, metric"),
             ({"dim": 2, "metric": [[1, 1]]},
              f"{alg}.metric[0]: metric entry must be [i, j, value]")):
         alg.write_text(json.dumps(doc))
@@ -257,6 +260,10 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
             ({"d": {"dim": 1}, "h": small, "pi": [[[0]]]}, f"{spec}: 'd' needs a metric"),
             ({"d": small, "h": {"dim": 1}, "pi": [[[0]]]}, f"{spec}: 'h' needs a metric"),
             ({"d": small, "h": small, "pi": []}, f"{spec}: 'pi' must list 1 matrices"),
+            ({"d": small, "h": small, "pi": [[[0]]], "Pi": [[[1]]]},
+             f"{spec}: unknown key 'Pi'; the keys are d, h, pi"),
+            ({"d": {**small, "Metric": []}, "h": small, "pi": [[[0]]]},
+             f"{spec}.d: unknown key 'Metric'; the keys are dim, names, brackets, metric"),
             ({"d": small, "h": small, "pi": [[[0, 0]]]},
              f"{spec}.pi[0]: matrix must be 1x1"),
             ({"d": {**small, "metric": [[1, 1]]}, "h": small, "pi": [[[0]]]},
@@ -272,6 +279,14 @@ def test_malformed_specs_exit_2_with_the_loader_message(tmp_path, capsys):
         for command in ("gd", "extend"):
             code, out, err = run(capsys, command, str(spec), "--json")
             assert (code, out, err) == (2, "", f"error: {message}\n"), doc
+
+
+def test_reports_match_the_recorded_digests(tmp_path):
+    """Every argv of the byte-identity matrix (``tests/report_matrix.py``)
+    gives the exit code, streams and files recorded in
+    ``tests/report_digests.json``; the assertion names each argv that
+    moved."""
+    assert report_matrix.moved(report_matrix.digests(tmp_path)) == []
 
 
 @pytest.mark.parametrize("name", ["gH", "h3_metric_0", "rpq_2_2"])

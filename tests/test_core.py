@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,15 +13,48 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      kernel_of, killing_form, lower_central_series,
                      orthogonal_complement, restrict_to_subalgebra,
                      skew_witnesses, totally_isotropic)
-from adinvar.core import (SeriesResult, _antisymmetric, _integral, _leibniz,
+from adinvar.core import (SeriesResult, View, _antisymmetric, _leibniz,
                           operator_data)
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
 from conftest import (T_PLUS, a12_rep, conjugated_rep, conjugated_table,
                       dense_change, h3_rep, so3_block_reps, torus_reps)
-from oracles import (check_jacobi_triples, derivation_witnesses, rank, trace, vec_add,
-                     vec_sub)
+from oracles import (_ad_invariant_loop, _apply_dense, _center_oracle, _derivation_loop,
+                     _is_ideal_oracle, _is_subalgebra_oracle, _jacobi_loop, _skew_loop,
+                     check_jacobi_triples, derivation_witnesses, rank, trace)
+
+
+SPARSE = st.dictionaries(st.integers(0, 4), st.dictionaries(
+    st.integers(0, 4), st.fractions(-4, 4, max_denominator=6), max_size=3), max_size=4)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(SPARSE, SPARSE, st.integers(2, 6))
+def test_view_is_the_one_canonical_int_form_of_rational_data(data, other, k):
+    """``View.of_rational`` leaves no zero entry, no empty output and no
+    factor common to the scale and the entries; ``View.of`` of the same
+    data on k times its scale, with or without zeros and empty outputs, is
+    the same view, and keeps the dicts it is given when there is nothing
+    to divide or drop; ``rational`` renders the nonzero data; ``common``
+    brings views to the lcm of their scales, each times its own factor."""
+    want = {key: nz for key, comps in data.items()
+            if (nz := {p: c for p, c in comps.items() if c})}
+    view = View.of_rational(data)
+    ints, s = view
+    assert s > 0 and gcd(s, *(x for comps in ints.values() for x in comps.values())) == 1
+    assert all(comps and all(comps.values()) for comps in ints.values())
+    assert view.rational() == want
+    scaled = {key: {p: k * x for p, x in comps.items()} for key, comps in ints.items()}
+    assert View.of(scaled, k * s) == view
+    padded = {**{key: {**comps, 9: 0} for key, comps in scaled.items()}, 9: {}}
+    assert View.of(padded, k * s) == view
+    kept = View.of(ints, s)
+    assert kept == view and kept.data is ints
+    o = View.of_rational(other)
+    a, b, t = View.common(view, o)
+    assert t == lcm(s, o.scale) and (a is ints) == (t == s)
+    assert View.of(a, t) == view and View.of(b, t) == o
 
 
 def test_bracket_heisenberg(h3):
@@ -136,18 +170,6 @@ def test_ideal_and_subalgebra(h3):
     d_sub, hstar_sub = _blocks(dbl)
     assert is_subalgebra(dbl.g, dbl.h_sub)
     assert _is_ideal_oracle(dbl.g, d_sub.add(hstar_sub))
-
-
-def _is_subalgebra_oracle(alg, sub):
-    """One Subspace.contains per bracket."""
-    base = sub.basis()
-    return all(sub.contains(alg.bracket(u, v))
-               for a, u in enumerate(base) for v in base[a + 1:])
-
-
-def _is_ideal_oracle(alg, sub):
-    basis = linalg.identity(alg.dim)
-    return all(sub.contains(alg.bracket(b, u)) for b in basis for u in sub.basis())
 
 
 def _blocks(dbl):
@@ -294,23 +316,6 @@ MIXED_Q = st.one_of(SMALL_Q, st.sampled_from(MIXED))
 KERNELS = settings(derandomize=True, max_examples=150, deadline=None)
 
 
-def _apply_dense(form, x, y):
-    return linalg.dot(x, linalg.mat_vec(form.rows(), y))
-
-
-def _ad_invariant_loop(alg, form):
-    """B([e_i,e_j],e_k) + B(e_j,[e_i,e_k]) == 0 on every basis triple."""
-    basis = linalg.identity(alg.dim)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
-                lhs = _apply_dense(form, alg.basis_bracket(i, j), basis[k])
-                rhs = _apply_dense(form, basis[j], alg.basis_bracket(i, k))
-                if lhs + rhs != 0:
-                    return False
-    return True
-
-
 @st.composite
 def symmetric_forms(draw, n, values=SMALL_Q):
     m = [[F(0)] * n for _ in range(n)]
@@ -405,37 +410,6 @@ def test_ad_invariant_corpus_doubles_and_corruptions():
 # ---------------------------------------------------------------------------
 # the two witness kernels against the loops they replaced
 # ---------------------------------------------------------------------------
-
-def _dense(data, idx, n):
-    """The value of sparse tensor data on a basis tuple, as a dense vector."""
-    return [data.get(idx, {}).get(p, F(0)) for p in range(n)]
-
-
-def _skew_loop(op, form, n, nx):
-    """Every (x, j, k) with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
-    basis = linalg.identity(n)
-    return [(x, j, k) for x in range(nx) for j in range(n) for k in range(n)
-            if _apply_dense(form, _dense(op, (x, j), n), basis[k])
-            + _apply_dense(form, basis[j], _dense(op, (x, k), n)) != 0]
-
-
-def _derivation_loop(op, tensor, n, slots, nx):
-    """Every (x, *t) with C_x S(t) - sum_s S(.., C_x e_{t_s}, ..) != 0, the
-    operator applied as a dense matrix and S expanded slot by slot."""
-    bad = []
-    for x in range(nx):
-        cx = linalg.transpose([_dense(op, (x, q), n) for q in range(n)])
-        for t in product(range(n), repeat=slots):
-            out = linalg.mat_vec(cx, _dense(tensor, t, n))
-            for s in range(slots):
-                moved = linalg.mat_vec(cx, linalg.identity(n)[t[s]])
-                for q, c in enumerate(moved):
-                    term = _dense(tensor, t[:s] + (q,) + t[s + 1:], n)
-                    out = vec_sub(out, linalg.vec_scale(c, term))
-            if not linalg.is_zero_vector(out):
-                bad.append((x,) + t)
-    return bad
-
 
 @st.composite
 def sparse_data(draw, n, keys):
@@ -604,7 +578,7 @@ def test_leibniz_probes_the_tensor_once_per_stored_key():
     while len(entries) < 12:
         a, b = sorted(rng.sample(range(n), 2))
         entries[a, b, rng.randrange(n)] = {rng.randrange(n): rng.choice((1, -2, 3))}
-    tensor = _CountedGets(_integral(_mirrored(entries))[0])
+    tensor = _CountedGets(View.of_rational(_mirrored(entries)).data)
     op = {(x, y): {rng.randrange(n): rng.choice((1, -1))} for x in range(3)
           for y in rng.sample(range(n), 8)}
     found = list(_leibniz(op, tensor))
@@ -615,20 +589,6 @@ def test_leibniz_probes_the_tensor_once_per_stored_key():
 # ---------------------------------------------------------------------------
 # check_jacobi against the bracket loop it replaced
 # ---------------------------------------------------------------------------
-
-def _jacobi_loop(alg):
-    """Every (i, j, k, sum) with i < j < k, each cyclic term formed as
-    bracket(basis_bracket(..), e_k) over all index pairs."""
-    violations = []
-    basis = linalg.identity(alg.dim)
-    for i, j, k in combinations(range(alg.dim), 3):
-        s = alg.bracket(alg.basis_bracket(i, j), basis[k])
-        s = vec_add(s, alg.bracket(alg.basis_bracket(j, k), basis[i]))
-        s = vec_add(s, alg.bracket(alg.basis_bracket(k, i), basis[j]))
-        if not linalg.is_zero_vector(s):
-            violations.append((i, j, k, s))
-    return violations
-
 
 @st.composite
 def bracket_tables(draw):
@@ -847,14 +807,6 @@ def test_contains_all_matches_the_rank_test(case):
     n = sub.ambient_dim
     assert sub.contains_subspace(sub) and sub.contains_subspace(Subspace(n, ()))
     assert sub.contains_subspace(Subspace.full(n)) == (sub.dim == n)
-
-
-def _center_oracle(alg):
-    """The nullspace of the dense ad(e_i) matrices stacked."""
-    rows = [row for i in range(alg.dim) for row in alg.ad(i)]
-    if not rows:
-        return Subspace.full(alg.dim)
-    return Subspace.span(linalg.nullspace(rows), alg.dim)
 
 
 def _algebras(rep):

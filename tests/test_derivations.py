@@ -15,7 +15,7 @@ from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep,
                       conjugated_table, dense_change, h3_rep, so3_block_reps,
                       two_torus_rep)
 from corpus_help import lemma_rep
-from oracles import commutator, rank, vec_add
+from oracles import commutator, mat_add, mat_scale, rank, vec_add, zeros
 
 
 def a12_algebra():
@@ -69,10 +69,10 @@ def test_skew_derivations_lemma_family():
     grid = [F(-1), F(0), F(1), F(2)]
     seen = 0
     for coeffs in product(grid, repeat=4):
-        m = linalg.zeros(5, 5)
+        m = zeros(5, 5)
         for c, f in zip(coeffs, forms):
             if c:
-                m = linalg.mat_add(m, linalg.mat_scale(c, f.rows()))
+                m = mat_add(m, mat_scale(c, f.rows()))
         form = BilinearForm(tuple(tuple(r) for r in m))
         if not form.nondegenerate:
             continue
@@ -167,15 +167,15 @@ def test_equivalence_check():
     eye = linalg.identity(5)
     zero = [F(0)] * 5
     assert equivalence_check(alg, h, h, 1, zero, eye)
-    twice = linalg.mat_scale(F(2), h)
+    twice = mat_scale(F(2), h)
     assert equivalence_check(alg, h, twice, 2, zero, eye)
     assert not equivalence_check(alg, h, e, 1, zero, eye)
     # ad-shift: B = A + ad(x) is equivalent with lambda = 1, T = x
     x = [F(1), F(0), F(0), F(0), F(0)]
-    shifted = linalg.mat_add(h, alg.ad_vector(x))
+    shifted = mat_add(h, alg.ad_vector(x))
     assert equivalence_check(alg, h, shifted, 1, x, eye)
     with pytest.raises(AlgebraError):
-        equivalence_check(alg, h, h, 1, zero, linalg.zeros(5, 5))
+        equivalence_check(alg, h, h, 1, zero, zeros(5, 5))
 
 
 def test_so_aut_nonabelian_isotropy():
@@ -195,7 +195,7 @@ def test_intertwiners_commute_elementwise():
     u = intertwiners_skew([rep.mats[0]], rep.d_form)
     gen = [list(r) for r in rep.mats[0]]
     for m in u.basis:
-        assert commutator(m, gen) == linalg.zeros(3, 3)
+        assert commutator(m, gen) == zeros(3, 3)
 
 
 # -- MatrixLieAlgebra.from_matrices against the per-pair solve loop --------
@@ -273,7 +273,7 @@ def test_from_matrices_matches_pair_solves_on_subsets(corpus_algebras, data):
     mats = [basis[i] for i in picks]
     for i in range(1, len(mats), 2):
         c = data.draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)]))
-        mats[i] = linalg.mat_add(mats[i], linalg.mat_scale(c, mats[i - 1]))
+        mats[i] = mat_add(mats[i], mat_scale(c, mats[i - 1]))
     if data.draw(st.booleans()):
         mats.append(data.draw(st.sampled_from(mats)))
     n = len(mats[0])
@@ -284,7 +284,7 @@ def test_from_matrices_matches_pair_solves_on_subsets(corpus_algebras, data):
 
 def test_from_matrices_spans_a_dependent_list():
     e12 = [[F(0), F(1)], [F(0), F(0)]]
-    span = MatrixLieAlgebra.from_matrices([linalg.mat_scale(F(2), e12), e12], 2)
+    span = MatrixLieAlgebra.from_matrices([mat_scale(F(2), e12), e12], 2)
     assert span.basis == (tuple(map(tuple, e12)),)
     assert span.closure.table == {}
 

@@ -14,14 +14,14 @@ from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra,
                      corpus_list, double_extend, kostant_form,
                      orthogonal_complement, reductive_split)
 from adinvar import core, corpus, extension, linalg
-from adinvar.core import skew_witnesses
-from adinvar.extension import KostantResult, SplitResult, _verify_gd
-from adinvar.geometry import Tensor
+from adinvar.extension import KostantResult, _verify_gd
 from conftest import (T_MINUS, T_PLUS, a12_rep, conjugated_rep, h3_rep,
                       indefinite_abelian_reps, mu_mats, nilpotent_reps, so3_block_rep,
                       so3_block_reps, so3_rep, torus_rep, torus_reps)
 from corpus_help import lemma_rep
-from oracles import assemble_double, assemble_gd, block_sum, commutator, vec_add
+from oracles import (_canonical_connection_oracle, _kostant_form_oracle,
+                     _reductive_split_oracle, _validate_loops, assemble_double, assemble_gd,
+                     block_sum, commutator, dense, mat_add, vec_add, view_of, zeros)
 from test_corpus import _count_calls
 
 
@@ -54,7 +54,7 @@ def test_double_extend_trivial_action():
     rep = Representation(
         LieAlgebra.abelian(2), BilinearForm.diagonal([0, 0]),
         LieAlgebra.abelian(2), BilinearForm.diagonal([1, 1]),
-        (tuple(map(tuple, linalg.zeros(2, 2))),) * 2)
+        (tuple(map(tuple, zeros(2, 2))),) * 2)
     dbl = double_extend(rep)
     assert not dbl.g.table  # abelian
     # hyperbolic pairing between h and h*
@@ -118,7 +118,7 @@ def test_mu_examples(oscillator_rep):
     gd = build_gd(oscillator_rep)
     mu = [list(r) for r in mu_mats(gd)[0]]
     assert mu == [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(0)]]
-    assert extension._combination(mu_mats(gd), [F(0)], 3) == linalg.zeros(3, 3)
+    assert extension._combination(mu_mats(gd), [F(0)], 3) == zeros(3, 3)
 
 
 @pytest.mark.parametrize("name", corpus.corpus_list())
@@ -129,7 +129,7 @@ def test_mu_data_holds_the_columns_of_the_block_sums(name):
     rep = corpus.corpus_build(name).rep
     for rep in (rep, conjugated_rep(rep, 2)):
         want = [block_sum(rep.mats[k], rep.h.ad(k)) for k in range(rep.h.dim)]
-        assert build_gd(rep).mu_data == core.operator_data(want)
+        assert build_gd(rep).mu_data == core.View.of_rational(core.operator_data(want))
 
 
 def test_mu_coadjoint_nonabelian():
@@ -145,8 +145,8 @@ def test_mu_coadjoint_nonabelian():
 def _lambda_images(gd):
     """lambda(e_i) for each basis vector e_i of d + h*, as dense vectors of
     the double extension, read off the lambda columns."""
-    n = gd.double.g.dim
-    return [[col.get(p, F(0)) for p in range(n)] for col in gd.lambda_columns.values()]
+    n, cols = gd.double.g.dim, gd.lambda_columns.rational()
+    return [[cols[i].get(p, F(0)) for p in range(n)] for i in range(gd.L.dim)]
 
 
 def test_lambda_is_isometry(oscillator_rep):
@@ -283,7 +283,7 @@ def test_cocycle_transfer_identity_nonabelian():
     # [h1, b*(x,y)]* = b(pi(h1)x, y) + b(x, pi(h1)y) as covectors on h
     rep = so3_rep()
     gd = build_gd(rep)
-    ellinv = gd.ell_inv
+    ellinv = dense(gd.ell_inv, gd.nh)
     unit_d = linalg.identity(3)
     unit_h = linalg.identity(3)
     for t in range(3):
@@ -292,7 +292,7 @@ def test_cocycle_transfer_identity_nonabelian():
             for b in range(3):
                 beta_star = linalg.mat_vec(ellinv, rep.beta(unit_d[a], unit_d[b]))
                 lhs_h = rep.h.bracket(unit_h[t], beta_star)
-                lhs = linalg.mat_vec([list(r) for r in gd.ell], lhs_h)
+                lhs = linalg.mat_vec(dense(gd.ell, gd.nh), lhs_h)
                 rhs = vec_add(
                     rep.beta(linalg.mat_vec(pih, unit_d[a]), unit_d[b]),
                     rep.beta(unit_d[a], linalg.mat_vec(pih, unit_d[b])))
@@ -368,7 +368,7 @@ def _gd_inputs():
 def _with_mu(gd, mat):
     """gd with mu(h_0) replaced by the dense matrix mat."""
     mats = (tuple(map(tuple, mat)),) + mu_mats(gd)[1:]
-    return replace(gd, mu_data=core.operator_data(mats))
+    return replace(gd, mu_data=core.View.of_rational(core.operator_data(mats)))
 
 
 def _is_derivation(alg, m):
@@ -415,9 +415,9 @@ def test_verify_gd_rejects_skew_mu_that_is_not_a_derivation():
         g_inv = linalg.inverse(gd.metric.rows())
         for p in range(n):
             for q in range(p + 1, n):
-                s = linalg.zeros(n, n)
+                s = zeros(n, n)
                 s[p][q], s[q][p] = F(1), F(-1)
-                mat = linalg.mat_add([list(r) for r in mu_mats(gd)[0]],
+                mat = mat_add([list(r) for r in mu_mats(gd)[0]],
                                      linalg.mat_mul(g_inv, s))
                 if _is_derivation(gd.L, mat):
                     _verify_gd(_with_mu(gd, mat))
@@ -431,15 +431,15 @@ def test_verify_gd_rejects_skew_mu_that_is_not_a_derivation():
 def test_verify_gd_rejects_ell_that_breaks_the_isometry():
     for gd in _gd_inputs():
         for scale in (F(2), F(-1), F(1, 3)):
-            ell = tuple(tuple(scale * x for x in row) for row in gd.ell)
+            ell = view_of([[scale * x for x in row] for row in dense(gd.ell, gd.nh)])
             with pytest.raises(ExtensionError, match="lambda is not a linear isometry"):
                 _verify_gd(replace(gd, ell=ell))
     # an off-diagonal entry of ell moves only off-diagonal lambda products
     gd = build_gd(torus_rep([1, 2]))
-    ell = [list(r) for r in gd.ell]
+    ell = dense(gd.ell, gd.nh)
     ell[0][1] = ell[1][0] = F(1)
     with pytest.raises(ExtensionError, match="lambda is not a linear isometry"):
-        _verify_gd(replace(gd, ell=tuple(tuple(r) for r in ell)))
+        _verify_gd(replace(gd, ell=view_of(ell)))
 
 
 def test_verify_gd_rejects_a_metric_that_is_not_the_block_sum():
@@ -536,42 +536,6 @@ def test_build_gd_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _validate_loops(rep):
-    """validate with the metric-skew and Leibniz conditions on pi written as
-    the literal matrix and bracket loops."""
-    bad = []
-    for name, check in (("d_not_lie_algebra", check_jacobi(rep.d)),
-                        ("h_not_lie_algebra", check_jacobi(rep.h))):
-        if check:
-            bad.append(name)
-    if not rep.d_form.nondegenerate:
-        bad.append("d_metric_degenerate")
-    if not ad_invariant(rep.d, rep.d_form):
-        bad.append("d_metric_not_ad_invariant")
-    if not ad_invariant(rep.h, rep.h_form):
-        bad.append("h_form_not_ad_invariant")
-    n = rep.d.dim
-    g = rep.d_form.rows()
-    basis = linalg.identity(n)
-    for i in range(rep.h.dim):
-        m = rep.mat(i)
-        gm = linalg.mat_mul(g, m)
-        if any(gm[p][q] + gm[q][p] != 0 for p in range(n) for q in range(p, n)):
-            bad.append(f"pi({rep.h.names[i]})_not_skew")
-        for a, b in combinations(range(n), 2):
-            lhs = linalg.mat_vec(m, rep.d.basis_bracket(a, b))
-            rhs = vec_add(
-                rep.d.bracket(linalg.mat_vec(m, basis[a]), basis[b]),
-                rep.d.bracket(basis[a], linalg.mat_vec(m, basis[b])))
-            if lhs != rhs:
-                bad.append(f"pi({rep.h.names[i]})_not_derivation")
-                break
-    for i, j in combinations(range(rep.h.dim), 2):
-        if rep.pi_of(rep.h.basis_bracket(i, j)) != commutator(rep.mat(i), rep.mat(j)):
-            bad.append(f"pi_not_homomorphism({rep.h.names[i]},{rep.h.names[j]})")
-    return bad
-
-
 VALIDATE_REPS = {"so3": so3_rep, "a12": a12_rep, "gH": lambda: lemma_rep("H"),
                  "torus": lambda: torus_rep([1, 2], [(2, 1), (0, -1), (3, 1), (1, 1)])}
 
@@ -586,9 +550,9 @@ def test_validate_matches_the_loops_on_nudged_pi(name, data, delta):
     mats = [[list(r) for r in m] for m in rep.mats]
     if p != q and data.draw(st.booleans()):
         # pi(h_i) + g^-1 S stays metric-skew for skew S
-        s = linalg.zeros(n, n)
+        s = zeros(n, n)
         s[p][q], s[q][p] = delta, -delta
-        mats[i] = linalg.mat_add(mats[i], linalg.mat_mul(
+        mats[i] = mat_add(mats[i], linalg.mat_mul(
             linalg.inverse(rep.d_form.rows()), s))
     else:
         mats[i][p][q] += delta
@@ -610,7 +574,7 @@ def _pi_family(rep):
 def _mu_family(rep):
     gd = build_gd(rep)
     (alg, metric), (h, _) = _fresh(gd.L, gd.metric), _fresh(rep.h, rep.h_form)
-    return core._integral(gd.mu_data), h, metric, alg
+    return gd.mu_data, h, metric, alg
 
 
 @pytest.mark.parametrize("family", [_pi_family, _mu_family])
@@ -622,7 +586,7 @@ def test_action_faults_scales_each_family_once(family, rep, monkeypatch):
     operator; and the form, the bracket and the bracket of h carry the int
     views they were built with, so no run scales anything to ints."""
     args = family(rep())
-    integral = _count_calls(monkeypatch, core, "_integral")
+    integral = _count_calls(monkeypatch, core.View, "of_rational")
     sweeps = [_count_calls(monkeypatch, core, name) for name in ("_skew", "_leibniz")]
     for _ in range(2):
         assert list(extension._action_faults(*args)) == []
@@ -635,7 +599,7 @@ def test_validate_reports_each_fault_of_a_family_in_order():
     not a derivation, pi(b) = diag(2, 1, 1, 1, 0), the grading, is a
     derivation but not skew, and the two do not commute."""
     d, g = corpus._a12_reference_basis(), corpus._a12_skew_metric()
-    s = linalg.zeros(5, 5)
+    s = zeros(5, 5)
     s[0][1], s[1][0] = F(1), F(-1)
     skew = linalg.mat_mul(linalg.inverse(g.rows()), s)
     grading = [[F(w) if p == q else F(0) for q in range(5)]
@@ -650,60 +614,6 @@ def test_validate_reports_each_fault_of_a_family_in_order():
 
 # -- reductive_split, kostant_form and canonical_connection against their
 # former per-bracket bodies, which decompose each bracket by its own solve
-
-def _decompose(h_sub, m_sub, v):
-    """Coefficients of v in the stacked (h | m) basis, or None."""
-    basis = h_sub.basis() + m_sub.basis()
-    return linalg.solve(linalg.transpose(basis), list(v))
-
-
-def _combine(basis, coeffs, ambient_dim):
-    out = linalg.zero_vector(ambient_dim)
-    for c, b in zip(coeffs, basis):
-        out = vec_add(out, linalg.vec_scale(c, b))
-    return out
-
-
-def _reductive_split_oracle(g_alg, form, h_sub):
-    """reductive_split with the naturally reductive condition written as the
-    literal loop that decomposes [x, y] and [x, z] for every (x, y, z)."""
-    gram = [[form.apply(u, v) for v in h_sub.basis()] for u in h_sub.basis()]
-    if linalg.signature_of(gram)[2] != 0:
-        raise ExtensionError("form is degenerate on h")
-    m = orthogonal_complement(h_sub, form)
-    checks = [("direct_sum", h_sub.dim + m.dim == g_alg.dim
-               and h_sub.add(m).dim == g_alg.dim, None)]
-    ok, witness = True, None
-    for u in h_sub.basis():
-        for v in m.basis():
-            if not m.contains(g_alg.bracket(u, v)):
-                ok, witness = False, "[h,m] escapes m"
-                break
-    checks.append(("bracket_h_m_in_m", ok, witness))
-    mb = m.basis()
-    ok, witness = True, None
-    for x in mb:
-        for y in mb:
-            dxy = _decompose(h_sub, m, g_alg.bracket(x, y))
-            proj_xy = None if dxy is None else _combine(
-                mb, dxy[h_sub.dim:], g_alg.dim)
-            for z in mb:
-                dxz = _decompose(h_sub, m, g_alg.bracket(x, z))
-                if dxy is None or dxz is None:
-                    ok, witness = False, "bracket outside h + m"
-                    break
-                proj_xz = _combine(mb, dxz[h_sub.dim:], g_alg.dim)
-                if form.apply(proj_xy, z) + form.apply(y, proj_xz) != 0:
-                    ok, witness = False, "naturally reductive condition fails"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("naturally_reductive", ok, witness))
-    gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
-    return SplitResult(m, gram_m, tuple(checks))
-
 
 def _random_symmetric_form(n, rng):
     m = [[0] * n for _ in range(n)]
@@ -757,127 +667,6 @@ def test_int_beta_is_the_cocycle_on_basis_pairs():
                 unit[a], unit[b]), name
 
 
-def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
-    """kostant_form with each bracket decomposed by its own solve."""
-    if h_sub.dim + m_sub.dim != g_alg.dim or h_sub.add(m_sub).dim != g_alg.dim:
-        raise KostantError("g is not the direct sum of h and m")
-    mb = m_sub.basis()
-    for u in h_sub.basis():
-        for v in mb:
-            if not m_sub.contains(g_alg.bracket(u, v)):
-                raise KostantError("[h, m] is not contained in m")
-
-    pairs = list(combinations(range(m_sub.dim), 2))
-    s_vectors = {}
-    for a, b in pairs:
-        w = g_alg.bracket(mb[a], mb[b])
-        coeffs = _decompose(h_sub, m_sub, w)
-        if coeffs is None:
-            raise KostantError("bracket escapes h + m")
-        s_vectors[(a, b)] = _combine(h_sub.basis(), coeffs[:h_sub.dim],
-                                     g_alg.dim)
-    hbar = Subspace.span(list(s_vectors.values()), g_alg.dim)
-    gbar = m_sub.add(hbar)
-
-    r = hbar.dim
-    unknowns = [(p, q) for p in range(r) for q in range(p, r)]
-    uindex = {pq: i for i, pq in enumerate(unknowns)}
-    rows, rhs = [], []
-
-    def add_equation(alpha, gamma, value):
-        row = [F(0)] * len(unknowns)
-        for p in range(r):
-            for q in range(r):
-                c = alpha[p] * gamma[q]
-                if c != 0:
-                    row[uindex[(p, q) if p <= q else (q, p)]] += c
-        rows.append(row)
-        rhs.append(value)
-
-    innerm = inner.rows()
-
-    def inner_pair(coords, idx):
-        return sum(coords[p] * innerm[p][idx] for p in range(m_sub.dim))
-
-    for (a, b) in pairs:
-        s_ab = s_vectors[(a, b)]
-        alpha, = linalg.coordinates(hbar.rows, [s_ab])
-        for (c, d) in pairs:
-            s_cd = s_vectors[(c, d)]
-            gamma, = linalg.coordinates(hbar.rows, [s_cd])
-            w1 = g_alg.bracket(mb[a], s_cd)
-            m1 = linalg.coordinates(m_sub.rows, [w1])
-            if m1 is None:
-                raise KostantError("[m, h] escapes m")
-            add_equation(alpha, gamma, -inner_pair(m1[0], b))
-            w2 = g_alg.bracket(mb[c], s_ab)
-            m2 = linalg.coordinates(m_sub.rows, [w2])
-            if m2 is None:
-                raise KostantError("[m, h] escapes m")
-            add_equation(alpha, gamma, -inner_pair(m2[0], d))
-
-    if unknowns:
-        sol = linalg.solve(rows, rhs) if rows else [F(0)] * len(unknowns)
-        if sol is None:
-            raise KostantError("not naturally reductive data")
-    else:
-        sol = []
-
-    qh = linalg.zeros(r, r)
-    for (p, q), i in uindex.items():
-        qh[p][q] = sol[i]
-        qh[q][p] = sol[i]
-    basis = [list(v) for v in mb] + hbar.basis()
-    n = len(basis)
-    qm = linalg.zeros(n, n)
-    for p in range(m_sub.dim):
-        for q in range(m_sub.dim):
-            qm[p][q] = innerm[p][q]
-    for p in range(r):
-        for q in range(r):
-            qm[m_sub.dim + p][m_sub.dim + q] = qh[p][q]
-    form = BilinearForm(tuple(tuple(row) for row in qm))
-
-    checks = []
-    bt = linalg.transpose(basis)
-    bracket_coords = [[linalg.solve(bt, g_alg.bracket(u, v)) for v in basis]
-                      for u in basis]
-    closed = all(c is not None for row in bracket_coords for c in row)
-    checks.append(("gbar_closed", closed, None))
-    ad_ok = closed and not any(skew_witnesses(
-        {(iu, iv): {p: x for p, x in enumerate(c) if x}
-         for iu, row in enumerate(bracket_coords) for iv, c in enumerate(row)},
-        form))
-    checks.append(("ad_invariant_on_gbar", ad_ok, None))
-    checks.append(("nondegenerate_on_hbar",
-                   linalg.signature_of(qh)[2] == 0 if r else True, None))
-    checks.append(("nondegenerate", form.nondegenerate, None))
-    return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
-                         tuple(checks))
-
-
-def _canonical_connection_oracle(g_alg, h_sub, m_sub):
-    """canonical_connection with each bracket decomposed by its own solve."""
-    mb = m_sub.basis()
-    k = len(mb)
-    tor, cur = {}, {}
-    for a in range(k):
-        for b in range(k):
-            w = g_alg.bracket(mb[a], mb[b])
-            coeffs = _decompose(h_sub, m_sub, w)
-            if coeffs is None:
-                raise ExtensionError("bracket escapes h + m")
-            h_part = _combine(h_sub.basis(), coeffs[:h_sub.dim], g_alg.dim)
-            tor[a, b] = {p: -x for p, x in enumerate(coeffs[h_sub.dim:])}
-            for c in range(k):
-                z = g_alg.bracket(h_part, mb[c])
-                zc = linalg.coordinates(m_sub.rows, [z])
-                if zc is None:
-                    raise ExtensionError("[h, m] escapes m")
-                cur[a, b, c] = {p: -x for p, x in enumerate(zc[0])}
-    return Tensor(k, 2, tor), Tensor(k, 3, cur)
-
-
 @lru_cache(maxsize=1)
 def _split_inputs():
     """(g, h, m, Gram matrix of the metric on m): the doubles of the corpus,
@@ -900,7 +689,7 @@ def _split_inputs():
     idx = list(combinations(range(4), 2))
     units = []
     for i, j in idx:
-        u = linalg.zeros(4, 4)
+        u = zeros(4, 4)
         u[i][j], u[j][i] = F(1), F(-1)
         units.append(u)
     table = {}
@@ -1133,7 +922,7 @@ def _dense_assembly(rep):
     w = rep.h_form.rows()
     forms = []
     for sign in (1, -1):
-        qm = linalg.zeros(n, n)
+        qm = zeros(n, n)
         for i in range(nh):
             for j in range(nh):
                 qm[i][j] = sign * w[i][j]

@@ -19,8 +19,8 @@ from conftest import (T_PLUS, T_MINUS, a12_rep, conjugated_rep, h3_rep,
                       indefinite_abelian_reps, nilpotent_reps, so3_rep, torus_rep,
                       torus_reps, two_torus_rep)
 import oracles
-from adinvar.core import _integral, _rational
-from oracles import vec_sub
+from adinvar.core import View
+from oracles import vec_scale, vec_sub
 
 ALL_REPS = [h3_rep([1, 1], T_PLUS, 1), h3_rep([1, 1], T_PLUS, -1),
             h3_rep([-1, 1], T_MINUS, 1), h3_rep([-1, 1], T_MINUS, -1),
@@ -215,7 +215,7 @@ def test_curvature_hstar_cases_nonabelian():
                 h2 = [F(0)] * 3
                 h2[j - 3] = F(1)
                 hb = gd.rep.h.bracket(h1, h2)
-                want = gd.embed_d(linalg.vec_scale(
+                want = gd.embed_d(vec_scale(
                     F(1, 4), linalg.mat_vec(gd.rep.pi_of(hb), basis[a][:3])))
                 assert r.entry(i, j, a) == want
 
@@ -470,9 +470,9 @@ def test_tensor_view_is_one_canonical_int_view(case, other, k):
     n, slots, values, _ = case
     t = Tensor.from_function(n, slots, lambda *idx: values[idx])
     ints, s = t.int_data
-    assert (ints, s) == _integral(t.data)
+    assert t.int_data == View.of_rational(t.data)
     built = Tensor.from_ints(n, slots, ints, s)
-    assert built == t and built.data == t.data == _rational(ints, s)
+    assert built == t and built.data == t.data == View(ints, s).rational()
     padded = {idx: {p: k * x for p, x in comps.items()} for idx, comps in ints.items()}
     padded[(0,) * slots] = {**padded.get((0,) * slots, {}), n: 0}  # a zero is pruned
     scaled = Tensor.from_ints(n, slots, padded, k * s)

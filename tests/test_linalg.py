@@ -6,9 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from adinvar import BilinearForm, core, linalg
+from adinvar import BilinearForm, linalg
 import oracles
-from oracles import signature_dense, vec_add
+from oracles import signature_dense, vec_add, vec_scale
 
 
 def test_rref_is_canonical():
@@ -239,7 +239,7 @@ def test_coordinates_match_sympy(a, data):
         basis = []
         for row in sympy_rref_rows(to_sympy(a))[0]:
             for prev in basis:
-                row = vec_add(row, linalg.vec_scale(data.draw(ENTRIES), prev))
+                row = vec_add(row, vec_scale(data.draw(ENTRIES), prev))
             basis.append(row)
     k = len(basis)
     vectors = []
@@ -408,13 +408,13 @@ def test_signature_matches_descartes(g):
 @given(symmetric_matrices())
 def test_int_inverse_matches_sympy(g):
     """``BilinearForm.int_inverse`` is the one int view of sympy's inverse,
-    as ``_integral`` makes it; a singular form raises ``LinAlgError``."""
+    as ``View.of_rational`` makes it; a singular form raises ``LinAlgError``."""
     mat, form = to_sympy(g), BilinearForm(g)
     if mat.det() == 0:
         with pytest.raises(linalg.LinAlgError):
             form.int_inverse
         return
-    assert form.int_inverse == core._integral(core._rows(from_sympy(mat.inv())))
+    assert form.int_inverse == oracles.view_of(from_sympy(mat.inv()))
 
 
 # Zero-diagonal forms on which a hyperbolic step is followed by pivots

@@ -25,7 +25,7 @@ from adinvar.homstructure import _t_via_lambda, nabla_tilde_closed, t_tensor
 from adinvar.linalg import Q1
 from conftest import (conjugated_rep, so3_block_rep, so3_block_reps, so3_rep,
                       torus_rep, torus_reps)
-from oracles import vec_add, vec_sub
+from oracles import dense, vec_add, vec_scale, vec_sub
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def levi_civita_gd_oracle(gd):
         out = alg.bracket(gd.embed_d(x1), gd.embed_d(x2))
         out = vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2)))
         out = vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h2), x1)))
-        return linalg.vec_scale(Q1 / 2, out)
+        return vec_scale(Q1 / 2, out)
 
     return Tensor.from_function(alg.dim, 2, nabla)
 
@@ -80,7 +80,7 @@ def curvature_gd_oracle(gd):
     nd, nh = gd.nd, gd.nh
     n = nd + nh
     half, quarter = Q1 / 2, Q1 / 4
-    ellinv = gd.ell_inv
+    ellinv = dense(gd.ell_inv, nh)
     bstar = [[linalg.mat_vec(ellinv, rep.beta(ea, eb)) for eb in linalg.identity(nd)]
              for ea in linalg.identity(nd)]
     pi_bstar = [[linalg.transpose(rep.pi_of(bstar[a][b])) for b in range(nd)]
@@ -105,29 +105,29 @@ def curvature_gd_oracle(gd):
             out = gd.embed_d([half * x - quarter * (y + z) for x, y, z in zip(
                 pi_bstar[a][b][c], pi_bstar[b][c][a], pi_bstar[c][a][b])])
             inner = comb(d_br[a][b], [l_br[q][c] for q in range(nd)], n)
-            return vec_sub(out, linalg.vec_scale(quarter, inner))
+            return vec_sub(out, vec_scale(quarter, inner))
         if di and dj:
             a, b, pih = i, j, pi_h[k - nd]
             hpart = vec_add(
                 comb(pih[b], bstar[a], nh),
                 comb(pih[a], [bstar[q][b] for q in range(nd)], nh))
             dpart = comb(d_br[a][b], pih, nd)
-            return (linalg.vec_scale(quarter, dpart)
-                    + linalg.vec_scale(-quarter, hpart))
+            return (vec_scale(quarter, dpart)
+                    + vec_scale(-quarter, hpart))
         if di and not dj and dk:
             a, b, pih = i, k, pi_h[j - nd]
-            out = linalg.vec_scale(-quarter, comb(pih[b], l_br[a], n))
+            out = vec_scale(-quarter, comb(pih[b], l_br[a], n))
             return vec_add(out, gd.embed_d(
-                linalg.vec_scale(quarter, comb(d_br[a][b], pih, nd))))
+                vec_scale(quarter, comb(d_br[a][b], pih, nd))))
         if not di and dj and dk:
-            return linalg.vec_scale(-Q1, r(j, i, k))
+            return vec_scale(-Q1, r(j, i, k))
         if di and not dj and not dk:
             out = comb(pi_h[k - nd][i], pi_h[j - nd], nd)
-            return gd.embed_d(linalg.vec_scale(-quarter, out))
+            return gd.embed_d(vec_scale(-quarter, out))
         if not di and dj and not dk:
-            return linalg.vec_scale(-Q1, r(j, i, k))
+            return vec_scale(-Q1, r(j, i, k))
         if not di and not dj and dk:
-            return gd.embed_d(linalg.vec_scale(quarter, pi_hbr[i - nd][j - nd][k]))
+            return gd.embed_d(vec_scale(quarter, pi_hbr[i - nd][j - nd][k]))
         return linalg.zero_vector(n)
 
     return Tensor.from_function(n, 3, r)
@@ -143,7 +143,7 @@ def t_direct_oracle(gd):
         out = alg.bracket(gd.embed_d(x1), gd.embed_d(x2))
         out = vec_add(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h1), x2)))
         out = vec_sub(out, gd.embed_d(linalg.mat_vec(gd.rep.pi_of(h2), x1)))
-        out = linalg.vec_scale(Q1 / 2, out)
+        out = vec_scale(Q1 / 2, out)
         return vec_add(out, gd.embed_h(gd.rep.h.bracket(h1, h2)))
 
     return Tensor.from_function(alg.dim, 2, t)
@@ -151,12 +151,13 @@ def t_direct_oracle(gd):
 
 def t_via_lambda_oracle(gd):
     g, hs = gd.double.g, gd.nh + gd.nd
-    lam = [[col.get(p, 0) for p in range(g.dim)] for col in gd.lambda_columns.values()]
+    cols = gd.lambda_columns.rational()
+    lam = [[cols[i].get(p, 0) for p in range(g.dim)] for i in range(gd.L.dim)]
 
     def t(i, j):
         w = g.bracket(lam[i], lam[j])  # (h | d | h*)
-        hc = linalg.mat_vec(gd.ell_inv, w[hs:])
-        return linalg.vec_scale(Q1 / 2, w[gd.nh:hs] + hc)
+        hc = linalg.mat_vec(dense(gd.ell_inv, gd.nh), w[hs:])
+        return vec_scale(Q1 / 2, w[gd.nh:hs] + hc)
 
     return Tensor.from_function(gd.L.dim, 2, t)
 
@@ -179,11 +180,11 @@ def nilmanifold_oracle(gd):
     def t(i, j):
         v1, k1 = gd.split(basis[i])
         v2, k2 = gd.split(basis[j])
-        out = linalg.vec_scale(Q1 / 2, gd.embed_d(vec_sub(
+        out = vec_scale(Q1 / 2, gd.embed_d(vec_sub(
             linalg.mat_vec(gd.rep.pi_of(k1), v2),
             linalg.mat_vec(gd.rep.pi_of(k2), v1))))
-        out = vec_add(out, linalg.vec_scale(Q1 / 2, gd.embed_h(
-            linalg.mat_vec(gd.ell_inv, gd.rep.beta(v1, v2)))))
+        out = vec_add(out, vec_scale(Q1 / 2, gd.embed_h(
+            linalg.mat_vec(dense(gd.ell_inv, gd.nh), gd.rep.beta(v1, v2)))))
         return vec_add(out, gd.embed_h(gd.rep.h.bracket(k1, k2)))
 
     return Tensor.from_function(gd.L.dim, 2, t)

@@ -13,6 +13,7 @@ from adinvar import linalg
 from conftest import (T_MINUS, T_PLUS, a12_rep, h3_rep, indefinite_abelian_reps,
                       nilpotent_reps)
 from corpus_help import lemma_rep
+from oracles import dense, zeros
 
 
 def test_solvable_prediction_heisenberg(oscillator_rep):
@@ -45,7 +46,7 @@ def test_solvable_rejects_non_solvable():
     with pytest.raises(SeriesError):
         predict_solvable_step(build_gd(
             Representation(rep.d, rep.d_form, rep.h, rep.h_form,
-                           tuple(tuple(map(tuple, linalg.zeros(3, 3)))
+                           tuple(tuple(map(tuple, zeros(3, 3)))
                                  for _ in range(3)))))
 
 
@@ -131,7 +132,7 @@ def test_center_is_z_plus_kernel_randomized():
     ginv = linalg.inverse(gmat.rows())
     produced = 0
     while produced < 10:
-        s = linalg.zeros(4, 4)
+        s = zeros(4, 4)
         for i in range(4):
             for j in range(i + 1, 4):
                 c = F(rng.randint(-3, 3))
@@ -164,7 +165,7 @@ def test_beta_obstruction_matches_the_cocycle():
         for left, right in ((full, full), (full, lower_central_series(rep.d).chain[1]),
                             (Subspace.span([full.basis()[-1]], rep.d.dim), full)):
             want = Subspace.span(
-                [gd.embed_h(linalg.mat_vec(gd.ell_inv, rep.beta(u, v)))
+                [gd.embed_h(linalg.mat_vec(dense(gd.ell_inv, gd.nh), rep.beta(u, v)))
                  for u in left.basis() for v in right.basis()], gd.L.dim)
             assert _beta_obstruction(gd, left, right) == want
 

@@ -24,6 +24,7 @@ from adinvar.derivations import MatrixLieAlgebra, SoAut
 from adinvar.linalg import Q0
 from conftest import (conjugated_rep, indefinite_abelian_reps, mu_mats,
                       nilpotent_reps, torus_reps)
+from oracles import dense, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def so_aut_oracle(gd):
             out.append(row)
         return out
 
-    rows = pad(skew_rows_oracle(BilinearForm(gd.ell), nh), 0)
+    rows = pad(skew_rows_oracle(BilinearForm(dense(gd.ell, nh)), nh), 0)
     rows += pad(derivation_rows_oracle(gd.rep.d), na)
     rows += pad(skew_rows_oracle(gd.rep.d_form, nd), na)
     for i in range(nh):
@@ -161,7 +162,7 @@ def invariant_forms_oracle(alg):
     sols = linalg.nullspace(rows) if rows else linalg.identity(len(pairs))
     forms = []
     for s in sols:
-        m = linalg.zeros(n, n)
+        m = zeros(n, n)
         for (p, q), a in index.items():
             m[p][q] = s[a]
             m[q][p] = s[a]
