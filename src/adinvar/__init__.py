@@ -6,7 +6,7 @@ from .core import (AlgebraError, BilinearForm, Check, LieAlgebra,
                    derived_series, invariant_forms,
                    is_subalgebra, kernel_of, killing_form,
                    lower_central_series, orthogonal_complement,
-                   restrict_to_subalgebra, skew_witnesses, totally_isotropic)
+                   restrict_to_subalgebra, totally_isotropic)
 from .extension import (DoubleExtension, ExtensionError, GdAlgebra,
                         KostantError, KostantResult, Representation,
                         SplitResult, build_gd, canonical_connection,

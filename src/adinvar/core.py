@@ -4,10 +4,10 @@ Structure constants are stored sparsely for i < j only; the i > j values
 follow by antisymmetry.  Subspaces are kept in reduced row echelon form so
 equality of subspaces is plain data equality.
 
-The sweeps (``skew_witnesses``, the derivation action ``_leibniz``,
+The sweeps (the skew test ``_skew``, the derivation action ``_leibniz``,
 ``check_jacobi`` and ``killing_form``, which scatter from the stored
-entries, and the series), ``Subspace.contains_all``, ``_commutator_flat``
-and the construction checks of ``extension`` run on Python ints.  Symmetric
+entries, and the series), the subspaces and what they solve,
+``_commutator_flat`` and the construction checks run on Python ints.  Symmetric
 work is done once: a derivation action on an antisymmetric S forms the
 tuples t_0 < t_1, a bracket span of a subspace with itself (by value) the
 pairs a < b, [g, g] is bracketed once per algebra, ``check_jacobi`` reads
@@ -15,13 +15,15 @@ pairs a < b, [g, g] is bracketed once per algebra, ``check_jacobi`` reads
 
 The int format is one type, ``View`` = (data, scale): sparse int data over
 an int scale, reduced so that equal rational data have equal views.
-Algebras, forms and tensors hold one view each (``LieAlgebra.int_bracket_data``,
-``BilinearForm.int_rows``, ``geometry.Tensor.int_data``), set in one
-place per class: the constructions hand their int sums to ``from_ints``,
-which reduces them once (``View.of``), and the rational constructors are a
-``View.of_rational`` in front of the same place.  The rational readers
-(``table``, ``bracket_data``, ``matrix``, ``Tensor.data``) are rendered
-from the view (``View.rational``) on first read.  A route brings the views
+Algebras, forms, tensors and subspaces hold one view each
+(``LieAlgebra.int_bracket_data``, ``BilinearForm.int_rows``,
+``geometry.Tensor.int_data``, ``Subspace.int_rows``), set in one place per
+class: the constructions hand their int sums to ``from_ints`` (for a
+subspace, its spanning rows to ``Subspace.of``), which reduces them once
+(``View.of``), and the rational constructors are a ``View.of_rational`` in
+front of the same place.  The rational readers (``table``,
+``bracket_data``, ``matrix``, ``Tensor.data``, ``Subspace.rows``) are
+rendered from the view on first read.  A route brings the views
 it reads to one scale by ``View.common``: a term multiplying one entry of
 each input is the product of their scales times its value, so a scale per
 input keeps every verdict and span, and a term of d entries on one scale s
@@ -29,7 +31,7 @@ is s^d times its value.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
@@ -156,11 +158,19 @@ class LieAlgebra:
         return self.int_bracket_data.rational()
 
     @cached_property
+    def by_first(self):
+        """The int bracket by first slot, {i: [(j, {k: x})]}, for ``_bracket``."""
+        out = {}
+        for (i, j), comps in self.int_bracket_data[0].items():
+            out.setdefault(i, []).append((j, comps))
+        return out
+
+    @cached_property
     def derived_algebra(self):
         """[g, g], the first term of both the derived and the lower central
         series."""
         full = Subspace.full(self.dim)
-        return _bracket_span(self.int_bracket_data[0], full, full)
+        return _bracket_span(self, full, full)
 
     def basis_bracket(self, i, j):
         """[e_i, e_j] as a coefficient vector."""
@@ -251,17 +261,10 @@ class BilinearForm:
 
     @cached_property
     def int_inverse(self):
-        """(rows, scale) of B^-1, made once per form: for B = b / s, one
-        ``linalg._echelon`` of [b | I] makes row i h_i [e_i | row i of b^-1],
-        and B^-1 = s b^-1 over the lcm of the h_i.  ``LinAlgError`` if B is
-        singular."""
-        (b, s), n, empty = self.int_rows, self.dim, {}
-        rows, pivots = linalg._echelon(({**b.get(i, empty), n + i: 1} for i in range(n)), 2 * n)
-        if pivots[:n] != list(range(n)):
-            raise linalg.LinAlgError("matrix is singular")
-        h = lcm(*(row[i] for i, row in enumerate(rows)))
-        return View.of({i: {q - n: x * s * (h // row[i]) for q, x in row.items() if q >= n}
-                        for i, row in enumerate(rows)}, h)
+        """The ``View`` of B^-1 = (b / s)^-1 (``linalg._inverse``), made once
+        per form.  ``LinAlgError`` if B is singular."""
+        (b, s), n = self.int_rows, self.dim
+        return View.of(*linalg._inverse([b.get(i, {}) for i in range(n)], n, s))
 
     @cached_property
     def signature(self):
@@ -272,68 +275,83 @@ class BilinearForm:
         return self.signature[2] == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Subspace:
-    """Row space in reduced echelon form; equality is data equality."""
+    """A row space held as one ``View``, ``int_rows``, of its reduced
+    echelon rows (row r, in pivot order, holds the scale at its pivot), the
+    one field that equality compares; ``of`` makes it, and ``rows``,
+    ``basis()`` and the repr are rendered from it."""
 
-    ambient_dim: int
-    rows: tuple
+    ambient_dim: int = field(compare=False)
+    int_rows: View
+
+    @classmethod
+    def of(cls, ambient_dim, vectors, bound=None):
+        """The span of the sparse int (or rational) rows {c: x}: the rows R_r
+        of one ``linalg._echelon`` (to the rank bound), h_r at the pivot,
+        are R_r L / h_r over the lcm L of the h_r."""
+        rows, pivots = linalg._echelon(vectors, ambient_dim, bound)
+        big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        return cls(ambient_dim, View.of({r: {c: x * (big // row[p]) for c, x in row.items()}
+                                         for r, (row, p) in enumerate(zip(rows, pivots))}, big))
 
     @classmethod
     def span(cls, vectors, ambient_dim):
         vectors = [list(map(frac, v)) for v in vectors]
         if any(len(v) != ambient_dim for v in vectors):
             raise AlgebraError("spanning vector has wrong length")
-        reduced = linalg.rref(vectors)[0] if vectors else []
-        return cls(ambient_dim, tuple(tuple(r) for r in reduced))
+        return cls.of(ambient_dim, map(dict, map(enumerate, vectors)))
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(ambient_dim, tuple(map(tuple, linalg.identity(ambient_dim))))
+        return cls(ambient_dim, View({i: {i: 1} for i in range(ambient_dim)}, 1))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.int_rows.data)
+
+    @cached_property
+    def pivots(self):
+        return [min(row) for row in self.int_rows.data.values()]
+
+    @cached_property
+    def rows(self):
+        (data, s), n = self.int_rows, self.ambient_dim
+        return tuple(tuple(Fraction(row[c], s) if c in row else Q0 for c in range(n))
+                     for row in data.values())
 
     def basis(self):
         return [list(r) for r in self.rows]
 
-    @cached_property
-    def int_rows(self):
-        """The ``View`` of the rows, scaled to ints once per subspace."""
-        return View.of_rational({r: dict(enumerate(row)) for r, row in enumerate(self.rows)})
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, rows={self.rows!r})"
+
+    def _expand(self, w):
+        """{r: w[p_r]}, the coordinates of the sparse int vector w in the
+        reduced rows R_r / s, or None unless s w - sum_r w[p_r] R_r = 0."""
+        rows, s = self.int_rows
+        rest, coords = {c: s * x for c, x in w.items()}, {}
+        for (r, row), p in zip(rows.items(), self.pivots):
+            if x := w.get(p):
+                coords[r] = x
+                for c, y in row.items():
+                    rest[c] = rest.get(c, 0) - x * y
+        return None if any(rest.values()) else coords
 
     def contains(self, v):
         return self.contains_all([v])
 
     def contains_all(self, vectors):
-        """True iff every vector lies in this subspace.  The rows are in
-        reduced echelon form, so v lies in it iff v = sum_r v[pivot_r] row_r;
-        both sides agree on the pivot columns, so the rest of v minus that
-        combination must vanish, and nothing is eliminated.  On ints: the
-        rows scaled by one s (``int_rows``), each v by its own t, and
-        s (t v) - sum_r (t v)[pivot_r] (s row_r) is compared with zero."""
-        rows, s = self.int_rows
-        rows = [(next(iter(row)), row) for row in rows.values()]  # (pivot, row)
-        for v in vectors:
-            v = list(map(frac, v))
-            t = lcm(*(x.denominator for x in v))
-            w = [x.numerator * (t // x.denominator) for x in v]
-            rest = [s * x for x in w]
-            for p, row in rows:
-                x = w[p]
-                if x:
-                    for c, y in row.items():
-                        rest[c] -= x * y
-            if any(rest):
-                return False
-        return True
+        """True iff every vector, scaled to ints, expands on the rows."""
+        ints, _ = View.of_rational(dict(enumerate(dict(enumerate(map(frac, v))) for v in vectors)))
+        return all(self._expand(w) is not None for w in ints.values())
 
     def contains_subspace(self, other):
-        return self.contains_all(other.rows)
+        return all(self._expand(w) is not None for w in other.int_rows.data.values())
 
     def add(self, other):
-        return Subspace.span(self.basis() + other.basis(), self.ambient_dim)
+        return Subspace.of(self.ambient_dim, [*self.int_rows.data.values(),
+                                              *other.int_rows.data.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +393,8 @@ def check_jacobi(alg):
     each stored c_ab^p, a < b, sends c_ab^p [e_p, e_c], L^2 times the true
     term, to the triple {a, b, c} for every stored [e_p, e_c], c not in
     {a, b}, signed as (a, b, c) is a cyclic order: -1 iff a < c < b."""
-    table, scale = alg.int_bracket_data
-    den, by_first = scale * scale, {}
-    for (p, c), comps in table.items():
-        by_first.setdefault(p, []).append((c, comps))
+    (table, scale), by_first = alg.int_bracket_data, alg.by_first
+    den = scale * scale
     sums = defaultdict(lambda: defaultdict(int))
     for (a, b), comps in table.items():
         if a < b:
@@ -407,18 +423,6 @@ def ad_invariant(alg, form):
 # tuples in sorted order, operator by operator, so a verdict stops at the
 # first failing operator.  Each kernel reads integer views, one per input.
 
-def operator_data(mats):
-    """The operator field x -> mats[x] in the sparse tensor format."""
-    return {(x, q): {p: m[p][q] for p in range(len(m)) if m[p][q]}
-            for x, m in enumerate(mats) for q in range(len(m))
-            if any(row[q] for row in m)}
-
-
-def skew_witnesses(op, form):
-    """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
-    return _skew(View.of_rational(op).data, form.int_rows.data)
-
-
 def _lowered(v, rows):
     """{k: <v, e_k>} = sum_p v[p] rows[p], on ints: the sparse row v times
     the sparse matrix rows, in which a missing row is zero."""
@@ -429,9 +433,25 @@ def _lowered(v, rows):
     return out
 
 
+def _pair(rows, u, v):
+    """B(u, v) for the sparse int rows of B and sparse int vectors."""
+    return sum(x * v.get(k, 0) for k, x in _lowered(u, rows).items())
+
+
+def _gram(form, view):
+    """The ``BilinearForm`` B(u_a, u_b) on the vectors u_a = data[a] / s of
+    the view: int sums over t s^2, for the int rows of B over t."""
+    (rows, t), (vecs, s) = form.int_rows, view
+    vecs = list(vecs.values())
+    return BilinearForm.from_ints(len(vecs), {a: {b: _pair(rows, u, v) for b, v in enumerate(vecs)}
+                                              for a, u in enumerate(vecs)}, t * s * s)
+
+
 def _skew(op, rows):
-    """``skew_witnesses`` on ints: the row m_j = <C_x e_j, .> of each stored
-    column, grouped by operator once; each m_j[k] is added to m_k[j]."""
+    """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0 for
+    the int operator field op and the int rows of the form: the row m_j =
+    <C_x e_j, .> of each stored column, grouped by operator once; each
+    m_j[k] is added to m_k[j]."""
     cols, empty = {}, {}
     for (x, j), col in op.items():
         cols.setdefault(x, {})[j] = col
@@ -500,9 +520,8 @@ def _leibniz(op, tensor):
 
 
 def kernel_of(matrix):
-    rows = [list(map(frac, r)) for r in matrix]
-    ncols = len(rows[0]) if rows else 0
-    return Subspace(ncols, tuple(map(tuple, linalg.nullspace(rows))))  # reduced
+    n = len(matrix[0]) if matrix else 0
+    return Subspace.of(n, linalg._kernel([dict(enumerate(map(frac, r))) for r in matrix], n))
 
 
 def center(alg):
@@ -513,28 +532,25 @@ def center(alg):
     for (i, j), comps in table.items():
         for k, c in comps.items():
             rows.setdefault((i, k), {})[j] = c
-    basis = linalg._nullspace(rows.values(), alg.dim)  # in reduced echelon form
-    return Subspace(alg.dim, tuple(map(tuple, basis)))
+    return Subspace.of(alg.dim, linalg._kernel(rows.values(), alg.dim))
 
 
 def orthogonal_complement(sub, form):
-    """{x : B(s, x) = 0 for all s in sub}."""
-    if sub.dim == 0:
-        return Subspace.full(sub.ambient_dim)
-    rows = [linalg.mat_vec(form.rows(), list(r)) for r in sub.rows]
-    return Subspace(sub.ambient_dim, tuple(map(tuple, linalg.nullspace(rows))))
+    """{x : B(s, x) = 0 for all s in sub}, the kernel of the lowered rows."""
+    rows = form.int_rows.data
+    return Subspace.of(sub.ambient_dim, linalg._kernel(
+        [_lowered(r, rows) for r in sub.int_rows.data.values()], sub.ambient_dim))
 
 
 def is_subalgebra(alg, sub):
-    base = sub.basis()
-    return sub.contains_all([alg.bracket(u, v)
-                             for a, u in enumerate(base) for v in base[a + 1:]])
+    rows = list(sub.int_rows.data.values())
+    return all(sub._expand(_bracket(alg.by_first, u, v)) is not None
+               for a, u in enumerate(rows) for v in rows[a + 1:])
 
 
 def totally_isotropic(sub, form):
-    base = sub.basis()
-    return all(form.apply(u, v) == 0
-               for a, u in enumerate(base) for v in base[a:])
+    rows, vecs = form.int_rows.data, list(sub.int_rows.data.values())
+    return not any(_pair(rows, u, v) for a, u in enumerate(vecs) for v in vecs[a:])
 
 
 @dataclass(frozen=True)
@@ -561,26 +577,19 @@ def _bracket(by_first, u, v):
     return w
 
 
-def _bracket_span(table, left, right):
-    """[left, right] for the bracket table scaled to integers, where
-    [left, right] lies in right, as it does down both series ([C, C] in C,
-    and [g, D] in D, by induction).  The two bases, each scaled to integers
-    once per subspace (``int_rows``), are bracketed one pair at a time and fed to
-    ``linalg._rref`` with the rank bound dim right: once that many
-    brackets are independent, the span is right and no further pair is
-    bracketed.  Scaling a spanning vector keeps the span; the reduced
-    basis is unique."""
-    n = left.ambient_dim
-    by_first = {}
-    for (i, j), comps in table.items():
-        by_first.setdefault(i, []).append((j, comps))
-    lrows, rrows = list(left.int_rows[0].values()), list(right.int_rows[0].values())
+def _bracket_span(alg, left, right):
+    """[left, right] on the int bracket of alg, where [left, right] lies in
+    right, as it does down both series ([C, C] in C, and [g, D] in D, by
+    induction).  The int rows are bracketed one pair at a time and fed to
+    ``Subspace.of`` with the rank bound dim right: once that many brackets
+    are independent, the span is right and no further pair is bracketed."""
+    lrows, rrows = list(left.int_rows.data.values()), list(right.int_rows.data.values())
     if left == right:  # [u, u] = 0 and [v, u] = -[u, v]
         pairs = combinations(range(len(lrows)), 2)
     else:
         pairs = product(range(len(lrows)), range(len(rrows)))
-    brackets = (_bracket(by_first, lrows[a], rrows[b]) for a, b in pairs)
-    return Subspace(n, tuple(map(tuple, linalg._rref(brackets, n, right.dim)[0])))
+    brackets = (_bracket(alg.by_first, lrows[a], rrows[b]) for a, b in pairs)
+    return Subspace.of(left.ambient_dim, brackets, right.dim)
 
 
 def _series(alg, next_term):
@@ -599,20 +608,19 @@ def _series(alg, next_term):
 
 def derived_series(alg):
     """C^0 = g, C^i = [C^{i-1}, C^{i-1}]; step k means k-step solvable."""
-    table, _ = alg.int_bracket_data
-    return _series(alg, lambda s: _bracket_span(table, s, s))
+    return _series(alg, lambda s: _bracket_span(alg, s, s))
 
 
 def lower_central_series(alg):
     """D^0 = g, D^i = [g, D^{i-1}]; step k means k-step nilpotent."""
-    table, _ = alg.int_bracket_data
     full = Subspace.full(alg.dim)
-    return _series(alg, lambda s: _bracket_span(table, full, s))
+    return _series(alg, lambda s: _bracket_span(alg, full, s))
 
 
 def invariant_forms(alg):
-    """Basis of symmetric forms with B([x,y],z) + B(y,[x,z]) = 0."""
-    n = alg.dim
+    """Basis of symmetric forms with B([x,y],z) + B(y,[x,z]) = 0: the
+    reduced kernel of one int row per basis triple."""
+    n, (table, _) = alg.dim, alg.int_bracket_data
     pairs = list(combinations_with_replacement(range(n), 2))
     index = {}
     for a, (p, q) in enumerate(pairs):
@@ -622,25 +630,28 @@ def invariant_forms(alg):
     for i in range(n):
         for j, k in pairs:
             row = Counter()
-            for p, c in alg.bracket_data.get((i, j), empty).items():
+            for p, c in table.get((i, j), empty).items():
                 row[index[p, k]] += c
-            for p, c in alg.bracket_data.get((i, k), empty).items():
+            for p, c in table.get((i, k), empty).items():
                 row[index[j, p]] += c
             rows.append(row)
-    return [BilinearForm(tuple(tuple(s[index[p, q]] for q in range(n))
-                               for p in range(n)))
-            for s in linalg._nullspace(rows, len(pairs))]
+    sols, s = Subspace.of(len(pairs), linalg._kernel(rows, len(pairs))).int_rows
+    return [BilinearForm.from_ints(n, {p: {q: sol.get(index[p, q], 0) for q in range(n)}
+                                       for p in range(n)}, s) for sol in sols.values()]
 
 
 def restrict_to_subalgebra(alg, sub):
-    """Lie algebra on sub's basis; raises if sub is not closed under brackets."""
-    base = sub.basis()
-    pairs = list(combinations(range(sub.dim), 2))
-    coords = linalg.coordinates(base, [alg.bracket(base[a], base[b]) for a, b in pairs])
-    if coords is None:
-        raise AlgebraError("subspace is not a subalgebra")
-    return LieAlgebra(sub.dim, None, {pair: dict(enumerate(cs))
-                                      for pair, cs in zip(pairs, coords)})
+    """Lie algebra on sub's basis; raises if sub is not closed under brackets.
+    For the rows R_a / s and the bracket over t, [R_a, R_b] is t s^2 times
+    [b_a, b_b]; ``Subspace._expand`` gives its coordinates."""
+    rows, s = sub.int_rows
+    table = {}
+    for a, b in combinations(range(sub.dim), 2):
+        coords = sub._expand(_bracket(alg.by_first, rows[a], rows[b]))
+        if coords is None:
+            raise AlgebraError("subspace is not a subalgebra")
+        table[a, b] = coords
+    return LieAlgebra.from_ints(sub.dim, None, table, alg.int_bracket_data[1] * s * s)
 
 
 def killing_form(alg):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import linalg
-from .core import (BilinearForm, Check, LieAlgebra, center,
+from .core import (BilinearForm, Check, LieAlgebra, Subspace, View, _gram, center,
                    kernel_of, lower_central_series, totally_isotropic)
 from .extension import Representation, kostant_form, reductive_split
 from .geometry import curvature, levi_civita, ricci_operator, sectional
@@ -180,10 +180,8 @@ class CorpusEntry:
             out.append(Check("nilmanifold_T_formula",
                              nilmanifold_t_formula(gd) == hom.T))
         if exp.get("center_is_hstar"):
-            want = gd.L.dim - gd.nd
-            z = center(gd.L)
-            hstar = [gd.embed_h(v) for v in linalg.identity(gd.nh)]
-            ok = z.dim == want and all(z.contains(v) for v in hstar)
+            z = center(gd.L)  # h* is spanned by the last nh unit vectors
+            ok = z == Subspace.of(gd.L.dim, ({gd.nd + k: 1} for k in range(gd.nh)))
             out.append(Check("center_equals_hstar", ok, str(z.dim)))
         if exp.get("kerA_isotropic"):
             ker = kernel_of(self.rep.mat(0))
@@ -193,9 +191,9 @@ class CorpusEntry:
             split = reductive_split(dbl.g, dbl.Q_minus, dbl.h_sub)
             res = kostant_form(dbl.g, dbl.h_sub, split.m, split.gram)
             # the coordinates of the basis vectors are the unit vectors, so
-            # res.pair on them reads res.form.matrix
-            agree = res.form.matrix == tuple(
-                tuple(dbl.Q_minus.apply(u, v) for v in res.basis) for u in res.basis)
+            # res.pair on them reads res.form: it must be Q_minus on the basis
+            agree = res.form == _gram(dbl.Q_minus, View.of_rational(
+                {a: dict(enumerate(u)) for a, u in enumerate(res.basis)}))
             out.append(Check("kostant_reconstruction",
                              res.all_pass and agree and split.all_pass))
         return out

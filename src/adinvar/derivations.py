@@ -9,7 +9,6 @@ The skew derivations are solved inside the derivation algebra
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import lcm
@@ -24,17 +23,17 @@ def _flatten(m):
 
 
 def _unflatten(v, rows, cols):
-    return [list(v[i * cols:(i + 1) * cols]) for i in range(rows)]
+    return tuple(tuple(v[i * cols:(i + 1) * cols]) for i in range(rows))
 
 
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
     """A commutator-closed space of matrices with its abstract closure
     table; ``int_basis`` is the ``View`` {t: {p n + q: x}} of the basis
-    matrices, flattened row-major."""
+    matrices, flattened row-major: the reduced rows of ``flat_subspace``,
+    from which ``basis`` is rendered."""
 
     n: int
-    basis: tuple
     closure: LieAlgebra
     int_basis: View
 
@@ -45,11 +44,15 @@ class MatrixLieAlgebra:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.int_basis.data)
 
     @cached_property
     def flat_subspace(self):
-        return Subspace(self.n * self.n, tuple(tuple(_flatten(m)) for m in self.basis))
+        return Subspace(self.n * self.n, self.int_basis)
+
+    @cached_property
+    def basis(self):
+        return tuple(_unflatten(row, self.n, self.n) for row in self.flat_subspace.rows)
 
 
 # Each linear condition on a matrix unknown X (flattened row-major into the
@@ -114,14 +117,12 @@ def _span(vectors, n):
     rows, pivots = linalg._echelon(vectors, n * n)
     h = [row[p] for row, p in zip(rows, pivots)]
     big = lcm(*h)
-    mats, basis, scaled = [], [], []  # R_r as {p: {q: x}}, M_r, (p_r, H R_r / h_r)
+    mats, scaled = [], []  # R_r as {p: {q: x}}, (p_r, H R_r / h_r)
     for row, p, hr in zip(rows, pivots, h):
-        m, flat = {q: {} for q in range(n)}, [linalg.Q0] * (n * n)
+        m = {q: {} for q in range(n)}
         for c, x in row.items():
             m[c // n][c % n] = x
-            flat[c] = Fraction(x, hr)
         mats.append(m)
-        basis.append(tuple(map(tuple, _unflatten(flat, n, n))))
         scaled.append((p, {c: x * (big // hr) for c, x in row.items()}))
     table = {}
     for i, j in combinations(range(len(rows)), 2):
@@ -136,8 +137,7 @@ def _span(vectors, n):
         if any(rest):
             raise AlgebraError("matrix space is not closed under commutator")
     closure = LieAlgebra.from_ints(len(rows), None, table, big * big)
-    return MatrixLieAlgebra(n, tuple(basis), closure,
-                            View.of(dict(enumerate(row for _, row in scaled)), big))
+    return MatrixLieAlgebra(n, closure, View.of(dict(enumerate(row for _, row in scaled)), big))
 
 
 def _solutions(rows, n):
@@ -172,26 +172,32 @@ def skew_part(der, form):
 
 
 def inner_derivations(alg):
-    """Canonical basis of span{ad(x)}."""
-    return _span([dict(enumerate(_flatten(alg.ad(i)))) for i in range(alg.dim)], alg.dim)
+    """Canonical basis of span{ad(x)}; ad(e_i) has c_ij^k at (k, j)."""
+    n, rows = alg.dim, [{} for _ in range(alg.dim)]
+    for (i, j), comps in alg.int_bracket_data[0].items():
+        for k, c in comps.items():
+            rows[i][k * n + j] = c
+    return _span(rows, n)
 
 
 @dataclass(frozen=True)
 class SoAut:
-    """Pairs (A, B), A skew on h*, B a skew derivation of d, [B,pi(h)] = pi(Ah)."""
+    """Pairs (A, B), A skew on h*, B a skew derivation of d, [B,pi(h)] = pi(Ah),
+    held as the subspace of the flattened (A, B), which renders ``pairs``."""
 
     nh: int
     nd: int
-    pairs: tuple  # ((A, B), ...)
+    flat_subspace: Subspace
 
     @property
     def dim(self):
-        return len(self.pairs)
+        return self.flat_subspace.dim
 
     @cached_property
-    def flat_subspace(self):
-        return Subspace(self.nh * self.nh + self.nd * self.nd,
-                        tuple(tuple(_flatten(a) + _flatten(b)) for a, b in self.pairs))
+    def pairs(self):
+        na, nh, nd = self.nh * self.nh, self.nh, self.nd
+        return tuple((_unflatten(s[:na], nh, nh), _unflatten(s[na:], nd, nd))
+                     for s in self.flat_subspace.rows)
 
     def contains(self, a, b):
         return self.flat_subspace.contains(_flatten(a) + _flatten(b))
@@ -218,12 +224,7 @@ def so_aut(gd):
                 if x := mj.get(q, empty).get(p):
                     row[j * nh + i] -= x
             rows.append(row)
-    pairs = []
-    for s in linalg._nullspace(rows, na + nd * nd):
-        a = _unflatten(s[:na], nh, nh)
-        b = _unflatten(s[na:], nd, nd)
-        pairs.append((tuple(tuple(r) for r in a), tuple(tuple(r) for r in b)))
-    return SoAut(nh, nd, tuple(pairs))
+    return SoAut(nh, nd, Subspace.of(na + nd * nd, linalg._kernel(rows, na + nd * nd)))
 
 
 def induced_so_aut_pair(gd, i):

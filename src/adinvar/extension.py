@@ -14,14 +14,15 @@ representation; the block checks, and every reader of beta* = ell^-1 beta
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
-from .core import (BilinearForm, Check, LieAlgebra, Subspace, View, _commutator_flat,
-                   _leibniz, _lowered, _skew, ad_invariant, all_pass, check_jacobi,
-                   operator_data, orthogonal_complement, skew_witnesses)
-from .geometry import Tensor
+from .core import (BilinearForm, Check, LieAlgebra, Subspace, View, _bracket,
+                   _commutator_flat, _gram, _leibniz, _lowered, _pair, _skew, ad_invariant,
+                   all_pass, check_jacobi, orthogonal_complement)
+from .geometry import Tensor, _int_vectors
 from .linalg import Q0
 
 
@@ -60,8 +61,9 @@ class Representation:
         return [list(row) for row in self.mats[i]]
 
     def pi_of(self, h_coeffs):
-        """Operator of an arbitrary h vector."""
-        return _combination(self.mats, h_coeffs, self.d.dim)
+        """Operator of an arbitrary h vector, summed over its nonzero coefficients."""
+        n, terms = self.d.dim, [(c, m) for c, m in zip(h_coeffs, self.mats) if c]
+        return [[sum((c * m[p][q] for c, m in terms), Q0) for q in range(n)] for p in range(n)]
 
     def beta(self, x, y):
         """Cocycle value beta(x,y) as a covector on h (dual-basis coords)."""
@@ -70,14 +72,10 @@ class Representation:
                 for k in range(self.h.dim)]
 
     @cached_property
-    def op_data(self):
-        """The operator field of the mats: op_data[i, b] = pi(h_i) e_b."""
-        return operator_data(self.mats)
-
-    @cached_property
     def int_ops(self):
-        """The ``View`` of ``op_data``, scaled to ints once."""
-        return View.of_rational(self.op_data)
+        """The ``View`` of the operator field (i, b) -> pi(h_i) e_b."""
+        return View.of_rational({(i, b): {p: row[b] for p, row in enumerate(m)}
+                                 for i, m in enumerate(self.mats) for b in range(len(m))})
 
     @cached_property
     def int_beta(self):
@@ -105,19 +103,6 @@ class Representation:
             else:
                 bad.append(f"pi({names[at[0]]})_not_{fault}")
         return bad
-
-
-def _combination(mats, coeffs, n):
-    """sum_i coeffs[i] mats[i] as an n x n matrix, summed over the nonzero
-    coefficients and the nonzero entries of their operators."""
-    out = [[Q0] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for orow, mrow in zip(out, m):
-                for q, x in enumerate(mrow):
-                    if x:
-                        orow[q] += c * x
-    return out
 
 
 def _action_faults(ops, h, form, alg):
@@ -215,8 +200,8 @@ def _assemble_double(rep):
     sd = rep.d_form.signature
     if q.signature != (sd[0] + nh, sd[1] + nh, sd[2]):
         raise ExtensionError("signature relation violated")
-    eye = tuple(map(tuple, linalg.identity(n)))  # unit rows are reduced
-    return DoubleExtension(rep, g, q, q_minus, Subspace(n, eye[:nh]))
+    # the unit rows of h are already the reduced echelon view of h_sub
+    return DoubleExtension(rep, g, q, q_minus, Subspace(n, View({i: {i: 1} for i in range(nh)}, 1)))
 
 
 def _joined_names(plain, dual):
@@ -379,50 +364,39 @@ class SplitResult:
 
 
 def _split(g_alg, h_sub, m_sub, pairs):
-    """(h coordinates, m coordinates) of the bracket [x, y] of each pair
-    (x, y) in g = h + m, from one ``linalg.coordinates`` call over the
-    stacked (h | m) basis.  Raises ``LinAlgError`` unless g is the direct
-    sum of h and m."""
+    """(parts, h): the (h, m) parts of the coordinates c / h of the int
+    bracket [x, y] of each pair in the int rows of h_sub then m_sub, from
+    one ``linalg._in_basis``.  ``LinAlgError`` unless g = h + m directly."""
     nh = h_sub.dim
     if nh + m_sub.dim != h_sub.ambient_dim:
         raise linalg.LinAlgError("g is not the direct sum of h and m")
-    coords = linalg.coordinates(h_sub.rows + m_sub.rows,
-                                [g_alg.bracket(x, y) for x, y in pairs])
-    return [(c[:nh], c[nh:]) for c in coords]
-
-
-def _h_vector(h_sub, hc):
-    """The vector of h with coordinates hc."""
-    return [sum((c * row[p] for c, row in zip(hc, h_sub.rows) if c), Q0)
-            for p in range(h_sub.ambient_dim)]
+    coords, h = linalg._in_basis([*h_sub.int_rows.data.values(), *m_sub.int_rows.data.values()],
+                                 [_bracket(g_alg.by_first, x, y) for x, y in pairs])
+    return [({i: c for i, c in cs.items() if i < nh},
+             {i - nh: c for i, c in cs.items() if i >= nh}) for cs in coords], h
 
 
 def reductive_split(g_alg, form, h_sub):
     """m = h-perp plus the naturally reductive condition report."""
-    gram = [[form.apply(u, v) for v in h_sub.basis()] for u in h_sub.basis()]
-    if linalg.signature_of(gram)[2] != 0:
+    if _gram(form, h_sub.int_rows).signature[2] != 0:
         raise ExtensionError("form is degenerate on h")
     m = orthogonal_complement(h_sub, form)
-    mb = m.basis()
-    cross = list(product(h_sub.basis(), mb))
+    mb = list(m.int_rows.data.values())
+    cross = list(product(h_sub.int_rows.data.values(), mb))
     # a form nondegenerate on h gives g = h + h-perp, so the split exists
-    parts = _split(g_alg, h_sub, m, cross + list(product(mb, repeat=2)))
-    checks = [Check("direct_sum", True)]
-    escapes = any(any(hc) for hc, _ in parts[:len(cross)])
-    checks.append(Check("bracket_h_m_in_m", not escapes,
-                        "[h,m] escapes m" if escapes else None))
-    # the m-projected bracket as an operator field on m, skew for the Gram
-    # matrix of m exactly when the naturally reductive condition holds
-    op = {}
-    for ab, (_, mc) in zip(product(range(len(mb)), repeat=2), parts[len(cross):]):
-        comps = {p: x for p, x in enumerate(mc) if x}
-        if comps:
-            op[ab] = comps
-    gram_m = BilinearForm(tuple(tuple(form.apply(u, v) for v in mb) for u in mb))
-    fails = any(skew_witnesses(op, gram_m))
-    checks.append(Check("naturally_reductive", not fails,
-                        "naturally reductive condition fails" if fails else None))
-    return SplitResult(m, gram_m, tuple(checks))
+    parts, _ = _split(g_alg, h_sub, m, cross + list(product(mb, repeat=2)))
+    escapes = any(hc for hc, _ in parts[:len(cross)])
+    # the m-projected bracket as an operator field on m, on one scale, skew
+    # for the Gram matrix of m exactly when the naturally reductive
+    # condition holds
+    op = dict(zip(product(range(len(mb)), repeat=2), (mc for _, mc in parts[len(cross):])))
+    gram_m = _gram(form, m.int_rows)
+    fails = next(_skew(op, gram_m.int_rows.data), None) is not None
+    return SplitResult(m, gram_m, (
+        Check("direct_sum", True),
+        Check("bracket_h_m_in_m", not escapes, "[h,m] escapes m" if escapes else None),
+        Check("naturally_reductive", not fails,
+              "naturally reductive condition fails" if fails else None)))
 
 
 class KostantError(Exception):
@@ -439,10 +413,16 @@ class KostantResult:
     all_pass = all_pass
 
     def pair(self, u, v):
-        coords = linalg.coordinates(self.basis, [u, v])
-        if coords is None:
+        """Q(u, v) = c_u F c_v / (s h^2) for the coordinates c / h of u and
+        v in the basis (``linalg._in_basis``, all scaled to ints by one t)
+        and the int rows F / s of the form."""
+        *basis, u, v, _ = _int_vectors(*self.basis, u, v)
+        found = linalg._in_basis(basis, [u, v])
+        if found is None:
             raise KostantError("vector outside gbar")
-        return self.form.apply(*coords)
+        (cu, cv), h = found
+        rows, s = self.form.int_rows
+        return Fraction(_pair(rows, cu, cv), s * h * h)
 
 
 def kostant_form(g_alg, h_sub, m_sub, inner):
@@ -452,80 +432,92 @@ def kostant_form(g_alg, h_sub, m_sub, inner):
     extension to the h part is the unique solution of the bracket-transfer
     equations, read off a basis of hbar among the bracket projections; an
     inconsistent system means the data was not naturally reductive.
+
+    On ints, for the rows M_a / u of m, the bracket over t, the int rows
+    F / w of inner and the scales h1, h2 of the two ``_split`` calls:
+    s_ab = [m_a, m_b]_h is S_ab / sigma, sigma = h1 t u^2; [m_a, s_cd] has
+    the m coordinates z / (h2 t sigma) for those z / h2 of [M_a, S_cd], so
+    V = V' / (sigma nu), V'[ab][cd] = -sum_p z_p F_pb and nu = h2 t w; and
+    A = A' / sigma, A' the entries of the S_ab at the pivots of hbar.
     """
-    mb = m_sub.basis()
-    cross = list(product(h_sub.basis(), mb))
+    hb, mb = list(h_sub.int_rows.data.values()), list(m_sub.int_rows.data.values())
     pairs = list(combinations(range(m_sub.dim), 2))
+    cross = len(hb) * len(mb)
     try:
-        parts = _split(g_alg, h_sub, m_sub, cross + [(mb[a], mb[b]) for a, b in pairs])
+        parts, h1 = _split(g_alg, h_sub, m_sub, [*product(hb, mb), *combinations(mb, 2)])
     except linalg.LinAlgError:
         raise KostantError("g is not the direct sum of h and m") from None
-    if any(any(hc) for hc, _ in parts[:len(cross)]):
+    if any(hc for hc, _ in parts[:cross]):
         raise KostantError("[h, m] is not contained in m")
 
-    s_vectors = [_h_vector(h_sub, hc) for hc, _ in parts[len(cross):]]
-    reduced, pivots = linalg.rref(s_vectors)
-    hbar = Subspace(g_alg.dim, tuple(map(tuple, reduced)))
+    s_vectors = [_lowered(hc, h_sub.int_rows.data) for hc, _ in parts[cross:]]
+    hbar = Subspace.of(g_alg.dim, s_vectors)
     gbar = m_sub.add(hbar)
 
     # Q([y,y']_h, [z,z']_h) = -<[y, [z,z']_h], y'> on all pairs of pairs,
     # V[ab][cd] = -<[m_a, s_cd], m_b>, where [m_a, s_cd] lies in [m, h] < m;
     # lifted[a * q + cd] holds its m coordinates
-    q = len(pairs)
-    lifted = [mc for _, mc in _split(g_alg, h_sub, m_sub, product(mb, s_vectors))]
-    v_mat = [[-linalg.dot(mc, inner.matrix[b]) for mc in lifted[a * q:(a + 1) * q]]
-             for a, b in pairs]
-    # A, the hbar coordinates of the s vectors, is read at the pivots of
-    # hbar; it has full column rank, so A Q A^T = V has one solution or
-    # none, and the rows P of A that are a basis give it: A_P^-1 V_PP A_P^-T
-    qh = []
-    if pivots:
-        a_mat = [[s[c] for c in pivots] for s in s_vectors]
-        rows_p = linalg.rref(linalg.transpose(a_mat))[1]
-        ap_inv = linalg.inverse([a_mat[i] for i in rows_p])
-        qh = linalg.mat_mul(linalg.mat_mul(
-            ap_inv, [[v_mat[i][j] for j in rows_p] for i in rows_p]),
-            linalg.transpose(ap_inv))
-        if v_mat != linalg.transpose(v_mat) or v_mat != linalg.mat_mul(
-                linalg.mat_mul(a_mat, qh), linalg.transpose(a_mat)):
-            raise KostantError("not naturally reductive data")
-
-    basis = [list(v) for v in mb] + hbar.basis()
-    n = len(basis)
-    form = _block_form(inner, BilinearForm(qh))
+    q, (irows, w), empty = len(pairs), inner.int_rows, {}
+    t, u = g_alg.int_bracket_data[1], m_sub.int_rows[1]
+    lifted, h2 = _split(g_alg, h_sub, m_sub, product(mb, s_vectors))
+    v_mat = [[-sum(x * irows.get(p, empty).get(b, 0) for p, x in mc.items())
+              for _, mc in lifted[a * q:(a + 1) * q]] for a, b in pairs]
+    # A has full column rank, so A Q A^T = V has one solution or none, and
+    # the rows P of A that are a basis give it: for A'_P^-1 = X / e, Q =
+    # sigma X V'_PP X^T / (nu e^2), and V = A Q A^T iff A' (X V'_PP X^T)
+    # A'^T = e^2 V'
+    sigma, nu, r = h1 * t * u * u, h2 * t * w, hbar.dim
+    a_rows = [{i: x for i, c in enumerate(hbar.pivots) if (x := sv.get(c))} for sv in s_vectors]
+    rows_p = linalg._echelon(({ab: row[i] for ab, row in enumerate(a_rows) if i in row}
+                              for i in range(r)), q)[1]
+    x, e = linalg._inverse([a_rows[i] for i in rows_p], r)
+    vp = {i: dict(enumerate(v_mat[p][j] for j in rows_p)) for i, p in enumerate(rows_p)}
+    qi = {i: {j: _pair(vp, x[i], x[j]) for j in range(r)} for i in range(r)}
+    if v_mat != linalg.transpose(v_mat) or any(
+            _pair(qi, a, b) != e * e * y for a, row in zip(a_rows, v_mat)
+            for b, y in zip(a_rows, row)):
+        raise KostantError("not naturally reductive data")
+    qh = BilinearForm.from_ints(r, {i: {j: y * sigma for j, y in row.items()}
+                                    for i, row in qi.items()}, nu * e * e)
+    form = _block_form(inner, qh)
 
     # the basis is independent (m meets h, and so hbar, only in 0), so gbar
-    # is closed iff every bracket [basis[iu], basis[iv]] has coordinates in it
-    coords = linalg.coordinates(basis, [g_alg.bracket(u, v) for u in basis for v in basis])
-    closed = coords is not None
-    ad_ok = closed and not any(skew_witnesses(
-        {uv: {p: x for p, x in enumerate(c) if x}
-         for uv, c in zip(product(range(n), repeat=2), coords)},
-        form))
+    # is closed iff every bracket [basis[iu], basis[iv]] has coordinates in
+    # it; on one scale they are the ad-invariance operator up to a scale
+    ms, hs, _ = View.common(m_sub.int_rows, hbar.int_rows)
+    basis = [*ms.values(), *hs.values()]
+    found = linalg._in_basis(basis, [_bracket(g_alg.by_first, u, v) for u in basis for v in basis])
+    closed = found is not None
+    ad_ok = closed and next(_skew(dict(zip(product(range(len(basis)), repeat=2), found[0])),
+                                  form.int_rows.data), None) is None
     checks = (Check("gbar_closed", closed), Check("ad_invariant_on_gbar", ad_ok),
-              Check("nondegenerate_on_hbar", linalg.signature_of(qh)[2] == 0),
+              Check("nondegenerate_on_hbar", qh.signature[2] == 0),
               Check("nondegenerate", form.nondegenerate))
-    return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar, checks)
+    return KostantResult(gbar, m_sub.rows + hbar.rows, form, hbar, checks)
 
 
 def canonical_connection(g_alg, h_sub, m_sub):
     """Torsion and curvature of the canonical connection, over the m basis.
 
     T(x,y) = -[x,y]_m and R(x,y)z = -[[x,y]_h, z], components taken in the
-    decomposition g = h + m, which must be direct.
+    decomposition g = h + m, which must be direct.  For the rows M_a / u of
+    m, the bracket over t and the split scales h1, h2, [m_a, m_b] has the
+    m coordinates z / (h1 t u) and the h part (int) / (h1 t u^2), and
+    [[m_a, m_b]_h, m_c] the m coordinates z' / (h2 h1 t^2 u^2).
     """
-    mb = m_sub.basis()
-    k = len(mb)
+    mb, k = list(m_sub.int_rows.data.values()), m_sub.dim
+    t, u = g_alg.int_bracket_data[1], m_sub.int_rows[1]
     try:
-        parts = _split(g_alg, h_sub, m_sub, product(mb, repeat=2))
+        parts, h1 = _split(g_alg, h_sub, m_sub, product(mb, repeat=2))
     except linalg.LinAlgError:
         raise ExtensionError("g is not the direct sum of h and m") from None
-    h_parts = [_h_vector(h_sub, hc) for hc, _ in parts]
-    zs = _split(g_alg, h_sub, m_sub, product(h_parts, mb))
-    if any(any(zh) for zh, _ in zs):
+    h_parts = [_lowered(hc, h_sub.int_rows.data) for hc, _ in parts]
+    zs, h2 = _split(g_alg, h_sub, m_sub, product(h_parts, mb))
+    if any(zh for zh, _ in zs):
         raise ExtensionError("[h, m] escapes m")
-    tor = {ab: {p: -x for p, x in enumerate(mc)}
+    tor = {ab: {p: -x for p, x in mc.items()}
            for ab, (_, mc) in zip(product(range(k), repeat=2), parts)}
-    cur = {abc: {p: -x for p, x in enumerate(zm)}
+    cur = {abc: {p: -x for p, x in zm.items()}
            for abc, (_, zm) in zip(product(range(k), repeat=3), zs)}
-    return Tensor(k, 2, tor), Tensor(k, 3, cur)
+    return (Tensor.from_ints(k, 2, tor, h1 * t * u),
+            Tensor.from_ints(k, 3, cur, h2 * h1 * t * t * u * u))

@@ -25,7 +25,7 @@ from itertools import product
 from math import prod
 
 from . import linalg
-from .core import BilinearForm, View, _lowered, is_subalgebra
+from .core import BilinearForm, View, _lowered, _pair, is_subalgebra
 from .linalg import Q0
 
 
@@ -218,7 +218,7 @@ def curvature_gd(gd):
     """Block formulas for the curvature of the d + h* algebra.
 
     Reads only stored construction data: the operator columns
-    ``gd.rep.op_data`` and the bracket tables of d, h and ``gd.L``, whose h*
+    ``gd.rep.int_ops`` and the bracket tables of d, h and ``gd.L``, whose h*
     part is beta* (``beta_star``).  It never builds or reads a connection, so it
     stays a check of ``curvature`` independent of the Koszul and definition
     routes.  With beta*(x,y) = ell^-1 beta(x,y) in h, x, y, z in d:
@@ -292,11 +292,6 @@ def _int_vectors(*vectors):
     followed by t."""
     ints, t = View.of_rational({a: dict(enumerate(v)) for a, v in enumerate(vectors)})
     return (*(ints.get(a, {}) for a in range(len(vectors))), t)
-
-
-def _pair(rows, u, v):
-    """B(u, v) for the sparse int rows of B and sparse int vectors."""
-    return sum(x * v.get(k, 0) for k, x in _lowered(u, rows).items())
 
 
 def plane_discriminant(form, x, y):

@@ -9,19 +9,17 @@ only, so they cost what the nonzero entries cost; zero products are never
 formed.  ``charpoly`` runs on the matrix scaled to ints.
 
 Elimination (``rref`` and everything built on it: ``nullspace``,
-``solve``, ``coordinates``, ``inverse``) runs fraction-free on sparse
-integer rows, read one at a time in input order: each row is reduced
-against the reduced rows kept so far and kept if it is not then zero, and
-reading stops once the rank reaches a bound (the width, or a smaller one
-that the caller knows).  ``Fraction``s are formed only at the boundary,
-once per entry of the result.  The integer core is ``_echelon``
-(primitive int rows with positive pivots, and their pivots) and
-``_kernel`` (an int basis of a nullspace, read off those rows); ``_rref``
-divides the rows of ``_echelon`` by their pivots, and ``_nullspace``
-forms its ``Fraction``s only there, in the reduced basis of the
-``_kernel`` vectors.  A row of ints enters the core as it is.  The
-signature is ``_signature``, a symmetric fraction-free elimination of
-sparse int rows (a form's cached ``int_rows``, or ``signature_of``'s).
+``solve``, ``inverse``) runs fraction-free on sparse integer rows, read
+one at a time in input order: each row is reduced against the reduced
+rows kept so far and kept if it is not then zero, and reading stops once
+the rank reaches a bound (the width, or a smaller one that the caller
+knows).  ``Fraction``s are formed only at the boundary, once per entry of
+the result.  The package reads the integer core itself: ``_echelon``
+(primitive int rows with positive pivots, and their pivots), ``_kernel``
+(an int basis of a nullspace), ``_inverse`` and ``_in_basis`` (an inverse
+and coordinates in a basis, int over one scale).  A row of ints enters
+the core as it is.  The signature is ``_signature``, a symmetric
+fraction-free elimination of sparse int rows (a form's ``int_rows``).
 """
 
 from fractions import Fraction
@@ -134,23 +132,13 @@ def rref(a):
     """Reduced row echelon form.
 
     Returns (rows, pivot_columns); zero rows are dropped, so the result
-    is the canonical basis of the row space.
+    is the canonical basis of the row space: the ``_echelon`` rows over
+    their pivot entries.
     """
-    return _rref([dict(enumerate(row)) for row in a], len(a[0]) if a else 0)
-
-
-def _rref(a, n, bound=None):
-    """``rref`` of the sparse rows {column: x} of width n: ``_echelon``
-    (which stops at the rank bound), then each primitive int row divided by
-    its pivot, one ``Fraction`` per nonzero entry."""
-    rows, pivots = _echelon(a, n, bound)
-    out = []
-    for row, c in zip(rows, pivots):
-        dense, p = [Q0] * n, row[c]
-        for q, x in row.items():
-            dense[q] = Fraction(x, p)
-        out.append(dense)
-    return out, pivots
+    n = len(a[0]) if a else 0
+    rows, pivots = _echelon([dict(enumerate(row)) for row in a], n)
+    return [[Fraction(row[q], row[c]) if q in row else Q0 for q in range(n)]
+            for row, c in zip(rows, pivots)], pivots
 
 
 def _echelon(a, n, bound=None):
@@ -196,16 +184,11 @@ def _echelon(a, n, bound=None):
 
 
 def nullspace(a):
-    """Canonical basis (RREF rows) of {x : a x = 0}."""
-    return _nullspace([dict(enumerate(row)) for row in a], len(a[0])) if a else []
-
-
-def _nullspace(a, n):
-    """``nullspace`` of the sparse rows {column: x} of width n, which the
-    matrix solvers pass as they build them; zero rows are dropped, and no
-    rows give the unit basis.  The ``_kernel`` vectors are reduced by
-    ``_rref``, which forms the only ``Fraction``s."""
-    return _rref(_kernel(a, n), n)[0]
+    """Canonical basis (RREF rows) of {x : a x = 0}: ``rref`` of the
+    ``_kernel`` vectors."""
+    n = len(a[0]) if a else 0
+    kernel = _kernel([dict(enumerate(row)) for row in a], n) if a else []
+    return rref([[v.get(q, 0) for q in range(n)] for v in kernel])[0]
 
 
 def _kernel(a, n):
@@ -246,19 +229,41 @@ def solve(a, b):
     return x
 
 
-def coordinates(basis, vectors):
-    """The coordinates of each vector in basis, or None if one lies outside
-    its span; ``LinAlgError`` if the basis is dependent.  One ``rref`` of
-    the columns [basis | vectors]: the basis is independent iff its k
-    columns carry pivots, the vectors lie in its span iff no other column
-    does, and then the rows hold their (unique) coordinates."""
-    k, cols = len(basis), [*basis, *vectors]
-    rows, pivots = rref(transpose(cols))
+def _in_basis(basis, vectors):
+    """(coords, h) with vector j = sum_i coords[j][i] basis[i] / h, for
+    sparse vectors {p: x} and sparse int coords, or None if a vector lies
+    outside the span; ``LinAlgError`` if the basis is dependent.  One
+    ``_echelon`` of the columns [basis | vectors]: the basis is independent
+    iff its k columns carry pivots, the vectors lie in its span iff no
+    other column does, and then row i is h_i [e_i | coordinates i]."""
+    k, rows = len(basis), {}
+    for col, vec in enumerate([*basis, *vectors]):
+        for p, x in vec.items():
+            rows.setdefault(p, {})[col] = x
+    ech, pivots = _echelon(rows.values(), k + len(vectors))
     if pivots[:k] != list(range(k)):
         raise LinAlgError("basis is not linearly independent")
     if len(pivots) > k:
         return None
-    return [[row[col] for row in rows] for col in range(k, len(cols))]
+    h, coords = lcm(*(row[i] for i, row in enumerate(ech))), [{} for _ in vectors]
+    for i, row in enumerate(ech):
+        for col, x in row.items():
+            if col >= k:
+                coords[col - k][i] = x * (h // row[i])
+    return coords, h
+
+
+def _inverse(rows, n, s=1):
+    """(x, h) with (a / s)^-1 = x / h for the sparse rows {q: a} of a, x
+    sparse int rows: one ``_echelon`` of [a | s I] makes row i h_i [e_i |
+    row i of s a^-1], and h is the lcm of the h_i.  ``LinAlgError`` if a
+    is singular."""
+    ech, pivots = _echelon(({**row, n + i: s} for i, row in enumerate(rows)), 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise LinAlgError("matrix is singular")
+    h = lcm(*(row[i] for i, row in enumerate(ech)))
+    return {i: {q - n: x * (h // row[i]) for q, x in row.items() if q >= n}
+            for i, row in enumerate(ech)}, h
 
 
 def inverse(a):
@@ -286,15 +291,6 @@ def charpoly(a):
         for i in range(n):
             m[i][i] += c
     return coeffs
-
-
-def signature_of(g):
-    """(n_minus, n_plus, n_zero) of a symmetric rational matrix: g scaled
-    to integers once, then ``_signature``."""
-    den = lcm(*(x.denominator for row in g for x in row))
-    return _signature({i: {j: x.numerator * (den // x.denominator)
-                           for j, x in enumerate(row) if x}
-                       for i, row in enumerate(g)}, len(g))
 
 
 def _signature(rows, n):

@@ -9,7 +9,6 @@ effective criterion reads off D^{k-1}; both index readings are reported.
 
 from dataclasses import dataclass
 
-from . import linalg
 from .core import (Subspace, _bracket, center, derived_series, kernel_of,
                    lower_central_series, totally_isotropic)
 
@@ -37,13 +36,10 @@ def _beta_obstruction(gd, left, right):
     """Span of beta(u, v) for u in left, v in right, inside d + h*: the h*
     part of [u, v] in ``gd.L``, which ``build_gd`` writes as ell^-1 beta,
     summed on the int views of the table and of both bases."""
-    nd, n = gd.nd, gd.L.dim
-    by_first = {}
-    for (i, j), comps in gd.L.int_bracket_data[0].items():
-        by_first.setdefault(i, []).append((j, comps))
+    nd, by_first = gd.nd, gd.L.by_first
     vecs = ({k: x for k, x in _bracket(by_first, u, v).items() if k >= nd}
-            for u in left.int_rows[0].values() for v in right.int_rows[0].values())
-    return Subspace(n, tuple(map(tuple, linalg._rref(vecs, n)[0])))
+            for u in left.int_rows.data.values() for v in right.int_rows.data.values())
+    return Subspace.of(gd.L.dim, vecs)
 
 
 def predict_solvable_step(gd):
@@ -72,8 +68,7 @@ def predict_nilpotent_step(gd):
     dk1 = dser.chain[k - 1]
     obstruction = _beta_obstruction(gd, full_d, dk1)
     # the intersection of the kernels is the kernel of the stacked pi rows
-    stacked = [list(r) for m in gd.rep.mats for r in m]
-    kernels = kernel_of(stacked) if stacked else full_d
+    kernels = kernel_of([r for m in gd.rep.mats for r in m]) if gd.nh else full_d
     corrected = kernels.contains_subspace(dk1)
     naive_test = kernels.contains_subspace(dser.chain[k])
     predicted = k if corrected else k + 1
@@ -93,7 +88,7 @@ class HeisenbergReport:
 def heisenberg_recognizer(gd):
     """Classify d + h* for abelian d and one-dimensional h."""
     rep = gd.rep
-    if rep.d.table or rep.h.dim != 1:
+    if rep.d.int_bracket_data.data or rep.h.dim != 1:
         raise SeriesError("recognizer needs abelian d and dim h = 1")
     a = rep.mat(0)
     ker = kernel_of(a)
@@ -106,8 +101,6 @@ def heisenberg_recognizer(gd):
         kind = "central_extension"
     indecomposable = kind == "central_extension" and totally_isotropic(
         ker, rep.d_form)
-    expected = Subspace.span(
-        [gd.embed_d(v) for v in ker.basis()] + [gd.embed_h([linalg.Q1])],
-        gd.L.dim)
-    center_matches = center(gd.L) == expected
+    center_matches = center(gd.L) == Subspace.of(  # ker A, then the one h* vector
+        gd.L.dim, [*ker.int_rows.data.values(), {gd.nd: 1}])
     return HeisenbergReport(kind, rk + 1, indecomposable, center_matches)

@@ -43,6 +43,7 @@ CLI = "tests/test_cli.py::"
 BRANCHES = "tests/test_core.py::test_derivation_witnesses_pin_the_branches_of_the_scatter"
 VIEW = GEO + "test_tensor_view_is_one_canonical_int_view"
 VIEW_TYPE = "tests/test_core.py::test_view_is_the_one_canonical_int_form_of_rational_data"
+SUBSPACE = "tests/test_core.py::test_subspace_is_one_view_of_its_reduced_echelon_rows"
 READERS = GEO + "test_readers_match_the_fraction_oracles_on_the_corpus_and_dense_conjugates"
 INT_BUILD = EXT + "test_int_construction_matches_the_fraction_assembly_on_builders"
 ROUTES = "tests/test_routes.py::test_closed_form_routes_match_the_dense_oracles"
@@ -102,6 +103,9 @@ CATALOGUE = (
            "{p: Fraction(x, 2 * self.scale) for p, x in comps.items()}", (VIEW_TYPE,)),
     Mutant("view-common_misses_the_last_factor", "core.py",
            "data if s == scale else", "data if s in (scale, views[-1][1]) else", (VIEW_TYPE,)),
+    Mutant("subspace-view_over_the_wrong_scale", "core.py",
+           "for r, (row, p) in enumerate(zip(rows, pivots))}, big))",
+           "for r, (row, p) in enumerate(zip(rows, pivots))}, 2 * big))", (SUBSPACE,)),
     # the byte-identity matrix of the reports
     Mutant("report-one_byte", "cli.py",
            'report["Q_signature"] = list(dbl.Q.signature)',
@@ -116,14 +120,15 @@ CATALOGUE = (
            "table.setdefault((i, hs + k), {})[hs + m] = c",
            (EXT + "test_int_construction_matches_the_fraction_assembly_on_generated_reps",)),
     Mutant("int_inverse-without_the_form_scale", "core.py",
-           "x * s * (h // row[i])", "x * (h // row[i])",
+           "linalg._inverse([b.get(i, {}) for i in range(n)], n, s)",
+           "linalg._inverse([b.get(i, {}) for i in range(n)], n)",
            (LIN + "test_int_inverse_matches_sympy",)),
     Mutant("levi_civita-without_the_inverse_scale", "geometry.py",
            "2 * sb * sf * si", "2 * sb * sf",
            ("tests/test_routes.py::test_koszul_and_definition_match_the_dense_oracles",)),
     Mutant("t_via_lambda-scale_s4", "homstructure.py",
            "2 * s ** 3 * sg", "2 * s ** 4", (ROUTES,)),
-    # linalg.coordinates and the (h | m) split of extension that reads it
+    # linalg._in_basis and the (h | m) split of extension that reads it
     Mutant("coordinates-independence_by_rank", "linalg.py",
            "if pivots[:k] != list(range(k)):", "if len(pivots) < k:",
            (LIN + "test_coordinates_of_each_kind",)),
@@ -131,8 +136,14 @@ CATALOGUE = (
            "if len(pivots) > k:", "if len(pivots) > k + 1:",
            (LIN + "test_coordinates_of_each_kind",)),
     Mutant("split-h_slice_one_too_long", "extension.py",
-           "return [(c[:nh], c[nh:]) for c in coords]",
-           "return [(c[:nh + 1], c[nh + 1:]) for c in coords]",
+           "{i: c for i, c in cs.items() if i < nh}", "{i: c for i, c in cs.items() if i <= nh}",
+           (EXT + "test_kostant_form_and_canonical_connection_match_the_oracles",)),
+    Mutant("split-drops_the_h_part", "extension.py",
+           "{i: c for i, c in cs.items() if i < nh}", "{}",
+           (EXT + "test_kostant_form_and_canonical_connection_match_the_oracles",)),
+    Mutant("kostant_form-solve_sign", "extension.py",
+           "[[-sum(x * irows.get(p, empty).get(b, 0) for p, x in mc.items())",
+           "[[sum(x * irows.get(p, empty).get(b, 0) for p, x in mc.items())",
            (EXT + "test_kostant_form_and_canonical_connection_match_the_oracles",)),
     Mutant("kostant_form-block_row_from_b", "extension.py",
            "lifted[a * q:(a + 1) * q]", "lifted[b * q:(b + 1) * q]",
@@ -162,7 +173,8 @@ CATALOGUE = (
            "if len(basis) == bound:", "if len(basis) == bound - 1:",
            (LIN + "test_echelon_stops_at_the_rank_bound",)),
     Mutant("bracket_span-bound_one_less", "core.py",
-           "linalg._rref(brackets, n, right.dim)", "linalg._rref(brackets, n, right.dim - 1)",
+           "Subspace.of(left.ambient_dim, brackets, right.dim)",
+           "Subspace.of(left.ambient_dim, brackets, right.dim - 1)",
            ("tests/test_core.py::test_series_match_the_span_route",)),
     Mutant("kernel-free_entry_sign", "linalg.py",
            "v = {f: m}", "v = {f: -m}",

@@ -23,6 +23,15 @@ literal so that the tests can compare the kernels with them.
 * ``rank``, ``trace``, ``commutator``, ``mat_sub``, ``vec_add``,
   ``vec_sub``, ``zeros``, ``mat_add``, ``mat_scale`` and ``vec_scale`` --
   dense helpers that only the tests read.
+* ``operator_data(mats)`` -- the operator field x -> mats[x] in the
+  sparse tensor format, which ``Representation.int_ops`` writes as a view,
+  and ``combination(mats, coeffs, n)``, sum_i coeffs[i] mats[i].
+* ``skew_witnesses(op, form)``, ``coordinates(basis, vectors)`` and
+  ``signature_of(g)`` -- the rational entries of ``core._skew``, of a
+  rank-revealing ``linalg.rref`` of [basis | vectors] and of
+  ``linalg._signature``, which the package stopped reading when its
+  routes moved to int views (the split of ``g = h + m``, Kostant's form
+  and the Gram matrices read ``linalg._in_basis`` and the int views).
 * ``view_of(m)`` and ``dense(view, n)`` -- a dense rational matrix as the
   ``core.View`` of its rows, and back, for the tests that read
   ``GdAlgebra.ell``, ``ell_inv`` and the ``lambda`` columns as matrices.
@@ -43,10 +52,55 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from adinvar import (BilinearForm, ExtensionError, KostantError, LieAlgebra, Subspace,
-                     ad_invariant, check_jacobi, core, linalg, orthogonal_complement,
-                     skew_witnesses)
+                     ad_invariant, check_jacobi, core, linalg, orthogonal_complement)
 from adinvar.extension import KostantResult, SplitResult, _joined_names
 from adinvar.geometry import GeometryError, Tensor
+
+
+def combination(mats, coeffs, n):
+    """sum_i coeffs[i] mats[i] as an n x n matrix."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        for orow, mrow in zip(out, m):
+            for q, x in enumerate(mrow):
+                orow[q] += c * x
+    return out
+
+
+def operator_data(mats):
+    """The operator field x -> mats[x] in the sparse tensor format."""
+    return {(x, q): {p: m[p][q] for p in range(len(m)) if m[p][q]}
+            for x, m in enumerate(mats) for q in range(len(m))
+            if any(row[q] for row in m)}
+
+
+def skew_witnesses(op, form):
+    """(x, j, k), in order, with <C_x e_j, e_k> + <e_j, C_x e_k> != 0."""
+    return core._skew(core.View.of_rational(op).data, form.int_rows.data)
+
+
+def coordinates(basis, vectors):
+    """The coordinates of each vector in basis, or None if one lies outside
+    its span; ``LinAlgError`` if the basis is dependent.  One ``rref`` of
+    the columns [basis | vectors]: the basis is independent iff its k
+    columns carry pivots, the vectors lie in its span iff no other column
+    does, and then the rows hold their (unique) coordinates."""
+    k, cols = len(basis), [*basis, *vectors]
+    rows, pivots = linalg.rref(linalg.transpose(cols))
+    if pivots[:k] != list(range(k)):
+        raise linalg.LinAlgError("basis is not linearly independent")
+    if len(pivots) > k:
+        return None
+    return [[row[col] for row in rows] for col in range(k, len(cols))]
+
+
+def signature_of(g):
+    """(n_minus, n_plus, n_zero) of a symmetric rational matrix: g scaled
+    to integers once, then ``linalg._signature``."""
+    den = lcm(*(x.denominator for row in g for x in row))
+    return linalg._signature({i: {j: x.numerator * (den // x.denominator)
+                                  for j, x in enumerate(row) if x}
+                              for i, row in enumerate(g)}, len(g))
 
 
 def derivation_witnesses(op, tensor):
@@ -224,7 +278,7 @@ def assemble_double(rep):
     nh, nd = rep.h.dim, rep.d.dim
     hs, n = nh + nd, 2 * nh + nd
     table = dict(rep.h.table)
-    for (i, b), col in rep.op_data.items():
+    for (i, b), col in rep.int_ops.rational().items():
         table[i, nh + b] = {nh + p: x for p, x in col.items()}
     for (i, m), comps in rep.h.bracket_data.items():
         for k, c in comps.items():
@@ -390,7 +444,7 @@ def _reductive_split_oracle(g_alg, form, h_sub):
     """reductive_split with the naturally reductive condition written as the
     literal loop that decomposes [x, y] and [x, z] for every (x, y, z)."""
     gram = [[form.apply(u, v) for v in h_sub.basis()] for u in h_sub.basis()]
-    if linalg.signature_of(gram)[2] != 0:
+    if signature_of(gram)[2] != 0:
         raise ExtensionError("form is degenerate on h")
     m = orthogonal_complement(h_sub, form)
     checks = [("direct_sum", h_sub.dim + m.dim == g_alg.dim
@@ -471,17 +525,17 @@ def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
 
     for (a, b) in pairs:
         s_ab = s_vectors[(a, b)]
-        alpha, = linalg.coordinates(hbar.rows, [s_ab])
+        alpha, = coordinates(hbar.rows, [s_ab])
         for (c, d) in pairs:
             s_cd = s_vectors[(c, d)]
-            gamma, = linalg.coordinates(hbar.rows, [s_cd])
+            gamma, = coordinates(hbar.rows, [s_cd])
             w1 = g_alg.bracket(mb[a], s_cd)
-            m1 = linalg.coordinates(m_sub.rows, [w1])
+            m1 = coordinates(m_sub.rows, [w1])
             if m1 is None:
                 raise KostantError("[m, h] escapes m")
             add_equation(alpha, gamma, -inner_pair(m1[0], b))
             w2 = g_alg.bracket(mb[c], s_ab)
-            m2 = linalg.coordinates(m_sub.rows, [w2])
+            m2 = coordinates(m_sub.rows, [w2])
             if m2 is None:
                 raise KostantError("[m, h] escapes m")
             add_equation(alpha, gamma, -inner_pair(m2[0], d))
@@ -520,7 +574,7 @@ def _kostant_form_oracle(g_alg, h_sub, m_sub, inner):
         form))
     checks.append(("ad_invariant_on_gbar", ad_ok, None))
     checks.append(("nondegenerate_on_hbar",
-                   linalg.signature_of(qh)[2] == 0 if r else True, None))
+                   signature_of(qh)[2] == 0 if r else True, None))
     checks.append(("nondegenerate", form.nondegenerate, None))
     return KostantResult(gbar, tuple(tuple(v) for v in basis), form, hbar,
                          tuple(checks))
@@ -541,7 +595,7 @@ def _canonical_connection_oracle(g_alg, h_sub, m_sub):
             tor[a, b] = {p: -x for p, x in enumerate(coeffs[h_sub.dim:])}
             for c in range(k):
                 z = g_alg.bracket(h_part, mb[c])
-                zc = linalg.coordinates(m_sub.rows, [z])
+                zc = coordinates(m_sub.rows, [z])
                 if zc is None:
                     raise ExtensionError("[h, m] escapes m")
                 cur[a, b, c] = {p: -x for p, x in enumerate(zc[0])}

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import gcd, lcm
@@ -12,9 +13,8 @@ from adinvar import (AlgebraError, BilinearForm, LieAlgebra, Subspace,
                      derived_series, invariant_forms, is_subalgebra,
                      kernel_of, killing_form, lower_central_series,
                      orthogonal_complement, restrict_to_subalgebra,
-                     skew_witnesses, totally_isotropic)
-from adinvar.core import (SeriesResult, View, _antisymmetric, _leibniz,
-                          operator_data)
+                     totally_isotropic)
+from adinvar.core import SeriesResult, View, _antisymmetric, _leibniz
 from adinvar import build_gd, corpus_build, corpus_list, double_extend
 from adinvar import linalg
 from adinvar.derivations import derivation_algebra, skew_derivations
@@ -22,7 +22,8 @@ from conftest import (T_PLUS, a12_rep, conjugated_rep, conjugated_table,
                       dense_change, h3_rep, so3_block_reps, torus_reps)
 from oracles import (_ad_invariant_loop, _apply_dense, _center_oracle, _derivation_loop,
                      _is_ideal_oracle, _is_subalgebra_oracle, _jacobi_loop, _skew_loop,
-                     check_jacobi_triples, derivation_witnesses, rank, trace)
+                     check_jacobi_triples, derivation_witnesses, operator_data, rank, skew_witnesses,
+                     trace)
 
 
 SPARSE = st.dictionaries(st.integers(0, 4), st.dictionaries(
@@ -55,6 +56,28 @@ def test_view_is_the_one_canonical_int_form_of_rational_data(data, other, k):
     a, b, t = View.common(view, o)
     assert t == lcm(s, o.scale) and (a is ints) == (t == s)
     assert View.of(a, t) == view and View.of(b, t) == o
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.lists(
+    st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n), max_size=5))))
+def test_subspace_is_one_view_of_its_reduced_echelon_rows(case):
+    """A Subspace compares one field, the View of its reduced echelon rows:
+    the rows and pivots it renders are those of ``linalg.rref``, its view
+    is theirs, the order of the spanning vectors does not matter, and each
+    row expands to its unit coordinates while a unit vector off the pivots,
+    which lies outside, does not expand."""
+    n, vectors = case
+    sub = Subspace.span(vectors, n)
+    rows, pivots = linalg.rref(vectors) if vectors else ([], [])
+    assert [f.name for f in fields(Subspace) if f.compare] == ["int_rows"]
+    assert isinstance(sub.int_rows, View) and sub.dim == len(rows)
+    assert sub.rows == tuple(map(tuple, rows)) and sub.pivots == pivots
+    assert sub.int_rows == View.of_rational({r: dict(enumerate(row)) for r, row in enumerate(rows)})
+    assert sub == Subspace.span(vectors[::-1], n) and sub.contains_all(vectors)
+    ints, s = sub.int_rows
+    assert all(sub._expand(row) == {r: s} for r, row in ints.items())
+    assert all(sub._expand({c: 1}) is None for c in range(n) if c not in pivots)
 
 
 def test_bracket_heisenberg(h3):
@@ -186,7 +209,7 @@ def _test_subspaces(dbl, seed):
     d_sub, hstar_sub = _blocks(dbl)
     subs = [dbl.h_sub, d_sub, hstar_sub, d_sub.add(hstar_sub),
             dbl.h_sub.add(hstar_sub), dbl.h_sub.add(d_sub), center(g),
-            Subspace(g.dim, ())]
+            Subspace.span([], g.dim)]
     subs += list(lower_central_series(g).chain)
     subs += [Subspace.span([eye[a], eye[b]], g.dim)
              for a, b in combinations(range(g.dim), 2)]
@@ -228,7 +251,7 @@ def test_totally_isotropic():
     form = BilinearForm.diagonal([-1, 1, 1])
     assert totally_isotropic(Subspace.span([[1, 0, 1]], 3), form)
     assert not totally_isotropic(Subspace.span([[1, 0, 0]], 3), form)
-    assert totally_isotropic(Subspace(3, ()), form)
+    assert totally_isotropic(Subspace.span([], 3), form)
 
 
 def test_series_steps(h3):
@@ -805,7 +828,7 @@ def test_contains_all_matches_the_rank_test(case):
         assert sub.contains(v) == _rank_contains(sub, [v])
         assert sub.contains_all(inside + [v]) == _rank_contains(sub, inside + [v])
     n = sub.ambient_dim
-    assert sub.contains_subspace(sub) and sub.contains_subspace(Subspace(n, ()))
+    assert sub.contains_subspace(sub) and sub.contains_subspace(Subspace.span([], n))
     assert sub.contains_subspace(Subspace.full(n)) == (sub.dim == n)
 
 

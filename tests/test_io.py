@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
+import json
+import os
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adinvar import build_gd, corpus_build, double_extend
+from adinvar.cli import main
 from adinvar.io import (MAX_DIM, SpecFormatError, dump_algebra_dict,
                         dump_builder_dict, load_algebra_dict, load_builder_dict,
                         parse_rational)
@@ -224,3 +230,96 @@ def test_brackets_and_metric_that_are_not_lists_refused():
                 with pytest.raises(SpecFormatError,
                                    match=f"^builder\\.{part}: '{key}' must be a list$"):
                     load_builder_dict(spec)
+
+
+# Text that the fuzz writes in place of a marker value: an integer beyond
+# Python's digit limit, and nesting deeper than the JSON parser follows.
+RAW = {"huge": "9" * 5000, "deep": "[" * 100_000 + "]" * 100_000}
+FUZZ_PATHS = st.sampled_from(["a\x00b.json", "gH.json", "gH_builder.json", "missing.json", "."])
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 30), FUZZ_PATHS,
+    st.sampled_from(["0", "-1/2", "1/0", " 3 ", "0.5", "1e3", "٣", "", "9" * 5000, "e1"]),
+    st.sampled_from(sorted(RAW)),
+    st.sampled_from([None, True, 1.5, [], {}, [[]], [1, 2, 3, "1"], {"dim": 1}]).map(copy.deepcopy))
+FUZZ_KEYS = st.sampled_from(["dim", "names", "brackets", "metric", "d", "h", "pi", "extra"])
+
+
+@pytest.fixture(scope="module")
+def emitted_files(tmp_path_factory):
+    """The directory of the files of ``corpus all --emit``, and their names."""
+    outdir = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", "all", "--emit", "--dir", str(outdir)]) == 0
+    return outdir, sorted(path.name for path in outdir.iterdir())
+
+
+def _edit(doc, data, inserted):
+    """doc with one drawn edit: a builder's d or h made a drawn path, or, at
+    a node reached by a drawn walk of up to three steps from the root, the
+    node replaced by a drawn value or deleted, or a drawn value added to it
+    under a drawn key (appended to a list).  Each string drawn goes to
+    inserted."""
+    def draw(strategy):
+        v = data.draw(strategy)
+        if isinstance(v, str) and v not in RAW:
+            inserted.append(v)
+        return v
+
+    kind = data.draw(st.sampled_from(("refer", "replace", "delete", "add")))
+    if kind == "refer" and isinstance(doc, dict) and "pi" in doc:
+        doc[data.draw(st.sampled_from(("d", "h")))] = draw(FUZZ_PATHS)
+        return doc
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not (isinstance(node, (dict, list)) and node):
+            break
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if kind == "add" and isinstance(node, dict):
+        node[data.draw(FUZZ_KEYS)] = draw(FUZZ_VALUES)
+    elif kind == "add" and isinstance(node, list):
+        node.append(draw(FUZZ_VALUES))
+    elif kind == "delete" and parent is not None:
+        del parent[key]
+    elif parent is not None:
+        parent[key] = draw(FUZZ_VALUES)
+    else:
+        return draw(FUZZ_VALUES)
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_emitted_files_exit_0_1_or_2_with_a_located_message(emitted_files, data):
+    """A file of ``corpus all --emit`` with one to three edits, in structure
+    (a node deleted, replaced by another type, a key or an entry added, a
+    builder's part made a path) and in value (indices, rationals, paths
+    with a null byte, an integer beyond the digit limit, nesting too deep),
+    read by ``check`` (an algebra) or ``gd`` (a builder), exits 0, 1 or 2
+    without a traceback, and every exit 2 prints ``error: <file>: ...``,
+    the file the spec or one it names."""
+    where, names = emitted_files
+    name = data.draw(st.sampled_from(names))
+    builder = name.endswith("_builder.json")
+    doc, inserted = json.loads((where / name).read_text(encoding="utf-8")), []
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _edit(doc, data, inserted)
+    text = json.dumps(doc, ensure_ascii=False)
+    for marker, raw in RAW.items():
+        text = text.replace(json.dumps(marker), raw)
+    spec = "fuzz_builder.json" if builder else "fuzz.json"
+    (where / spec).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gd" if builder else "check", spec, "--json"])
+    finally:
+        os.chdir(here)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        assert err[len("error: "):].startswith((spec, *inserted)), err[:200]
